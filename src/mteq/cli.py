@@ -4,7 +4,9 @@ Subcommands: ``solve`` one scheme to equilibrium plus metrics, ``sweep`` a
 price grid, ``pareto`` post-process a results directory, ``simulate`` Monte
 Carlo on a stored solution, ``generate`` synthetic instances, ``validate``
 an instance file.  Exit codes: 0 success, 1 validation/usage error,
-2 solver non-convergence (outputs are still written).
+2 solver non-convergence (outputs are still written), 3 solver failure
+(``FeasibilityError``: no finite equilibrium at the given costs, or
+``SolverError``: a numerically failed subproblem; nothing is written).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import numpy as np
 
 from . import synthgen
 from .equilibrium import (
+    FeasibilityError,
+    SolverError,
     SolverOptions,
     solve_equilibrium,
     solution_from_dict,
@@ -40,6 +44,7 @@ from .pricing import PER_AREA, PER_STRATUM, UNIFORM, SchemeSpec, expand_scheme
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NOT_CONVERGED = 2
+EXIT_SOLVER_FAILED = 3
 
 
 def _parse_rates(text: str) -> dict[str, float]:
@@ -310,6 +315,9 @@ def run(argv) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (FeasibilityError, SolverError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_FAILED
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
-from .instance import Instance, assign_areas, load_instance
+from .instance import Instance, assign_areas, load_instance, solver_from_document
 from .metrics import baseline_trip_stats, compute_metrics, simulate_trips
 from .pricing import (
     PER_AREA,
@@ -151,7 +151,7 @@ class SweepConfig:
             areas=tuple(g.get("areas", ())),
             ordered=bool(g.get("ordered", True)),
         )
-        solver = SolverOptions(**doc["solver"]) if "solver" in doc else None
+        solver = solver_from_document(doc["solver"]) if "solver" in doc else None
         return SweepConfig(
             instance=str(base / doc["instance"]),
             grid=grid,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +349,17 @@ def _read_csv_rows(path: Path) -> list[dict]:
     return [{k: v for k, v in row.items() if v not in ("", None)} for row in rows]
 
 
+def solver_from_document(section: dict) -> SolverOptions:
+    """SolverOptions from the ``solver`` section of an instance or sweep
+    config.  ``step_rule`` and ``norm``, options of the damped outer loop
+    that Anderson mixing replaced, are dropped; other unknown keys are errors."""
+    section = {k: v for k, v in section.items() if k not in ("step_rule", "norm")}
+    unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})
+    if unknown:
+        raise InstanceError(f"solver: unknown option(s) {', '.join(unknown)}")
+    return SolverOptions(**section)
+
+
 def load_instance(source) -> Instance:
     """Build a validated Instance from a JSON document (dict) or a file path."""
     base = Path(".")
@@ -404,7 +415,7 @@ def load_instance(source) -> Instance:
         times=times,
     )
 
-    solver = SolverOptions(**doc.get("solver", {}))
+    solver = solver_from_document(doc.get("solver", {}))
     return Instance(
         network=network,
         strata=strata,

@@ -81,8 +81,8 @@ class SchemeSpec:
         if fam == UNIFORM:
             return SchemeSpec(family=fam, rate=float(d["rate"]))
         if fam == PER_STRATUM:
-            return SchemeSpec(family=fam,
-                              stratum_rates=tuple(sorted(d["stratum_rates"].items())))
+            # the given order is part of the scheme id; to_dict preserves it
+            return SchemeSpec(family=fam, stratum_rates=tuple(d["stratum_rates"].items()))
         return SchemeSpec(family=fam, area_rates=tuple(sorted(d["area_rates"].items())))
 
 

@@ -4,8 +4,9 @@ from pathlib import Path
 import pytest
 
 from mteq import load_instance, load_results, save_instance
-from mteq.cli import run
+from mteq.cli import EXIT_SOLVER_FAILED, run
 from mteq.equilibrium import solution_from_dict
+from mteq.synthgen import gen_single_od
 
 from conftest import two_route_instance
 
@@ -115,6 +116,16 @@ class TestSolve:
         err_lines = [l for l in capsys.readouterr().err.splitlines() if l.strip()]
         rec = json.loads(err_lines[0])
         assert {"iteration", "residual", "wall_time"} <= set(rec)
+
+    def test_infeasible_instance_is_solver_failure(self, tmp_path, capsys):
+        # at a tiny time sensitivity the logit mass on the 0-1 cycle outgrows
+        # its cost, so expected costs have no finite fixed point
+        ipath = tmp_path / "infeasible.json"
+        save_instance(gen_single_od(time_sensitivity=0.01), ipath)
+        code = run(["solve", "--instance", str(ipath), "--scheme", "uniform",
+                    "--rate", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_SOLVER_FAILED == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_rate_is_usage_error(self, tmp_path):
         ipath = write_two_route(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mteq import (
 from mteq.equilibrium import solution_from_dict, solution_to_dict
 from mteq.network import Node, build_network
 from mteq.pricing import SchemeSpec
-from mteq.synthgen import gen_single_od
+from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
 from conftest import flat_arc, two_route_instance
@@ -223,6 +224,24 @@ class TestSolveEquilibrium:
         serial = solve_equilibrium(inst, rates, OPTS, workers=1)
         pooled = solve_equilibrium(inst, rates, OPTS, workers=4)
         assert serial.total_flow.tolist() == pooled.total_flow.tolist()
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    def test_congested_lattice_converges_in_100_passes(self, rate):
+        # the acceptance lattice at 16x its demand: the busiest arcs run at
+        # 2.6-2.7x their free-flow time (1.01x at the shipped demand), and
+        # plain undamped Anderson mixing fails to converge at rate 2
+        medium = SolverOptions(inner_tol=1e-9, outer_tol=1e-4,
+                               inner_max_iters=20000, outer_max_iters=5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7,
+                                        trips_per_pair=160))
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), inst)
+        sol = solve_equilibrium(inst, prices, medium)
+        assert sol.converged and sol.outer_iterations <= 100
+        diag = equilibrium_residuals(inst, prices, sol)
+        assert diag.flow_residual <= medium.outer_tol
+        assert diag.max_tau_residual <= medium.inner_tol
 
     def test_solution_round_trips_through_dict(self, two_route):
         sol = solve_equilibrium(two_route, zero_prices(two_route), OPTS)

@@ -20,6 +20,8 @@ from mteq import (
 )
 from mteq.experiments import RESULTS_SCHEMA_VERSION, ResultSchemaError, write_frontier_csv
 from mteq.equilibrium import SolverOptions
+from mteq.instance import InstanceError
+from mteq.synthgen import gen_single_od
 
 from conftest import two_route_instance
 
@@ -191,6 +193,21 @@ class TestRunSweep:
         b = (Path(c2.output) / "results.csv").read_bytes()
         assert a == b
 
+    def test_per_stratum_results_worker_independent(self, tmp_path):
+        # the grid orders strata by willingness to pay, not by name
+        save_instance(gen_single_od(), tmp_path / "od.json")
+        outputs = []
+        for workers in (1, 2):
+            config = SweepConfig(
+                instance=str(tmp_path / "od.json"),
+                grid=PriceGrid(family="per_stratum", lo=0.0, hi=2.0, step=2.0),
+                solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
+                output=str(tmp_path / f"w{workers}"), workers=workers)
+            rows = run_sweep(config)
+            assert not any(r.error for r in rows)
+            outputs.append((Path(config.output) / "results.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_solver_failure_recorded_not_raised(self, tmp_path, monkeypatch):
         import mteq.experiments as ex
         real = ex.solve_equilibrium
@@ -210,6 +227,15 @@ class TestRunSweep:
         assert math.isnan(failed[0].total_welfare)
         ok = [r for r in rows if not r.error]
         assert len(ok) == 4
+
+    def test_config_solver_keys(self):
+        doc = {"instance": "inst.json",
+               "grid": {"family": "uniform", "lo": 0, "hi": 1, "step": 1},
+               "solver": {"outer_tol": 1e-4, "step_rule": "0.5", "norm": "sup"}}
+        assert SweepConfig.from_dict(doc).solver == SolverOptions(outer_tol=1e-4)
+        doc["solver"]["damping"] = 0.5
+        with pytest.raises(InstanceError, match="damping"):
+            SweepConfig.from_dict(doc)
 
     def test_value_of_accessors(self):
         row = stub_row("a", 1.5, 2.5, 3.5)

@@ -90,6 +90,17 @@ class TestLoadInstance:
         inst = load_instance(tmp_path / "inst.json")
         assert instances_equal(inst, gen_single_od())
 
+    def test_legacy_solver_keys_dropped(self):
+        doc = single_od_document()
+        doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup")
+        assert instances_equal(load_instance(doc), gen_single_od())
+
+    def test_unknown_solver_key_rejected(self):
+        doc = single_od_document()
+        doc["solver"]["outer_tolerance"] = 1e-4
+        with pytest.raises(InstanceError, match="outer_tolerance"):
+            load_instance(doc)
+
 
 class TestOutsideCosts:
     def test_table_mode_substitution(self):
