@@ -22,8 +22,7 @@ from mteq import (
 )
 
 instance = gen_single_od()
-options = SolverOptions(inner_tol=1e-9, outer_tol=1e-5,
-                        inner_max_iters=10000, outer_max_iters=3000)
+options = SolverOptions(inner_tol=1e-9, outer_tol=1e-5, outer_max_iters=3000)
 
 print("network:", instance.network.n_nodes, "nodes,",
       instance.network.n_arcs, "arcs,",

@@ -27,8 +27,7 @@ from mteq import (
 instance = gen_single_od()
 workdir = Path(tempfile.mkdtemp(prefix="mteq_demo_"))
 save_instance(instance, workdir / "single_od.json")
-solver = SolverOptions(inner_tol=1e-9, outer_tol=1e-5,
-                       inner_max_iters=10000, outer_max_iters=3000)
+solver = SolverOptions(inner_tol=1e-9, outer_tol=1e-5, outer_max_iters=3000)
 
 grids = {
     "uniform": PriceGrid(family="uniform", lo=0, hi=1, step=0.125),

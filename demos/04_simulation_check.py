@@ -23,8 +23,7 @@ from mteq import (
 from mteq.metrics import all_trip_stats
 
 instance = gen_single_od()
-options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6,
-                        inner_max_iters=10000, outer_max_iters=3000)
+options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6, outer_max_iters=3000)
 prices = expand_scheme(SchemeSpec(family="uniform", rate=0.5), instance)
 solution = solve_equilibrium(instance, prices, options)
 stats = all_trip_stats(instance, solution)

@@ -76,8 +76,6 @@ def _solver_from_args(args, base: SolverOptions) -> SolverOptions:
         updates["inner_tol"] = args.tol_inner
     if args.tol_outer is not None:
         updates["outer_tol"] = args.tol_outer
-    if args.max_inner is not None:
-        updates["inner_max_iters"] = args.max_inner
     if args.max_outer is not None:
         updates["outer_max_iters"] = args.max_outer
     return replace(base, **updates) if updates else base
@@ -108,11 +106,8 @@ def _cmd_solve(args) -> int:
     if args.verbose:
         log_fn = lambda rec: print(json.dumps(rec), file=sys.stderr)
 
-    sol0 = solve_equilibrium(
-        instance, np.zeros_like(prices.rates), solver,
-        workers=args.workers, log_fn=log_fn)
-    sol = solve_equilibrium(instance, prices, solver,
-                            workers=args.workers, log_fn=log_fn)
+    sol0 = solve_equilibrium(instance, np.zeros_like(prices.rates), solver, log_fn=log_fn)
+    sol = solve_equilibrium(instance, prices, solver, log_fn=log_fn)
     report = compute_metrics(instance, sol, baseline_trip_stats(instance, sol0),
                              prices, scheme_id=scheme.scheme_id)
 
@@ -253,10 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--areas", default="2x2", help="area grid RxC for --scheme area")
     sv.add_argument("--out", default="solve_out")
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--workers", type=int, default=1)
     sv.add_argument("--tol-inner", type=float, dest="tol_inner")
     sv.add_argument("--tol-outer", type=float, dest="tol_outer")
-    sv.add_argument("--max-inner", type=int, dest="max_inner")
+    sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")
     sv.add_argument("--max-outer", type=int, dest="max_outer")
     sv.add_argument("--verbose", action="store_true",
                     help="stream iteration log as JSON lines on stderr")

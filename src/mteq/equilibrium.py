@@ -5,19 +5,17 @@ determine congested times, times determine per-stratum expected optimal
 costs (a logit fixed point per stratum and destination), costs determine
 choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
-the flow vector; each routing pass solves, per (stratum, destination), a
-warm-started fixed point for the expected costs and one sparse linear
-system for the node throughputs.
+the flow vector; each routing pass solves, per (stratum, destination), one
+scaled sparse linear system for the expected costs and one for the node
+throughputs.
 """
 
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from . import choice
@@ -25,10 +23,9 @@ from .network import Network, shortest_costs
 
 
 class FeasibilityError(RuntimeError):
-    """The expected-cost fixed point diverges: at the given costs agents do
-    not reach their destination in finite expected cost, so no equilibrium
-    exists (typically the logit time sensitivity is too small relative to
-    the arc costs)."""
+    """No finite expected optimal costs at the given costs (the arc weights
+    exp(-beta_t * cost) have spectral radius >= 1), so no equilibrium exists;
+    typically the logit time sensitivity is too small for the arc costs."""
 
 
 class SolverError(RuntimeError):
@@ -37,28 +34,24 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolverOptions:
-    """Tolerances and iteration controls.
+    """Tolerances and the outer iteration cap.
 
-    The outer loop stops once the sup-norm gap between the flow iterate and
-    its response is at most ``outer_tol``, or after ``outer_max_iters``
-    routing passes.  ``divergence_guard`` bounds the admissible magnitude of
-    expected costs; the window/decay pair detects steadily escaping
-    fixed-point iterations long before the guard magnitude is reached.
+    Expected costs are an exact linear solve; ``inner_tol`` only bounds the
+    fixed-point residual that certifies them (``TauResult.converged``) and
+    never changes the solution.  The outer loop stops once the sup-norm gap
+    between the flow iterate and its response is at most ``outer_tol``, or
+    after ``outer_max_iters`` routing passes.
     """
 
     inner_tol: float = 1e-1
-    inner_max_iters: int = 1000
     outer_tol: float = 10.0
     outer_max_iters: int = 10
-    divergence_guard: float = 1e9
-    divergence_window: int = 50
-    divergence_decay: float = 0.95
 
     def __post_init__(self):
         if self.inner_tol <= 0 or self.outer_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.inner_max_iters < 1 or self.outer_max_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.outer_max_iters < 1:
+            raise ValueError("outer_max_iters must be >= 1")
 
 
 @dataclass
@@ -118,56 +111,63 @@ class EquilibriumSolution:
 
 def warm_start_tau(network: Network, arc_costs: np.ndarray, destination: int) -> np.ndarray:
     """Cheapest cost-to-destination under the generalized arc costs; a valid
-    upper bound on the expected optimal costs and the fixed-point start."""
+    upper bound on the expected optimal costs and the scale of their solve."""
     return shortest_costs(network, arc_costs, destination)
 
 
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
               tau_init: np.ndarray, options: SolverOptions) -> TauResult:
-    """Fixed point of the expected-minimum recursion at fixed arc costs.
+    """Expected optimal costs at fixed arc costs, by one sparse linear solve.
 
-    Jacobi sweeps tau <- phi(costs + tau[head]) with the destination pinned
-    at zero.  The sweep map is sup-norm nonexpansive, so once the update
-    step drops below ``inner_tol`` the returned point has a fixed-point
-    residual no larger than that.  Raises FeasibilityError when the iterates
-    escape downward (no finite fixed point).
+    The recursion tau = phi(costs + tau[head]), tau[destination] = 0, is
+    linear in exp-space (Akamatsu 1996; Fosgerau, Frejinger & Karlstrom
+    2013): X = exp(-beta_t * (tau - tau_init)) solves (I - W) X = e_d, with
+    w_a = exp(-beta_t * (costs_a + tau_init[head] - tau_init[tail])) and the
+    destination's row of W zero.  Scaled by the shortest-cost bound, every
+    weight is at most 1 and X at least 1, so nothing underflows.
+
+    ``converged`` means the fixed-point residual, certified after at most one
+    iterative-refinement retry, is at most ``inner_tol``; ``iterations``
+    counts the solves.  Raises FeasibilityError when X is not finite and
+    positive, which (every node reaching the destination) happens exactly
+    when exp(-beta_t * costs) has spectral radius >= 1.
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
-    tau = np.array(tau_init, dtype=float)
-    tau[destination] = 0.0
-    head, out_start = network.head, network.out_start
-    floor = -(1.0 + 2.0 * float(np.max(np.abs(tau_init))))
-    window = options.divergence_window
-    deltas: list[float] = []
-    consec_drop = 0
-    prev_min = float(tau.min())
+    tau_ref = np.array(tau_init, dtype=float)
+    tau_ref[destination] = 0.0
+    weights = np.exp(-beta_t * (costs + tau_ref[network.head] - tau_ref[network.tail]))
+    A = network.chain_matrix(weights, destination)
+    e_d = np.zeros(network.n_nodes)
+    e_d[destination] = 1.0
 
-    delta = np.inf
-    for it in range(1, options.inner_max_iters + 1):
-        z = costs + tau[head]
-        new = choice.phi_nodes(z, beta_t, out_start)
-        new[destination] = 0.0
-        delta = float(np.max(np.abs(new - tau)))
-        tau = new
+    def certify(x):
+        if not (np.all(np.isfinite(x)) and float(x.min()) > 0.0):
+            raise FeasibilityError(
+                "expected optimal costs are unbounded (spectral radius of the arc "
+                "weights >= 1); agents do not reach the destination in finite "
+                "expected cost")
+        tau = tau_ref - np.log(x) / beta_t
+        tau[destination] = 0.0
+        return tau, _tau_residual(network, costs, destination, beta_t, tau)
 
-        if not np.all(np.isfinite(tau)) or np.max(np.abs(tau)) > options.divergence_guard:
-            raise FeasibilityError(
-                "expected optimal costs exceed the divergence guard; no finite "
-                "equilibrium at these costs")
-        cur_min = float(tau.min())
-        consec_drop = consec_drop + 1 if cur_min < prev_min - 1e-300 else 0
-        prev_min = cur_min
-        deltas.append(delta)
-        if (consec_drop >= window and cur_min < floor
-                and deltas[-1] >= options.divergence_decay * deltas[-window]):
-            raise FeasibilityError(
-                "expected optimal costs decrease without bound; agents do not "
-                "reach the destination in finite expected cost")
-        if delta <= options.inner_tol:
-            return TauResult(tau=tau, converged=True, iterations=it, residual=delta)
-    return TauResult(tau=tau, converged=False, iterations=options.inner_max_iters,
-                     residual=delta)
+    x = spsolve(A, e_d)
+    tau, residual = certify(x)
+    solves = 1
+    if residual > options.inner_tol:
+        x = x + spsolve(A, e_d - A @ x)
+        tau, residual = certify(x)
+        solves = 2
+    return TauResult(tau=tau, converged=residual <= options.inner_tol,
+                     iterations=solves, residual=residual)
+
+
+def _tau_residual(network: Network, costs: np.ndarray, destination: int,
+                  beta_t: float, tau: np.ndarray) -> float:
+    """Sup-norm residual of tau = phi(costs + tau[head]), tau[destination] = 0."""
+    phi = choice.phi_nodes(costs + tau[network.head], beta_t, network.out_start)
+    phi[destination] = 0.0
+    return float(np.max(np.abs(phi - tau)))
 
 
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
@@ -179,8 +179,8 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
 
     Demand at each origin is first scaled by the start probability against
     the outside option, then pushed through the choice chain: node
-    throughputs x solve (I - P^T) x = y restricted to non-destination nodes,
-    and arc flows follow as v = x[tail] * P.
+    throughputs x solve (I - P^T) x = y, with the destination absorbing
+    (x = 0 there), and arc flows follow as v = x[tail] * P.
     """
     n = network.n_nodes
     z = costs + tau[network.head]
@@ -193,10 +193,7 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     np.add.at(y, origins, trips * p_start)
     y[destination] = 0.0
 
-    mask = (network.tail != destination) & (network.head != destination)
-    trans = sp.csr_matrix(
-        (probs[mask], (network.head[mask], network.tail[mask])), shape=(n, n))
-    A = sp.identity(n, format="csr") - trans
+    A = network.chain_matrix(probs, destination).T
     x = spsolve(A, y)
 
     scale = max(1.0, float(np.max(np.abs(y))))
@@ -213,9 +210,9 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
             f"negative node throughput for destination "
             f"{network.node_id(destination)!r}; routing matrix not substochastic")
     x = np.maximum(x, 0.0)
+    x[destination] = 0.0  # the trips it absorbs leave the network
 
     v = x[network.tail] * probs
-    v[network.tail == destination] = 0.0
 
     tr = tau_result or TauResult(tau, True, 0, 0.0)
     return StratumDestinationSolution(
@@ -285,7 +282,7 @@ class _AndersonMixer:
 
 
 def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
-                      workers: int = 1, initial_flow: np.ndarray | None = None,
+                      initial_flow: np.ndarray | None = None,
                       log_fn=None) -> EquilibriumSolution:
     """Anderson-mixed fixed-point iteration on the arc-flow vector.
 
@@ -321,29 +318,19 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
 
     for k in range(opts.outer_max_iters):
         t = net.latency_all(f)
-
-        def run_pair(job):
-            s_idx, d = job
+        sub = {}
+        response = np.zeros(net.n_arcs)
+        for s_idx, d in pairs:
             s = instance.strata[s_idx]
             costs = t + (s.beta_p / s.beta_t) * kappa[s_idx]
             tau0 = warm_start_tau(net, costs, d)
             tr = solve_tau(net, costs, d, s.beta_t, tau0, opts)
             origins, trips = demand[s_idx][d]
-            return flows_for_destination(
+            sd = flows_for_destination(
                 net, tr.tau, costs, s.beta_t, origins, trips,
                 outside[s_idx][d], s.beta_t_out, d,
                 stratum=s.name, tau_result=tr)
-
-        if workers > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_pair, pairs))
-        else:
-            results = [run_pair(p) for p in pairs]
-
-        sub = {}
-        response = np.zeros(net.n_arcs)
-        for (s_idx, d), sd in zip(pairs, results):
-            sub[(instance.strata[s_idx].name, net.node_id(d))] = sd
+            sub[(s.name, net.node_id(d))] = sd
             response = response + sd.arc_flow  # fixed pair order: reproducible sums
 
         if not np.all(np.isfinite(response)):
@@ -515,10 +502,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
         kappa = rates[s_idx] * net.length * net.is_primary
         costs = t + (s.beta_p / s.beta_t) * kappa
         d = net.node_index[d_id]
-        z = costs + sd.tau[net.head]
-        phi = choice.phi_nodes(z, s.beta_t, net.out_start)
-        phi[d] = 0.0
-        tau_residuals[(s_name, d_id)] = float(np.max(np.abs(phi - sd.tau)))
+        tau_residuals[(s_name, d_id)] = _tau_residual(net, costs, d, s.beta_t, sd.tau)
         bound = shortest_costs(net, costs, d)
         bound_violation = max(bound_violation, float(np.max(sd.tau - bound)))
 
@@ -526,7 +510,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     if fd_arcs is not None:
         fd_checks = {}
         fd_opts = fd_options or SolverOptions(
-            inner_tol=min(1e-10, fd_step * 1e-3), inner_max_iters=200000,
+            inner_tol=min(1e-10, fd_step * 1e-3),
             outer_tol=instance.solver.outer_tol, outer_max_iters=1)
         for arc_pos in fd_arcs:
             arc_id = net.arcs[arc_pos].id

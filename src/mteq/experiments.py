@@ -217,7 +217,7 @@ def _evaluate_scheme(instance, spec: SchemeSpec, areas, solver, baseline_stats,
             outer_residual=sol.outer_residual,
             sim=sim_block,
         )
-    except Exception as exc:  # per-scheme failures must not abort the sweep
+    except RuntimeError as exc:  # FeasibilityError, SolverError: the sweep goes on
         empty = {s: nan for s in names}
         return ResultRow(
             scheme_id=spec.scheme_id, family=spec.family,

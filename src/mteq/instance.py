@@ -351,9 +351,12 @@ def _read_csv_rows(path: Path) -> list[dict]:
 
 def solver_from_document(section: dict) -> SolverOptions:
     """SolverOptions from the ``solver`` section of an instance or sweep
-    config.  ``step_rule`` and ``norm``, options of the damped outer loop
-    that Anderson mixing replaced, are dropped; other unknown keys are errors."""
-    section = {k: v for k, v in section.items() if k not in ("step_rule", "norm")}
+    config.  Options of replaced solvers (``step_rule`` and ``norm`` of the
+    damped outer loop, ``inner_max_iters`` and ``divergence_*`` of the iterated
+    expected costs) are dropped; other unknown keys are errors."""
+    legacy = ("step_rule", "norm", "inner_max_iters", "divergence_guard",
+              "divergence_window", "divergence_decay")
+    section = {k: v for k, v in section.items() if k not in legacy}
     unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})
     if unknown:
         raise InstanceError(f"solver: unknown option(s) {', '.join(unknown)}")

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .equilibrium import EquilibriumSolution, StratumDestinationSolution
@@ -88,14 +87,10 @@ def _absorbing_expectations(net: Network, sd: StratumDestinationSolution,
     weight columns at once; returns (n_nodes, n_weights)."""
     n = net.n_nodes
     probs = sd.arc_probs
-    mask_row = net.tail != destination
+    live = net.tail != destination
     rhs = np.zeros((n, weights.shape[1]))
-    np.add.at(rhs, net.tail[mask_row], probs[mask_row, None] * weights[mask_row])
-    rhs[destination] = 0.0
-    mask = mask_row & (net.head != destination)
-    trans = sp.csr_matrix((probs[mask], (net.tail[mask], net.head[mask])), shape=(n, n))
-    A = sp.identity(n, format="csr") - trans
-    out = spsolve(A, rhs)
+    np.add.at(rhs, net.tail[live], probs[live, None] * weights[live])
+    out = spsolve(net.chain_matrix(probs, destination), rhs)
     return np.asarray(out).reshape(n, weights.shape[1])
 
 

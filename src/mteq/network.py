@@ -178,9 +178,19 @@ class Network:
         self.out_start = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.out_degree = counts
 
+        # CSR pattern of chain_matrix: the diagonal plus one entry per
+        # distinct (tail, head) pair, and where each arc and diagonal lands.
+        keys, pos = np.unique(np.concatenate((self.tail * n + self.head,
+                                              np.arange(n) * (n + 1))),
+                              return_inverse=True)
+        self._chain_indices = (keys % n).astype(np.int32)
+        self._chain_indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+        self._chain_arc, self._chain_diag = pos[:len(arcs)], pos[len(arcs):]
+
         for arr in (self.tail, self.head, self.length, self.capacity, self.free_time,
                     self.bpr_gamma, self.bpr_nu, self.is_primary, self.out_start,
-                    self.out_degree, self.x, self.y):
+                    self.out_degree, self.x, self.y, self._chain_indices,
+                    self._chain_indptr, self._chain_arc, self._chain_diag):
             arr.flags.writeable = False
 
     @property
@@ -212,6 +222,17 @@ class Network:
 
     def incoming_arcs(self, node_idx: int) -> np.ndarray:
         return np.nonzero(self.head == node_idx)[0]
+
+    def chain_matrix(self, weights: np.ndarray, destination: int) -> sp.csr_matrix:
+        """I - W for a walk absorbed at ``destination``: W[tail, head] sums
+        the per-arc ``weights`` over parallel arcs, and the destination's
+        row of W is zero.  ``.T`` gives I - W^T on the same arrays (CSC)."""
+        w = np.array(weights, dtype=float)
+        w[self.out_start[destination]:self.out_start[destination + 1]] = 0.0
+        data = -np.bincount(self._chain_arc, weights=w, minlength=len(self._chain_indices))
+        data[self._chain_diag] += 1.0
+        return sp.csr_matrix((data, self._chain_indices, self._chain_indptr),
+                             shape=(self.n_nodes, self.n_nodes))
 
     def _min_weight_csr(self, weights: np.ndarray, transpose: bool) -> sp.csr_matrix:
         # Parallel arcs must collapse to the cheapest one, not the sum that

@@ -66,8 +66,7 @@ def two_route_instance(beta_t=1.0, outside_time=4.0, ticket=1.0, trips=10.0,
     outside = OutsideOption(mode="per_od_table", ticket=ticket,
                             times={("0", "1"): outside_time})
     return Instance(network=net, strata=strata, demand=demand, outside=outside,
-                    solver=SolverOptions(inner_tol=1e-10, inner_max_iters=10000,
-                                         outer_tol=1e-8, outer_max_iters=3000))
+                    solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000))
 
 
 @pytest.fixture
@@ -77,5 +76,4 @@ def two_route():
 
 @pytest.fixture
 def tight_options():
-    return SolverOptions(inner_tol=1e-8, outer_tol=1e-6,
-                         inner_max_iters=20000, outer_max_iters=5000)
+    return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)

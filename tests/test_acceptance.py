@@ -38,10 +38,8 @@ from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
 
-TIGHT = SolverOptions(inner_tol=1e-8, outer_tol=1e-6,
-                      inner_max_iters=20000, outer_max_iters=5000)
-MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4,
-                       inner_max_iters=20000, outer_max_iters=5000)
+TIGHT = SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
+MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
 
 GRID6 = GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7)
 

@@ -139,8 +139,7 @@ def small_sweep_config(tmp_path, lo=0.0, hi=8.0, step=2.0, workers=1):
     return SweepConfig(
         instance=str(ipath),
         grid=PriceGrid(family="uniform", lo=lo, hi=hi, step=step),
-        solver=SolverOptions(inner_tol=1e-10, inner_max_iters=10000,
-                             outer_tol=1e-8, outer_max_iters=3000),
+        solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000),
         output=str(tmp_path / "out"),
         workers=workers)
 
@@ -227,6 +226,19 @@ class TestRunSweep:
         assert math.isnan(failed[0].total_welfare)
         ok = [r for r in rows if not r.error]
         assert len(ok) == 4
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        import mteq.experiments as ex
+        real = ex.solve_equilibrium
+
+        def broken(instance, prices, options=None, **kw):
+            if np.max(np.asarray(getattr(prices, "rates", prices))) == 4.0:
+                raise TypeError("synthetic bug")
+            return real(instance, prices, options, **kw)
+
+        monkeypatch.setattr(ex, "solve_equilibrium", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_sweep(small_sweep_config(tmp_path))
 
     def test_config_solver_keys(self):
         doc = {"instance": "inst.json",

@@ -11,6 +11,7 @@ from mteq import (
     outside_costs,
     save_instance,
 )
+from mteq import cli
 from mteq.instance import instances_equal
 from mteq.network import Node, build_network
 from mteq.synthgen import gen_single_od
@@ -90,10 +91,23 @@ class TestLoadInstance:
         inst = load_instance(tmp_path / "inst.json")
         assert instances_equal(inst, gen_single_od())
 
-    def test_legacy_solver_keys_dropped(self):
+    def test_legacy_solver_keys_dropped(self, tmp_path):
         doc = single_od_document()
-        doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup")
+        doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup",
+                             inner_max_iters=1000, divergence_guard=1e9,
+                             divergence_window=50, divergence_decay=0.95)
         assert instances_equal(load_instance(doc), gen_single_od())
+        # the CLI still accepts --max-inner, and ignores it
+        with open(tmp_path / "inst.json", "w") as fh:
+            json.dump(doc, fh)
+        written = []
+        for extra in ([], ["--max-inner", "1"]):
+            out = tmp_path / f"run{len(written)}"
+            assert cli.run(["solve", "--instance", str(tmp_path / "inst.json"),
+                            "--scheme", "uniform", "--rate", "0.5", *extra,
+                            "--out", str(out)]) == cli.EXIT_OK
+            written.append((out / "solution.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_unknown_solver_key_rejected(self):
         doc = single_od_document()

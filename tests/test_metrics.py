@@ -26,8 +26,7 @@ from mteq.synthgen import gen_single_od
 
 from conftest import flat_arc, two_route_instance
 
-OPTS = SolverOptions(inner_tol=1e-10, inner_max_iters=10000,
-                     outer_tol=1e-8, outer_max_iters=3000)
+OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 
 
 def solved(instance, rate=0.0):
