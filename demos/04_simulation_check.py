@@ -5,6 +5,11 @@ probabilities and compares simulated trip statistics to the closed-form
 absorbing-chain expectations.  The two agree within sampling error, which
 is the point: the simulator gives trajectory-level detail, the linear
 systems give the exact means.
+
+The standard error of the mean time comes from the chain's exact second
+moment rather than from the sample: detours with a few expected
+occurrences in 5000 trips often do not occur at all, and the sample spread
+then understates the noise.
 """
 
 import math
@@ -20,13 +25,27 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
-from mteq.metrics import all_trip_stats
+from mteq.metrics import _absorbing_expectations, all_trip_stats
 
 instance = gen_single_od()
 options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6, outer_max_iters=3000)
 prices = expand_scheme(SchemeSpec(family="uniform", rate=0.5), instance)
 solution = solve_equilibrium(instance, prices, options)
 stats = all_trip_stats(instance, solution)
+
+net = instance.network
+
+
+def time_sd(stratum, destination="3", origin="0"):
+    """Exact standard deviation of one trip's drive time: the second moment
+    solves S_i = sum_a P_ia (t_a^2 + 2 t_a T_head + S_head), T the mean."""
+    sd = solution.subsolution(stratum, destination)
+    d, o = net.node_index[destination], net.node_index[origin]
+    t = solution.arc_time
+    mean = _absorbing_expectations(net, sd, t[:, None], d)[:, 0]
+    second = _absorbing_expectations(net, sd, (t * t + 2 * t * mean[net.head])[:, None], d)
+    return math.sqrt(second[o, 0] - mean[o] ** 2)
+
 
 report = simulate_trips(instance, solution, runs_per_unit=10, seed=42)
 print(f"simulated {len(report.trips)} trips "
@@ -42,7 +61,7 @@ for s in instance.stratum_names:
     prim = np.array([t.primary_distance for t in done])
 
     mean_t = times.mean()
-    se_t = times.std(ddof=1) / math.sqrt(len(times))
+    se_t = time_sd(s) / math.sqrt(len(times))
     share_sim = prim.sum() / dist.sum()
     share_ana = primary_flow_share(solution, s, instance)
     se_share = math.sqrt(np.sum((prim - share_sim * dist) ** 2)) / dist.sum()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,20 +173,16 @@ def _cmd_simulate(args) -> int:
                             keep_paths=args.keep_paths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    summary = report.summary(instance.stratum_names)
     doc = {
         "seed": report.seed,
         "runs_per_unit": report.runs_per_unit,
         "step_cap": report.step_cap,
         "truncated": report.truncated_count,
+        # an undefined aggregate (NaN: the stratum never drives) is written as null
         "per_stratum": {
-            s: {
-                "trips": len(report.by_stratum(s)),
-                "started_proportion": report.started_proportion(s),
-                "mean_time": report.mean_time(s),
-                "primary_share": report.primary_share(s),
-                "avg_speed": report.avg_speed(s),
-            }
-            for s in instance.stratum_names
+            s: {k: (None if math.isnan(v) else v) for k, v in agg.items()}
+            for s, agg in summary.items()
         },
     }
     _write_json(out / "simulation.json", doc)
@@ -247,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--rates", help="per-stratum or per-area rates: name=value,...")
     sv.add_argument("--areas", default="2x2", help="area grid RxC for --scheme area")
     sv.add_argument("--out", default="solve_out")
-    sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--seed", type=int, default=0,
+                    help="ignored: solving draws no random numbers")
     sv.add_argument("--tol-inner", type=float, dest="tol_inner")
     sv.add_argument("--tol-outer", type=float, dest="tol_outer")
     sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")

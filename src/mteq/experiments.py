@@ -189,10 +189,11 @@ def _evaluate_scheme(instance, spec: SchemeSpec, areas, solver, baseline_stats,
         sim_block = None
         if simulate:
             sim = simulate_trips(instance, sol, runs_per_unit=runs_per_unit, seed=seed)
+            summary = sim.summary(names)
             sim_block = {
-                "trips_started": {s: sim.started_proportion(s) for s in names},
-                "mean_time": {s: sim.mean_time(s) for s in names},
-                "primary_share": {s: sim.primary_share(s) for s in names},
+                "trips_started": {s: summary[s]["started_proportion"] for s in names},
+                "mean_time": {s: summary[s]["mean_time"] for s in names},
+                "primary_share": {s: summary[s]["primary_share"] for s in names},
                 "truncated": sim.truncated_count,
             }
         return ResultRow(

@@ -334,26 +334,51 @@ class SimulationReport:
     def by_stratum(self, stratum: str) -> list:
         return [t for t in self.trips if t.stratum == stratum]
 
+    def summary(self, strata) -> dict:
+        """Per stratum of ``strata``: trip count, started proportion, and the
+        mean time, primary-distance share and average speed of completed
+        trips (NaN where undefined), grouping the trips in one pass."""
+        groups = {s: [] for s in strata}
+        for t in self.trips:
+            if t.stratum in groups:
+                groups[t.stratum].append(t)
+        return {s: _aggregate(mine) for s, mine in groups.items()}
+
     def started_proportion(self, stratum: str) -> float:
-        mine = self.by_stratum(stratum)
-        return sum(t.started for t in mine) / len(mine) if mine else float("nan")
+        return _aggregate(self.by_stratum(stratum))["started_proportion"]
 
     def completed(self, stratum: str) -> list:
-        return [t for t in self.by_stratum(stratum) if t.started and not t.truncated]
+        return _completed(self.by_stratum(stratum))
 
     def mean_time(self, stratum: str) -> float:
-        done = self.completed(stratum)
-        return float(np.mean([t.time for t in done])) if done else float("nan")
+        return _aggregate(self.by_stratum(stratum))["mean_time"]
 
     def primary_share(self, stratum: str) -> float:
-        done = self.completed(stratum)
-        dist = sum(t.distance for t in done)
-        return sum(t.primary_distance for t in done) / dist if dist > 0 else float("nan")
+        return _aggregate(self.by_stratum(stratum))["primary_share"]
 
     def avg_speed(self, stratum: str) -> float:
-        done = self.completed(stratum)
-        tt = sum(t.time for t in done)
-        return sum(t.distance for t in done) / tt if tt > 0 else float("nan")
+        return _aggregate(self.by_stratum(stratum))["avg_speed"]
+
+
+def _completed(trips: list) -> list:
+    return [t for t in trips if t.started and not t.truncated]
+
+
+def _aggregate(trips: list) -> dict:
+    """Trip count and started proportion of a stratum's trips, plus mean
+    time, primary-distance share and average speed of its completed trips;
+    NaN where undefined."""
+    nan = float("nan")
+    done = _completed(trips)
+    dist = sum(t.distance for t in done)
+    tt = sum(t.time for t in done)
+    return {
+        "trips": len(trips),
+        "started_proportion": sum(t.started for t in trips) / len(trips) if trips else nan,
+        "mean_time": float(np.mean([t.time for t in done])) if done else nan,
+        "primary_share": sum(t.primary_distance for t in done) / dist if dist > 0 else nan,
+        "avg_speed": dist / tt if tt > 0 else nan,
+    }
 
 
 def simulate_trips(instance: Instance, solution: EquilibriumSolution,
@@ -366,9 +391,11 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     Bernoulli start decision against the outside option, then a random walk
     over outgoing arcs until the destination absorbs the trip or the step
     cap trips the truncation flag (truncated trips are counted, never
-    dropped).  Every trip draws from its own substream keyed by
-    (seed, stratum, origin, destination, replicate), so results do not
-    depend on scheduling order.
+    dropped).  Each (stratum, origin, destination) draws from one substream
+    keyed by (seed, stratum, origin, destination): first the start uniforms
+    of all its replicates, then the walk of the started ones in lockstep
+    (``_lockstep_walk``).  Results therefore do not depend on scheduling
+    order; trips are listed by pair, then origin, then replicate.
     """
     net = instance.network
     if step_cap is None:
@@ -376,29 +403,48 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     if step_cap <= net.n_nodes:
         raise ValueError("step_cap must exceed the node count")
     report = SimulationReport(seed=seed, runs_per_unit=runs_per_unit, step_cap=step_cap)
+    arc_ids = np.array([a.id for a in net.arcs], dtype=object)
+    primary_length = net.length * net.is_primary
+    # arc_of[i, k]: node i's k-th out-arc, clipped to its last
+    width = int(net.out_degree.max())
+    arc_of = np.minimum(net.out_start[:-1, None] + np.arange(width + 1),
+                        net.out_start[1:, None] - 1)
+    slot = np.arange(net.n_arcs) - net.out_start[net.tail]
 
     for (s_name, d_id), sd in sorted(solution.sub.items()):
         s_idx = instance.stratum_names.index(s_name)
         d = net.node_index[d_id]
-        kappa = solution.price_rates[s_idx] * net.length * net.is_primary
-        cum = _segment_cumsum(sd.arc_probs, net.out_start)
+        weights = np.column_stack([solution.arc_time,
+                                   solution.price_rates[s_idx] * primary_length,
+                                   net.length, primary_length])
+        # cum[i, k]: cumulative probability of node i's first k+1 out-arcs
+        cum = np.full((net.n_nodes, width), np.inf)
+        cum[net.tail, slot] = _segment_cumsum(sd.arc_probs, net.out_start)
         for pos, origin_idx in enumerate(sd.origins):
             o = int(origin_idx)
-            n_units = int(round(sd.trips[pos]))
-            p_start = float(sd.start_prob[pos])
-            for rep in range(n_units * runs_per_unit):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, o, d, rep)))
-                if rng.random() >= p_start:
-                    report.trips.append(SimulatedTrip(
-                        s_name, net.node_id(o), d_id, False, [], 0.0, 0.0, 0.0, 0.0, False))
-                    continue
-                trip = _walk(net, sd, cum, o, d, kappa, solution.arc_time,
-                             step_cap, rng, keep_paths)
-                trip.stratum, trip.origin, trip.destination = s_name, net.node_id(o), d_id
-                if trip.truncated:
-                    report.truncated_count += 1
-                report.trips.append(trip)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, o, d)))
+            n_reps = int(round(sd.trips[pos])) * runs_per_unit
+            started = rng.random(n_reps) < float(sd.start_prob[pos])
+            n_walk = int(started.sum())
+            walker, arcs, truncated = _lockstep_walk(net, cum, arc_of, o, d, n_walk,
+                                                     step_cap, rng)
+            time, money, dist, prim = (
+                np.bincount(walker, weights=weights[arcs, j], minlength=n_walk).tolist()
+                for j in range(4))
+            if keep_paths:
+                ids = arc_ids[arcs[np.argsort(walker, kind="stable")]].tolist()
+                ends = np.cumsum(np.bincount(walker, minlength=n_walk)).tolist()
+                paths = [ids[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            else:
+                paths = [[] for _ in range(n_walk)]
+            report.truncated_count += int(truncated.sum())
+            walks = zip(paths, time, money, dist, prim, truncated.tolist())
+            o_id = net.node_id(o)
+            for is_started in started.tolist():
+                report.trips.append(
+                    SimulatedTrip(s_name, o_id, d_id, True, *next(walks)) if is_started else
+                    SimulatedTrip(s_name, o_id, d_id, False, [], 0.0, 0.0, 0.0, 0.0, False))
     return report
 
 
@@ -408,24 +454,31 @@ def _segment_cumsum(probs: np.ndarray, out_start: np.ndarray) -> np.ndarray:
     return cum - np.repeat(seg_offsets, np.diff(out_start))
 
 
-def _walk(net: Network, sd, cum, origin: int, dest: int, kappa, arc_time,
-          step_cap: int, rng, keep_paths: bool) -> SimulatedTrip:
-    node = origin
-    t = m = dist = prim = 0.0
-    path = []
-    for _step in range(step_cap):
-        if node == dest:
-            return SimulatedTrip("", "", "", True, path, t, m, dist, prim, False)
-        lo, hi = net.out_start[node], net.out_start[node + 1]
-        r = rng.random()
-        a = lo + int(np.searchsorted(cum[lo:hi], r, side="right"))
-        a = min(a, hi - 1)
-        t += arc_time[a]
-        m += kappa[a]
-        dist += net.length[a]
-        if net.is_primary[a]:
-            prim += net.length[a]
-        if keep_paths:
-            path.append(net.arcs[a].id)
-        node = int(net.head[a])
-    return SimulatedTrip("", "", "", True, path, t, m, dist, prim, node != dest)
+def _lockstep_walk(net: Network, cum: np.ndarray, arc_of: np.ndarray, origin: int,
+                   dest: int, n: int, step_cap: int, rng):
+    """Walk ``n`` trips from ``origin`` in lockstep until ``dest`` absorbs
+    them or ``step_cap`` steps pass.
+
+    Each step draws one uniform ``r`` per trip still walking, in trip order,
+    and moves the trip at node ``i`` along ``arc_of[i, k]``, where ``k``
+    counts the entries of ``cum[i]`` that are <= ``r``: the arc that
+    ``searchsorted(cum[i], r, side="right")`` picks, clipped to the node's
+    last arc.  Returns the steps taken as (trip, arc) index arrays in step
+    order, and the mask of trips still walking at the cap (truncated).
+    """
+    live = np.arange(n)
+    node = np.full(n, origin)
+    walkers, arcs = [live[:0]], [live[:0]]
+    for _ in range(step_cap):
+        if not live.size:
+            break
+        r = rng.random(live.size)
+        a = arc_of[node, (cum[node] <= r[:, None]).sum(axis=1)]
+        walkers.append(live)
+        arcs.append(a)
+        node = net.head[a]
+        moving = node != dest
+        live, node = live[moving], node[moving]
+    truncated = np.zeros(n, dtype=bool)
+    truncated[live] = True
+    return np.concatenate(walkers), np.concatenate(arcs), truncated

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mteq import load_instance, load_results, save_instance
 from mteq.cli import EXIT_SOLVER_FAILED, run
 from mteq.equilibrium import solution_from_dict
+from mteq.network import build_network
 from mteq.synthgen import gen_single_od
 
 from conftest import two_route_instance
@@ -15,6 +17,13 @@ def write_two_route(tmp_path) -> Path:
     path = tmp_path / "two_route.json"
     save_instance(two_route_instance(), path)
     return path
+
+
+def solve_two_route(tmp_path, ipath) -> Path:
+    out = tmp_path / "solve"
+    assert run(["solve", "--instance", str(ipath), "--scheme", "uniform",
+                "--rate", "2", "--out", str(out)]) == 0
+    return out / "solution.json"
 
 
 class TestGenerate:
@@ -93,6 +102,14 @@ class TestSolve:
             outs.append(out)
         for fname in ("solution.json", "metrics.json", "metrics_strata.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_seed_does_not_change_solution(self, tmp_path):
+        ipath = write_two_route(tmp_path)
+        for seed in ("1", "2"):
+            assert run(["solve", "--instance", str(ipath), "--scheme", "uniform",
+                        "--rate", "2", "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        assert ((tmp_path / "1" / "solution.json").read_bytes()
+                == (tmp_path / "2" / "solution.json").read_bytes())
 
     def test_per_stratum_scheme(self, tmp_path):
         ipath = write_two_route(tmp_path)
@@ -190,6 +207,39 @@ class TestSweepParetoSimulate:
         trips = json.loads((sim_out / "trips.json").read_text())
         started = [t for t in trips if t["started"]]
         assert started and all(t["arcs"] for t in started)
+
+    def test_simulate_repeat_runs_byte_identical(self, tmp_path):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        outs = [tmp_path / name for name in ("a", "b")]
+        for out in outs:
+            assert run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                        "--runs", "5", "--seed", "3", "--out", str(out),
+                        "--keep-paths"]) == 0
+        for fname in ("simulation.json", "trips.json"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_simulation_json_is_strict_when_stratum_never_drives(self, tmp_path):
+        # driving is hopeless, so no trip starts and the completed-trip
+        # aggregates are undefined: they are written as null, not NaN
+        inst = two_route_instance(outside_time=0.0, ticket=0.0, congestible=False)
+        huge = [replace(a, length_km=1e5, free_speed_kmh=1.0) for a in inst.network.arcs]
+        ipath = tmp_path / "never.json"
+        save_instance(replace(inst, network=build_network(list(inst.network.nodes), huge)),
+                      ipath)
+        solution = solve_two_route(tmp_path, ipath)
+        assert run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                    "--runs", "2", "--out", str(tmp_path / "sim")]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "sim" / "simulation.json").read_text(),
+                         parse_constant=reject)
+        solo = doc["per_stratum"]["solo"]
+        assert solo["started_proportion"] == 0.0
+        assert solo["mean_time"] is None and solo["avg_speed"] is None
+        assert solo["primary_share"] is None
 
     def test_config_free_sweep(self, tmp_path):
         ipath = write_two_route(tmp_path)

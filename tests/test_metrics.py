@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from mteq import (
     zero_prices,
 )
 from mteq.equilibrium import StratumDestinationSolution
-from mteq.metrics import _absorbing_expectations, all_trip_stats
+from mteq.metrics import _absorbing_expectations, _segment_cumsum, all_trip_stats
 from mteq.network import Node, build_network
-from mteq.synthgen import gen_single_od
+from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 from conftest import flat_arc, two_route_instance
 
@@ -32,6 +33,19 @@ OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 def solved(instance, rate=0.0):
     prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), instance)
     return solve_equilibrium(instance, prices, OPTS), prices
+
+
+@pytest.fixture(scope="module")
+def grid6_solved():
+    """The acceptance lattice at rate 2, solved loosely: node out-degrees
+    of 2 to 4 and 30 (stratum, destination) pairs."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
+    prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+    opts = SolverOptions(inner_tol=1e-9, outer_tol=1e-2, outer_max_iters=500)
+    return inst, solve_equilibrium(inst, prices, opts)
 
 
 class TestExpectedTripStats:
@@ -300,6 +314,110 @@ class TestSimulation:
         rep.trips.reverse()
         assert rep.avg_speed("solo") == speed
         assert rep.primary_share("solo") == share
+
+    def test_summary_matches_per_stratum_aggregates(self, grid6_solved):
+        inst, sol = grid6_solved
+        rep = simulate_trips(inst, sol, runs_per_unit=2, seed=4)
+        summary = rep.summary(inst.stratum_names)
+        assert list(summary) == list(inst.stratum_names)
+        for s in inst.stratum_names:
+            assert summary[s] == {
+                "trips": len(rep.by_stratum(s)),
+                "started_proportion": rep.started_proportion(s),
+                "mean_time": rep.mean_time(s),
+                "primary_share": rep.primary_share(s),
+                "avg_speed": rep.avg_speed(s),
+            }
+
+    def test_pair_streams_are_independent(self, grid6_solved):
+        # every (stratum, origin, destination) owns its substream, so removing
+        # one pair leaves every other pair's trips as they were
+        inst, sol = grid6_solved
+        full = simulate_trips(inst, sol, runs_per_unit=2, seed=8)
+        dropped = sorted(sol.sub)[len(sol.sub) // 2]
+        sub = dict(sol.sub)
+        del sub[dropped]
+        part = simulate_trips(inst, replace(sol, sub=sub), runs_per_unit=2, seed=8)
+        rest = [t for t in full.trips if (t.stratum, t.destination) != dropped]
+        assert len(rest) < len(full.trips)
+        assert part.trips == rest
+
+    def test_kept_paths_join_origin_to_destination(self, grid6_solved):
+        inst, sol = grid6_solved
+        net = inst.network
+        rep = simulate_trips(inst, sol, runs_per_unit=2, seed=6, keep_paths=True)
+        done = [t for t in rep.trips if t.started and not t.truncated]
+        assert done
+        for t in done:
+            idx = [net.arc_index[a] for a in t.arcs]
+            assert net.node_id(int(net.tail[idx[0]])) == t.origin
+            assert net.node_id(int(net.head[idx[-1]])) == t.destination
+            assert np.array_equal(net.head[idx[:-1]], net.tail[idx[1:]])
+            assert sum(sol.arc_time[i] for i in idx) == pytest.approx(t.time, rel=1e-12)
+            assert sum(net.length[i] for i in idx) == pytest.approx(t.distance, rel=1e-12)
+        assert all(t.arcs == [] for t in rep.trips if not t.started)
+
+    def test_zero_probability_arc_never_chosen(self, grid6_solved):
+        # move the whole choice mass of one out-arc at every branching node
+        # onto a sibling: the middle arc where there is one, else the first,
+        # so the zero sits inside or at the start of the node's cumulative row
+        inst, sol = grid6_solved
+        net = inst.network
+        sub = {}
+        zeroed = set()
+        for key, sd in sol.sub.items():
+            probs = sd.arc_probs.copy()
+            for i in range(net.n_nodes):
+                lo, hi = int(net.out_start[i]), int(net.out_start[i + 1])
+                if hi - lo < 2:
+                    continue
+                a = lo + 1 if hi - lo >= 3 else lo
+                probs[a + 1 if a + 1 < hi else lo] += probs[a]
+                probs[a] = 0.0
+                zeroed.add(net.arcs[a].id)
+            sub[key] = replace(sd, arc_probs=probs)
+        rep = simulate_trips(inst, replace(sol, sub=sub), runs_per_unit=3, seed=13,
+                             keep_paths=True)
+        used = {a for t in rep.trips for a in t.arcs}
+        assert used and not used & zeroed
+
+    def test_lockstep_walk_matches_scalar_searchsorted(self, grid6_solved):
+        # reference: the same substream replayed one trip at a time with
+        # searchsorted on the node's cumulative slice, clipped to its last arc
+        inst, sol = grid6_solved
+        net = inst.network
+        seed, runs = 21, 2
+        rep = simulate_trips(inst, sol, runs_per_unit=runs, seed=seed, keep_paths=True)
+        trips = iter(rep.trips)
+        for (s_name, d_id), sd in sorted(sol.sub.items()):
+            s_idx = inst.stratum_names.index(s_name)
+            d = net.node_index[d_id]
+            cum = _segment_cumsum(sd.arc_probs, net.out_start)
+            for pos, o in enumerate(sd.origins):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, int(o), d)))
+                n = int(round(sd.trips[pos])) * runs
+                started = rng.random(n) < sd.start_prob[pos]
+                paths = [[] for _ in range(int(started.sum()))]
+                node = [int(o)] * len(paths)
+                live = list(range(len(paths)))
+                for _ in range(rep.step_cap):
+                    if not live:
+                        break
+                    for j, r in zip(live, rng.random(len(live))):
+                        lo, hi = net.out_start[node[j]], net.out_start[node[j] + 1]
+                        a = min(lo + int(np.searchsorted(cum[lo:hi], r, side="right")),
+                                hi - 1)
+                        paths[j].append(net.arcs[a].id)
+                        node[j] = int(net.head[a])
+                    live = [j for j in live if node[j] != d]
+                walks = iter(paths)
+                for is_started in started:
+                    t = next(trips)
+                    assert (t.stratum, t.origin, t.started) == (
+                        s_name, net.node_id(int(o)), bool(is_started))
+                    assert t.arcs == (next(walks) if is_started else [])
+        assert next(trips, None) is None
 
 
 class TestReport:
