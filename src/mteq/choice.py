@@ -5,7 +5,9 @@ All kernels are pure functions of cost vectors.  The expected minimum of
 ``n`` alternatives with i.i.d. Gumbel perturbations at sensitivity ``beta``
 has the closed form -log(sum exp(-beta z)) / beta, evaluated here with a
 max shift so that arbitrarily large cost gaps neither overflow nor lose the
-finite alternatives.
+finite alternatives.  The solver's per-node kernel, ``logit_nodes``, returns
+the expected minimum, the choice probabilities and the log-denominators of
+many cost rows from one max/exp/sum pass.
 """
 
 from __future__ import annotations
@@ -65,37 +67,45 @@ def outside_prob(outside_cost: float, z, beta_t: float, beta_t_out: float) -> fl
     return float(ea / (ea + np.exp(w - m).sum()))
 
 
-# Segmented variants used by the equilibrium solver: one call evaluates the
-# kernel at every node, with out_start[i]:out_start[i+1] slicing the per-arc
-# array z.  Every segment must be nonempty (positive out-degree).
+# Segmented kernels used by the equilibrium solver: one call evaluates the
+# logit at every node, with out_start[i]:out_start[i+1] slicing the per-arc
+# costs along the last axis of z.  Every segment must be nonempty (positive
+# out-degree).
+
+def logit_nodes(z: np.ndarray, beta, out_start: np.ndarray):
+    """Fused segmented logit kernel: (phi, probs, log_denom) from one
+    max/exp/sum pass.
+
+    ``z`` holds per-arc costs-to-go, shape (m,) or (k, m) for k independent
+    rows; ``beta`` is a scalar or a (k, 1) column of sensitivities.  Returns
+    the expected minimum per node, the choice probability of each arc at its
+    tail node (summing to 1 per node), and log sum exp(-beta * z) per node,
+    the driving side of the start logit.
+    """
+    w = -beta * z
+    starts = out_start[:-1]
+    reps = np.diff(out_start)
+    m = np.maximum.reduceat(w, starts, axis=-1)
+    e = np.exp(w - np.repeat(m, reps, axis=-1))
+    s = np.add.reduceat(e, starts, axis=-1)
+    log_denom = m + np.log(s)
+    return -log_denom / beta, e / np.repeat(s, reps, axis=-1), log_denom
+
 
 def phi_nodes(z: np.ndarray, beta_t: float, out_start: np.ndarray) -> np.ndarray:
-    w = -beta_t * z
-    starts = out_start[:-1]
-    m = np.maximum.reduceat(w, starts)
-    s = np.add.reduceat(np.exp(w - np.repeat(m, np.diff(out_start))), starts)
-    return -(m + np.log(s)) / beta_t
+    """Expected minimum cost per node."""
+    return logit_nodes(z, beta_t, out_start)[0]
 
 
 def probs_nodes(z: np.ndarray, beta_t: float, out_start: np.ndarray) -> np.ndarray:
     """Per-arc choice probability at the arc's tail node; sums to 1 per node."""
-    w = -beta_t * z
-    starts = out_start[:-1]
-    reps = np.diff(out_start)
-    m = np.maximum.reduceat(w, starts)
-    e = np.exp(w - np.repeat(m, reps))
-    s = np.add.reduceat(e, starts)
-    return e / np.repeat(s, reps)
+    return logit_nodes(z, beta_t, out_start)[1]
 
 
 def log_denominator_nodes(z: np.ndarray, beta_t: float,
                           out_start: np.ndarray) -> np.ndarray:
     """log sum exp(-beta_t * z) per node; the driving side of the start logit."""
-    w = -beta_t * z
-    starts = out_start[:-1]
-    m = np.maximum.reduceat(w, starts)
-    s = np.add.reduceat(np.exp(w - np.repeat(m, np.diff(out_start))), starts)
-    return m + np.log(s)
+    return logit_nodes(z, beta_t, out_start)[2]
 
 
 def outside_prob_from_log_denominator(outside_cost, log_denom, beta_t_out: float):

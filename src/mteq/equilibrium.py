@@ -5,9 +5,12 @@ determine congested times, times determine per-stratum expected optimal
 costs (a logit fixed point per stratum and destination), costs determine
 choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
-the flow vector; each routing pass solves, per (stratum, destination), one
-scaled sparse linear system for the expected costs and one for the node
-throughputs.
+the flow vector.  Given the arc costs, the (stratum, destination) routings
+are independent, so each routing pass batches all of them: one Dijkstra call
+for the shortest-cost bounds, then one block-diagonal sparse solve for the
+expected costs and one for the node throughputs, a block per pair.  Pairs
+are split into more solves only past ``network.MAX_BLOCK_ROWS`` unknowns.
+``solve_tau`` and ``flows_for_destination`` are the one-pair case.
 """
 
 from __future__ import annotations
@@ -134,40 +137,67 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
-    tau_ref = np.array(tau_init, dtype=float)
-    tau_ref[destination] = 0.0
-    weights = np.exp(-beta_t * (costs + tau_ref[network.head] - tau_ref[network.tail]))
-    A = network.chain_matrix(weights, destination)
-    e_d = np.zeros(network.n_nodes)
-    e_d[destination] = 1.0
+    tau, residual, _probs, _log_denom, solves = _expected_costs(
+        network, np.asarray(costs, dtype=float)[None], np.array([destination]), beta_t,
+        np.asarray(tau_init, dtype=float)[None], options.inner_tol)
+    return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
+                     iterations=solves, residual=float(residual[0]))
+
+
+def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
+                    tau_init: np.ndarray, inner_tol: float):
+    """solve_tau for k (cost row, destination) pairs at once: ``costs`` is
+    (k, m), ``beta`` a scalar or (k, 1) column and ``tau_init`` the (k, n)
+    shortest-cost bounds.  The k systems form one block-diagonal solve, and
+    a residual above ``inner_tol`` in any pair refines the whole block once.
+    Returns tau (k, n), the per-pair residual, the logit choice probabilities
+    and log-denominators at tau, and the number of solves."""
+    k, n = tau_init.shape
+    pair = np.arange(k)
+    tau_ref = tau_init.copy()
+    tau_ref[pair, dest] = 0.0
+    weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
+    A = network.chain_matrix(weights, dest)
+    e_d = np.zeros(k * n)
+    e_d[pair * n + dest] = 1.0
 
     def certify(x):
+        x = x.reshape(k, n)
         if not (np.all(np.isfinite(x)) and float(x.min()) > 0.0):
             raise FeasibilityError(
                 "expected optimal costs are unbounded (spectral radius of the arc "
                 "weights >= 1); agents do not reach the destination in finite "
                 "expected cost")
-        tau = tau_ref - np.log(x) / beta_t
-        tau[destination] = 0.0
-        return tau, _tau_residual(network, costs, destination, beta_t, tau)
+        tau = tau_ref - np.log(x) / beta
+        tau[pair, dest] = 0.0
+        return (tau, *_fixed_point(network, costs, dest, beta, tau))
 
     x = spsolve(A, e_d)
-    tau, residual = certify(x)
+    certified = certify(x)
     solves = 1
-    if residual > options.inner_tol:
+    if np.any(certified[1] > inner_tol):
         x = x + spsolve(A, e_d - A @ x)
-        tau, residual = certify(x)
+        certified = certify(x)
         solves = 2
-    return TauResult(tau=tau, converged=residual <= options.inner_tol,
-                     iterations=solves, residual=residual)
+    return (*certified, solves)
+
+
+def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
+                 tau: np.ndarray):
+    """Per-row sup-norm residual of tau = phi(costs + tau[head]),
+    tau[dest] = 0, for (k, n) ``tau``, with the choice probabilities and
+    log-denominators of the same kernel pass."""
+    phi, probs, log_denom = choice.logit_nodes(
+        costs + tau[:, network.head], beta, network.out_start)
+    phi[np.arange(len(dest)), dest] = 0.0
+    return np.max(np.abs(phi - tau), axis=1), probs, log_denom
 
 
 def _tau_residual(network: Network, costs: np.ndarray, destination: int,
                   beta_t: float, tau: np.ndarray) -> float:
     """Sup-norm residual of tau = phi(costs + tau[head]), tau[destination] = 0."""
-    phi = choice.phi_nodes(costs + tau[network.head], beta_t, network.out_start)
-    phi[destination] = 0.0
-    return float(np.max(np.abs(phi - tau)))
+    return float(_fixed_point(network, costs[None], np.array([destination]), beta_t,
+                              tau[None])[0][0])
 
 
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
@@ -182,48 +212,23 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     throughputs x solve (I - P^T) x = y, with the destination absorbing
     (x = 0 there), and arc flows follow as v = x[tail] * P.
     """
-    n = network.n_nodes
-    z = costs + tau[network.head]
-    probs = choice.probs_nodes(z, beta_t, network.out_start)
-    log_denom = choice.log_denominator_nodes(z, beta_t, network.out_start)
-    p_out, p_start = choice.outside_prob_from_log_denominator(
-        outside_cost, log_denom[origins], beta_t_out)
-
-    y = np.zeros(n)
-    np.add.at(y, origins, trips * p_start)
-    y[destination] = 0.0
-
-    A = network.chain_matrix(probs, destination).T
-    x = spsolve(A, y)
-
-    scale = max(1.0, float(np.max(np.abs(y))))
-    resid = float(np.max(np.abs(A @ x - y)))
-    if resid > 1e-8 * scale:
-        x = x + spsolve(A, y - A @ x)
-        resid = float(np.max(np.abs(A @ x - y)))
-        if resid > 1e-6 * scale:
-            raise SolverError(
-                f"routing system ill-conditioned for destination "
-                f"{network.node_id(destination)!r} (residual {resid:.3e})")
-    if float(x.min()) < -1e-7 * scale:
-        raise SolverError(
-            f"negative node throughput for destination "
-            f"{network.node_id(destination)!r}; routing matrix not substochastic")
-    x = np.maximum(x, 0.0)
-    x[destination] = 0.0  # the trips it absorbs leave the network
-
-    v = x[network.tail] * probs
-
+    _phi, probs, log_denom = choice.logit_nodes(
+        costs + tau[network.head], beta_t, network.out_start)
+    origins = np.asarray(origins)
+    trips = np.asarray(trips, dtype=float)
+    p_start, x, v = _route(network, probs[None], log_denom[None], np.array([destination]),
+                           np.zeros(len(origins), dtype=np.int64), origins, trips,
+                           outside_cost, beta_t_out)
     tr = tau_result or TauResult(tau, True, 0, 0.0)
     return StratumDestinationSolution(
         stratum=stratum,
         destination=network.node_id(destination),
         tau=tau,
-        entering_flow=x,
-        arc_flow=v,
+        entering_flow=x[0],
+        arc_flow=v[0],
         arc_probs=probs,
-        origins=np.asarray(origins),
-        trips=np.asarray(trips, dtype=float),
+        origins=origins,
+        trips=trips,
         start_prob=p_start,
         tau_converged=tr.converged,
         tau_residual=tr.residual,
@@ -231,21 +236,142 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     )
 
 
-def _stratum_cost_tables(instance, rates: np.ndarray):
-    """Per stratum: toll cost per arc and the outside-cost arrays per
-    destination, resolved to node indices once up front."""
-    net = instance.network
-    kappa, demand, outside = [], [], []
-    oc_all = _outside_cost_lookup(instance)
-    for s_idx, s in enumerate(instance.strata):
-        kappa.append(rates[s_idx] * net.length * net.is_primary)
-        cols = instance.demand_by_destination(s.name)
-        demand.append(cols)
-        outside.append({
-            d: np.array([oc_all[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
-            for d, (origins, _) in cols.items()
-        })
-    return kappa, demand, outside
+def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.ndarray,
+           pair: np.ndarray, origins: np.ndarray, trips: np.ndarray, outside_cost,
+           beta_t_out):
+    """flows_for_destination for k demand columns at once, from their (k, m)
+    choice probabilities and (k, n) log-denominators.  ``pair``, ``origins``,
+    ``trips``, ``outside_cost`` and ``beta_t_out`` run over the origins of
+    all columns, ``pair`` naming each one's column.  The k throughput
+    systems form one block-diagonal solve.  Returns the start probability
+    per origin, throughputs x (k, n) and arc flows v (k, m)."""
+    k, n = log_denom.shape
+    column = np.arange(k)
+    _p_out, p_start = choice.outside_prob_from_log_denominator(
+        outside_cost, log_denom[pair, origins], beta_t_out)
+
+    y = np.zeros((k, n))
+    np.add.at(y, (pair, origins), trips * p_start)
+    y[column, dest] = 0.0
+    y = y.ravel()
+
+    A = network.chain_matrix(probs, dest).T
+    x = spsolve(A, y)
+
+    scale = np.maximum(1.0, np.max(np.abs(y).reshape(k, n), axis=1))
+    resid = np.max(np.abs(A @ x - y).reshape(k, n), axis=1)
+    if np.any(resid > 1e-8 * scale):
+        x = x + spsolve(A, y - A @ x)
+        resid = np.max(np.abs(A @ x - y).reshape(k, n), axis=1)
+        worst = int(np.argmax(resid / scale))
+        if resid[worst] > 1e-6 * scale[worst]:
+            raise SolverError(
+                f"routing system ill-conditioned for destination "
+                f"{network.node_id(dest[worst])!r} (residual {resid[worst]:.3e})")
+    x = x.reshape(k, n)
+    worst = int(np.argmin(x.min(axis=1) / scale))
+    if float(x[worst].min()) < -1e-7 * scale[worst]:
+        raise SolverError(
+            f"negative node throughput for destination "
+            f"{network.node_id(dest[worst])!r}; routing matrix not substochastic")
+    x = np.maximum(x, 0.0)
+    x[column, dest] = 0.0  # the trips it absorbs leave the network
+    return p_start, x, x[:, network.tail] * probs
+
+
+class _RoutingPlan:
+    """Every (stratum, destination) demand column of a solve, flattened once
+    so that a routing pass is one batched call: the pair order (strata in
+    instance order, destinations ascending), each pair's stratum index,
+    destination and sensitivities, and the origins, trips and outside costs
+    of all pairs laid end to end."""
+
+    def __init__(self, instance, rates: np.ndarray):
+        net = instance.network
+        self.network, self.strata = net, instance.strata
+        self.kappa = rates * net.length * net.is_primary  # toll per arc, per stratum
+        self.ratio = np.array([[s.beta_p / s.beta_t] for s in self.strata])
+        oc = _outside_cost_lookup(instance)
+        stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
+        for s_idx, s in enumerate(self.strata):
+            for d, (o, g) in instance.demand_by_destination(s.name).items():
+                stratum.append(s_idx)
+                dest.append(d)
+                counts.append(len(o))
+                origins.extend(o)
+                trips.extend(g)
+                outside.extend(oc[(s.name, net.node_id(i), net.node_id(d))] for i in o)
+        self.stratum = np.array(stratum, dtype=np.int64)
+        self.dest = np.array(dest, dtype=np.int64)
+        self.beta = np.array([self.strata[i].beta_t for i in stratum], dtype=float)[:, None]
+        self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        self.pair = np.repeat(np.arange(len(counts)), counts)
+        self.origins = np.array(origins, dtype=np.int64)
+        self.trips = np.array(trips, dtype=float)
+        self.outside = np.array(outside, dtype=float)
+        self.beta_out = np.array([self.strata[i].beta_t_out for i in stratum],
+                                 dtype=float)[self.pair]
+
+    def route(self, arc_time: np.ndarray, inner_tol: float):
+        """One routing pass at fixed arc times over every pair: the
+        shortest-cost bounds from one Dijkstra call, expected costs and
+        throughputs from one block-diagonal solve each per
+        ``Network.solve_blocks`` slice.  Returns a _PassResult, or None when
+        there is no demand."""
+        if not len(self.dest):
+            return None
+        net = self.network
+        costs = arc_time + self.ratio * self.kappa  # (n_strata, n_arcs)
+        tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
+        blocks = [self._route_block(b, costs, tau_hat, inner_tol)
+                  for b in net.solve_blocks(len(self.dest))]
+        return _PassResult(*(np.concatenate(part) for part in zip(*blocks)))
+
+    def _route_block(self, b: slice, costs: np.ndarray, tau_hat: np.ndarray,
+                     inner_tol: float):
+        """Expected costs and flows of the pairs in slice ``b``."""
+        o = slice(self.bounds[b.start], self.bounds[b.stop])
+        tau, residual, probs, log_denom, solves = _expected_costs(
+            self.network, costs[self.stratum[b]], self.dest[b], self.beta[b], tau_hat[b],
+            inner_tol)
+        start_prob, x, v = _route(self.network, probs, log_denom, self.dest[b],
+                                  self.pair[o] - b.start, self.origins[o], self.trips[o],
+                                  self.outside[o], self.beta_out[o])
+        return tau, residual, np.full(len(tau), solves), probs, start_prob, x, v
+
+    def subsolutions(self, result, inner_tol: float) -> dict:
+        """The per-pair StratumDestinationSolution views of one pass."""
+        if result is None:
+            return {}
+        net, sub = self.network, {}
+        for p, (s_idx, d) in enumerate(zip(self.stratum, self.dest)):
+            name, lo, hi = self.strata[s_idx].name, self.bounds[p], self.bounds[p + 1]
+            sub[(name, net.node_id(d))] = StratumDestinationSolution(
+                stratum=name,
+                destination=net.node_id(d),
+                tau=result.tau[p],
+                entering_flow=result.x[p],
+                arc_flow=result.v[p],
+                arc_probs=result.probs[p],
+                origins=self.origins[lo:hi],
+                trips=self.trips[lo:hi],
+                start_prob=result.start_prob[lo:hi],
+                tau_converged=bool(result.residual[p] <= inner_tol),
+                tau_residual=float(result.residual[p]),
+                tau_iterations=int(result.solves[p]),
+            )
+        return sub
+
+
+@dataclass
+class _PassResult:
+    tau: np.ndarray         # (pairs, n_nodes)
+    residual: np.ndarray    # (pairs,) fixed-point residual of tau
+    solves: np.ndarray      # (pairs,) expected-cost solves of each pair's block
+    probs: np.ndarray       # (pairs, n_arcs)
+    start_prob: np.ndarray  # per origin, pairs laid end to end
+    x: np.ndarray           # (pairs, n_nodes) node throughputs
+    v: np.ndarray           # (pairs, n_arcs) arc flows
 
 
 def _outside_cost_lookup(instance):
@@ -300,16 +426,14 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     if np.any(rates < 0):
         raise ValueError("price rates must be nonnegative")
 
-    kappa, demand, outside = _stratum_cost_tables(instance, rates)
-    pairs = [(s_idx, d) for s_idx in range(len(instance.strata))
-             for d in demand[s_idx].keys()]
+    plan = _RoutingPlan(instance, rates)
 
     f = np.zeros(net.n_arcs) if initial_flow is None else np.array(initial_flow, dtype=float)
     if f.shape != (net.n_arcs,) or np.any(f < 0) or not np.all(np.isfinite(f)):
         raise ValueError("initial_flow must be a finite nonnegative arc vector")
 
     t0_wall = _time.perf_counter()
-    sub: dict = {}
+    result = None
     response = np.zeros(net.n_arcs)
     gap = np.inf
     converged = False
@@ -317,21 +441,9 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     mixer = _AndersonMixer()
 
     for k in range(opts.outer_max_iters):
-        t = net.latency_all(f)
-        sub = {}
-        response = np.zeros(net.n_arcs)
-        for s_idx, d in pairs:
-            s = instance.strata[s_idx]
-            costs = t + (s.beta_p / s.beta_t) * kappa[s_idx]
-            tau0 = warm_start_tau(net, costs, d)
-            tr = solve_tau(net, costs, d, s.beta_t, tau0, opts)
-            origins, trips = demand[s_idx][d]
-            sd = flows_for_destination(
-                net, tr.tau, costs, s.beta_t, origins, trips,
-                outside[s_idx][d], s.beta_t_out, d,
-                stratum=s.name, tau_result=tr)
-            sub[(s.name, net.node_id(d))] = sd
-            response = response + sd.arc_flow  # fixed pair order: reproducible sums
+        result = plan.route(net.latency_all(f), opts.inner_tol)
+        # summed over pairs in plan order, row by row: reproducible sums
+        response = np.zeros(net.n_arcs) if result is None else result.v.sum(axis=0)
 
         if not np.all(np.isfinite(response)):
             raise SolverError("non-finite flow response")
@@ -348,6 +460,7 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
             break
         f = mixer.step(f, response - f)
 
+    sub = plan.subsolutions(result, opts.inner_tol)
     stratum_flow = {}
     for s in instance.strata:
         total = np.zeros(net.n_arcs)

@@ -85,7 +85,9 @@ class ResultRow:
     sim: dict | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """JSON-ready form: an undefined or failed value (NaN) is written as
+        null, since NaN is not JSON."""
+        d = _nan_to_null(asdict(self))
         d["rate_vector"] = list(self.rate_vector)
         d["schema_version"] = RESULTS_SCHEMA_VERSION
         return d
@@ -95,9 +97,27 @@ class ResultRow:
         if d.get("schema_version") != RESULTS_SCHEMA_VERSION:
             raise ResultSchemaError(
                 f"result schema version {d.get('schema_version')} != {RESULTS_SCHEMA_VERSION}")
-        d = {k: v for k, v in d.items() if k != "schema_version"}
+        # null reads back as NaN, except where the field itself is optional
+        d = {k: v if v is None and k in ("error", "sim") else _null_to_nan(v)
+             for k, v in d.items() if k != "schema_version"}
         d["rate_vector"] = tuple(d["rate_vector"])
         return ResultRow(**d)
+
+
+def _nan_to_null(value):
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    return value
+
+
+def _null_to_nan(value):
+    if value is None:
+        return float("nan")
+    if isinstance(value, dict):
+        return {k: _null_to_nan(v) for k, v in value.items()}
+    return value
 
 
 def value_of(row: ResultRow, name: str) -> float:

@@ -183,8 +183,8 @@ class Instance:
 def materialize_outside_times(instance: Instance) -> dict[tuple[str, str], float]:
     """Outside travel time for every demanded OD pair.
 
-    Multiplier mode scales the zero-flow shortest drive time; one reversed
-    shortest-path run per distinct destination covers all origins.
+    Multiplier mode scales the zero-flow shortest drive time; one Dijkstra
+    call over the distinct destinations covers all origins.
     """
     net = instance.network
     ods = sorted({(e.origin, e.destination) for e in instance.demand})
@@ -198,14 +198,12 @@ def materialize_outside_times(instance: Instance) -> dict[tuple[str, str], float
             if times[(o, d)] < 0:
                 raise InstanceError(f"outside_option.times[({o}, {d})] must be >= 0")
         return times
-    free = net.free_time
-    times = {}
-    for dest in sorted({d for _, d in ods}):
-        dist = shortest_costs(net, free, net.node_index[dest])
-        for o, d in ods:
-            if d == dest:
-                times[(o, d)] = instance.outside.multiplier * float(dist[net.node_index[o]])
-    return times
+    dests = sorted({d for _, d in ods})
+    index = np.array([net.node_index[d] for d in dests], dtype=np.int64)
+    dist = shortest_costs(net, net.free_time, index)
+    row = {d: i for i, d in enumerate(dests)}
+    return {(o, d): instance.outside.multiplier * float(dist[row[d], net.node_index[o]])
+            for o, d in ods}
 
 
 def outside_costs(instance: Instance) -> dict[tuple[str, str, str], float]:

@@ -1,7 +1,8 @@
 """Welfare, revenue, and traffic metrics of an equilibrium solution.
 
 Expected per-trip quantities (time, money, distance) come from the
-absorbing-chain linear systems of each (stratum, destination) routing; the
+absorbing-chain linear systems of the (stratum, destination) routings,
+stacked into block-diagonal solves; the
 Monte Carlo simulator replays individual trips against the same transition
 probabilities and serves as an independent cross-check and the source of
 trajectory-level output.
@@ -85,47 +86,65 @@ def _absorbing_expectations(net: Network, sd: StratumDestinationSolution,
                             weights: np.ndarray, destination: int) -> np.ndarray:
     """Solve T_i = sum_a P_ia (w_a + T_head(a)) with T_dest = 0 for several
     weight columns at once; returns (n_nodes, n_weights)."""
-    n = net.n_nodes
-    probs = sd.arc_probs
-    live = net.tail != destination
-    rhs = np.zeros((n, weights.shape[1]))
-    np.add.at(rhs, net.tail[live], probs[live, None] * weights[live])
-    out = spsolve(net.chain_matrix(probs, destination), rhs)
-    return np.asarray(out).reshape(n, weights.shape[1])
+    return _absorbing_block(net, sd.arc_probs[None], weights[None],
+                            np.array([destination]))[0]
+
+
+def _absorbing_block(net: Network, probs: np.ndarray, weights: np.ndarray,
+                     dest: np.ndarray) -> np.ndarray:
+    """_absorbing_expectations for k pairs at once, from one block-diagonal
+    solve: ``probs`` is (k, n_arcs), ``weights`` (k, n_arcs, c); returns
+    (k, n_nodes, c)."""
+    k, n, c = len(dest), net.n_nodes, weights.shape[-1]
+    live = (net.tail != dest[:, None])[..., None]
+    # arcs are stored grouped by tail: each node's terms are one segment
+    rhs = np.add.reduceat(np.where(live, probs[..., None] * weights, 0.0),
+                          net.out_start[:-1], axis=1)
+    out = spsolve(net.chain_matrix(probs, dest), rhs.reshape(k * n, c))
+    return np.asarray(out).reshape(k, n, c)
 
 
 def expected_trip_stats(instance: Instance, solution: EquilibriumSolution,
                         stratum: str, destination: str) -> list[TripStats]:
     """Expected time, money and distance from every demand origin of one
     (stratum, destination) pair, plus its start probabilities."""
-    net = instance.network
-    sd = solution.subsolution(stratum, destination)
-    s_idx = instance.stratum_names.index(stratum)
-    kappa = solution.price_rates[s_idx] * net.length * net.is_primary
-    d = net.node_index[destination]
-    W = np.column_stack([solution.arc_time, kappa, net.length])
-    exp = _absorbing_expectations(net, sd, W, d)
-    rows = []
-    for pos, origin_idx in enumerate(sd.origins):
-        rows.append(TripStats(
-            stratum=stratum,
-            origin=net.node_id(int(origin_idx)),
-            destination=destination,
-            time=float(exp[origin_idx, 0]),
-            money=float(exp[origin_idx, 1]),
-            distance=float(exp[origin_idx, 2]),
-            start_prob=float(sd.start_prob[pos]),
-        ))
-    return rows
+    return _trip_stats(instance, solution, [(stratum, destination)])
 
 
 def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
-    """TripStats for every demanded (stratum, origin, destination)."""
-    out = {}
-    for (s_name, d_id) in sorted(solution.sub.keys()):
-        for row in expected_trip_stats(instance, solution, s_name, d_id):
-            out[(row.stratum, row.origin, row.destination)] = row
-    return out
+    """TripStats for every demanded (stratum, origin, destination), from
+    block-diagonal solves over all pairs (``Network.solve_blocks``)."""
+    return {(row.stratum, row.origin, row.destination): row
+            for row in _trip_stats(instance, solution, sorted(solution.sub.keys()))}
+
+
+def _trip_stats(instance: Instance, solution: EquilibriumSolution,
+                keys: list) -> list[TripStats]:
+    """TripStats rows of the (stratum, destination) pairs ``keys``, in order."""
+    if not keys:
+        return []
+    net = instance.network
+    subs = [solution.subsolution(s, d) for s, d in keys]
+    s_idx = [instance.stratum_names.index(s) for s, _ in keys]
+    kappa = solution.price_rates[s_idx] * net.length * net.is_primary
+    W = np.stack(np.broadcast_arrays(solution.arc_time, kappa, net.length), axis=-1)
+    probs = np.array([sd.arc_probs for sd in subs])
+    dest = np.array([net.node_index[d] for _, d in keys])
+    exp = np.concatenate([_absorbing_block(net, probs[b], W[b], dest[b])
+                          for b in net.solve_blocks(len(keys))])
+    rows = []
+    for (stratum, destination), sd, e in zip(keys, subs, exp):
+        for pos, origin_idx in enumerate(sd.origins):
+            rows.append(TripStats(
+                stratum=stratum,
+                origin=net.node_id(int(origin_idx)),
+                destination=destination,
+                time=float(e[origin_idx, 0]),
+                money=float(e[origin_idx, 1]),
+                distance=float(e[origin_idx, 2]),
+                start_prob=float(sd.start_prob[pos]),
+            ))
+    return rows
 
 
 def welfare(instance: Instance, solution_p: EquilibriumSolution,

@@ -25,6 +25,11 @@ DEFAULT_BPR_NU = 2.0
 #: Default average car length (km) used to derive arc capacities.
 DEFAULT_CAR_LENGTH_KM = 0.005
 
+#: Most unknowns in one block-diagonal system handed to the sparse solver.
+#: Its LU workspace grows with the unknowns, and one 15,600-unknown block
+#: (every pair of the 10x10 lattice) raised a process's peak RSS by 8 MB.
+MAX_BLOCK_ROWS = 2048
+
 
 class NetworkError(ValueError):
     """Structural problem with a network definition."""
@@ -135,7 +140,9 @@ class Network:
     Arcs are re-ordered so that all outgoing arcs of a node are contiguous;
     ``out_start[i]:out_start[i+1]`` slices the arc arrays per node, in the
     style of a CSR index.  ``arc_order`` maps storage position -> position
-    in the original arc list.
+    in the original arc list.  The sparsity patterns of ``chain_matrix`` and
+    ``reversed_graph`` are computed once here; each call only fills in the
+    values, tiled block-diagonally for many (weights, destination) rows.
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
@@ -187,10 +194,21 @@ class Network:
         self._chain_indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
         self._chain_arc, self._chain_diag = pos[:len(arcs)], pos[len(arcs):]
 
+        # CSR pattern of reversed_graph: arcs grouped by (head, tail), one
+        # entry per group, so parallel arcs collapse to a single edge.
+        rev_key = self.head * n + self.tail
+        self._rev_perm = np.argsort(rev_key, kind="stable")
+        rev_key = rev_key[self._rev_perm]
+        self._rev_starts = np.flatnonzero(np.diff(rev_key, prepend=-1))
+        rev_key = rev_key[self._rev_starts]
+        self._rev_indices = (rev_key % n).astype(np.int32)
+        self._rev_indptr = np.searchsorted(rev_key // n, np.arange(n + 1)).astype(np.int32)
+
         for arr in (self.tail, self.head, self.length, self.capacity, self.free_time,
                     self.bpr_gamma, self.bpr_nu, self.is_primary, self.out_start,
                     self.out_degree, self.x, self.y, self._chain_indices,
-                    self._chain_indptr, self._chain_arc, self._chain_diag):
+                    self._chain_indptr, self._chain_arc, self._chain_diag,
+                    self._rev_perm, self._rev_starts, self._rev_indices, self._rev_indptr):
             arr.flags.writeable = False
 
     @property
@@ -223,28 +241,44 @@ class Network:
     def incoming_arcs(self, node_idx: int) -> np.ndarray:
         return np.nonzero(self.head == node_idx)[0]
 
-    def chain_matrix(self, weights: np.ndarray, destination: int) -> sp.csr_matrix:
-        """I - W for a walk absorbed at ``destination``: W[tail, head] sums
-        the per-arc ``weights`` over parallel arcs, and the destination's
-        row of W is zero.  ``.T`` gives I - W^T on the same arrays (CSC)."""
-        w = np.array(weights, dtype=float)
-        w[self.out_start[destination]:self.out_start[destination + 1]] = 0.0
-        data = -np.bincount(self._chain_arc, weights=w, minlength=len(self._chain_indices))
-        data[self._chain_diag] += 1.0
-        return sp.csr_matrix((data, self._chain_indices, self._chain_indptr),
-                             shape=(self.n_nodes, self.n_nodes))
+    def chain_matrix(self, weights: np.ndarray, destination) -> sp.csr_matrix:
+        """Block-diagonal I - W for walks absorbed at their destinations.
 
-    def _min_weight_csr(self, weights: np.ndarray, transpose: bool) -> sp.csr_matrix:
-        # Parallel arcs must collapse to the cheapest one, not the sum that
-        # sparse constructors produce for duplicate entries.
-        r, c = (self.head, self.tail) if transpose else (self.tail, self.head)
-        key = r * self.n_nodes + c
-        srt = np.lexsort((weights, key))
-        key_s, w_s = key[srt], weights[srt]
-        first = np.concatenate(([True], key_s[1:] != key_s[:-1]))
-        key_u, w_u = key_s[first], w_s[first]
-        rows, cols = key_u // self.n_nodes, key_u % self.n_nodes
-        return sp.csr_matrix((w_u, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
+        ``weights`` is (m,) with an int ``destination``, or (k, m) with k
+        destinations: block i is I - W_i, where W_i[tail, head] sums row i
+        of the per-arc weights over parallel arcs and the row of the i-th
+        destination is zero.  One block gives the (n, n) matrix.  ``.T``
+        gives I - W^T on the same arrays (CSC).
+        """
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        dest = np.atleast_1d(destination)
+        k, n, nnz = len(w), self.n_nodes, len(self._chain_indices)
+        w = np.where(self.tail == dest[:, None], 0.0, w)
+        block = np.arange(k)[:, None]
+        data = -np.bincount((self._chain_arc + nnz * block).ravel(), weights=w.ravel(),
+                            minlength=k * nnz)
+        data[(self._chain_diag + nnz * block).ravel()] += 1.0
+        indices = (self._chain_indices + n * block).ravel()
+        indptr = np.append((self._chain_indptr[:-1] + nnz * block).ravel(), k * nnz)
+        return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))
+
+    def solve_blocks(self, k: int) -> list[slice]:
+        """Consecutive slices of k stacked per-destination systems, each of
+        at most MAX_BLOCK_ROWS unknowns (and at least one system)."""
+        step = max(1, MAX_BLOCK_ROWS // self.n_nodes)
+        return [slice(lo, min(k, lo + step)) for lo in range(0, k, step)]
+
+    def reversed_graph(self, weights: np.ndarray) -> sp.csr_matrix:
+        """Block-diagonal reversed graph for Dijkstra: block i has an edge
+        head -> tail weighted by the cheapest of the parallel arcs under row
+        i of ``weights``, (m,) or (k, m).  ``.T`` is the forward graph."""
+        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        k, n, nnz = len(w), self.n_nodes, len(self._rev_indices)
+        data = np.minimum.reduceat(w[:, self._rev_perm], self._rev_starts, axis=1)
+        block = np.arange(k)[:, None]
+        indices = (self._rev_indices + n * block).ravel()
+        indptr = np.append((self._rev_indptr[:-1] + nnz * block).ravel(), k * nnz)
+        return sp.csr_matrix((data.ravel(), indices, indptr), shape=(k * n, k * n))
 
 
 def build_network(nodes: list[Node], arcs: list[Arc]) -> Network:
@@ -252,27 +286,42 @@ def build_network(nodes: list[Node], arcs: list[Arc]) -> Network:
     return Network(nodes, arcs)
 
 
-def shortest_costs(network: Network, arc_costs: np.ndarray, destination: int) -> np.ndarray:
+def shortest_costs(network: Network, arc_costs: np.ndarray, destination,
+                   rows=None) -> np.ndarray:
     """Minimum cost-to-destination from every node, Bellman-consistent.
 
-    ``arc_costs`` is per arc in storage order, nonnegative.  The value at the
-    destination is 0.  Raises if some node cannot reach the destination
+    ``arc_costs`` is per arc in storage order, nonnegative: one vector (m,),
+    or a stack (S, m) with ``rows[i]`` naming the cost row that destination
+    i is routed under.  An int ``destination`` returns (n,); an array of k
+    destinations returns (k, n) from a single Dijkstra call over the
+    block-diagonal reversed graph of the cost rows.  The value at each
+    destination is 0.  Raises if some node cannot reach a destination
     (cannot happen on a strongly connected core).
     """
-    arc_costs = np.asarray(arc_costs, dtype=float)
-    if arc_costs.shape != (network.n_arcs,):
+    costs = np.atleast_2d(np.asarray(arc_costs, dtype=float))
+    if costs.ndim != 2 or costs.shape[1] != network.n_arcs:
         raise ValueError("arc_costs must have one entry per arc")
-    if np.any(arc_costs < 0):
+    if np.any(costs < 0):
         raise ValueError("arc costs must be nonnegative")
-    if not 0 <= destination < network.n_nodes:
-        raise ValueError(f"destination index {destination} out of range")
-    # Distances to the destination = distances from it on the reversed graph.
-    rev = network._min_weight_csr(arc_costs, transpose=True)
-    dist = dijkstra(rev, indices=destination)
+    dest = np.atleast_1d(np.asarray(destination, dtype=np.int64))
+    n = network.n_nodes
+    bad = dest[(dest < 0) | (dest >= n)]
+    if bad.size:
+        raise ValueError(f"destination index {bad[0]} out of range")
+    if rows is None:
+        if len(costs) != 1:
+            raise ValueError("a stack of cost rows needs rows= per destination")
+        rows = np.zeros(len(dest), dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape != dest.shape or np.any((rows < 0) | (rows >= len(costs))):
+        raise ValueError("rows must name one cost row per destination")
+    # Distances to a destination = distances from it on the reversed graph.
+    dist = dijkstra(network.reversed_graph(costs), indices=rows * n + dest)
+    dist = dist.reshape(len(dest), len(costs), n)[np.arange(len(dest)), rows]
     if not np.all(np.isfinite(dist)):
-        bad = network.node_id(int(np.nonzero(~np.isfinite(dist))[0][0]))
-        raise NetworkError(f"node {bad!r} cannot reach the destination")
-    return dist
+        node = network.node_id(int(np.nonzero(~np.isfinite(dist))[1][0]))
+        raise NetworkError(f"node {node!r} cannot reach the destination")
+    return dist[0] if np.ndim(destination) == 0 else dist
 
 
 def strongly_connected(network: Network) -> bool:

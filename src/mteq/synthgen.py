@@ -207,7 +207,7 @@ def _secondary_served(network) -> np.ndarray:
 def _sample_demand(network, spec: GridGenSpec) -> list[DemandEntry]:
     areas = assign_areas(network, 2, 2)
     n = network.n_nodes
-    adj = network._min_weight_csr(network.length, transpose=False)
+    adj = network.reversed_graph(network.length).T
     dist = dijkstra(adj)
     served = _secondary_served(network)
 

@@ -6,6 +6,7 @@ import pytest
 from mteq import cost_to_go, outside_prob, phi, transition_probs
 from mteq.choice import (
     log_denominator_nodes,
+    logit_nodes,
     outside_prob_from_log_denominator,
     phi_nodes,
     probs_nodes,
@@ -161,3 +162,15 @@ class TestSegmentedKernels:
         p_out, p_start = outside_prob_from_log_denominator(2.2, ld, beta_out)
         assert p_out[0] == pytest.approx(outside_prob(2.2, z, beta, beta_out), rel=1e-13)
         assert p_out[0] + p_start[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_fused_rows_equal_single_rows(self):
+        rng = np.random.default_rng(22)
+        out_start = np.array([0, 1, 4, 6, 11, 12])
+        z = rng.uniform(-10, 10, size=(4, out_start[-1]))
+        beta = np.array([[0.5], [1.7], [3.0], [40.0]])
+        ph, pr, ld = logit_nodes(z, beta, out_start)
+        for i in range(len(z)):
+            b = float(beta[i, 0])
+            assert ph[i].tolist() == phi_nodes(z[i], b, out_start).tolist()
+            assert pr[i].tolist() == probs_nodes(z[i], b, out_start).tolist()
+            assert ld[i].tolist() == log_denominator_nodes(z[i], b, out_start).tolist()

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from mteq import (
+    DemandEntry,
     FeasibilityError,
+    Instance,
+    OutsideOption,
+    Stratum,
     SolverOptions,
     equilibrium_residuals,
     expand_scheme,
+    extract_core,
     flows_for_destination,
+    outside_costs,
     solve_equilibrium,
     solve_tau,
     warm_start_tau,
@@ -300,3 +306,116 @@ class TestDiagnostics:
         b = solve_equilibrium(inst, rates, OPTS, initial_flow=start)
         assert a.converged and b.converged
         assert np.max(np.abs(a.total_flow - b.total_flow)) <= 10 * OPTS.outer_tol
+
+
+def one_pass(inst, rates, initial_flow=None, inner_tol=1e-9):
+    """The routing pass of solve_equilibrium at one flow iterate."""
+    opts = SolverOptions(inner_tol=inner_tol, outer_tol=1e-12, outer_max_iters=1)
+    return solve_equilibrium(inst, rates, opts, initial_flow=initial_flow)
+
+
+def per_pair_reference(inst, rates, arc_time, inner_tol=1e-9):
+    """Every (stratum, destination) routed on its own: solve_tau from the
+    Dijkstra bound, then flows_for_destination."""
+    net = inst.network
+    opts = SolverOptions(inner_tol=inner_tol)
+    oc = outside_costs(inst)
+    out = {}
+    for s_idx, s in enumerate(inst.strata):
+        costs = arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.length * net.is_primary)
+        for d, (origins, trips) in inst.demand_by_destination(s.name).items():
+            tr = solve_tau(net, costs, d, s.beta_t, warm_start_tau(net, costs, d), opts)
+            outside = np.array([oc[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
+            out[(s.name, net.node_id(d))] = flows_for_destination(
+                net, tr.tau, costs, s.beta_t, origins, trips, outside, s.beta_t_out, d,
+                stratum=s.name, tau_result=tr)
+    return out
+
+
+def assert_matches_per_pair(inst, rates, sol):
+    ref = per_pair_reference(inst, rates, sol.arc_time)
+    assert sorted(sol.sub) == sorted(ref)
+    for key, want in ref.items():
+        got = sol.sub[key]
+        assert got.tau == pytest.approx(want.tau, rel=1e-12, abs=1e-12), key
+        assert got.arc_flow == pytest.approx(want.arc_flow, rel=1e-9, abs=1e-9), key
+        assert got.entering_flow == pytest.approx(want.entering_flow, rel=1e-9, abs=1e-9), key
+        assert got.start_prob == pytest.approx(want.start_prob, rel=1e-12, abs=1e-15), key
+        assert got.origins.tolist() == want.origins.tolist()
+        assert got.trips.tolist() == want.trips.tolist()
+        assert got.tau_converged == want.tau_converged
+    total = sum(sd.arc_flow for sd in ref.values())
+    assert sol.response_flow == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def lattice():
+    """The acceptance lattice: 36 nodes, 30 (stratum, destination) pairs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
+
+
+class TestBatchedRouting:
+    @pytest.mark.parametrize("block_rows", [None, 72])  # 72: two pairs per block
+    @pytest.mark.parametrize("rate", [0.0, 2.0, 300.0])
+    def test_pass_matches_per_pair_routing(self, lattice, rate, block_rows, monkeypatch):
+        import mteq.network
+        if block_rows is not None:
+            monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", block_rows)
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice).rates
+        flow = np.random.default_rng(8).uniform(0.0, 400.0, size=lattice.network.n_arcs)
+        sol = one_pass(lattice, rates, initial_flow=flow)
+        assert len(sol.sub) == 30
+        assert_matches_per_pair(lattice, rates, sol)
+
+    def test_single_od_pairs_match_oracle(self):
+        inst = gen_single_od()
+        net = inst.network
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst).rates
+        sol = one_pass(inst, rates, inner_tol=1e-12)
+        assert len(sol.sub) == len(inst.strata)
+        for s_idx, s in enumerate(inst.strata):
+            costs = sol.arc_time + (s.beta_p / s.beta_t) * (
+                rates[s_idx] * net.length * net.is_primary)
+            for (name, d_id), sd in sol.sub.items():
+                if name == s.name:
+                    ref = oracle.naive_tau(net, costs, net.node_index[d_id], s.beta_t)
+                    assert sd.tau == pytest.approx(ref, rel=1e-12, abs=1e-12), name
+
+    def test_one_infeasible_pair_fails_the_batch(self):
+        # the 0 <-> 1 cycle has spectral radius sqrt(2e^-b * e^-b) = 1.4 at b = 0.01
+        net = build_network(
+            [Node(str(i), i, 0) for i in range(3)],
+            [flat_arc("a01", "0", "1", 1.0), flat_arc("b01", "0", "1", 1.0),
+             flat_arc("a10", "1", "0", 1.0), flat_arc("a12", "1", "2", 1.0),
+             flat_arc("a20", "2", "0", 1.0)])
+        calm = Stratum(name="calm", beta_t=10.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+        reckless = Stratum(name="reckless", beta_t=0.01, beta_p=1.0,
+                           beta_t_out=1.0, beta_p_out=1.0)
+
+        def instance(strata):
+            return Instance(
+                network=net, strata=strata,
+                demand=[DemandEntry(s.name, "0", "2", 5.0) for s in strata],
+                outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                      times={("0", "2"): 5.0}))
+
+        feasible = instance([calm])
+        assert one_pass(feasible, zero_prices(feasible)).sub[("calm", "2")].started_demand() > 0
+        both = instance([calm, reckless])
+        with pytest.raises(FeasibilityError):
+            one_pass(both, zero_prices(both))
+
+    def test_network_rebuilt_from_arc_subset(self, lattice):
+        net = lattice.network
+        one_pass(lattice, zero_prices(lattice))
+        core = extract_core(build_network(list(net.nodes),
+                                          [a for a in net.arcs if not a.is_primary]))
+        assert core.n_nodes < net.n_nodes
+        rebuilt = Instance(network=core, strata=lattice.strata, demand=lattice.demand,
+                           outside=lattice.outside)
+        rates = zero_prices(rebuilt).rates
+        sol = one_pass(rebuilt, rates)
+        assert sol.response_flow.shape == (core.n_arcs,)
+        assert_matches_per_pair(rebuilt, rates, sol)

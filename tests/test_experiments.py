@@ -21,6 +21,7 @@ from mteq import (
 from mteq.experiments import RESULTS_SCHEMA_VERSION, ResultSchemaError, write_frontier_csv
 from mteq.equilibrium import SolverOptions
 from mteq.instance import InstanceError
+from mteq.network import build_network
 from mteq.synthgen import gen_single_od
 
 from conftest import two_route_instance
@@ -239,6 +240,49 @@ class TestRunSweep:
         monkeypatch.setattr(ex, "solve_equilibrium", broken)
         with pytest.raises(TypeError, match="synthetic bug"):
             run_sweep(small_sweep_config(tmp_path))
+
+    def test_undefined_values_written_as_null_and_resumed(self, tmp_path):
+        # driving is hopeless: no trip starts, so speeds, primary shares and
+        # the simulated mean time are undefined (NaN) in every scheme
+        inst = two_route_instance(outside_time=0.0, ticket=0.0, congestible=False)
+        huge = [type(a)(id=a.id, tail=a.tail, head=a.head, length_km=1e5,
+                        free_speed_kmh=1.0, lanes=a.lanes, road_class=a.road_class,
+                        capacity=a.capacity, bpr_gamma=0.0)
+                for a in inst.network.arcs]
+        slow = type(inst)(network=build_network(list(inst.network.nodes), huge),
+                          strata=inst.strata, demand=inst.demand,
+                          outside=inst.outside, solver=inst.solver)
+        save_instance(slow, tmp_path / "slow.json")
+        config = SweepConfig(
+            instance=str(tmp_path / "slow.json"),
+            grid=PriceGrid(family="uniform", lo=0.0, hi=1.0, step=1.0),
+            solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000),
+            output=str(tmp_path / "out"), simulate=True, runs_per_unit=2)
+        rows = run_sweep(config)
+        assert math.isnan(rows[0].avg_speed_trip["solo"])
+        assert math.isnan(rows[0].sim["mean_time"]["solo"])
+
+        def no_constants(token):
+            raise ValueError(f"not JSON: {token}")
+
+        out = Path(config.output)
+        details = sorted((out / "schemes").glob("*.json"))
+        assert len(details) == 2
+        before = {p.name: p.read_bytes() for p in details}
+        for text in before.values():
+            doc = json.loads(text, parse_constant=no_constants)
+            assert doc["avg_speed_trip"]["solo"] is None
+            assert doc["sim"]["mean_time"]["solo"] is None
+            assert doc["error"] is None
+        csv_before = (out / "results.csv").read_bytes()
+        assert b"nan" in csv_before
+
+        (out / "results.csv").unlink()
+        again = run_sweep(config)  # every scheme resumes from its detail file
+        assert (out / "results.csv").read_bytes() == csv_before
+        assert {p.name: p.read_bytes() for p in details} == before
+        assert math.isnan(again[1].avg_speed_trip["solo"])
+        assert again[1].sim["truncated"] == rows[1].sim["truncated"]
 
     def test_config_solver_keys(self):
         doc = {"instance": "inst.json",

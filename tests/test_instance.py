@@ -152,6 +152,23 @@ class TestOutsideCosts:
         assert up_time[key] > base[key]
 
 
+    def test_multiplier_mode_equals_per_destination_dijkstra(self):
+        import warnings
+        from mteq import GridGenSpec, gen_grid, shortest_costs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
+        net = inst.network
+        assert inst.outside.mode == "free_time_multiplier"
+        ods = {(e.origin, e.destination) for e in inst.demand}
+        assert len({d for _, d in ods}) > 1
+        want = {}
+        for o, d in ods:
+            dist = shortest_costs(net, net.free_time, net.node_index[d])
+            want[(o, d)] = inst.outside.multiplier * float(dist[net.node_index[o]])
+        assert inst.outside_time == want
+
+
 class TestAssignAreas:
     def grid_net(self, coords):
         nodes = [Node(str(k), x, y) for k, (x, y) in enumerate(coords)]

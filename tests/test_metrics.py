@@ -95,6 +95,28 @@ class TestExpectedTripStats:
         assert exp[net.node_index["0"], 0] == pytest.approx(5.0, rel=1e-12)
 
 
+    @pytest.mark.parametrize("block_rows", [None, 72])  # 72: two pairs per block
+    def test_all_pairs_in_one_solve_match_per_pair_solves(self, grid6_solved, block_rows,
+                                                          monkeypatch):
+        import mteq.network
+        if block_rows is not None:
+            monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", block_rows)
+        inst, sol = grid6_solved
+        net = inst.network
+        stats = all_trip_stats(inst, sol)
+        assert len(stats) == len(inst.demand)
+        for (s_name, d_id), sd in sol.sub.items():
+            s_idx = inst.stratum_names.index(s_name)
+            kappa = sol.price_rates[s_idx] * net.length * net.is_primary
+            W = np.column_stack([sol.arc_time, kappa, net.length])
+            ref = _absorbing_expectations(net, sd, W, net.node_index[d_id])
+            for pos, o in enumerate(sd.origins):
+                row = stats[(s_name, net.node_id(int(o)), d_id)]
+                got = [row.time, row.money, row.distance]
+                assert got == pytest.approx(ref[o].tolist(), rel=1e-12, abs=1e-300)
+                assert row.start_prob == sd.start_prob[pos]
+
+
 class TestWelfare:
     def test_no_pricing_has_zero_delta(self):
         inst = gen_single_od()

@@ -214,3 +214,102 @@ class TestShortestCosts:
              flat_arc("loop1", "1", "1", 1.0)])
         with pytest.raises(NetworkError, match="cannot reach"):
             shortest_costs(net, net.free_time, net.node_index["0"])
+
+
+def parallel_lattice():
+    """3-node ring with two-way arcs and a slower parallel twin on two of
+    them, so the cheapest-of-parallel-arcs rule matters."""
+    nodes = [Node(str(i), i, 0) for i in range(3)]
+    arcs = [flat_arc("a01", "0", "1", 2.0), flat_arc("b01", "0", "1", 1.5),
+            flat_arc("a10", "1", "0", 2.0), flat_arc("a12", "1", "2", 1.0),
+            flat_arc("a21", "2", "1", 4.0), flat_arc("b21", "2", "1", 6.0),
+            flat_arc("a20", "2", "0", 3.0), flat_arc("a02", "0", "2", 5.0)]
+    return build_network(nodes, arcs)
+
+
+class TestBatchedShortestCosts:
+    @pytest.mark.parametrize("make", [parallel_lattice, lambda: gen_single_od().network])
+    def test_array_of_destinations_equals_loop(self, make):
+        net = make()
+        rng = np.random.default_rng(3)
+        costs = rng.uniform(0.0, 2.0, size=(3, net.n_arcs))
+        dest = np.array([2, 0, 1, 2, 0])
+        rows = np.array([0, 1, 2, 2, 0])
+        got = shortest_costs(net, costs, dest, rows=rows)
+        for i, (d, r) in enumerate(zip(dest, rows)):
+            assert got[i].tolist() == shortest_costs(net, costs[r], int(d)).tolist()
+        one_row = shortest_costs(net, costs[1], dest)
+        for i, d in enumerate(dest):
+            assert one_row[i].tolist() == shortest_costs(net, costs[1], int(d)).tolist()
+
+    def test_parallel_arcs_take_min_in_every_row(self):
+        net = parallel_lattice()
+        costs = np.vstack([net.free_time, 2.0 * net.free_time])
+        got = shortest_costs(net, costs, np.array([1, 1]), rows=np.array([0, 1]))
+        assert got[:, net.node_index["0"]].tolist() == [1.5, 3.0]  # b01, not a01
+        assert got[:, net.node_index["2"]].tolist() == [4.0, 8.0]  # a21, not b21
+
+    def test_stack_without_rows_rejected(self):
+        net = parallel_lattice()
+        with pytest.raises(ValueError, match="rows"):
+            shortest_costs(net, np.vstack([net.free_time] * 2), np.array([0, 1]))
+
+    def test_unreachable_destination_reported_in_batch(self):
+        net = build_network(
+            [Node("0", 0, 0), Node("1", 1, 0)],
+            [flat_arc("a", "0", "1", 1.0), flat_arc("loop", "0", "0", 1.0),
+             flat_arc("loop1", "1", "1", 1.0)])
+        with pytest.raises(NetworkError, match="cannot reach"):
+            shortest_costs(net, net.free_time, np.array([1, 0]))
+
+
+def chain_reference(net, weights, destination):
+    """Dense I - W by a loop over arcs, the destination's row of W zero."""
+    a = np.eye(net.n_nodes)
+    for k in range(net.n_arcs):
+        if net.tail[k] != destination:
+            a[net.tail[k], net.head[k]] -= weights[k]
+    return a
+
+
+class TestChainMatrix:
+    def test_single_block_equals_loop(self):
+        net = parallel_lattice()
+        w = np.random.default_rng(5).uniform(0.0, 0.5, size=net.n_arcs)
+        for d in range(net.n_nodes):
+            ref = chain_reference(net, w, d)
+            assert net.chain_matrix(w, d).toarray().tolist() == ref.tolist()
+            assert net.chain_matrix(w[None], np.array([d])).toarray().tolist() == ref.tolist()
+
+    def test_blocks_are_the_single_matrices(self):
+        net = parallel_lattice()
+        n = net.n_nodes
+        w = np.random.default_rng(6).uniform(0.0, 0.5, size=(4, net.n_arcs))
+        dest = np.array([2, 0, 2, 1])
+        full = net.chain_matrix(w, dest).toarray()
+        assert full.shape == (4 * n, 4 * n)
+        for i, d in enumerate(dest):
+            block = full[i * n:(i + 1) * n]
+            assert block[:, i * n:(i + 1) * n].tolist() == chain_reference(net, w[i], d).tolist()
+            assert not np.any(np.delete(block, np.s_[i * n:(i + 1) * n], axis=1))
+
+    def test_blocks_cover_every_system_within_the_row_bound(self, monkeypatch):
+        import mteq.network as network
+        net = parallel_lattice()
+        monkeypatch.setattr(network, "MAX_BLOCK_ROWS", 7)  # two 3-node systems per block
+        assert net.solve_blocks(5) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        monkeypatch.setattr(network, "MAX_BLOCK_ROWS", 1)  # never fewer than one system
+        assert net.solve_blocks(2) == [slice(0, 1), slice(1, 2)]
+        assert net.solve_blocks(0) == []
+
+
+class TestRebuiltNetwork:
+    def test_patterns_follow_the_arc_subset(self):
+        full = parallel_lattice()
+        sub = build_network(list(full.nodes), [a for a in full.arcs if not a.id.startswith("b")])
+        assert sub.n_arcs == full.n_arcs - 2
+        assert sub.reversed_graph(sub.free_time).nnz == sub.n_arcs
+        got = shortest_costs(sub, sub.free_time, np.array([1, 1]))
+        assert got[0, sub.node_index["0"]] == 2.0  # b01 is gone
+        w = np.full(sub.n_arcs, 0.25)
+        assert sub.chain_matrix(w, 2).toarray().tolist() == chain_reference(sub, w, 2).tolist()

@@ -97,7 +97,7 @@ class TestGrid:
         spec = GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7)
         inst = quiet_grid(spec)
         net = inst.network
-        dist = dijkstra(net._min_weight_csr(net.length, transpose=False))
+        dist = dijkstra(net.reversed_graph(net.length).T)
         for e in inst.demand:
             o, d = net.node_index[e.origin], net.node_index[e.destination]
             assert dist[o, d] >= spec.min_od_distance_km
