@@ -39,7 +39,6 @@ from .equilibrium import (
     flows_for_destination,
     solve_equilibrium,
     solve_tau,
-    warm_start_tau,
 )
 from .pricing import (
     ExpandedPrices,

@@ -7,10 +7,10 @@ choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
 the flow vector.  Given the arc costs, the (stratum, destination) routings
 are independent, so each routing pass batches all of them: one Dijkstra call
-for the shortest-cost bounds, then one block-diagonal sparse solve for the
-expected costs and one for the node throughputs, a block per pair.  Pairs
-are split into more solves only past ``network.MAX_BLOCK_ROWS`` unknowns.
-``solve_tau`` and ``flows_for_destination`` are the one-pair case.
+for the shortest-cost bounds, then one sparse LU factorization per block of
+pairs (``network.MAX_BLOCK_ROWS``) that gives both the expected costs and the
+node throughputs.  ``solve_tau`` and ``flows_for_destination`` are the
+one-pair case.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
 
 from . import choice
 from .network import Network, shortest_costs
@@ -112,12 +112,6 @@ class EquilibriumSolution:
         return self.sub[(stratum, destination)]
 
 
-def warm_start_tau(network: Network, arc_costs: np.ndarray, destination: int) -> np.ndarray:
-    """Cheapest cost-to-destination under the generalized arc costs; a valid
-    upper bound on the expected optimal costs and the scale of their solve."""
-    return shortest_costs(network, arc_costs, destination)
-
-
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
               tau_init: np.ndarray, options: SolverOptions) -> TauResult:
     """Expected optimal costs at fixed arc costs, by one sparse linear solve.
@@ -137,27 +131,30 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
-    tau, residual, _probs, _log_denom, solves = _expected_costs(
-        network, np.asarray(costs, dtype=float)[None], np.array([destination]), beta_t,
-        np.asarray(tau_init, dtype=float)[None], options.inner_tol)
+    costs = np.asarray(costs, dtype=float)[None]
+    tau, residual, _probs, _log_denom, solves, _lu, _x = _expected_costs(
+        network, costs, np.array([destination]), beta_t, np.asarray(tau_init, dtype=float)[None],
+        options.inner_tol, network.chain_matrix(np.zeros_like(costs), destination).T)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
                      iterations=solves, residual=float(residual[0]))
 
 
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_init: np.ndarray, inner_tol: float):
+                    tau_init: np.ndarray, inner_tol: float, chain):
     """solve_tau for k (cost row, destination) pairs at once: ``costs`` is
     (k, m), ``beta`` a scalar or (k, 1) column and ``tau_init`` the (k, n)
-    shortest-cost bounds.  The k systems form one block-diagonal solve, and
-    a residual above ``inner_tol`` in any pair refines the whole block once.
-    Returns tau (k, n), the per-pair residual, the logit choice probabilities
-    and log-denominators at tau, and the number of solves."""
+    shortest-cost bounds.  Their block-diagonal (I - W)^T is refilled into
+    ``chain``, its CSC pattern, and factored once; a residual above
+    ``inner_tol`` in any pair refines the whole block once with the same
+    factors.  Returns tau (k, n), the per-pair residual, the logit choice
+    probabilities and log-denominators at tau, the number of solves, and the
+    factors with their solution X (k, n)."""
     k, n = tau_init.shape
     pair = np.arange(k)
     tau_ref = tau_init.copy()
     tau_ref[pair, dest] = 0.0
     weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    A = network.chain_matrix(weights, dest)
+    lu = splu(network.chain_matrix(weights, dest, out=chain))
     e_d = np.zeros(k * n)
     e_d[pair * n + dest] = 1.0
 
@@ -172,14 +169,14 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         tau[pair, dest] = 0.0
         return (tau, *_fixed_point(network, costs, dest, beta, tau))
 
-    x = spsolve(A, e_d)
+    x = lu.solve(e_d, trans="T")
     certified = certify(x)
     solves = 1
     if np.any(certified[1] > inner_tol):
-        x = x + spsolve(A, e_d - A @ x)
+        x = x + lu.solve(e_d - chain.T @ x, trans="T")
         certified = certify(x)
         solves = 2
-    return (*certified, solves)
+    return (*certified, solves, lu, x.reshape(k, n))
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -193,13 +190,6 @@ def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     return np.max(np.abs(phi - tau), axis=1), probs, log_denom
 
 
-def _tau_residual(network: Network, costs: np.ndarray, destination: int,
-                  beta_t: float, tau: np.ndarray) -> float:
-    """Sup-norm residual of tau = phi(costs + tau[head]), tau[destination] = 0."""
-    return float(_fixed_point(network, costs[None], np.array([destination]), beta_t,
-                              tau[None])[0][0])
-
-
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
                           beta_t: float, origins: np.ndarray, trips: np.ndarray,
                           outside_cost: np.ndarray, beta_t_out: float,
@@ -210,15 +200,16 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     Demand at each origin is first scaled by the start probability against
     the outside option, then pushed through the choice chain: node
     throughputs x solve (I - P^T) x = y, with the destination absorbing
-    (x = 0 there), and arc flows follow as v = x[tail] * P.
+    (x = 0 there), and arc flows follow as v = x[tail] * P: _route with X = 1.
     """
     _phi, probs, log_denom = choice.logit_nodes(
         costs + tau[network.head], beta_t, network.out_start)
     origins = np.asarray(origins)
     trips = np.asarray(trips, dtype=float)
+    lu = splu(network.chain_matrix(probs, destination).T)
     p_start, x, v = _route(network, probs[None], log_denom[None], np.array([destination]),
                            np.zeros(len(origins), dtype=np.int64), origins, trips,
-                           outside_cost, beta_t_out)
+                           outside_cost, beta_t_out, lu, np.ones((1, network.n_nodes)))
     tr = tau_result or TauResult(tau, True, 0, 0.0)
     return StratumDestinationSolution(
         stratum=stratum,
@@ -238,13 +229,14 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
 
 def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.ndarray,
            pair: np.ndarray, origins: np.ndarray, trips: np.ndarray, outside_cost,
-           beta_t_out):
+           beta_t_out, lu, X: np.ndarray):
     """flows_for_destination for k demand columns at once, from their (k, m)
     choice probabilities and (k, n) log-denominators.  ``pair``, ``origins``,
     ``trips``, ``outside_cost`` and ``beta_t_out`` run over the origins of
-    all columns, ``pair`` naming each one's column.  The k throughput
-    systems form one block-diagonal solve.  Returns the start probability
-    per origin, throughputs x (k, n) and arc flows v (k, m)."""
+    all columns, ``pair`` naming each one's column.  ``lu`` factors (I - W)^T
+    and ``X`` (k, n) solves (I - W) X = e_d, so P = D^-1 W D, D = diag(X), and
+    (I - P^T) x = y is (I - W)^T (x / X) = y / X.  Returns the start
+    probability per origin, throughputs x (k, n) and arc flows v (k, m)."""
     k, n = log_denom.shape
     column = np.arange(k)
     _p_out, p_start = choice.outside_prob_from_log_denominator(
@@ -253,22 +245,29 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
     y = np.zeros((k, n))
     np.add.at(y, (pair, origins), trips * p_start)
     y[column, dest] = 0.0
-    y = y.ravel()
 
-    A = network.chain_matrix(probs, dest).T
-    x = spsolve(A, y)
+    live = np.where(network.tail == dest[:, None], 0.0, probs)  # absorbed at dest
+    into = (network.head + n * column[:, None]).ravel()
 
-    scale = np.maximum(1.0, np.max(np.abs(y).reshape(k, n), axis=1))
-    resid = np.max(np.abs(A @ x - y).reshape(k, n), axis=1)
+    def residual(x):  # y - (I - P^T) x as arc-flow conservation under probs
+        inflow = np.bincount(into, (x[:, network.tail] * live).ravel(), minlength=k * n)
+        return y - x + inflow.reshape(k, n)
+
+    def solve(rhs):
+        return X * lu.solve((rhs / X).ravel()).reshape(k, n)
+
+    x = solve(y)
+    scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
+    r = residual(x)
+    resid = np.max(np.abs(r), axis=1)
     if np.any(resid > 1e-8 * scale):
-        x = x + spsolve(A, y - A @ x)
-        resid = np.max(np.abs(A @ x - y).reshape(k, n), axis=1)
+        x = x + solve(r)
+        resid = np.max(np.abs(residual(x)), axis=1)
         worst = int(np.argmax(resid / scale))
         if resid[worst] > 1e-6 * scale[worst]:
             raise SolverError(
                 f"routing system ill-conditioned for destination "
                 f"{network.node_id(dest[worst])!r} (residual {resid[worst]:.3e})")
-    x = x.reshape(k, n)
     worst = int(np.argmin(x.min(axis=1) / scale))
     if float(x[worst].min()) < -1e-7 * scale[worst]:
         raise SolverError(
@@ -283,15 +282,17 @@ class _RoutingPlan:
     """Every (stratum, destination) demand column of a solve, flattened once
     so that a routing pass is one batched call: the pair order (strata in
     instance order, destinations ascending), each pair's stratum index,
-    destination and sensitivities, and the origins, trips and outside costs
-    of all pairs laid end to end."""
+    destination and sensitivities, the origins, trips and outside costs of
+    all pairs laid end to end, and each ``Network.solve_blocks`` slice with
+    the CSC pattern of its (I - W)^T, refilled every pass."""
 
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
         self.network, self.strata = net, instance.strata
         self.kappa = rates * net.length * net.is_primary  # toll per arc, per stratum
         self.ratio = np.array([[s.beta_p / s.beta_t] for s in self.strata])
-        oc = _outside_cost_lookup(instance)
+        from .instance import outside_costs
+        oc = outside_costs(instance)
         stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
         for s_idx, s in enumerate(self.strata):
             for d, (o, g) in instance.demand_by_destination(s.name).items():
@@ -311,32 +312,35 @@ class _RoutingPlan:
         self.outside = np.array(outside, dtype=float)
         self.beta_out = np.array([self.strata[i].beta_t_out for i in stratum],
                                  dtype=float)[self.pair]
+        self.blocks = [(b, net.chain_matrix(np.zeros((b.stop - b.start, net.n_arcs)),
+                                            self.dest[b]).T)
+                       for b in net.solve_blocks(len(self.dest))]
 
     def route(self, arc_time: np.ndarray, inner_tol: float):
         """One routing pass at fixed arc times over every pair: the
-        shortest-cost bounds from one Dijkstra call, expected costs and
-        throughputs from one block-diagonal solve each per
-        ``Network.solve_blocks`` slice.  Returns a _PassResult, or None when
-        there is no demand."""
+        shortest-cost bounds from one Dijkstra call, then expected costs and
+        throughputs from one LU factorization per block, released before the
+        next block's.  Returns a _PassResult, or None when there is no
+        demand."""
         if not len(self.dest):
             return None
         net = self.network
         costs = arc_time + self.ratio * self.kappa  # (n_strata, n_arcs)
         tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
-        blocks = [self._route_block(b, costs, tau_hat, inner_tol)
-                  for b in net.solve_blocks(len(self.dest))]
+        blocks = [self._route_block(b, chain, costs, tau_hat, inner_tol)
+                  for b, chain in self.blocks]
         return _PassResult(*(np.concatenate(part) for part in zip(*blocks)))
 
-    def _route_block(self, b: slice, costs: np.ndarray, tau_hat: np.ndarray,
+    def _route_block(self, b: slice, chain, costs: np.ndarray, tau_hat: np.ndarray,
                      inner_tol: float):
         """Expected costs and flows of the pairs in slice ``b``."""
         o = slice(self.bounds[b.start], self.bounds[b.stop])
-        tau, residual, probs, log_denom, solves = _expected_costs(
+        tau, residual, probs, log_denom, solves, lu, X = _expected_costs(
             self.network, costs[self.stratum[b]], self.dest[b], self.beta[b], tau_hat[b],
-            inner_tol)
+            inner_tol, chain)
         start_prob, x, v = _route(self.network, probs, log_denom, self.dest[b],
                                   self.pair[o] - b.start, self.origins[o], self.trips[o],
-                                  self.outside[o], self.beta_out[o])
+                                  self.outside[o], self.beta_out[o], lu, X)
         return tau, residual, np.full(len(tau), solves), probs, start_prob, x, v
 
     def subsolutions(self, result, inner_tol: float) -> dict:
@@ -372,11 +376,6 @@ class _PassResult:
     start_prob: np.ndarray  # per origin, pairs laid end to end
     x: np.ndarray           # (pairs, n_nodes) node throughputs
     v: np.ndarray           # (pairs, n_arcs) arc flows
-
-
-def _outside_cost_lookup(instance):
-    from .instance import outside_costs
-    return outside_costs(instance)
 
 
 class _AndersonMixer:
@@ -461,13 +460,10 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
         f = mixer.step(f, response - f)
 
     sub = plan.subsolutions(result, opts.inner_tol)
-    stratum_flow = {}
-    for s in instance.strata:
-        total = np.zeros(net.n_arcs)
-        for (name, _d), sd in sorted(sub.items()):
-            if name == s.name:
-                total = total + sd.arc_flow
-        stratum_flow[s.name] = total
+    # summed pair by pair in key order, from zero: reproducible sums
+    stratum_flow = {s.name: sum((sd.arc_flow for (name, _d), sd in sorted(sub.items())
+                                 if name == s.name), np.zeros(net.n_arcs))
+                    for s in instance.strata}
 
     return EquilibriumSolution(
         total_flow=f,
@@ -598,9 +594,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     rates = np.asarray(getattr(prices, "rates", prices), dtype=float)
     t = solution.arc_time
 
-    agg = np.zeros(net.n_arcs)
-    for _key, sd in sorted(solution.sub.items()):
-        agg = agg + sd.arc_flow
+    agg = sum((sd.arc_flow for _key, sd in sorted(solution.sub.items())), np.zeros(net.n_arcs))
     flow_residual = float(np.max(np.abs(solution.total_flow - agg))) if agg.size else 0.0
 
     congestible = net.bpr_gamma > 0  # flat arcs have no latency inverse
@@ -608,16 +602,19 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     phi_gradient_residual = float(np.max(np.abs(grad))) if grad.size else 0.0
 
     strata = {s.name: (i, s) for i, s in enumerate(instance.strata)}
-    tau_residuals = {}
-    bound_violation = 0.0
-    for (s_name, d_id), sd in sorted(solution.sub.items()):
-        s_idx, s = strata[s_name]
-        kappa = rates[s_idx] * net.length * net.is_primary
-        costs = t + (s.beta_p / s.beta_t) * kappa
-        d = net.node_index[d_id]
-        tau_residuals[(s_name, d_id)] = _tau_residual(net, costs, d, s.beta_t, sd.tau)
-        bound = shortest_costs(net, costs, d)
-        bound_violation = max(bound_violation, float(np.max(sd.tau - bound)))
+    keys = sorted(solution.sub)
+    tau_residuals, bound_violation = {}, 0.0
+    if keys:  # all pairs in one Dijkstra call and one kernel pass
+        costs = t + np.array([[s.beta_p / s.beta_t] for s in instance.strata]) * (
+            rates * net.length * net.is_primary)
+        rows = np.array([strata[s_name][0] for s_name, _d in keys])
+        dest = np.array([net.node_index[d_id] for _s, d_id in keys])
+        beta = np.array([[instance.strata[r].beta_t] for r in rows])
+        tau = np.array([solution.sub[key].tau for key in keys])
+        residual = _fixed_point(net, costs[rows], dest, beta, tau)[0]
+        tau_residuals = {key: float(r) for key, r in zip(keys, residual)}
+        bound = shortest_costs(net, costs, dest, rows=rows)
+        bound_violation = max(bound_violation, float(np.max(tau - bound)))
 
     fd_checks = None
     if fd_arcs is not None:

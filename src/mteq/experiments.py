@@ -318,9 +318,7 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
             pending.append(spec)
 
     def flush(row: ResultRow):
-        path = detail_dir / f"{row.scheme_id}.json"
-        with open(path, "w") as fh:
-            json.dump(row.to_dict(), fh, sort_keys=True, indent=1)
+        _write_detail(row, detail_dir)
         done[row.scheme_id] = row
 
     if config.workers > 1 and len(pending) > 1:
@@ -336,7 +334,7 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
                                    config.simulate, config.runs_per_unit, config.seed))
 
     rows = [done[s.scheme_id] for s in schemes]
-    persist_results(rows, out)
+    _write_tables(rows, out)  # flush has written each detail file
     return rows
 
 
@@ -430,6 +428,13 @@ def persist_results(rows: list[ResultRow], directory) -> None:
     """Write manifest, per-scheme detail JSON, and the flat results.csv."""
     out = Path(directory)
     (out / "schemes").mkdir(parents=True, exist_ok=True)
+    for r in rows:
+        _write_detail(r, out / "schemes")
+    _write_tables(rows, out)
+
+
+def _write_tables(rows: list[ResultRow], out: Path) -> None:
+    """The manifest and the flat results.csv of persist_results."""
     stratum_names = list(rows[0].welfare.keys()) if rows else []
     manifest = {
         "schema_version": RESULTS_SCHEMA_VERSION,
@@ -438,15 +443,16 @@ def persist_results(rows: list[ResultRow], directory) -> None:
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    for r in rows:
-        path = out / "schemes" / f"{r.scheme_id}.json"
-        with open(path, "w") as fh:
-            json.dump(r.to_dict(), fh, sort_keys=True, indent=1)
     with open(out / "results.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(csv_columns(stratum_names))
         for r in rows:
             w.writerow(_row_to_csv(r, stratum_names))
+
+
+def _write_detail(row: ResultRow, detail_dir: Path) -> None:
+    with open(detail_dir / f"{row.scheme_id}.json", "w") as fh:
+        json.dump(row.to_dict(), fh, sort_keys=True, indent=1)
 
 
 def load_results(directory) -> list[ResultRow]:

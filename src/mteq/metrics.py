@@ -159,11 +159,8 @@ def welfare(instance: Instance, solution_p: EquilibriumSolution,
     at the toll-free equilibrium itself, making the no-toll scheme worth
     exactly zero.
     """
-    stats_p = {k: v for k, v in all_trip_stats(instance, solution_p).items() if k[0] == stratum}
-    stats_0 = {k: v for k, v in all_trip_stats(instance, solution_0).items() if k[0] == stratum}
-    w_p = _welfare_value(instance, stratum, stats_p, stats_0)
-    w_0 = _welfare_value(instance, stratum, stats_0, stats_0)
-    return w_p, w_p - w_0
+    report = compute_metrics(instance, solution_p, solution_0)
+    return report.welfare[stratum], report.welfare_delta[stratum]
 
 
 def _welfare_value(instance: Instance, stratum: str, stats_p: dict, stats_0: dict) -> float:

@@ -238,18 +238,16 @@ class Network:
         out[pos] = self.capacity[pos] * (ratio[pos] / self.bpr_gamma[pos]) ** (1.0 / self.bpr_nu[pos])
         return out
 
-    def incoming_arcs(self, node_idx: int) -> np.ndarray:
-        return np.nonzero(self.head == node_idx)[0]
-
-    def chain_matrix(self, weights: np.ndarray, destination) -> sp.csr_matrix:
+    def chain_matrix(self, weights: np.ndarray, destination, out=None) -> sp.csr_matrix:
         """Block-diagonal I - W for walks absorbed at their destinations.
 
         ``weights`` is (m,) with an int ``destination``, or (k, m) with k
         destinations: block i is I - W_i, where W_i[tail, head] sums row i
         of the per-arc weights over parallel arcs and the row of the i-th
-        destination is zero.  One block gives the (n, n) matrix.  ``.T``
-        gives I - W^T on the same arrays (CSC).
-        """
+        destination is zero (explicit zeros: the pattern depends on k alone).
+        One block gives the (n, n) matrix, and ``.T`` I - W^T on the same
+        arrays (CSC).  ``out``, an earlier k-block result or its ``.T``, is
+        refilled in place and returned."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
         dest = np.atleast_1d(destination)
         k, n, nnz = len(w), self.n_nodes, len(self._chain_indices)
@@ -258,6 +256,9 @@ class Network:
         data = -np.bincount((self._chain_arc + nnz * block).ravel(), weights=w.ravel(),
                             minlength=k * nnz)
         data[(self._chain_diag + nnz * block).ravel()] += 1.0
+        if out is not None:
+            out.data[:] = data
+            return out
         indices = (self._chain_indices + n * block).ravel()
         indptr = np.append((self._chain_indptr[:-1] + nnz * block).ravel(), k * nnz)
         return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))

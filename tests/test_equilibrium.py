@@ -18,11 +18,11 @@ from mteq import (
     outside_costs,
     solve_equilibrium,
     solve_tau,
-    warm_start_tau,
     zero_prices,
 )
+from mteq import choice
 from mteq.equilibrium import solution_from_dict, solution_to_dict
-from mteq.network import Node, build_network
+from mteq.network import Node, build_network, shortest_costs
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -34,7 +34,7 @@ OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 
 class TestWarmStart:
     def test_zero_flow_zero_price_is_free_flow_shortest(self, line_network):
-        tau = warm_start_tau(line_network, line_network.free_time, 2)
+        tau = shortest_costs(line_network, line_network.free_time, 2)
         assert tau.tolist() == [7.0, 4.0, 0.0]
 
     def test_toll_shifts_tail_value(self):
@@ -44,8 +44,8 @@ class TestWarmStart:
         t = net.free_time
         kappa = 200.0 * net.length * net.is_primary
         costs = t + (s.beta_p / s.beta_t) * kappa
-        base = warm_start_tau(net, t, net.node_index["1"])
-        tolled = warm_start_tau(net, costs, net.node_index["1"])
+        base = shortest_costs(net, t, net.node_index["1"])
+        tolled = shortest_costs(net, costs, net.node_index["1"])
         # from node 2 the only route to 1 is the primary arc p21
         shift = (s.beta_p / s.beta_t) * 200.0 * 5.0
         assert tolled[net.node_index["2"]] == pytest.approx(
@@ -55,7 +55,7 @@ class TestWarmStart:
 class TestSolveTau:
     def test_chain_is_exact_in_one_sweep(self, line_network):
         net = line_network
-        init = warm_start_tau(net, net.free_time, 2)
+        init = shortest_costs(net, net.free_time, 2)
         res = solve_tau(net, net.free_time, 2, 1.0, init, OPTS)
         assert res.converged
         assert res.iterations == 1
@@ -64,7 +64,7 @@ class TestSolveTau:
     def test_two_parallel_arcs_closed_form(self, parallel_network):
         net = parallel_network
         d = net.node_index["1"]
-        init = warm_start_tau(net, net.free_time, d)
+        init = shortest_costs(net, net.free_time, d)
         res = solve_tau(net, net.free_time, d, 1.0, init, OPTS)
         assert res.tau[net.node_index["0"]] == pytest.approx(5.0 - math.log(2.0), rel=1e-12)
 
@@ -80,7 +80,7 @@ class TestSolveTau:
         arcs.append(flat_arc("ret", "d", "0", 1.0))
         net = build_network(nodes, arcs)
         d = net.node_index["d"]
-        init = warm_start_tau(net, net.free_time, d)
+        init = shortest_costs(net, net.free_time, d)
         with pytest.raises(FeasibilityError):
             solve_tau(net, net.free_time, d, 1.0, init, SolverOptions(
                 inner_tol=1e-10, outer_tol=1.0))
@@ -89,7 +89,7 @@ class TestSolveTau:
         # the certificate holds when recomputed outside the solver
         net = parallel_network
         d = net.node_index["1"]
-        init = warm_start_tau(net, net.free_time, d)
+        init = shortest_costs(net, net.free_time, d)
         res = solve_tau(net, net.free_time, d, 1.0, init, OPTS)
         from mteq.choice import phi_nodes
         z = net.free_time + res.tau[net.head]
@@ -102,7 +102,7 @@ class TestSolveTau:
         inst = gen_single_od()
         net = inst.network
         d = net.node_index["3"]
-        init = warm_start_tau(net, net.free_time, d)
+        init = shortest_costs(net, net.free_time, d)
         res = solve_tau(net, net.free_time, d, inst.strata[0].beta_t, init,
                         SolverOptions(inner_tol=1e-300))
         assert not res.converged
@@ -119,7 +119,7 @@ class TestSolveTau:
         for s_idx, s in enumerate(inst.strata):
             kappa = rates[s_idx] * net.length * net.is_primary
             costs = net.free_time + (s.beta_p / s.beta_t) * kappa
-            res = solve_tau(net, costs, d, s.beta_t, warm_start_tau(net, costs, d), OPTS)
+            res = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d), OPTS)
             assert res.converged and res.iterations == 1
             ref = oracle.naive_tau(net, costs, d, s.beta_t)
             assert res.tau == pytest.approx(ref, rel=1e-12, abs=1e-12), s.name
@@ -127,7 +127,7 @@ class TestSolveTau:
 
 class TestFlowsForDestination:
     def run(self, net, dest, origins, trips, outside_cost, beta=1.0, beta_out=1.0):
-        init = warm_start_tau(net, net.free_time, dest)
+        init = shortest_costs(net, net.free_time, dest)
         res = solve_tau(net, net.free_time, dest, beta, init, OPTS)
         return flows_for_destination(
             net, res.tau, net.free_time, beta,
@@ -154,7 +154,7 @@ class TestFlowsForDestination:
         # engineered outside cost makes the start split exactly 0.6/0.4:
         # driving weight e^{-tau0}, outside weight e^{-(tau0 + ln(2/3))}
         net = line_network
-        init = warm_start_tau(net, net.free_time, 2)
+        init = shortest_costs(net, net.free_time, 2)
         tau0 = solve_tau(net, net.free_time, 2, 1.0, init, OPTS).tau[0]
         oc = tau0 - math.log(2.0 / 3.0)
         sd = self.run(net, 2, [0], [10.0], [oc])
@@ -324,7 +324,7 @@ def per_pair_reference(inst, rates, arc_time, inner_tol=1e-9):
     for s_idx, s in enumerate(inst.strata):
         costs = arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.length * net.is_primary)
         for d, (origins, trips) in inst.demand_by_destination(s.name).items():
-            tr = solve_tau(net, costs, d, s.beta_t, warm_start_tau(net, costs, d), opts)
+            tr = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d), opts)
             outside = np.array([oc[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
             out[(s.name, net.node_id(d))] = flows_for_destination(
                 net, tr.tau, costs, s.beta_t, origins, trips, outside, s.beta_t_out, d,
@@ -419,3 +419,65 @@ class TestBatchedRouting:
         sol = one_pass(rebuilt, rates)
         assert sol.response_flow.shape == (core.n_arcs,)
         assert_matches_per_pair(rebuilt, rates, sol)
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0, 300.0])
+    def test_throughputs_match_dense_solve_of_kernel_probabilities(self, lattice, rate):
+        # independent of the shared factorization: I - P^T assembled arc by
+        # arc from the kernel's probabilities and solved densely
+        net = lattice.network
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice).rates
+        flow = np.random.default_rng(8).uniform(0.0, 400.0, size=net.n_arcs)
+        sol = one_pass(lattice, rates, initial_flow=flow)
+        for key, sd in sol.sub.items():
+            d = net.node_index[sd.destination]
+            M = np.eye(net.n_nodes)
+            for a in range(net.n_arcs):
+                if net.tail[a] != d:
+                    M[net.head[a], net.tail[a]] -= sd.arc_probs[a]
+            y = np.zeros(net.n_nodes)
+            np.add.at(y, sd.origins, sd.trips * sd.start_prob)
+            y[d] = 0.0
+            x = np.linalg.solve(M, y)
+            x[d] = 0.0
+            scale = np.max(np.abs(x))
+            assert np.max(np.abs(sd.entering_flow - x)) <= 1e-12 * scale, key
+            assert np.max(np.abs(sd.arc_flow - x[net.tail] * sd.arc_probs)) <= 1e-12 * scale, key
+
+    @pytest.mark.parametrize("inner_tol", [1e-9, 1e-300])  # 1e-300: every block refines
+    def test_one_factorization_per_block_per_pass(self, lattice, inner_tol, monkeypatch):
+        import mteq.equilibrium
+        import mteq.network
+        monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", 72)  # 2 pairs a block
+        factored = []
+        real = mteq.equilibrium.splu
+        monkeypatch.setattr(mteq.equilibrium, "splu",
+                            lambda A, *a, **kw: factored.append(A.shape) or real(A, *a, **kw))
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice).rates
+        sol = solve_equilibrium(lattice, rates, SolverOptions(
+            inner_tol=inner_tol, outer_tol=1e-4, outer_max_iters=50))
+        assert sol.outer_iterations > 1
+        assert len(factored) == 15 * sol.outer_iterations
+        assert set(factored) == {(72, 72)}
+        iterations = {sd.tau_iterations for sd in sol.sub.values()}
+        assert iterations == ({2} if inner_tol == 1e-300 else {1})
+
+    @pytest.mark.parametrize("passes", [1, 50])
+    def test_residuals_match_per_pair_loop(self, lattice, passes):
+        net = lattice.network
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice).rates
+        sol = solve_equilibrium(lattice, rates, SolverOptions(
+            inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=passes))
+        diag = equilibrium_residuals(lattice, rates, sol)
+        strata = {s.name: (i, s) for i, s in enumerate(lattice.strata)}
+        want, violation = {}, 0.0
+        for (name, d_id), sd in sorted(sol.sub.items()):
+            s_idx, s = strata[name]
+            costs = sol.arc_time + (s.beta_p / s.beta_t) * (
+                rates[s_idx] * net.length * net.is_primary)
+            d = net.node_index[d_id]
+            phi = choice.phi_nodes(costs + sd.tau[net.head], s.beta_t, net.out_start)
+            phi[d] = 0.0
+            want[(name, d_id)] = float(np.max(np.abs(phi - sd.tau)))
+            violation = max(violation, float(np.max(sd.tau - shortest_costs(net, costs, d))))
+        assert diag.tau_residuals == want
+        assert diag.tau_bound_violation == violation

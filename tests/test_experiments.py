@@ -182,6 +182,23 @@ class TestRunSweep:
         assert json.loads(detail.read_text())["outer_residual"] == 123.456
         assert [r.scheme_id for r in rows2] == [r.scheme_id for r in rows]
 
+    def test_detail_files_written_once_as_persist_results_writes_them(self, tmp_path,
+                                                                     monkeypatch):
+        dumped = []
+        to_dict = ResultRow.to_dict
+        monkeypatch.setattr(ResultRow, "to_dict",
+                            lambda row: dumped.append(row.scheme_id) or to_dict(row))
+        config = small_sweep_config(tmp_path)
+        rows = run_sweep(config)
+        assert sorted(dumped) == sorted(r.scheme_id for r in rows)
+        persist_results(rows, tmp_path / "persisted")
+        swept = sorted(p.relative_to(config.output) for p in Path(config.output).rglob("*.*"))
+        assert swept == sorted(p.relative_to(tmp_path / "persisted")
+                               for p in (tmp_path / "persisted").rglob("*.*"))
+        for rel in swept:
+            assert (Path(config.output) / rel).read_bytes() == \
+                (tmp_path / "persisted" / rel).read_bytes(), rel
+
     def test_results_csv_deterministic_and_worker_independent(self, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
