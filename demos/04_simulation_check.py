@@ -25,7 +25,7 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
-from mteq.metrics import _absorbing_expectations, all_trip_stats
+from mteq.metrics import _absorbing_block, all_trip_stats
 
 instance = gen_single_od()
 options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6, outer_max_iters=3000)
@@ -42,8 +42,10 @@ def time_sd(stratum, destination="3", origin="0"):
     sd = solution.subsolution(stratum, destination)
     d, o = net.node_index[destination], net.node_index[origin]
     t = solution.arc_time
-    mean = _absorbing_expectations(net, sd, t[:, None], d)[:, 0]
-    second = _absorbing_expectations(net, sd, (t * t + 2 * t * mean[net.head])[:, None], d)
+    probs, dest = sd.arc_probs[None], np.array([d])
+    mean = _absorbing_block(net, probs, t[None, :, None], dest)[0, :, 0]
+    second = _absorbing_block(net, probs, (t * t + 2 * t * mean[net.head])[None, :, None],
+                              dest)[0]
     return math.sqrt(second[o, 0] - mean[o] ** 2)
 
 

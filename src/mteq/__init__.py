@@ -28,7 +28,7 @@ from .instance import (
     outside_costs,
     save_instance,
 )
-from .choice import cost_to_go, outside_prob, phi, transition_probs
+from .choice import outside_prob, phi, transition_probs
 from .equilibrium import (
     EquilibriumSolution,
     FeasibilityError,
@@ -56,13 +56,10 @@ from .metrics import (
     TripStats,
     baseline_trip_stats,
     compute_metrics,
-    expected_trip_stats,
     primary_flow_share,
     revenue,
     simulate_trips,
-    total_revenue,
     total_welfare,
-    welfare,
 )
 from .experiments import (
     ResultRow,

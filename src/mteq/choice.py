@@ -15,14 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def cost_to_go(t_a: float, kappa_val: float, beta_p: float, beta_t: float,
-               tau_head: float) -> float:
-    """Generalized cost of one arc: time + (beta_p/beta_t)*toll + downstream cost."""
-    if beta_t <= 0:
-        raise ValueError("beta_t must be positive")
-    return t_a + (beta_p / beta_t) * kappa_val + tau_head
-
-
 def phi(z, beta_t: float) -> float:
     """Expected minimum cost over the alternatives ``z``.
 

@@ -40,7 +40,8 @@ from .instance import InstanceError, assign_areas, load_instance, save_instance
 from .metrics import (baseline_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
 from .network import NetworkError, strongly_connected
-from .pricing import PER_AREA, PER_STRATUM, UNIFORM, SchemeSpec, expand_scheme
+from .pricing import (PER_AREA, PER_STRATUM, UNIFORM, PriceGrid, SchemeSpec,
+                      expand_scheme)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -133,16 +134,14 @@ def _cmd_sweep(args) -> int:
     else:
         if args.instance is None or args.scheme is None or args.grid is None:
             raise InstanceError("sweep needs --config, or --instance with --scheme and --grid")
-        from .experiments import SweepConfig as SC
-        from .pricing import PriceGrid
         family = {"uniform": UNIFORM, "stratum": PER_STRATUM, "area": PER_AREA}[args.scheme]
         lo, hi, step = _parse_grid(args.grid)
         rows_, cols_ = _area_shape(args.areas)
-        config = SC(instance=args.instance,
-                    grid=PriceGrid(family=family, lo=lo, hi=hi, step=step),
-                    output=args.out or "sweep_out",
-                    area_rows=rows_, area_cols=cols_,
-                    seed=args.seed)
+        config = SweepConfig(instance=args.instance,
+                             grid=PriceGrid(family=family, lo=lo, hi=hi, step=step),
+                             output=args.out or "sweep_out",
+                             area_rows=rows_, area_cols=cols_,
+                             seed=args.seed)
     if args.workers is not None:
         config.workers = args.workers
     if args.out is not None:

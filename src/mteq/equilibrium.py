@@ -278,6 +278,13 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
     return p_start, x, x[:, network.tail] * probs
 
 
+def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) -> np.ndarray:
+    """Generalized arc costs, (n_strata, n_arcs): time plus each stratum's
+    toll ``rates * net.primary_length`` at its beta_p / beta_t."""
+    ratio = np.array([[s.beta_p / s.beta_t] for s in strata])
+    return arc_time + ratio * (rates * net.primary_length)
+
+
 class _RoutingPlan:
     """Every (stratum, destination) demand column of a solve, flattened once
     so that a routing pass is one batched call: the pair order (strata in
@@ -288,9 +295,7 @@ class _RoutingPlan:
 
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
-        self.network, self.strata = net, instance.strata
-        self.kappa = rates * net.length * net.is_primary  # toll per arc, per stratum
-        self.ratio = np.array([[s.beta_p / s.beta_t] for s in self.strata])
+        self.network, self.strata, self.rates = net, instance.strata, rates
         from .instance import outside_costs
         oc = outside_costs(instance)
         stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
@@ -325,7 +330,7 @@ class _RoutingPlan:
         if not len(self.dest):
             return None
         net = self.network
-        costs = arc_time + self.ratio * self.kappa  # (n_strata, n_arcs)
+        costs = _arc_costs(self.strata, net, self.rates, arc_time)
         tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
         blocks = [self._route_block(b, chain, costs, tau_hat, inner_tol)
                   for b, chain in self.blocks]
@@ -605,8 +610,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     keys = sorted(solution.sub)
     tau_residuals, bound_violation = {}, 0.0
     if keys:  # all pairs in one Dijkstra call and one kernel pass
-        costs = t + np.array([[s.beta_p / s.beta_t] for s in instance.strata]) * (
-            rates * net.length * net.is_primary)
+        costs = _arc_costs(instance.strata, net, rates, t)
         rows = np.array([strata[s_name][0] for s_name, _d in keys])
         dest = np.array([net.node_index[d_id] for _s, d_id in keys])
         beta = np.array([[instance.strata[r].beta_t] for r in rows])
@@ -626,7 +630,6 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
             arc_id = net.arcs[arc_pos].id
             for (s_name, d_id), sd in sorted(solution.sub.items()):
                 s_idx, s = strata[s_name]
-                kappa = rates[s_idx] * net.length * net.is_primary
                 d = net.node_index[d_id]
                 weighted = np.zeros(net.n_nodes)
                 np.add.at(weighted, sd.origins, sd.trips * sd.start_prob)
@@ -634,7 +637,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
                 for sign in (+1.0, -1.0):
                     tp = t.copy()
                     tp[arc_pos] += sign * fd_step
-                    costs = tp + (s.beta_p / s.beta_t) * kappa
+                    costs = _arc_costs(instance.strata, net, rates, tp)[s_idx]
                     tr = solve_tau(net, costs, d, s.beta_t, sd.tau, fd_opts)
                     est += sign * float(weighted @ tr.tau)
                 fd_checks[(arc_id, s_name, d_id)] = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
-from .equilibrium import EquilibriumSolution, StratumDestinationSolution
+from .equilibrium import EquilibriumSolution
 from .instance import Instance
 from .network import Network
 
@@ -82,19 +82,12 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # Analytic expectations
 
-def _absorbing_expectations(net: Network, sd: StratumDestinationSolution,
-                            weights: np.ndarray, destination: int) -> np.ndarray:
-    """Solve T_i = sum_a P_ia (w_a + T_head(a)) with T_dest = 0 for several
-    weight columns at once; returns (n_nodes, n_weights)."""
-    return _absorbing_block(net, sd.arc_probs[None], weights[None],
-                            np.array([destination]))[0]
-
-
 def _absorbing_block(net: Network, probs: np.ndarray, weights: np.ndarray,
                      dest: np.ndarray) -> np.ndarray:
-    """_absorbing_expectations for k pairs at once, from one block-diagonal
-    solve: ``probs`` is (k, n_arcs), ``weights`` (k, n_arcs, c); returns
-    (k, n_nodes, c)."""
+    """Solve T_i = sum_a P_ia (w_a + T_head(a)) with T_dest = 0 for several
+    weight columns and k (stratum, destination) pairs at once, from one
+    block-diagonal solve: ``probs`` is (k, n_arcs), ``weights``
+    (k, n_arcs, c); returns (k, n_nodes, c)."""
     k, n, c = len(dest), net.n_nodes, weights.shape[-1]
     live = (net.tail != dest[:, None])[..., None]
     # arcs are stored grouped by tail: each node's terms are one segment
@@ -104,85 +97,36 @@ def _absorbing_block(net: Network, probs: np.ndarray, weights: np.ndarray,
     return np.asarray(out).reshape(k, n, c)
 
 
-def expected_trip_stats(instance: Instance, solution: EquilibriumSolution,
-                        stratum: str, destination: str) -> list[TripStats]:
-    """Expected time, money and distance from every demand origin of one
-    (stratum, destination) pair, plus its start probabilities."""
-    return _trip_stats(instance, solution, [(stratum, destination)])
-
-
 def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
-    """TripStats for every demanded (stratum, origin, destination), from
-    block-diagonal solves over all pairs (``Network.solve_blocks``)."""
-    return {(row.stratum, row.origin, row.destination): row
-            for row in _trip_stats(instance, solution, sorted(solution.sub.keys()))}
-
-
-def _trip_stats(instance: Instance, solution: EquilibriumSolution,
-                keys: list) -> list[TripStats]:
-    """TripStats rows of the (stratum, destination) pairs ``keys``, in order."""
+    """TripStats for every demanded (stratum, origin, destination): expected
+    time, money and distance from block-diagonal solves over all pairs
+    (``Network.solve_blocks``), plus the start probabilities."""
+    keys = sorted(solution.sub)
     if not keys:
-        return []
+        return {}
     net = instance.network
-    subs = [solution.subsolution(s, d) for s, d in keys]
+    subs = [solution.sub[key] for key in keys]
     s_idx = [instance.stratum_names.index(s) for s, _ in keys]
-    kappa = solution.price_rates[s_idx] * net.length * net.is_primary
+    kappa = solution.price_rates[s_idx] * net.primary_length
     W = np.stack(np.broadcast_arrays(solution.arc_time, kappa, net.length), axis=-1)
     probs = np.array([sd.arc_probs for sd in subs])
     dest = np.array([net.node_index[d] for _, d in keys])
     exp = np.concatenate([_absorbing_block(net, probs[b], W[b], dest[b])
                           for b in net.solve_blocks(len(keys))])
-    rows = []
+    stats = {}
     for (stratum, destination), sd, e in zip(keys, subs, exp):
         for pos, origin_idx in enumerate(sd.origins):
-            rows.append(TripStats(
+            origin = net.node_id(int(origin_idx))
+            stats[(stratum, origin, destination)] = TripStats(
                 stratum=stratum,
-                origin=net.node_id(int(origin_idx)),
+                origin=origin,
                 destination=destination,
                 time=float(e[origin_idx, 0]),
                 money=float(e[origin_idx, 1]),
                 distance=float(e[origin_idx, 2]),
                 start_prob=float(sd.start_prob[pos]),
-            ))
-    return rows
-
-
-def welfare(instance: Instance, solution_p: EquilibriumSolution,
-            solution_0: EquilibriumSolution, stratum: str) -> tuple[float, float]:
-    """Per-stratum welfare of a priced equilibrium against the toll-free one.
-
-    Averaged over the stratum's positive-demand OD pairs: drivers weigh the
-    toll-free expected time against their current time plus money (converted
-    at the stratum's price/time sensitivity ratio); agents on the outside
-    option weigh it against the outside time plus fare.  Returns
-    ``(literal, delta)`` where delta subtracts the same expression evaluated
-    at the toll-free equilibrium itself, making the no-toll scheme worth
-    exactly zero.
-    """
-    report = compute_metrics(instance, solution_p, solution_0)
-    return report.welfare[stratum], report.welfare_delta[stratum]
-
-
-def _welfare_value(instance: Instance, stratum: str, stats_p: dict, stats_0: dict) -> float:
-    s = instance.stratum(stratum)
-    ratio = s.beta_p / s.beta_t
-    ratio_out = s.beta_p_out / s.beta_t_out
-    pairs = instance.od_pairs(stratum)
-    if not pairs:
-        return 0.0
-    total = 0.0
-    for (o, d) in pairs:
-        key = (stratum, o, d)
-        if key not in stats_p or key not in stats_0:
-            raise ValueError(f"missing trip stats for {key}; mismatched instances?")
-        cur, base = stats_p[key], stats_0[key]
-        t_out = instance.outside_time[(o, d)]
-        fare = instance.outside.ticket_for(o, d)
-        p_start = cur.start_prob
-        drive = (base.time - cur.time - ratio * cur.money) * p_start
-        outside = (base.time - t_out - ratio_out * fare) * (1.0 - p_start)
-        total += drive + outside
-    return total / len(pairs)
+            )
+    return stats
 
 
 def total_welfare(per_stratum) -> float:
@@ -198,13 +142,8 @@ def revenue(solution: EquilibriumSolution, prices, stratum: str,
     net = instance.network
     rates = np.asarray(getattr(prices, "rates", prices), dtype=float)
     s_idx = instance.stratum_names.index(stratum)
-    kappa = rates[s_idx] * net.length * net.is_primary
+    kappa = rates[s_idx] * net.primary_length
     return float(np.dot(solution.stratum_flow[stratum], kappa))
-
-
-def total_revenue(solution: EquilibriumSolution, prices, instance: Instance) -> float:
-    return float(sum(revenue(solution, prices, s, instance)
-                     for s in instance.stratum_names))
 
 
 def primary_flow_share(solution: EquilibriumSolution, stratum: str,
@@ -236,7 +175,16 @@ def baseline_trip_stats(instance: Instance,
 def compute_metrics(instance: Instance, solution: EquilibriumSolution,
                     baseline, prices=None, scheme_id: str = "") -> MetricsReport:
     """Analytic MetricsReport for one equilibrium against its toll-free
-    baseline (an EquilibriumSolution or precomputed baseline_trip_stats)."""
+    baseline (an EquilibriumSolution or precomputed baseline_trip_stats).
+
+    Welfare is averaged over each stratum's positive-demand OD pairs:
+    drivers weigh the toll-free expected time against their current time
+    plus money (converted at the stratum's price/time sensitivity ratio);
+    agents on the outside option weigh it against the outside time plus
+    fare.  ``welfare_delta`` subtracts the same expression evaluated at the
+    toll-free equilibrium itself, making the no-toll scheme worth exactly
+    zero.
+    """
     net = instance.network
     prices = solution.price_rates if prices is None else prices
     stats_p = all_trip_stats(instance, solution)
@@ -246,22 +194,31 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
     w, dw, rev, started, share_d, share_f, v_trip, v_flow = {}, {}, {}, {}, {}, {}, {}, {}
     per_od = []
     for s in instance.strata:
-        sp_stats = {k: v for k, v in stats_p.items() if k[0] == s.name}
-        s0_stats = {k: v for k, v in stats_0.items() if k[0] == s.name}
-        w_val = _welfare_value(instance, s.name, sp_stats, s0_stats)
-        w0_val = _welfare_value(instance, s.name, s0_stats, s0_stats)
-        w[s.name] = w_val
-        dw[s.name] = w_val - w0_val
-        rev[s.name] = revenue(solution, prices, s.name, instance)
-        g_tot = g_started = t_tot = d_tot = 0.0
-        for (o, d) in instance.od_pairs(s.name):
-            row = sp_stats[(s.name, o, d)]
-            g = trips_of[(s.name, o, d)]
+        ratio, ratio_out = s.beta_p / s.beta_t, s.beta_p_out / s.beta_t_out
+        pairs = instance.od_pairs(s.name)
+        w_sum = w0_sum = g_tot = g_started = t_tot = d_tot = 0.0
+        for (o, d) in pairs:
+            key = (s.name, o, d)
+            if key not in stats_p or key not in stats_0:
+                raise ValueError(f"missing trip stats for {key}; mismatched instances?")
+            row, base = stats_p[key], stats_0[key]
+            out = (base.time - instance.outside_time[(o, d)]
+                   - ratio_out * instance.outside.ticket_for(o, d))
+            w_sum += ((base.time - row.time - ratio * row.money) * row.start_prob
+                      + out * (1.0 - row.start_prob))
+            # w0: the same expression with the baseline as the current state
+            w0_sum += ((base.time - base.time - ratio * base.money) * base.start_prob
+                       + out * (1.0 - base.start_prob))
+            g = trips_of[key]
             g_tot += g
             g_started += g * row.start_prob
             t_tot += g * row.start_prob * row.time
             d_tot += g * row.start_prob * row.distance
             per_od.append(row)
+        n_pairs = max(len(pairs), 1)  # a stratum without demand has welfare 0
+        w[s.name] = w_sum / n_pairs
+        dw[s.name] = w[s.name] - w0_sum / n_pairs
+        rev[s.name] = revenue(solution, prices, s.name, instance)
         started[s.name] = g_started / g_tot if g_tot > 0 else float("nan")
         share_d[s.name] = primary_flow_share(solution, s.name, instance, "distance")
         share_f[s.name] = primary_flow_share(solution, s.name, instance, "flow")
@@ -360,20 +317,8 @@ class SimulationReport:
                 groups[t.stratum].append(t)
         return {s: _aggregate(mine) for s, mine in groups.items()}
 
-    def started_proportion(self, stratum: str) -> float:
-        return _aggregate(self.by_stratum(stratum))["started_proportion"]
-
     def completed(self, stratum: str) -> list:
         return _completed(self.by_stratum(stratum))
-
-    def mean_time(self, stratum: str) -> float:
-        return _aggregate(self.by_stratum(stratum))["mean_time"]
-
-    def primary_share(self, stratum: str) -> float:
-        return _aggregate(self.by_stratum(stratum))["primary_share"]
-
-    def avg_speed(self, stratum: str) -> float:
-        return _aggregate(self.by_stratum(stratum))["avg_speed"]
 
 
 def _completed(trips: list) -> list:
@@ -420,7 +365,6 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
         raise ValueError("step_cap must exceed the node count")
     report = SimulationReport(seed=seed, runs_per_unit=runs_per_unit, step_cap=step_cap)
     arc_ids = np.array([a.id for a in net.arcs], dtype=object)
-    primary_length = net.length * net.is_primary
     # arc_of[i, k]: node i's k-th out-arc, clipped to its last
     width = int(net.out_degree.max())
     arc_of = np.minimum(net.out_start[:-1, None] + np.arange(width + 1),
@@ -431,8 +375,8 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
         s_idx = instance.stratum_names.index(s_name)
         d = net.node_index[d_id]
         weights = np.column_stack([solution.arc_time,
-                                   solution.price_rates[s_idx] * primary_length,
-                                   net.length, primary_length])
+                                   solution.price_rates[s_idx] * net.primary_length,
+                                   net.length, net.primary_length])
         # cum[i, k]: cumulative probability of node i's first k+1 out-arcs
         cum = np.full((net.n_nodes, width), np.inf)
         cum[net.tail, slot] = _segment_cumsum(sd.arc_probs, net.out_start)

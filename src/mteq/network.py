@@ -178,6 +178,8 @@ class Network:
         self.bpr_gamma = np.array([a.bpr_gamma for a in self.arcs])
         self.bpr_nu = np.array([a.bpr_nu for a in self.arcs])
         self.is_primary = np.array([a.is_primary for a in self.arcs], dtype=bool)
+        # toll per unit rate: rates * primary_length is every arc's toll
+        self.primary_length = self.length * self.is_primary
         self.x = np.array([nd.x for nd in self.nodes])
         self.y = np.array([nd.y for nd in self.nodes])
 
@@ -205,8 +207,8 @@ class Network:
         self._rev_indptr = np.searchsorted(rev_key // n, np.arange(n + 1)).astype(np.int32)
 
         for arr in (self.tail, self.head, self.length, self.capacity, self.free_time,
-                    self.bpr_gamma, self.bpr_nu, self.is_primary, self.out_start,
-                    self.out_degree, self.x, self.y, self._chain_indices,
+                    self.bpr_gamma, self.bpr_nu, self.is_primary, self.primary_length,
+                    self.out_start, self.out_degree, self.x, self.y, self._chain_indices,
                     self._chain_indptr, self._chain_arc, self._chain_diag,
                     self._rev_perm, self._rev_starts, self._rev_indices, self._rev_indptr):
             arr.flags.writeable = False

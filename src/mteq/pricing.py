@@ -3,7 +3,7 @@
 Three families: one rate for everybody (uniform), one rate per stratum, or
 one rate per geographic area where an arc is priced by the area of its tail
 (entry) node.  Rates are money per km and only ever charge on primary
-roads, through the monetary cost function of the network module.
+roads: an arc's toll is its rate times ``Network.primary_length``.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class SchemeSpec:
 class ExpandedPrices:
     """Per-arc per-stratum rates (money/km), rows following instance strata
     order and columns the network arc storage order.  Secondary arcs may
-    carry any rate; the monetary cost function zeroes them."""
+    carry any rate; ``Network.primary_length`` zeroes their tolls."""
 
     rates: np.ndarray
     stratum_names: tuple[str, ...]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mteq import cost_to_go, outside_prob, phi, transition_probs
+from mteq import outside_prob, phi, transition_probs
 from mteq.choice import (
     log_denominator_nodes,
     logit_nodes,
@@ -13,19 +13,6 @@ from mteq.choice import (
 )
 
 import oracle
-
-
-class TestCostToGo:
-    def test_zero_toll(self):
-        assert cost_to_go(10.0, 0.0, 0.5, 1.0, 5.0) == 15.0
-
-    def test_toll_weighted_by_sensitivity_ratio(self):
-        assert cost_to_go(10.0, 200.0, 0.5, 1.0, 0.0) == 110.0
-        assert cost_to_go(10.0, 200.0, 1.0, 1.0, 0.0) == 210.0
-
-    def test_zero_beta_t_rejected(self):
-        with pytest.raises(ValueError):
-            cost_to_go(1.0, 1.0, 1.0, 0.0, 0.0)
 
 
 class TestPhi:

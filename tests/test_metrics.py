@@ -10,18 +10,14 @@ from mteq import (
     baseline_trip_stats,
     compute_metrics,
     expand_scheme,
-    expected_trip_stats,
     primary_flow_share,
     revenue,
     simulate_trips,
     solve_equilibrium,
-    total_revenue,
     total_welfare,
-    welfare,
     zero_prices,
 )
-from mteq.equilibrium import StratumDestinationSolution
-from mteq.metrics import _absorbing_expectations, _segment_cumsum, all_trip_stats
+from mteq.metrics import _absorbing_block, _segment_cumsum, all_trip_stats
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -60,11 +56,12 @@ class TestExpectedTripStats:
                                   times={("0", "2"): 1e6}),
             solver=OPTS)
         sol, _ = solved(chain)
-        rows = expected_trip_stats(chain, sol, "s", "2")
-        assert len(rows) == 1
-        assert rows[0].time == pytest.approx(7.0, rel=1e-12)
-        assert rows[0].distance == pytest.approx(7.0, rel=1e-12)
-        assert rows[0].start_prob == pytest.approx(1.0, abs=1e-12)
+        stats = all_trip_stats(chain, sol)
+        assert len(stats) == 1
+        row = stats[("s", "0", "2")]
+        assert row.time == pytest.approx(7.0, rel=1e-12)
+        assert row.distance == pytest.approx(7.0, rel=1e-12)
+        assert row.start_prob == pytest.approx(1.0, abs=1e-12)
 
     def test_two_equal_parallel_arcs(self, parallel_network):
         from mteq import DemandEntry, Instance, OutsideOption, Stratum
@@ -76,22 +73,15 @@ class TestExpectedTripStats:
                                   times={("0", "1"): 1e6}),
             solver=OPTS)
         sol, _ = solved(inst)
-        rows = expected_trip_stats(inst, sol, "s", "1")
-        assert rows[0].time == pytest.approx(5.0, rel=1e-12)
+        row = all_trip_stats(inst, sol)[("s", "0", "1")]
+        assert row.time == pytest.approx(5.0, rel=1e-12)
 
     def test_even_split_weighted_average(self, parallel_network):
         # hand-built 50/50 split over direct arcs with times 4 and 6
         net = parallel_network
-        sd = StratumDestinationSolution(
-            stratum="s", destination="1",
-            tau=np.zeros(net.n_nodes), entering_flow=np.zeros(net.n_nodes),
-            arc_flow=np.zeros(net.n_arcs),
-            arc_probs=np.array([0.5, 0.5, 1.0]),
-            origins=np.array([0]), trips=np.array([1.0]),
-            start_prob=np.array([1.0]),
-            tau_converged=True, tau_residual=0.0, tau_iterations=1)
-        times = np.array([4.0, 6.0, 1.0])
-        exp = _absorbing_expectations(net, sd, times[:, None], net.node_index["1"])
+        probs = np.array([[0.5, 0.5, 1.0]])
+        times = np.array([[[4.0], [6.0], [1.0]]])
+        exp = _absorbing_block(net, probs, times, np.array([net.node_index["1"]]))[0]
         assert exp[net.node_index["0"], 0] == pytest.approx(5.0, rel=1e-12)
 
 
@@ -109,7 +99,8 @@ class TestExpectedTripStats:
             s_idx = inst.stratum_names.index(s_name)
             kappa = sol.price_rates[s_idx] * net.length * net.is_primary
             W = np.column_stack([sol.arc_time, kappa, net.length])
-            ref = _absorbing_expectations(net, sd, W, net.node_index[d_id])
+            ref = _absorbing_block(net, sd.arc_probs[None], W[None],
+                                   np.array([net.node_index[d_id]]))[0]
             for pos, o in enumerate(sd.origins):
                 row = stats[(s_name, net.node_id(int(o)), d_id)]
                 got = [row.time, row.money, row.distance]
@@ -121,9 +112,9 @@ class TestWelfare:
     def test_no_pricing_has_zero_delta(self):
         inst = gen_single_od()
         sol0, _ = solved(inst)
+        rep = compute_metrics(inst, sol0, sol0)
         for s in inst.stratum_names:
-            w, dw = welfare(inst, sol0, sol0, s)
-            assert dw == 0.0
+            assert rep.welfare_delta[s] == 0.0
 
     def test_money_only_loss(self):
         # single tolled route and flat latency: t(p) = t(0) exactly, so the
@@ -149,7 +140,7 @@ class TestWelfare:
         assert sd.start_prob[0] == pytest.approx(1.0, abs=1e-12)
         stats = all_trip_stats(inst, solp)[("s", "0", "1")]
         assert stats.money == pytest.approx(100.0, rel=1e-12)
-        w, _dw = welfare(inst, solp, sol0, "s")
+        w = compute_metrics(inst, solp, sol0).welfare["s"]
         assert w == pytest.approx(-50.0, rel=1e-9)
 
     def test_all_outside_degenerates_to_outside_term(self):
@@ -167,7 +158,7 @@ class TestWelfare:
         sol0, _ = solved(slow)
         sd = sol0.subsolution("solo", "1")
         assert sd.start_prob[0] == pytest.approx(0.0, abs=1e-12)
-        w, _dw = welfare(slow, sol0, sol0, "solo")
+        w = compute_metrics(slow, sol0, sol0).welfare["solo"]
         stats0 = all_trip_stats(slow, sol0)[("solo", "0", "1")]
         expected = stats0.time - 1.0 - 0.5  # t0 - outside time - fare
         assert w == pytest.approx(expected, rel=1e-12)
@@ -194,7 +185,8 @@ class TestRevenue:
         sol, prices = solved(forced, rate=100.0)
         assert sol.stratum_flow["solo"][net.arc_index["prim"]] == pytest.approx(10.0, rel=1e-9)
         assert revenue(sol, prices, "solo", forced) == pytest.approx(2000.0, rel=1e-9)
-        assert total_revenue(sol, prices, forced) == pytest.approx(2000.0, rel=1e-9)
+        report = compute_metrics(forced, sol, sol, prices)
+        assert report.total_revenue == pytest.approx(2000.0, rel=1e-9)
 
     def test_secondary_only_flow_earns_nothing(self):
         inst = two_route_instance(outside_time=1e9, congestible=False)
@@ -262,7 +254,7 @@ class TestSimulation:
                           outside=inst.outside, solver=inst.solver)
         sol, _ = solved(slow)
         rep = simulate_trips(slow, sol, runs_per_unit=5, seed=1)
-        assert rep.started_proportion("solo") == 0.0
+        assert rep.summary(["solo"])["solo"]["started_proportion"] == 0.0
         assert len(rep.trips) == 50
 
     def test_deterministic_chain_times_exact(self, line_network):
@@ -331,11 +323,12 @@ class TestSimulation:
         inst = two_route_instance()
         sol, _ = solved(inst)
         rep = simulate_trips(inst, sol, runs_per_unit=5, seed=2)
-        speed = rep.avg_speed("solo")
-        share = rep.primary_share("solo")
+        before = rep.summary(["solo"])["solo"]
+        speed, share = before["avg_speed"], before["primary_share"]
         rep.trips.reverse()
-        assert rep.avg_speed("solo") == speed
-        assert rep.primary_share("solo") == share
+        after = rep.summary(["solo"])["solo"]
+        assert after["avg_speed"] == speed
+        assert after["primary_share"] == share
 
     def test_summary_matches_per_stratum_aggregates(self, grid6_solved):
         inst, sol = grid6_solved
@@ -343,12 +336,16 @@ class TestSimulation:
         summary = rep.summary(inst.stratum_names)
         assert list(summary) == list(inst.stratum_names)
         for s in inst.stratum_names:
+            mine = rep.by_stratum(s)
+            done = [t for t in mine if t.started and not t.truncated]
+            dist = sum(t.distance for t in done)
+            time = sum(t.time for t in done)
             assert summary[s] == {
-                "trips": len(rep.by_stratum(s)),
-                "started_proportion": rep.started_proportion(s),
-                "mean_time": rep.mean_time(s),
-                "primary_share": rep.primary_share(s),
-                "avg_speed": rep.avg_speed(s),
+                "trips": len(mine),
+                "started_proportion": sum(t.started for t in mine) / len(mine),
+                "mean_time": float(np.mean([t.time for t in done])),
+                "primary_share": sum(t.primary_distance for t in done) / dist,
+                "avg_speed": dist / time,
             }
 
     def test_pair_streams_are_independent(self, grid6_solved):

@@ -39,6 +39,8 @@ class TestBuild:
         assert net.n_nodes == 4
         assert net.n_arcs == 6
         assert int(net.is_primary.sum()) == 2
+        assert net.primary_length.tolist() == [monetary_cost(a, 1.0) for a in net.arcs]
+        assert not net.primary_length.flags.writeable
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(NetworkError, match="99"):
