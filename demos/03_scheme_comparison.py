@@ -25,8 +25,6 @@ from mteq import (
 )
 
 instance = gen_single_od()
-workdir = Path(tempfile.mkdtemp(prefix="mteq_demo_"))
-save_instance(instance, workdir / "single_od.json")
 solver = SolverOptions(inner_tol=1e-9, outer_tol=1e-5, outer_max_iters=3000)
 
 grids = {
@@ -37,11 +35,14 @@ grids = {
 }
 
 tables = {}
-for family, grid in grids.items():
-    config = SweepConfig(instance=str(workdir / "single_od.json"), grid=grid,
-                         solver=solver, output=str(workdir / family))
-    tables[family] = run_sweep(config)
-    print(f"{family}: evaluated {len(tables[family])} schemes")
+with tempfile.TemporaryDirectory() as tmp:  # the sweeps' files go with it
+    workdir = Path(tmp)
+    save_instance(instance, workdir / "single_od.json")
+    for family, grid in grids.items():
+        config = SweepConfig(instance=str(workdir / "single_od.json"), grid=grid,
+                             solver=solver, output=str(workdir / family))
+        tables[family] = run_sweep(config)
+        print(f"{family}: evaluated {len(tables[family])} schemes")
 
 print("\nrevenue-optimal scheme per family:")
 for family, rows in tables.items():
@@ -75,4 +76,3 @@ for row in tables["per_area"]:
               f"== uniform p={rates['N']:<5} revenue {uni.total_revenue:8.3f}  ({match})")
 print("(both primary arcs enter from the N cell; with spatially separated")
 print("demand, per-area pricing would instead expand the frontier)")
-print(f"\nresults stored under {workdir}")

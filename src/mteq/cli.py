@@ -3,8 +3,9 @@
 Subcommands: ``solve`` one scheme to equilibrium plus metrics, ``sweep`` a
 price grid, ``pareto`` post-process a results directory, ``simulate`` Monte
 Carlo on a stored solution, ``generate`` synthetic instances, ``validate``
-an instance file.  Exit codes: 0 success, 1 validation/usage error,
-2 solver non-convergence (outputs are still written), 3 solver failure
+an instance file.  Exit codes: 0 success, 1 validation/usage error (also a
+solution file of another schema version or network), 2 solver
+non-convergence (outputs are still written), 3 solver failure
 (``FeasibilityError``: no finite equilibrium at the given costs, or
 ``SolverError``: a numerically failed subproblem; nothing is written).
 """
@@ -25,9 +26,9 @@ from .equilibrium import (
     FeasibilityError,
     SolverError,
     SolverOptions,
+    read_solution,
     solve_equilibrium,
-    solution_from_dict,
-    solution_to_dict,
+    write_solution,
 )
 from .experiments import (
     ResultSchemaError,
@@ -115,7 +116,7 @@ def _cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "solution.json", solution_to_dict(sol, instance.network))
+    write_solution(out / "solution.json", sol, instance.network)
     _write_json(out / "metrics.json", report.to_dict())
     write_metrics_csvs(report, out)
     print(f"scheme {scheme.scheme_id}: converged={sol.converged} "
@@ -166,8 +167,12 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    with open(args.solution) as fh:
-        sol = solution_from_dict(json.load(fh), instance.network)
+    try:
+        sol = read_solution(args.solution, instance.network)
+    except (KeyError, ValueError) as exc:  # JSON syntax, schema version, another network
+        problem = f"no field {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: solution file {args.solution}: {problem}", file=sys.stderr)
+        return EXIT_INVALID
     report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
                             keep_paths=args.keep_paths)
     out = Path(args.out)

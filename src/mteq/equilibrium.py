@@ -15,6 +15,7 @@ one-pair case.
 
 from __future__ import annotations
 
+import json
 import time as _time
 from dataclasses import dataclass, field
 
@@ -465,17 +466,12 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
         f = mixer.step(f, response - f)
 
     sub = plan.subsolutions(result, opts.inner_tol)
-    # summed pair by pair in key order, from zero: reproducible sums
-    stratum_flow = {s.name: sum((sd.arc_flow for (name, _d), sd in sorted(sub.items())
-                                 if name == s.name), np.zeros(net.n_arcs))
-                    for s in instance.strata}
-
     return EquilibriumSolution(
         total_flow=f,
         arc_time=net.latency_all(f),
         response_flow=response,
         sub=sub,
-        stratum_flow=stratum_flow,
+        stratum_flow=_stratum_flows(instance.stratum_names, sub, net.n_arcs),
         price_rates=rates,
         converged=converged,
         inner_converged=all(sd.tau_converged for sd in sub.values()),
@@ -485,19 +481,32 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     )
 
 
-SOLUTION_SCHEMA_VERSION = 1
+def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
+    """Each stratum's arc flows: its pairs' flows summed in key order from
+    zero, so that a solved and a loaded solution give the same bits."""
+    return {name: sum((sd.arc_flow for (s, _d), sd in sorted(sub.items()) if s == name),
+                      np.zeros(n_arcs))
+            for name in names}
 
 
-def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
-    """JSON-ready form of a solution; inverse of solution_from_dict."""
+SOLUTION_SCHEMA_VERSION = 2
+"""Version of the solution file.  Schema 2 stores each number once: it drops
+schema 1's ``arc_time``, ``stratum_flow`` and per-pair ``arc_flow``, which
+are exact functions of the other fields, and lists the ``strata``.  Both
+versions load."""
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _solution_head(solution: EquilibriumSolution, network: Network) -> dict:
+    """Every top-level field of the solution file but ``sub``."""
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "arc_ids": [a.id for a in network.arcs],
+        "strata": sorted(solution.stratum_flow),
         "total_flow": solution.total_flow.tolist(),
-        "arc_time": solution.arc_time.tolist(),
         "response_flow": solution.response_flow.tolist(),
         "price_rates": solution.price_rates.tolist(),
-        "stratum_flow": {k: v.tolist() for k, v in solution.stratum_flow.items()},
         "converged": solution.converged,
         "inner_converged": solution.inner_converged,
         "outer_iterations": solution.outer_iterations,
@@ -507,40 +516,93 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
             {"iteration": r["iteration"], "residual": r["residual"]}
             for r in solution.iteration_log
         ],
-        "sub": {
-            f"{s}|{d}": {
-                "tau": sd.tau.tolist(),
-                "entering_flow": sd.entering_flow.tolist(),
-                "arc_flow": sd.arc_flow.tolist(),
-                "arc_probs": sd.arc_probs.tolist(),
-                "origins": sd.origins.tolist(),
-                "trips": sd.trips.tolist(),
-                "start_prob": sd.start_prob.tolist(),
-                "tau_converged": sd.tau_converged,
-                "tau_residual": sd.tau_residual,
-                "tau_iterations": sd.tau_iterations,
-            }
-            for (s, d), sd in sorted(solution.sub.items())
-        },
     }
 
 
+def _sub_entries(solution: EquilibriumSolution):
+    """Each pair's ``sub`` entry, keyed ``stratum|destination``, in key order."""
+    keyed = {f"{s}|{d}": sd for (s, d), sd in solution.sub.items()}
+    for key in sorted(keyed):
+        sd = keyed[key]
+        yield key, {
+            "tau": sd.tau.tolist(),
+            "entering_flow": sd.entering_flow.tolist(),
+            "arc_probs": sd.arc_probs.tolist(),
+            "origins": sd.origins.tolist(),
+            "trips": sd.trips.tolist(),
+            "start_prob": sd.start_prob.tolist(),
+            "tau_converged": sd.tau_converged,
+            "tau_residual": sd.tau_residual,
+            "tau_iterations": sd.tau_iterations,
+        }
+
+
+def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
+    """JSON-ready form of a solution, schema 2; inverse of solution_from_dict.
+
+    Arc times, per-pair arc flows and per-stratum flows are left out:
+    solution_from_dict rebuilds them bit for bit from ``total_flow``,
+    ``entering_flow`` with ``arc_probs``, and ``strata``."""
+    return {**_solution_head(solution, network), "sub": dict(_sub_entries(solution))}
+
+
+def _json_object(members):
+    """Compact JSON text of an object, chunk by chunk, from (key, chunks of
+    the value's text) pairs given in sorted key order."""
+    yield "{"
+    for i, (key, chunks) in enumerate(members):
+        yield ("," if i else "") + json.dumps(key) + ":"
+        yield from chunks
+    yield "}"
+
+
+def write_solution(path, solution: EquilibriumSolution, network: Network) -> None:
+    """Write the solution file: byte for byte ``json.dumps(solution_to_dict(
+    solution, network), sort_keys=True, separators=(",", ":")) + "\\n"``,
+    but encoded one top-level value and one ``sub`` entry at a time.  Each
+    piece goes through the C encoder, which ``json.dump`` to a file never
+    uses, and only one pair's lists are alive at once."""
+    members = {key: [_ENCODER.encode(value)]
+               for key, value in _solution_head(solution, network).items()}
+    members["sub"] = _json_object((key, [_ENCODER.encode(entry)])
+                                  for key, entry in _sub_entries(solution))
+    with open(path, "w") as fh:
+        fh.writelines(_json_object((key, members[key]) for key in sorted(members)))
+        fh.write("\n")
+
+
+def read_solution(path, network: Network) -> EquilibriumSolution:
+    """Load a solution file of either schema; see solution_from_dict."""
+    with open(path) as fh:
+        return solution_from_dict(json.load(fh), network)
+
+
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
-    if doc.get("schema_version") != SOLUTION_SCHEMA_VERSION:
-        raise ValueError(
-            f"solution schema version {doc.get('schema_version')} != {SOLUTION_SCHEMA_VERSION}")
+    """Solution from its JSON form, schema 2 or 1; inverse of solution_to_dict.
+
+    The derived arrays are rebuilt as the solver computes them, so they equal
+    the solved ones bit for bit: ``arc_time`` is the latency of
+    ``total_flow``, each pair's ``arc_flow`` is ``entering_flow[tail] *
+    arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
+    key order from zero.  Schema 1's stored copies of them are ignored.
+    Raises ValueError for another schema version or another network."""
+    version = doc.get("schema_version")
+    if version not in (1, SOLUTION_SCHEMA_VERSION):
+        raise ValueError(f"solution schema version {version!r} is not 1 or "
+                         f"{SOLUTION_SCHEMA_VERSION}")
     if doc["arc_ids"] != [a.id for a in network.arcs]:
         raise ValueError("solution was computed on a different network (arc ids differ)")
     sub = {}
     for key, sd in doc["sub"].items():
         s, d = key.split("|", 1)
+        entering_flow, arc_probs = np.array(sd["entering_flow"]), np.array(sd["arc_probs"])
         sub[(s, d)] = StratumDestinationSolution(
             stratum=s,
             destination=d,
             tau=np.array(sd["tau"]),
-            entering_flow=np.array(sd["entering_flow"]),
-            arc_flow=np.array(sd["arc_flow"]),
-            arc_probs=np.array(sd["arc_probs"]),
+            entering_flow=entering_flow,
+            arc_flow=entering_flow[network.tail] * arc_probs,
+            arc_probs=arc_probs,
             origins=np.array(sd["origins"], dtype=np.int64),
             trips=np.array(sd["trips"]),
             start_prob=np.array(sd["start_prob"]),
@@ -548,12 +610,15 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
             tau_residual=sd["tau_residual"],
             tau_iterations=sd["tau_iterations"],
         )
+    # schema 1 names the strata only as the keys of its stratum flows
+    strata = doc["strata"] if version == SOLUTION_SCHEMA_VERSION else sorted(doc["stratum_flow"])
+    total_flow = np.array(doc["total_flow"])
     return EquilibriumSolution(
-        total_flow=np.array(doc["total_flow"]),
-        arc_time=np.array(doc["arc_time"]),
+        total_flow=total_flow,
+        arc_time=network.latency_all(total_flow),
         response_flow=np.array(doc["response_flow"]),
         sub=sub,
-        stratum_flow={k: np.array(v) for k, v in doc["stratum_flow"].items()},
+        stratum_flow=_stratum_flows(strata, sub, network.n_arcs),
         price_rates=np.array(doc["price_rates"]),
         converged=doc["converged"],
         inner_converged=doc["inner_converged"],

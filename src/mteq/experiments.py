@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,7 @@ class ResultRow:
     def to_dict(self) -> dict:
         """JSON-ready form: an undefined or failed value (NaN) is written as
         null, since NaN is not JSON."""
-        d = _nan_to_null(asdict(self))
+        d = {f.name: _nan_to_null(getattr(self, f.name)) for f in fields(self)}
         d["rate_vector"] = list(self.rate_vector)
         d["schema_version"] = RESULTS_SCHEMA_VERSION
         return d

@@ -10,6 +10,7 @@ from mteq import (
     Stratum,
     build_network,
 )
+from mteq.equilibrium import solution_to_dict
 
 
 def flat_arc(aid, tail, head, hours, road_class="secondary", length=None):
@@ -77,3 +78,17 @@ def two_route():
 @pytest.fixture
 def tight_options():
     return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
+
+
+def schema_1_document(solution, network) -> dict:
+    """The solution in the schema-1 form: the schema-2 document with the
+    three fields schema 2 drops as redundant, and without the ``strata``
+    list, which schema 1 did not have."""
+    doc = solution_to_dict(solution, network)
+    del doc["strata"]
+    doc["schema_version"] = 1
+    doc["arc_time"] = solution.arc_time.tolist()
+    doc["stratum_flow"] = {k: v.tolist() for k, v in solution.stratum_flow.items()}
+    for key, entry in doc["sub"].items():
+        entry["arc_flow"] = solution.sub[tuple(key.split("|", 1))].arc_flow.tolist()
+    return doc

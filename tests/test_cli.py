@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from mteq import load_instance, load_results, save_instance
-from mteq.cli import EXIT_SOLVER_FAILED, run
-from mteq.equilibrium import solution_from_dict
+from mteq import expand_scheme, load_instance, load_results, save_instance, solve_equilibrium
+from mteq.cli import EXIT_INVALID, EXIT_SOLVER_FAILED, run
+from mteq.equilibrium import read_solution, solution_from_dict, solution_to_dict
 from mteq.network import build_network
+from mteq.pricing import SchemeSpec
 from mteq.synthgen import gen_single_od
 
-from conftest import two_route_instance
+from conftest import schema_1_document, two_route_instance
 
 
 def write_two_route(tmp_path) -> Path:
@@ -102,6 +103,19 @@ class TestSolve:
             outs.append(out)
         for fname in ("solution.json", "metrics.json", "metrics_strata.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("make", [two_route_instance, gen_single_od])
+    def test_solution_file_is_the_compact_sorted_dump(self, tmp_path, make):
+        ipath = tmp_path / "inst.json"
+        save_instance(make(), ipath)
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform",
+                    "--rate", "2", "--out", str(tmp_path / "out")]) == 0
+        inst = load_instance(ipath)
+        sol = solve_equilibrium(inst, expand_scheme(SchemeSpec(family="uniform", rate=2.0),
+                                                    inst))
+        want = json.dumps(solution_to_dict(sol, inst.network), sort_keys=True,
+                          separators=(",", ":")) + "\n"
+        assert (tmp_path / "out" / "solution.json").read_text() == want
 
     def test_seed_does_not_change_solution(self, tmp_path):
         ipath = write_two_route(tmp_path)
@@ -218,6 +232,42 @@ class TestSweepParetoSimulate:
                         "--keep-paths"]) == 0
         for fname in ("simulation.json", "trips.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_simulate_schema_1_file_writes_the_same_bytes(self, tmp_path):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        network = load_instance(ipath).network
+        old = tmp_path / "schema1.json"
+        old.write_text(json.dumps(schema_1_document(read_solution(solution, network),
+                                                    network), indent=1, sort_keys=True))
+        outs = [tmp_path / name for name in ("v2", "v1")]
+        for path, out in zip((solution, old), outs):
+            assert run(["simulate", "--instance", str(ipath), "--solution", str(path),
+                        "--runs", "5", "--seed", "3", "--out", str(out)]) == 0
+        assert ((outs[0] / "simulation.json").read_bytes()
+                == (outs[1] / "simulation.json").read_bytes())
+
+    def test_simulate_unknown_schema_version_is_usage_error(self, tmp_path, capsys):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        doc = json.loads(solution.read_text())
+        doc["schema_version"] = 99
+        solution.write_text(json.dumps(doc))
+        code = run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                    "--out", str(tmp_path / "sim")])
+        assert code == EXIT_INVALID == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "schema version 99" in err
+
+    def test_simulate_solution_of_another_network_is_usage_error(self, tmp_path, capsys):
+        solution = solve_two_route(tmp_path, write_two_route(tmp_path))
+        other = tmp_path / "single_od.json"
+        save_instance(gen_single_od(), other)
+        code = run(["simulate", "--instance", str(other), "--solution", str(solution),
+                    "--out", str(tmp_path / "sim")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different network" in err
 
     def test_simulation_json_is_strict_when_stratum_never_drives(self, tmp_path):
         # driving is hopeless, so no trip starts and the completed-trip

@@ -17,8 +17,12 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR: demo 03 writes its sweep under tempfile.mkdtemp()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # demo 03 writes its sweeps into a temporary directory: it must remove it
+    tmpdir, cwd = tmp_path / "tmp", tmp_path / "cwd"
+    tmpdir.mkdir()
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
+    done = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,9 +29,38 @@ from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
-from conftest import flat_arc, two_route_instance
+from conftest import flat_arc, schema_1_document, two_route_instance
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
+MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
+
+
+def rate_2(inst):
+    return expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+
+
+def assert_same_solution(got, want):
+    """Every array of two solutions equal bit for bit, every scalar equal."""
+    def same(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for name in ("total_flow", "arc_time", "response_flow", "price_rates"):
+        same(getattr(got, name), getattr(want, name))
+    assert got.stratum_flow.keys() == want.stratum_flow.keys()
+    for name, flow in want.stratum_flow.items():
+        same(got.stratum_flow[name], flow)
+    assert got.sub.keys() == want.sub.keys()
+    for key, sd in want.sub.items():
+        for f in fields(sd):
+            a, b = getattr(got.sub[key], f.name), getattr(sd, f.name)
+            if isinstance(b, np.ndarray):
+                same(a, b)
+            else:
+                assert a == b, (key, f.name)
+    for name in ("converged", "inner_converged", "outer_iterations", "outer_residual"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.iteration_log == [{"iteration": r["iteration"], "residual": r["residual"]}
+                                 for r in want.iteration_log]
 
 
 class TestWarmStart:
@@ -263,12 +294,20 @@ class TestSolveEquilibrium:
                  for tol in (0.1, 1e-9)]
         assert flows[0].tolist() == flows[1].tolist()
 
-    def test_solution_round_trips_through_dict(self, two_route):
-        sol = solve_equilibrium(two_route, zero_prices(two_route), OPTS)
-        doc = solution_to_dict(sol, two_route.network)
-        back = solution_from_dict(doc, two_route.network)
-        assert back.total_flow.tolist() == sol.total_flow.tolist()
-        assert back.sub.keys() == sol.sub.keys()
+    def test_solution_round_trips_through_dict(self, two_route, lattice):
+        # the dropped fields are rebuilt as the solver computes them: bit for bit
+        for inst in (two_route, lattice):
+            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
+            doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
+            assert_same_solution(solution_from_dict(doc, inst.network), sol)
+            assert not {"arc_time", "stratum_flow"} & doc.keys()
+            assert all("arc_flow" not in entry for entry in doc["sub"].values())
+
+    def test_schema_1_document_loads_to_the_same_arrays(self, two_route, lattice):
+        for inst in (two_route, lattice):
+            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
+            doc = json.loads(json.dumps(schema_1_document(sol, inst.network)))
+            assert_same_solution(solution_from_dict(doc, inst.network), sol)
 
 
 class TestDiagnostics:
