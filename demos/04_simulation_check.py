@@ -50,17 +50,16 @@ def time_sd(stratum, destination="3", origin="0"):
 
 
 report = simulate_trips(instance, solution, runs_per_unit=10, seed=42)
-print(f"simulated {len(report.trips)} trips "
+print(f"simulated {len(report.started)} trips "
       f"({report.truncated_count} truncated)\n")
 
 print(f"{'stratum':>8} | {'metric':>14} | {'analytic':>10} | {'simulated':>10} | {'gap/se':>7}")
 print("-" * 64)
+completed = report.started & ~report.truncated
 for s in instance.stratum_names:
     row = stats[(s, "0", "3")]
-    done = report.completed(s)
-    times = np.array([t.time for t in done])
-    dist = np.array([t.distance for t in done])
-    prim = np.array([t.primary_distance for t in done])
+    done = completed & (report.stratum == report.stratum_names.index(s))
+    times, dist, prim = report.time[done], report.distance[done], report.primary_distance[done]
 
     mean_t = times.mean()
     se_t = time_sd(s) / math.sqrt(len(times))

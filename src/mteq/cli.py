@@ -173,8 +173,12 @@ def _cmd_simulate(args) -> int:
         problem = f"no field {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: solution file {args.solution}: {problem}", file=sys.stderr)
         return EXIT_INVALID
-    report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
-                            keep_paths=args.keep_paths)
+    try:
+        report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
+                                keep_paths=args.keep_paths)
+    except ValueError as exc:  # a negative run count or seed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = report.summary(instance.stratum_names)
@@ -198,7 +202,7 @@ def _cmd_simulate(args) -> int:
             for t in report.trips
         ]
         _write_json(out / "trips.json", trips)
-    print(f"simulated {len(report.trips)} trips -> {out}")
+    print(f"simulated {len(report.started)} trips -> {out}")
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
-from .instance import Instance, assign_areas, load_instance, solver_from_document
+from .instance import (Instance, InstanceError, assign_areas, load_instance,
+                       solver_from_document)
 from .metrics import baseline_trip_stats, compute_metrics, simulate_trips
 from .pricing import (
     PER_AREA,
@@ -172,6 +173,10 @@ class SweepConfig:
             ordered=bool(g.get("ordered", True)),
         )
         solver = solver_from_document(doc["solver"]) if "solver" in doc else None
+        runs, seed = int(doc.get("runs_per_unit", 10)), int(doc.get("seed", 0))
+        for key, value in (("runs_per_unit", runs), ("seed", seed)):
+            if value < 0:
+                raise InstanceError(f"sweep config: {key} must be >= 0, got {value}")
         return SweepConfig(
             instance=str(base / doc["instance"]),
             grid=grid,
@@ -181,8 +186,8 @@ class SweepConfig:
             area_rows=int(doc.get("area_rows", 2)),
             area_cols=int(doc.get("area_cols", 2)),
             simulate=bool(doc.get("simulate", False)),
-            runs_per_unit=int(doc.get("runs_per_unit", 10)),
-            seed=int(doc.get("seed", 0)),
+            runs_per_unit=runs,
+            seed=seed,
         )
 
 

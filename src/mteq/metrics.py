@@ -11,7 +11,8 @@ trajectory-level output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
@@ -296,50 +297,85 @@ class SimulatedTrip:
     truncated: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationReport:
+    """Simulated trips as columns, one entry per trip in trip order (pair,
+    then origin, then replicate).
+
+    ``stratum`` indexes ``stratum_names``; ``origin`` and ``destination``
+    index ``node_ids``.  An unstarted trip has zero time, money and
+    distances and is never truncated.  ``paths`` holds each trip's arc ids
+    (empty when it did not start) under ``keep_paths``, else None.
+    ``trips`` is the same data as ``SimulatedTrip`` rows, built on first
+    access.
+    """
+
     seed: int
     runs_per_unit: int
     step_cap: int
-    trips: list = field(default_factory=list)
-    truncated_count: int = 0
+    stratum_names: list
+    node_ids: list
+    stratum: np.ndarray
+    origin: np.ndarray
+    destination: np.ndarray
+    started: np.ndarray
+    time: np.ndarray
+    money: np.ndarray
+    distance: np.ndarray
+    primary_distance: np.ndarray
+    truncated: np.ndarray
+    paths: list | None = None
+
+    @property
+    def truncated_count(self) -> int:
+        return int(self.truncated.sum())
+
+    @cached_property
+    def trips(self) -> list:
+        paths = self.paths if self.paths is not None else [[] for _ in self.started]
+        return list(map(SimulatedTrip,
+                        map(self.stratum_names.__getitem__, self.stratum.tolist()),
+                        map(self.node_ids.__getitem__, self.origin.tolist()),
+                        map(self.node_ids.__getitem__, self.destination.tolist()),
+                        self.started.tolist(), paths, self.time.tolist(),
+                        self.money.tolist(), self.distance.tolist(),
+                        self.primary_distance.tolist(), self.truncated.tolist()))
 
     def by_stratum(self, stratum: str) -> list:
         return [t for t in self.trips if t.stratum == stratum]
 
-    def summary(self, strata) -> dict:
-        """Per stratum of ``strata``: trip count, started proportion, and the
-        mean time, primary-distance share and average speed of completed
-        trips (NaN where undefined), grouping the trips in one pass."""
-        groups = {s: [] for s in strata}
-        for t in self.trips:
-            if t.stratum in groups:
-                groups[t.stratum].append(t)
-        return {s: _aggregate(mine) for s, mine in groups.items()}
-
     def completed(self, stratum: str) -> list:
-        return _completed(self.by_stratum(stratum))
+        return [t for t in self.by_stratum(stratum) if t.started and not t.truncated]
+
+    def summary(self, strata) -> dict:
+        """Per stratum of ``strata``: trip count and started proportion, plus
+        the mean time, primary-distance share and average speed of its
+        completed trips (started, not truncated); NaN where undefined.
+        Sums run over the completed trips in trip order."""
+        nan = float("nan")
+        index = {s: i for i, s in enumerate(self.stratum_names)}
+        done = self.started & ~self.truncated
+        out = {}
+        for s in strata:
+            mine = self.stratum == index.get(s, -1)
+            n, n_started = int(mine.sum()), int(self.started[mine].sum())
+            mine &= done
+            time = self.time[mine]
+            dist = sum(self.distance[mine].tolist())
+            tt = sum(time.tolist())
+            out[s] = {
+                "trips": n,
+                "started_proportion": n_started / n if n else nan,
+                "mean_time": float(np.mean(time)) if time.size else nan,
+                "primary_share": (sum(self.primary_distance[mine].tolist()) / dist
+                                  if dist > 0 else nan),
+                "avg_speed": dist / tt if tt > 0 else nan,
+            }
+        return out
 
 
-def _completed(trips: list) -> list:
-    return [t for t in trips if t.started and not t.truncated]
-
-
-def _aggregate(trips: list) -> dict:
-    """Trip count and started proportion of a stratum's trips, plus mean
-    time, primary-distance share and average speed of its completed trips;
-    NaN where undefined."""
-    nan = float("nan")
-    done = _completed(trips)
-    dist = sum(t.distance for t in done)
-    tt = sum(t.time for t in done)
-    return {
-        "trips": len(trips),
-        "started_proportion": sum(t.started for t in trips) / len(trips) if trips else nan,
-        "mean_time": float(np.mean([t.time for t in done])) if done else nan,
-        "primary_share": sum(t.primary_distance for t in done) / dist if dist > 0 else nan,
-        "avg_speed": dist / tt if tt > 0 else nan,
-    }
+# Uniforms buffered per walking trip between refills of its substream.
+_UNIFORMS_PER_WALKER = 4
 
 
 def simulate_trips(instance: Instance, solution: EquilibriumSolution,
@@ -354,91 +390,129 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     cap trips the truncation flag (truncated trips are counted, never
     dropped).  Each (stratum, origin, destination) draws from one substream
     keyed by (seed, stratum, origin, destination): first the start uniforms
-    of all its replicates, then the walk of the started ones in lockstep
-    (``_lockstep_walk``).  Results therefore do not depend on scheduling
-    order; trips are listed by pair, then origin, then replicate.
+    of all its replicates, then one uniform per step for each of its
+    started trips still walking, in trip order.
+
+    Every started trip of the solution walks in one lockstep loop over the
+    pairs' stacked cumulative choice tables: at node ``i`` of its pair a
+    uniform ``r`` picks the out-arc that ``searchsorted(cum[i], r,
+    side="right")`` picks, clipped to the node's last arc.  Each substream's
+    uniforms are drawn ahead into a bounded buffer; PCG64 doubles do not
+    depend on how the draws are split, so every trip reads the values it
+    would read walking alone.  Results therefore do not depend on which
+    other pairs are simulated.  Time, money and distances add up per trip
+    in step order.  Returns the trips as columns in trip order (pair, then
+    origin, then replicate).
     """
     net = instance.network
+    if runs_per_unit < 0:
+        raise ValueError(f"runs_per_unit must be >= 0, got {runs_per_unit}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if step_cap is None:
         step_cap = 50 * net.n_nodes
     if step_cap <= net.n_nodes:
         raise ValueError("step_cap must exceed the node count")
-    report = SimulationReport(seed=seed, runs_per_unit=runs_per_unit, step_cap=step_cap)
-    arc_ids = np.array([a.id for a in net.arcs], dtype=object)
-    # arc_of[i, k]: node i's k-th out-arc, clipped to its last
+    n, m = net.n_nodes, net.n_arcs
+    keys = sorted(solution.sub)
+
+    # one substream per (stratum, origin, destination), in trip order
+    rngs, started, streams = [], [], []
+    for p, (s_name, d_id) in enumerate(keys):
+        sd = solution.sub[(s_name, d_id)]
+        s, d = instance.stratum_names.index(s_name), net.node_index[d_id]
+        for o, trips, prob in zip(sd.origins.tolist(), sd.trips.tolist(),
+                                  sd.start_prob.tolist()):
+            rngs.append(np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s, o, d))))
+            started.append(rngs[-1].random(int(round(trips)) * runs_per_unit) < prob)
+            streams.append((s, o, d, p * n, s * m))
+    stratum, origin, dest, row, wrow = np.array(streams, dtype=np.int64).reshape(-1, 5).T
+    trip_stream = np.repeat(np.arange(len(rngs)), [len(x) for x in started])
+    started = np.concatenate([np.zeros(0, dtype=bool), *started])
+
+    # cum[k, p * n + i]: cumulative probability of node i's first k+1
+    # out-arcs in pair p; arc_of[i * (width + 1) + k]: node i's k-th out-arc,
+    # clipped to its last; weights[s * m + a]: time, money, distance and
+    # primary distance of arc a in stratum s
     width = int(net.out_degree.max())
+    probs = np.array([solution.sub[key].arc_probs for key in keys]).reshape(-1, m)
+    cum = np.full((len(keys), n, width), np.inf)
+    cum[:, net.tail, np.arange(m) - net.out_start[net.tail]] = _segment_cumsum(
+        probs, net.out_start)
+    cum = cum.reshape(-1, width).T.copy()
     arc_of = np.minimum(net.out_start[:-1, None] + np.arange(width + 1),
-                        net.out_start[1:, None] - 1)
-    slot = np.arange(net.n_arcs) - net.out_start[net.tail]
+                        net.out_start[1:, None] - 1).ravel()
+    weights = np.stack(np.broadcast_arrays(solution.arc_time,
+                                           solution.price_rates * net.primary_length,
+                                           net.length, net.primary_length),
+                       axis=-1).reshape(-1, 4)
 
-    for (s_name, d_id), sd in sorted(solution.sub.items()):
-        s_idx = instance.stratum_names.index(s_name)
-        d = net.node_index[d_id]
-        weights = np.column_stack([solution.arc_time,
-                                   solution.price_rates[s_idx] * net.primary_length,
-                                   net.length, net.primary_length])
-        # cum[i, k]: cumulative probability of node i's first k+1 out-arcs
-        cum = np.full((net.n_nodes, width), np.inf)
-        cum[net.tail, slot] = _segment_cumsum(sd.arc_probs, net.out_start)
-        for pos, origin_idx in enumerate(sd.origins):
-            o = int(origin_idx)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, o, d)))
-            n_reps = int(round(sd.trips[pos])) * runs_per_unit
-            started = rng.random(n_reps) < float(sd.start_prob[pos])
-            n_walk = int(started.sum())
-            walker, arcs, truncated = _lockstep_walk(net, cum, arc_of, o, d, n_walk,
-                                                     step_cap, rng)
-            time, money, dist, prim = (
-                np.bincount(walker, weights=weights[arcs, j], minlength=n_walk).tolist()
-                for j in range(4))
-            if keep_paths:
-                ids = arc_ids[arcs[np.argsort(walker, kind="stable")]].tolist()
-                ends = np.cumsum(np.bincount(walker, minlength=n_walk)).tolist()
-                paths = [ids[lo:hi] for lo, hi in zip([0] + ends, ends)]
-            else:
-                paths = [[] for _ in range(n_walk)]
-            report.truncated_count += int(truncated.sum())
-            walks = zip(paths, time, money, dist, prim, truncated.tolist())
-            o_id = net.node_id(o)
-            for is_started in started.tolist():
-                report.trips.append(
-                    SimulatedTrip(s_name, o_id, d_id, True, *next(walks)) if is_started else
-                    SimulatedTrip(s_name, o_id, d_id, False, [], 0.0, 0.0, 0.0, 0.0, False))
-    return report
+    # each stream reads its uniforms from buf[lo:hi] at ``at``; empty at first
+    live = np.flatnonzero(started)
+    stream = trip_stream[live]
+    cap = _UNIFORMS_PER_WALKER * np.bincount(stream, minlength=len(rngs))
+    hi = np.cumsum(cap)
+    lo, at = hi - cap, hi.copy()
+    buf = np.empty(int(cap.sum()))
 
-
-def _segment_cumsum(probs: np.ndarray, out_start: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs)
-    seg_offsets = np.concatenate(([0.0], cum[out_start[1:-1] - 1]))
-    return cum - np.repeat(seg_offsets, np.diff(out_start))
-
-
-def _lockstep_walk(net: Network, cum: np.ndarray, arc_of: np.ndarray, origin: int,
-                   dest: int, n: int, step_cap: int, rng):
-    """Walk ``n`` trips from ``origin`` in lockstep until ``dest`` absorbs
-    them or ``step_cap`` steps pass.
-
-    Each step draws one uniform ``r`` per trip still walking, in trip order,
-    and moves the trip at node ``i`` along ``arc_of[i, k]``, where ``k``
-    counts the entries of ``cum[i]`` that are <= ``r``: the arc that
-    ``searchsorted(cum[i], r, side="right")`` picks, clipped to the node's
-    last arc.  Returns the steps taken as (trip, arc) index arrays in step
-    order, and the mask of trips still walking at the cap (truncated).
-    """
-    live = np.arange(n)
-    node = np.full(n, origin)
+    # the trips still walking, their nodes, streams and running sums
+    node = origin[stream]
+    acc = np.zeros((live.size, 4))
+    totals = np.zeros((len(started), 4))  # per trip: time, money, distance, primary
     walkers, arcs = [live[:0]], [live[:0]]
     for _ in range(step_cap):
         if not live.size:
             break
-        r = rng.random(live.size)
-        a = arc_of[node, (cum[node] <= r[:, None]).sum(axis=1)]
-        walkers.append(live)
-        arcs.append(a)
-        node = net.head[a]
-        moving = node != dest
-        live, node = live[moving], node[moving]
-    truncated = np.zeros(n, dtype=bool)
+        count = np.bincount(stream, minlength=len(rngs))
+        for g in np.flatnonzero(at + count > hi).tolist():
+            unread = hi[g] - at[g]
+            buf[lo[g]:lo[g] + unread] = buf[at[g]:hi[g]]
+            rngs[g].random(out=buf[lo[g] + unread:hi[g]])
+            at[g] = lo[g]
+        # live walkers are grouped by stream: the j-th of a stream reads at[g] + j
+        r = buf.take((at - (np.cumsum(count) - count)).take(stream) + np.arange(live.size))
+        at += count
+        state = row.take(stream) + node
+        k = np.zeros(live.size, dtype=np.intp)
+        for col in cum:
+            k += col.take(state) <= r
+        a = arc_of.take(node * (width + 1) + k)
+        acc += weights.take(wrow.take(stream) + a, axis=0)
+        if keep_paths:
+            walkers.append(live)
+            arcs.append(a)
+        node = net.head.take(a)
+        moving = node != dest.take(stream)
+        if not moving.all():
+            totals[live[~moving]] = acc[~moving]
+            live, node, stream, acc = (x.compress(moving, axis=0)
+                                       for x in (live, node, stream, acc))
+    totals[live] = acc
+    truncated = np.zeros(len(started), dtype=bool)
     truncated[live] = True
-    return np.concatenate(walkers), np.concatenate(arcs), truncated
+    paths = None
+    if keep_paths:
+        trip, arc = np.concatenate(walkers), np.concatenate(arcs)
+        arc_ids = np.array([a.id for a in net.arcs], dtype=object)
+        ids = arc_ids[arc[np.argsort(trip, kind="stable")]].tolist()
+        bounds = np.cumsum(np.bincount(trip, minlength=len(started))).tolist()
+        paths = [ids[first:last] for first, last in zip([0] + bounds, bounds)]
+    time, money, distance, primary_distance = totals.T.copy()
+    return SimulationReport(
+        seed=seed, runs_per_unit=runs_per_unit, step_cap=step_cap,
+        stratum_names=list(instance.stratum_names),
+        node_ids=[net.node_id(i) for i in range(n)],
+        stratum=stratum[trip_stream], origin=origin[trip_stream],
+        destination=dest[trip_stream],
+        started=started, time=time, money=money, distance=distance,
+        primary_distance=primary_distance, truncated=truncated, paths=paths)
+
+
+def _segment_cumsum(probs: np.ndarray, out_start: np.ndarray) -> np.ndarray:
+    """Cumulative sums of ``probs`` along its last axis, restarting at each
+    node's first out-arc."""
+    cum = np.cumsum(probs, axis=-1)
+    seg_offsets = np.concatenate((np.zeros(probs.shape[:-1] + (1,)),
+                                  cum[..., out_start[1:-1] - 1]), axis=-1)
+    return cum - np.repeat(seg_offsets, np.diff(out_start), axis=-1)

@@ -107,3 +107,76 @@ def naive_equilibrium(instance, rates, tol=1e-8, max_outer=20000):
         alpha = max(0.125, 1.0 / (k + 1))
         f = (1 - alpha) * f + alpha * resp
     raise RuntimeError("naive equilibrium did not converge")
+
+
+def simulate_reference(instance, solution, runs_per_unit=10, seed=0, step_cap=None,
+                       keep_paths=False):
+    """Monte Carlo trips one (stratum, origin, destination) at a time, each
+    walked in lockstep from its own substream: the start uniforms of all its
+    replicates, then one uniform per step for each started trip still
+    walking, in trip order.  Returns ``SimulatedTrip`` rows in trip order
+    (pair, then origin, then replicate); a trip's arcs are empty unless
+    ``keep_paths``."""
+    from mteq.metrics import SimulatedTrip
+
+    net = instance.network
+    if step_cap is None:
+        step_cap = 50 * net.n_nodes
+    arc_ids = np.array([a.id for a in net.arcs], dtype=object)
+    # arc_of[i, k]: node i's k-th out-arc, clipped to its last
+    width = int(net.out_degree.max())
+    arc_of = np.minimum(net.out_start[:-1, None] + np.arange(width + 1),
+                        net.out_start[1:, None] - 1)
+    slot = np.arange(net.n_arcs) - net.out_start[net.tail]
+    trips = []
+    for (s_name, d_id), sd in sorted(solution.sub.items()):
+        s_idx = instance.stratum_names.index(s_name)
+        d = net.node_index[d_id]
+        weights = np.column_stack([solution.arc_time,
+                                   solution.price_rates[s_idx] * net.primary_length,
+                                   net.length, net.primary_length])
+        # cum[i, k]: cumulative probability of node i's first k+1 out-arcs
+        # (one running sum minus its value before each node's first arc)
+        cum = np.full((net.n_nodes, width), np.inf)
+        run = np.cumsum(sd.arc_probs)
+        before = np.concatenate(([0.0], run[net.out_start[1:-1] - 1]))
+        cum[net.tail, slot] = run - np.repeat(before, np.diff(net.out_start))
+        for pos, origin_idx in enumerate(sd.origins):
+            o = int(origin_idx)
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(s_idx, o, d)))
+            n_reps = int(round(sd.trips[pos])) * runs_per_unit
+            started = rng.random(n_reps) < float(sd.start_prob[pos])
+            n_walk = int(started.sum())
+            live = np.arange(n_walk)
+            node = np.full(n_walk, o)
+            walker, arcs = [live[:0]], [live[:0]]
+            for _ in range(step_cap):
+                if not live.size:
+                    break
+                r = rng.random(live.size)
+                a = arc_of[node, (cum[node] <= r[:, None]).sum(axis=1)]
+                walker.append(live)
+                arcs.append(a)
+                node = net.head[a]
+                moving = node != d
+                live, node = live[moving], node[moving]
+            truncated = np.zeros(n_walk, dtype=bool)
+            truncated[live] = True
+            walker, arcs = np.concatenate(walker), np.concatenate(arcs)
+            time, money, dist, prim = (
+                np.bincount(walker, weights=weights[arcs, j], minlength=n_walk).tolist()
+                for j in range(4))
+            if keep_paths:
+                ids = arc_ids[arcs[np.argsort(walker, kind="stable")]].tolist()
+                ends = np.cumsum(np.bincount(walker, minlength=n_walk)).tolist()
+                paths = [ids[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            else:
+                paths = [[] for _ in range(n_walk)]
+            walks = zip(paths, time, money, dist, prim, truncated.tolist())
+            o_id = net.node_id(o)
+            for is_started in started.tolist():
+                trips.append(
+                    SimulatedTrip(s_name, o_id, d_id, True, *next(walks)) if is_started else
+                    SimulatedTrip(s_name, o_id, d_id, False, [], 0.0, 0.0, 0.0, 0.0, False))
+    return trips

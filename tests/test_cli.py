@@ -291,6 +291,41 @@ class TestSweepParetoSimulate:
         assert solo["mean_time"] is None and solo["avg_speed"] is None
         assert solo["primary_share"] is None
 
+    @pytest.mark.parametrize("flag, value, name", [("--runs", "-1", "runs_per_unit"),
+                                                   ("--seed", "-3", "seed")])
+    def test_simulate_negative_runs_or_seed_is_usage_error(self, tmp_path, capsys,
+                                                           flag, value, name):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        code = run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                    flag, value, "--out", str(tmp_path / "sim")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} must be >= 0" in err
+        assert not (tmp_path / "sim").exists()
+
+    def test_simulate_zero_runs_writes_no_trips(self, tmp_path, capsys):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        capsys.readouterr()
+        assert run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                    "--runs", "0", "--out", str(tmp_path / "sim")]) == 0
+        assert capsys.readouterr().out.startswith("simulated 0 trips")
+        solo = json.loads((tmp_path / "sim" / "simulation.json").read_text())["per_stratum"]["solo"]
+        assert solo == {"trips": 0, "started_proportion": None, "mean_time": None,
+                        "primary_share": None, "avg_speed": None}
+
+    def test_sweep_config_negative_runs_is_usage_error(self, tmp_path, capsys):
+        ipath = write_two_route(tmp_path)
+        cpath = tmp_path / "sweep.json"
+        cpath.write_text(json.dumps({
+            "instance": ipath.name, "grid": {"family": "uniform", "lo": 0, "hi": 2, "step": 2},
+            "simulate": True, "runs_per_unit": -1, "output": "out"}))
+        assert run(["sweep", "--config", str(cpath)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "runs_per_unit must be >= 0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_config_free_sweep(self, tmp_path):
         ipath = write_two_route(tmp_path)
         code = run(["sweep", "--instance", str(ipath), "--scheme", "uniform",

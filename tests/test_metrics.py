@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 from conftest import flat_arc, two_route_instance
+from oracle import simulate_reference
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 
@@ -29,6 +30,23 @@ OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 def solved(instance, rate=0.0):
     prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), instance)
     return solve_equilibrium(instance, prices, OPTS), prices
+
+
+def bouncing_instance():
+    """0 -> 1 -> 2 with a way back 1 -> 0: near-uniform choice at the middle
+    node bounces walks back toward the origin, so a tight step cap
+    truncates a visible fraction of them."""
+    from mteq import DemandEntry, Instance, OutsideOption, Stratum
+    nodes = [Node("0", 0, 0), Node("1", 1, 0), Node("2", 2, 0)]
+    arcs = [flat_arc("f01", "0", "1", 1.0), flat_arc("b10", "1", "0", 1.0),
+            flat_arc("f12", "1", "2", 1.0), flat_arc("ret", "2", "0", 1.0)]
+    return Instance(
+        network=build_network(nodes, arcs),
+        strata=[Stratum("s", beta_t=0.01, beta_p=1.0, beta_t_out=0.01, beta_p_out=1.0)],
+        demand=[DemandEntry("s", "0", "2", 10.0)],
+        outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                              times={("0", "2"): 1e6}),
+        solver=OPTS)
 
 
 @pytest.fixture(scope="module")
@@ -288,19 +306,7 @@ class TestSimulation:
         assert abs(frac - p_prim) <= 3 * se
 
     def test_step_cap_truncates_and_keeps_trips(self):
-        # near-uniform choice at the middle node bounces walks back toward
-        # the origin, so a tight step cap truncates a visible fraction
-        from mteq import DemandEntry, Instance, OutsideOption, Stratum
-        nodes = [Node("0", 0, 0), Node("1", 1, 0), Node("2", 2, 0)]
-        arcs = [flat_arc("f01", "0", "1", 1.0), flat_arc("b10", "1", "0", 1.0),
-                flat_arc("f12", "1", "2", 1.0), flat_arc("ret", "2", "0", 1.0)]
-        inst = Instance(
-            network=build_network(nodes, arcs),
-            strata=[Stratum("s", beta_t=0.01, beta_p=1.0, beta_t_out=0.01, beta_p_out=1.0)],
-            demand=[DemandEntry("s", "0", "2", 10.0)],
-            outside=OutsideOption(mode="per_od_table", ticket=0.0,
-                                  times={("0", "2"): 1e6}),
-            solver=OPTS)
+        inst = bouncing_instance()
         sol, _ = solved(inst)
         rep = simulate_trips(inst, sol, runs_per_unit=10, seed=5,
                              step_cap=inst.network.n_nodes + 1)
@@ -325,8 +331,10 @@ class TestSimulation:
         rep = simulate_trips(inst, sol, runs_per_unit=5, seed=2)
         before = rep.summary(["solo"])["solo"]
         speed, share = before["avg_speed"], before["primary_share"]
-        rep.trips.reverse()
-        after = rep.summary(["solo"])["solo"]
+        columns = {f.name: getattr(rep, f.name)[::-1] for f in fields(rep)
+                   if isinstance(getattr(rep, f.name), np.ndarray)}
+        assert len(columns) == 9
+        after = replace(rep, **columns).summary(["solo"])["solo"]
         assert after["avg_speed"] == speed
         assert after["primary_share"] == share
 
@@ -399,6 +407,47 @@ class TestSimulation:
                              keep_paths=True)
         used = {a for t in rep.trips for a in t.arcs}
         assert used and not used & zeroed
+
+    @pytest.mark.parametrize("case", ["grid6_seed_31", "grid6_seed_32", "truncating",
+                                      "long_walks", "outside_option"])
+    def test_columns_match_the_per_origin_reference(self, grid6_solved, case):
+        # the lockstep walk over all trips reads each substream exactly as a
+        # walk of one (stratum, origin, destination) at a time does
+        if case.startswith("grid6"):
+            inst, sol = grid6_solved
+            kw = dict(runs_per_unit=2, seed=int(case[-2:]))
+            if case.endswith("32"):  # a toll rate per stratum, so money tells strata apart
+                scale = np.arange(1.0, len(inst.strata) + 1)[:, None]
+                sol = replace(sol, price_rates=sol.price_rates * scale)
+        elif case == "truncating":
+            inst = bouncing_instance()
+            sol, _ = solved(inst)
+            kw = dict(runs_per_unit=10, seed=5, step_cap=inst.network.n_nodes + 1)
+        elif case == "long_walks":  # walks of 2 to ~20 steps outrun the uniform buffer
+            inst = bouncing_instance()
+            sol, _ = solved(inst)
+            kw = dict(runs_per_unit=50, seed=7)
+        else:
+            inst = two_route_instance()
+            sol, _ = solved(inst, rate=1.0)
+            kw = dict(runs_per_unit=20, seed=9)
+        rep = simulate_trips(inst, sol, keep_paths=True, **kw)
+        ref = simulate_reference(inst, sol, keep_paths=True, **kw)
+        names, nodes = rep.stratum_names, rep.node_ids
+        assert [names[i] for i in rep.stratum.tolist()] == [t.stratum for t in ref]
+        assert [nodes[i] for i in rep.origin.tolist()] == [t.origin for t in ref]
+        assert [nodes[i] for i in rep.destination.tolist()] == [t.destination for t in ref]
+        for column in ("started", "time", "money", "distance", "primary_distance",
+                       "truncated"):
+            assert getattr(rep, column).tolist() == [getattr(t, column) for t in ref]
+        assert rep.paths == [t.arcs for t in ref]
+        assert rep.trips == ref
+        started = rep.started.tolist()
+        if case == "truncating":
+            assert rep.truncated_count > 0
+        if case == "outside_option":  # unstarted trips sit between started ones
+            assert any(a and not b for a, b in zip(started, started[1:]))
+            assert any(b and not a for a, b in zip(started, started[1:]))
 
     def test_lockstep_walk_matches_scalar_searchsorted(self, grid6_solved):
         # reference: the same substream replayed one trip at a time with
