@@ -12,7 +12,7 @@ import numpy as np
 from mteq import (
     SchemeSpec,
     SolverOptions,
-    baseline_trip_stats,
+    all_trip_stats,
     compute_metrics,
     expand_scheme,
     gen_single_od,
@@ -30,7 +30,7 @@ print("network:", instance.network.n_nodes, "nodes,",
 print("demand: 500 trips per stratum from node 0 to node 3\n")
 
 baseline_solution = solve_equilibrium(instance, zero_prices(instance), options)
-baseline = baseline_trip_stats(instance, baseline_solution)
+baseline = all_trip_stats(instance, baseline_solution)
 
 header = f"{'toll/km':>8} | " + " | ".join(
     f"{s:>5} share" for s in instance.stratum_names) + " | " + " | ".join(
@@ -41,7 +41,7 @@ print("-" * len(header))
 for p in [0, 0.25, 0.5, 1, 1.5, 2, 3, 5]:
     prices = expand_scheme(SchemeSpec(family="uniform", rate=float(p)), instance)
     sol = solve_equilibrium(instance, prices, options)
-    report = compute_metrics(instance, sol, baseline, prices)
+    report = compute_metrics(instance, sol, baseline)
     shares = [primary_flow_share(sol, s, instance) for s in instance.stratum_names]
     deltas = [report.welfare_delta[s] for s in instance.stratum_names]
     print(f"{p:>8.2f} | " + " | ".join(f"{x:11.4f}" for x in shares)

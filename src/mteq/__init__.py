@@ -54,12 +54,11 @@ from .metrics import (
     MetricsReport,
     SimulationReport,
     TripStats,
-    baseline_trip_stats,
+    all_trip_stats,
     compute_metrics,
     primary_flow_share,
     revenue,
     simulate_trips,
-    total_welfare,
 )
 from .experiments import (
     ResultRow,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,8 +36,9 @@ from .experiments import (
     run_sweep,
     write_frontier_csv,
 )
-from .instance import InstanceError, assign_areas, load_instance, save_instance
-from .metrics import (baseline_trip_stats, compute_metrics, simulate_trips,
+from .instance import (InstanceError, assign_areas, load_instance, nan_to_null,
+                       save_instance, write_json)
+from .metrics import (all_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
 from .network import NetworkError, strongly_connected
 from .pricing import (PER_AREA, PER_STRATUM, UNIFORM, PriceGrid, SchemeSpec,
@@ -89,13 +89,6 @@ def _area_shape(text: str) -> tuple[int, int]:
     return int(rows), int(cols)
 
 
-def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     solver = _solver_from_args(args, instance.solver)
@@ -111,13 +104,13 @@ def _cmd_solve(args) -> int:
 
     sol0 = solve_equilibrium(instance, np.zeros_like(prices.rates), solver, log_fn=log_fn)
     sol = solve_equilibrium(instance, prices, solver, log_fn=log_fn)
-    report = compute_metrics(instance, sol, baseline_trip_stats(instance, sol0),
-                             prices, scheme_id=scheme.scheme_id)
+    report = compute_metrics(instance, sol, all_trip_stats(instance, sol0),
+                             scheme_id=scheme.scheme_id)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_solution(out / "solution.json", sol, instance.network)
-    _write_json(out / "metrics.json", report.to_dict())
+    write_json(out / "metrics.json", report.to_dict())
     write_metrics_csvs(report, out)
     print(f"scheme {scheme.scheme_id}: converged={sol.converged} "
           f"residual={sol.outer_residual:.6g} -> {out}")
@@ -181,19 +174,15 @@ def _cmd_simulate(args) -> int:
         return EXIT_INVALID
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = report.summary(instance.stratum_names)
     doc = {
         "seed": report.seed,
         "runs_per_unit": report.runs_per_unit,
         "step_cap": report.step_cap,
         "truncated": report.truncated_count,
         # an undefined aggregate (NaN: the stratum never drives) is written as null
-        "per_stratum": {
-            s: {k: (None if math.isnan(v) else v) for k, v in agg.items()}
-            for s, agg in summary.items()
-        },
+        "per_stratum": nan_to_null(report.summary(instance.stratum_names)),
     }
-    _write_json(out / "simulation.json", doc)
+    write_json(out / "simulation.json", doc)
     if args.keep_paths:
         trips = [
             {"stratum": t.stratum, "origin": t.origin, "destination": t.destination,
@@ -201,7 +190,7 @@ def _cmd_simulate(args) -> int:
              "distance": t.distance, "truncated": t.truncated}
             for t in report.trips
         ]
-        _write_json(out / "trips.json", trips)
+        write_json(out / "trips.json", trips)
     print(f"simulated {len(report.started)} trips -> {out}")
     return EXIT_OK
 

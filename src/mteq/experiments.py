@@ -15,15 +15,16 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
 from .instance import (Instance, InstanceError, assign_areas, load_instance,
-                       solver_from_document)
-from .metrics import baseline_trip_stats, compute_metrics, simulate_trips
+                       nan_to_null, solver_from_document, write_json)
+from .metrics import (STRATUM_METRICS, TOTAL_METRICS, all_trip_stats,
+                      compute_metrics, simulate_trips)
 from .pricing import (
     PER_AREA,
     PER_STRATUM,
@@ -88,7 +89,7 @@ class ResultRow:
     def to_dict(self) -> dict:
         """JSON-ready form: an undefined or failed value (NaN) is written as
         null, since NaN is not JSON."""
-        d = {f.name: _nan_to_null(getattr(self, f.name)) for f in fields(self)}
+        d = nan_to_null(asdict(self))
         d["rate_vector"] = list(self.rate_vector)
         d["schema_version"] = RESULTS_SCHEMA_VERSION
         return d
@@ -103,14 +104,6 @@ class ResultRow:
              for k, v in d.items() if k != "schema_version"}
         d["rate_vector"] = tuple(d["rate_vector"])
         return ResultRow(**d)
-
-
-def _nan_to_null(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _nan_to_null(v) for k, v in value.items()}
-    return value
 
 
 def _null_to_nan(value):
@@ -209,53 +202,27 @@ def _evaluate_scheme(instance, spec: SchemeSpec, areas, solver, baseline_stats,
     nan = float("nan")
     try:
         sol = solve_equilibrium(instance, prices, solver)
-        rep = compute_metrics(instance, sol, baseline_stats, prices,
-                              scheme_id=spec.scheme_id)
-        sim_block = None
+        rep = compute_metrics(instance, sol, baseline_stats, scheme_id=spec.scheme_id)
+        metrics = {name: getattr(rep, name) for name in STRATUM_METRICS + TOTAL_METRICS}
+        status = dict(converged=sol.converged, inner_converged=sol.inner_converged,
+                      outer_residual=sol.outer_residual)
         if simulate:
             sim = simulate_trips(instance, sol, runs_per_unit=runs_per_unit, seed=seed)
             summary = sim.summary(names)
-            sim_block = {
+            status["sim"] = {
                 "trips_started": {s: summary[s]["started_proportion"] for s in names},
                 "mean_time": {s: summary[s]["mean_time"] for s in names},
                 "primary_share": {s: summary[s]["primary_share"] for s in names},
                 "truncated": sim.truncated_count,
             }
-        return ResultRow(
-            scheme_id=spec.scheme_id,
-            family=spec.family,
-            rates_label=_rates_label(spec),
-            rate_vector=spec.rate_vector(),
-            welfare=rep.welfare,
-            welfare_delta=rep.welfare_delta,
-            revenue=rep.revenue,
-            trips_started=rep.trips_started,
-            primary_share_distance=rep.primary_share_distance,
-            primary_share_flow=rep.primary_share_flow,
-            avg_speed_trip=rep.avg_speed_trip,
-            avg_speed_flow=rep.avg_speed_flow,
-            total_welfare=rep.total_welfare,
-            total_welfare_delta=rep.total_welfare_delta,
-            total_revenue=rep.total_revenue,
-            trips_started_overall=rep.trips_started_overall,
-            converged=sol.converged,
-            inner_converged=sol.inner_converged,
-            outer_residual=sol.outer_residual,
-            sim=sim_block,
-        )
     except RuntimeError as exc:  # FeasibilityError, SolverError: the sweep goes on
-        empty = {s: nan for s in names}
-        return ResultRow(
-            scheme_id=spec.scheme_id, family=spec.family,
-            rates_label=_rates_label(spec), rate_vector=spec.rate_vector(),
-            welfare=dict(empty), welfare_delta=dict(empty), revenue=dict(empty),
-            trips_started=dict(empty), primary_share_distance=dict(empty),
-            primary_share_flow=dict(empty), avg_speed_trip=dict(empty),
-            avg_speed_flow=dict(empty), total_welfare=nan, total_welfare_delta=nan,
-            total_revenue=nan, trips_started_overall=nan,
-            converged=False, inner_converged=False, outer_residual=nan,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        metrics = {name: dict.fromkeys(names, nan) for name in STRATUM_METRICS}
+        metrics.update(dict.fromkeys(TOTAL_METRICS, nan))
+        status = dict(converged=False, inner_converged=False, outer_residual=nan,
+                      error=f"{type(exc).__name__}: {exc}")
+    return ResultRow(scheme_id=spec.scheme_id, family=spec.family,
+                     rates_label=_rates_label(spec), rate_vector=spec.rate_vector(),
+                     **metrics, **status)
 
 
 def _rates_label(spec: SchemeSpec) -> str:
@@ -277,13 +244,11 @@ def _init_worker(payload):
     _WORKER_STATE["sim"] = (simulate, runs, seed)
 
 
-def _run_worker(spec_dict: dict) -> dict:
-    spec = SchemeSpec.from_dict(spec_dict)
+def _run_worker(spec: SchemeSpec) -> ResultRow:
     simulate, runs, seed = _WORKER_STATE["sim"]
-    row = _evaluate_scheme(
+    return _evaluate_scheme(
         _WORKER_STATE["instance"], spec, _WORKER_STATE["areas"],
         _WORKER_STATE["solver"], _WORKER_STATE["baseline"], simulate, runs, seed)
-    return row.to_dict()
 
 
 def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[ResultRow]:
@@ -310,7 +275,7 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
 
     sol0 = solve_equilibrium(
         instance, np.zeros((len(instance.strata), instance.network.n_arcs)), solver)
-    baseline_stats = baseline_trip_stats(instance, sol0)
+    baseline_stats = all_trip_stats(instance, sol0)
 
     done: dict[str, ResultRow] = {}
     pending = []
@@ -331,8 +296,8 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
                    config.simulate, config.runs_per_unit, config.seed)
         with ProcessPoolExecutor(max_workers=config.workers,
                                  initializer=_init_worker, initargs=(payload,)) as pool:
-            for d in pool.map(_run_worker, [s.to_dict() for s in pending]):
-                flush(ResultRow.from_dict(d))
+            for row in pool.map(_run_worker, pending):
+                flush(row)
     else:
         for spec in pending:
             flush(_evaluate_scheme(instance, spec, areas, solver, baseline_stats,
@@ -406,27 +371,20 @@ def _g17(x) -> str:
 
 def csv_columns(stratum_names: list[str]) -> list[str]:
     cols = ["scheme_id", "family", "rates"]
-    for prefix in ("welfare", "welfare_delta", "revenue", "trips_started",
-                   "primary_share_distance", "primary_share_flow",
-                   "avg_speed_trip", "avg_speed_flow"):
-        cols += [f"{prefix}_{s}" for s in stratum_names]
-    cols += ["total_welfare", "total_welfare_delta", "total_revenue",
-             "trips_started_overall", "converged", "inner_converged",
-             "outer_residual", "error"]
-    return cols
+    for name in STRATUM_METRICS:
+        cols += [f"{name}_{s}" for s in stratum_names]
+    return cols + [*TOTAL_METRICS, "converged", "inner_converged", "outer_residual",
+                   "error"]
 
 
 def _row_to_csv(row: ResultRow, stratum_names: list[str]) -> list[str]:
     vals = [row.scheme_id, row.family, row.rates_label]
-    for table in (row.welfare, row.welfare_delta, row.revenue, row.trips_started,
-                  row.primary_share_distance, row.primary_share_flow,
-                  row.avg_speed_trip, row.avg_speed_flow):
+    for name in STRATUM_METRICS:
+        table = getattr(row, name)
         vals += [_g17(table[s]) for s in stratum_names]
-    vals += [_g17(row.total_welfare), _g17(row.total_welfare_delta),
-             _g17(row.total_revenue), _g17(row.trips_started_overall),
-             str(row.converged), str(row.inner_converged),
-             _g17(row.outer_residual), row.error or ""]
-    return vals
+    vals += [_g17(getattr(row, name)) for name in TOTAL_METRICS]
+    return vals + [str(row.converged), str(row.inner_converged),
+                   _g17(row.outer_residual), row.error or ""]
 
 
 def persist_results(rows: list[ResultRow], directory) -> None:
@@ -446,8 +404,7 @@ def _write_tables(rows: list[ResultRow], out: Path) -> None:
         "scheme_ids": [r.scheme_id for r in rows],
         "strata": stratum_names,
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(out / "manifest.json", manifest)
     with open(out / "results.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(csv_columns(stratum_names))
@@ -456,8 +413,7 @@ def _write_tables(rows: list[ResultRow], out: Path) -> None:
 
 
 def _write_detail(row: ResultRow, detail_dir: Path) -> None:
-    with open(detail_dir / f"{row.scheme_id}.json", "w") as fh:
-        json.dump(row.to_dict(), fh, sort_keys=True, indent=1)
+    write_json(detail_dir / f"{row.scheme_id}.json", row.to_dict())
 
 
 def load_results(directory) -> list[ResultRow]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -48,12 +49,13 @@ class Stratum:
     beta_p_out: float
 
     def __post_init__(self):
-        if self.beta_t <= 0:
-            raise InstanceError(f"stratum {self.name!r}: beta_t must be > 0")
-        if self.beta_p < 0 or self.beta_p_out < 0:
-            raise InstanceError(f"stratum {self.name!r}: price sensitivities must be >= 0")
-        if self.beta_t_out <= 0:
-            raise InstanceError(f"stratum {self.name!r}: beta_t_out must be > 0")
+        # written so that NaN fails every check
+        for name in ("beta_t", "beta_t_out"):
+            if not getattr(self, name) > 0:
+                raise InstanceError(f"stratum {self.name!r}: {name} must be > 0")
+        for name in ("beta_p", "beta_p_out"):
+            if not getattr(self, name) >= 0:
+                raise InstanceError(f"stratum {self.name!r}: {name} must be >= 0")
 
     @property
     def wtp(self) -> float:
@@ -100,11 +102,8 @@ class OutsideOption:
             raise InstanceError("outside_option.multiplier must be > 0")
         if self.mode == MODE_TABLE and self.times is None:
             raise InstanceError("outside_option.times required in per_od_table mode")
-        if isinstance(self.ticket, dict):
-            bad = [k for k, v in self.ticket.items() if v < 0]
-        else:
-            bad = [] if self.ticket >= 0 else ["global"]
-        if bad:
+        fares = self.ticket.values() if isinstance(self.ticket, dict) else [self.ticket]
+        if not all(v >= 0 for v in fares):
             raise InstanceError("outside_option.ticket must be nonnegative")
 
     def ticket_for(self, origin: str, destination: str) -> float:
@@ -195,7 +194,7 @@ def materialize_outside_times(instance: Instance) -> dict[tuple[str, str], float
                 times[(o, d)] = instance.outside.times[(o, d)]
             except KeyError:
                 raise InstanceError(f"outside_option.times: missing OD ({o}, {d})")
-            if times[(o, d)] < 0:
+            if not times[(o, d)] >= 0:
                 raise InstanceError(f"outside_option.times[({o}, {d})] must be >= 0")
         return times
     dests = sorted({d for _, d in ods})
@@ -212,8 +211,6 @@ def outside_costs(instance: Instance) -> dict[tuple[str, str, str], float]:
     sensitivity ratio."""
     out = {}
     for s in instance.strata:
-        if s.beta_t_out <= 0:
-            raise InstanceError(f"stratum {s.name!r}: beta_t_out must be > 0")
         ratio = s.beta_p_out / s.beta_t_out
         for o, d in instance.od_pairs(s.name):
             t_out = instance.outside_time[(o, d)]
@@ -262,8 +259,6 @@ def assign_areas(instance_or_network, rows: int, cols: int) -> AreaAssignment:
     if rows < 1 or cols < 1:
         raise InstanceError("area grid must have rows >= 1 and cols >= 1")
     x, y = net.x, net.y
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InstanceError("node coordinates must be finite")
     if cols > 1 and x.max() == x.min():
         raise InstanceError("degenerate bounding box: zero x extent cannot be split")
     if rows > 1 and y.max() == y.min():
@@ -309,11 +304,14 @@ def _network_from_sections(node_rows, arc_rows, defaults) -> Network:
     nu0 = float(defaults.get("bpr_nu", DEFAULT_BPR_NU))
     nodes = []
     for k, row in enumerate(node_rows):
-        nodes.append(Node(
-            id=str(_req(row, "id", f"nodes[{k}]")),
-            x=float(_req(row, "x", f"nodes[{k}]")),
-            y=float(_req(row, "y", f"nodes[{k}]")),
-        ))
+        try:
+            nodes.append(Node(
+                id=str(_req(row, "id", f"nodes[{k}]")),
+                x=float(_req(row, "x", f"nodes[{k}]")),
+                y=float(_req(row, "y", f"nodes[{k}]")),
+            ))
+        except NetworkError as e:
+            raise InstanceError(f"nodes[{k}]: {e}")
     arcs = []
     for k, row in enumerate(arc_rows):
         try:
@@ -468,9 +466,27 @@ def _outside_to_doc(oo: OutsideOption) -> dict:
 
 
 def save_instance(instance: Instance, path) -> None:
+    write_json(path, instance_to_document(instance))
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline.
+    NaN is refused (it is not JSON): reports map it to null first, with
+    ``nan_to_null``."""
     with open(path, "w") as fh:
-        json.dump(instance_to_document(instance), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def nan_to_null(value):
+    """``value`` with every NaN float, also inside dicts and lists, as None."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, dict):
+        return {k: nan_to_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [nan_to_null(v) for v in value]
+    return value
 
 
 def instances_equal(a: Instance, b: Instance) -> bool:

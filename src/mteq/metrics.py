@@ -10,16 +10,23 @@ trajectory-level output.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .equilibrium import EquilibriumSolution
-from .instance import Instance
+from .instance import Instance, nan_to_null
 from .network import Network
+
+#: The per-stratum metrics of a pricing scheme and their totals, in the
+#: column order of every table that lists them.
+STRATUM_METRICS = ("welfare", "welfare_delta", "revenue", "trips_started",
+                   "primary_share_distance", "primary_share_flow",
+                   "avg_speed_trip", "avg_speed_flow")
+TOTAL_METRICS = ("total_welfare", "total_welfare_delta", "total_revenue",
+                 "trips_started_overall")
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,7 @@ class TripStats:
 @dataclass
 class MetricsReport:
     scheme_id: str
-    stratum_names: list[str]
+    strata: list[str]
     welfare: dict            # stratum -> W (literal definition)
     welfare_delta: dict      # stratum -> W(p) - W(0)
     total_welfare: float
@@ -55,29 +62,8 @@ class MetricsReport:
     runs: int | None = None
 
     def to_dict(self) -> dict:
-        def clean(d):
-            return {k: (None if isinstance(v, float) and math.isnan(v) else v)
-                    for k, v in d.items()}
-        return {
-            "scheme_id": self.scheme_id,
-            "strata": self.stratum_names,
-            "welfare": self.welfare,
-            "welfare_delta": self.welfare_delta,
-            "total_welfare": self.total_welfare,
-            "total_welfare_delta": self.total_welfare_delta,
-            "revenue": self.revenue,
-            "total_revenue": self.total_revenue,
-            "trips_started": self.trips_started,
-            "trips_started_overall": self.trips_started_overall,
-            "primary_share_distance": clean(self.primary_share_distance),
-            "primary_share_flow": clean(self.primary_share_flow),
-            "avg_speed_trip": clean(self.avg_speed_trip),
-            "avg_speed_flow": clean(self.avg_speed_flow),
-            "per_od": [vars(t) for t in self.per_od],
-            "provenance": self.provenance,
-            "seed": self.seed,
-            "runs": self.runs,
-        }
+        """JSON-ready form: an undefined value (NaN) is null."""
+        return nan_to_null(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +116,6 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     return stats
 
 
-def total_welfare(per_stratum) -> float:
-    """Total welfare: plain sum over strata."""
-    vals = per_stratum.values() if isinstance(per_stratum, dict) else per_stratum
-    return float(sum(vals))
-
-
 def revenue(solution: EquilibriumSolution, prices, stratum: str,
             instance: Instance) -> float:
     """Expected toll revenue collected from one stratum:
@@ -166,17 +146,11 @@ def primary_flow_share(solution: EquilibriumSolution, stratum: str,
 # ---------------------------------------------------------------------------
 # Report assembly
 
-def baseline_trip_stats(instance: Instance,
-                        solution_0: EquilibriumSolution) -> dict:
-    """Trip stats of the toll-free equilibrium, computed once and shared by
-    every welfare evaluation of the same instance."""
-    return all_trip_stats(instance, solution_0)
-
-
 def compute_metrics(instance: Instance, solution: EquilibriumSolution,
-                    baseline, prices=None, scheme_id: str = "") -> MetricsReport:
-    """Analytic MetricsReport for one equilibrium against its toll-free
-    baseline (an EquilibriumSolution or precomputed baseline_trip_stats).
+                    baseline_stats: dict, scheme_id: str = "") -> MetricsReport:
+    """Analytic MetricsReport for one equilibrium, tolled at its own
+    ``price_rates``, against ``baseline_stats``: the ``all_trip_stats`` of
+    the toll-free equilibrium, computed once per instance.
 
     Welfare is averaged over each stratum's positive-demand OD pairs:
     drivers weigh the toll-free expected time against their current time
@@ -187,9 +161,7 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
     zero.
     """
     net = instance.network
-    prices = solution.price_rates if prices is None else prices
     stats_p = all_trip_stats(instance, solution)
-    stats_0 = baseline if isinstance(baseline, dict) else baseline_trip_stats(instance, baseline)
     trips_of = {(e.stratum, e.origin, e.destination): e.trips for e in instance.demand}
 
     w, dw, rev, started, share_d, share_f, v_trip, v_flow = {}, {}, {}, {}, {}, {}, {}, {}
@@ -200,9 +172,9 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
         w_sum = w0_sum = g_tot = g_started = t_tot = d_tot = 0.0
         for (o, d) in pairs:
             key = (s.name, o, d)
-            if key not in stats_p or key not in stats_0:
+            if key not in stats_p or key not in baseline_stats:
                 raise ValueError(f"missing trip stats for {key}; mismatched instances?")
-            row, base = stats_p[key], stats_0[key]
+            row, base = stats_p[key], baseline_stats[key]
             out = (base.time - instance.outside_time[(o, d)]
                    - ratio_out * instance.outside.ticket_for(o, d))
             w_sum += ((base.time - row.time - ratio * row.money) * row.start_prob
@@ -219,7 +191,7 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
         n_pairs = max(len(pairs), 1)  # a stratum without demand has welfare 0
         w[s.name] = w_sum / n_pairs
         dw[s.name] = w[s.name] - w0_sum / n_pairs
-        rev[s.name] = revenue(solution, prices, s.name, instance)
+        rev[s.name] = revenue(solution, solution.price_rates, s.name, instance)
         started[s.name] = g_started / g_tot if g_tot > 0 else float("nan")
         share_d[s.name] = primary_flow_share(solution, s.name, instance, "distance")
         share_f[s.name] = primary_flow_share(solution, s.name, instance, "flow")
@@ -234,13 +206,13 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
         for e in instance.demand)
     return MetricsReport(
         scheme_id=scheme_id,
-        stratum_names=list(instance.stratum_names),
+        strata=list(instance.stratum_names),
         welfare=w,
         welfare_delta=dw,
-        total_welfare=total_welfare(w),
-        total_welfare_delta=total_welfare(dw),
+        total_welfare=sum(w.values()),
+        total_welfare_delta=sum(dw.values()),
         revenue=rev,
-        total_revenue=total_welfare(rev),
+        total_revenue=sum(rev.values()),
         trips_started=started,
         trips_started_overall=started_all / g_all if g_all > 0 else float("nan"),
         primary_share_distance=share_d,
@@ -259,16 +231,10 @@ def write_metrics_csvs(report: MetricsReport, out_dir) -> None:
     out_dir = Path(out_dir)
     with open(out_dir / "metrics_strata.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scheme_id", "stratum", "welfare", "welfare_delta", "revenue",
-                    "trips_started", "primary_share_distance", "primary_share_flow",
-                    "avg_speed_trip", "avg_speed_flow"])
-        for s in report.stratum_names:
+        w.writerow(["scheme_id", "stratum", *STRATUM_METRICS])
+        for s in report.strata:
             w.writerow([report.scheme_id, s,
-                        repr(report.welfare[s]), repr(report.welfare_delta[s]),
-                        repr(report.revenue[s]), repr(report.trips_started[s]),
-                        repr(report.primary_share_distance[s]),
-                        repr(report.primary_share_flow[s]),
-                        repr(report.avg_speed_trip[s]), repr(report.avg_speed_flow[s])])
+                        *(repr(getattr(report, name)[s]) for name in STRATUM_METRICS)])
     with open(out_dir / "metrics_od.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scheme_id", "stratum", "origin", "destination",

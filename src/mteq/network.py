@@ -9,6 +9,7 @@ currency unit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,10 @@ class Node:
     x: float
     y: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise NetworkError(f"node {self.id}: x and y must be finite")
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -62,19 +67,20 @@ class Arc:
     bpr_nu: float = DEFAULT_BPR_NU
 
     def __post_init__(self):
-        if self.length_km <= 0:
+        # written so that NaN fails every check
+        if not self.length_km > 0:
             raise NetworkError(f"arc {self.id}: length_km must be > 0")
-        if self.free_speed_kmh <= 0:
+        if not self.free_speed_kmh > 0:
             raise NetworkError(f"arc {self.id}: free_speed_kmh must be > 0")
-        if self.lanes < 1:
+        if not self.lanes >= 1:
             raise NetworkError(f"arc {self.id}: lanes must be >= 1")
         if self.road_class not in (PRIMARY, SECONDARY):
             raise NetworkError(f"arc {self.id}: unknown road_class {self.road_class!r}")
-        if self.capacity is not None and self.capacity <= 0:
+        if self.capacity is not None and not self.capacity > 0:
             raise NetworkError(f"arc {self.id}: capacity must be > 0")
-        if self.bpr_gamma < 0:
+        if not self.bpr_gamma >= 0:
             raise NetworkError(f"arc {self.id}: bpr_gamma must be >= 0")
-        if self.bpr_nu <= 0:
+        if not self.bpr_nu > 0:
             raise NetworkError(f"arc {self.id}: bpr_nu must be > 0")
 
     @property
@@ -89,7 +95,7 @@ class Arc:
 
 def default_capacity(lanes: float, length_km: float, car_length_km: float) -> float:
     """Vehicles that fit on the arc: lanes * length / average car length."""
-    if lanes <= 0 or length_km <= 0 or car_length_km <= 0:
+    if not (lanes > 0 and length_km > 0 and car_length_km > 0):
         raise NetworkError("default_capacity requires positive lanes, length and car length")
     return lanes * length_km / car_length_km
 

@@ -65,26 +65,6 @@ class SchemeSpec:
             return tuple(r for _n, r in self.stratum_rates)
         return tuple(r for _n, r in sorted(self.area_rates))
 
-    def to_dict(self) -> dict:
-        d = {"family": self.family}
-        if self.family == UNIFORM:
-            d["rate"] = self.rate
-        elif self.family == PER_STRATUM:
-            d["stratum_rates"] = dict(self.stratum_rates)
-        else:
-            d["area_rates"] = dict(self.area_rates)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SchemeSpec":
-        fam = d["family"]
-        if fam == UNIFORM:
-            return SchemeSpec(family=fam, rate=float(d["rate"]))
-        if fam == PER_STRATUM:
-            # the given order is part of the scheme id; to_dict preserves it
-            return SchemeSpec(family=fam, stratum_rates=tuple(d["stratum_rates"].items()))
-        return SchemeSpec(family=fam, area_rates=tuple(sorted(d["area_rates"].items())))
-
 
 @dataclass(frozen=True)
 class ExpandedPrices:

@@ -16,7 +16,7 @@ from mteq import (
     SchemeSpec,
     SolverOptions,
     SweepConfig,
-    baseline_trip_stats,
+    all_trip_stats,
     compute_metrics,
     enumerate_grid,
     equilibrium_residuals,
@@ -33,7 +33,6 @@ from mteq import (
     zero_prices,
 )
 from mteq.instance import Instance, Stratum
-from mteq.metrics import all_trip_stats
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
@@ -171,12 +170,12 @@ def test_criterion_5_uniform_equals_entry_area_pricing(single_od):
     # both primary arcs enter from the N cell
     assert {areas.area_of(a.tail) for a in inst.network.arcs if a.is_primary} == {"N"}
     sol0 = solve_equilibrium(inst, zero_prices(inst), TIGHT)
-    base = baseline_trip_stats(inst, sol0)
+    base = all_trip_stats(inst, sol0)
 
     def tuples(scheme, areas_arg):
         prices = expand_scheme(scheme, inst, areas_arg)
         sol = solve_equilibrium(inst, prices, TIGHT)
-        rep = compute_metrics(inst, sol, base, prices, scheme_id=scheme.scheme_id)
+        rep = compute_metrics(inst, sol, base, scheme_id=scheme.scheme_id)
         return ([rep.welfare[s] for s in inst.stratum_names]
                 + [rep.total_welfare, rep.total_revenue])
 
@@ -319,14 +318,13 @@ def test_criterion_10_degenerate_cases(single_od):
     sol_e = solve_equilibrium(empty, zero_prices(empty), TIGHT)
     assert sol_e.converged
     assert np.all(sol_e.total_flow == 0.0)
-    rep_e = compute_metrics(empty, sol_e, baseline_trip_stats(empty, sol_e),
-                            zero_prices(empty), scheme_id="uniform_p0")
+    rep_e = compute_metrics(empty, sol_e, all_trip_stats(empty, sol_e),
+                            scheme_id="uniform_p0")
     assert rep_e.total_welfare == 0.0
     assert rep_e.total_revenue == 0.0
 
     sol0 = solve_equilibrium(inst, zero_prices(inst), TIGHT)
-    base = baseline_trip_stats(inst, sol0)
-    rep0 = compute_metrics(inst, sol0, base, zero_prices(inst), scheme_id="uniform_p0")
+    rep0 = compute_metrics(inst, sol0, all_trip_stats(inst, sol0), scheme_id="uniform_p0")
     assert rep0.total_revenue == 0.0
     assert all(v == 0.0 for v in rep0.welfare_delta.values())
     assert rep0.total_welfare_delta == 0.0

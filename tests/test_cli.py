@@ -334,5 +334,37 @@ class TestSweepParetoSimulate:
         assert len(load_results(tmp_path / "out")) == 4
         assert run(["sweep"]) == 1  # neither config nor inline grid
 
+    def test_every_json_output_is_strict_and_ends_with_newline(self, tmp_path):
+        # the "idle" stratum has no demand, so its started share is undefined
+        assert run(["generate", "single-od", "--out", str(tmp_path / "inst.json")]) == 0
+        doc = json.loads((tmp_path / "inst.json").read_text())
+        doc["strata"].append(dict(doc["strata"][0], name="idle"))
+        ipath = tmp_path / "idle.json"
+        save_instance(load_instance(doc), ipath)
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform",
+                    "--rate", "0.5", "--out", str(tmp_path / "solve")]) == 0
+        solution = str(tmp_path / "solve" / "solution.json")
+        for runs, extra in (("0", []), ("2", ["--keep-paths"])):
+            assert run(["simulate", "--instance", str(ipath), "--solution", solution,
+                        "--runs", runs, "--out", str(tmp_path / f"sim{runs}"), *extra]) == 0
+        assert run(["sweep", "--instance", str(ipath), "--scheme", "uniform",
+                    "--grid", "0:1:1", "--out", str(tmp_path / "sweep")]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        paths = sorted(tmp_path.rglob("*.json"))
+        assert {"inst.json", "idle.json", "solve/solution.json", "solve/metrics.json",
+                "sim0/simulation.json", "sim2/simulation.json", "sim2/trips.json",
+                "sweep/manifest.json", "sweep/schemes/uniform_p0.json",
+                "sweep/schemes/uniform_p1.json"} == {p.relative_to(tmp_path).as_posix()
+                                                     for p in paths}
+        for path in paths:
+            text = path.read_text()
+            json.loads(text, parse_constant=reject)
+            assert text.endswith("\n"), path
+        metrics = json.loads((tmp_path / "solve" / "metrics.json").read_text())
+        assert metrics["trips_started"]["idle"] is None
+
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["frobnicate"]) == 1

@@ -133,6 +133,13 @@ class TestPersistence:
         assert len(text) == 3
 
 
+def tree_bytes(root) -> dict:
+    """Every file under ``root``, by relative path, with its bytes."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def small_sweep_config(tmp_path, lo=0.0, hi=8.0, step=2.0, workers=1):
     inst = two_route_instance()
     ipath = tmp_path / "instance.json"
@@ -206,8 +213,8 @@ class TestRunSweep:
         c2 = small_sweep_config(tmp_path / "b", workers=2)
         run_sweep(c1)
         run_sweep(c2)
-        a = (Path(c1.output) / "results.csv").read_bytes()
-        b = (Path(c2.output) / "results.csv").read_bytes()
+        a, b = tree_bytes(c1.output), tree_bytes(c2.output)
+        assert {"results.csv", "manifest.json", "schemes/uniform_p8.json"} <= set(a)
         assert a == b
 
     def test_per_stratum_results_worker_independent(self, tmp_path):
@@ -222,7 +229,9 @@ class TestRunSweep:
                 output=str(tmp_path / f"w{workers}"), workers=workers)
             rows = run_sweep(config)
             assert not any(r.error for r in rows)
-            outputs.append((Path(config.output) / "results.csv").read_bytes())
+            outputs.append(tree_bytes(config.output))
+        assert {"results.csv", "manifest.json"} <= set(outputs[0])
+        assert len(outputs[0]) == 2 + len(rows)  # one detail file per scheme
         assert outputs[0] == outputs[1]
 
     def test_solver_failure_recorded_not_raised(self, tmp_path, monkeypatch):

@@ -7,17 +7,15 @@ import pytest
 from mteq import (
     SchemeSpec,
     SolverOptions,
-    baseline_trip_stats,
+    all_trip_stats,
     compute_metrics,
     expand_scheme,
     primary_flow_share,
     revenue,
     simulate_trips,
     solve_equilibrium,
-    total_welfare,
-    zero_prices,
 )
-from mteq.metrics import _absorbing_block, _segment_cumsum, all_trip_stats
+from mteq.metrics import _absorbing_block, _segment_cumsum
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -130,7 +128,7 @@ class TestWelfare:
     def test_no_pricing_has_zero_delta(self):
         inst = gen_single_od()
         sol0, _ = solved(inst)
-        rep = compute_metrics(inst, sol0, sol0)
+        rep = compute_metrics(inst, sol0, all_trip_stats(inst, sol0))
         for s in inst.stratum_names:
             assert rep.welfare_delta[s] == 0.0
 
@@ -158,7 +156,7 @@ class TestWelfare:
         assert sd.start_prob[0] == pytest.approx(1.0, abs=1e-12)
         stats = all_trip_stats(inst, solp)[("s", "0", "1")]
         assert stats.money == pytest.approx(100.0, rel=1e-12)
-        w = compute_metrics(inst, solp, sol0).welfare["s"]
+        w = compute_metrics(inst, solp, all_trip_stats(inst, sol0)).welfare["s"]
         assert w == pytest.approx(-50.0, rel=1e-9)
 
     def test_all_outside_degenerates_to_outside_term(self):
@@ -176,15 +174,10 @@ class TestWelfare:
         sol0, _ = solved(slow)
         sd = sol0.subsolution("solo", "1")
         assert sd.start_prob[0] == pytest.approx(0.0, abs=1e-12)
-        w = compute_metrics(slow, sol0, sol0).welfare["solo"]
+        w = compute_metrics(slow, sol0, all_trip_stats(slow, sol0)).welfare["solo"]
         stats0 = all_trip_stats(slow, sol0)[("solo", "0", "1")]
         expected = stats0.time - 1.0 - 0.5  # t0 - outside time - fare
         assert w == pytest.approx(expected, rel=1e-12)
-
-    def test_total_welfare_sums(self):
-        assert total_welfare({"a": 1.0, "b": 2.0, "c": 3.0}) == 6.0
-        assert total_welfare([0.0, 0.0]) == 0.0
-        assert total_welfare({"low": -837.0, "mid": 10.0, "high": 20.0}) == -807.0
 
 
 class TestRevenue:
@@ -203,7 +196,7 @@ class TestRevenue:
         sol, prices = solved(forced, rate=100.0)
         assert sol.stratum_flow["solo"][net.arc_index["prim"]] == pytest.approx(10.0, rel=1e-9)
         assert revenue(sol, prices, "solo", forced) == pytest.approx(2000.0, rel=1e-9)
-        report = compute_metrics(forced, sol, sol, prices)
+        report = compute_metrics(forced, sol, all_trip_stats(forced, sol))
         assert report.total_revenue == pytest.approx(2000.0, rel=1e-9)
 
     def test_secondary_only_flow_earns_nothing(self):
@@ -493,15 +486,15 @@ class TestReport:
         inst = gen_single_od()
         sol0, _ = solved(inst)
         solp, prices = solved(inst, rate=25.0)
-        rep = compute_metrics(inst, solp, baseline_trip_stats(inst, sol0), prices,
+        rep = compute_metrics(inst, solp, all_trip_stats(inst, sol0),
                               scheme_id="uniform_p25")
-        assert rep.total_welfare == pytest.approx(total_welfare(rep.welfare), rel=1e-12)
+        assert rep.total_welfare == pytest.approx(sum(rep.welfare.values()), rel=1e-12)
         assert set(rep.trips_started) == {"high", "mid", "low"}
         d = rep.to_dict()
         assert d["scheme_id"] == "uniform_p25"
         assert len(d["per_od"]) == 3
         # toll-free baseline against itself: exact zero deltas
-        rep0 = compute_metrics(inst, sol0, baseline_trip_stats(inst, sol0),
-                               zero_prices(inst), scheme_id="uniform_p0")
+        rep0 = compute_metrics(inst, sol0, all_trip_stats(inst, sol0),
+                               scheme_id="uniform_p0")
         assert all(v == 0.0 for v in rep0.welfare_delta.values())
         assert rep0.total_revenue == 0.0

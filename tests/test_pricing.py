@@ -136,8 +136,3 @@ class TestEnumerateGrid:
         with pytest.raises(PricingError):
             enumerate_grid(PriceGrid(family=UNIFORM, lo=0, hi=100, step=0))
 
-    def test_scheme_ids_round_trip(self):
-        spec = SchemeSpec(family=PER_STRATUM,
-                          stratum_rates=(("high", 1000.0), ("low", 400.0), ("mid", 600.0)))
-        again = SchemeSpec.from_dict(spec.to_dict())
-        assert again.scheme_id == spec.scheme_id
