@@ -3,6 +3,7 @@ an outside (transit) option, and congestion-pricing evaluation."""
 
 from .network import (
     Arc,
+    InstanceError,
     Network,
     NetworkError,
     Node,
@@ -19,7 +20,6 @@ from .instance import (
     AreaAssignment,
     DemandEntry,
     Instance,
-    InstanceError,
     OutsideOption,
     Stratum,
     assign_areas,
@@ -41,7 +41,6 @@ from .equilibrium import (
     solve_tau,
 )
 from .pricing import (
-    ExpandedPrices,
     PriceGrid,
     SchemeSpec,
     area_of_arc,

@@ -36,11 +36,10 @@ from .experiments import (
     run_sweep,
     write_frontier_csv,
 )
-from .instance import (InstanceError, assign_areas, load_instance, nan_to_null,
-                       save_instance, write_json)
+from .instance import assign_areas, load_instance, nan_to_null, save_instance, write_json
 from .metrics import (all_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
-from .network import NetworkError, strongly_connected
+from .network import InstanceError, strongly_connected
 from .pricing import (PER_AREA, PER_STRATUM, UNIFORM, PriceGrid, SchemeSpec,
                       expand_scheme)
 
@@ -50,13 +49,13 @@ EXIT_NOT_CONVERGED = 2
 EXIT_SOLVER_FAILED = 3
 
 
-def _parse_rates(text: str) -> dict[str, float]:
+def _parse_rates(text: str) -> dict[str, str]:
     out = {}
     for part in text.split(","):
         if "=" not in part:
-            raise InstanceError(f"bad rate entry {part!r}; expected name=value")
+            raise InstanceError(f"--rates: bad entry {part!r}; expected name=value")
         name, val = part.split("=", 1)
-        out[name.strip()] = float(val)
+        out[name.strip()] = val
     return out
 
 
@@ -74,19 +73,16 @@ def _scheme_from_args(args) -> SchemeSpec:
 
 
 def _solver_from_args(args, base: SolverOptions) -> SolverOptions:
-    updates = {}
-    if args.tol_inner is not None:
-        updates["inner_tol"] = args.tol_inner
-    if args.tol_outer is not None:
-        updates["outer_tol"] = args.tol_outer
-    if args.max_outer is not None:
-        updates["outer_max_iters"] = args.max_outer
-    return replace(base, **updates) if updates else base
+    flags = {"inner_tol": args.tol_inner, "outer_tol": args.tol_outer,
+             "outer_max_iters": args.max_outer}
+    return replace(base, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _area_shape(text: str) -> tuple[int, int]:
-    rows, _, cols = text.partition("x")
-    return int(rows), int(cols)
+def _area_shape(text: str) -> tuple[str, str]:
+    rows, sep, cols = text.partition("x")
+    if not sep:
+        raise InstanceError(f"--areas must be ROWSxCOLS, got {text!r}")
+    return rows, cols
 
 
 def _cmd_solve(args) -> int:
@@ -102,7 +98,7 @@ def _cmd_solve(args) -> int:
     if args.verbose:
         log_fn = lambda rec: print(json.dumps(rec), file=sys.stderr)
 
-    sol0 = solve_equilibrium(instance, np.zeros_like(prices.rates), solver, log_fn=log_fn)
+    sol0 = solve_equilibrium(instance, np.zeros_like(prices), solver, log_fn=log_fn)
     sol = solve_equilibrium(instance, prices, solver, log_fn=log_fn)
     report = compute_metrics(instance, sol, all_trip_stats(instance, sol0),
                              scheme_id=scheme.scheme_id)
@@ -117,9 +113,11 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if sol.converged and sol0.converged else EXIT_NOT_CONVERGED
 
 
-def _parse_grid(text: str):
-    lo, hi, step = (float(v) for v in text.split(":"))
-    return lo, hi, step
+def _parse_grid(text: str) -> list[str]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise InstanceError(f"--grid must be LO:HI:STEP, got {text!r}")
+    return parts
 
 
 def _cmd_sweep(args) -> int:
@@ -133,11 +131,9 @@ def _cmd_sweep(args) -> int:
         rows_, cols_ = _area_shape(args.areas)
         config = SweepConfig(instance=args.instance,
                              grid=PriceGrid(family=family, lo=lo, hi=hi, step=step),
-                             output=args.out or "sweep_out",
-                             area_rows=rows_, area_cols=cols_,
-                             seed=args.seed)
+                             area_rows=rows_, area_cols=cols_)
     if args.workers is not None:
-        config.workers = args.workers
+        config = replace(config, workers=args.workers)
     if args.out is not None:
         config.output = args.out
     rows = run_sweep(config)
@@ -166,12 +162,8 @@ def _cmd_simulate(args) -> int:
         problem = f"no field {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: solution file {args.solution}: {problem}", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
-                                keep_paths=args.keep_paths)
-    except ValueError as exc:  # a negative run count or seed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
+                            keep_paths=args.keep_paths)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -237,16 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser("solve", help="solve one pricing scheme to equilibrium")
     sv.add_argument("--instance", required=True)
     sv.add_argument("--scheme", choices=["uniform", "stratum", "area"], required=True)
-    sv.add_argument("--rate", type=float, help="uniform rate (money/km)")
+    sv.add_argument("--rate", help="uniform rate (money/km)")
     sv.add_argument("--rates", help="per-stratum or per-area rates: name=value,...")
     sv.add_argument("--areas", default="2x2", help="area grid RxC for --scheme area")
     sv.add_argument("--out", default="solve_out")
-    sv.add_argument("--seed", type=int, default=0,
-                    help="ignored: solving draws no random numbers")
-    sv.add_argument("--tol-inner", type=float, dest="tol_inner")
-    sv.add_argument("--tol-outer", type=float, dest="tol_outer")
+    sv.add_argument("--seed", help="ignored: solving draws no random numbers")
+    sv.add_argument("--tol-inner", dest="tol_inner")
+    sv.add_argument("--tol-outer", dest="tol_outer")
     sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")
-    sv.add_argument("--max-outer", type=int, dest="max_outer")
+    sv.add_argument("--max-outer", dest="max_outer")
     sv.add_argument("--verbose", action="store_true",
                     help="stream iteration log as JSON lines on stderr")
     sv.set_defaults(fn=_cmd_solve)
@@ -257,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scheme", choices=["uniform", "stratum", "area"])
     sw.add_argument("--grid", help="price grid LO:HI:STEP")
     sw.add_argument("--areas", default="2x2")
-    sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--workers", type=int)
+    sw.add_argument("--workers")
     sw.add_argument("--out")
     sw.set_defaults(fn=_cmd_sweep)
 
@@ -271,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     si = sub.add_parser("simulate", help="Monte Carlo trips on a stored solution")
     si.add_argument("--instance", required=True)
     si.add_argument("--solution", required=True, help="solution.json from solve")
-    si.add_argument("--runs", type=int, default=10, help="runs per demand unit")
-    si.add_argument("--seed", type=int, default=0)
+    si.add_argument("--runs", default=10, help="runs per demand unit")
+    si.add_argument("--seed", default=0)
     si.add_argument("--out", default="simulate_out")
     si.add_argument("--keep-paths", action="store_true", dest="keep_paths")
     si.set_defaults(fn=_cmd_simulate)
@@ -280,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     ge = sub.add_parser("generate", help="emit a synthetic instance")
     ge.add_argument("kind", choices=["single-od", "grid"])
     ge.add_argument("--out", required=True)
-    ge.add_argument("--rows", type=int, default=10)
-    ge.add_argument("--cols", type=int, default=10)
-    ge.add_argument("--seed", type=int, default=0)
+    ge.add_argument("--rows", default=10)
+    ge.add_argument("--cols", default=10)
+    ge.add_argument("--seed", default=0)
     ge.add_argument("--spec", help="grid spec JSON file (overrides flags)")
     ge.set_defaults(fn=_cmd_generate)
 
@@ -300,8 +290,7 @@ def run(argv) -> int:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (InstanceError, NetworkError, ResultSchemaError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (InstanceError, ResultSchemaError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (FeasibilityError, SolverError) as exc:

@@ -23,13 +23,14 @@ import numpy as np
 from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
 
 from . import choice
-from .network import Network, shortest_costs
+from .network import Network, check_number, shortest_costs
 
 
 class FeasibilityError(RuntimeError):
-    """No finite expected optimal costs at the given costs (the arc weights
-    exp(-beta_t * cost) have spectral radius >= 1), so no equilibrium exists;
-    typically the logit time sensitivity is too small for the arc costs."""
+    """No finite expected optimal costs at the given costs, so no equilibrium
+    exists: for some destination d the arc weights exp(-beta_t * cost), d's
+    row zeroed, have spectral radius >= 1.  Typically the logit time
+    sensitivity is too small for the arc costs."""
 
 
 class SolverError(RuntimeError):
@@ -52,10 +53,10 @@ class SolverOptions:
     outer_max_iters: int = 10
 
     def __post_init__(self):
-        if self.inner_tol <= 0 or self.outer_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.outer_max_iters < 1:
-            raise ValueError("outer_max_iters must be >= 1")
+        self.inner_tol = check_number("solver.inner_tol", self.inner_tol, 0)
+        self.outer_tol = check_number("solver.outer_tol", self.outer_tol, 0)
+        self.outer_max_iters = check_number("solver.outer_max_iters", self.outer_max_iters, 1,
+                                            strict=False, integer=True)
 
 
 @dataclass
@@ -128,7 +129,8 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     iterative-refinement retry, is at most ``inner_tol``; ``iterations``
     counts the solves.  Raises FeasibilityError when X is not finite and
     positive, which (every node reaching the destination) happens exactly
-    when exp(-beta_t * costs) has spectral radius >= 1.
+    when W_d, the weights exp(-beta_t * costs) with the destination's row
+    zeroed, has spectral radius >= 1.
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
@@ -164,8 +166,8 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         if not (np.all(np.isfinite(x)) and float(x.min()) > 0.0):
             raise FeasibilityError(
                 "expected optimal costs are unbounded (spectral radius of the arc "
-                "weights >= 1); agents do not reach the destination in finite "
-                "expected cost")
+                "weights exp(-beta_t * cost), the destination's row zeroed, >= 1); "
+                "agents do not reach the destination in finite expected cost")
         tau = tau_ref - np.log(x) / beta
         tau[pair, dest] = 0.0
         return (tau, *_fixed_point(network, costs, dest, beta, tau))
@@ -417,14 +419,14 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
                       log_fn=None) -> EquilibriumSolution:
     """Anderson-mixed fixed-point iteration on the arc-flow vector.
 
-    ``prices`` carries per-stratum per-arc toll rates (money per km); an
-    object with a ``rates`` attribute or a plain (n_strata, n_arcs) array.
+    ``prices`` is the (n_strata, n_arcs) array of per-stratum per-arc toll
+    rates (money per km), as ``pricing.expand_scheme`` returns it.
     The returned solution snapshots the last routing pass, so its costs,
     probabilities and subflows are mutually consistent at ``arc_time``.
     """
     opts = options or instance.solver
     net = instance.network
-    rates = np.asarray(getattr(prices, "rates", prices), dtype=float)
+    rates = np.asarray(prices, dtype=float)
     if rates.shape != (len(instance.strata), net.n_arcs):
         raise ValueError(
             f"price rates must have shape ({len(instance.strata)}, {net.n_arcs})")
@@ -642,8 +644,7 @@ class EquilibriumDiagnostics:
 
 
 def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
-                          fd_arcs=None, fd_step: float = 1e-5,
-                          fd_options: SolverOptions | None = None) -> EquilibriumDiagnostics:
+                          fd_arcs=None, fd_step: float = 1e-5) -> EquilibriumDiagnostics:
     """Self-consistency residuals of a solution, all evaluated at its
     ``arc_time``:
 
@@ -661,7 +662,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
       frozen; demand enters scaled by the frozen start probabilities.
     """
     net = instance.network
-    rates = np.asarray(getattr(prices, "rates", prices), dtype=float)
+    rates = np.asarray(prices, dtype=float)
     t = solution.arc_time
 
     agg = sum((sd.arc_flow for _key, sd in sorted(solution.sub.items())), np.zeros(net.n_arcs))
@@ -688,7 +689,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     fd_checks = None
     if fd_arcs is not None:
         fd_checks = {}
-        fd_opts = fd_options or SolverOptions(
+        fd_opts = SolverOptions(
             inner_tol=min(1e-10, fd_step * 1e-3),
             outer_tol=instance.solver.outer_tol, outer_max_iters=1)
         for arc_pos in fd_arcs:

@@ -15,16 +15,17 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
-from .instance import (Instance, InstanceError, assign_areas, load_instance,
-                       nan_to_null, solver_from_document, write_json)
+from .instance import (Instance, _req, assign_areas, load_instance, nan_to_null,
+                       solver_from_document, write_json)
 from .metrics import (STRATUM_METRICS, TOTAL_METRICS, all_trip_stats,
                       compute_metrics, simulate_trips)
+from .network import check_number
 from .pricing import (
     PER_AREA,
     PER_STRATUM,
@@ -136,6 +137,11 @@ def value_of(row: ResultRow, name: str) -> float:
         raise KeyError(f"unknown objective {name!r}")
 
 
+#: check_number's lower bound for each whole-number field of a SweepConfig
+_SWEEP_COUNTS = (("workers", 1), ("area_rows", 1), ("area_cols", 1), ("runs_per_unit", 0),
+                 ("seed", 0))
+
+
 @dataclass
 class SweepConfig:
     instance: str
@@ -149,6 +155,11 @@ class SweepConfig:
     runs_per_unit: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        for key, low in _SWEEP_COUNTS:
+            setattr(self, key, check_number(f"sweep config: {key}", getattr(self, key), low,
+                                            strict=False, integer=True))
+
     @staticmethod
     def from_file(path) -> "SweepConfig":
         with open(path) as fh:
@@ -157,41 +168,33 @@ class SweepConfig:
 
     @staticmethod
     def from_dict(doc: dict, base: Path = Path(".")) -> "SweepConfig":
-        g = doc["grid"]
+        g = _req(doc, "grid", "sweep config")
         grid = PriceGrid(
-            family=g["family"], lo=float(g["lo"]), hi=float(g["hi"]),
-            step=float(g["step"]),
+            family=_req(g, "family", "sweep config.grid"),
+            lo=_req(g, "lo", "sweep config.grid"),
+            hi=_req(g, "hi", "sweep config.grid"),
+            step=_req(g, "step", "sweep config.grid"),
             strata_order=tuple(g.get("strata_order", ())),
             areas=tuple(g.get("areas", ())),
             ordered=bool(g.get("ordered", True)),
         )
         solver = solver_from_document(doc["solver"]) if "solver" in doc else None
-        runs, seed = int(doc.get("runs_per_unit", 10)), int(doc.get("seed", 0))
-        for key, value in (("runs_per_unit", runs), ("seed", seed)):
-            if value < 0:
-                raise InstanceError(f"sweep config: {key} must be >= 0, got {value}")
+        counts = {key: doc[key] for key, _low in _SWEEP_COUNTS if key in doc}
         return SweepConfig(
-            instance=str(base / doc["instance"]),
+            instance=str(base / _req(doc, "instance", "sweep config")),
             grid=grid,
             solver=solver,
             output=str(base / doc.get("output", "sweep_out")),
-            workers=int(doc.get("workers", 1)),
-            area_rows=int(doc.get("area_rows", 2)),
-            area_cols=int(doc.get("area_cols", 2)),
             simulate=bool(doc.get("simulate", False)),
-            runs_per_unit=runs,
-            seed=seed,
+            **counts,
         )
 
 
 def _complete_grid(grid: PriceGrid, instance: Instance, areas) -> PriceGrid:
     if grid.family == PER_STRATUM and not grid.strata_order:
-        grid = PriceGrid(family=grid.family, lo=grid.lo, hi=grid.hi, step=grid.step,
-                         strata_order=stratum_price_order(instance),
-                         ordered=grid.ordered)
+        grid = replace(grid, strata_order=stratum_price_order(instance))
     if grid.family == PER_AREA and not grid.areas:
-        grid = PriceGrid(family=grid.family, lo=grid.lo, hi=grid.hi, step=grid.step,
-                         areas=tuple(areas.area_names), ordered=grid.ordered)
+        grid = replace(grid, areas=tuple(areas.area_names))
     return grid
 
 

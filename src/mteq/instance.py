@@ -13,17 +13,19 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .network import (
+    SECONDARY,
     Arc,
+    InstanceError,
     Node,
     Network,
-    NetworkError,
     build_network,
+    check_number,
     default_capacity,
     shortest_costs,
     DEFAULT_BPR_GAMMA,
@@ -36,10 +38,6 @@ MODE_MULTIPLIER = "free_time_multiplier"
 MODE_TABLE = "per_od_table"
 
 
-class InstanceError(ValueError):
-    """Invalid instance document; the message names the offending field."""
-
-
 @dataclass(frozen=True)
 class Stratum:
     name: str
@@ -49,13 +47,10 @@ class Stratum:
     beta_p_out: float
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        for name in ("beta_t", "beta_t_out"):
-            if not getattr(self, name) > 0:
-                raise InstanceError(f"stratum {self.name!r}: {name} must be > 0")
-        for name in ("beta_p", "beta_p_out"):
-            if not getattr(self, name) >= 0:
-                raise InstanceError(f"stratum {self.name!r}: {name} must be >= 0")
+        for name, strict in (("beta_t", True), ("beta_p", False),
+                             ("beta_t_out", True), ("beta_p_out", False)):
+            object.__setattr__(self, name, check_number(
+                f"stratum {self.name!r}: {name}", getattr(self, name), 0, strict=strict))
 
     @property
     def wtp(self) -> float:
@@ -75,9 +70,9 @@ class DemandEntry:
             raise InstanceError(
                 f"demand ({self.stratum}, {self.origin} -> {self.destination}): "
                 "origin equals destination")
-        if not self.trips > 0:
-            raise InstanceError(
-                f"demand ({self.stratum}, {self.origin} -> {self.destination}): trips must be > 0")
+        object.__setattr__(self, "trips", check_number(
+            f"demand ({self.stratum}, {self.origin} -> {self.destination}): trips",
+            self.trips, 0))
 
 
 @dataclass(frozen=True)
@@ -98,13 +93,17 @@ class OutsideOption:
     def __post_init__(self):
         if self.mode not in (MODE_MULTIPLIER, MODE_TABLE):
             raise InstanceError(f"outside_option.mode: unknown mode {self.mode!r}")
-        if self.mode == MODE_MULTIPLIER and not self.multiplier > 0:
-            raise InstanceError("outside_option.multiplier must be > 0")
         if self.mode == MODE_TABLE and self.times is None:
             raise InstanceError("outside_option.times required in per_od_table mode")
-        fares = self.ticket.values() if isinstance(self.ticket, dict) else [self.ticket]
-        if not all(v >= 0 for v in fares):
-            raise InstanceError("outside_option.ticket must be nonnegative")
+        object.__setattr__(self, "multiplier",
+                           check_number("outside_option.multiplier", self.multiplier, 0))
+        if isinstance(self.ticket, dict):
+            object.__setattr__(self, "ticket", _checked_od_table("ticket", self.ticket))
+        else:
+            object.__setattr__(self, "ticket", check_number(
+                "outside_option.ticket", self.ticket, 0, strict=False))
+        if self.times is not None:
+            object.__setattr__(self, "times", _checked_od_table("times", self.times))
 
     def ticket_for(self, origin: str, destination: str) -> float:
         if isinstance(self.ticket, dict):
@@ -144,8 +143,7 @@ class Instance:
             if key in seen:
                 raise InstanceError(f"demand[{k}]: duplicate entry for {key}")
             seen.add(key)
-        if not self.car_length_km > 0:
-            raise InstanceError("defaults.car_length_km must be > 0")
+        self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
         if not self.outside_time:
             self.outside_time = materialize_outside_times(self)
 
@@ -194,8 +192,6 @@ def materialize_outside_times(instance: Instance) -> dict[tuple[str, str], float
                 times[(o, d)] = instance.outside.times[(o, d)]
             except KeyError:
                 raise InstanceError(f"outside_option.times: missing OD ({o}, {d})")
-            if not times[(o, d)] >= 0:
-                raise InstanceError(f"outside_option.times[({o}, {d})] must be >= 0")
         return times
     dests = sorted({d for _, d in ods})
     index = np.array([net.node_index[d] for d in dests], dtype=np.int64)
@@ -256,8 +252,8 @@ def assign_areas(instance_or_network, rows: int, cols: int) -> AreaAssignment:
     shapes use ``r{i}c{j}``.
     """
     net = instance_or_network.network if hasattr(instance_or_network, "network") else instance_or_network
-    if rows < 1 or cols < 1:
-        raise InstanceError("area grid must have rows >= 1 and cols >= 1")
+    rows = check_number("area rows", rows, 1, strict=False, integer=True)
+    cols = check_number("area cols", cols, 1, strict=False, integer=True)
     x, y = net.x, net.y
     if cols > 1 and x.max() == x.min():
         raise InstanceError("degenerate bounding box: zero x extent cannot be split")
@@ -284,6 +280,8 @@ def assign_areas(instance_or_network, rows: int, cols: int) -> AreaAssignment:
 # Document I/O
 
 def _req(section: dict, key: str, path: str):
+    if not isinstance(section, dict):
+        raise InstanceError(f"{path} must be an object, got {section!r}")
     if key not in section:
         raise InstanceError(f"{path}.{key}: missing required field")
     return section[key]
@@ -294,48 +292,42 @@ def _parse_od_table(entries, value_key: str, path: str) -> dict[tuple[str, str],
     for k, row in enumerate(entries):
         o = _req(row, "origin", f"{path}[{k}]")
         d = _req(row, "destination", f"{path}[{k}]")
-        table[(o, d)] = float(_req(row, value_key, f"{path}[{k}]"))
+        table[(o, d)] = _req(row, value_key, f"{path}[{k}]")
     return table
 
 
+def _checked_od_table(key: str, table: dict) -> dict[tuple[str, str], float]:
+    """A per-OD table of outside_option with every value checked >= 0."""
+    return {(o, d): check_number(f"outside_option.{key}[({o}, {d})]", v, 0, strict=False)
+            for (o, d), v in table.items()}
+
+
 def _network_from_sections(node_rows, arc_rows, defaults) -> Network:
-    car_len = float(defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM))
-    gamma0 = float(defaults.get("bpr_gamma", DEFAULT_BPR_GAMMA))
-    nu0 = float(defaults.get("bpr_nu", DEFAULT_BPR_NU))
-    nodes = []
-    for k, row in enumerate(node_rows):
-        try:
-            nodes.append(Node(
-                id=str(_req(row, "id", f"nodes[{k}]")),
-                x=float(_req(row, "x", f"nodes[{k}]")),
-                y=float(_req(row, "y", f"nodes[{k}]")),
-            ))
-        except NetworkError as e:
-            raise InstanceError(f"nodes[{k}]: {e}")
+    car_len = check_number("defaults.car_length_km",
+                           defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM), 0)
+    gamma0 = defaults.get("bpr_gamma", DEFAULT_BPR_GAMMA)
+    nu0 = defaults.get("bpr_nu", DEFAULT_BPR_NU)
+    nodes = [Node(id=str(_req(row, "id", f"nodes[{k}]")), x=_req(row, "x", f"nodes[{k}]"),
+                  y=_req(row, "y", f"nodes[{k}]"))
+             for k, row in enumerate(node_rows)]
     arcs = []
     for k, row in enumerate(arc_rows):
-        try:
-            length = float(_req(row, "length_km", f"arcs[{k}]"))
-            lanes = int(row.get("lanes", 1))
-            cap = row.get("capacity")
-            arcs.append(Arc(
-                id=str(_req(row, "id", f"arcs[{k}]")),
-                tail=str(_req(row, "tail", f"arcs[{k}]")),
-                head=str(_req(row, "head", f"arcs[{k}]")),
-                length_km=length,
-                free_speed_kmh=float(_req(row, "free_speed_kmh", f"arcs[{k}]")),
-                lanes=lanes,
-                road_class=str(row.get("road_class", "secondary")),
-                capacity=float(cap) if cap is not None else default_capacity(lanes, length, car_len),
-                bpr_gamma=float(row.get("bpr_gamma", gamma0)),
-                bpr_nu=float(row.get("bpr_nu", nu0)),
-            ))
-        except NetworkError as e:
-            raise InstanceError(f"arcs[{k}]: {e}")
-    try:
-        return build_network(nodes, arcs)
-    except NetworkError as e:
-        raise InstanceError(str(e))
+        arc = Arc(
+            id=str(_req(row, "id", f"arcs[{k}]")),
+            tail=str(_req(row, "tail", f"arcs[{k}]")),
+            head=str(_req(row, "head", f"arcs[{k}]")),
+            length_km=_req(row, "length_km", f"arcs[{k}]"),
+            free_speed_kmh=_req(row, "free_speed_kmh", f"arcs[{k}]"),
+            lanes=row.get("lanes", 1),
+            road_class=str(row.get("road_class", SECONDARY)),
+            capacity=row.get("capacity"),
+            bpr_gamma=row.get("bpr_gamma", gamma0),
+            bpr_nu=row.get("bpr_nu", nu0),
+        )
+        if arc.capacity is None:
+            arc = replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
+        arcs.append(arc)
+    return build_network(nodes, arcs)
 
 
 def _read_csv_rows(path: Path) -> list[dict]:
@@ -383,10 +375,10 @@ def load_instance(source) -> Instance:
     for k, row in enumerate(doc.get("strata", [])):
         strata.append(Stratum(
             name=str(_req(row, "name", f"strata[{k}]")),
-            beta_t=float(_req(row, "beta_t", f"strata[{k}]")),
-            beta_p=float(_req(row, "beta_p", f"strata[{k}]")),
-            beta_t_out=float(_req(row, "beta_t_out", f"strata[{k}]")),
-            beta_p_out=float(_req(row, "beta_p_out", f"strata[{k}]")),
+            beta_t=_req(row, "beta_t", f"strata[{k}]"),
+            beta_p=_req(row, "beta_p", f"strata[{k}]"),
+            beta_t_out=_req(row, "beta_t_out", f"strata[{k}]"),
+            beta_p_out=_req(row, "beta_p_out", f"strata[{k}]"),
         ))
     if not strata:
         raise InstanceError("strata: at least one stratum required")
@@ -397,22 +389,17 @@ def load_instance(source) -> Instance:
             stratum=str(_req(row, "stratum", f"demand[{k}]")),
             origin=str(_req(row, "origin", f"demand[{k}]")),
             destination=str(_req(row, "destination", f"demand[{k}]")),
-            trips=float(_req(row, "trips", f"demand[{k}]")),
+            trips=_req(row, "trips", f"demand[{k}]"),
         ))
 
-    oo = doc.get("outside_option", {"mode": MODE_MULTIPLIER, "multiplier": 3.0, "ticket": 0.0})
-    ticket = oo.get("ticket", 0.0)
+    oo = doc.get("outside_option", {})
+    ticket, times = oo.get("ticket", 0.0), oo.get("times")
     if isinstance(ticket, list):
         ticket = _parse_od_table(ticket, "ticket", "outside_option.ticket")
-    times = oo.get("times")
     if times is not None:
         times = _parse_od_table(times, "time", "outside_option.times")
-    outside = OutsideOption(
-        mode=oo.get("mode", MODE_MULTIPLIER),
-        multiplier=float(oo.get("multiplier", 3.0)),
-        ticket=ticket,
-        times=times,
-    )
+    outside = OutsideOption(mode=oo.get("mode", MODE_MULTIPLIER),
+                            multiplier=oo.get("multiplier", 3.0), ticket=ticket, times=times)
 
     solver = solver_from_document(doc.get("solver", {}))
     return Instance(
@@ -420,7 +407,7 @@ def load_instance(source) -> Instance:
         strata=strata,
         demand=demand,
         outside=outside,
-        car_length_km=float(defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM)),
+        car_length_km=defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM),
         solver=solver,
     )
 

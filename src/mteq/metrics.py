@@ -18,7 +18,7 @@ from scipy.sparse.linalg import spsolve
 
 from .equilibrium import EquilibriumSolution
 from .instance import Instance, nan_to_null
-from .network import Network
+from .network import Network, check_number
 
 #: The per-stratum metrics of a pricing scheme and their totals, in the
 #: column order of every table that lists them.
@@ -121,7 +121,7 @@ def revenue(solution: EquilibriumSolution, prices, stratum: str,
     """Expected toll revenue collected from one stratum:
     sum over arcs of stratum flow times the arc's toll."""
     net = instance.network
-    rates = np.asarray(getattr(prices, "rates", prices), dtype=float)
+    rates = np.asarray(prices, dtype=float)
     s_idx = instance.stratum_names.index(stratum)
     kappa = rates[s_idx] * net.primary_length
     return float(np.dot(solution.stratum_flow[stratum], kappa))
@@ -371,14 +371,11 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     origin, then replicate).
     """
     net = instance.network
-    if runs_per_unit < 0:
-        raise ValueError(f"runs_per_unit must be >= 0, got {runs_per_unit}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if step_cap is None:
-        step_cap = 50 * net.n_nodes
-    if step_cap <= net.n_nodes:
-        raise ValueError("step_cap must exceed the node count")
+    runs_per_unit = check_number("runs_per_unit", runs_per_unit, 0, strict=False, integer=True)
+    seed = check_number("seed", seed, 0, strict=False, integer=True)
+    # the cap allows more steps than any path that repeats no node
+    step_cap = check_number("step_cap", 50 * net.n_nodes if step_cap is None else step_cap,
+                            net.n_nodes, integer=True)
     n, m = net.n_nodes, net.n_arcs
     keys = sorted(solution.sub)
 

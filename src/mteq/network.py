@@ -32,8 +32,33 @@ DEFAULT_CAR_LENGTH_KM = 0.005
 MAX_BLOCK_ROWS = 2048
 
 
-class NetworkError(ValueError):
+class InstanceError(ValueError):
+    """Invalid input: a document, config, spec or flag; the message names the field."""
+
+
+class NetworkError(InstanceError):
     """Structural problem with a network definition."""
+
+
+def check_number(name: str, value, low=None, *, strict: bool = True,
+                 integer: bool = False):
+    """``value`` as a float (an int when ``integer``) once it is a finite
+    number, numeric strings included (CSV cells arrive as strings), above
+    ``low`` (at least ``low`` unless ``strict``) and whole when ``integer``;
+    otherwise raises InstanceError naming ``name`` and the value."""
+    try:  # an int stays exact at any size
+        number = value if integer and type(value) is int else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if number - number != 0 or type(value) is bool:  # NaN, infinite or not a number
+        problem = "a finite number"
+    elif low is not None and not (number > low or (not strict and number == low)):
+        problem = f"{'>' if strict else '>='} {low}"
+    elif integer and number != int(number):
+        problem = "a whole number"
+    else:
+        return int(number) if integer else number
+    raise InstanceError(f"{name} must be {problem}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +68,16 @@ class Node:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NetworkError(f"node {self.id}: x and y must be finite")
+        for name in ("x", "y"):
+            object.__setattr__(self, name,
+                               check_number(f"node {self.id}: {name}", getattr(self, name)))
+
+
+#: check_number's (low, strict, integer) for each numeric field of an Arc;
+#: ``capacity`` may also be None until default_capacity sets it
+_ARC_NUMBERS = (("length_km", 0, True, False), ("free_speed_kmh", 0, True, False),
+                ("lanes", 1, False, True), ("capacity", 0, True, False),
+                ("bpr_gamma", 0, False, False), ("bpr_nu", 0, True, False))
 
 
 @dataclass(frozen=True)
@@ -67,21 +100,15 @@ class Arc:
     bpr_nu: float = DEFAULT_BPR_NU
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not self.length_km > 0:
-            raise NetworkError(f"arc {self.id}: length_km must be > 0")
-        if not self.free_speed_kmh > 0:
-            raise NetworkError(f"arc {self.id}: free_speed_kmh must be > 0")
-        if not self.lanes >= 1:
-            raise NetworkError(f"arc {self.id}: lanes must be >= 1")
+        prefix = f"arc {self.id}: "
+        for name, low, strict, integer in _ARC_NUMBERS:
+            value = getattr(self, name)
+            if value is not None or name != "capacity":
+                number = check_number(prefix + name, value, low, strict=strict, integer=integer)
+                if number is not value:  # given as the checked type: nothing to store
+                    object.__setattr__(self, name, number)
         if self.road_class not in (PRIMARY, SECONDARY):
             raise NetworkError(f"arc {self.id}: unknown road_class {self.road_class!r}")
-        if self.capacity is not None and not self.capacity > 0:
-            raise NetworkError(f"arc {self.id}: capacity must be > 0")
-        if not self.bpr_gamma >= 0:
-            raise NetworkError(f"arc {self.id}: bpr_gamma must be >= 0")
-        if not self.bpr_nu > 0:
-            raise NetworkError(f"arc {self.id}: bpr_nu must be > 0")
 
     @property
     def free_time(self) -> float:

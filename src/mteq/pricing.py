@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import AreaAssignment, Instance
+from .network import InstanceError, check_number
 
 UNIFORM = "uniform"
 PER_STRATUM = "per_stratum"
@@ -21,12 +22,20 @@ PER_AREA = "per_area"
 FAMILIES = (UNIFORM, PER_STRATUM, PER_AREA)
 
 
-class PricingError(ValueError):
-    pass
+class PricingError(InstanceError):
+    """Invalid pricing scheme or price grid."""
+
+
+def _price(name: str, value, low=0, strict=False) -> float:
+    """check_number for a rate or grid bound, raising PricingError."""
+    try:
+        return check_number(name, value, low, strict=strict)
+    except InstanceError as exc:
+        raise PricingError(str(exc)) from None
 
 
 def _fmt(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(float(v))
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 @dataclass(frozen=True)
@@ -41,11 +50,11 @@ class SchemeSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise PricingError(f"unknown pricing family {self.family!r}")
-        if self.family == UNIFORM and (self.rate is None or self.rate < 0):
-            raise PricingError("uniform scheme needs a nonnegative rate")
-        for name, r in self.stratum_rates + self.area_rates:
-            if r < 0:
-                raise PricingError(f"negative rate for {name!r}")
+        if self.family == UNIFORM:
+            object.__setattr__(self, "rate", _price("uniform rate", self.rate))
+        for key in ("stratum_rates", "area_rates"):
+            object.__setattr__(self, key, tuple(
+                (name, _price(f"rate for {name!r}", r)) for name, r in getattr(self, key)))
 
     @property
     def scheme_id(self) -> str:
@@ -66,23 +75,9 @@ class SchemeSpec:
         return tuple(r for _n, r in sorted(self.area_rates))
 
 
-@dataclass(frozen=True)
-class ExpandedPrices:
-    """Per-arc per-stratum rates (money/km), rows following instance strata
-    order and columns the network arc storage order.  Secondary arcs may
-    carry any rate; ``Network.primary_length`` zeroes their tolls."""
-
-    rates: np.ndarray
-    stratum_names: tuple[str, ...]
-    scheme: SchemeSpec | None = None
-
-
-def zero_prices(instance: Instance) -> ExpandedPrices:
-    return ExpandedPrices(
-        rates=np.zeros((len(instance.strata), instance.network.n_arcs)),
-        stratum_names=tuple(instance.stratum_names),
-        scheme=SchemeSpec(family=UNIFORM, rate=0.0),
-    )
+def zero_prices(instance: Instance) -> np.ndarray:
+    """The toll-free (strata, arcs) rate array."""
+    return np.zeros((len(instance.strata), instance.network.n_arcs))
 
 
 def area_of_arc(arc, areas: AreaAssignment) -> str:
@@ -91,19 +86,22 @@ def area_of_arc(arc, areas: AreaAssignment) -> str:
 
 
 def expand_scheme(spec: SchemeSpec, instance: Instance,
-                  areas: AreaAssignment | None = None) -> ExpandedPrices:
-    """Materialize a scheme into the full rate matrix."""
+                  areas: AreaAssignment | None = None) -> np.ndarray:
+    """Materialize a scheme into its per-arc per-stratum rates (money/km): a
+    (strata, arcs) array, rows in instance strata order and columns in arc
+    storage order.  Secondary arcs may carry any rate;
+    ``Network.primary_length`` zeroes their tolls."""
     net = instance.network
     S = len(instance.strata)
     if spec.family == UNIFORM:
-        rates = np.full((S, net.n_arcs), float(spec.rate))
+        rates = np.full((S, net.n_arcs), spec.rate)
     elif spec.family == PER_STRATUM:
         by_name = dict(spec.stratum_rates)
         rows = []
         for s in instance.strata:
             if s.name not in by_name:
                 raise PricingError(f"no rate for stratum {s.name!r}")
-            rows.append(np.full(net.n_arcs, float(by_name[s.name])))
+            rows.append(np.full(net.n_arcs, by_name[s.name]))
         unknown = set(by_name) - {s.name for s in instance.strata}
         if unknown:
             raise PricingError(f"rates for unknown strata: {sorted(unknown)}")
@@ -119,8 +117,7 @@ def expand_scheme(spec: SchemeSpec, instance: Instance,
                 raise PricingError(f"no rate for area {label!r}")
             per_arc[k] = by_area[label]
         rates = np.tile(per_arc, (S, 1))
-    return ExpandedPrices(rates=rates,
-                          stratum_names=tuple(instance.stratum_names), scheme=spec)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -141,11 +138,14 @@ class PriceGrid:
     areas: tuple[str, ...] = ()
     ordered: bool = True
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise PricingError(f"unknown pricing family {self.family!r}")
+        object.__setattr__(self, "lo", _price("grid lo", self.lo))
+        object.__setattr__(self, "hi", _price("grid hi", self.hi, self.lo))
+        object.__setattr__(self, "step", _price("grid step", self.step, 0, strict=True))
+
     def values(self) -> list[float]:
-        if self.step <= 0:
-            raise PricingError("grid step must be positive")
-        if self.hi < self.lo:
-            raise PricingError("empty grid: hi < lo")
         n = int(np.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
         return [self.lo + i * self.step for i in range(n)]
 
@@ -160,8 +160,6 @@ def stratum_price_order(instance: Instance) -> tuple[str, ...]:
 def enumerate_grid(grid: PriceGrid) -> list[SchemeSpec]:
     """All schemes on the grid, lexicographically ordered by rate vector."""
     vals = grid.values()
-    if not vals:
-        raise PricingError("empty price grid")
     if grid.family == UNIFORM:
         return [SchemeSpec(family=UNIFORM, rate=v) for v in vals]
     if grid.family == PER_STRATUM:

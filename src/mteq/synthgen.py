@@ -17,12 +17,13 @@ comfortable spectral margin, while leaving route mixing visible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .network import Arc, Node, build_network, default_capacity, PRIMARY, SECONDARY
+from .network import (Arc, InstanceError, Node, build_network, check_number,
+                      default_capacity, PRIMARY, SECONDARY)
 from .instance import Instance, Stratum, DemandEntry, OutsideOption, assign_areas
 from .equilibrium import SolverOptions
 
@@ -31,6 +32,7 @@ STRATUM_OUTSIDE_TIME_RATIO = {"high": 1.2, "mid": 1.1, "low": 1.0}
 
 
 def default_strata(time_sensitivity: float) -> list[Stratum]:
+    time_sensitivity = check_number("time_sensitivity", time_sensitivity, 0)
     return [
         Stratum(
             name=name,
@@ -113,17 +115,20 @@ class GridGenSpec:
     car_length_km: float = 0.005
 
     def __post_init__(self):
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError("grid must be at least 2x2")
-        if self.min_od_distance_km < 0:
-            raise ValueError("min_od_distance_km must be >= 0")
+        # the other fields are checked where they land: in arcs, demand,
+        # strata and the outside option
+        for key, low, integer in (("rows", 2, True), ("cols", 2, True),
+                                  ("pairs_per_group", 1, True), ("seed", 0, True),
+                                  ("min_od_distance_km", 0, False)):
+            object.__setattr__(self, key, check_number(
+                f"grid spec {key}", getattr(self, key), low, strict=False, integer=integer))
 
     @staticmethod
     def from_dict(d: dict) -> "GridGenSpec":
         known = {f.name for f in fields(GridGenSpec)}
         unknown = set(d) - known
         if unknown:
-            raise ValueError(f"unknown grid spec fields: {sorted(unknown)}")
+            raise InstanceError(f"unknown grid spec fields: {sorted(unknown)}")
         return GridGenSpec(**d)
 
 
@@ -141,48 +146,39 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
     skipped with a warning.
     """
     R, C = spec.rows, spec.cols
-    spacing = spec.secondary_length_km
+    # one arc per road class checks the spec's road fields; every lattice arc
+    # of the class copies it, and the node spacing is the secondary length
+    car = check_number("car_length_km", spec.car_length_km, 0)
+    p, s = (replace(road, capacity=default_capacity(road.lanes, road.length_km, car))
+            for road in (Arc(PRIMARY, "", "", spec.primary_length_km, spec.primary_speed_kmh,
+                             spec.primary_lanes, PRIMARY),
+                         Arc(SECONDARY, "", "", spec.secondary_length_km,
+                             spec.secondary_speed_kmh)))
 
     def nid(r: int, c: int) -> str:
         return str(r * C + c)
 
-    nodes = [Node(nid(r, c), c * spacing, r * spacing)
+    def copy(road: Arc, tail: str, head: str) -> Arc:  # ids p<tail>_<head>, s<tail>_<head>
+        return Arc(f"{road.id[0]}{tail}_{head}", tail, head, road.length_km,
+                   road.free_speed_kmh, road.lanes, road.road_class, road.capacity)
+
+    nodes = [Node(nid(r, c), c * s.length_km, r * s.length_km)
              for r in range(R) for c in range(C)]
-
-    cap_p = default_capacity(spec.primary_lanes, spec.primary_length_km, spec.car_length_km)
-    cap_s = default_capacity(1, spec.secondary_length_km, spec.car_length_km)
-
-    def primary(tail, head):
-        return Arc(id=f"p{tail}_{head}", tail=tail, head=head,
-                   length_km=spec.primary_length_km,
-                   free_speed_kmh=spec.primary_speed_kmh,
-                   lanes=spec.primary_lanes, road_class=PRIMARY, capacity=cap_p)
-
-    def secondary_pair(a, b):
-        return [
-            Arc(id=f"s{a}_{b}", tail=a, head=b, length_km=spec.secondary_length_km,
-                free_speed_kmh=spec.secondary_speed_kmh, lanes=1,
-                road_class=SECONDARY, capacity=cap_s),
-            Arc(id=f"s{b}_{a}", tail=b, head=a, length_km=spec.secondary_length_km,
-                free_speed_kmh=spec.secondary_speed_kmh, lanes=1,
-                road_class=SECONDARY, capacity=cap_s),
-        ]
-
     arcs = []
     for r in range(R):
         for c in range(C - 1):
             a, b = nid(r, c), nid(r, c + 1)
             if _primary_line(r, R):
-                arcs.append(primary(a, b) if r % 3 == 1 else primary(b, a))
+                arcs.append(copy(p, a, b) if r % 3 == 1 else copy(p, b, a))
             else:
-                arcs.extend(secondary_pair(a, b))
+                arcs += [copy(s, a, b), copy(s, b, a)]
     for c in range(C):
         for r in range(R - 1):
             a, b = nid(r, c), nid(r + 1, c)
             if _primary_line(c, C):
-                arcs.append(primary(a, b) if c % 3 == 1 else primary(b, a))
+                arcs.append(copy(p, a, b) if c % 3 == 1 else copy(p, b, a))
             else:
-                arcs.extend(secondary_pair(a, b))
+                arcs += [copy(s, a, b), copy(s, b, a)]
 
     network = build_network(nodes, arcs)
     demand = _sample_demand(network, spec)
@@ -190,7 +186,7 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
     outside = OutsideOption(mode="free_time_multiplier",
                             multiplier=spec.outside_multiplier, ticket=spec.ticket)
     return Instance(network=network, strata=strata, demand=demand, outside=outside,
-                    car_length_km=spec.car_length_km, solver=SolverOptions())
+                    car_length_km=car, solver=SolverOptions())
 
 
 def _secondary_served(network) -> np.ndarray:

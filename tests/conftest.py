@@ -10,7 +10,9 @@ from mteq import (
     Stratum,
     build_network,
 )
+from mteq import instance_to_document
 from mteq.equilibrium import solution_to_dict
+from mteq.synthgen import gen_single_od
 
 
 def flat_arc(aid, tail, head, hours, road_class="secondary", length=None):
@@ -91,4 +93,76 @@ def schema_1_document(solution, network) -> dict:
     doc["stratum_flow"] = {k: v.tolist() for k, v in solution.stratum_flow.items()}
     for key, entry in doc["sub"].items():
         entry["arc_flow"] = solution.sub[tuple(key.split("|", 1))].arc_flow.tolist()
+    return doc
+
+
+def single_od_document():
+    return instance_to_document(gen_single_od())
+
+
+def per_od_outside_document():
+    """single_od_document with per-OD outside times and fares."""
+    doc = single_od_document()
+    ods = sorted({(e["origin"], e["destination"]) for e in doc["demand"]})
+    doc["outside_option"] = {
+        "mode": "per_od_table",
+        "times": [{"origin": o, "destination": d, "time": 2.0} for o, d in ods],
+        "ticket": [{"origin": o, "destination": d, "ticket": 0.5} for o, d in ods],
+    }
+    return doc
+
+
+def default_bpr_document():
+    """single_od_document whose arcs take bpr_gamma and bpr_nu from defaults."""
+    doc = single_od_document()
+    for arc in doc["arcs"]:
+        del arc["bpr_gamma"], arc["bpr_nu"]
+    doc["defaults"].update(bpr_gamma=0.02, bpr_nu=2.0)
+    return doc
+
+
+#: Every numeric field of an instance document: (document, path to the
+#: field, the name its error message gives, which of the values "zero",
+#: "negative", "missing" and "null" are valid for it).  An arc's bpr_gamma
+#: and bpr_nu come from defaults when missing, its capacity from lanes,
+#: length and car length when missing or null.
+INSTANCE_FIELDS = [
+    (single_od_document, ("nodes", 0, "x"), "node 0: x", {"zero", "negative"}),
+    (single_od_document, ("nodes", 1, "y"), "node 1: y", {"zero", "negative"}),
+    *[(single_od_document, ("arcs", 0, key), f"arc s01: {key}", valid) for key, valid in (
+        ("length_km", set()), ("free_speed_kmh", set()), ("lanes", {"missing"}),
+        ("capacity", {"missing", "null"}), ("bpr_gamma", {"zero", "missing"}),
+        ("bpr_nu", {"missing"}))],
+    *[(single_od_document, ("strata", 1, key), f"stratum 'mid': {key}", valid)
+      for key, valid in (("beta_t", set()), ("beta_t_out", set()), ("beta_p", {"zero"}),
+                         ("beta_p_out", {"zero"}))],
+    (single_od_document, ("demand", 0, "trips"), "demand (high, 0 -> 3): trips", set()),
+    (single_od_document, ("outside_option", "multiplier"), "outside_option.multiplier",
+     {"missing"}),
+    (single_od_document, ("outside_option", "ticket"), "outside_option.ticket",
+     {"zero", "missing"}),
+    (per_od_outside_document, ("outside_option", "ticket", 0, "ticket"),
+     "outside_option.ticket[(0, 3)]", {"zero"}),
+    (per_od_outside_document, ("outside_option", "times", 0, "time"),
+     "outside_option.times[(0, 3)]", {"zero"}),
+    (single_od_document, ("defaults", "car_length_km"), "defaults.car_length_km", {"missing"}),
+    (default_bpr_document, ("defaults", "bpr_gamma"), "arc s01: bpr_gamma",
+     {"zero", "missing"}),
+    (default_bpr_document, ("defaults", "bpr_nu"), "arc s01: bpr_nu", {"missing"}),
+    *[(single_od_document, ("solver", key), f"solver.{key}", {"missing"})
+      for key in ("inner_tol", "outer_tol", "outer_max_iters")],
+]
+
+
+def set_field(doc: dict, path: tuple, value) -> dict:
+    """``doc`` with the field at ``path`` set to ``value``, or deleted when
+    ``value`` is "missing"."""
+    *parents, key = path
+    section = doc
+    for step in parents:
+        section = section[step]
+    if value == "missing":
+        del section[key]
+    else:
+        section[key] = value
     return doc

@@ -145,7 +145,7 @@ class TestSolveTau:
         # where the terms of an unscaled exp-space solve underflow
         inst = gen_single_od()
         net = inst.network
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
         d = net.node_index["3"]
         for s_idx, s in enumerate(inst.strata):
             kappa = rates[s_idx] * net.length * net.is_primary
@@ -239,7 +239,7 @@ class TestSolveEquilibrium:
         inst = gen_single_od()
         net = inst.network
         rates0 = np.zeros((3, net.n_arcs))
-        rates200 = expand_scheme(SchemeSpec(family="uniform", rate=200.0), inst).rates
+        rates200 = expand_scheme(SchemeSpec(family="uniform", rate=200.0), inst)
         sol0 = solve_equilibrium(inst, rates0, OPTS)
         sol200 = solve_equilibrium(inst, rates200, OPTS)
         p02 = net.arc_index["p02"]
@@ -338,7 +338,7 @@ class TestDiagnostics:
 
     def test_uniqueness_from_different_starts(self):
         inst = gen_single_od()
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=30.0), inst).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=30.0), inst)
         a = solve_equilibrium(inst, rates, OPTS)
         rng = np.random.default_rng(0)
         start = rng.uniform(0.0, 500.0, size=inst.network.n_arcs)
@@ -402,7 +402,7 @@ class TestBatchedRouting:
         import mteq.network
         if block_rows is not None:
             monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", block_rows)
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice)
         flow = np.random.default_rng(8).uniform(0.0, 400.0, size=lattice.network.n_arcs)
         sol = one_pass(lattice, rates, initial_flow=flow)
         assert len(sol.sub) == 30
@@ -411,7 +411,7 @@ class TestBatchedRouting:
     def test_single_od_pairs_match_oracle(self):
         inst = gen_single_od()
         net = inst.network
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
         sol = one_pass(inst, rates, inner_tol=1e-12)
         assert len(sol.sub) == len(inst.strata)
         for s_idx, s in enumerate(inst.strata):
@@ -454,7 +454,7 @@ class TestBatchedRouting:
         assert core.n_nodes < net.n_nodes
         rebuilt = Instance(network=core, strata=lattice.strata, demand=lattice.demand,
                            outside=lattice.outside)
-        rates = zero_prices(rebuilt).rates
+        rates = zero_prices(rebuilt)
         sol = one_pass(rebuilt, rates)
         assert sol.response_flow.shape == (core.n_arcs,)
         assert_matches_per_pair(rebuilt, rates, sol)
@@ -464,7 +464,7 @@ class TestBatchedRouting:
         # independent of the shared factorization: I - P^T assembled arc by
         # arc from the kernel's probabilities and solved densely
         net = lattice.network
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice)
         flow = np.random.default_rng(8).uniform(0.0, 400.0, size=net.n_arcs)
         sol = one_pass(lattice, rates, initial_flow=flow)
         for key, sd in sol.sub.items():
@@ -491,7 +491,7 @@ class TestBatchedRouting:
         real = mteq.equilibrium.splu
         monkeypatch.setattr(mteq.equilibrium, "splu",
                             lambda A, *a, **kw: factored.append(A.shape) or real(A, *a, **kw))
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice)
         sol = solve_equilibrium(lattice, rates, SolverOptions(
             inner_tol=inner_tol, outer_tol=1e-4, outer_max_iters=50))
         assert sol.outer_iterations > 1
@@ -503,7 +503,7 @@ class TestBatchedRouting:
     @pytest.mark.parametrize("passes", [1, 50])
     def test_residuals_match_per_pair_loop(self, lattice, passes):
         net = lattice.network
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice).rates
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice)
         sol = solve_equilibrium(lattice, rates, SolverOptions(
             inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=passes))
         diag = equilibrium_residuals(lattice, rates, sol)

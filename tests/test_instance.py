@@ -7,7 +7,6 @@ from mteq import (
     Instance,
     InstanceError,
     assign_areas,
-    instance_to_document,
     load_instance,
     outside_costs,
     save_instance,
@@ -17,58 +16,19 @@ from mteq.instance import instances_equal
 from mteq.network import Node, build_network
 from mteq.synthgen import gen_single_od
 
-from conftest import flat_arc, two_route_instance
-
-
-def single_od_document():
-    return instance_to_document(gen_single_od())
-
-
-def per_od_outside_document():
-    """single_od_document with per-OD outside times and fares."""
-    doc = single_od_document()
-    ods = sorted({(e["origin"], e["destination"]) for e in doc["demand"]})
-    doc["outside_option"] = {
-        "mode": "per_od_table",
-        "times": [{"origin": o, "destination": d, "time": 2.0} for o, d in ods],
-        "ticket": [{"origin": o, "destination": d, "ticket": 0.5} for o, d in ods],
-    }
-    return doc
+from conftest import (INSTANCE_FIELDS, flat_arc, set_field, single_od_document,
+                      two_route_instance)
 
 
 # (document, path to the field, what the error says)
-NAN_FIELDS = [
-    (single_od_document, ("nodes", 0, "x"), "nodes[0]: node 0: x and y must be finite"),
-    (single_od_document, ("nodes", 1, "y"), "nodes[1]: node 1: x and y must be finite"),
-    *[(single_od_document, ("arcs", 0, name), f"arcs[0]: arc s01: {name} must be > 0")
-      for name in ("length_km", "free_speed_kmh", "capacity", "bpr_nu")],
-    (single_od_document, ("arcs", 0, "bpr_gamma"), "arcs[0]: arc s01: bpr_gamma must be >= 0"),
-    *[(single_od_document, ("strata", 1, name), f"stratum 'mid': {name} must be > 0")
-      for name in ("beta_t", "beta_t_out")],
-    *[(single_od_document, ("strata", 1, name), f"stratum 'mid': {name} must be >= 0")
-      for name in ("beta_p", "beta_p_out")],
-    (single_od_document, ("demand", 0, "trips"), "demand (high, 0 -> 3): trips must be > 0"),
-    (single_od_document, ("outside_option", "multiplier"),
-     "outside_option.multiplier must be > 0"),
-    (single_od_document, ("outside_option", "ticket"),
-     "outside_option.ticket must be nonnegative"),
-    (per_od_outside_document, ("outside_option", "ticket", 0, "ticket"),
-     "outside_option.ticket must be nonnegative"),
-    (per_od_outside_document, ("outside_option", "times", 0, "time"),
-     "outside_option.times[(0, 3)] must be >= 0"),
-    (single_od_document, ("defaults", "car_length_km"), "defaults.car_length_km must be > 0"),
-]
+NAN_FIELDS = [(make_doc, path, f"{name} must be a finite number, got nan")
+              for make_doc, path, name, _valid in INSTANCE_FIELDS]
 
 
 @pytest.mark.parametrize("make_doc, path, message", NAN_FIELDS,
                          ids=[".".join(map(str, path)) for _, path, _ in NAN_FIELDS])
 def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message):
-    doc = make_doc()
-    *parents, key = path
-    section = doc
-    for step in parents:
-        section = section[step]
-    section[key] = float("nan")
+    doc = set_field(make_doc(), path, float("nan"))
     with pytest.raises(InstanceError, match=re.escape(message)):
         load_instance(doc)
     ipath = tmp_path / "nan.json"

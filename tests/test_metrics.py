@@ -211,8 +211,8 @@ class TestRevenue:
     def test_linear_in_price_at_frozen_flows(self):
         inst = two_route_instance(outside_time=1e9)
         sol, prices = solved(inst, rate=10.0)
-        r1 = revenue(sol, prices.rates, "solo", inst)
-        r2 = revenue(sol, 2.0 * prices.rates, "solo", inst)
+        r1 = revenue(sol, prices, "solo", inst)
+        r2 = revenue(sol, 2.0 * prices, "solo", inst)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_revenue_equals_demand_weighted_expected_money(self):

@@ -29,14 +29,14 @@ def areas(inst):
 class TestExpand:
     def test_uniform_prices_every_primary_arc_for_all_strata(self, inst):
         ep = expand_scheme(SchemeSpec(family=UNIFORM, rate=600.0), inst)
-        assert ep.rates.shape == (3, inst.network.n_arcs)
-        assert np.all(ep.rates == 600.0)
+        assert ep.shape == (3, inst.network.n_arcs)
+        assert np.all(ep == 600.0)
 
     def test_per_stratum_rows(self, inst):
         spec = SchemeSpec(family=PER_STRATUM,
                           stratum_rates=(("high", 1000.0), ("mid", 600.0), ("low", 400.0)))
         ep = expand_scheme(spec, inst)
-        by = dict(zip(inst.stratum_names, ep.rates))
+        by = dict(zip(inst.stratum_names, ep))
         assert np.all(by["high"] == 1000.0)
         assert np.all(by["mid"] == 600.0)
         assert np.all(by["low"] == 400.0)
@@ -47,7 +47,7 @@ class TestExpand:
         ep = expand_scheme(spec, inst, areas)
         net = inst.network
         for k, arc in enumerate(net.arcs):
-            assert ep.rates[0, k] == dict(spec.area_rates)[areas.area_of(arc.tail)]
+            assert ep[0, k] == dict(spec.area_rates)[areas.area_of(arc.tail)]
 
     def test_families_coincide_at_a_common_rate(self, inst, areas):
         p = 300.0
@@ -58,8 +58,8 @@ class TestExpand:
         per_a = expand_scheme(
             SchemeSpec(family=PER_AREA,
                        area_rates=tuple((a, p) for a in areas.area_names)), inst, areas)
-        assert np.array_equal(uni.rates, per_s.rates)
-        assert np.array_equal(uni.rates, per_a.rates)
+        assert np.array_equal(uni, per_s)
+        assert np.array_equal(uni, per_a)
 
     def test_missing_area_rate_rejected(self, inst, areas):
         with pytest.raises(PricingError, match="no rate for area"):
