@@ -3,9 +3,9 @@
 Subcommands: ``solve`` one scheme to equilibrium plus metrics, ``sweep`` a
 price grid, ``pareto`` post-process a results directory, ``simulate`` Monte
 Carlo on a stored solution, ``generate`` synthetic instances, ``validate``
-an instance file.  Exit codes: 0 success, 1 validation/usage error (also a
-solution file of another schema version or network), 2 solver
-non-convergence (outputs are still written), 3 solver failure
+an instance file.  Exit codes: 0 success, 1 invalid input (a flag, or a file
+that cannot be read or is malformed, naming it) or an output path that cannot
+be written, 2 solver non-convergence (outputs are still written), 3 solver failure
 (``FeasibilityError``: no finite equilibrium at the given costs, or
 ``SolverError``: a numerically failed subproblem; nothing is written).
 """
@@ -29,17 +29,11 @@ from .equilibrium import (
     solve_equilibrium,
     write_solution,
 )
-from .experiments import (
-    ResultSchemaError,
-    SweepConfig,
-    load_results,
-    run_sweep,
-    write_frontier_csv,
-)
+from .experiments import SweepConfig, load_results, run_sweep, write_frontier_csv
 from .instance import assign_areas, load_instance, nan_to_null, save_instance, write_json
 from .metrics import (all_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
-from .network import InstanceError, strongly_connected
+from .network import InstanceError, read_json, strongly_connected
 from .pricing import (PER_AREA, PER_STRATUM, UNIFORM, PriceGrid, SchemeSpec,
                       expand_scheme)
 
@@ -78,11 +72,12 @@ def _solver_from_args(args, base: SolverOptions) -> SolverOptions:
     return replace(base, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _area_shape(text: str) -> tuple[str, str]:
-    rows, sep, cols = text.partition("x")
-    if not sep:
-        raise InstanceError(f"--areas must be ROWSxCOLS, got {text!r}")
-    return rows, cols
+def _split(text: str, sep: str, count: int, flag: str, form: str) -> list[str]:
+    """The ``count`` parts of ``text`` between ``sep``, as ``form`` describes them."""
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise InstanceError(f"{flag} must be {form}, got {text!r}")
+    return parts
 
 
 def _cmd_solve(args) -> int:
@@ -91,7 +86,7 @@ def _cmd_solve(args) -> int:
     scheme = _scheme_from_args(args)
     areas = None
     if scheme.family == PER_AREA:
-        areas = assign_areas(instance, *_area_shape(args.areas))
+        areas = assign_areas(instance, *_split(args.areas, "x", 2, "--areas", "ROWSxCOLS"))
     prices = expand_scheme(scheme, instance, areas)
 
     log_fn = None
@@ -113,13 +108,6 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if sol.converged and sol0.converged else EXIT_NOT_CONVERGED
 
 
-def _parse_grid(text: str) -> list[str]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise InstanceError(f"--grid must be LO:HI:STEP, got {text!r}")
-    return parts
-
-
 def _cmd_sweep(args) -> int:
     if args.config is not None:
         config = SweepConfig.from_file(args.config)
@@ -127,8 +115,8 @@ def _cmd_sweep(args) -> int:
         if args.instance is None or args.scheme is None or args.grid is None:
             raise InstanceError("sweep needs --config, or --instance with --scheme and --grid")
         family = {"uniform": UNIFORM, "stratum": PER_STRATUM, "area": PER_AREA}[args.scheme]
-        lo, hi, step = _parse_grid(args.grid)
-        rows_, cols_ = _area_shape(args.areas)
+        lo, hi, step = _split(args.grid, ":", 3, "--grid", "LO:HI:STEP")
+        rows_, cols_ = _split(args.areas, "x", 2, "--areas", "ROWSxCOLS")
         config = SweepConfig(instance=args.instance,
                              grid=PriceGrid(family=family, lo=lo, hi=hi, step=step),
                              area_rows=rows_, area_cols=cols_)
@@ -147,8 +135,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_pareto(args) -> int:
     rows = load_results(args.results)
     if not rows:
-        print("no results found", file=sys.stderr)
-        return EXIT_INVALID
+        raise InstanceError(f"no results found in {args.results}")
     path = write_frontier_csv(rows, args.x, args.y, args.results)
     print(f"frontier ({args.x} vs {args.y}): {path}")
     return EXIT_OK
@@ -156,12 +143,10 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
-    try:
-        sol = read_solution(args.solution, instance.network)
-    except (KeyError, ValueError) as exc:  # JSON syntax, schema version, another network
-        problem = f"no field {exc}" if isinstance(exc, KeyError) else exc
-        print(f"error: solution file {args.solution}: {problem}", file=sys.stderr)
-        return EXIT_INVALID
+    sol = read_solution(args.solution, instance.network)
+    unknown = sorted(set(sol.stratum_flow) - set(instance.stratum_names))
+    if unknown:
+        raise InstanceError(f"{args.solution}: strata {unknown} are not in the instance")
     report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
                             keep_paths=args.keep_paths)
     out = Path(args.out)
@@ -176,12 +161,9 @@ def _cmd_simulate(args) -> int:
     }
     write_json(out / "simulation.json", doc)
     if args.keep_paths:
-        trips = [
-            {"stratum": t.stratum, "origin": t.origin, "destination": t.destination,
-             "started": t.started, "arcs": t.arcs, "time": t.time, "money": t.money,
-             "distance": t.distance, "truncated": t.truncated}
-            for t in report.trips
-        ]
+        # every field of a simulated trip but its primary distance
+        trips = [{k: v for k, v in vars(t).items() if k != "primary_distance"}
+                 for t in report.trips]
         write_json(out / "trips.json", trips)
     print(f"simulated {len(report.started)} trips -> {out}")
     return EXIT_OK
@@ -192,11 +174,11 @@ def _cmd_generate(args) -> int:
         instance = synthgen.gen_single_od()
     else:
         if args.spec is not None:
-            with open(args.spec) as fh:
-                spec = synthgen.GridGenSpec.from_dict(json.load(fh))
+            instance = read_json(args.spec, lambda doc: synthgen.gen_grid(
+                synthgen.GridGenSpec.from_dict(doc)))
         else:
-            spec = synthgen.GridGenSpec(rows=args.rows, cols=args.cols, seed=args.seed)
-        instance = synthgen.gen_grid(spec)
+            instance = synthgen.gen_grid(synthgen.GridGenSpec(rows=args.rows, cols=args.cols,
+                                                              seed=args.seed))
     save_instance(instance, args.out)
     net = instance.network
     print(f"wrote {args.out}: {net.n_nodes} nodes, {net.n_arcs} arcs "
@@ -290,7 +272,7 @@ def run(argv) -> int:
         return EXIT_INVALID if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (InstanceError, ResultSchemaError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InstanceError, OSError) as exc:  # invalid input, or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (FeasibilityError, SolverError) as exc:

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
 
 from . import choice
-from .network import Network, check_number, shortest_costs
+from .network import (InstanceError, Network, check_name, check_number, read_fields,
+                      read_json, read_section, shortest_costs)
 
 
 class FeasibilityError(RuntimeError):
@@ -575,8 +576,22 @@ def write_solution(path, solution: EquilibriumSolution, network: Network) -> Non
 
 def read_solution(path, network: Network) -> EquilibriumSolution:
     """Load a solution file of either schema; see solution_from_dict."""
-    with open(path) as fh:
-        return solution_from_dict(json.load(fh), network)
+    return read_json(path, lambda doc: solution_from_dict(doc, network))
+
+
+def _arrays(section, path: str, shapes: dict) -> list:
+    """The values of the object ``section`` under the keys of ``shapes`` as
+    float arrays of those shapes; raises InstanceError naming the key otherwise."""
+    arrays = []
+    for key, value in zip(shapes, read_fields(section, path, tuple(shapes))):
+        try:
+            arrays.append(np.array(value, dtype=float))
+        except (TypeError, ValueError, OverflowError):
+            arrays.append(None)
+        if getattr(arrays[-1], "shape", None) != shapes[key]:
+            raise InstanceError(f"{path}.{key} must be "
+                                f"{' x '.join(map(str, shapes[key]))} numbers")
+    return arrays
 
 
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
@@ -587,47 +602,48 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     ``total_flow``, each pair's ``arc_flow`` is ``entering_flow[tail] *
     arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
     key order from zero.  Schema 1's stored copies of them are ignored.
-    Raises ValueError for another schema version or another network."""
-    version = doc.get("schema_version")
+    Raises InstanceError for another schema version, another network, or an
+    array that does not fit the network."""
+    version, = read_fields(doc, "solution", (), {"schema_version": None})
     if version not in (1, SOLUTION_SCHEMA_VERSION):
-        raise ValueError(f"solution schema version {version!r} is not 1 or "
-                         f"{SOLUTION_SCHEMA_VERSION}")
-    if doc["arc_ids"] != [a.id for a in network.arcs]:
-        raise ValueError("solution was computed on a different network (arc ids differ)")
+        raise InstanceError(f"solution schema version {version!r} is not 1 or "
+                            f"{SOLUTION_SCHEMA_VERSION}")
+    arc_ids, sub_doc, strata, log = read_fields(doc, "solution", (
+        "arc_ids", "sub", "strata" if version == SOLUTION_SCHEMA_VERSION else "stratum_flow",
+        "iteration_log"))
+    if arc_ids != [a.id for a in network.arcs]:
+        raise InstanceError("solution was computed on a different network (arc ids differ)")
+    if version == SOLUTION_SCHEMA_VERSION:
+        strata = [check_name(f"solution.strata[{k}]", s)
+                  for k, s in enumerate(read_section(strata, "solution.strata", list))]
+    else:  # schema 1 names the strata only as the keys of its stratum flows
+        strata = sorted(read_section(strata, "solution.stratum_flow"))
+    n, m = network.n_nodes, network.n_arcs
     sub = {}
-    for key, sd in doc["sub"].items():
-        s, d = key.split("|", 1)
-        entering_flow, arc_probs = np.array(sd["entering_flow"]), np.array(sd["arc_probs"])
+    for key, sd in read_section(sub_doc, "solution.sub").items():
+        s, _, d = key.partition("|")
+        at = f"solution.sub.{key}"
+        if s not in strata or d not in network.node_index:
+            raise InstanceError(f"{at}: not a stratum|destination pair of the solution")
+        origins, = read_fields(sd, at, ("origins",))
+        if type(origins) is not list or not all(type(o) is int and 0 <= o < n for o in origins):
+            raise InstanceError(f"{at}.origins must be a list of node indices below {n}")
+        k = len(origins)
+        tau, entering_flow, arc_probs, trips, start_prob = _arrays(sd, at, {
+            "tau": (n,), "entering_flow": (n,), "arc_probs": (m,), "trips": (k,),
+            "start_prob": (k,)})
         sub[(s, d)] = StratumDestinationSolution(
-            stratum=s,
-            destination=d,
-            tau=np.array(sd["tau"]),
-            entering_flow=entering_flow,
-            arc_flow=entering_flow[network.tail] * arc_probs,
-            arc_probs=arc_probs,
-            origins=np.array(sd["origins"], dtype=np.int64),
-            trips=np.array(sd["trips"]),
-            start_prob=np.array(sd["start_prob"]),
-            tau_converged=sd["tau_converged"],
-            tau_residual=sd["tau_residual"],
-            tau_iterations=sd["tau_iterations"],
-        )
-    # schema 1 names the strata only as the keys of its stratum flows
-    strata = doc["strata"] if version == SOLUTION_SCHEMA_VERSION else sorted(doc["stratum_flow"])
-    total_flow = np.array(doc["total_flow"])
+            s, d, tau, entering_flow, entering_flow[network.tail] * arc_probs, arc_probs,
+            np.array(origins, dtype=np.int64), trips, start_prob,
+            *read_fields(sd, at, ("tau_converged", "tau_residual", "tau_iterations")))
+    total_flow, response_flow, price_rates = _arrays(doc, "solution", {
+        "total_flow": (m,), "response_flow": (m,), "price_rates": (len(strata), m)})
     return EquilibriumSolution(
-        total_flow=total_flow,
-        arc_time=network.latency_all(total_flow),
-        response_flow=np.array(doc["response_flow"]),
-        sub=sub,
-        stratum_flow=_stratum_flows(strata, sub, network.n_arcs),
-        price_rates=np.array(doc["price_rates"]),
-        converged=doc["converged"],
-        inner_converged=doc["inner_converged"],
-        outer_iterations=doc["outer_iterations"],
-        outer_residual=doc["outer_residual"],
-        iteration_log=list(doc["iteration_log"]),
-    )
+        total_flow, network.latency_all(total_flow), response_flow, sub,
+        _stratum_flows(strata, sub, m), price_rates,
+        *read_fields(doc, "solution", ("converged", "inner_converged", "outer_iterations",
+                                       "outer_residual")),
+        iteration_log=list(read_section(log, "solution.iteration_log", list)))
 
 
 @dataclass

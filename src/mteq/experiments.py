@@ -11,21 +11,21 @@ independent of worker count and completion order.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
-from .instance import (Instance, _req, assign_areas, load_instance, nan_to_null,
-                       solver_from_document, write_json)
+from .instance import (Instance, assign_areas, instance_to_document, load_instance,
+                       nan_to_null, solver_from_document, write_json)
 from .metrics import (STRATUM_METRICS, TOTAL_METRICS, all_trip_stats,
                       compute_metrics, simulate_trips)
-from .network import check_number
+from .network import (InstanceError, check_name, check_number, read_fields, read_json,
+                      read_section)
 from .pricing import (
     PER_AREA,
     PER_STRATUM,
@@ -40,8 +40,8 @@ from .pricing import (
 RESULTS_SCHEMA_VERSION = 1
 
 
-class ResultSchemaError(RuntimeError):
-    pass
+class ResultSchemaError(InstanceError):
+    """A results manifest or detail file of another schema version."""
 
 
 @dataclass
@@ -97,14 +97,19 @@ class ResultRow:
 
     @staticmethod
     def from_dict(d: dict) -> "ResultRow":
-        if d.get("schema_version") != RESULTS_SCHEMA_VERSION:
+        version, = read_fields(d, "result", (), {"schema_version": None})
+        if version != RESULTS_SCHEMA_VERSION:
             raise ResultSchemaError(
-                f"result schema version {d.get('schema_version')} != {RESULTS_SCHEMA_VERSION}")
+                f"result schema version {version} != {RESULTS_SCHEMA_VERSION}")
+        names = [f.name for f in fields(ResultRow)]
+        row = dict(zip(names, read_fields(d, "result", names[:-2],
+                                          {"error": None, "sim": None})))
+        for name in STRATUM_METRICS:
+            read_section(row[name], f"result.{name}")
+        row["rate_vector"] = tuple(read_section(row["rate_vector"], "result.rate_vector", list))
         # null reads back as NaN, except where the field itself is optional
-        d = {k: v if v is None and k in ("error", "sim") else _null_to_nan(v)
-             for k, v in d.items() if k != "schema_version"}
-        d["rate_vector"] = tuple(d["rate_vector"])
-        return ResultRow(**d)
+        return ResultRow(**{k: v if v is None and k in ("error", "sim") else _null_to_nan(v)
+                            for k, v in row.items()})
 
 
 def _null_to_nan(value):
@@ -115,26 +120,23 @@ def _null_to_nan(value):
     return value
 
 
+#: the short names of per-stratum metrics that value_of also accepts
+_METRIC_ALIASES = {"primary_share": "primary_share_distance", "speed": "avg_speed_trip"}
+
+
 def value_of(row: ResultRow, name: str) -> float:
-    """Resolve an objective column: totals by name, per-stratum entries as
-    '<metric>:<stratum>' (e.g. 'welfare:low')."""
-    if ":" in name:
-        metric, stratum = name.split(":", 1)
-        table = {
-            "welfare": row.welfare,
-            "welfare_delta": row.welfare_delta,
-            "revenue": row.revenue,
-            "trips_started": row.trips_started,
-            "primary_share": row.primary_share_distance,
-            "speed": row.avg_speed_trip,
-        }.get(metric)
-        if table is None or stratum not in table:
-            raise KeyError(f"unknown objective {name!r}")
-        return table[stratum]
-    try:
+    """Resolve an objective column: a total by name (``TOTAL_METRICS``), a
+    per-stratum entry as '<metric>:<stratum>' (e.g. 'welfare:low'), with a
+    metric of ``STRATUM_METRICS`` or its short name 'primary_share' or
+    'speed'."""
+    metric, colon, stratum = name.partition(":")
+    metric = _METRIC_ALIASES.get(metric, metric)
+    if colon and metric in STRATUM_METRICS and stratum in getattr(row, metric):
+        return getattr(row, metric)[stratum]
+    if not colon and name in TOTAL_METRICS:
         return getattr(row, name)
-    except AttributeError:
-        raise KeyError(f"unknown objective {name!r}")
+    raise InstanceError(f"unknown objective {name!r}: expected one of "
+                        f"{', '.join(TOTAL_METRICS)} or <metric>:<stratum>")
 
 
 #: check_number's lower bound for each whole-number field of a SweepConfig
@@ -162,32 +164,25 @@ class SweepConfig:
 
     @staticmethod
     def from_file(path) -> "SweepConfig":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return SweepConfig.from_dict(doc, base=Path(path).parent)
+        return read_json(path, lambda doc: SweepConfig.from_dict(doc, base=Path(path).parent))
 
     @staticmethod
     def from_dict(doc: dict, base: Path = Path(".")) -> "SweepConfig":
-        g = _req(doc, "grid", "sweep config")
-        grid = PriceGrid(
-            family=_req(g, "family", "sweep config.grid"),
-            lo=_req(g, "lo", "sweep config.grid"),
-            hi=_req(g, "hi", "sweep config.grid"),
-            step=_req(g, "step", "sweep config.grid"),
-            strata_order=tuple(g.get("strata_order", ())),
-            areas=tuple(g.get("areas", ())),
-            ordered=bool(g.get("ordered", True)),
-        )
+        grid, instance, output, simulate = read_fields(
+            doc, "sweep config", ("grid", "instance"), {"output": "sweep_out", "simulate": False})
+        family, lo, hi, step, strata_order, areas, ordered = read_fields(
+            grid, "sweep config.grid", ("family", "lo", "hi", "step"),
+            {"strata_order": [], "areas": [], "ordered": True})
+        strata_order, areas = (tuple(read_section(names, f"sweep config.grid.{key}", list))
+                               for key, names in (("strata_order", strata_order),
+                                                  ("areas", areas)))
+        grid = PriceGrid(family, lo, hi, step, strata_order, areas, bool(ordered))
         solver = solver_from_document(doc["solver"]) if "solver" in doc else None
         counts = {key: doc[key] for key, _low in _SWEEP_COUNTS if key in doc}
         return SweepConfig(
-            instance=str(base / _req(doc, "instance", "sweep config")),
-            grid=grid,
-            solver=solver,
-            output=str(base / doc.get("output", "sweep_out")),
-            simulate=bool(doc.get("simulate", False)),
-            **counts,
-        )
+            instance=str(base / check_name("sweep config.instance", instance, numbers=False)),
+            grid=grid, solver=solver, simulate=bool(simulate), **counts,
+            output=str(base / check_name("sweep config.output", output, numbers=False)))
 
 
 def _complete_grid(grid: PriceGrid, instance: Instance, areas) -> PriceGrid:
@@ -239,26 +234,19 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(payload):
-    instance_doc, areas, solver, baseline_stats, simulate, runs, seed = payload
-    _WORKER_STATE["instance"] = load_instance(instance_doc)
-    _WORKER_STATE["areas"] = areas
-    _WORKER_STATE["solver"] = solver
-    _WORKER_STATE["baseline"] = baseline_stats
-    _WORKER_STATE["sim"] = (simulate, runs, seed)
+    """Keep the instance and the rest of _evaluate_scheme's arguments but the scheme."""
+    instance_doc, *rest = payload
+    _WORKER_STATE["args"] = load_instance(instance_doc), rest
 
 
 def _run_worker(spec: SchemeSpec) -> ResultRow:
-    simulate, runs, seed = _WORKER_STATE["sim"]
-    return _evaluate_scheme(
-        _WORKER_STATE["instance"], spec, _WORKER_STATE["areas"],
-        _WORKER_STATE["solver"], _WORKER_STATE["baseline"], simulate, runs, seed)
+    instance, rest = _WORKER_STATE["args"]
+    return _evaluate_scheme(instance, spec, *rest)
 
 
 def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[ResultRow]:
     """Evaluate every scheme of the configured grid plus the toll-free
     baseline row.  Per-scheme failures land in the row's ``error`` field."""
-    from .instance import instance_to_document
-
     instance = instance or load_instance(config.instance)
     solver = config.solver or instance.solver
     areas = None
@@ -285,8 +273,7 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
     for spec in schemes:
         path = detail_dir / f"{spec.scheme_id}.json"
         if path.exists():
-            with open(path) as fh:
-                done[spec.scheme_id] = ResultRow.from_dict(json.load(fh))
+            done[spec.scheme_id] = read_json(path, ResultRow.from_dict)
         else:
             pending.append(spec)
 
@@ -346,17 +333,10 @@ def pareto_frontier(rows: list[ResultRow], objective_x: str, objective_y: str) -
 def best_scalarized(rows: list[ResultRow], objective: ScalarizedObjective) -> ResultRow:
     """Argmax of the scalarized objective over the evaluated schemes; ties
     break toward the lexicographically smallest rate vector."""
-    candidates = [r for r in rows
-                  if not math.isnan(objective.value(r))]
+    candidates = [r for r in rows if not math.isnan(objective.value(r))]
     if not candidates:
         raise ValueError("no rows with finite objective values")
-    best = None
-    best_val = -math.inf
-    for r in candidates:
-        v = objective.value(r)
-        if v > best_val or (v == best_val and r.rate_vector < best.rate_vector):
-            best, best_val = r, v
-    return best
+    return min(candidates, key=lambda r: (-objective.value(r), r.rate_vector))
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +406,19 @@ def load_results(directory) -> list[ResultRow]:
     if not manifest_path.exists():
         warnings.warn(f"no results manifest in {out}; returning empty table")
         return []
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    if manifest.get("schema_version") != RESULTS_SCHEMA_VERSION:
+    return [read_json(out / "schemes" / f"{sid}.json", ResultRow.from_dict)
+            for sid in read_json(manifest_path, _scheme_ids)]
+
+
+def _scheme_ids(manifest: dict) -> list[str]:
+    """The scheme ids a results manifest lists."""
+    version, = read_fields(manifest, "manifest", (), {"schema_version": None})
+    if version != RESULTS_SCHEMA_VERSION:
         raise ResultSchemaError(
-            f"results at {out} use schema version {manifest.get('schema_version')}, "
-            f"expected {RESULTS_SCHEMA_VERSION}")
-    rows = []
-    for sid in manifest["scheme_ids"]:
-        with open(out / "schemes" / f"{sid}.json") as fh:
-            rows.append(ResultRow.from_dict(json.load(fh)))
-    return rows
+            f"results use schema version {version}, expected {RESULTS_SCHEMA_VERSION}")
+    ids, = read_fields(manifest, "manifest", ("scheme_ids",))
+    return [check_name(f"manifest.scheme_ids[{k}]", sid)
+            for k, sid in enumerate(read_section(ids, "manifest.scheme_ids", list))]
 
 
 def write_frontier_csv(rows: list[ResultRow], objective_x: str, objective_y: str,

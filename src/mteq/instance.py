@@ -25,8 +25,12 @@ from .network import (
     Node,
     Network,
     build_network,
+    check_name,
     check_number,
     default_capacity,
+    read_fields,
+    read_json,
+    read_section,
     shortest_costs,
     DEFAULT_BPR_GAMMA,
     DEFAULT_BPR_NU,
@@ -47,6 +51,8 @@ class Stratum:
     beta_p_out: float
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            object.__setattr__(self, "name", check_name("stratum name", self.name))
         for name, strict in (("beta_t", True), ("beta_p", False),
                              ("beta_t_out", True), ("beta_p_out", False)):
             object.__setattr__(self, name, check_number(
@@ -66,6 +72,10 @@ class DemandEntry:
     trips: float
 
     def __post_init__(self):
+        for name in ("stratum", "origin", "destination"):
+            value = getattr(self, name)
+            if type(value) is not str:
+                object.__setattr__(self, name, check_name(f"demand {name}", value))
         if self.origin == self.destination:
             raise InstanceError(
                 f"demand ({self.stratum}, {self.origin} -> {self.destination}): "
@@ -150,12 +160,6 @@ class Instance:
     @property
     def stratum_names(self) -> list[str]:
         return [s.name for s in self.strata]
-
-    def stratum(self, name: str) -> Stratum:
-        for s in self.strata:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
     def demand_by_destination(self, stratum: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Per destination index: (origin indices, trips), positive demand only."""
@@ -279,21 +283,17 @@ def assign_areas(instance_or_network, rows: int, cols: int) -> AreaAssignment:
 # ---------------------------------------------------------------------------
 # Document I/O
 
-def _req(section: dict, key: str, path: str):
-    if not isinstance(section, dict):
-        raise InstanceError(f"{path} must be an object, got {section!r}")
-    if key not in section:
-        raise InstanceError(f"{path}.{key}: missing required field")
-    return section[key]
+def _records(section, path: str, keys, optional=None) -> list[list]:
+    """read_fields of each record of the list ``section``; the keys are
+    given in the order of the fields of the dataclass the record becomes."""
+    return [read_fields(row, f"{path}[{k}]", keys, optional)
+            for k, row in enumerate(read_section(section, path, list))]
 
 
 def _parse_od_table(entries, value_key: str, path: str) -> dict[tuple[str, str], float]:
-    table = {}
-    for k, row in enumerate(entries):
-        o = _req(row, "origin", f"{path}[{k}]")
-        d = _req(row, "destination", f"{path}[{k}]")
-        table[(o, d)] = _req(row, value_key, f"{path}[{k}]")
-    return table
+    return {(check_name(f"{path}[{k}].origin", o), check_name(f"{path}[{k}].destination", d)): v
+            for k, (o, d, v) in enumerate(_records(entries, path,
+                                                   ("origin", "destination", value_key)))}
 
 
 def _checked_od_table(key: str, table: dict) -> dict[tuple[str, str], float]:
@@ -302,37 +302,14 @@ def _checked_od_table(key: str, table: dict) -> dict[tuple[str, str], float]:
             for (o, d), v in table.items()}
 
 
-def _network_from_sections(node_rows, arc_rows, defaults) -> Network:
-    car_len = check_number("defaults.car_length_km",
-                           defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM), 0)
-    gamma0 = defaults.get("bpr_gamma", DEFAULT_BPR_GAMMA)
-    nu0 = defaults.get("bpr_nu", DEFAULT_BPR_NU)
-    nodes = [Node(id=str(_req(row, "id", f"nodes[{k}]")), x=_req(row, "x", f"nodes[{k}]"),
-                  y=_req(row, "y", f"nodes[{k}]"))
-             for k, row in enumerate(node_rows)]
-    arcs = []
-    for k, row in enumerate(arc_rows):
-        arc = Arc(
-            id=str(_req(row, "id", f"arcs[{k}]")),
-            tail=str(_req(row, "tail", f"arcs[{k}]")),
-            head=str(_req(row, "head", f"arcs[{k}]")),
-            length_km=_req(row, "length_km", f"arcs[{k}]"),
-            free_speed_kmh=_req(row, "free_speed_kmh", f"arcs[{k}]"),
-            lanes=row.get("lanes", 1),
-            road_class=str(row.get("road_class", SECONDARY)),
-            capacity=row.get("capacity"),
-            bpr_gamma=row.get("bpr_gamma", gamma0),
-            bpr_nu=row.get("bpr_nu", nu0),
-        )
-        if arc.capacity is None:
-            arc = replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
-        arcs.append(arc)
-    return build_network(nodes, arcs)
-
-
 def _read_csv_rows(path: Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except OSError as exc:
+        raise InstanceError(f"{path}: cannot read: {exc.strerror}") from None
+    except (ValueError, csv.Error) as exc:  # not UTF-8, or not CSV
+        raise InstanceError(f"{path}: not valid CSV: {exc}") from None
     # empty optional cells come through as "" from csv
     return [{k: v for k, v in row.items() if v not in ("", None)} for row in rows]
 
@@ -344,7 +321,7 @@ def solver_from_document(section: dict) -> SolverOptions:
     expected costs) are dropped; other unknown keys are errors."""
     legacy = ("step_rule", "norm", "inner_max_iters", "divergence_guard",
               "divergence_window", "divergence_decay")
-    section = {k: v for k, v in section.items() if k not in legacy}
+    section = {k: v for k, v in read_section(section, "solver").items() if k not in legacy}
     unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})
     if unknown:
         raise InstanceError(f"solver: unknown option(s) {', '.join(unknown)}")
@@ -353,102 +330,79 @@ def solver_from_document(section: dict) -> SolverOptions:
 
 def load_instance(source) -> Instance:
     """Build a validated Instance from a JSON document (dict) or a file path."""
-    base = Path(".")
     if isinstance(source, (str, Path)):
-        base = Path(source).parent
-        with open(source) as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+        return read_json(source, lambda doc: _instance_from(doc, Path(source).parent))
+    return _instance_from(source, Path("."))
 
-    defaults = doc.get("defaults", {})
+
+def _instance_from(doc, base: Path) -> Instance:
+    """The Instance of a document whose ``network_csv`` paths are relative to ``base``."""
+    defaults, strata, demand, oo, solver = read_fields(doc, "document", (), {
+        "defaults": {}, "strata": [], "demand": [], "outside_option": {}, "solver": {}})
     if "network_csv" in doc:
-        spec = doc["network_csv"]
-        node_rows = _read_csv_rows(base / _req(spec, "nodes", "network_csv"))
-        arc_rows = _read_csv_rows(base / _req(spec, "arcs", "network_csv"))
+        node_rows, arc_rows = (
+            _read_csv_rows(base / check_name(f"network_csv.{key}", name, numbers=False))
+            for key, name in zip(("nodes", "arcs"), read_fields(
+                doc["network_csv"], "network_csv", ("nodes", "arcs"))))
     else:
-        node_rows = _req(doc, "nodes", "document")
-        arc_rows = _req(doc, "arcs", "document")
-    network = _network_from_sections(node_rows, arc_rows, defaults)
+        node_rows, arc_rows = read_fields(doc, "document", ("nodes", "arcs"))
+    car_len, gamma0, nu0 = read_fields(defaults, "defaults", (), {
+        "car_length_km": DEFAULT_CAR_LENGTH_KM, "bpr_gamma": DEFAULT_BPR_GAMMA,
+        "bpr_nu": DEFAULT_BPR_NU})
+    car_len = check_number("defaults.car_length_km", car_len, 0)
+    nodes = [Node(*row) for row in _records(node_rows, "nodes", ("id", "x", "y"))]
+    arcs = []
+    for row in _records(arc_rows, "arcs", ("id", "tail", "head", "length_km", "free_speed_kmh"), {
+            "lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
+            "bpr_nu": nu0}):
+        arc = Arc(*row)
+        if arc.capacity is None:
+            arc = replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
+        arcs.append(arc)
+    network = build_network(nodes, arcs)
 
-    strata = []
-    for k, row in enumerate(doc.get("strata", [])):
-        strata.append(Stratum(
-            name=str(_req(row, "name", f"strata[{k}]")),
-            beta_t=_req(row, "beta_t", f"strata[{k}]"),
-            beta_p=_req(row, "beta_p", f"strata[{k}]"),
-            beta_t_out=_req(row, "beta_t_out", f"strata[{k}]"),
-            beta_p_out=_req(row, "beta_p_out", f"strata[{k}]"),
-        ))
+    strata = [Stratum(*row) for row in _records(
+        strata, "strata", ("name", "beta_t", "beta_p", "beta_t_out", "beta_p_out"))]
     if not strata:
         raise InstanceError("strata: at least one stratum required")
+    demand = [DemandEntry(*row) for row in _records(
+        demand, "demand", ("stratum", "origin", "destination", "trips"))]
 
-    demand = []
-    for k, row in enumerate(doc.get("demand", [])):
-        demand.append(DemandEntry(
-            stratum=str(_req(row, "stratum", f"demand[{k}]")),
-            origin=str(_req(row, "origin", f"demand[{k}]")),
-            destination=str(_req(row, "destination", f"demand[{k}]")),
-            trips=_req(row, "trips", f"demand[{k}]"),
-        ))
-
-    oo = doc.get("outside_option", {})
-    ticket, times = oo.get("ticket", 0.0), oo.get("times")
+    mode, multiplier, ticket, times = read_fields(oo, "outside_option", (), {
+        "mode": MODE_MULTIPLIER, "multiplier": 3.0, "ticket": 0.0, "times": None})
+    if isinstance(ticket, dict):  # OutsideOption takes a dict keyed by OD pairs
+        raise InstanceError("outside_option.ticket must be a number or a list, got an object")
     if isinstance(ticket, list):
         ticket = _parse_od_table(ticket, "ticket", "outside_option.ticket")
     if times is not None:
         times = _parse_od_table(times, "time", "outside_option.times")
-    outside = OutsideOption(mode=oo.get("mode", MODE_MULTIPLIER),
-                            multiplier=oo.get("multiplier", 3.0), ticket=ticket, times=times)
-
-    solver = solver_from_document(doc.get("solver", {}))
-    return Instance(
-        network=network,
-        strata=strata,
-        demand=demand,
-        outside=outside,
-        car_length_km=defaults.get("car_length_km", DEFAULT_CAR_LENGTH_KM),
-        solver=solver,
-    )
+    return Instance(network=network, strata=strata, demand=demand,
+                    outside=OutsideOption(mode, multiplier, ticket, times),
+                    car_length_km=car_len, solver=solver_from_document(solver))
 
 
 def instance_to_document(instance: Instance) -> dict:
     """Serialize back to the JSON document shape; load(to_document(x)) == x."""
     net = instance.network
-    doc = {
-        "nodes": [{"id": n.id, "x": n.x, "y": n.y} for n in net.nodes],
-        "arcs": [
-            {
-                "id": a.id, "tail": a.tail, "head": a.head,
-                "length_km": a.length_km, "free_speed_kmh": a.free_speed_kmh,
-                "lanes": a.lanes, "road_class": a.road_class,
-                "capacity": a.capacity, "bpr_gamma": a.bpr_gamma, "bpr_nu": a.bpr_nu,
-            }
-            for a in net.arcs
-        ],
+    return {  # a node's or an arc's fields are its instance dict
+        "nodes": [dict(vars(n)) for n in net.nodes],
+        "arcs": [dict(vars(a)) for a in net.arcs],
         "strata": [asdict(s) for s in instance.strata],
         "demand": [asdict(e) for e in instance.demand],
         "outside_option": _outside_to_doc(instance.outside),
         "solver": asdict(instance.solver),
         "defaults": {"car_length_km": instance.car_length_km},
     }
-    return doc
 
 
 def _outside_to_doc(oo: OutsideOption) -> dict:
-    doc = {"mode": oo.mode, "multiplier": oo.multiplier}
-    if isinstance(oo.ticket, dict):
-        doc["ticket"] = [
-            {"origin": o, "destination": d, "ticket": v}
-            for (o, d), v in sorted(oo.ticket.items())
-        ]
-    else:
-        doc["ticket"] = oo.ticket
+    def rows(table: dict, key: str) -> list[dict]:
+        return [{"origin": o, "destination": d, key: v} for (o, d), v in sorted(table.items())]
+
+    doc = {"mode": oo.mode, "multiplier": oo.multiplier,
+           "ticket": rows(oo.ticket, "ticket") if isinstance(oo.ticket, dict) else oo.ticket}
     if oo.times is not None:
-        doc["times"] = [
-            {"origin": o, "destination": d, "time": v}
-            for (o, d), v in sorted(oo.times.items())
-        ]
+        doc["times"] = rows(oo.times, "time")
     return doc
 
 

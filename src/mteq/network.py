@@ -9,6 +9,7 @@ currency unit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,61 @@ def check_number(name: str, value, low=None, *, strict: bool = True,
     raise InstanceError(f"{name} must be {problem}, got {value!r}")
 
 
+def check_name(name: str, value, *, numbers: bool = True) -> str:
+    """``value`` once it is a string, or an int as its digits when ``numbers``
+    (JSON may give an id as a number); otherwise raises InstanceError naming
+    ``name`` and the value."""
+    if type(value) is str or numbers and type(value) is int:
+        return str(value)
+    kind = "a string or a whole number" if numbers else "a string"
+    raise InstanceError(f"{name} must be {kind}, got {_describe(value)}")
+
+
+def _describe(value) -> str:
+    kinds = {dict: "an object", list: "a list", type(None): "null"}
+    return kinds.get(type(value)) or repr(value)
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON document in the file at ``path``.  A file that
+    cannot be read or is not JSON, and every InstanceError of ``parse``,
+    raise InstanceError naming the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InstanceError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # JSON syntax, or not UTF-8
+        raise InstanceError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return parse(doc)
+    except InstanceError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def read_section(section, path: str, kind: type = dict):
+    """``section`` once it is a ``kind``: dict (a JSON object) or list;
+    otherwise raises InstanceError naming ``path``."""
+    if type(section) is not kind:
+        raise InstanceError(f"{path} must be {_describe(kind())}, got {_describe(section)}")
+    return section
+
+
+def read_fields(section, path: str, required=(), optional=None) -> list:
+    """The values of the object ``section`` under the ``required`` keys, then
+    under the keys of ``optional`` (key -> default when absent), in order.
+    Raises InstanceError naming ``path`` when ``section`` is not an object or
+    lacks a required key; other keys are left alone."""
+    read_section(section, path)
+    try:
+        values = [section[key] for key in required]
+    except KeyError as exc:
+        raise InstanceError(f"{path}.{exc.args[0]}: missing required field") from None
+    if optional:
+        values += [section.get(key, default) for key, default in optional.items()]
+    return values
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -68,6 +124,8 @@ class Node:
     y: float
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            object.__setattr__(self, "id", check_name("node id", self.id))
         for name in ("x", "y"):
             object.__setattr__(self, name,
                                check_number(f"node {self.id}: {name}", getattr(self, name)))
@@ -100,7 +158,13 @@ class Arc:
     bpr_nu: float = DEFAULT_BPR_NU
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            object.__setattr__(self, "id", check_name("arc id", self.id))
         prefix = f"arc {self.id}: "
+        for name in ("tail", "head"):  # road_class must be one of two names
+            value = getattr(self, name)
+            if type(value) is not str:
+                object.__setattr__(self, name, check_name(prefix + name, value))
         for name, low, strict, integer in _ARC_NUMBERS:
             value = getattr(self, name)
             if value is not None or name != "capacity":
@@ -172,21 +236,16 @@ class Network:
 
     Arcs are re-ordered so that all outgoing arcs of a node are contiguous;
     ``out_start[i]:out_start[i+1]`` slices the arc arrays per node, in the
-    style of a CSR index.  ``arc_order`` maps storage position -> position
-    in the original arc list.  The sparsity patterns of ``chain_matrix`` and
+    style of a CSR index.  The sparsity patterns of ``chain_matrix`` and
     ``reversed_graph`` are computed once here; each call only fills in the
     values, tiled block-diagonally for many (weights, destination) rows.
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            raise NetworkError("duplicate node ids")
-        arc_ids = [a.id for a in arcs]
-        if len(set(arc_ids)) != len(arc_ids):
-            raise NetworkError("duplicate arc ids")
         self.nodes = list(nodes)
         self.node_index = {n.id: i for i, n in enumerate(nodes)}
+        if len(self.node_index) != len(nodes):
+            raise NetworkError("duplicate node ids")
         n = len(nodes)
 
         for a in arcs:
@@ -200,8 +259,9 @@ class Network:
         tails = np.array([self.node_index[a.tail] for a in arcs], dtype=np.int64)
         order = np.argsort(tails, kind="stable")
         self.arcs = [arcs[k] for k in order]
-        self.arc_order = order
         self.arc_index = {a.id: i for i, a in enumerate(self.arcs)}
+        if len(self.arc_index) != len(arcs):
+            raise NetworkError("duplicate arc ids")
 
         self.tail = tails[order]
         self.head = np.array([self.node_index[a.head] for a in self.arcs], dtype=np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import AreaAssignment, Instance
-from .network import InstanceError, check_number
+from .network import InstanceError, check_name, check_number
 
 UNIFORM = "uniform"
 PER_STRATUM = "per_stratum"
@@ -144,6 +144,9 @@ class PriceGrid:
         object.__setattr__(self, "lo", _price("grid lo", self.lo))
         object.__setattr__(self, "hi", _price("grid hi", self.hi, self.lo))
         object.__setattr__(self, "step", _price("grid step", self.step, 0, strict=True))
+        for key in ("strata_order", "areas"):
+            object.__setattr__(self, key, tuple(check_name(f"grid {key}", name)
+                                                for name in getattr(self, key)))
 
     def values(self) -> list[float]:
         n = int(np.floor((self.hi - self.lo) / self.step + 1e-9)) + 1

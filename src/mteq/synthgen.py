@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .network import (Arc, InstanceError, Node, build_network, check_number,
-                      default_capacity, PRIMARY, SECONDARY)
+                      default_capacity, read_section, PRIMARY, SECONDARY)
 from .instance import Instance, Stratum, DemandEntry, OutsideOption, assign_areas
 from .equilibrium import SolverOptions
 
@@ -125,8 +125,7 @@ class GridGenSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "GridGenSpec":
-        known = {f.name for f in fields(GridGenSpec)}
-        unknown = set(d) - known
+        unknown = set(read_section(d, "grid spec")) - {f.name for f in fields(GridGenSpec)}
         if unknown:
             raise InstanceError(f"unknown grid spec fields: {sorted(unknown)}")
         return GridGenSpec(**d)
@@ -143,7 +142,7 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
     shortest path, grouped by 2x2 area-to-area pair, sample
     ``pairs_per_group`` pairs uniformly; every stratum gets the same pairs
     and ``trips_per_pair`` trips.  Groups with no qualifying pair are
-    skipped with a warning.
+    skipped with a warning; a lattice with none at all is an InstanceError.
     """
     R, C = spec.rows, spec.cols
     # one arc per road class checks the spec's road fields; every lattice arc
@@ -233,6 +232,10 @@ def _sample_demand(network, spec: GridGenSpec) -> list[DemandEntry]:
                     f"(requested {spec.pairs_per_group})")
             picks = rng.choice(len(cand), size=take, replace=False)
             chosen.extend(cand[i] for i in sorted(picks))
+    if not chosen:
+        raise InstanceError(
+            f"grid spec min_od_distance_km: no OD pair of the {spec.rows}x{spec.cols} "
+            f"lattice is at least {spec.min_od_distance_km:g} km apart")
 
     names = ("high", "mid", "low")
     return [

@@ -36,16 +36,19 @@ class TestGenerate:
         assert "4 nodes" in capsys.readouterr().out
 
     def test_grid_with_flags(self, tmp_path):
+        # the smallest square lattice with OD pairs 5 km apart (the default)
         out = tmp_path / "grid.json"
         with pytest.warns(UserWarning):
             assert run(["generate", "grid", "--out", str(out),
-                        "--rows", "5", "--cols", "5", "--seed", "3"]) == 0
+                        "--rows", "6", "--cols", "6", "--seed", "3"]) == 0
         inst = load_instance(out)
-        assert inst.network.n_nodes == 25
+        assert inst.network.n_nodes == 36
 
     def test_grid_with_spec_file(self, tmp_path):
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"rows": 4, "cols": 4, "pairs_per_group": 2}))
+        # OD pairs 2 km apart fill some area groups of the 4x4 lattice, not all
+        spec.write_text(json.dumps({"rows": 4, "cols": 4, "pairs_per_group": 2,
+                                    "min_od_distance_km": 2.0}))
         out = tmp_path / "grid.json"
         with pytest.warns(UserWarning):
             assert run(["generate", "grid", "--out", str(out), "--spec", str(spec)]) == 0

@@ -324,7 +324,7 @@ class TestRunSweep:
         assert value_of(row, "welfare:solo") == 1.5
         assert value_of(row, "total_welfare") == 2.5
         assert value_of(row, "total_revenue") == 3.5
-        with pytest.raises(KeyError):
+        with pytest.raises(InstanceError):
             value_of(row, "welfare:ghost")
-        with pytest.raises(KeyError):
+        with pytest.raises(InstanceError):
             value_of(row, "nonsense")

@@ -1,10 +1,15 @@
 """Every invalid value that enters mteq, from an instance document, a sweep
 config, a grid spec or a command-line flag, makes the CLI exit 1 with an
 ``error:`` line that names the field, and nothing is written.  NaN in each
-instance field is test_instance.test_nan_field_is_rejected_by_name."""
+instance field is test_instance.test_nan_field_is_rejected_by_name.  So does
+every file of the wrong shape: each object or list section given another
+kind, a file that cannot be read and a file that is not JSON; the line also
+names the file."""
 
+import csv
 import json
 import math
+import shutil
 
 import pytest
 
@@ -12,7 +17,7 @@ from mteq import load_instance, save_instance
 from mteq.cli import EXIT_INVALID, run
 from mteq.synthgen import gen_single_od
 
-from conftest import INSTANCE_FIELDS, set_field
+from conftest import INSTANCE_FIELDS, per_od_outside_document, set_field, single_od_document
 
 BAD_VALUES = {"inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1,
               "string": "abc", "null": None, "list": [1], "missing": "missing"}
@@ -29,13 +34,14 @@ def _instance_cases():
             yield pytest.param(make_doc, path, value, name, label in valid, id=case_id)
 
 
-def assert_rejected(argv, name, out, capsys):
-    """``argv`` exits 1 with one ``error:`` line naming ``name``, prints no
-    traceback and leaves ``out`` unwritten."""
+def assert_rejected(argv, name, out, capsys, file=None):
+    """``argv`` exits 1 with one ``error:`` line naming ``name`` (and
+    ``file``, when given), prints no traceback and leaves ``out`` unwritten."""
     capsys.readouterr()
     assert run([str(a) for a in argv]) == EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err and "Traceback" not in err, err
+    assert file is None or str(file) in err, err
     assert not out.exists()
 
 
@@ -170,6 +176,8 @@ GRID_SPEC_CASES = [
     ("outside_multiplier", math.inf, "outside_option.multiplier"),
     ("time_sensitivity", "abc", "time_sensitivity"), ("time_sensitivity", 0, "time_sensitivity"),
     ("car_length_km", 0, "car_length_km"),
+    # the default: no two nodes of the 4x4 lattice are 5 km apart, so no demand
+    ("min_od_distance_km", 5, "grid spec min_od_distance_km"),
 ]
 
 
@@ -183,3 +191,218 @@ def test_grid_spec(tmp_path, capsys, key, value, name):
                                 "min_od_distance_km": 1.0, key: value}))
     assert_rejected(["generate", "grid", "--spec", spec, "--out", tmp_path / "out"],
                     name, tmp_path / "out", capsys)
+
+
+KINDS = {"object": {"a": 1}, "list": [1], "string": "abc", "number": 5, "null": None}
+NAME_VALUES = {"list": [1], "object": {"a": 1}, "null": None, "fraction": 1.5}
+PAIR = "sub.high|3"  # a (stratum, destination) pair of the single-OD solution
+ARRAYS = ("total_flow", "response_flow", "price_rates", *(f"{PAIR}.{key}" for key in (
+    "tau", "entering_flow", "arc_probs", "origins", "trips", "start_prob")))
+TABLES = ("welfare", "welfare_delta", "revenue", "trips_started", "primary_share_distance",
+          "primary_share_flow", "avg_speed_trip", "avg_speed_flow")
+
+# (file, path to a section of it, its kind, the name the error must give):
+# the section is given every other kind of KINDS
+SECTIONS = [
+    ("instance", "", "object", "document"),
+    *[("instance", key, "list", key) for key in ("nodes", "arcs", "strata", "demand")],
+    *[("instance", f"{key}.0", "object", f"{key}[0]")
+      for key in ("nodes", "arcs", "strata", "demand")],
+    *[("instance", key, "object", key) for key in ("defaults", "outside_option", "solver")],
+    ("per_od", "outside_option.times", "list", "outside_option.times"),
+    *[("per_od", f"outside_option.{key}.0", "object", f"outside_option.{key}[0]")
+      for key in ("ticket", "times")],
+    ("csv", "network_csv", "object", "network_csv"),
+    *[("csv", f"network_csv.{key}", "string", f"network_csv.{key}") for key in ("nodes", "arcs")],
+    ("config", "", "object", "sweep config"),
+    ("config", "grid", "object", "sweep config.grid"),
+    *[("config", f"grid.{key}", "list", f"sweep config.grid.{key}")
+      for key in ("strata_order", "areas")],
+    ("config", "solver", "object", "solver"),
+    *[("config", key, "string", f"sweep config.{key}") for key in ("instance", "output")],
+    ("spec", "", "object", "grid spec"),
+    ("solution", "", "object", "solution"),
+    ("solution", "sub", "object", "solution.sub"),
+    ("solution", PAIR, "object", f"solution.{PAIR}"),
+    *[("solution", key, "list", f"solution.{key}") for key in ("strata", "iteration_log")],
+    *[("solution", key, "array", f"solution.{key}") for key in ARRAYS],
+    ("manifest", "", "object", "manifest"),
+    ("manifest", "scheme_ids", "list", "manifest.scheme_ids"),
+    ("detail", "", "object", "result"),
+    *[("detail", key, "object", f"result.{key}") for key in TABLES],
+    ("detail", "rate_vector", "list", "result.rate_vector"),
+    ("resume", "", "object", "result"),
+    ("resume", "welfare", "object", "result.welfare"),
+]
+
+# (file, path to a value, the value, the name the error must give): names,
+# per-OD tickets and solution entries given a value of the right kind but
+# not the right form
+VALUES = [
+    *[("instance", path, value, name) for path, name in (
+        ("nodes.0.id", "node id"), ("arcs.0.id", "arc id"), ("arcs.0.tail", "arc s01: tail"),
+        ("arcs.0.head", "arc s01: head"), ("arcs.0.road_class", "road_class"),
+        ("strata.0.name", "stratum name"), ("demand.0.stratum", "demand stratum"),
+        ("demand.0.origin", "demand origin"), ("demand.0.destination", "demand destination"))
+      for value in NAME_VALUES.values()],
+    *[("per_od", f"outside_option.ticket.0.{key}", value, f"outside_option.ticket[0].{key}")
+      for key in ("origin", "destination") for value in NAME_VALUES.values()],
+    *[("per_od", "outside_option.ticket", value, "outside_option.ticket")
+      for value in ({"a": 1}, "abc", None)],  # a number is a fare for every OD pair
+    ("config", "grid.strata_order", [[1]], "grid strata_order"),
+    ("solution", "strata", [[1]], "solution.strata[0]"),
+    *[("solution", f"{PAIR}.origins", value, f"solution.{PAIR}.origins")
+      for value in ([1.5], [-1], [99], [True], ["0"])],
+    ("solution", "sub.nope", {}, "solution.sub.nope"),
+    ("solution", "sub.high|99", {}, "solution.sub.high|99"),
+    ("manifest", "scheme_ids", [[1]], "manifest.scheme_ids[0]"),
+]
+
+
+def _shape_cases():
+    for file, path, kind, name in SECTIONS:
+        for label, value in KINDS.items():
+            if label == kind:
+                continue
+            if kind == "array" and label == "list":
+                value = [1.0, 2.0]  # a list of the wrong length
+            yield pytest.param(file, path, value, name, id=f"{file}:{path or 'root'}={label}")
+    for file, path, value, name in VALUES:
+        yield pytest.param(file, path, value, name, id=f"{file}:{path}={json.dumps(value)}")
+
+
+@pytest.fixture(scope="module")
+def results(tmp_path_factory, single_od):
+    """A sweep's results directory: the toll-free and the rate-1 scheme."""
+    out = tmp_path_factory.mktemp("results") / "sweep"
+    assert run(["sweep", "--instance", str(single_od["inst"]), "--scheme", "uniform",
+                "--grid", "0:1:1", "--out", str(out)]) == 0
+    return out
+
+
+def _csv_document(work):
+    """single_od_document with its network in the CSV files beside it."""
+    doc = single_od_document()
+    for key in ("nodes", "arcs"):
+        with open(work / f"{key}.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(doc[key][0]))
+            writer.writeheader()
+            writer.writerows(doc.pop(key))
+    doc["network_csv"] = {"nodes": "nodes.csv", "arcs": "arcs.csv"}
+    return doc
+
+
+def _shape_argv(file, tmp_path, single_od, results):
+    """(the document of ``file`` to change, where to write it, the command
+    that reads it, the path the command must leave unwritten)."""
+    out, inst = tmp_path / "out", single_od["inst"]
+    if file in ("instance", "per_od", "csv"):
+        doc = {"instance": single_od_document, "per_od": per_od_outside_document,
+               "csv": lambda: _csv_document(tmp_path)}[file]()
+        path = tmp_path / "inst.json"
+        return doc, path, ["solve", "--instance", path, "--scheme", "uniform", "--rate", "1",
+                           "--out", out], out
+    if file == "config":
+        doc = {"instance": str(inst), "output": "out", "solver": {"outer_tol": 1.0},
+               "grid": {"family": "per_stratum", "lo": 0, "hi": 1, "step": 1,
+                        "strata_order": ["low", "mid", "high"], "areas": []}}
+        return doc, tmp_path / "sweep.json", ["sweep", "--config", tmp_path / "sweep.json"], out
+    if file == "spec":
+        doc = {"rows": 4, "cols": 4, "pairs_per_group": 1, "min_od_distance_km": 1.0}
+        path = tmp_path / "spec.json"
+        return doc, path, ["generate", "grid", "--spec", path, "--out", out], out
+    if file == "solution":
+        path = tmp_path / "solution.json"
+        return (json.loads(single_od["sol"].read_text()), path,
+                ["simulate", "--instance", inst, "--solution", path, "--out", out], out)
+    sweep = tmp_path / "sweep"
+    shutil.copytree(results, sweep)
+    if file == "manifest":
+        path = sweep / "manifest.json"
+    else:
+        path = sweep / "schemes" / "uniform_p0.json"
+    if file == "resume":  # the other scheme is solved again, then the tables written
+        for name in ("manifest.json", "results.csv", "schemes/uniform_p1.json"):
+            (sweep / name).unlink()
+        return (json.loads(path.read_text()), path,
+                ["sweep", "--instance", inst, "--scheme", "uniform", "--grid", "0:1:1",
+                 "--out", sweep], sweep / "results.csv")
+    return (json.loads(path.read_text()), path,
+            ["pareto", "--results", sweep, "--x", "total_welfare", "--y", "welfare:low"],
+            sweep / "frontier_total_welfare_welfare_low.csv")
+
+
+@pytest.mark.parametrize("file, path, value, name", _shape_cases())
+def test_document_shape(tmp_path, capsys, single_od, results, file, path, value, name):
+    doc, where, argv, out = _shape_argv(file, tmp_path, single_od, results)
+    steps = tuple(int(step) if step.isdigit() else step for step in path.split(".")) if path else ()
+    where.write_text(json.dumps(set_field(doc, steps, value) if steps else value))
+    assert_rejected(argv, name, out, capsys, file=where)
+
+
+# (id, the command given the paths of the single-OD files, the name the error
+# must give); {dir} is a directory, {bad} a file holding invalid JSON
+UNREADABLE_CASES = [
+    ("validate-instance=dir", ["validate", "--instance", "{dir}"], "{dir}"),
+    ("solve-instance=dir", UNIFORM[:2] + ["{dir}"] + UNIFORM[3:], "{dir}"),
+    ("solve-instance=missing", UNIFORM[:2] + ["{dir}/none.json"] + UNIFORM[3:], "none.json"),
+    ("solve-instance=invalid", UNIFORM[:2] + ["{bad}"] + UNIFORM[3:], "{bad}: not valid JSON"),
+    ("sweep-instance=dir", ["sweep", "--instance", "{dir}", "--scheme", "uniform",
+                            "--grid", "0:1:1", "--out", "{out}"], "{dir}"),
+    ("sweep-config=dir", ["sweep", "--config", "{dir}", "--out", "{out}"], "{dir}"),
+    ("sweep-config=invalid", ["sweep", "--config", "{bad}", "--out", "{out}"], "{bad}"),
+    ("simulate-solution=dir", SIMULATE[:4] + ["{dir}"] + SIMULATE[5:], "{dir}"),
+    ("simulate-solution=invalid", SIMULATE[:4] + ["{bad}"] + SIMULATE[5:], "{bad}"),
+    ("simulate-instance=dir", SIMULATE[:2] + ["{dir}"] + SIMULATE[3:], "{dir}"),
+    ("generate-spec=dir", GENERATE + ["--spec", "{dir}"], "{dir}"),
+    ("generate-spec=invalid", GENERATE + ["--spec", "{bad}"], "{bad}"),
+    ("pareto-manifest=dir", ["pareto", "--results", "{dir}", "--x", "total_welfare",
+                             "--y", "total_revenue"], "{dir}/manifest.json"),
+    ("pareto-x=bogus", ["pareto", "--results", "{results}", "--x", "bogus",
+                        "--y", "total_revenue"], "'bogus'"),
+    ("pareto-y=welfare:nobody", ["pareto", "--results", "{results}", "--x", "total_welfare",
+                                 "--y", "welfare:nobody"], "'welfare:nobody'"),
+    *[(f"pareto-x={name}", ["pareto", "--results", "{results}", "--x", name,
+                            "--y", "total_revenue"], f"'{name}'")
+      for name in ("error", "scheme_id", "outer_residual", "welfare", "total_welfare:low")],
+]
+
+
+@pytest.mark.parametrize("argv, name", [c[1:] for c in UNREADABLE_CASES],
+                         ids=[c[0] for c in UNREADABLE_CASES])
+def test_unreadable_file(tmp_path, capsys, single_od, results, argv, name):
+    paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.json", "out": tmp_path / "out",
+             "results": tmp_path / "results", **single_od}
+    (paths["dir"] / "manifest.json").mkdir(parents=True)  # a results manifest that is a directory
+    paths["bad"].write_text('{"nodes": [\n')
+    shutil.copytree(results, paths["results"])
+    argv = [a.format(**paths) for a in argv]
+    assert_rejected(argv, name.format(**paths), paths["out"], capsys)
+    assert not list(tmp_path.glob("*/frontier_*"))
+
+
+@pytest.mark.parametrize("command", [
+    UNIFORM, SIMULATE, ["sweep", "--instance", "{inst}", "--scheme", "uniform",
+                        "--grid", "0:1:1", "--out", "{out}"],
+    ["generate", "single-od", "--out", "{dir}"]])
+def test_output_path_taken(tmp_path, capsys, single_od, command):
+    """An --out that names a file (or, for a written file, a directory)
+    exits 1 naming it, and what is there is left alone."""
+    out, taken = tmp_path / "out", tmp_path / "dir"
+    out.write_text("mine")
+    taken.mkdir()
+    argv = [a.format(out=out, dir=taken, **single_od) for a in command]
+    capsys.readouterr()
+    assert run(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    named = taken if "{dir}" in command else out
+    assert err.startswith("error: ") and str(named) in err and "Traceback" not in err, err
+    assert out.read_text() == "mine" and list(taken.iterdir()) == []
+
+
+def test_solution_of_other_strata(tmp_path, capsys, single_od):
+    solution = tmp_path / "solution.json"
+    solution.write_text(single_od["sol"].read_text().replace('"low', '"poor'))
+    assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", solution,
+                     "--out", tmp_path / "out"], "['poor']", tmp_path / "out", capsys,
+                    file=solution)

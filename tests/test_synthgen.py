@@ -69,7 +69,8 @@ class TestGrid:
 
     def test_strong_connectivity_across_sizes(self):
         for shape in [(4, 4), (5, 7), (6, 6)]:
-            inst = quiet_grid(GridGenSpec(rows=shape[0], cols=shape[1]))
+            # OD pairs 1 km apart qualify, so even the 4x4 lattice has demand
+            inst = quiet_grid(GridGenSpec(rows=shape[0], cols=shape[1], min_od_distance_km=1.0))
             assert strongly_connected(inst.network), shape
             core = extract_core(inst.network)
             assert core.n_nodes == inst.network.n_nodes
@@ -115,7 +116,7 @@ class TestGrid:
             gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
 
     def test_sensitivities(self):
-        inst = quiet_grid(GridGenSpec(rows=4, cols=4))
+        inst = quiet_grid(GridGenSpec(rows=4, cols=4, min_od_distance_km=1.0))
         by = {s.name: s for s in inst.strata}
         assert (by["high"].beta_p, by["mid"].beta_p, by["low"].beta_p) == (0.5, 0.7, 1.0)
         scale = by["low"].beta_t
