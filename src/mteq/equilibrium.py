@@ -7,10 +7,14 @@ choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
 the flow vector.  Given the arc costs, the (stratum, destination) routings
 are independent, so each routing pass batches all of them: one Dijkstra call
-for the shortest-cost bounds, then one sparse LU factorization per block of
-pairs (``network.MAX_BLOCK_ROWS``) that gives both the expected costs and the
-node throughputs.  ``solve_tau`` and ``flows_for_destination`` are the
-one-pair case.
+for the shortest-cost bounds, then sparse LU factorizations, each serving
+both the expected costs and the node throughputs of its pairs.  A stratum
+with several destinations gets one factorization of its own I - W for all
+of them (Sherman-Morrison on the destination's row), as long as its
+unscaled weights stay in double range (``STRATUM_RANGE``); every other pair
+gets its own scaled system, stacked with others into blocks of at most
+``network.MAX_BLOCK_ROWS`` unknowns.  ``_RoutingPlan`` says which path when.
+``solve_tau`` and ``flows_for_destination`` are the one-pair case.
 """
 
 from __future__ import annotations
@@ -169,9 +173,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
                 "expected optimal costs are unbounded (spectral radius of the arc "
                 "weights exp(-beta_t * cost), the destination's row zeroed, >= 1); "
                 "agents do not reach the destination in finite expected cost")
-        tau = tau_ref - np.log(x) / beta
-        tau[pair, dest] = 0.0
-        return (tau, *_fixed_point(network, costs, dest, beta, tau))
+        return _costs_from_x(network, costs, dest, beta, tau_ref, x)
 
     x = lu.solve(e_d, trans="T")
     certified = certify(x)
@@ -181,6 +183,21 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         certified = certify(x)
         solves = 2
     return (*certified, solves, lu, x.reshape(k, n))
+
+
+def _usable(X: np.ndarray) -> np.ndarray:
+    """Per row of X: every entry finite and positive, so that it gives
+    expected costs."""
+    return np.isfinite(X).all(axis=1) & (X.min(axis=1) > 0.0)
+
+
+def _costs_from_x(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
+                  tau_ref, X: np.ndarray):
+    """Expected costs tau = tau_ref - log(X) / beta, tau[dest] = 0, with the
+    fixed-point residual, probabilities and log-denominators of _fixed_point."""
+    tau = tau_ref - np.log(X) / beta
+    tau[np.arange(len(dest)), dest] = 0.0
+    return (tau, *_fixed_point(network, costs, dest, beta, tau))
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -211,9 +228,12 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     origins = np.asarray(origins)
     trips = np.asarray(trips, dtype=float)
     lu = splu(network.chain_matrix(probs, destination).T)
-    p_start, x, v = _route(network, probs[None], log_denom[None], np.array([destination]),
-                           np.zeros(len(origins), dtype=np.int64), origins, trips,
-                           outside_cost, beta_t_out, lu, np.ones((1, network.n_nodes)))
+    p_start, x, v, _failed, error = _route(
+        network, probs[None], log_denom[None], np.array([destination]),
+        np.zeros(len(origins), dtype=np.int64), origins, trips, outside_cost, beta_t_out,
+        lambda rhs: lu.solve(rhs.ravel()).reshape(rhs.shape))
+    if error:
+        raise SolverError(error)
     tr = tau_result or TauResult(tau, True, 0, 0.0)
     return StratumDestinationSolution(
         stratum=stratum,
@@ -233,14 +253,19 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
 
 def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.ndarray,
            pair: np.ndarray, origins: np.ndarray, trips: np.ndarray, outside_cost,
-           beta_t_out, lu, X: np.ndarray):
+           beta_t_out, solve):
     """flows_for_destination for k demand columns at once, from their (k, m)
     choice probabilities and (k, n) log-denominators.  ``pair``, ``origins``,
     ``trips``, ``outside_cost`` and ``beta_t_out`` run over the origins of
-    all columns, ``pair`` naming each one's column.  ``lu`` factors (I - W)^T
-    and ``X`` (k, n) solves (I - W) X = e_d, so P = D^-1 W D, D = diag(X), and
-    (I - P^T) x = y is (I - W)^T (x / X) = y / X.  Returns the start
-    probability per origin, throughputs x (k, n) and arc flows v (k, m)."""
+    all columns, ``pair`` naming each one's column.  ``solve`` maps (k, n)
+    right-hand sides y to the solutions x of (I - P^T) x = y; with P =
+    D^-1 W D, D = diag(X), that is x = X * (I - W)^-T (y / X).
+
+    Returns the start probability per origin, throughputs x (k, n), arc
+    flows v (k, m), the columns that fail the routing-residual check after
+    one refinement or have a negative throughput, and the SolverError
+    message of the worst of them (None when none fails).  A non-finite
+    residual or throughput fails too."""
     k, n = log_denom.shape
     column = np.arange(k)
     _p_out, p_start = choice.outside_prob_from_log_denominator(
@@ -257,29 +282,28 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
         inflow = np.bincount(into, (x[:, network.tail] * live).ravel(), minlength=k * n)
         return y - x + inflow.reshape(k, n)
 
-    def solve(rhs):
-        return X * lu.solve((rhs / X).ravel()).reshape(k, n)
-
     x = solve(y)
     scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
     r = residual(x)
     resid = np.max(np.abs(r), axis=1)
-    if np.any(resid > 1e-8 * scale):
+    if not np.all(resid <= 1e-8 * scale):  # refine once (a NaN refines too)
         x = x + solve(r)
         resid = np.max(np.abs(residual(x)), axis=1)
-        worst = int(np.argmax(resid / scale))
-        if resid[worst] > 1e-6 * scale[worst]:
-            raise SolverError(
-                f"routing system ill-conditioned for destination "
-                f"{network.node_id(dest[worst])!r} (residual {resid[worst]:.3e})")
-    worst = int(np.argmin(x.min(axis=1) / scale))
-    if float(x[worst].min()) < -1e-7 * scale[worst]:
-        raise SolverError(
-            f"negative node throughput for destination "
-            f"{network.node_id(dest[worst])!r}; routing matrix not substochastic")
+    lowest = x.min(axis=1)
+    failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
+    if failed.any():
+        ill = ~(resid <= 1e-6 * scale)
+        if ill.any():
+            worst = int(np.argmax(np.where(ill, resid / scale, -np.inf)))
+            error = (f"routing system ill-conditioned for destination "
+                     f"{network.node_id(dest[worst])!r} (residual {resid[worst]:.3e})")
+        else:
+            worst = int(np.argmin(lowest / scale))
+            error = (f"negative node throughput for destination "
+                     f"{network.node_id(dest[worst])!r}; routing matrix not substochastic")
     x = np.maximum(x, 0.0)
     x[column, dest] = 0.0  # the trips it absorbs leave the network
-    return p_start, x, x[:, network.tail] * probs
+    return p_start, x, x[:, network.tail] * probs, failed, error
 
 
 def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) -> np.ndarray:
@@ -289,13 +313,41 @@ def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) ->
     return arc_time + ratio * (rates * net.primary_length)
 
 
+STRATUM_RANGE = 0.5 * float(np.log(np.finfo(float).max))
+"""Largest beta_t * max shortest cost (about 354.9) at which a stratum may
+take the stratum path: its unscaled X = exp(-beta_t * tau) is then at least
+1 / sqrt(DBL_MAX), so X and y / X both stay in double range."""
+
+
 class _RoutingPlan:
     """Every (stratum, destination) demand column of a solve, flattened once
     so that a routing pass is one batched call: the pair order (strata in
     instance order, destinations ascending), each pair's stratum index,
-    destination and sensitivities, the origins, trips and outside costs of
-    all pairs laid end to end, and each ``Network.solve_blocks`` slice with
-    the CSC pattern of its (I - W)^T, refilled every pass."""
+    destination and sensitivities, and the origins, trips and outside costs
+    of all pairs laid end to end.
+
+    A pass routes each stratum's pairs by one of two paths, both certified by
+    ``_fixed_point`` and checked by ``_route``:
+
+    - The stratum path serves every destination of a stratum from one LU of
+      A_s = I - W_s, W_s the weights exp(-beta_t * cost) with no row zeroed.
+      A destination's I - W_d = A_s + e_d w_d^T differs from A_s only in row
+      d, so by Sherman-Morrison X_d = Z[:, d] / Z[d, d] with Z = A_s^-1 E_D,
+      one solve for all destinations, and the refinement and throughput
+      solves reuse the same factors (Akamatsu, Transp. Res. B 1996; Mai,
+      Bastin & Frejinger, EURO J. Transp. Logist. 2018).  X is unscaled, so
+      only strata whose beta_t * max tau_hat is at most STRATUM_RANGE take
+      it; their matrices are stacked block-diagonally, at most
+      ``network.MAX_BLOCK_ROWS`` unknowns per LU.
+    - The per-pair path (``_expected_costs``) factors each pair's own
+      I - W_d, scaled by its shortest-cost bound tau_hat so that nothing
+      under- or overflows, stacked the same way.  It takes single-destination
+      strata (one factorization either way), strata out of range, and, in
+      the same pass, every stratum whose stacked LU is singular, whose X is
+      not finite and positive, whose fixed-point residual stays above
+      ``inner_tol`` after one refinement, or whose routing fails a check.
+      FeasibilityError and SolverError come from this path only.
+    """
 
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
@@ -313,7 +365,8 @@ class _RoutingPlan:
                 outside.extend(oc[(s.name, net.node_id(i), net.node_id(d))] for i in o)
         self.stratum = np.array(stratum, dtype=np.int64)
         self.dest = np.array(dest, dtype=np.int64)
-        self.beta = np.array([self.strata[i].beta_t for i in stratum], dtype=float)[:, None]
+        self.stratum_beta = np.array([[s.beta_t] for s in self.strata], dtype=float)
+        self.beta = self.stratum_beta[self.stratum]
         self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         self.pair = np.repeat(np.arange(len(counts)), counts)
         self.origins = np.array(origins, dtype=np.int64)
@@ -321,36 +374,143 @@ class _RoutingPlan:
         self.outside = np.array(outside, dtype=float)
         self.beta_out = np.array([self.strata[i].beta_t_out for i in stratum],
                                  dtype=float)[self.pair]
-        self.blocks = [(b, net.chain_matrix(np.zeros((b.stop - b.start, net.n_arcs)),
-                                            self.dest[b]).T)
-                       for b in net.solve_blocks(len(self.dest))]
+        # each stratum's pairs are self.first[s] : self.first[s] + self.count[s]
+        self.count = np.bincount(self.stratum, minlength=len(self.strata))
+        self.first = np.cumsum(self.count) - self.count
+        self.shared = np.flatnonzero(self.count >= 2)  # strata that may share an LU
+        self._chains = {}
+
+    def _chain(self, k: int):
+        """The CSC pattern of k stacked (I - W)^T blocks, refilled by each use."""
+        if k not in self._chains:
+            net = self.network
+            self._chains[k] = net.chain_matrix(np.zeros((k, net.n_arcs)),
+                                               np.zeros(k, dtype=np.int64)).T
+        return self._chains[k]
+
+    def _origins_of(self, pairs):
+        """The rows of the origins of ``pairs`` (a slice or an index array),
+        laid end to end, and the position in ``pairs`` of each one's pair."""
+        if isinstance(pairs, slice):
+            o = slice(self.bounds[pairs.start], self.bounds[pairs.stop])
+            return o, self.pair[o] - pairs.start
+        counts = self.bounds[pairs + 1] - self.bounds[pairs]
+        owner = np.repeat(np.arange(len(pairs)), counts)
+        offset = self.bounds[pairs] - (np.cumsum(counts) - counts)
+        return np.arange(len(owner)) + offset[owner], owner
 
     def route(self, arc_time: np.ndarray, inner_tol: float):
         """One routing pass at fixed arc times over every pair: the
-        shortest-cost bounds from one Dijkstra call, then expected costs and
-        throughputs from one LU factorization per block, released before the
-        next block's.  Returns a _PassResult, or None when there is no
-        demand."""
+        shortest-cost bounds from one Dijkstra call, then the in-range
+        multi-destination strata by the stratum path and every other pair by
+        the per-pair path, one LU per block, each released before the next
+        block's.  Returns a _PassResult, or None when there is no demand."""
         if not len(self.dest):
             return None
         net = self.network
         costs = _arc_costs(self.strata, net, self.rates, arc_time)
         tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
-        blocks = [self._route_block(b, chain, costs, tau_hat, inner_tol)
-                  for b, chain in self.blocks]
-        return _PassResult(*(np.concatenate(part) for part in zip(*blocks)))
+        in_range = [s for s in self.shared if self.stratum_beta[s, 0] * tau_hat[
+            self.first[s]:self.first[s] + self.count[s]].max() <= STRATUM_RANGE]
+        parts = []
+        for g in net.solve_blocks(len(in_range)):  # a stratum has n unknowns, as a pair
+            part = self._route_strata(np.array(in_range[g]), costs, inner_tol)
+            if part is not None:
+                parts.append(part)
+        blocks = net.solve_blocks(len(self.dest))  # slices of the pairs: views, no copies
+        if parts:
+            rest = np.ones(len(self.dest), dtype=bool)
+            for part in parts:
+                rest[part[0]] = False
+            rest = np.flatnonzero(rest)
+            blocks = [rest[b] for b in net.solve_blocks(len(rest))]
+        parts += [self._route_pairs(b, costs, tau_hat, inner_tol) for b in blocks]
+        return _PassResult.gather(parts)
 
-    def _route_block(self, b: slice, chain, costs: np.ndarray, tau_hat: np.ndarray,
-                     inner_tol: float):
-        """Expected costs and flows of the pairs in slice ``b``."""
-        o = slice(self.bounds[b.start], self.bounds[b.stop])
+    def _route_pairs(self, pairs, costs: np.ndarray, tau_hat: np.ndarray, inner_tol: float):
+        """The per-pair path: expected costs and flows of ``pairs`` (a slice
+        or an index array) from one LU of their stacked, scaled I - W_d, as a
+        part of _PassResult.gather."""
+        o, owner = self._origins_of(pairs)
+        dest = self.dest[pairs]
         tau, residual, probs, log_denom, solves, lu, X = _expected_costs(
-            self.network, costs[self.stratum[b]], self.dest[b], self.beta[b], tau_hat[b],
-            inner_tol, chain)
-        start_prob, x, v = _route(self.network, probs, log_denom, self.dest[b],
-                                  self.pair[o] - b.start, self.origins[o], self.trips[o],
-                                  self.outside[o], self.beta_out[o], lu, X)
-        return tau, residual, np.full(len(tau), solves), probs, start_prob, x, v
+            self.network, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_hat[pairs],
+            inner_tol, self._chain(len(dest)))
+        start_prob, x, v, _failed, error = _route(
+            self.network, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
+            self.outside[o], self.beta_out[o],
+            lambda rhs: X * lu.solve((rhs / X).ravel()).reshape(X.shape))
+        if error:
+            raise SolverError(error)
+        return pairs, o, tau, residual, np.full(len(dest), solves), probs, start_prob, x, v
+
+    def _route_strata(self, group: np.ndarray, costs: np.ndarray, inner_tol: float):
+        """The stratum path: expected costs and flows of every pair of the
+        strata ``group`` from one LU of their stacked A_s = I - W_s, as a part
+        of _PassResult.gather.  The part holds only the strata that pass every
+        check, the others being left to the per-pair path; it is None when
+        none passes, their stacked LU being singular for one."""
+        net, n = self.network, self.network.n_nodes
+        chain = net.chain_matrix(np.exp(-self.stratum_beta[group] * costs[group]),
+                                 np.full(len(group), -1), out=self._chain(len(group)))
+        try:
+            lu = splu(chain)
+        except RuntimeError:  # exactly singular: the per-pair path takes them all
+            return None
+        sizes = self.count[group]
+        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(self.first[group], sizes)])
+        k, dest, beta = len(pairs), self.dest[pairs], self.beta[pairs]
+        pair_costs, column = costs[self.stratum[pairs]], np.arange(k)
+        at = (np.repeat(np.arange(len(group)), sizes) * n)[:, None] + np.arange(n)
+
+        def stacked(v):  # (k, n) -> (G n, k): column p holds v[p] in its stratum's block
+            full = np.zeros((len(group) * n, k), order="F")  # SuperLU's layout: no copy
+            full[at, column[:, None]] = v
+            return full
+
+        def solve(v, trans):  # A^-1 v per pair for trans "T", A^-T v for "N"
+            return lu.solve(stacked(v), trans=trans)[at, column[:, None]]
+
+        e_d = np.zeros((k, n))
+        e_d[column, dest] = 1.0
+        with np.errstate(all="ignore"):  # non-finite values fail the checks below
+            Z = solve(e_d, "T")
+            z_dd = Z[column, dest]
+            X = Z / z_dd[:, None]
+            ok = _usable(X)
+            X[~ok] = 1.0  # a stand-in: these strata fall back
+            tau, residual, probs, log_denom = _costs_from_x(net, pair_costs, dest, beta, 0.0, X)
+            solves = 1
+            if not np.all(residual[ok] <= inner_tol):  # refine (I - W_d) X = e_d once
+                r = e_d - (chain.T @ stacked(X))[at, column[:, None]]
+                r[column, dest] = 1.0 - X[column, dest]  # row d of I - W_d is e_d
+                q = solve(r, "T")
+                X = X + q - Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
+                ok &= _usable(X)
+                X[~ok] = 1.0
+                tau, residual, probs, log_denom = _costs_from_x(net, pair_costs, dest, beta,
+                                                                0.0, X)
+                solves = 2
+            ok &= residual <= inner_tol
+            R = solve(e_d, "N")
+            R[column, dest] -= 1.0  # A^-T w_d = A^-T e_d - e_d
+
+            def through(rhs):  # X * (I - W_d)^-T (rhs / X) = X * (G - R G[d] / Z[d, d])
+                g = solve(rhs / X, "N")
+                return X * (g - R * (g[column, dest] / z_dd)[:, None])
+
+            o, owner = self._origins_of(pairs)
+            start_prob, x, v, failed, _error = _route(
+                net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
+                self.outside[o], self.beta_out[o], through)
+        ok &= ~failed
+        passed = np.repeat(np.logical_and.reduceat(ok, np.cumsum(sizes) - sizes), sizes)
+        if not passed.any():
+            return None
+        kept = passed[owner]
+        return (pairs[passed], o[kept], tau[passed], residual[passed],
+                np.full(int(passed.sum()), solves), probs[passed], start_prob[kept],
+                x[passed], v[passed])
 
     def subsolutions(self, result, inner_tol: float) -> dict:
         """The per-pair StratumDestinationSolution views of one pass."""
@@ -385,6 +545,25 @@ class _PassResult:
     start_prob: np.ndarray  # per origin, pairs laid end to end
     x: np.ndarray           # (pairs, n_nodes) node throughputs
     v: np.ndarray           # (pairs, n_arcs) arc flows
+
+    @classmethod
+    def gather(cls, parts) -> "_PassResult":
+        """The result of a pass from its parts, each the pairs and origin
+        rows it covers (slices or index arrays) followed by its tau, residual,
+        solves, probs, start_prob, x and v, put back in pair order."""
+        if len(parts) == 1:  # every pair, in order
+            return cls(*parts[0][2:])
+
+        def index(p):
+            return np.arange(p.start, p.stop) if isinstance(p, slice) else p
+
+        pairs, rows = (np.concatenate([index(p[i]) for p in parts]) for i in (0, 1))
+        fields = [np.concatenate(column) for column in list(zip(*parts))[2:]]
+        if not np.array_equal(pairs, np.arange(len(pairs))):
+            order, origin_order = np.argsort(pairs), np.argsort(rows)
+            fields = [f[origin_order] if name == "start_prob" else f[order]
+                      for name, f in zip(cls.__dataclass_fields__, fields)]
+        return cls(*fields)
 
 
 class _AndersonMixer:
@@ -594,6 +773,34 @@ def _arrays(section, path: str, shapes: dict) -> list:
     return arrays
 
 
+# the values each array of a solution file may hold, besides being finite
+_VALUE_RANGES = {"tau": (-np.inf, np.inf), "entering_flow": (0.0, np.inf),
+                 "arc_probs": (0.0, 1.0), "trips": (0.0, np.inf), "start_prob": (0.0, 1.0),
+                 "total_flow": (0.0, np.inf), "response_flow": (0.0, np.inf),
+                 "price_rates": (0.0, np.inf)}
+
+
+def _check_values(key: str, arrays: list, path) -> None:
+    """Raise InstanceError naming ``<path(i)>.<key>`` unless every value of
+    the arrays ``arrays`` is finite and within the range of ``key``.  The
+    arrays are checked at once, stacked; only on failure are they searched
+    for the first bad one, ``arrays[i]``."""
+    low, high = _VALUE_RANGES[key]
+
+    def valid(a):
+        return np.isfinite(a) & (a >= low) & (a <= high)
+
+    if np.all(valid(np.concatenate([a.ravel() for a in arrays]))):
+        return
+    kind = ("finite numbers" if low == -np.inf else f"finite numbers >= {low:g}"
+            if high == np.inf else f"numbers in [{low:g}, {high:g}]")
+    for i, a in enumerate(arrays):
+        bad = ~valid(a.ravel())
+        if bad.any():
+            raise InstanceError(f"{path(i)}.{key} must be {kind}, "
+                                f"got {float(a.ravel()[bad][0])!r}")
+
+
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     """Solution from its JSON form, schema 2 or 1; inverse of solution_to_dict.
 
@@ -602,8 +809,10 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     ``total_flow``, each pair's ``arc_flow`` is ``entering_flow[tail] *
     arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
     key order from zero.  Schema 1's stored copies of them are ignored.
-    Raises InstanceError for another schema version, another network, or an
-    array that does not fit the network."""
+    Raises InstanceError for another schema version, another network, an
+    array that does not fit the network, or a value out of range: flows,
+    trips and price rates must be finite and nonnegative, probabilities in
+    [0, 1] and expected costs finite."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
     if version not in (1, SOLUTION_SCHEMA_VERSION):
         raise InstanceError(f"solution schema version {version!r} is not 1 or "
@@ -638,6 +847,14 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
             *read_fields(sd, at, ("tau_converged", "tau_residual", "tau_iterations")))
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
         "total_flow": (m,), "response_flow": (m,), "price_rates": (len(strata), m)})
+    keys = list(sub)
+    for key in ("tau", "entering_flow", "arc_probs", "trips", "start_prob"):
+        if keys:
+            _check_values(key, [getattr(sd, key) for sd in sub.values()],
+                          lambda i: "solution.sub.%s|%s" % keys[i])
+    for key, value in (("total_flow", total_flow), ("response_flow", response_flow),
+                       ("price_rates", price_rates)):
+        _check_values(key, [value], lambda i: "solution")
     return EquilibriumSolution(
         total_flow, network.latency_all(total_flow), response_flow, sub,
         _stratum_flows(strata, sub, m), price_rates,

@@ -105,19 +105,18 @@ class ResultRow:
         row = dict(zip(names, read_fields(d, "result", names[:-2],
                                           {"error": None, "sim": None})))
         for name in STRATUM_METRICS:
-            read_section(row[name], f"result.{name}")
+            row[name] = {s: _metric(f"result.{name}.{s}", v)
+                         for s, v in read_section(row[name], f"result.{name}").items()}
+        for name in (*TOTAL_METRICS, "outer_residual"):
+            row[name] = _metric(f"result.{name}", row[name])
         row["rate_vector"] = tuple(read_section(row["rate_vector"], "result.rate_vector", list))
-        # null reads back as NaN, except where the field itself is optional
-        return ResultRow(**{k: v if v is None and k in ("error", "sim") else _null_to_nan(v)
-                            for k, v in row.items()})
+        return ResultRow(**row)
 
 
-def _null_to_nan(value):
-    if value is None:
-        return float("nan")
-    if isinstance(value, dict):
-        return {k: _null_to_nan(v) for k, v in value.items()}
-    return value
+def _metric(name: str, value) -> float:
+    """A stored metric value: a finite number, or null, which reads back as
+    NaN (an undefined or failed value)."""
+    return math.nan if value is None else check_number(name, value)
 
 
 #: the short names of per-stratum metrics that value_of also accepts
@@ -244,6 +243,18 @@ def _run_worker(spec: SchemeSpec) -> ResultRow:
     return _evaluate_scheme(instance, spec, *rest)
 
 
+def _resumed(row: ResultRow, strata) -> ResultRow:
+    """A detail file's row once it has a value for exactly the ``strata`` in
+    every per-stratum metric; another instance with the same strata is not
+    told apart."""
+    for name in STRATUM_METRICS:
+        if sorted(getattr(row, name)) != sorted(strata):
+            raise InstanceError(f"result.{name} has strata {sorted(getattr(row, name))}, "
+                                f"not the instance's {sorted(strata)}: a file of another "
+                                f"instance cannot be resumed")
+    return row
+
+
 def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[ResultRow]:
     """Evaluate every scheme of the configured grid plus the toll-free
     baseline row.  Per-scheme failures land in the row's ``error`` field."""
@@ -273,7 +284,8 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
     for spec in schemes:
         path = detail_dir / f"{spec.scheme_id}.json"
         if path.exists():
-            done[spec.scheme_id] = read_json(path, ResultRow.from_dict)
+            done[spec.scheme_id] = read_json(
+                path, lambda d: _resumed(ResultRow.from_dict(d), instance.stratum_names))
         else:
             pending.append(spec)
 

@@ -339,7 +339,8 @@ class Network:
         ``weights`` is (m,) with an int ``destination``, or (k, m) with k
         destinations: block i is I - W_i, where W_i[tail, head] sums row i
         of the per-arc weights over parallel arcs and the row of the i-th
-        destination is zero (explicit zeros: the pattern depends on k alone).
+        destination is zero (explicit zeros: the pattern depends on k alone);
+        a destination of -1 zeroes no row.
         One block gives the (n, n) matrix, and ``.T`` I - W^T on the same
         arrays (CSC).  ``out``, an earlier k-block result or its ``.T``, is
         refilled in place and returned."""

@@ -395,18 +395,134 @@ def lattice():
         return gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
 
 
+# uniform 0 and 2 take the stratum path for every stratum, uniform 300 the
+# per-pair path for every stratum (beta_t * max tau_hat 378-739, above
+# STRATUM_RANGE); the per-stratum schemes put two strata below the range
+# limit (21-26) and one above it (378 or 739) in the same pass, the one
+# above last and first in pair order
+LATTICE_SCHEMES = [SchemeSpec(family="uniform", rate=0.0),
+                   SchemeSpec(family="uniform", rate=2.0),
+                   SchemeSpec(family="uniform", rate=300.0),
+                   SchemeSpec(family="per_stratum",
+                              stratum_rates=(("high", 0.0), ("mid", 2.0), ("low", 300.0))),
+                   SchemeSpec(family="per_stratum",
+                              stratum_rates=(("high", 300.0), ("mid", 0.0), ("low", 2.0)))]
+
+
+def scheme_id(scheme) -> str:
+    return str(scheme.rate) if scheme.family == "uniform" else scheme.scheme_id
+
+
+def record_factorizations(monkeypatch) -> list:
+    """The shape of every matrix the solver factors from now on, with
+    whether its factorization raised."""
+    import mteq.equilibrium
+    factored, real = [], mteq.equilibrium.splu
+
+    def splu(A, *args, **kwargs):
+        try:
+            lu = real(A, *args, **kwargs)
+        except RuntimeError:
+            factored.append((A.shape, "singular"))
+            raise
+        factored.append((A.shape, "ok"))
+        return lu
+
+    monkeypatch.setattr(mteq.equilibrium, "splu", splu)
+    return factored
+
+
+def two_destination_instance(arcs, beta_t):
+    """One stratum on nodes 0 and 1 with demand both ways: one stratum,
+    two destinations."""
+    net = build_network([Node("0", 0, 0), Node("1", 1, 0)], arcs)
+    s = Stratum(name="s", beta_t=beta_t, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+    return Instance(
+        network=net, strata=[s],
+        demand=[DemandEntry("s", "0", "1", 5.0), DemandEntry("s", "1", "0", 3.0)],
+        outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                              times={("0", "1"): 5.0, ("1", "0"): 5.0}))
+
+
 class TestBatchedRouting:
-    @pytest.mark.parametrize("block_rows", [None, 72])  # 72: two pairs per block
-    @pytest.mark.parametrize("rate", [0.0, 2.0, 300.0])
-    def test_pass_matches_per_pair_routing(self, lattice, rate, block_rows, monkeypatch):
+    @pytest.mark.parametrize("block_rows", [None, 72])  # 72: two pairs (strata) per block
+    @pytest.mark.parametrize("scheme", LATTICE_SCHEMES, ids=scheme_id)
+    def test_pass_matches_per_pair_routing(self, lattice, scheme, block_rows, monkeypatch):
         import mteq.network
         if block_rows is not None:
             monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", block_rows)
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice)
+        rates = expand_scheme(scheme, lattice)
         flow = np.random.default_rng(8).uniform(0.0, 400.0, size=lattice.network.n_arcs)
         sol = one_pass(lattice, rates, initial_flow=flow)
         assert len(sol.sub) == 30
         assert_matches_per_pair(lattice, rates, sol)
+
+    @pytest.mark.parametrize("scheme", LATTICE_SCHEMES[3:], ids=scheme_id)
+    def test_mixed_pass_routes_each_stratum_by_its_path(self, lattice, scheme, monkeypatch):
+        factored = record_factorizations(monkeypatch)
+        one_pass(lattice, expand_scheme(scheme, lattice))
+        # two strata stacked (2 x 36 unknowns), the third's 10 pairs per pair (10 x 36)
+        assert factored == [((72, 72), "ok"), ((360, 360), "ok")]
+
+    def test_pairs_of_both_paths_come_back_in_pair_order(self, monkeypatch):
+        # pair 0 (stratum lone, one destination) takes the per-pair path after
+        # pairs 1 and 2 (stratum s) took the stratum path; the outside option
+        # binds, so every origin has its own start probability
+        net = build_network([Node("0", 0, 0), Node("1", 1, 0)],
+                            [flat_arc("a01", "0", "1", 1.0), flat_arc("b01", "0", "1", 1.5),
+                             flat_arc("a10", "1", "0", 1.0)])
+        lone, s = (Stratum(name=name, beta_t=beta_t, beta_p=1.0, beta_t_out=1.0,
+                           beta_p_out=1.0) for name, beta_t in (("lone", 2.0), ("s", 1.0)))
+        inst = Instance(
+            network=net, strata=[lone, s],
+            demand=[DemandEntry("lone", "0", "1", 5.0), DemandEntry("s", "0", "1", 4.0),
+                    DemandEntry("s", "1", "0", 3.0)],
+            outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                  times={("0", "1"): 2.0, ("1", "0"): 3.0}))
+        factored = record_factorizations(monkeypatch)
+        rates = zero_prices(inst)
+        sol = one_pass(inst, rates)
+        assert factored == [((2, 2), "ok"), ((2, 2), "ok")]  # stratum s, then pair lone|1
+        assert len({float(sd.start_prob[0]) for sd in sol.sub.values()}) == 3
+        assert_matches_per_pair(inst, rates, sol)
+
+    def test_stratum_matrix_with_spectral_radius_above_one(self, monkeypatch):
+        # W_s = [[0, 2w], [w, 0]], w = e^-0.01, has spectral radius 1.40 but
+        # A_s = I - W_s is nonsingular; each W_d, its row d zeroed, is nilpotent
+        inst = two_destination_instance(
+            [flat_arc("a01", "0", "1", 1.0), flat_arc("b01", "0", "1", 1.0),
+             flat_arc("a10", "1", "0", 1.0)], beta_t=0.01)
+        assert max(abs(np.linalg.eigvals(np.array([[0.0, 2.0], [1.0, 0.0]])
+                                         * math.exp(-0.01)))) > 1.0
+        factored = record_factorizations(monkeypatch)
+        rates = zero_prices(inst)
+        sol = one_pass(inst, rates)
+        assert factored == [((2, 2), "ok")]  # one stratum LU, no fallback
+        assert_matches_per_pair(inst, rates, sol)
+
+    def test_singular_stratum_matrix_falls_back(self, monkeypatch):
+        # four arcs each way at cost ln 4 and beta_t = 1: W_s = [[0, 1], [1, 0]]
+        # exactly, so A_s is singular while each W_d is nilpotent
+        arcs = [flat_arc(f"{a}{t}{h}", t, h, math.log(4.0))
+                for a in "abcd" for t, h in (("0", "1"), ("1", "0"))]
+        inst = two_destination_instance(arcs, beta_t=1.0)
+        factored = record_factorizations(monkeypatch)
+        rates = zero_prices(inst)
+        sol = one_pass(inst, rates)
+        assert factored == [((2, 2), "singular"), ((4, 4), "ok")]  # then both pairs per pair
+        assert_matches_per_pair(inst, rates, sol)
+
+    def test_stratum_path_matches_oracle(self, lattice, monkeypatch):
+        net = lattice.network
+        factored = record_factorizations(monkeypatch)
+        rates = rate_2(lattice)
+        sol = one_pass(lattice, rates, inner_tol=1e-12)
+        assert factored == [((108, 108), "ok")]  # every pair by the stratum path
+        s_idx, s = 2, lattice.strata[2]
+        costs = sol.arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.primary_length)
+        d_id, sd = next((d, sd) for (name, d), sd in sorted(sol.sub.items()) if name == s.name)
+        ref = oracle.naive_tau(net, costs, net.node_index[d_id], s.beta_t)
+        assert sd.tau == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_single_od_pairs_match_oracle(self):
         inst = gen_single_od()
@@ -459,12 +575,12 @@ class TestBatchedRouting:
         assert sol.response_flow.shape == (core.n_arcs,)
         assert_matches_per_pair(rebuilt, rates, sol)
 
-    @pytest.mark.parametrize("rate", [0.0, 2.0, 300.0])
-    def test_throughputs_match_dense_solve_of_kernel_probabilities(self, lattice, rate):
+    @pytest.mark.parametrize("scheme", LATTICE_SCHEMES, ids=scheme_id)
+    def test_throughputs_match_dense_solve_of_kernel_probabilities(self, lattice, scheme):
         # independent of the shared factorization: I - P^T assembled arc by
         # arc from the kernel's probabilities and solved densely
         net = lattice.network
-        rates = expand_scheme(SchemeSpec(family="uniform", rate=rate), lattice)
+        rates = expand_scheme(scheme, lattice)
         flow = np.random.default_rng(8).uniform(0.0, 400.0, size=net.n_arcs)
         sol = one_pass(lattice, rates, initial_flow=flow)
         for key, sd in sol.sub.items():
@@ -484,21 +600,22 @@ class TestBatchedRouting:
 
     @pytest.mark.parametrize("inner_tol", [1e-9, 1e-300])  # 1e-300: every block refines
     def test_one_factorization_per_block_per_pass(self, lattice, inner_tol, monkeypatch):
-        import mteq.equilibrium
         import mteq.network
-        monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", 72)  # 2 pairs a block
-        factored = []
-        real = mteq.equilibrium.splu
-        monkeypatch.setattr(mteq.equilibrium, "splu",
-                            lambda A, *a, **kw: factored.append(A.shape) or real(A, *a, **kw))
+        monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", 108)  # 3 pairs (strata) a block
+        factored = record_factorizations(monkeypatch)
         rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice)
         sol = solve_equilibrium(lattice, rates, SolverOptions(
             inner_tol=inner_tol, outer_tol=1e-4, outer_max_iters=50))
         assert sol.outer_iterations > 1
-        assert len(factored) == 15 * sol.outer_iterations
-        assert set(factored) == {(72, 72)}
+        per_pass = [((108, 108), "ok")]  # the three strata, all in range, in one LU
+        if inner_tol == 1e-300:
+            # no residual reaches 1e-300, so after its refinement every stratum
+            # falls back in the same pass: 30 pairs, 3 a block
+            per_pass += [((108, 108), "ok")] * 10
+        assert factored == per_pass * sol.outer_iterations
         iterations = {sd.tau_iterations for sd in sol.sub.values()}
         assert iterations == ({2} if inner_tol == 1e-300 else {1})
+        assert sol.inner_converged == (inner_tol == 1e-9)
 
     @pytest.mark.parametrize("passes", [1, 50])
     def test_residuals_match_per_pair_loop(self, lattice, passes):

@@ -189,6 +189,17 @@ class TestRunSweep:
         assert json.loads(detail.read_text())["outer_residual"] == 123.456
         assert [r.scheme_id for r in rows2] == [r.scheme_id for r in rows]
 
+    def test_resume_refuses_a_detail_file_of_other_strata(self, tmp_path):
+        # a single-OD sweep (strata high, mid, low) left in the output directory
+        single_od = tmp_path / "single_od.json"
+        save_instance(gen_single_od(), single_od)
+        config = small_sweep_config(tmp_path)  # stratum solo
+        run_sweep(SweepConfig(instance=str(single_od), grid=config.grid, solver=config.solver,
+                              output=config.output))
+        detail = Path(config.output) / "schemes" / "uniform_p0.json"
+        with pytest.raises(InstanceError, match=f"{detail}: result.welfare has strata"):
+            run_sweep(config)
+
     def test_detail_files_written_once_as_persist_results_writes_them(self, tmp_path,
                                                                      monkeypatch):
         dumped = []

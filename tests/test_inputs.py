@@ -256,6 +256,21 @@ VALUES = [
     ("solution", "sub.nope", {}, "solution.sub.nope"),
     ("solution", "sub.high|99", {}, "solution.sub.high|99"),
     ("manifest", "scheme_ids", [[1]], "manifest.scheme_ids[0]"),
+    # numbers out of range in a solution: flows, trips and price rates must be
+    # finite and nonnegative, probabilities in [0, 1], expected costs finite
+    *[("solution", f"{PAIR}.{key}.0", value, f"solution.{PAIR}.{key}")
+      for key in ("entering_flow", "trips") for value in (-1.0, math.inf, math.nan)],
+    *[("solution", f"{PAIR}.{key}.0", value, f"solution.{PAIR}.{key}")
+      for key in ("start_prob", "arc_probs") for value in (-0.5, 1.5, math.nan)],
+    *[("solution", f"{PAIR}.tau.0", value, f"solution.{PAIR}.tau")
+      for value in (math.inf, -math.inf, math.nan)],
+    *[("solution", path, value, f"solution.{path.split('.')[0]}")
+      for path in ("total_flow.0", "response_flow.0", "price_rates.0.0")
+      for value in (-1.0, math.inf, math.nan)],
+    # metric values of a detail file, read by pareto and by a resumed sweep
+    *[(file, path, "abc", f"result.{path}")
+      for file in ("detail", "resume")
+      for path in ("total_welfare", "total_revenue", "welfare.low", "avg_speed_flow.high")],
 ]
 
 
