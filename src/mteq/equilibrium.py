@@ -7,13 +7,12 @@ choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
 the flow vector.  Given the arc costs, the (stratum, destination) routings
 are independent, so each routing pass batches all of them: one Dijkstra call
-for the shortest-cost bounds, then sparse LU factorizations, each serving
-both the expected costs and the node throughputs of its pairs.  A stratum
-with several destinations gets one factorization of its own I - W for all
-of them (Sherman-Morrison on the destination's row), as long as its
-unscaled weights stay in double range (``STRATUM_RANGE``); every other pair
-gets its own scaled system, stacked with others into blocks of at most
-``network.MAX_BLOCK_ROWS`` unknowns.  ``_RoutingPlan`` says which path when.
+for the shortest-cost bounds, then sparse LU factorizations by one kernel,
+``_expected_costs``, each serving the expected costs and node throughputs
+of its pairs.  A stratum with several destinations is one block, I - W for
+all of them (Sherman-Morrison on the destination's row, one right-hand-side
+column per destination), while its unscaled weights stay in double range
+(``STRATUM_RANGE``); every other pair is a block of its own scaled system.
 ``solve_tau`` and ``flows_for_destination`` are the one-pair case.
 """
 
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import json
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,72 +132,117 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
 
     ``converged`` means the fixed-point residual, certified after at most one
     iterative-refinement retry, is at most ``inner_tol``; ``iterations``
-    counts the solves.  Raises FeasibilityError when X is not finite and
-    positive, which (every node reaching the destination) happens exactly
-    when W_d, the weights exp(-beta_t * costs) with the destination's row
-    zeroed, has spectral radius >= 1.
+    counts the solves.  Raises FeasibilityError when I - W is singular or X
+    is not finite and positive, which (every node reaching the destination)
+    happens exactly when W_d, the weights exp(-beta_t * costs) with the
+    destination's row zeroed, has spectral radius >= 1.
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
-    costs = np.asarray(costs, dtype=float)[None]
-    tau, residual, _probs, _log_denom, solves, _lu, _x = _expected_costs(
-        network, costs, np.array([destination]), beta_t, np.asarray(tau_init, dtype=float)[None],
-        options.inner_tol, network.chain_matrix(np.zeros_like(costs), destination).T)
+    costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
+    tau, residual, _probs, _log_denom, solves, _usable, _through = _expected_costs(
+        network, network.chain_matrix(np.zeros_like(costs), dest).T, costs, dest, beta_t,
+        np.asarray(tau_init, dtype=float)[None], options.inner_tol)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
                      iterations=solves, residual=float(residual[0]))
 
 
-def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_init: np.ndarray, inner_tol: float, chain):
-    """solve_tau for k (cost row, destination) pairs at once: ``costs`` is
-    (k, m), ``beta`` a scalar or (k, 1) column and ``tau_init`` the (k, n)
-    shortest-cost bounds.  Their block-diagonal (I - W)^T is refilled into
-    ``chain``, its CSC pattern, and factored once; a residual above
-    ``inner_tol`` in any pair refines the whole block once with the same
-    factors.  Returns tau (k, n), the per-pair residual, the logit choice
-    probabilities and log-denominators at tau, the number of solves, and the
-    factors with their solution X (k, n)."""
-    k, n = tau_init.shape
-    pair = np.arange(k)
-    tau_ref = tau_init.copy()
-    tau_ref[pair, dest] = 0.0
-    weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    lu = splu(network.chain_matrix(weights, dest, out=chain))
-    e_d = np.zeros(k * n)
-    e_d[pair * n + dest] = 1.0
+_UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc weights "
+              "exp(-beta_t * cost), the destination's row zeroed, >= 1); agents do not "
+              "reach the destination in finite expected cost")
 
-    def certify(x):
-        x = x.reshape(k, n)
-        if not (np.all(np.isfinite(x)) and float(x.min()) > 0.0):
-            raise FeasibilityError(
-                "expected optimal costs are unbounded (spectral radius of the arc "
-                "weights exp(-beta_t * cost), the destination's row zeroed, >= 1); "
-                "agents do not reach the destination in finite expected cost")
-        return _costs_from_x(network, costs, dest, beta, tau_ref, x)
 
-    x = lu.solve(e_d, trans="T")
-    certified = certify(x)
+def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray, beta,
+                    tau_ref, inner_tol: float, block=None, weights=None):
+    """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
+    destination) pairs from one LU of a stack of blocks I - W_b, refilled
+    into ``chain``, the stack's (I - W)^T pattern; ``costs`` is (k, m),
+    ``beta`` a scalar or (k, 1) column.  The two block layouts:
+
+    - ``block`` None: pair p's own I - W_d, row d zeroed, scaled by the
+      shortest-cost bounds ``tau_ref`` (k, n) so that every weight is at
+      most 1; X solves it.  A pair whose X is not finite and positive
+      raises FeasibilityError: rho(W_d) >= 1.
+    - ``block`` a nondecreasing array: pair p is served by the block of
+      ``weights[block[p]]``, which zeroes no row, and tau_ref is 0.  The
+      j-th pair of each block takes right-hand-side column j.  By
+      Sherman-Morrison on I - W_d = (I - W_b) + e_d w_d^T, X = Z[:, d] /
+      Z[d, d] with Z = (I - W_b)^-1 E_D (Akamatsu, Transp. Res. B 1996;
+      Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).  A pair whose
+      X is not finite and positive is not usable and gets X = 1.
+
+    A singular stack raises FeasibilityError.  A residual above
+    ``inner_tol`` in a usable pair refines the stack once with the same
+    factors.  Returns tau (k, n), the per-pair fixed-point residual, the
+    logit probabilities and log-denominators at tau, the number of solves,
+    the usable pairs, and ``through``: (k, n) right-hand sides y ->
+    X * (I - W_d)^-T (y / X), the routing solve of _route."""
+    k, n = len(dest), network.n_nodes
+    column = np.arange(k)
+    if block is None:
+        tau_ref = tau_ref.copy()
+        tau_ref[column, dest] = 0.0
+        weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
+    try:
+        lu = splu(network.chain_matrix(weights, dest if block is None else -1, out=chain))
+    except RuntimeError:  # exactly singular
+        raise FeasibilityError(_UNBOUNDED) from None
+    if block is None:  # one pair per block, in order: reshapes, no copies
+        def pack(v):
+            return v.reshape(k * n)
+
+        def unpack(V):
+            return V.reshape(k, n)
+    else:
+        blocks, slot = len(weights), column - np.searchsorted(block, block)
+        width = int(slot.max()) + 1
+
+        def pack(v):  # (k, n) -> (B n, width), in SuperLU's column order
+            packed = np.zeros((width, blocks, n))
+            packed[slot, block] = v
+            return packed.reshape(width, blocks * n).T
+
+        def unpack(V):
+            return V.T.reshape(width, blocks, n)[slot, block]
+
+    def solve(v, trans):
+        return unpack(lu.solve(pack(v), trans=trans))
+
+    def certify(X, usable=True):  # -> usable, tau, residual, probs, log_denom
+        usable = usable & np.isfinite(X).all(axis=1) & (X.min(axis=1) > 0.0)
+        if not usable.all():
+            if block is None:
+                raise FeasibilityError(_UNBOUNDED)
+            X[~usable] = 1.0
+        tau = tau_ref - np.log(X) / beta
+        tau[column, dest] = 0.0
+        return (usable, tau, *_fixed_point(network, costs, dest, beta, tau))
+
+    e_d = np.zeros((k, n))
+    e_d[column, dest] = 1.0
+    Z = solve(e_d, "T")
+    z_dd = None if block is None else Z[column, dest]  # 1 + w_d^T Z
+    X = Z if z_dd is None else Z / z_dd[:, None]
+    usable, tau, residual, probs, log_denom = certify(X)
     solves = 1
-    if np.any(certified[1] > inner_tol):
-        x = x + lu.solve(e_d - chain.T @ x, trans="T")
-        certified = certify(x)
+    if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
+        r = e_d - unpack(chain.T @ pack(X))
+        r[column, dest] = 1.0 - X[column, dest]  # row d of I - W_d is e_d
+        q = solve(r, "T")
+        X = X + q
+        if block is not None:  # minus Z w_d^T q / Z[d, d], with w_d^T q = q[d] - r[d]
+            X -= Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
+        usable, tau, residual, probs, log_denom = certify(X, usable)
         solves = 2
-    return (*certified, solves, lu, x.reshape(k, n))
+    if block is not None:  # R = A^-T w_d = A^-T e_d - e_d; w_d = 0 in the per-pair layout
+        R = solve(e_d, "N")
+        R[column, dest] -= 1.0
 
+    def through(y):  # X * (G - R G[d] / Z[d, d]), G = A^-T (y / X)
+        g = solve(y / X, "N")
+        return X * g if block is None else X * (g - R * (g[column, dest] / z_dd)[:, None])
 
-def _usable(X: np.ndarray) -> np.ndarray:
-    """Per row of X: every entry finite and positive, so that it gives
-    expected costs."""
-    return np.isfinite(X).all(axis=1) & (X.min(axis=1) > 0.0)
-
-
-def _costs_from_x(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                  tau_ref, X: np.ndarray):
-    """Expected costs tau = tau_ref - log(X) / beta, tau[dest] = 0, with the
-    fixed-point residual, probabilities and log-denominators of _fixed_point."""
-    tau = tau_ref - np.log(X) / beta
-    tau[np.arange(len(dest)), dest] = 0.0
-    return (tau, *_fixed_point(network, costs, dest, beta, tau))
+    return tau, residual, probs, log_denom, solves, usable, through
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -326,27 +371,17 @@ class _RoutingPlan:
     destination and sensitivities, and the origins, trips and outside costs
     of all pairs laid end to end.
 
-    A pass routes each stratum's pairs by one of two paths, both certified by
-    ``_fixed_point`` and checked by ``_route``:
-
-    - The stratum path serves every destination of a stratum from one LU of
-      A_s = I - W_s, W_s the weights exp(-beta_t * cost) with no row zeroed.
-      A destination's I - W_d = A_s + e_d w_d^T differs from A_s only in row
-      d, so by Sherman-Morrison X_d = Z[:, d] / Z[d, d] with Z = A_s^-1 E_D,
-      one solve for all destinations, and the refinement and throughput
-      solves reuse the same factors (Akamatsu, Transp. Res. B 1996; Mai,
-      Bastin & Frejinger, EURO J. Transp. Logist. 2018).  X is unscaled, so
-      only strata whose beta_t * max tau_hat is at most STRATUM_RANGE take
-      it; their matrices are stacked block-diagonally, at most
-      ``network.MAX_BLOCK_ROWS`` unknowns per LU.
-    - The per-pair path (``_expected_costs``) factors each pair's own
-      I - W_d, scaled by its shortest-cost bound tau_hat so that nothing
-      under- or overflows, stacked the same way.  It takes single-destination
-      strata (one factorization either way), strata out of range, and, in
-      the same pass, every stratum whose stacked LU is singular, whose X is
-      not finite and positive, whose fixed-point residual stays above
-      ``inner_tol`` after one refinement, or whose routing fails a check.
-      FeasibilityError and SolverError come from this path only.
+    A pass serves every pair from ``_expected_costs``, one LU per stack of
+    at most ``network.MAX_BLOCK_ROWS`` unknowns, in two block layouts.  The
+    stratum layout gives each stratum with several destinations one
+    unscaled block for all of them, I - W_s with no row zeroed, its j-th
+    destination in the stack's j-th right-hand-side column; only strata
+    whose beta_t * max tau_hat is at most STRATUM_RANGE take it.  In the
+    same pass a stratum falls back when its stack is singular or one of its
+    pairs is not usable, keeps a fixed-point residual above ``inner_tol``
+    or fails a routing check.  The per-pair layout gives every other pair
+    its own tau_hat-scaled block; FeasibilityError and SolverError come
+    from it only.
     """
 
     def __init__(self, instance, rates: np.ndarray):
@@ -378,6 +413,7 @@ class _RoutingPlan:
         self.count = np.bincount(self.stratum, minlength=len(self.strata))
         self.first = np.cumsum(self.count) - self.count
         self.shared = np.flatnonzero(self.count >= 2)  # strata that may share an LU
+        self.pair_blocks = net.solve_blocks(len(self.dest))
         self._chains = {}
 
     def _chain(self, k: int):
@@ -400,117 +436,74 @@ class _RoutingPlan:
         return np.arange(len(owner)) + offset[owner], owner
 
     def route(self, arc_time: np.ndarray, inner_tol: float):
-        """One routing pass at fixed arc times over every pair: the
-        shortest-cost bounds from one Dijkstra call, then the in-range
-        multi-destination strata by the stratum path and every other pair by
-        the per-pair path, one LU per block, each released before the next
-        block's.  Returns a _PassResult, or None when there is no demand."""
+        """One routing pass at fixed arc times: the shortest-cost bounds from
+        one Dijkstra call, then one LU per stack of _layouts, each stack's
+        pairs written into the _PassResult (None when there is no demand)."""
         if not len(self.dest):
             return None
-        net = self.network
+        net, k = self.network, len(self.dest)
         costs = _arc_costs(self.strata, net, self.rates, arc_time)
         tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
+        result, done = None, []
+        for pairs, block, weights, tau_ref, pair_costs in self._layouts(costs, tau_hat, done):
+            dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
+            chain = self._chain(len(dest) if block is None else len(weights))
+            # a stratum block's non-finite values fail its checks
+            with nullcontext() if block is None else np.errstate(all="ignore"):
+                try:
+                    tau, residual, probs, log_denom, solves, ok, through = _expected_costs(
+                        net, chain, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol,
+                        block, weights)
+                except FeasibilityError:
+                    if block is None:
+                        raise
+                    continue  # a singular stack: its strata fall back
+                start_prob, x, v, failed, error = _route(
+                    net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
+                    self.outside[o], self.beta_out[o], through)
+            fields = [tau, residual, np.full(len(dest), solves), probs, x, v]
+            if block is None:
+                if error:
+                    raise SolverError(error)
+            else:  # a stratum passes when each of its pairs passes every check
+                ok &= (residual <= inner_tol) & ~failed
+                passed = (np.bincount(block, ~ok) == 0)[block]
+                if not passed.all():
+                    kept = passed[owner]
+                    pairs, o, start_prob = pairs[passed], o[kept], start_prob[kept]
+                    fields = [f[passed] for f in fields]
+                done.append(pairs)
+            if result is None and len(fields[1]) == k:  # one stack served every pair, in order
+                result = _PassResult(*fields, start_prob)
+                continue
+            if result is None:
+                result = _PassResult(*(np.empty((k, *f.shape[1:]), f.dtype) for f in fields),
+                                     np.empty(len(self.origins)))
+            for f, into in zip(fields, vars(result).values()):  # the fields before start_prob
+                into[pairs] = f
+            result.start_prob[o] = start_prob
+        return result
+
+    def _layouts(self, costs: np.ndarray, tau_hat: np.ndarray, done: list):
+        """The stacks of a pass, as pairs (a slice or an index array), block,
+        weights, tau_ref and costs for _expected_costs: the stratum layout,
+        then, once it has run, the per-pair layout of the pairs not in ``done``."""
+        net = self.network
         in_range = [s for s in self.shared if self.stratum_beta[s, 0] * tau_hat[
             self.first[s]:self.first[s] + self.count[s]].max() <= STRATUM_RANGE]
-        parts = []
         for g in net.solve_blocks(len(in_range)):  # a stratum has n unknowns, as a pair
-            part = self._route_strata(np.array(in_range[g]), costs, inner_tol)
-            if part is not None:
-                parts.append(part)
-        blocks = net.solve_blocks(len(self.dest))  # slices of the pairs: views, no copies
-        if parts:
-            rest = np.ones(len(self.dest), dtype=bool)
-            for part in parts:
-                rest[part[0]] = False
-            rest = np.flatnonzero(rest)
+            group = np.array(in_range[g])
+            sizes = self.count[group]
+            pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(self.first[group], sizes)])
+            yield (pairs, np.repeat(np.arange(len(group)), sizes),
+                   np.exp(-self.stratum_beta[group] * costs[group]), 0.0,
+                   costs[self.stratum[pairs]])
+        blocks = self.pair_blocks  # slices of every pair: views, no copies
+        if done:
+            rest = np.setdiff1d(np.arange(len(self.dest)), np.concatenate(done))
             blocks = [rest[b] for b in net.solve_blocks(len(rest))]
-        parts += [self._route_pairs(b, costs, tau_hat, inner_tol) for b in blocks]
-        return _PassResult.gather(parts)
-
-    def _route_pairs(self, pairs, costs: np.ndarray, tau_hat: np.ndarray, inner_tol: float):
-        """The per-pair path: expected costs and flows of ``pairs`` (a slice
-        or an index array) from one LU of their stacked, scaled I - W_d, as a
-        part of _PassResult.gather."""
-        o, owner = self._origins_of(pairs)
-        dest = self.dest[pairs]
-        tau, residual, probs, log_denom, solves, lu, X = _expected_costs(
-            self.network, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_hat[pairs],
-            inner_tol, self._chain(len(dest)))
-        start_prob, x, v, _failed, error = _route(
-            self.network, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
-            self.outside[o], self.beta_out[o],
-            lambda rhs: X * lu.solve((rhs / X).ravel()).reshape(X.shape))
-        if error:
-            raise SolverError(error)
-        return pairs, o, tau, residual, np.full(len(dest), solves), probs, start_prob, x, v
-
-    def _route_strata(self, group: np.ndarray, costs: np.ndarray, inner_tol: float):
-        """The stratum path: expected costs and flows of every pair of the
-        strata ``group`` from one LU of their stacked A_s = I - W_s, as a part
-        of _PassResult.gather.  The part holds only the strata that pass every
-        check, the others being left to the per-pair path; it is None when
-        none passes, their stacked LU being singular for one."""
-        net, n = self.network, self.network.n_nodes
-        chain = net.chain_matrix(np.exp(-self.stratum_beta[group] * costs[group]),
-                                 np.full(len(group), -1), out=self._chain(len(group)))
-        try:
-            lu = splu(chain)
-        except RuntimeError:  # exactly singular: the per-pair path takes them all
-            return None
-        sizes = self.count[group]
-        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(self.first[group], sizes)])
-        k, dest, beta = len(pairs), self.dest[pairs], self.beta[pairs]
-        pair_costs, column = costs[self.stratum[pairs]], np.arange(k)
-        at = (np.repeat(np.arange(len(group)), sizes) * n)[:, None] + np.arange(n)
-
-        def stacked(v):  # (k, n) -> (G n, k): column p holds v[p] in its stratum's block
-            full = np.zeros((len(group) * n, k), order="F")  # SuperLU's layout: no copy
-            full[at, column[:, None]] = v
-            return full
-
-        def solve(v, trans):  # A^-1 v per pair for trans "T", A^-T v for "N"
-            return lu.solve(stacked(v), trans=trans)[at, column[:, None]]
-
-        e_d = np.zeros((k, n))
-        e_d[column, dest] = 1.0
-        with np.errstate(all="ignore"):  # non-finite values fail the checks below
-            Z = solve(e_d, "T")
-            z_dd = Z[column, dest]
-            X = Z / z_dd[:, None]
-            ok = _usable(X)
-            X[~ok] = 1.0  # a stand-in: these strata fall back
-            tau, residual, probs, log_denom = _costs_from_x(net, pair_costs, dest, beta, 0.0, X)
-            solves = 1
-            if not np.all(residual[ok] <= inner_tol):  # refine (I - W_d) X = e_d once
-                r = e_d - (chain.T @ stacked(X))[at, column[:, None]]
-                r[column, dest] = 1.0 - X[column, dest]  # row d of I - W_d is e_d
-                q = solve(r, "T")
-                X = X + q - Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
-                ok &= _usable(X)
-                X[~ok] = 1.0
-                tau, residual, probs, log_denom = _costs_from_x(net, pair_costs, dest, beta,
-                                                                0.0, X)
-                solves = 2
-            ok &= residual <= inner_tol
-            R = solve(e_d, "N")
-            R[column, dest] -= 1.0  # A^-T w_d = A^-T e_d - e_d
-
-            def through(rhs):  # X * (I - W_d)^-T (rhs / X) = X * (G - R G[d] / Z[d, d])
-                g = solve(rhs / X, "N")
-                return X * (g - R * (g[column, dest] / z_dd)[:, None])
-
-            o, owner = self._origins_of(pairs)
-            start_prob, x, v, failed, _error = _route(
-                net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
-                self.outside[o], self.beta_out[o], through)
-        ok &= ~failed
-        passed = np.repeat(np.logical_and.reduceat(ok, np.cumsum(sizes) - sizes), sizes)
-        if not passed.any():
-            return None
-        kept = passed[owner]
-        return (pairs[passed], o[kept], tau[passed], residual[passed],
-                np.full(int(passed.sum()), solves), probs[passed], start_prob[kept],
-                x[passed], v[passed])
+        for pairs in blocks:
+            yield pairs, None, None, tau_hat[pairs], costs[self.stratum[pairs]]
 
     def subsolutions(self, result, inner_tol: float) -> dict:
         """The per-pair StratumDestinationSolution views of one pass."""
@@ -542,28 +535,9 @@ class _PassResult:
     residual: np.ndarray    # (pairs,) fixed-point residual of tau
     solves: np.ndarray      # (pairs,) expected-cost solves of each pair's block
     probs: np.ndarray       # (pairs, n_arcs)
-    start_prob: np.ndarray  # per origin, pairs laid end to end
     x: np.ndarray           # (pairs, n_nodes) node throughputs
     v: np.ndarray           # (pairs, n_arcs) arc flows
-
-    @classmethod
-    def gather(cls, parts) -> "_PassResult":
-        """The result of a pass from its parts, each the pairs and origin
-        rows it covers (slices or index arrays) followed by its tau, residual,
-        solves, probs, start_prob, x and v, put back in pair order."""
-        if len(parts) == 1:  # every pair, in order
-            return cls(*parts[0][2:])
-
-        def index(p):
-            return np.arange(p.start, p.stop) if isinstance(p, slice) else p
-
-        pairs, rows = (np.concatenate([index(p[i]) for p in parts]) for i in (0, 1))
-        fields = [np.concatenate(column) for column in list(zip(*parts))[2:]]
-        if not np.array_equal(pairs, np.arange(len(pairs))):
-            order, origin_order = np.argsort(pairs), np.argsort(rows)
-            fields = [f[origin_order] if name == "start_prob" else f[order]
-                      for name, f in zip(cls.__dataclass_fields__, fields)]
-        return cls(*fields)
+    start_prob: np.ndarray  # per origin, pairs laid end to end
 
 
 class _AndersonMixer:
@@ -600,7 +574,8 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     """Anderson-mixed fixed-point iteration on the arc-flow vector.
 
     ``prices`` is the (n_strata, n_arcs) array of per-stratum per-arc toll
-    rates (money per km), as ``pricing.expand_scheme`` returns it.
+    rates (money per km), finite and nonnegative, as
+    ``pricing.expand_scheme`` returns it.
     The returned solution snapshots the last routing pass, so its costs,
     probabilities and subflows are mutually consistent at ``arc_time``.
     """
@@ -610,8 +585,8 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     if rates.shape != (len(instance.strata), net.n_arcs):
         raise ValueError(
             f"price rates must have shape ({len(instance.strata)}, {net.n_arcs})")
-    if np.any(rates < 0):
-        raise ValueError("price rates must be nonnegative")
+    if not np.all(np.isfinite(rates) & (rates >= 0)):
+        raise ValueError("price rates must be finite and nonnegative")
 
     plan = _RoutingPlan(instance, rates)
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from mteq import (
@@ -75,6 +77,24 @@ def two_route_instance(beta_t=1.0, outside_time=4.0, ticket=1.0, trips=10.0,
 @pytest.fixture
 def two_route():
     return two_route_instance()
+
+
+def singular_pair_instance():
+    """Nodes 0, 1 and 2: four flat arcs each way between 0 and 1 at ln 4
+    hours, one each way between 0-2 and 1-2 at 0.25 hours; one stratum,
+    every beta 1, 5 trips from 0 to 2.  The weights exp(-cost) toward 2
+    give 0 <-> 1 a cycle of weight exactly 1, so I - W_2 is exactly
+    singular, scaled by the shortest-cost bound or not: no equilibrium."""
+    nodes = [Node(i, float(i), 0.0) for i in "012"]
+    arcs = [flat_arc(f"{a}{t}{h}", t, h, math.log(4.0))
+            for a in "abcd" for t, h in (("0", "1"), ("1", "0"))]
+    arcs += [flat_arc(f"{t}{h}", t, h, 0.25)
+             for t, h in (("0", "2"), ("2", "0"), ("1", "2"), ("2", "1"))]
+    s = Stratum(name="s", beta_t=1.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+    return Instance(network=build_network(nodes, arcs), strata=[s],
+                    demand=[DemandEntry("s", "0", "2", 5.0)],
+                    outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                          times={("0", "2"): 5.0}))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from mteq.network import build_network
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import gen_single_od
 
-from conftest import schema_1_document, two_route_instance
+from conftest import schema_1_document, singular_pair_instance, two_route_instance
 
 
 def write_two_route(tmp_path) -> Path:
@@ -152,14 +152,21 @@ class TestSolve:
         assert {"iteration", "residual", "wall_time"} <= set(rec)
 
     def test_infeasible_instance_is_solver_failure(self, tmp_path, capsys):
-        # at a tiny time sensitivity the logit mass on the 0-1 cycle outgrows
-        # its cost, so expected costs have no finite fixed point
-        ipath = tmp_path / "infeasible.json"
-        save_instance(gen_single_od(time_sensitivity=0.01), ipath)
-        code = run(["solve", "--instance", str(ipath), "--scheme", "uniform",
-                    "--rate", "0", "--out", str(tmp_path / "o")])
-        assert code == EXIT_SOLVER_FAILED == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        # unbounded: at a tiny time sensitivity the logit mass on the 0-1
+        # cycle outgrows its cost, so expected costs have no finite fixed
+        # point; singular: a cycle of weight exactly 1 makes I - W_d singular
+        for name, inst in (("unbounded", gen_single_od(time_sensitivity=0.01)),
+                           ("singular", singular_pair_instance())):
+            ipath = tmp_path / f"{name}.json"
+            save_instance(inst, ipath)
+            assert run(["validate", "--instance", str(ipath)]) == 0
+            for command in (["solve", "--scheme", "uniform", "--rate", "0"],
+                            ["sweep", "--scheme", "uniform", "--grid", "0:1:1"]):
+                capsys.readouterr()
+                code = run([*command, "--instance", str(ipath),
+                            "--out", str(tmp_path / name / command[0])])
+                assert code == EXIT_SOLVER_FAILED == 3, (name, command[0])
+                assert capsys.readouterr().err.startswith("error: "), (name, command[0])
 
     def test_missing_rate_is_usage_error(self, tmp_path):
         ipath = write_two_route(tmp_path)

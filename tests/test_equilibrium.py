@@ -29,7 +29,7 @@ from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
-from conftest import flat_arc, schema_1_document, two_route_instance
+from conftest import flat_arc, schema_1_document, singular_pair_instance, two_route_instance
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
@@ -115,6 +115,15 @@ class TestSolveTau:
         with pytest.raises(FeasibilityError):
             solve_tau(net, net.free_time, d, 1.0, init, SolverOptions(
                 inner_tol=1e-10, outer_tol=1.0))
+
+    def test_exactly_singular_system_raises(self):
+        inst = singular_pair_instance()
+        net = inst.network
+        d = net.node_index["2"]
+        with pytest.raises(FeasibilityError):
+            solve_tau(net, net.free_time, d, 1.0, shortest_costs(net, net.free_time, d), OPTS)
+        with pytest.raises(FeasibilityError):
+            one_pass(inst, zero_prices(inst))
 
     def test_returned_point_is_true_fixed_point(self, parallel_network):
         # the certificate holds when recomputed outside the solver
@@ -249,6 +258,13 @@ class TestSolveEquilibrium:
         f200_ref, _ = oracle.naive_equilibrium(inst, rates200, tol=1e-8)
         assert sol0.total_flow == pytest.approx(f0_ref, rel=1e-5, abs=1e-4)
         assert sol200.total_flow == pytest.approx(f200_ref, rel=1e-5, abs=1e-4)
+
+    @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, -math.inf])
+    def test_prices_must_be_finite_and_nonnegative(self, two_route, rate):
+        rates = zero_prices(two_route)
+        rates[0, 0] = rate
+        with pytest.raises(ValueError, match="price rates"):
+            solve_equilibrium(two_route, rates, OPTS)
 
     def test_nonnegative_flows_everywhere(self, two_route):
         sol = solve_equilibrium(two_route, zero_prices(two_route), OPTS)
@@ -432,6 +448,33 @@ def record_factorizations(monkeypatch) -> list:
     return factored
 
 
+def record_solves(monkeypatch) -> list:
+    """The shape of every right-hand side the solver's LUs solve from now on."""
+    import mteq.equilibrium
+    shapes, real = [], mteq.equilibrium.splu
+
+    class Recorded:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            shapes.append(np.shape(rhs))
+            return self.lu.solve(rhs, trans=trans)
+
+    monkeypatch.setattr(mteq.equilibrium, "splu", lambda A: Recorded(real(A)))
+    return shapes
+
+
+def with_destinations(inst, counts):
+    """``inst`` with each stratum's demand cut to its first ``counts[i]``
+    destinations in node order."""
+    index = inst.network.node_index
+    keep = {s.name: sorted({e.destination for e in inst.demand if e.stratum == s.name},
+                           key=index.get)[:c] for s, c in zip(inst.strata, counts)}
+    return Instance(network=inst.network, strata=inst.strata, outside=inst.outside,
+                    demand=[e for e in inst.demand if e.destination in keep[e.stratum]])
+
+
 def two_destination_instance(arcs, beta_t):
     """One stratum on nodes 0 and 1 with demand both ways: one stratum,
     two destinations."""
@@ -523,6 +566,18 @@ class TestBatchedRouting:
         d_id, sd = next((d, sd) for (name, d), sd in sorted(sol.sub.items()) if name == s.name)
         ref = oracle.naive_tau(net, costs, net.node_index[d_id], s.beta_t)
         assert sd.tau == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("counts", [(10, 10, 10), (10, 4, 2)])
+    def test_stacked_strata_share_right_hand_side_columns(self, lattice, counts, monkeypatch):
+        # the j-th destination of every stacked stratum takes column j, so
+        # each solve has as many columns as the largest stratum has destinations
+        inst = with_destinations(lattice, counts)
+        factored = record_factorizations(monkeypatch)
+        solves = record_solves(monkeypatch)
+        rates = rate_2(inst)
+        sol = one_pass(inst, rates)
+        assert factored == [((108, 108), "ok")] and set(solves) == {(108, 10)}
+        assert_matches_per_pair(inst, rates, sol)
 
     def test_single_od_pairs_match_oracle(self):
         inst = gen_single_od()
