@@ -18,9 +18,10 @@ column per destination), while its unscaled weights stay in double range
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import time as _time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,8 +222,12 @@ def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray
     e_d = np.zeros((k, n))
     e_d[column, dest] = 1.0
     Z = solve(e_d, "T")
-    z_dd = None if block is None else Z[column, dest]  # 1 + w_d^T Z
-    X = Z if z_dd is None else Z / z_dd[:, None]
+    if block is None:
+        X = Z
+    else:
+        z_dd = Z[column, dest]  # 1 + w_d^T Z
+        with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] fails certify
+            X = Z / z_dd[:, None]
     usable, tau, residual, probs, log_denom = certify(X)
     solves = 1
     if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
@@ -231,7 +236,8 @@ def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray
         q = solve(r, "T")
         X = X + q
         if block is not None:  # minus Z w_d^T q / Z[d, d], with w_d^T q = q[d] - r[d]
-            X -= Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
+            with np.errstate(all="ignore"):
+                X -= Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
         usable, tau, residual, probs, log_denom = certify(X, usable)
         solves = 2
     if block is not None:  # R = A^-T w_d = A^-T e_d - e_d; w_d = 0 in the per-pair layout
@@ -240,7 +246,10 @@ def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray
 
     def through(y):  # X * (G - R G[d] / Z[d, d]), G = A^-T (y / X)
         g = solve(y / X, "N")
-        return X * g if block is None else X * (g - R * (g[column, dest] / z_dd)[:, None])
+        if block is None:
+            return X * g
+        with np.errstate(all="ignore"):  # a non-finite R fails _route's checks
+            return X * (g - R * (g[column, dest] / z_dd)[:, None])
 
     return tau, residual, probs, log_denom, solves, usable, through
 
@@ -329,13 +338,17 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
 
     x = solve(y)
     scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
-    r = residual(x)
-    resid = np.max(np.abs(r), axis=1)
-    if not np.all(resid <= 1e-8 * scale):  # refine once (a NaN refines too)
-        x = x + solve(r)
-        resid = np.max(np.abs(residual(x)), axis=1)
-    lowest = x.min(axis=1)
-    failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
+    with np.errstate(all="ignore"):  # a non-finite x fails the checks
+        r = residual(x)
+        resid = np.max(np.abs(r), axis=1)
+        if not np.all(resid <= 1e-8 * scale):  # refine once (a NaN refines too)
+            x = x + solve(r)
+            resid = np.max(np.abs(residual(x)), axis=1)
+        lowest = x.min(axis=1)
+        failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
+        x = np.maximum(x, 0.0)
+        x[column, dest] = 0.0  # the trips it absorbs leave the network
+        v = x[:, network.tail] * probs
     if failed.any():
         ill = ~(resid <= 1e-6 * scale)
         if ill.any():
@@ -346,9 +359,7 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
             worst = int(np.argmin(lowest / scale))
             error = (f"negative node throughput for destination "
                      f"{network.node_id(dest[worst])!r}; routing matrix not substochastic")
-    x = np.maximum(x, 0.0)
-    x[column, dest] = 0.0  # the trips it absorbs leave the network
-    return p_start, x, x[:, network.tail] * probs, failed, error
+    return p_start, x, v, failed, error
 
 
 def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) -> np.ndarray:
@@ -448,19 +459,17 @@ class _RoutingPlan:
         for pairs, block, weights, tau_ref, pair_costs in self._layouts(costs, tau_hat, done):
             dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
             chain = self._chain(len(dest) if block is None else len(weights))
-            # a stratum block's non-finite values fail its checks
-            with nullcontext() if block is None else np.errstate(all="ignore"):
-                try:
-                    tau, residual, probs, log_denom, solves, ok, through = _expected_costs(
-                        net, chain, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol,
-                        block, weights)
-                except FeasibilityError:
-                    if block is None:
-                        raise
-                    continue  # a singular stack: its strata fall back
-                start_prob, x, v, failed, error = _route(
-                    net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
-                    self.outside[o], self.beta_out[o], through)
+            try:
+                tau, residual, probs, log_denom, solves, ok, through = _expected_costs(
+                    net, chain, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol,
+                    block, weights)
+            except FeasibilityError:
+                if block is None:
+                    raise
+                continue  # a singular stack: its strata fall back
+            start_prob, x, v, failed, error = _route(
+                net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
+                self.outside[o], self.beta_out[o], through)
             fields = [tau, residual, np.full(len(dest), solves), probs, x, v]
             if block is None:
                 if error:
@@ -646,17 +655,57 @@ def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
             for name in names}
 
 
-SOLUTION_SCHEMA_VERSION = 2
+SOLUTION_SCHEMA_VERSION = 3
 """Version of the solution file.  Schema 2 stores each number once: it drops
 schema 1's ``arc_time``, ``stratum_flow`` and per-pair ``arc_flow``, which
-are exact functions of the other fields, and lists the ``strata``.  Both
+are exact functions of the other fields, and lists the ``strata``.  Schema 3
+stores each pair's per-node and per-arc arrays, ``_PACKED``, as packed
+float64 strings (_pack) instead of lists of decimal numbers.  All three
 versions load."""
+
+_PACKED = ("tau", "entering_flow", "arc_probs")
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _solution_head(solution: EquilibriumSolution, network: Network) -> dict:
-    """Every top-level field of the solution file but ``sub``."""
+def _pack(a: np.ndarray) -> str:
+    """The base64 of the array's little-endian IEEE-754 float64 bytes
+    (``"<f8"``): exact, where decimal text costs a conversion per number."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _unpack(name: str, value, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` that _pack packed into ``value``;
+    raises InstanceError naming ``name`` unless ``value`` is such a string."""
+    size, text = math.prod(shape), check_name(name, value, numbers=False)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # not base64, or not ASCII
+        raw = None
+    if raw is None or len(raw) != 8 * size:
+        got = "text that is not base64" if raw is None else f"{len(raw)} bytes"
+        raise InstanceError(f"{name} must be the base64 of {size} little-endian float64 "
+                            f"values ({8 * size} bytes), got {got}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+
+
+def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
+    """JSON-ready form of a solution, schema 3; inverse of solution_from_dict.
+
+    Arc times, per-pair arc flows and per-stratum flows are left out:
+    solution_from_dict rebuilds them bit for bit from ``total_flow``,
+    ``entering_flow`` with ``arc_probs``, and ``strata``.  Each pair's
+    ``_PACKED`` arrays (``tau``, ``entering_flow`` and ``arc_probs``) are
+    packed (_pack); every other array is a list of numbers."""
+    sub = {f"{s}|{d}": {
+        **{key: _pack(getattr(sd, key)) for key in _PACKED},
+        "origins": sd.origins.tolist(),
+        "trips": sd.trips.tolist(),
+        "start_prob": sd.start_prob.tolist(),
+        "tau_converged": sd.tau_converged,
+        "tau_residual": sd.tau_residual,
+        "tau_iterations": sd.tau_iterations,
+    } for (s, d), sd in solution.sub.items()}
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "arc_ids": [a.id for a in network.arcs],
@@ -673,71 +722,35 @@ def _solution_head(solution: EquilibriumSolution, network: Network) -> dict:
             {"iteration": r["iteration"], "residual": r["residual"]}
             for r in solution.iteration_log
         ],
+        "sub": sub,
     }
 
 
-def _sub_entries(solution: EquilibriumSolution):
-    """Each pair's ``sub`` entry, keyed ``stratum|destination``, in key order."""
-    keyed = {f"{s}|{d}": sd for (s, d), sd in solution.sub.items()}
-    for key in sorted(keyed):
-        sd = keyed[key]
-        yield key, {
-            "tau": sd.tau.tolist(),
-            "entering_flow": sd.entering_flow.tolist(),
-            "arc_probs": sd.arc_probs.tolist(),
-            "origins": sd.origins.tolist(),
-            "trips": sd.trips.tolist(),
-            "start_prob": sd.start_prob.tolist(),
-            "tau_converged": sd.tau_converged,
-            "tau_residual": sd.tau_residual,
-            "tau_iterations": sd.tau_iterations,
-        }
-
-
-def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
-    """JSON-ready form of a solution, schema 2; inverse of solution_from_dict.
-
-    Arc times, per-pair arc flows and per-stratum flows are left out:
-    solution_from_dict rebuilds them bit for bit from ``total_flow``,
-    ``entering_flow`` with ``arc_probs``, and ``strata``."""
-    return {**_solution_head(solution, network), "sub": dict(_sub_entries(solution))}
-
-
-def _json_object(members):
-    """Compact JSON text of an object, chunk by chunk, from (key, chunks of
-    the value's text) pairs given in sorted key order."""
-    yield "{"
-    for i, (key, chunks) in enumerate(members):
-        yield ("," if i else "") + json.dumps(key) + ":"
-        yield from chunks
-    yield "}"
-
-
 def write_solution(path, solution: EquilibriumSolution, network: Network) -> None:
-    """Write the solution file: byte for byte ``json.dumps(solution_to_dict(
-    solution, network), sort_keys=True, separators=(",", ":")) + "\\n"``,
-    but encoded one top-level value and one ``sub`` entry at a time.  Each
-    piece goes through the C encoder, which ``json.dump`` to a file never
-    uses, and only one pair's lists are alive at once."""
-    members = {key: [_ENCODER.encode(value)]
-               for key, value in _solution_head(solution, network).items()}
-    members["sub"] = _json_object((key, [_ENCODER.encode(entry)])
-                                  for key, entry in _sub_entries(solution))
+    """Write the solution file: ``json.dumps(solution_to_dict(solution,
+    network), sort_keys=True, separators=(",", ":")) + "\\n"``, through the
+    C encoder, which ``json.dump`` to a file never uses."""
+    text = _ENCODER.encode(solution_to_dict(solution, network))
     with open(path, "w") as fh:
-        fh.writelines(_json_object((key, members[key]) for key in sorted(members)))
+        fh.write(text)
         fh.write("\n")
 
 
 def read_solution(path, network: Network) -> EquilibriumSolution:
-    """Load a solution file of either schema; see solution_from_dict."""
+    """Load a solution file of any schema; see solution_from_dict."""
     return read_json(path, lambda doc: solution_from_dict(doc, network))
 
 
-def _arrays(section, path: str, shapes: dict) -> list:
+def _arrays(section, path: str, shapes: dict, packed=()) -> list:
     """The values of the object ``section`` under the keys of ``shapes`` as
-    float arrays of those shapes; raises InstanceError naming the key otherwise."""
+    float arrays of those shapes, unpacked (_unpack) under the keys in
+    ``packed`` and from lists of numbers under the others; raises
+    InstanceError naming the key otherwise."""
     arrays = []
     for key, value in zip(shapes, read_fields(section, path, tuple(shapes))):
+        if key in packed:
+            arrays.append(_unpack(f"{path}.{key}", value, shapes[key]))
+            continue
         try:
             arrays.append(np.array(value, dtype=float))
         except (TypeError, ValueError, OverflowError):
@@ -777,7 +790,10 @@ def _check_values(key: str, arrays: list, path) -> None:
 
 
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
-    """Solution from its JSON form, schema 2 or 1; inverse of solution_to_dict.
+    """Solution from its JSON form, schema 3, 2 or 1; inverse of
+    solution_to_dict.  The version alone decides how the per-pair ``tau``,
+    ``entering_flow`` and ``arc_probs`` are stored: packed strings in
+    schema 3, lists of numbers before.
 
     The derived arrays are rebuilt as the solver computes them, so they equal
     the solved ones bit for bit: ``arc_time`` is the latency of
@@ -785,19 +801,20 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
     key order from zero.  Schema 1's stored copies of them are ignored.
     Raises InstanceError for another schema version, another network, an
-    array that does not fit the network, or a value out of range: flows,
-    trips and price rates must be finite and nonnegative, probabilities in
-    [0, 1] and expected costs finite."""
+    array that does not fit the network or is not stored as its version
+    stores it, or a value out of range: flows, trips and price rates must be
+    finite and nonnegative, probabilities in [0, 1] and expected costs
+    finite."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
-    if version not in (1, SOLUTION_SCHEMA_VERSION):
-        raise InstanceError(f"solution schema version {version!r} is not 1 or "
+    if type(version) is not int or version not in (1, 2, SOLUTION_SCHEMA_VERSION):
+        raise InstanceError(f"solution schema version {version!r} is not 1, 2 or "
                             f"{SOLUTION_SCHEMA_VERSION}")
     arc_ids, sub_doc, strata, log = read_fields(doc, "solution", (
-        "arc_ids", "sub", "strata" if version == SOLUTION_SCHEMA_VERSION else "stratum_flow",
-        "iteration_log"))
+        "arc_ids", "sub", "strata" if version >= 2 else "stratum_flow", "iteration_log"))
     if arc_ids != [a.id for a in network.arcs]:
         raise InstanceError("solution was computed on a different network (arc ids differ)")
-    if version == SOLUTION_SCHEMA_VERSION:
+    packed = _PACKED if version == SOLUTION_SCHEMA_VERSION else ()
+    if version >= 2:
         strata = [check_name(f"solution.strata[{k}]", s)
                   for k, s in enumerate(read_section(strata, "solution.strata", list))]
     else:  # schema 1 names the strata only as the keys of its stratum flows
@@ -815,7 +832,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         k = len(origins)
         tau, entering_flow, arc_probs, trips, start_prob = _arrays(sd, at, {
             "tau": (n,), "entering_flow": (n,), "arc_probs": (m,), "trips": (k,),
-            "start_prob": (k,)})
+            "start_prob": (k,)}, packed)
         sub[(s, d)] = StratumDestinationSolution(
             s, d, tau, entering_flow, entering_flow[network.tail] * arc_probs, arc_probs,
             np.array(origins, dtype=np.int64), trips, start_prob,

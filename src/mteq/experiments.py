@@ -14,7 +14,7 @@ import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +89,9 @@ class ResultRow:
 
     def to_dict(self) -> dict:
         """JSON-ready form: an undefined or failed value (NaN) is written as
-        null, since NaN is not JSON."""
-        d = nan_to_null(asdict(self))
+        null, since NaN is not JSON.  nan_to_null rebuilds every dict and
+        list, so the fields are not deep-copied first."""
+        d = nan_to_null({f.name: getattr(self, f.name) for f in fields(self)})
         d["rate_vector"] = list(self.rate_vector)
         d["schema_version"] = RESULTS_SCHEMA_VERSION
         return d

@@ -1,5 +1,7 @@
+import base64
 import math
 
+import numpy as np
 import pytest
 
 from mteq import (
@@ -102,11 +104,35 @@ def tight_options():
     return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
 
 
+#: the per-pair arrays that a schema-3 solution file stores packed
+PACKED = ("tau", "entering_flow", "arc_probs")
+
+
+def pack(values) -> str:
+    """The schema-3 form of an array: the base64 of its little-endian
+    float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def unpack(text: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
+
+
+def schema_2_document(solution, network) -> dict:
+    """The solution in the schema-2 form: the schema-3 document with each
+    pair's packed arrays as lists of numbers."""
+    doc = solution_to_dict(solution, network)
+    doc["schema_version"] = 2
+    for entry in doc["sub"].values():
+        entry.update({key: unpack(entry[key]).tolist() for key in PACKED})
+    return doc
+
+
 def schema_1_document(solution, network) -> dict:
     """The solution in the schema-1 form: the schema-2 document with the
     three fields schema 2 drops as redundant, and without the ``strata``
     list, which schema 1 did not have."""
-    doc = solution_to_dict(solution, network)
+    doc = schema_2_document(solution, network)
     del doc["strata"]
     doc["schema_version"] = 1
     doc["arc_time"] = solution.arc_time.tolist()
@@ -176,10 +202,16 @@ INSTANCE_FIELDS = [
 
 def set_field(doc: dict, path: tuple, value) -> dict:
     """``doc`` with the field at ``path`` set to ``value``, or deleted when
-    ``value`` is "missing"."""
+    ``value`` is "missing".  An element of a packed array is set in its
+    decoded values, which are packed again."""
     *parents, key = path
     section = doc
     for step in parents:
+        if type(section[step]) is str:  # a packed array; key indexes its values
+            values = unpack(section[step])
+            values[key] = value
+            section[step] = pack(values)
+            return doc
         section = section[step]
     if value == "missing":
         del section[key]

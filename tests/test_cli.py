@@ -11,7 +11,8 @@ from mteq.network import build_network
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import gen_single_od
 
-from conftest import schema_1_document, singular_pair_instance, two_route_instance
+from conftest import (schema_1_document, schema_2_document, singular_pair_instance,
+                      two_route_instance)
 
 
 def write_two_route(tmp_path) -> Path:
@@ -250,7 +251,21 @@ class TestSweepParetoSimulate:
         old = tmp_path / "schema1.json"
         old.write_text(json.dumps(schema_1_document(read_solution(solution, network),
                                                     network), indent=1, sort_keys=True))
-        outs = [tmp_path / name for name in ("v2", "v1")]
+        outs = [tmp_path / name for name in ("v3", "v1")]
+        for path, out in zip((solution, old), outs):
+            assert run(["simulate", "--instance", str(ipath), "--solution", str(path),
+                        "--runs", "5", "--seed", "3", "--out", str(out)]) == 0
+        assert ((outs[0] / "simulation.json").read_bytes()
+                == (outs[1] / "simulation.json").read_bytes())
+
+    def test_simulate_schema_2_file_writes_the_same_bytes(self, tmp_path):
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        network = load_instance(ipath).network
+        old = tmp_path / "schema2.json"
+        old.write_text(json.dumps(schema_2_document(read_solution(solution, network), network),
+                                  sort_keys=True, separators=(",", ":")) + "\n")
+        outs = [tmp_path / name for name in ("v3", "v2")]
         for path, out in zip((solution, old), outs):
             assert run(["simulate", "--instance", str(ipath), "--solution", str(path),
                         "--runs", "5", "--seed", "3", "--out", str(out)]) == 0

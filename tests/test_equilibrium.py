@@ -29,7 +29,8 @@ from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
-from conftest import flat_arc, schema_1_document, singular_pair_instance, two_route_instance
+from conftest import (PACKED, flat_arc, schema_1_document, schema_2_document,
+                      singular_pair_instance, two_route_instance)
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
@@ -318,6 +319,16 @@ class TestSolveEquilibrium:
             assert_same_solution(solution_from_dict(doc, inst.network), sol)
             assert not {"arc_time", "stratum_flow"} & doc.keys()
             assert all("arc_flow" not in entry for entry in doc["sub"].values())
+            # per-pair node and arc arrays packed, every other array a list
+            assert all(type(entry[key]) is str and type(entry["trips"]) is list
+                       for entry in doc["sub"].values() for key in PACKED)
+            assert type(doc["total_flow"]) is list
+
+    def test_schema_2_document_loads_to_the_same_arrays(self, two_route, lattice):
+        for inst in (two_route, lattice):
+            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
+            doc = json.loads(json.dumps(schema_2_document(sol, inst.network)))
+            assert_same_solution(solution_from_dict(doc, inst.network), sol)
 
     def test_schema_1_document_loads_to_the_same_arrays(self, two_route, lattice):
         for inst in (two_route, lattice):

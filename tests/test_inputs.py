@@ -17,7 +17,8 @@ from mteq import load_instance, save_instance
 from mteq.cli import EXIT_INVALID, run
 from mteq.synthgen import gen_single_od
 
-from conftest import INSTANCE_FIELDS, per_od_outside_document, set_field, single_od_document
+from conftest import (INSTANCE_FIELDS, PACKED, pack, per_od_outside_document, set_field,
+                      single_od_document, unpack)
 
 BAD_VALUES = {"inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -1,
               "string": "abc", "null": None, "list": [1], "missing": "missing"}
@@ -196,13 +197,14 @@ def test_grid_spec(tmp_path, capsys, key, value, name):
 KINDS = {"object": {"a": 1}, "list": [1], "string": "abc", "number": 5, "null": None}
 NAME_VALUES = {"list": [1], "object": {"a": 1}, "null": None, "fraction": 1.5}
 PAIR = "sub.high|3"  # a (stratum, destination) pair of the single-OD solution
-ARRAYS = ("total_flow", "response_flow", "price_rates", *(f"{PAIR}.{key}" for key in (
-    "tau", "entering_flow", "arc_probs", "origins", "trips", "start_prob")))
+ARRAYS = ("total_flow", "response_flow", "price_rates",
+          *(f"{PAIR}.{key}" for key in ("origins", "trips", "start_prob")))
 TABLES = ("welfare", "welfare_delta", "revenue", "trips_started", "primary_share_distance",
           "primary_share_flow", "avg_speed_trip", "avg_speed_flow")
 
 # (file, path to a section of it, its kind, the name the error must give):
-# the section is given every other kind of KINDS
+# the section is given every other kind of KINDS; a "packed" array (a string,
+# see conftest.pack) is given every kind, "abc" not being base64
 SECTIONS = [
     ("instance", "", "object", "document"),
     *[("instance", key, "list", key) for key in ("nodes", "arcs", "strata", "demand")],
@@ -226,6 +228,7 @@ SECTIONS = [
     ("solution", PAIR, "object", f"solution.{PAIR}"),
     *[("solution", key, "list", f"solution.{key}") for key in ("strata", "iteration_log")],
     *[("solution", key, "array", f"solution.{key}") for key in ARRAYS],
+    *[("solution", f"{PAIR}.{key}", "packed", f"solution.{PAIR}.{key}") for key in PACKED],
     ("manifest", "", "object", "manifest"),
     ("manifest", "scheme_ids", "list", "manifest.scheme_ids"),
     ("detail", "", "object", "result"),
@@ -254,6 +257,8 @@ VALUES = [
     *[("solution", f"{PAIR}.origins", value, f"solution.{PAIR}.origins")
       for value in ([1.5], [-1], [99], [True], ["0"])],
     ("solution", "sub.nope", {}, "solution.sub.nope"),
+    *[("solution", "schema_version", value, f"solution schema version {value!r}")
+      for value in (True, 3.0)],  # True == 1 and 3.0 == 3 in Python, not in the schema
     ("solution", "sub.high|99", {}, "solution.sub.high|99"),
     ("manifest", "scheme_ids", [[1]], "manifest.scheme_ids[0]"),
     # numbers out of range in a solution: flows, trips and price rates must be
@@ -353,6 +358,32 @@ def test_document_shape(tmp_path, capsys, single_od, results, file, path, value,
     steps = tuple(int(step) if step.isdigit() else step for step in path.split(".")) if path else ()
     where.write_text(json.dumps(set_field(doc, steps, value) if steps else value))
     assert_rejected(argv, name, out, capsys, file=where)
+
+
+@pytest.mark.parametrize("change", ["list", "not-base64", "stray-character", "short",
+                                    "schema-2"])
+@pytest.mark.parametrize("key", PACKED)
+def test_packed_array(tmp_path, capsys, single_od, key, change):
+    """A schema-3 solution stores each pair's tau, entering_flow and
+    arc_probs packed, a schema-2 one as lists: a list in place of a packed
+    array (even of the right length), text that is not strict base64, the
+    bytes of one value fewer, or a packed array in a schema-2 file exits 1
+    naming the field."""
+    doc = json.loads(single_od["sol"].read_text())
+    entry = doc["sub"][PAIR.split(".", 1)[1]]
+    values = unpack(entry[key])
+    if change == "schema-2":
+        doc["schema_version"] = 2
+        for other in doc["sub"].values():
+            other.update({k: unpack(other[k]).tolist() for k in PACKED})
+    text = pack(values)
+    entry[key] = {"list": values.tolist(), "not-base64": "not base64",
+                  "stray-character": text[:8] + "!" + text[8:], "short": pack(values[:-1]),
+                  "schema-2": text}[change]
+    path, out = tmp_path / "solution.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", path,
+                     "--out", out], f"solution.{PAIR}.{key}", out, capsys, file=path)
 
 
 # (id, the command given the paths of the single-OD files, the name the error
