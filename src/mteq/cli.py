@@ -13,6 +13,7 @@ be written, 2 solver non-convergence (outputs are still written), 3 solver failu
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -26,14 +27,14 @@ from .equilibrium import (
     SolverError,
     SolverOptions,
     read_solution,
+    solution_to_dict,
     solve_equilibrium,
-    write_solution,
 )
 from .experiments import SweepConfig, load_results, run_sweep, write_frontier_csv
-from .instance import assign_areas, load_instance, nan_to_null, save_instance, write_json
+from .instance import assign_areas, load_instance, nan_to_null, save_instance
 from .metrics import (all_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
-from .network import InstanceError, read_json, strongly_connected
+from .network import InstanceError, read_json, strongly_connected, write_json
 from .pricing import (PER_AREA, PER_STRATUM, UNIFORM, PriceGrid, SchemeSpec,
                       expand_scheme)
 
@@ -100,7 +101,7 @@ def _cmd_solve(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_solution(out / "solution.json", sol, instance.network)
+    write_json(out / "solution.json", solution_to_dict(sol, instance.network))
     write_json(out / "metrics.json", report.to_dict())
     write_metrics_csvs(report, out)
     print(f"scheme {scheme.scheme_id}: converged={sol.converged} "
@@ -203,6 +204,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once: run parses with it, never changes it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mteq",
                                 description="Markovian traffic equilibria and congestion pricing")

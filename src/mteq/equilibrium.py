@@ -19,7 +19,6 @@ column per destination), while its unscaled weights stay in double range
 from __future__ import annotations
 
 import base64
-import json
 import math
 import time as _time
 from dataclasses import dataclass, field
@@ -28,8 +27,8 @@ import numpy as np
 from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
 
 from . import choice
-from .network import (InstanceError, Network, check_name, check_number, read_fields,
-                      read_json, read_section, shortest_costs)
+from .network import (InstanceError, Network, check_flag, check_name, check_number,
+                      read_fields, read_json, read_section, shortest_costs)
 
 
 class FeasibilityError(RuntimeError):
@@ -665,8 +664,6 @@ versions load."""
 
 _PACKED = ("tau", "entering_flow", "arc_probs")
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
 
 def _pack(a: np.ndarray) -> str:
     """The base64 of the array's little-endian IEEE-754 float64 bytes
@@ -724,16 +721,6 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
         ],
         "sub": sub,
     }
-
-
-def write_solution(path, solution: EquilibriumSolution, network: Network) -> None:
-    """Write the solution file: ``json.dumps(solution_to_dict(solution,
-    network), sort_keys=True, separators=(",", ":")) + "\\n"``, through the
-    C encoder, which ``json.dump`` to a file never uses."""
-    text = _ENCODER.encode(solution_to_dict(solution, network))
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
 
 
 def read_solution(path, network: Network) -> EquilibriumSolution:
@@ -803,8 +790,9 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     Raises InstanceError for another schema version, another network, an
     array that does not fit the network or is not stored as its version
     stores it, or a value out of range: flows, trips and price rates must be
-    finite and nonnegative, probabilities in [0, 1] and expected costs
-    finite."""
+    finite and nonnegative, probabilities in [0, 1], expected costs finite,
+    flags true or false and iteration counts and residuals nonnegative
+    (_status)."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
     if type(version) is not int or version not in (1, 2, SOLUTION_SCHEMA_VERSION):
         raise InstanceError(f"solution schema version {version!r} is not 1, 2 or "
@@ -836,7 +824,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         sub[(s, d)] = StratumDestinationSolution(
             s, d, tau, entering_flow, entering_flow[network.tail] * arc_probs, arc_probs,
             np.array(origins, dtype=np.int64), trips, start_prob,
-            *read_fields(sd, at, ("tau_converged", "tau_residual", "tau_iterations")))
+            *_status(sd, at, ("tau_converged", "tau_residual", "tau_iterations")))
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
         "total_flow": (m,), "response_flow": (m,), "price_rates": (len(strata), m)})
     keys = list(sub)
@@ -850,9 +838,21 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     return EquilibriumSolution(
         total_flow, network.latency_all(total_flow), response_flow, sub,
         _stratum_flows(strata, sub, m), price_rates,
-        *read_fields(doc, "solution", ("converged", "inner_converged", "outer_iterations",
-                                       "outer_residual")),
-        iteration_log=list(read_section(log, "solution.iteration_log", list)))
+        *_status(doc, "solution", ("converged", "inner_converged", "outer_iterations",
+                                   "outer_residual")),
+        iteration_log=[dict(zip(("iteration", "residual"), _status(
+            entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
+            for k, entry in enumerate(read_section(log, "solution.iteration_log", list))])
+
+
+def _status(section, path: str, keys) -> list:
+    """The values of the object ``section`` under the status ``keys``: a
+    flag (``*converged``) true or false, an iteration number or count a
+    whole number >= 0 and a residual a finite number >= 0; raises
+    InstanceError naming the key otherwise."""
+    return [check_flag(f"{path}.{key}", value) if key.endswith("converged") else
+            check_number(f"{path}.{key}", value, 0, strict=False, integer="iteration" in key)
+            for key, value in zip(keys, read_fields(section, path, keys))]
 
 
 @dataclass

@@ -10,7 +10,6 @@ independent of worker count and completion order.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,11 +20,11 @@ import numpy as np
 
 from .equilibrium import SolverOptions, solve_equilibrium
 from .instance import (Instance, assign_areas, instance_to_document, load_instance,
-                       nan_to_null, solver_from_document, write_json)
+                       nan_to_null, solver_from_document)
 from .metrics import (STRATUM_METRICS, TOTAL_METRICS, all_trip_stats,
                       compute_metrics, simulate_trips)
-from .network import (InstanceError, check_name, check_number, read_fields, read_json,
-                      read_section)
+from .network import (InstanceError, check_flag, check_name, check_number, read_fields,
+                      read_json, read_section, write_csv, write_json)
 from .pricing import (
     PER_AREA,
     PER_STRATUM,
@@ -161,6 +160,7 @@ class SweepConfig:
         for key, low in _SWEEP_COUNTS:
             setattr(self, key, check_number(f"sweep config: {key}", getattr(self, key), low,
                                             strict=False, integer=True))
+        check_flag("sweep config: simulate", self.simulate)
 
     @staticmethod
     def from_file(path) -> "SweepConfig":
@@ -176,12 +176,12 @@ class SweepConfig:
         strata_order, areas = (tuple(read_section(names, f"sweep config.grid.{key}", list))
                                for key, names in (("strata_order", strata_order),
                                                   ("areas", areas)))
-        grid = PriceGrid(family, lo, hi, step, strata_order, areas, bool(ordered))
+        grid = PriceGrid(family, lo, hi, step, strata_order, areas, ordered)
         solver = solver_from_document(doc["solver"]) if "solver" in doc else None
         counts = {key: doc[key] for key, _low in _SWEEP_COUNTS if key in doc}
         return SweepConfig(
             instance=str(base / check_name("sweep config.instance", instance, numbers=False)),
-            grid=grid, solver=solver, simulate=bool(simulate), **counts,
+            grid=grid, solver=solver, simulate=simulate, **counts,
             output=str(base / check_name("sweep config.output", output, numbers=False)))
 
 
@@ -355,32 +355,20 @@ def best_scalarized(rows: list[ResultRow], objective: ScalarizedObjective) -> Re
 # ---------------------------------------------------------------------------
 # Persistence
 
-def _g17(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
+#: the columns of results.csv after the per-stratum metrics
+_TAIL_COLUMNS = (*TOTAL_METRICS, "converged", "inner_converged", "outer_residual", "error")
 
 
 def csv_columns(stratum_names: list[str]) -> list[str]:
-    cols = ["scheme_id", "family", "rates"]
-    for name in STRATUM_METRICS:
-        cols += [f"{name}_{s}" for s in stratum_names]
-    return cols + [*TOTAL_METRICS, "converged", "inner_converged", "outer_residual",
-                   "error"]
+    return ["scheme_id", "family", "rates",
+            *(f"{name}_{s}" for name in STRATUM_METRICS for s in stratum_names),
+            *_TAIL_COLUMNS]
 
 
-def _row_to_csv(row: ResultRow, stratum_names: list[str]) -> list[str]:
-    vals = [row.scheme_id, row.family, row.rates_label]
-    for name in STRATUM_METRICS:
-        table = getattr(row, name)
-        vals += [_g17(table[s]) for s in stratum_names]
-    vals += [_g17(getattr(row, name)) for name in TOTAL_METRICS]
-    return vals + [str(row.converged), str(row.inner_converged),
-                   _g17(row.outer_residual), row.error or ""]
+def _row_to_csv(row: ResultRow, stratum_names: list[str]) -> list:
+    return [row.scheme_id, row.family, row.rates_label,
+            *(getattr(row, name)[s] for name in STRATUM_METRICS for s in stratum_names),
+            *(getattr(row, name) for name in _TAIL_COLUMNS)]
 
 
 def persist_results(rows: list[ResultRow], directory) -> None:
@@ -395,17 +383,11 @@ def persist_results(rows: list[ResultRow], directory) -> None:
 def _write_tables(rows: list[ResultRow], out: Path) -> None:
     """The manifest and the flat results.csv of persist_results."""
     stratum_names = list(rows[0].welfare.keys()) if rows else []
-    manifest = {
-        "schema_version": RESULTS_SCHEMA_VERSION,
-        "scheme_ids": [r.scheme_id for r in rows],
-        "strata": stratum_names,
-    }
-    write_json(out / "manifest.json", manifest)
-    with open(out / "results.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(csv_columns(stratum_names))
-        for r in rows:
-            w.writerow(_row_to_csv(r, stratum_names))
+    write_json(out / "manifest.json", {"schema_version": RESULTS_SCHEMA_VERSION,
+                                       "scheme_ids": [r.scheme_id for r in rows],
+                                       "strata": stratum_names})
+    write_csv(out / "results.csv", csv_columns(stratum_names),
+              (_row_to_csv(r, stratum_names) for r in rows))
 
 
 def _write_detail(row: ResultRow, detail_dir: Path) -> None:
@@ -439,10 +421,7 @@ def write_frontier_csv(rows: list[ResultRow], objective_x: str, objective_y: str
     frontier = pareto_frontier(rows, objective_x, objective_y)
     safe = lambda s: s.replace(":", "_")
     path = Path(directory) / f"frontier_{safe(objective_x)}_{safe(objective_y)}.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scheme_id", "rates", objective_x, objective_y])
-        for r in frontier:
-            w.writerow([r.scheme_id, r.rates_label,
-                        _g17(value_of(r, objective_x)), _g17(value_of(r, objective_y))])
+    write_csv(path, ["scheme_id", "rates", objective_x, objective_y],
+              ([r.scheme_id, r.rates_label, value_of(r, objective_x), value_of(r, objective_y)]
+               for r in frontier))
     return path

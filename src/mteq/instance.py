@@ -11,7 +11,6 @@ Loading validates every invariant and materializes derived quantities
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
@@ -32,6 +31,7 @@ from .network import (
     read_json,
     read_section,
     shortest_costs,
+    write_json,
     DEFAULT_BPR_GAMMA,
     DEFAULT_BPR_NU,
     DEFAULT_CAR_LENGTH_KM,
@@ -408,15 +408,6 @@ def _outside_to_doc(oo: OutsideOption) -> dict:
 
 def save_instance(instance: Instance, path) -> None:
     write_json(path, instance_to_document(instance))
-
-
-def write_json(path, doc) -> None:
-    """Write ``doc`` as indented JSON with sorted keys and a final newline.
-    NaN is refused (it is not JSON): reports map it to null first, with
-    ``nan_to_null``."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
 
 
 def nan_to_null(value):

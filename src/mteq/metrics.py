@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 from scipy.sparse.linalg import spsolve
 
 from .equilibrium import EquilibriumSolution
 from .instance import Instance, nan_to_null
-from .network import Network, check_number
+from .network import Network, check_number, write_csv
 
 #: The per-stratum metrics of a pricing scheme and their totals, in the
 #: column order of every table that lists them.
@@ -57,9 +58,6 @@ class MetricsReport:
     avg_speed_trip: dict     # km/h, trip-weighted (headline)
     avg_speed_flow: dict     # km/h, arc-flow weighted
     per_od: list             # TripStats rows
-    provenance: str = "analytic"
-    seed: int | None = None
-    runs: int | None = None
 
     def to_dict(self) -> dict:
         """JSON-ready form: an undefined value (NaN) is null."""
@@ -225,25 +223,14 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
 
 def write_metrics_csvs(report: MetricsReport, out_dir) -> None:
     """Flat CSV serialization: one row per stratum and one per OD pair."""
-    import csv
-    from pathlib import Path
-
-    out_dir = Path(out_dir)
-    with open(out_dir / "metrics_strata.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scheme_id", "stratum", *STRATUM_METRICS])
-        for s in report.strata:
-            w.writerow([report.scheme_id, s,
-                        *(repr(getattr(report, name)[s]) for name in STRATUM_METRICS)])
-    with open(out_dir / "metrics_od.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scheme_id", "stratum", "origin", "destination",
-                    "expected_time", "expected_money", "expected_distance",
-                    "start_prob"])
-        for t in report.per_od:
-            w.writerow([report.scheme_id, t.stratum, t.origin, t.destination,
-                        repr(t.time), repr(t.money), repr(t.distance),
-                        repr(t.start_prob)])
+    write_csv(Path(out_dir) / "metrics_strata.csv", ["scheme_id", "stratum", *STRATUM_METRICS],
+              ([report.scheme_id, s, *(getattr(report, name)[s] for name in STRATUM_METRICS)]
+               for s in report.strata))
+    write_csv(Path(out_dir) / "metrics_od.csv",
+              ["scheme_id", "stratum", "origin", "destination", "expected_time",
+               "expected_money", "expected_distance", "start_prob"],
+              ([report.scheme_id, t.stratum, t.origin, t.destination, t.time, t.money,
+                t.distance, t.start_prob] for t in report.per_od))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ currency unit.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -72,6 +73,14 @@ def check_name(name: str, value, *, numbers: bool = True) -> str:
     raise InstanceError(f"{name} must be {kind}, got {_describe(value)}")
 
 
+def check_flag(name: str, value) -> bool:
+    """``value`` once it is JSON true or false; otherwise raises
+    InstanceError naming ``name`` and the value."""
+    if type(value) is bool:
+        return value
+    raise InstanceError(f"{name} must be true or false, got {_describe(value)}")
+
+
 def _describe(value) -> str:
     kinds = {dict: "an object", list: "a list", type(None): "null"}
     return kinds.get(type(value)) or repr(value)
@@ -115,6 +124,34 @@ def read_fields(section, path: str, required=(), optional=None) -> list:
     if optional:
         values += [section.get(key, default) for key, default in optional.items()]
     return values
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as one compact line of JSON with sorted keys and a final
+    newline, through the C encoder: dumping to a stream would take the
+    pure-Python one.  NaN is refused, not being JSON: reports map it to null
+    first (nan_to_null)."""
+    text = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode(doc)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):  # repr of np.float64 names its type
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the table ``header`` then ``rows``, one line each: a cell of None
+    is empty, a float (numpy's too) its shortest round-trip ``repr`` and
+    anything else ``str``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 @dataclass(frozen=True)

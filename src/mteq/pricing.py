@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import AreaAssignment, Instance
-from .network import InstanceError, check_name, check_number
+from .network import InstanceError, check_flag, check_name, check_number
 
 UNIFORM = "uniform"
 PER_STRATUM = "per_stratum"
@@ -147,6 +147,7 @@ class PriceGrid:
         for key in ("strata_order", "areas"):
             object.__setattr__(self, key, tuple(check_name(f"grid {key}", name)
                                                 for name in getattr(self, key)))
+        check_flag("grid ordered", self.ordered)
 
     def values(self) -> list[float]:
         n = int(np.floor((self.hi - self.lo) / self.step + 1e-9)) + 1

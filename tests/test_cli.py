@@ -1,10 +1,12 @@
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from mteq import expand_scheme, load_instance, load_results, save_instance, solve_equilibrium
+from mteq import (expand_scheme, instance_to_document, load_instance, load_results, save_instance,
+                  solve_equilibrium)
 from mteq.cli import EXIT_INVALID, EXIT_SOLVER_FAILED, run
 from mteq.equilibrium import read_solution, solution_from_dict, solution_to_dict
 from mteq.network import build_network
@@ -393,3 +395,67 @@ class TestSweepParetoSimulate:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["frobnicate"]) == 1
+
+
+# Every file mteq writes, by kind: one of each, from the commands of
+# written_files, under the directory the fixture returns
+WRITTEN = {
+    "instance": "inst.json",
+    "solution": "solve/solution.json",
+    "metrics": "solve/metrics.json",
+    "metrics_strata": "solve/metrics_strata.csv",
+    "metrics_od": "solve/metrics_od.csv",
+    "simulation": "sim/simulation.json",
+    "trips": "sim/trips.json",
+    "manifest": "sweep/manifest.json",
+    "scheme": "sweep/schemes/uniform_p1.json",
+    "results": "sweep/results.csv",
+    "frontier": "sweep/frontier_total_welfare_total_revenue.csv",
+}
+# the CSV columns of ids, labels and flags; every other cell is a float
+TEXT_COLUMNS = {"scheme_id", "family", "rates", "stratum", "origin", "destination",
+                "converged", "inner_converged", "error"}
+
+
+@pytest.fixture(scope="module")
+def written_files(tmp_path_factory):
+    """One of each output file, from the single-OD instance plus an "idle"
+    stratum with no demand, whose undefined metrics (NaN) reach every kind."""
+    work = tmp_path_factory.mktemp("written")
+    doc = instance_to_document(gen_single_od())
+    doc["strata"].append(dict(doc["strata"][0], name="idle"))
+    save_instance(load_instance(doc), work / "inst.json")
+    config = work / "sweep.json"
+    config.write_text(json.dumps({"instance": "inst.json", "output": "sweep", "simulate": True,
+                                  "runs_per_unit": 2,
+                                  "grid": {"family": "uniform", "lo": 0, "hi": 1, "step": 1}}))
+    inst = str(work / "inst.json")
+    for argv in (["solve", "--instance", inst, "--scheme", "uniform", "--rate", "0.5",
+                  "--out", str(work / "solve")],
+                 ["simulate", "--instance", inst, "--solution", str(work / "solve/solution.json"),
+                  "--runs", "2", "--keep-paths", "--out", str(work / "sim")],
+                 ["sweep", "--config", str(config)],
+                 ["pareto", "--results", str(work / "sweep"), "--x", "total_welfare",
+                  "--y", "total_revenue"]):
+        assert run(argv) == 0, argv
+    return work
+
+
+@pytest.mark.parametrize("kind", WRITTEN)
+def test_every_output_has_one_encoding(written_files, kind):
+    """A JSON file is one compact line with sorted keys and a final newline;
+    a float cell of a CSV table is the shortest repr that reads back the
+    same float."""
+    path = written_files / WRITTEN[kind]
+    if path.suffix == ".json":
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        return
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    floats = [k for k, name in enumerate(header) if name not in TEXT_COLUMNS]
+    assert floats and rows
+    for row in rows:
+        assert len(row) == len(header)
+        for k in floats:
+            assert row[k] == repr(float(row[k])), (header[k], row[k])

@@ -128,6 +128,7 @@ def test_flag(tmp_path, capsys, single_od, argv, name):
 
 
 GRID = {"family": "uniform", "lo": 0, "hi": 1, "step": 1}
+FLAG_VALUES = ("false", 0, 1, None)
 
 # (id, change to a valid sweep config, the name the error must give)
 SWEEP_CONFIG_CASES = [
@@ -146,6 +147,12 @@ SWEEP_CONFIG_CASES = [
                          ("runs_per_unit", math.inf), ("seed", -1), ("seed", 0.5),
                          ("seed", None))],
     ("solver.inner_tol=0", lambda c: c.update(solver={"inner_tol": 0}), "solver.inner_tol"),
+    # a flag is JSON true or false: the string "false" is not false
+    *[(f"{key}={json.dumps(value)}", change, name)
+      for value in FLAG_VALUES
+      for key, change, name in (
+          ("simulate", lambda c, v=value: c.update(simulate=v), "sweep config: simulate"),
+          ("grid.ordered", lambda c, v=value: c["grid"].update(ordered=v), "grid ordered"))],
 ]
 
 
@@ -260,6 +267,23 @@ VALUES = [
     *[("solution", "schema_version", value, f"solution schema version {value!r}")
       for value in (True, 3.0)],  # True == 1 and 3.0 == 3 in Python, not in the schema
     ("solution", "sub.high|99", {}, "solution.sub.high|99"),
+    # status fields: flags true or false, counts and residuals numbers >= 0,
+    # each iteration log entry an object with both fields
+    *[("solution", key, value, f"solution.{key}")
+      for key in ("converged", "inner_converged") for value in FLAG_VALUES],
+    *[("solution", f"{PAIR}.tau_converged", value, f"solution.{PAIR}.tau_converged")
+      for value in FLAG_VALUES],
+    *[("solution", key, value, f"solution.{key}")
+      for key in ("outer_iterations", f"{PAIR}.tau_iterations")
+      for value in (-3, 1.5, "abc", True, None)],
+    *[("solution", key, value, f"solution.{key}")
+      for key in ("outer_residual", f"{PAIR}.tau_residual")
+      for value in (-1.0, math.inf, "abc", None)],
+    ("solution", "iteration_log", [1, 2], "solution.iteration_log[0] must be an object"),
+    ("solution", "iteration_log.0.iteration", -1, "solution.iteration_log[0].iteration"),
+    ("solution", "iteration_log.0.residual", "abc", "solution.iteration_log[0].residual"),
+    ("solution", "iteration_log.0", {"iteration": 0},
+     "solution.iteration_log[0].residual: missing"),
     ("manifest", "scheme_ids", [[1]], "manifest.scheme_ids[0]"),
     # numbers out of range in a solution: flows, trips and price rates must be
     # finite and nonnegative, probabilities in [0, 1], expected costs finite
