@@ -141,8 +141,8 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
     tau, residual, _probs, _log_denom, solves, _usable, _through = _expected_costs(
-        network, network.chain_matrix(np.zeros_like(costs), dest).T, costs, dest, beta_t,
-        np.asarray(tau_init, dtype=float)[None], options.inner_tol)
+        network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None],
+        options.inner_tol)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
                      iterations=solves, residual=float(residual[0]))
 
@@ -152,12 +152,12 @@ _UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc 
               "reach the destination in finite expected cost")
 
 
-def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray, beta,
+def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
                     tau_ref, inner_tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
-    destination) pairs from one LU of a stack of blocks I - W_b, refilled
-    into ``chain``, the stack's (I - W)^T pattern; ``costs`` is (k, m),
-    ``beta`` a scalar or (k, 1) column.  The two block layouts:
+    destination) pairs from one LU of a stack of blocks I - W_b, the
+    network's chain_matrix; ``costs`` is (k, m), ``beta`` a scalar or (k, 1)
+    column.  The two block layouts:
 
     - ``block`` None: pair p's own I - W_d, row d zeroed, scaled by the
       shortest-cost bounds ``tau_ref`` (k, n) so that every weight is at
@@ -183,8 +183,9 @@ def _expected_costs(network: Network, chain, costs: np.ndarray, dest: np.ndarray
         tau_ref = tau_ref.copy()
         tau_ref[column, dest] = 0.0
         weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
+    chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
     try:
-        lu = splu(network.chain_matrix(weights, dest if block is None else -1, out=chain))
+        lu = splu(chain)
     except RuntimeError:  # exactly singular
         raise FeasibilityError(_UNBOUNDED) from None
     if block is None:  # one pair per block, in order: reshapes, no copies
@@ -280,7 +281,7 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
         costs + tau[network.head], beta_t, network.out_start)
     origins = np.asarray(origins)
     trips = np.asarray(trips, dtype=float)
-    lu = splu(network.chain_matrix(probs, destination).T)
+    lu = splu(network.chain_matrix(probs, destination))
     p_start, x, v, _failed, error = _route(
         network, probs[None], log_denom[None], np.array([destination]),
         np.zeros(len(origins), dtype=np.int64), origins, trips, outside_cost, beta_t_out,
@@ -424,15 +425,6 @@ class _RoutingPlan:
         self.first = np.cumsum(self.count) - self.count
         self.shared = np.flatnonzero(self.count >= 2)  # strata that may share an LU
         self.pair_blocks = net.solve_blocks(len(self.dest))
-        self._chains = {}
-
-    def _chain(self, k: int):
-        """The CSC pattern of k stacked (I - W)^T blocks, refilled by each use."""
-        if k not in self._chains:
-            net = self.network
-            self._chains[k] = net.chain_matrix(np.zeros((k, net.n_arcs)),
-                                               np.zeros(k, dtype=np.int64)).T
-        return self._chains[k]
 
     def _origins_of(self, pairs):
         """The rows of the origins of ``pairs`` (a slice or an index array),
@@ -457,11 +449,9 @@ class _RoutingPlan:
         result, done = None, []
         for pairs, block, weights, tau_ref, pair_costs in self._layouts(costs, tau_hat, done):
             dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
-            chain = self._chain(len(dest) if block is None else len(weights))
             try:
                 tau, residual, probs, log_denom, solves, ok, through = _expected_costs(
-                    net, chain, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol,
-                    block, weights)
+                    net, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol, block, weights)
             except FeasibilityError:
                 if block is None:
                     raise

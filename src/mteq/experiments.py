@@ -96,7 +96,10 @@ class ResultRow:
         return d
 
     @staticmethod
-    def from_dict(d: dict) -> "ResultRow":
+    def from_dict(d: dict, scheme_id: str, strata) -> "ResultRow":
+        """The row of ``scheme_id``'s detail file, as to_dict writes it, with
+        a value for exactly the ``strata`` in each per-stratum metric, in
+        their order (a fresh row's); raises InstanceError naming a field."""
         version, = read_fields(d, "result", (), {"schema_version": None})
         if version != RESULTS_SCHEMA_VERSION:
             raise ResultSchemaError(
@@ -104,9 +107,22 @@ class ResultRow:
         names = [f.name for f in fields(ResultRow)]
         row = dict(zip(names, read_fields(d, "result", names[:-2],
                                           {"error": None, "sim": None})))
+        if row["scheme_id"] != scheme_id:
+            raise InstanceError(f"result.scheme_id is {row['scheme_id']!r}, not {scheme_id!r}")
+        for name in ("family", "rates_label"):
+            check_name(f"result.{name}", row[name], numbers=False)
+        for name in ("converged", "inner_converged"):
+            check_flag(f"result.{name}", row[name])
+        if not (row["error"] is None or type(row["error"]) is str):
+            raise InstanceError(f"result.error must be null or a string, got {row['error']!r}")
+        if row["sim"] is not None:
+            read_section(row["sim"], "result.sim")
         for name in STRATUM_METRICS:
-            row[name] = {s: _metric(f"result.{name}.{s}", v)
-                         for s, v in read_section(row[name], f"result.{name}").items()}
+            values = read_section(row[name], f"result.{name}")
+            if sorted(values) != sorted(strata):
+                raise InstanceError(f"result.{name} has strata {sorted(values)}, not "
+                                    f"{sorted(strata)}: a file of another instance")
+            row[name] = {s: _metric(f"result.{name}.{s}", values[s]) for s in strata}
         for name in (*TOTAL_METRICS, "outer_residual"):
             row[name] = _metric(f"result.{name}", row[name])
         row["rate_vector"] = tuple(read_section(row["rate_vector"], "result.rate_vector", list))
@@ -244,18 +260,6 @@ def _run_worker(spec: SchemeSpec) -> ResultRow:
     return _evaluate_scheme(instance, spec, *rest)
 
 
-def _resumed(row: ResultRow, strata) -> ResultRow:
-    """A detail file's row once it has a value for exactly the ``strata`` in
-    every per-stratum metric; another instance with the same strata is not
-    told apart."""
-    for name in STRATUM_METRICS:
-        if sorted(getattr(row, name)) != sorted(strata):
-            raise InstanceError(f"result.{name} has strata {sorted(getattr(row, name))}, "
-                                f"not the instance's {sorted(strata)}: a file of another "
-                                f"instance cannot be resumed")
-    return row
-
-
 def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[ResultRow]:
     """Evaluate every scheme of the configured grid plus the toll-free
     baseline row.  Per-scheme failures land in the row's ``error`` field."""
@@ -285,8 +289,8 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
     for spec in schemes:
         path = detail_dir / f"{spec.scheme_id}.json"
         if path.exists():
-            done[spec.scheme_id] = read_json(
-                path, lambda d: _resumed(ResultRow.from_dict(d), instance.stratum_names))
+            done[spec.scheme_id] = read_json(path, lambda d: ResultRow.from_dict(
+                d, spec.scheme_id, instance.stratum_names))
         else:
             pending.append(spec)
 
@@ -401,19 +405,21 @@ def load_results(directory) -> list[ResultRow]:
     if not manifest_path.exists():
         warnings.warn(f"no results manifest in {out}; returning empty table")
         return []
-    return [read_json(out / "schemes" / f"{sid}.json", ResultRow.from_dict)
-            for sid in read_json(manifest_path, _scheme_ids)]
+    ids, strata = read_json(manifest_path, _manifest)
+    return [read_json(out / "schemes" / f"{sid}.json",
+                      lambda d: ResultRow.from_dict(d, sid, strata)) for sid in ids]
 
 
-def _scheme_ids(manifest: dict) -> list[str]:
-    """The scheme ids a results manifest lists."""
+def _manifest(manifest: dict) -> list[list[str]]:
+    """The scheme ids and the strata a results manifest lists."""
     version, = read_fields(manifest, "manifest", (), {"schema_version": None})
     if version != RESULTS_SCHEMA_VERSION:
         raise ResultSchemaError(
             f"results use schema version {version}, expected {RESULTS_SCHEMA_VERSION}")
-    ids, = read_fields(manifest, "manifest", ("scheme_ids",))
-    return [check_name(f"manifest.scheme_ids[{k}]", sid)
-            for k, sid in enumerate(read_section(ids, "manifest.scheme_ids", list))]
+    return [[check_name(f"manifest.{key}[{k}]", name)
+             for k, name in enumerate(read_section(names, f"manifest.{key}", list))]
+            for key, names in zip(("scheme_ids", "strata"),
+                                  read_fields(manifest, "manifest", ("scheme_ids", "strata")))]
 
 
 def write_frontier_csv(rows: list[ResultRow], objective_x: str, objective_y: str,

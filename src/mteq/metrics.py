@@ -10,7 +10,7 @@ trajectory-level output.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -60,8 +60,8 @@ class MetricsReport:
     per_od: list             # TripStats rows
 
     def to_dict(self) -> dict:
-        """JSON-ready form: an undefined value (NaN) is null."""
-        return nan_to_null(asdict(self))
+        """JSON-ready form, NaN as null; nan_to_null rebuilds every dict and list."""
+        return nan_to_null({**vars(self), "per_od": [vars(t) for t in self.per_od]})
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def _absorbing_block(net: Network, probs: np.ndarray, weights: np.ndarray,
     # arcs are stored grouped by tail: each node's terms are one segment
     rhs = np.add.reduceat(np.where(live, probs[..., None] * weights, 0.0),
                           net.out_start[:-1], axis=1)
-    out = spsolve(net.chain_matrix(probs, dest), rhs.reshape(k * n, c))
+    out = spsolve(net.chain_matrix(probs, dest).T, rhs.reshape(k * n, c))  # I - W
     return np.asarray(out).reshape(k, n, c)
 
 

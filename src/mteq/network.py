@@ -273,9 +273,9 @@ class Network:
 
     Arcs are re-ordered so that all outgoing arcs of a node are contiguous;
     ``out_start[i]:out_start[i+1]`` slices the arc arrays per node, in the
-    style of a CSR index.  The sparsity patterns of ``chain_matrix`` and
-    ``reversed_graph`` are computed once here; each call only fills in the
-    values, tiled block-diagonally for many (weights, destination) rows.
+    style of a CSR index.  The network owns the block-diagonal matrices of
+    ``chain_matrix`` and ``reversed_graph`` (_block_matrix): their patterns
+    are computed once here, and each call only refills the values.
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
@@ -317,8 +317,8 @@ class Network:
         self.out_start = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         self.out_degree = counts
 
-        # CSR pattern of chain_matrix: the diagonal plus one entry per
-        # distinct (tail, head) pair, and where each arc and diagonal lands.
+        # CSR pattern of I - W, read as CSC by chain_matrix: the diagonal plus
+        # one entry per distinct (tail, head) pair, and where each arc and diagonal lands.
         keys, pos = np.unique(np.concatenate((self.tail * n + self.head,
                                               np.arange(n) * (n + 1))),
                               return_inverse=True)
@@ -342,6 +342,7 @@ class Network:
                     self._chain_indptr, self._chain_arc, self._chain_diag,
                     self._rev_perm, self._rev_starts, self._rev_indices, self._rev_indptr):
             arr.flags.writeable = False
+        self._matrices = {}  # (kind, k) -> the k-block matrix of _block_matrix
 
     @property
     def n_nodes(self) -> int:
@@ -370,31 +371,25 @@ class Network:
         out[pos] = self.capacity[pos] * (ratio[pos] / self.bpr_gamma[pos]) ** (1.0 / self.bpr_nu[pos])
         return out
 
-    def chain_matrix(self, weights: np.ndarray, destination, out=None) -> sp.csr_matrix:
-        """Block-diagonal I - W for walks absorbed at their destinations.
+    def chain_matrix(self, weights: np.ndarray, destination) -> sp.csc_matrix:
+        """Block-diagonal (I - W)^T for walks absorbed at their destinations,
+        as CSC, the form ``splu`` factors; ``.T`` is I - W (CSR).
 
         ``weights`` is (m,) with an int ``destination``, or (k, m) with k
-        destinations: block i is I - W_i, where W_i[tail, head] sums row i
-        of the per-arc weights over parallel arcs and the row of the i-th
-        destination is zero (explicit zeros: the pattern depends on k alone);
-        a destination of -1 zeroes no row.
-        One block gives the (n, n) matrix, and ``.T`` I - W^T on the same
-        arrays (CSC).  ``out``, an earlier k-block result or its ``.T``, is
-        refilled in place and returned."""
+        destinations: block i of I - W is I - W_i, where W_i[tail, head] sums
+        row i of the per-arc weights over parallel arcs and the row of the
+        i-th destination is zero (explicit zeros: the pattern depends on k);
+        a destination of -1 zeroes no row.  The network owns the result: the
+        next call with k blocks refills it (_block_matrix)."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
         dest = np.atleast_1d(destination)
-        k, n, nnz = len(w), self.n_nodes, len(self._chain_indices)
+        k, nnz = len(w), len(self._chain_indices)
         w = np.where(self.tail == dest[:, None], 0.0, w)
         block = np.arange(k)[:, None]
         data = -np.bincount((self._chain_arc + nnz * block).ravel(), weights=w.ravel(),
                             minlength=k * nnz)
         data[(self._chain_diag + nnz * block).ravel()] += 1.0
-        if out is not None:
-            out.data[:] = data
-            return out
-        indices = (self._chain_indices + n * block).ravel()
-        indptr = np.append((self._chain_indptr[:-1] + nnz * block).ravel(), k * nnz)
-        return sp.csr_matrix((data, indices, indptr), shape=(k * n, k * n))
+        return self._block_matrix(sp.csc_matrix, self._chain_indices, self._chain_indptr, data, k)
 
     def solve_blocks(self, k: int) -> list[slice]:
         """Consecutive slices of k stacked per-destination systems, each of
@@ -405,14 +400,28 @@ class Network:
     def reversed_graph(self, weights: np.ndarray) -> sp.csr_matrix:
         """Block-diagonal reversed graph for Dijkstra: block i has an edge
         head -> tail weighted by the cheapest of the parallel arcs under row
-        i of ``weights``, (m,) or (k, m).  ``.T`` is the forward graph."""
+        i of ``weights``, (m,) or (k, m).  ``.T`` is the forward graph.  The
+        network owns it: the next call with k rows refills it (_block_matrix)."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
-        k, n, nnz = len(w), self.n_nodes, len(self._rev_indices)
         data = np.minimum.reduceat(w[:, self._rev_perm], self._rev_starts, axis=1)
-        block = np.arange(k)[:, None]
-        indices = (self._rev_indices + n * block).ravel()
-        indptr = np.append((self._rev_indptr[:-1] + nnz * block).ravel(), k * nnz)
-        return sp.csr_matrix((data.ravel(), indices, indptr), shape=(k * n, k * n))
+        return self._block_matrix(sp.csr_matrix, self._rev_indices, self._rev_indptr, data, len(w))
+
+    def _block_matrix(self, kind, indices: np.ndarray, indptr: np.ndarray, data: np.ndarray,
+                      k: int):
+        """The k-block ``kind`` (CSR or CSC) matrix of the (n, n) pattern
+        ``indices``/``indptr`` tiled down its diagonal, holding ``data``, the
+        k blocks' values laid end to end.  The network builds it the first
+        time (kind, k) is asked for and refills it in place after that, so
+        it stays valid only until the next such call."""
+        n, nnz, matrix = self.n_nodes, len(indices), self._matrices.get((kind, k))
+        if matrix is None:
+            block = np.arange(k)[:, None]
+            indptr = np.append((indptr[:-1] + nnz * block).ravel(), k * nnz)
+            matrix = self._matrices[kind, k] = kind(
+                (data.ravel(), (indices + n * block).ravel(), indptr), shape=(k * n, k * n))
+        else:
+            matrix.data[:] = data.ravel()
+        return matrix
 
 
 def build_network(nodes: list[Node], arcs: list[Arc]) -> Network:
@@ -460,12 +469,8 @@ def shortest_costs(network: Network, arc_costs: np.ndarray, destination,
 
 def strongly_connected(network: Network) -> bool:
     """Oracle check: is every node reachable from every other node?"""
-    adj = sp.csr_matrix(
-        (np.ones(network.n_arcs), (network.tail, network.head)),
-        shape=(network.n_nodes, network.n_nodes),
-    )
-    ncomp, _ = connected_components(adj, connection="strong")
-    return ncomp == 1
+    graph = network.reversed_graph(np.ones(network.n_arcs))  # reversed: same components
+    return connected_components(graph, connection="strong")[0] == 1
 
 
 def extract_core(network: Network) -> Network:
@@ -475,11 +480,8 @@ def extract_core(network: Network) -> Network:
     so the result also satisfies the positive out-degree requirement.  Ties
     between equally large components break toward the smallest node index.
     """
-    adj = sp.csr_matrix(
-        (np.ones(network.n_arcs), (network.tail, network.head)),
-        shape=(network.n_nodes, network.n_nodes),
-    )
-    ncomp, labels = connected_components(adj, connection="strong")
+    graph = network.reversed_graph(np.ones(network.n_arcs))  # reversed: same components
+    ncomp, labels = connected_components(graph, connection="strong")
     sizes = np.bincount(labels, minlength=ncomp)
     best_size = sizes.max()
     if best_size < 2:

@@ -23,7 +23,7 @@ from mteq import (
     zero_prices,
 )
 from mteq import choice
-from mteq.equilibrium import solution_from_dict, solution_to_dict
+from mteq.equilibrium import _expected_costs, _route, solution_from_dict, solution_to_dict
 from mteq.network import Node, build_network, shortest_costs
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
@@ -703,3 +703,92 @@ class TestBatchedRouting:
             violation = max(violation, float(np.max(sd.tau - shortest_costs(net, costs, d))))
         assert diag.tau_residuals == want
         assert diag.tau_bound_violation == violation
+
+
+class TestRouteSafetyPaths:
+    """_route's refinement and its two SolverError messages, with the
+    routing solve given as a closure."""
+
+    @staticmethod
+    def setup_route(probs):
+        # 0 <-> 1, each with an arc to 2 (the destination) and a way back
+        net = build_network([Node(str(i), i, 0) for i in range(3)],
+                            [flat_arc(f"a{t}{h}", t, h, 1.0)
+                             for t, h in ("01", "02", "10", "12", "20")])
+        probs = np.array([[probs[a.id] for a in net.arcs]])
+        live = np.where(net.tail == 2, 0.0, probs[0])
+        M = np.eye(3)
+        np.add.at(M, (net.head, net.tail), -live)  # I - P^T, row 2 of P zero
+
+        def route(solve):
+            return _route(net, probs, np.zeros((1, 3)), np.array([2]), np.array([0]),
+                          np.array([0]), np.array([5.0]), np.array([np.inf]),
+                          np.array([1.0]), solve)
+
+        return route, lambda rhs: np.linalg.solve(M, rhs[0])[None]
+
+    def test_inexact_solve_is_refined_once(self):
+        route, exact = self.setup_route({"a01": 0.5, "a02": 0.5, "a10": 0.25, "a12": 0.75,
+                                         "a20": 1.0})
+        calls = []
+
+        def solve(rhs):  # the first solve is off by 1e-7
+            calls.append(rhs)
+            return exact(rhs) + (1e-7 if len(calls) == 1 else 0.0)
+
+        _p, x, _v, failed, error = route(solve)
+        assert len(calls) == 2
+        assert not failed.any() and error is None
+        want = exact(np.array([[5.0, 0.0, 0.0]]))
+        want[0, 2] = 0.0
+        assert np.max(np.abs(x - want)) <= 1e-14 * 5.0
+
+    def test_non_finite_solve_fails_as_ill_conditioned(self):
+        route, _exact = self.setup_route({"a01": 0.5, "a02": 0.5, "a10": 0.25, "a12": 0.75,
+                                          "a20": 1.0})
+        _p, _x, _v, failed, error = route(lambda rhs: np.full(rhs.shape, np.nan))
+        assert failed.tolist() == [True]
+        assert error.startswith("routing system ill-conditioned for destination '2'")
+
+    def test_superstochastic_probabilities_fail_as_negative_throughput(self):
+        # rows of 1.5: the 0 <-> 1 cycle alone has weight 1.2 each way
+        route, exact = self.setup_route({"a01": 1.2, "a02": 0.3, "a10": 1.2, "a12": 0.3,
+                                         "a20": 1.5})
+        _p, x, _v, failed, error = route(exact)
+        assert failed.tolist() == [True]
+        assert error == ("negative node throughput for destination '2'; routing matrix "
+                         "not substochastic")
+
+
+def complete_digraph_instance():
+    """Four nodes, every ordered pair an arc of 0.1 km at 1 km/h, constant
+    time; one stratum (beta_t 1) with destinations 2 and 3.  Each W_d, its
+    row zeroed, has spectral radius 2 exp(-0.1) > 1: no equilibrium."""
+    nodes = [Node(str(i), float(i), 0.0) for i in range(4)]
+    arcs = [flat_arc(f"a{t}{h}", str(t), str(h), 0.1)
+            for t in range(4) for h in range(4) if t != h]
+    s = Stratum(name="s", beta_t=1.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+    return Instance(network=build_network(nodes, arcs), strata=[s],
+                    demand=[DemandEntry("s", "0", "2", 5.0), DemandEntry("s", "1", "3", 4.0)],
+                    outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                          times={("0", "2"): 5.0, ("1", "3"): 5.0}))
+
+
+class TestUnusableStratumPairs:
+    def test_stratum_block_marks_pairs_unusable(self):
+        inst = complete_digraph_instance()
+        net = inst.network
+        costs = np.tile(net.free_time, (2, 1))
+        tau, _residual, _probs, _log_denom, solves, usable, _through = _expected_costs(
+            net, costs, np.array([2, 3]), np.ones((2, 1)), 0.0, 1e-9,
+            np.array([0, 0]), np.exp(-net.free_time)[None])
+        assert usable.tolist() == [False, False]
+        assert tau.tolist() == np.zeros((2, 4)).tolist()  # X = 1 where unusable
+        assert solves == 1
+
+    def test_unusable_pairs_fall_back_and_fail_per_pair(self, monkeypatch):
+        inst = complete_digraph_instance()
+        factored = record_factorizations(monkeypatch)
+        with pytest.raises(FeasibilityError, match="unbounded"):
+            solve_equilibrium(inst, zero_prices(inst), OPTS)
+        assert factored == [((4, 4), "ok"), ((8, 8), "ok")]  # the stratum, then per pair

@@ -152,6 +152,15 @@ def small_sweep_config(tmp_path, lo=0.0, hi=8.0, step=2.0, workers=1):
         workers=workers)
 
 
+def single_od_sweep_config(tmp_path):
+    """A three-scheme uniform sweep of the single-OD instance."""
+    save_instance(gen_single_od(), tmp_path / "od.json")
+    return SweepConfig(instance=str(tmp_path / "od.json"),
+                       grid=PriceGrid(family="uniform", lo=0.0, hi=2.0, step=1.0),
+                       solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
+                       output=str(tmp_path / "out"))
+
+
 class TestRunSweep:
     def test_rows_cover_grid_plus_baseline(self, tmp_path):
         config = small_sweep_config(tmp_path)
@@ -199,6 +208,52 @@ class TestRunSweep:
         detail = Path(config.output) / "schemes" / "uniform_p0.json"
         with pytest.raises(InstanceError, match=f"{detail}: result.welfare has strata"):
             run_sweep(config)
+
+    def test_resumed_tables_are_byte_identical_to_fresh_ones(self, tmp_path):
+        # single-OD lists its strata high, mid, low: not in name order
+        config = single_od_sweep_config(tmp_path)
+        run_sweep(config)
+        out = Path(config.output)
+        fresh = tree_bytes(out)
+        assert b'"strata":["high","mid","low"]' in fresh["manifest.json"]
+        (out / "results.csv").unlink()
+        (out / "manifest.json").unlink()
+        rows = run_sweep(config)  # every scheme resumes from its detail file
+        assert tree_bytes(out) == fresh
+        assert [list(r.welfare) for r in rows] == [["high", "mid", "low"]] * 3
+        assert all(list(r.avg_speed_flow) == ["high", "mid", "low"] for r in load_results(out))
+
+    def test_resume_refuses_a_detail_file_of_another_scheme(self, tmp_path):
+        config = single_od_sweep_config(tmp_path)
+        run_sweep(config)
+        details = Path(config.output) / "schemes"
+        (details / "uniform_p2.json").write_bytes((details / "uniform_p1.json").read_bytes())
+        match = "uniform_p2.json: result.scheme_id is 'uniform_p1', not 'uniform_p2'"
+        with pytest.raises(InstanceError, match=match):
+            run_sweep(config)
+        with pytest.raises(InstanceError, match=match):
+            load_results(config.output)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("converged", "no", "converged must be true or false"),
+        ("inner_converged", 1, "inner_converged must be true or false"),
+        ("family", ["x"], "family must be a string"),
+        ("rates_label", None, "rates_label must be a string"),
+        ("error", 5, "error must be null or a string"),
+        ("sim", "abc", "sim must be an object"),
+    ])
+    def test_resume_refuses_a_detail_file_field_of_another_type(self, tmp_path, field, value,
+                                                                message):
+        config = single_od_sweep_config(tmp_path)
+        run_sweep(config)
+        detail = Path(config.output) / "schemes" / "uniform_p1.json"
+        doc = json.loads(detail.read_text())
+        doc[field] = value
+        detail.write_text(json.dumps(doc))
+        with pytest.raises(InstanceError, match=f"{detail}: result.{message}"):
+            run_sweep(config)
+        with pytest.raises(InstanceError, match=f"{detail}: result.{message}"):
+            load_results(config.output)
 
     def test_detail_files_written_once_as_persist_results_writes_them(self, tmp_path,
                                                                      monkeypatch):

@@ -222,6 +222,30 @@ class TestRevenue:
         paid = 10.0 * stats.start_prob * stats.money
         assert revenue(sol, prices, "solo", inst) == pytest.approx(paid, rel=1e-8)
 
+    @pytest.mark.parametrize("name", ["single_od", "grid6"])
+    def test_trip_stats_reproduce_each_stratum_flow(self, name, grid6_solved):
+        # per stratum, the started trips of its OD pairs times their expected
+        # time, money and distance are its flow dotted with the arc times,
+        # tolls and lengths; so the trip- and flow-weighted speeds coincide
+        if name == "grid6":
+            inst, sol = grid6_solved
+        else:
+            inst = gen_single_od()
+            sol, _prices = solved(inst, rate=20.0)
+        net = inst.network
+        stats = all_trip_stats(inst, sol)
+        report = compute_metrics(inst, sol, stats)
+        trips = {(e.stratum, e.origin, e.destination): e.trips for e in inst.demand}
+        for s_idx, s in enumerate(inst.stratum_names):
+            started = [(trips[key] * t.start_prob, t) for key, t in stats.items() if key[0] == s]
+            flow = sol.stratum_flow[s]
+            for field, per_arc in (("time", sol.arc_time), ("distance", net.length),
+                                   ("money", sol.price_rates[s_idx] * net.primary_length)):
+                total = sum(g * getattr(t, field) for g, t in started)
+                assert total == pytest.approx(float(flow @ per_arc), rel=1e-12), (s, field)
+                assert total > 0.0
+            assert report.avg_speed_trip[s] == pytest.approx(report.avg_speed_flow[s], rel=1e-12)
+
 
 class TestPrimaryShare:
     def test_extremes_and_ratio(self):

@@ -280,15 +280,15 @@ class TestChainMatrix:
         w = np.random.default_rng(5).uniform(0.0, 0.5, size=net.n_arcs)
         for d in range(net.n_nodes):
             ref = chain_reference(net, w, d)
-            assert net.chain_matrix(w, d).toarray().tolist() == ref.tolist()
-            assert net.chain_matrix(w[None], np.array([d])).toarray().tolist() == ref.tolist()
+            assert net.chain_matrix(w, d).T.toarray().tolist() == ref.tolist()
+            assert net.chain_matrix(w[None], np.array([d])).T.toarray().tolist() == ref.tolist()
 
     def test_blocks_are_the_single_matrices(self):
         net = parallel_lattice()
         n = net.n_nodes
         w = np.random.default_rng(6).uniform(0.0, 0.5, size=(4, net.n_arcs))
         dest = np.array([2, 0, 2, 1])
-        full = net.chain_matrix(w, dest).toarray()
+        full = net.chain_matrix(w, dest).T.toarray()
         assert full.shape == (4 * n, 4 * n)
         for i, d in enumerate(dest):
             block = full[i * n:(i + 1) * n]
@@ -305,6 +305,59 @@ class TestChainMatrix:
         assert net.solve_blocks(0) == []
 
 
+def blocks_reference(net, weights, dest):
+    """Dense block-diagonal (I - W)^T, block i from row i of ``weights``."""
+    n, k = net.n_nodes, len(dest)
+    full = np.zeros((k * n, k * n))
+    for i, d in enumerate(dest):
+        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = chain_reference(net, weights[i], d).T
+    return full
+
+
+class TestOwnedBlockMatrices:
+    """chain_matrix and reversed_graph return the network's own k-block
+    matrix, built once per k and refilled by every later call."""
+
+    def test_same_k_returns_the_same_matrix_refilled(self):
+        net = parallel_lattice()
+        w1, w2 = np.random.default_rng(9).uniform(0.0, 0.5, size=(2, 3, net.n_arcs))
+        dest = np.array([0, 2, 1])
+        chain, graph = net.chain_matrix(w1, dest), net.reversed_graph(w1)
+        assert chain.format == "csc" and graph.format == "csr"
+        assert net.chain_matrix(w2, dest) is chain
+        assert net.reversed_graph(w2) is graph
+        assert chain.toarray().tolist() == blocks_reference(net, w2, dest).tolist()
+        fresh = build_network(list(net.nodes), list(net.arcs))
+        assert graph.toarray().tolist() == fresh.reversed_graph(w2).toarray().tolist()
+
+    def test_refills_with_other_weights_and_k_equal_fresh_references(self):
+        net = parallel_lattice()
+        rng = np.random.default_rng(10)
+        for k in (3, 1, 3, 2, 1, 2, 3):
+            w = rng.uniform(0.0, 0.5, size=(k, net.n_arcs))
+            dest = rng.integers(-1, net.n_nodes, size=k)
+            shortest_costs(net, w, np.arange(k) % net.n_nodes, rows=np.arange(k))
+            fresh = build_network(list(net.nodes), list(net.arcs))  # nothing built yet
+            for got, want in ((net.chain_matrix(w, dest), fresh.chain_matrix(w, dest)),
+                              (net.reversed_graph(w), fresh.reversed_graph(w))):
+                assert got.shape == want.shape == (k * net.n_nodes, k * net.n_nodes)
+                assert got.indices.tolist() == want.indices.tolist()
+                assert got.indptr.tolist() == want.indptr.tolist()
+                assert got.data.tolist() == want.data.tolist()
+            assert net.chain_matrix(w, dest).toarray().tolist() == \
+                blocks_reference(net, w, dest).tolist()
+
+    def test_factor_taken_before_a_refill_solves_its_own_system(self):
+        from scipy.sparse.linalg import splu
+        net = parallel_lattice()
+        lu = splu(net.chain_matrix(np.full(net.n_arcs, 0.2), 2))
+        net.chain_matrix(np.full(net.n_arcs, 0.4), 2)  # refills the factored matrix
+        b = np.array([1.0, 2.0, 3.0])
+        x = lu.solve(b)
+        assert np.max(np.abs(chain_reference(net, np.full(net.n_arcs, 0.2), 2).T @ x - b)) \
+            <= 1e-14
+
+
 class TestRebuiltNetwork:
     def test_patterns_follow_the_arc_subset(self):
         full = parallel_lattice()
@@ -314,4 +367,4 @@ class TestRebuiltNetwork:
         got = shortest_costs(sub, sub.free_time, np.array([1, 1]))
         assert got[0, sub.node_index["0"]] == 2.0  # b01 is gone
         w = np.full(sub.n_arcs, 0.25)
-        assert sub.chain_matrix(w, 2).toarray().tolist() == chain_reference(sub, w, 2).tolist()
+        assert sub.chain_matrix(w, 2).T.toarray().tolist() == chain_reference(sub, w, 2).tolist()
