@@ -6,13 +6,16 @@ costs (a logit fixed point per stratum and destination), costs determine
 choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
 the flow vector.  Given the arc costs, the (stratum, destination) routings
-are independent, so each routing pass batches all of them: one Dijkstra call
-for the shortest-cost bounds, then sparse LU factorizations by one kernel,
-``_expected_costs``, each serving the expected costs and node throughputs
-of its pairs.  A stratum with several destinations is one block, I - W for
-all of them (Sherman-Morrison on the destination's row, one right-hand-side
-column per destination), while its unscaled weights stay in double range
-(``STRATUM_RANGE``); every other pair is a block of its own scaled system.
+are independent, so each routing pass batches all of them in sparse LU
+factorizations by one kernel, ``_expected_costs``, each serving the
+expected costs and node throughputs of its pairs.  A stratum with several
+destinations is tried as one block, I - W for all of them (Sherman-Morrison
+on the destination's row, one right-hand-side column per destination), and
+kept there while its answer stays in double range (``STRATUM_RANGE``);
+every other pair is a block of its own system, scaled by its shortest costs
+at free-flow times.  A pass runs no Dijkstra: the free-flow bounds come from
+one call per solve, made only if some pair needs them, and the pass's own
+shortest costs only for a pair whose answer leaves range under them.
 ``solve_tau`` and ``flows_for_destination`` are the one-pair case.
 """
 
@@ -133,16 +136,19 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     ``converged`` means the fixed-point residual, certified after at most one
     iterative-refinement retry, is at most ``inner_tol``; ``iterations``
     counts the solves.  Raises FeasibilityError when I - W is singular or X
-    is not finite and positive, which (every node reaching the destination)
-    happens exactly when W_d, the weights exp(-beta_t * costs) with the
-    destination's row zeroed, has spectral radius >= 1.
+    is not finite or below X_MIN; short of underflow that happens
+    (every node reaching the destination) exactly when W_d, the weights
+    exp(-beta_t * costs) with the destination's row zeroed, has spectral
+    radius >= 1.
     """
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
-    tau, residual, _probs, _log_denom, solves, _usable, _through = _expected_costs(
+    tau, residual, _probs, _log_denom, solves, low, _through = _expected_costs(
         network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None],
         options.inner_tol)
+    if not low[0] >= X_MIN:
+        raise FeasibilityError(_UNBOUNDED)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
                      iterations=solves, residual=float(residual[0]))
 
@@ -159,23 +165,24 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     network's chain_matrix; ``costs`` is (k, m), ``beta`` a scalar or (k, 1)
     column.  The two block layouts:
 
-    - ``block`` None: pair p's own I - W_d, row d zeroed, scaled by the
-      shortest-cost bounds ``tau_ref`` (k, n) so that every weight is at
-      most 1; X solves it.  A pair whose X is not finite and positive
-      raises FeasibilityError: rho(W_d) >= 1.
+    - ``block`` None: pair p's own I - W_d, row d zeroed, scaled by
+      ``tau_ref`` (k, n), shortest costs at these costs or at lower ones,
+      so that every weight is at most 1; X solves it.
     - ``block`` a nondecreasing array: pair p is served by the block of
       ``weights[block[p]]``, which zeroes no row, and tau_ref is 0.  The
       j-th pair of each block takes right-hand-side column j.  By
       Sherman-Morrison on I - W_d = (I - W_b) + e_d w_d^T, X = Z[:, d] /
       Z[d, d] with Z = (I - W_b)^-1 E_D (Akamatsu, Transp. Res. B 1996;
-      Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).  A pair whose
-      X is not finite and positive is not usable and gets X = 1.
+      Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
 
-    A singular stack raises FeasibilityError.  A residual above
-    ``inner_tol`` in a usable pair refines the stack once with the same
-    factors.  Returns tau (k, n), the per-pair fixed-point residual, the
-    logit probabilities and log-denominators at tau, the number of solves,
-    the usable pairs, and ``through``: (k, n) right-hand sides y ->
+    A pair is usable when its least X, ``low``, is at least X_MIN: X is
+    finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
+    Any other pair gets X = 1.  A singular stack raises FeasibilityError.
+    A residual above ``inner_tol`` in a usable pair refines the stack once
+    with the same factors.  Returns tau (k, n), the per-pair fixed-point
+    residual, the logit probabilities and log-denominators at tau, the
+    number of solves, ``low`` (NaN where X is not finite, and never above
+    the unrefined one), and ``through``: (k, n) right-hand sides y ->
     X * (I - W_d)^-T (y / X), the routing solve of _route."""
     k, n = len(dest), network.n_nodes
     column = np.arange(k)
@@ -209,15 +216,14 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     def solve(v, trans):
         return unpack(lu.solve(pack(v), trans=trans))
 
-    def certify(X, usable=True):  # -> usable, tau, residual, probs, log_denom
-        usable = usable & np.isfinite(X).all(axis=1) & (X.min(axis=1) > 0.0)
+    def certify(X, low=np.inf):  # -> low, usable, tau, residual, probs, log_denom
+        low = np.minimum(low, np.where(np.isfinite(X).all(axis=1), X.min(axis=1), np.nan))
+        usable = low >= X_MIN
         if not usable.all():
-            if block is None:
-                raise FeasibilityError(_UNBOUNDED)
             X[~usable] = 1.0
         tau = tau_ref - np.log(X) / beta
         tau[column, dest] = 0.0
-        return (usable, tau, *_fixed_point(network, costs, dest, beta, tau))
+        return (low, usable, tau, *_fixed_point(network, costs, dest, beta, tau))
 
     e_d = np.zeros((k, n))
     e_d[column, dest] = 1.0
@@ -228,7 +234,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         z_dd = Z[column, dest]  # 1 + w_d^T Z
         with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] fails certify
             X = Z / z_dd[:, None]
-    usable, tau, residual, probs, log_denom = certify(X)
+    low, usable, tau, residual, probs, log_denom = certify(X)
     solves = 1
     if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
         r = e_d - unpack(chain.T @ pack(X))
@@ -238,7 +244,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         if block is not None:  # minus Z w_d^T q / Z[d, d], with w_d^T q = q[d] - r[d]
             with np.errstate(all="ignore"):
                 X -= Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
-        usable, tau, residual, probs, log_denom = certify(X, usable)
+        low, usable, tau, residual, probs, log_denom = certify(X, low)
         solves = 2
     if block is not None:  # R = A^-T w_d = A^-T e_d - e_d; w_d = 0 in the per-pair layout
         R = solve(e_d, "N")
@@ -251,7 +257,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         with np.errstate(all="ignore"):  # a non-finite R fails _route's checks
             return X * (g - R * (g[column, dest] / z_dd)[:, None])
 
-    return tau, residual, probs, log_denom, solves, usable, through
+    return tau, residual, probs, log_denom, solves, low, through
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -370,9 +376,13 @@ def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) ->
 
 
 STRATUM_RANGE = 0.5 * float(np.log(np.finfo(float).max))
-"""Largest beta_t * max shortest cost (about 354.9) at which a stratum may
-take the stratum path: its unscaled X = exp(-beta_t * tau) is then at least
-1 / sqrt(DBL_MAX), so X and y / X both stay in double range."""
+"""Largest beta_t * max tau (about 354.9) at which a stratum's answer from
+the stratum layout is accepted: its unscaled X = exp(-beta_t * tau) is then
+at least X_MIN = 1 / sqrt(DBL_MAX), so X and y / X both stay in double
+range.  The test is made on the computed X, after the solve."""
+
+X_MIN = math.exp(-STRATUM_RANGE)
+"""The least X of a usable pair (_expected_costs), in either layout."""
 
 
 class _RoutingPlan:
@@ -386,13 +396,19 @@ class _RoutingPlan:
     at most ``network.MAX_BLOCK_ROWS`` unknowns, in two block layouts.  The
     stratum layout gives each stratum with several destinations one
     unscaled block for all of them, I - W_s with no row zeroed, its j-th
-    destination in the stack's j-th right-hand-side column; only strata
-    whose beta_t * max tau_hat is at most STRATUM_RANGE take it.  In the
-    same pass a stratum falls back when its stack is singular or one of its
-    pairs is not usable, keeps a fixed-point residual above ``inner_tol``
-    or fails a routing check.  The per-pair layout gives every other pair
-    its own tau_hat-scaled block; FeasibilityError and SolverError come
-    from it only.
+    destination in the stack's j-th right-hand-side column.  It needs no
+    bound: a stratum is tried and its answer accepted when every pair is
+    usable (beta_t * max tau <= STRATUM_RANGE), keeps a fixed-point residual
+    of at most ``inner_tol`` and passes the routing checks.  A stratum whose
+    X is finite and nonnegative but below X_MIN takes the per-pair layout
+    for the rest of the solve (``per_pair``); one that fails otherwise falls
+    back in that pass only.  The per-pair layout gives every other pair its
+    own block, scaled by its shortest costs at free-flow times, computed by
+    one Dijkstra call the first time a pair needs them.  Times never fall
+    below free flow, so every weight stays at most 1; a pair whose X still
+    leaves range (heavy congestion) or fails a routing check is solved again
+    in the same pass, scaled by its shortest costs at the pass's costs.
+    FeasibilityError and SolverError come from that last layout only.
     """
 
     def __init__(self, instance, rates: np.ndarray):
@@ -423,8 +439,22 @@ class _RoutingPlan:
         # each stratum's pairs are self.first[s] : self.first[s] + self.count[s]
         self.count = np.bincount(self.stratum, minlength=len(self.strata))
         self.first = np.cumsum(self.count) - self.count
-        self.shared = np.flatnonzero(self.count >= 2)  # strata that may share an LU
+        self.per_pair = self.count < 2  # strata kept off the stratum layout
         self.pair_blocks = net.solve_blocks(len(self.dest))
+        self.free_flow_bounds = None
+        if len(self.dest) and not net.out_degree.all():
+            # a dead end reaches no other destination: Dijkstra names it
+            # (NetworkError) before the choice kernel meets a node without arcs
+            self._free_flow_bounds()
+
+    def _free_flow_bounds(self) -> np.ndarray:
+        """Every pair's shortest costs at free-flow times, (pairs, n_nodes),
+        from one Dijkstra call made the first time they are needed."""
+        if self.free_flow_bounds is None:
+            net = self.network
+            costs = _arc_costs(self.strata, net, self.rates, net.free_time)
+            self.free_flow_bounds = shortest_costs(net, costs, self.dest, rows=self.stratum)
+        return self.free_flow_bounds
 
     def _origins_of(self, pairs):
         """The rows of the origins of ``pairs`` (a slice or an index array),
@@ -438,39 +468,47 @@ class _RoutingPlan:
         return np.arange(len(owner)) + offset[owner], owner
 
     def route(self, arc_time: np.ndarray, inner_tol: float):
-        """One routing pass at fixed arc times: the shortest-cost bounds from
-        one Dijkstra call, then one LU per stack of _layouts, each stack's
-        pairs written into the _PassResult (None when there is no demand)."""
+        """One routing pass at fixed arc times: one LU per stack of _layouts,
+        each stack's accepted pairs written into the _PassResult (None when
+        there is no demand)."""
         if not len(self.dest):
             return None
         net, k = self.network, len(self.dest)
         costs = _arc_costs(self.strata, net, self.rates, arc_time)
-        tau_hat = shortest_costs(net, costs, self.dest, rows=self.stratum)
-        result, done = None, []
-        for pairs, block, weights, tau_ref, pair_costs in self._layouts(costs, tau_hat, done):
+        result, todo = None, np.ones(k, dtype=bool)
+        for pairs, block, weights, tau_ref, final in self._layouts(costs, todo):
             dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
             try:
-                tau, residual, probs, log_denom, solves, ok, through = _expected_costs(
-                    net, pair_costs, dest, self.beta[pairs], tau_ref, inner_tol, block, weights)
+                tau, residual, probs, log_denom, solves, low, through = _expected_costs(
+                    net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
+                    inner_tol, block, weights)
             except FeasibilityError:
                 if block is None:
                     raise
                 continue  # a singular stack: its strata fall back
+            ok, trips = low >= X_MIN, self.trips[o]
+            if block is not None:  # a stratum passes when each of its pairs passes every check
+                self.per_pair[self.stratum[pairs[(low >= 0.0) & ~ok]]] = True
+                ok &= residual <= inner_tol
+            if not ok.all():
+                if final:
+                    raise FeasibilityError(_UNBOUNDED)
+                trips = np.where(ok[owner], trips, 0.0)  # a failed pair routes none: no overflow
             start_prob, x, v, failed, error = _route(
-                net, probs, log_denom, dest, owner, self.origins[o], self.trips[o],
-                self.outside[o], self.beta_out[o], through)
-            fields = [tau, residual, np.full(len(dest), solves), probs, x, v]
-            if block is None:
-                if error:
+                net, probs, log_denom, dest, owner, self.origins[o], trips, self.outside[o],
+                self.beta_out[o], through)
+            if error:
+                if final:
                     raise SolverError(error)
-            else:  # a stratum passes when each of its pairs passes every check
-                ok &= (residual <= inner_tol) & ~failed
-                passed = (np.bincount(block, ~ok) == 0)[block]
-                if not passed.all():
-                    kept = passed[owner]
-                    pairs, o, start_prob = pairs[passed], o[kept], start_prob[kept]
-                    fields = [f[passed] for f in fields]
-                done.append(pairs)
+                ok &= ~failed
+            if block is not None:
+                ok = (np.bincount(block, ~ok) == 0)[block]
+            fields = [tau, residual, np.full(len(dest), solves), probs, x, v]
+            if not ok.all():  # slices of pairs and origins become index arrays
+                kept = ok[owner]
+                pairs, o = np.arange(k)[pairs][ok], np.arange(len(self.origins))[o][kept]
+                start_prob, fields = start_prob[kept], [f[ok] for f in fields]
+            todo[pairs] = False
             if result is None and len(fields[1]) == k:  # one stack served every pair, in order
                 result = _PassResult(*fields, start_prob)
                 continue
@@ -482,26 +520,35 @@ class _RoutingPlan:
             result.start_prob[o] = start_prob
         return result
 
-    def _layouts(self, costs: np.ndarray, tau_hat: np.ndarray, done: list):
+    def _layouts(self, costs: np.ndarray, todo: np.ndarray):
         """The stacks of a pass, as pairs (a slice or an index array), block,
-        weights, tau_ref and costs for _expected_costs: the stratum layout,
-        then, once it has run, the per-pair layout of the pairs not in ``done``."""
+        weights, tau_ref for _expected_costs and whether the stack is final
+        (its failures raise): the stratum layout, then, once it has run, the
+        per-pair layout of the pairs still ``todo`` at free-flow bounds, and
+        of those still ``todo`` after that at the pass's shortest costs."""
         net = self.network
-        in_range = [s for s in self.shared if self.stratum_beta[s, 0] * tau_hat[
-            self.first[s]:self.first[s] + self.count[s]].max() <= STRATUM_RANGE]
-        for g in net.solve_blocks(len(in_range)):  # a stratum has n unknowns, as a pair
-            group = np.array(in_range[g])
-            sizes = self.count[group]
-            pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(self.first[group], sizes)])
-            yield (pairs, np.repeat(np.arange(len(group)), sizes),
-                   np.exp(-self.stratum_beta[group] * costs[group]), 0.0,
-                   costs[self.stratum[pairs]])
-        blocks = self.pair_blocks  # slices of every pair: views, no copies
-        if done:
-            rest = np.setdiff1d(np.arange(len(self.dest)), np.concatenate(done))
-            blocks = [rest[b] for b in net.solve_blocks(len(rest))]
-        for pairs in blocks:
-            yield pairs, None, None, tau_hat[pairs], costs[self.stratum[pairs]]
+        if not self.per_pair.all():
+            tried = np.flatnonzero(~self.per_pair)
+            for g in net.solve_blocks(len(tried)):  # a stratum has n unknowns, as a pair
+                group = tried[g]
+                sizes = self.count[group]
+                pairs = np.concatenate([np.arange(f, f + c)
+                                        for f, c in zip(self.first[group], sizes)])
+                yield (pairs, np.repeat(np.arange(len(group)), sizes),
+                       np.exp(-self.stratum_beta[group] * costs[group]), 0.0, False)
+        for final in (False, True):
+            rest = np.flatnonzero(todo)
+            if not len(rest):
+                return
+            if final:
+                bounds = np.empty_like(self.free_flow_bounds)
+                bounds[rest] = shortest_costs(net, costs, self.dest[rest], rows=self.stratum[rest])
+            else:
+                bounds = self._free_flow_bounds()
+            blocks = (self.pair_blocks if len(rest) == len(self.dest)  # views, no copies
+                      else [rest[b] for b in net.solve_blocks(len(rest))])
+            for pairs in blocks:
+                yield pairs, None, None, bounds[pairs], final
 
     def subsolutions(self, result, inner_tol: float) -> dict:
         """The per-pair StratumDestinationSolution views of one pass."""

@@ -98,8 +98,9 @@ class ResultRow:
     @staticmethod
     def from_dict(d: dict, scheme_id: str, strata) -> "ResultRow":
         """The row of ``scheme_id``'s detail file, as to_dict writes it, with
-        a value for exactly the ``strata`` in each per-stratum metric, in
-        their order (a fresh row's); raises InstanceError naming a field."""
+        a value for exactly the ``strata`` in each per-stratum metric and
+        ``sim`` table, in their order (a fresh row's), and rates finite and
+        >= 0; raises InstanceError naming a field."""
         version, = read_fields(d, "result", (), {"schema_version": None})
         if version != RESULTS_SCHEMA_VERSION:
             raise ResultSchemaError(
@@ -116,17 +117,36 @@ class ResultRow:
         if not (row["error"] is None or type(row["error"]) is str):
             raise InstanceError(f"result.error must be null or a string, got {row['error']!r}")
         if row["sim"] is not None:
-            read_section(row["sim"], "result.sim")
+            *tables, truncated = read_fields(row["sim"], "result.sim",
+                                             (*_SIM_METRICS, "truncated"))
+            row["sim"] = {**{key: _per_stratum(f"result.sim.{key}", table, strata)
+                             for key, table in zip(_SIM_METRICS, tables)},
+                          "truncated": check_number("result.sim.truncated", truncated, 0,
+                                                    strict=False, integer=True)}
         for name in STRATUM_METRICS:
-            values = read_section(row[name], f"result.{name}")
-            if sorted(values) != sorted(strata):
-                raise InstanceError(f"result.{name} has strata {sorted(values)}, not "
-                                    f"{sorted(strata)}: a file of another instance")
-            row[name] = {s: _metric(f"result.{name}.{s}", values[s]) for s in strata}
+            row[name] = _per_stratum(f"result.{name}", row[name], strata)
         for name in (*TOTAL_METRICS, "outer_residual"):
             row[name] = _metric(f"result.{name}", row[name])
-        row["rate_vector"] = tuple(read_section(row["rate_vector"], "result.rate_vector", list))
+        row["rate_vector"] = tuple(
+            check_number(f"result.rate_vector[{i}]", rate, 0, strict=False)
+            for i, rate in enumerate(read_section(row["rate_vector"], "result.rate_vector", list)))
         return ResultRow(**row)
+
+
+#: the per-stratum tables of a row's ``sim`` block, each from its field of
+#: SimulationReport.summary; the block also holds the ``truncated`` trip count
+_SIM_METRICS = {"trips_started": "started_proportion", "mean_time": "mean_time",
+                "primary_share": "primary_share"}
+
+
+def _per_stratum(name: str, values, strata) -> dict:
+    """A stored per-stratum table: a value (_metric) for exactly the
+    ``strata``, in their order; raises InstanceError naming ``name``."""
+    values = read_section(values, name)
+    if sorted(values) != sorted(strata):
+        raise InstanceError(f"{name} has strata {sorted(values)}, not "
+                            f"{sorted(strata)}: a file of another instance")
+    return {s: _metric(f"{name}.{s}", values[s]) for s in strata}
 
 
 def _metric(name: str, value) -> float:
@@ -223,12 +243,9 @@ def _evaluate_scheme(instance, spec: SchemeSpec, areas, solver, baseline_stats,
         if simulate:
             sim = simulate_trips(instance, sol, runs_per_unit=runs_per_unit, seed=seed)
             summary = sim.summary(names)
-            status["sim"] = {
-                "trips_started": {s: summary[s]["started_proportion"] for s in names},
-                "mean_time": {s: summary[s]["mean_time"] for s in names},
-                "primary_share": {s: summary[s]["primary_share"] for s in names},
-                "truncated": sim.truncated_count,
-            }
+            status["sim"] = {**{key: {s: summary[s][field] for s in names}
+                                for key, field in _SIM_METRICS.items()},
+                             "truncated": sim.truncated_count}
     except RuntimeError as exc:  # FeasibilityError, SolverError: the sweep goes on
         metrics = {name: dict.fromkeys(names, nan) for name in STRATUM_METRICS}
         metrics.update(dict.fromkeys(TOTAL_METRICS, nan))

@@ -23,8 +23,9 @@ from mteq import (
     zero_prices,
 )
 from mteq import choice
-from mteq.equilibrium import _expected_costs, _route, solution_from_dict, solution_to_dict
-from mteq.network import Node, build_network, shortest_costs
+from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _expected_costs, _route, solution_from_dict,
+                              solution_to_dict)
+from mteq.network import NetworkError, Node, build_network, shortest_costs
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -423,10 +424,10 @@ def lattice():
 
 
 # uniform 0 and 2 take the stratum path for every stratum, uniform 300 the
-# per-pair path for every stratum (beta_t * max tau_hat 378-739, above
-# STRATUM_RANGE); the per-stratum schemes put two strata below the range
-# limit (21-26) and one above it (378 or 739) in the same pass, the one
-# above last and first in pair order
+# per-pair path for every stratum (beta_t * max tau 376-737 at zero flow,
+# above STRATUM_RANGE); the per-stratum schemes put two strata below the
+# range limit (19-24) and one above it (376 or 737) in the same pass, the
+# one above last and first in pair order
 LATTICE_SCHEMES = [SchemeSpec(family="uniform", rate=0.0),
                    SchemeSpec(family="uniform", rate=2.0),
                    SchemeSpec(family="uniform", rate=300.0),
@@ -476,6 +477,19 @@ def record_solves(monkeypatch) -> list:
     return shapes
 
 
+def record_bound_calls(monkeypatch) -> list:
+    """The destinations of every shortest-cost call the solver makes from now on."""
+    import mteq.equilibrium
+    calls, real = [], mteq.equilibrium.shortest_costs
+
+    def shortest_costs(network, arc_costs, destination, rows=None):
+        calls.append(np.atleast_1d(destination).tolist())
+        return real(network, arc_costs, destination, rows=rows)
+
+    monkeypatch.setattr(mteq.equilibrium, "shortest_costs", shortest_costs)
+    return calls
+
+
 def with_destinations(inst, counts):
     """``inst`` with each stratum's demand cut to its first ``counts[i]``
     destinations in node order."""
@@ -486,7 +500,7 @@ def with_destinations(inst, counts):
                     demand=[e for e in inst.demand if e.destination in keep[e.stratum]])
 
 
-def two_destination_instance(arcs, beta_t):
+def two_destination_instance(arcs, beta_t, outside_time=5.0):
     """One stratum on nodes 0 and 1 with demand both ways: one stratum,
     two destinations."""
     net = build_network([Node("0", 0, 0), Node("1", 1, 0)], arcs)
@@ -495,7 +509,7 @@ def two_destination_instance(arcs, beta_t):
         network=net, strata=[s],
         demand=[DemandEntry("s", "0", "1", 5.0), DemandEntry("s", "1", "0", 3.0)],
         outside=OutsideOption(mode="per_od_table", ticket=0.0,
-                              times={("0", "1"): 5.0, ("1", "0"): 5.0}))
+                              times={("0", "1"): outside_time, ("1", "0"): outside_time}))
 
 
 class TestBatchedRouting:
@@ -514,9 +528,13 @@ class TestBatchedRouting:
     @pytest.mark.parametrize("scheme", LATTICE_SCHEMES[3:], ids=scheme_id)
     def test_mixed_pass_routes_each_stratum_by_its_path(self, lattice, scheme, monkeypatch):
         factored = record_factorizations(monkeypatch)
-        one_pass(lattice, expand_scheme(scheme, lattice))
-        # two strata stacked (2 x 36 unknowns), the third's 10 pairs per pair (10 x 36)
-        assert factored == [((72, 72), "ok"), ((360, 360), "ok")]
+        solve_equilibrium(lattice, expand_scheme(scheme, lattice), SolverOptions(
+            inner_tol=1e-9, outer_tol=1e-12, outer_max_iters=2))
+        # the first pass tries the three strata stacked (3 x 36 unknowns) and
+        # routes the one out of range per pair (10 x 36); from the second pass
+        # on only the other two are stacked (2 x 36)
+        assert factored == [((108, 108), "ok"), ((360, 360), "ok"),
+                            ((72, 72), "ok"), ((360, 360), "ok")]
 
     def test_pairs_of_both_paths_come_back_in_pair_order(self, monkeypatch):
         # pair 0 (stratum lone, one destination) takes the per-pair path after
@@ -565,6 +583,72 @@ class TestBatchedRouting:
         sol = one_pass(inst, rates)
         assert factored == [((2, 2), "singular"), ((4, 4), "ok")]  # then both pairs per pair
         assert_matches_per_pair(inst, rates, sol)
+
+    def test_stratum_in_range_by_its_answer_takes_the_stratum_path(self, monkeypatch):
+        # four parallel arcs each way at cost 356 and beta_t = 1: the shortest
+        # cost puts the stratum out of range (356 > 354.9), but its expected
+        # cost, 356 - ln 4 = 354.6, is in range
+        arcs = [flat_arc(f"{a}{t}{h}", t, h, 356.0)
+                for a in "abcd" for t, h in (("0", "1"), ("1", "0"))]
+        inst = two_destination_instance(arcs, beta_t=1.0, outside_time=1000.0)
+        net = inst.network
+        factored = record_factorizations(monkeypatch)
+        rates = zero_prices(inst)
+        sol = one_pass(inst, rates)
+        assert factored == [((2, 2), "ok")]  # one stratum LU, no fallback
+        assert shortest_costs(net, net.free_time, np.array([0, 1])).max() > STRATUM_RANGE
+        assert max(sd.tau.max() for sd in sol.sub.values()) <= STRATUM_RANGE
+        assert min(sd.start_prob.min() for sd in sol.sub.values()) > 0.99
+        assert_matches_per_pair(inst, rates, sol)
+
+    @pytest.mark.parametrize("load", [60.0, 100.0])  # X below X_MIN, and X underflowing to 0
+    def test_congested_pairs_leave_range_and_are_solved_again(self, load, monkeypatch):
+        # every arc at `load` times its capacity: the free-flow bounds are
+        # hours below the expected costs, so X = exp(-beta_t * (tau - bound))
+        # leaves range and each pair is solved again at the pass's shortest costs
+        inst = gen_single_od()
+        net = inst.network
+        rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
+        calls = record_bound_calls(monkeypatch)
+        factored = record_factorizations(monkeypatch)
+        sol = one_pass(inst, rates, initial_flow=load * net.capacity)
+        assert calls == [[3, 3, 3], [3, 3, 3]]  # free-flow bounds, then the pass's
+        assert factored == [((12, 12), "ok")] * 2
+        for s_idx, s in enumerate(inst.strata):  # X under the free-flow bounds
+            free = shortest_costs(net, net.free_time + (s.beta_p / s.beta_t) * (
+                rates[s_idx] * net.length * net.is_primary), 3)
+            assert math.exp(-s.beta_t * np.max(sol.sub[(s.name, "3")].tau - free)) < X_MIN
+        assert_matches_per_pair(inst, rates, sol)
+
+    def test_dead_end_is_named_before_any_block_is_factored(self, monkeypatch):
+        # node 2 has no outgoing arc, so it reaches neither destination
+        net = build_network([Node(str(i), i, 0) for i in range(3)],
+                            [flat_arc("a01", "0", "1", 1.0), flat_arc("a10", "1", "0", 1.0),
+                             flat_arc("a02", "0", "2", 1.0)])
+        s = Stratum(name="s", beta_t=1.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+        inst = Instance(network=net, strata=[s],
+                        demand=[DemandEntry("s", "0", "1", 5.0), DemandEntry("s", "1", "0", 3.0)],
+                        outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                              times={("0", "1"): 5.0, ("1", "0"): 5.0}))
+        factored = record_factorizations(monkeypatch)
+        with pytest.raises(NetworkError, match="node '2' cannot reach the destination"):
+            one_pass(inst, zero_prices(inst))
+        assert factored == []
+
+    def test_one_shortest_cost_call_per_solve(self, lattice, monkeypatch):
+        # a single-destination stratum takes the per-pair layout, scaled by
+        # free-flow bounds from one call; the lattice at rate 2 needs none
+        inst = gen_single_od()
+        calls = record_bound_calls(monkeypatch)
+        for rate in (0.0, 100.0, 400.0):
+            sol = solve_equilibrium(inst, expand_scheme(
+                SchemeSpec(family="uniform", rate=rate), inst), MEDIUM)
+            assert sol.converged and sol.outer_iterations > 1
+        assert calls == [[3, 3, 3]] * 3
+        calls.clear()
+        sol = solve_equilibrium(lattice, rate_2(lattice), MEDIUM)
+        assert sol.converged and sol.outer_iterations > 3
+        assert calls == []
 
     def test_stratum_path_matches_oracle(self, lattice, monkeypatch):
         net = lattice.network
@@ -779,10 +863,10 @@ class TestUnusableStratumPairs:
         inst = complete_digraph_instance()
         net = inst.network
         costs = np.tile(net.free_time, (2, 1))
-        tau, _residual, _probs, _log_denom, solves, usable, _through = _expected_costs(
+        tau, _residual, _probs, _log_denom, solves, low, _through = _expected_costs(
             net, costs, np.array([2, 3]), np.ones((2, 1)), 0.0, 1e-9,
             np.array([0, 0]), np.exp(-net.free_time)[None])
-        assert usable.tolist() == [False, False]
+        assert (low >= X_MIN).tolist() == [False, False]
         assert tau.tolist() == np.zeros((2, 4)).tolist()  # X = 1 where unusable
         assert solves == 1
 
@@ -791,4 +875,5 @@ class TestUnusableStratumPairs:
         factored = record_factorizations(monkeypatch)
         with pytest.raises(FeasibilityError, match="unbounded"):
             solve_equilibrium(inst, zero_prices(inst), OPTS)
-        assert factored == [((4, 4), "ok"), ((8, 8), "ok")]  # the stratum, then per pair
+        # the stratum, per pair at free-flow bounds, then per pair at the pass's
+        assert factored == [((4, 4), "ok"), ((8, 8), "ok"), ((8, 8), "ok")]

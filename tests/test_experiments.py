@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,18 @@ class TestRunSweep:
         assert tree_bytes(out) == fresh
         assert [list(r.welfare) for r in rows] == [["high", "mid", "low"]] * 3
         assert all(list(r.avg_speed_flow) == ["high", "mid", "low"] for r in load_results(out))
+
+    def test_resumed_simulate_sweep_returns_the_fresh_rows(self, tmp_path):
+        config = replace(single_od_sweep_config(tmp_path), simulate=True, runs_per_unit=2)
+        fresh = run_sweep(config)
+        out = Path(config.output)
+        (out / "results.csv").unlink()
+        (out / "manifest.json").unlink()
+        rows = run_sweep(config)  # every scheme resumes from its detail file
+        assert rows == fresh
+        assert [json.dumps(r.to_dict()) for r in rows] == [json.dumps(r.to_dict()) for r in fresh]
+        assert all(list(table) == ["high", "mid", "low"]
+                   for r in rows for key, table in r.sim.items() if key != "truncated")
 
     def test_resume_refuses_a_detail_file_of_another_scheme(self, tmp_path):
         config = single_od_sweep_config(tmp_path)

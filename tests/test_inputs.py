@@ -206,6 +206,9 @@ NAME_VALUES = {"list": [1], "object": {"a": 1}, "null": None, "fraction": 1.5}
 PAIR = "sub.high|3"  # a (stratum, destination) pair of the single-OD solution
 ARRAYS = ("total_flow", "response_flow", "price_rates",
           *(f"{PAIR}.{key}" for key in ("origins", "trips", "start_prob")))
+# a valid simulation block of a single-OD detail file
+SIM = {**{key: {"high": 0.5, "mid": 0.5, "low": None}
+          for key in ("trips_started", "mean_time", "primary_share")}, "truncated": 0}
 TABLES = ("welfare", "welfare_delta", "revenue", "trips_started", "primary_share_distance",
           "primary_share_flow", "avg_speed_trip", "avg_speed_flow")
 
@@ -300,6 +303,19 @@ VALUES = [
     *[(file, path, "abc", f"result.{path}")
       for file in ("detail", "resume")
       for path in ("total_welfare", "total_revenue", "welfare.low", "avg_speed_flow.high")],
+    # rates of a detail file: finite numbers >= 0
+    *[(file, "rate_vector.0", value, "result.rate_vector[0]")
+      for file in ("detail", "resume") for value in ("x", None, -1.0, math.inf)],
+    ("detail", "rate_vector", ["x", None], "result.rate_vector[0]"),
+    # a detail file's simulation block: each table a value (or null) for each
+    # stratum, and a whole number of truncated trips
+    ("detail", "sim", {"truncated": "x"}, "result.sim.trips_started: missing"),
+    *[(file, "sim", {**SIM, **change}, f"result.sim.{name}")
+      for file in ("detail", "resume") for change, name in (
+          ({"truncated": "x"}, "truncated"), ({"truncated": -1}, "truncated"),
+          ({"truncated": 1.5}, "truncated"), ({"trips_started": [0.5]}, "trips_started"),
+          ({"mean_time": {**SIM["mean_time"], "high": "x"}}, "mean_time.high"),
+          ({"primary_share": {"high": 0.5}}, "primary_share has strata"))],
 ]
 
 
