@@ -25,7 +25,7 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
-from mteq.metrics import _absorbing_block, all_trip_stats
+from mteq.metrics import all_trip_stats
 
 instance = gen_single_od()
 options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6, outer_max_iters=3000)
@@ -37,16 +37,24 @@ net = instance.network
 
 
 def time_sd(stratum, destination="3", origin="0"):
-    """Exact standard deviation of one trip's drive time: the second moment
-    solves S_i = sum_a P_ia (t_a^2 + 2 t_a T_head + S_head), T the mean."""
+    """Exact standard deviation of one trip's drive time: the mean T and the
+    second moment S solve T_i = sum_a P_ia (t_a + T_head) and
+    S_i = sum_a P_ia (t_a^2 + 2 t_a T_head + S_head), both 0 at the
+    destination; four nodes make them small dense systems."""
     sd = solution.subsolution(stratum, destination)
     d, o = net.node_index[destination], net.node_index[origin]
-    t = solution.arc_time
-    probs, dest = sd.arc_probs[None], np.array([d])
-    mean = _absorbing_block(net, probs, t[None, :, None], dest)[0, :, 0]
-    second = _absorbing_block(net, probs, (t * t + 2 * t * mean[net.head])[None, :, None],
-                              dest)[0]
-    return math.sqrt(second[o, 0] - mean[o] ** 2)
+    live, t = net.tail != d, solution.arc_time
+    chain = np.eye(net.n_nodes)  # I - P, the destination absorbing
+    np.add.at(chain, (net.tail[live], net.head[live]), -sd.arc_probs[live])
+
+    def expected(weight):  # of the summed arc weight of a walk to d
+        step = np.zeros(net.n_nodes)
+        np.add.at(step, net.tail[live], sd.arc_probs[live] * weight[live])
+        return np.linalg.solve(chain, step)
+
+    mean = expected(t)
+    second = expected(t * t + 2 * t * mean[net.head])
+    return math.sqrt(second[o] - mean[o] ** 2)
 
 
 report = simulate_trips(instance, solution, runs_per_unit=10, seed=42)
@@ -74,6 +82,6 @@ for s in instance.stratum_names:
 
 print("""
 Gaps sit within a few standard errors of the replication noise.  Analytic
-values come from one sparse linear solve per (stratum, destination); the
+values come from the absorbing-chain solves of all_trip_stats; the
 simulator exists for trajectory output and as an independent cross-check.
 """)

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
 
 from . import choice
-from .network import (InstanceError, Network, check_flag, check_name, check_number,
-                      read_fields, read_json, read_section, shortest_costs)
+from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
+                      check_number, read_fields, read_json, read_section, shortest_costs)
 
 
 class FeasibilityError(RuntimeError):
@@ -158,22 +158,73 @@ _UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc 
               "reach the destination in finite expected cost")
 
 
+class _StackLU:
+    """One LU of a stack of blocks I - W_b, the network's chain_matrix,
+    serving k (block, destination) pairs, and solves of their (..., k, n)
+    right-hand sides, pair p's in ``[..., p, :]``.  The two block layouts:
+
+    - ``block`` None: pair p's own block, ``weights[p]`` with the row of
+      ``dest[p]`` zeroed, so I - W_d itself; right-hand sides are reshaped,
+      not copied.
+    - ``block`` a nondecreasing array: pair p is served by the block of
+      ``weights[block[p]]``, which zeroes no row; the j-th pair of each
+      block takes right-hand-side column j.  By Sherman-Morrison on
+      I - W_d = (I - W_b) + e_d w_d^T, (I - W_d)^-1 b = U - ``correction``
+      with U = (I - W_b)^-1 b and Z = (I - W_b)^-1 E_D (Akamatsu, Transp.
+      Res. B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
+
+    An exactly singular stack raises FeasibilityError."""
+
+    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
+        self.dest, self.block, self.n = dest, block, network.n_nodes
+        self.chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
+        try:
+            self.lu = splu(self.chain)
+        except RuntimeError:  # exactly singular
+            raise FeasibilityError(_UNBOUNDED) from None
+        if block is not None:
+            self.blocks = len(weights)
+            self.slot = np.arange(len(block)) - np.searchsorted(block, block)  # its column
+            self.width = int(self.slot.max()) + 1
+
+    def pack(self, v: np.ndarray) -> np.ndarray:
+        """(..., k, n) right-hand sides as SuperLU's columns."""
+        if self.block is None:  # one pair per block, in order
+            return v.reshape(*v.shape[:-2], -1).T
+        packed = np.zeros((*v.shape[:-2], self.width, self.blocks, self.n))
+        packed[..., self.slot, self.block, :] = v
+        return packed.reshape(-1, self.blocks * self.n).T
+
+    def unpack(self, V: np.ndarray, lead=()) -> np.ndarray:
+        """Inverse of pack for right-hand sides of leading shape ``lead``."""
+        if self.block is None:
+            return V.T.reshape(*lead, -1, self.n)
+        return V.T.reshape(*lead, self.width, self.blocks, self.n)[..., self.slot, self.block, :]
+
+    def solve(self, v: np.ndarray, trans: str) -> np.ndarray:
+        """Each pair's (I - W_b)^-1 v with ``trans`` "T", (I - W_b)^-T v with "N"."""
+        return self.unpack(self.lu.solve(self.pack(v), trans=trans), v.shape[:-2])
+
+    def correction(self, Z: np.ndarray, U: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Z (U[d] - b[d]) / Z[d, d] per pair, (..., k, n): what the block
+        layout takes from U = (I - W_b)^-1 b to leave (I - W_d)^-1 b, from
+        Z = (I - W_b)^-1 E_D (Z[d, d] = 1 + w_d^T Z, w_d^T U = U[d] - b[d])."""
+        c, d = np.arange(len(self.dest)), self.dest
+        return Z * ((U[..., c, d] - b[..., c, d]) / Z[c, d])[..., None]
+
+
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
                     tau_ref, inner_tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
-    destination) pairs from one LU of a stack of blocks I - W_b, the
-    network's chain_matrix; ``costs`` is (k, m), ``beta`` a scalar or (k, 1)
-    column.  The two block layouts:
+    destination) pairs from one _StackLU; ``costs`` is (k, m), ``beta`` a
+    scalar or (k, 1) column.  The two block layouts:
 
-    - ``block`` None: pair p's own I - W_d, row d zeroed, scaled by
-      ``tau_ref`` (k, n), shortest costs at these costs or at lower ones,
-      so that every weight is at most 1; X solves it.
+    - ``block`` None: pair p's own I - W_d, scaled by ``tau_ref`` (k, n),
+      shortest costs at these costs or at lower ones, so that every weight
+      is at most 1; X solves it.
     - ``block`` a nondecreasing array: pair p is served by the block of
-      ``weights[block[p]]``, which zeroes no row, and tau_ref is 0.  The
-      j-th pair of each block takes right-hand-side column j.  By
-      Sherman-Morrison on I - W_d = (I - W_b) + e_d w_d^T, X = Z[:, d] /
-      Z[d, d] with Z = (I - W_b)^-1 E_D (Akamatsu, Transp. Res. B 1996;
-      Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
+      ``weights[block[p]]`` and tau_ref is 0.  X = Z[:, d] / Z[d, d] with
+      Z = (I - W_b)^-1 E_D.
 
     A pair is usable when its least X, ``low``, is at least X_MIN: X is
     finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
@@ -190,31 +241,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         tau_ref = tau_ref.copy()
         tau_ref[column, dest] = 0.0
         weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
-    try:
-        lu = splu(chain)
-    except RuntimeError:  # exactly singular
-        raise FeasibilityError(_UNBOUNDED) from None
-    if block is None:  # one pair per block, in order: reshapes, no copies
-        def pack(v):
-            return v.reshape(k * n)
-
-        def unpack(V):
-            return V.reshape(k, n)
-    else:
-        blocks, slot = len(weights), column - np.searchsorted(block, block)
-        width = int(slot.max()) + 1
-
-        def pack(v):  # (k, n) -> (B n, width), in SuperLU's column order
-            packed = np.zeros((width, blocks, n))
-            packed[slot, block] = v
-            return packed.reshape(width, blocks * n).T
-
-        def unpack(V):
-            return V.T.reshape(width, blocks, n)[slot, block]
-
-    def solve(v, trans):
-        return unpack(lu.solve(pack(v), trans=trans))
+    stack = _StackLU(network, weights, dest, block)
 
     def certify(X, low=np.inf):  # -> low, usable, tau, residual, probs, log_denom
         low = np.minimum(low, np.where(np.isfinite(X).all(axis=1), X.min(axis=1), np.nan))
@@ -227,7 +254,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
 
     e_d = np.zeros((k, n))
     e_d[column, dest] = 1.0
-    Z = solve(e_d, "T")
+    Z = stack.solve(e_d, "T")
     if block is None:
         X = Z
     else:
@@ -237,21 +264,21 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     low, usable, tau, residual, probs, log_denom = certify(X)
     solves = 1
     if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
-        r = e_d - unpack(chain.T @ pack(X))
+        r = e_d - stack.unpack(stack.chain.T @ stack.pack(X))
         r[column, dest] = 1.0 - X[column, dest]  # row d of I - W_d is e_d
-        q = solve(r, "T")
+        q = stack.solve(r, "T")
         X = X + q
-        if block is not None:  # minus Z w_d^T q / Z[d, d], with w_d^T q = q[d] - r[d]
+        if block is not None:
             with np.errstate(all="ignore"):
-                X -= Z * ((q[column, dest] - r[column, dest]) / z_dd)[:, None]
+                X -= stack.correction(Z, q, r)
         low, usable, tau, residual, probs, log_denom = certify(X, low)
         solves = 2
     if block is not None:  # R = A^-T w_d = A^-T e_d - e_d; w_d = 0 in the per-pair layout
-        R = solve(e_d, "N")
+        R = stack.solve(e_d, "N")
         R[column, dest] -= 1.0
 
     def through(y):  # X * (G - R G[d] / Z[d, d]), G = A^-T (y / X)
-        g = solve(y / X, "N")
+        g = stack.solve(y / X, "N")
         if block is None:
             return X * g
         with np.errstate(all="ignore"):  # a non-finite R fails _route's checks
@@ -385,6 +412,18 @@ X_MIN = math.exp(-STRATUM_RANGE)
 """The least X of a usable pair (_expected_costs), in either layout."""
 
 
+def _stratum_stacks(network: Network, first: np.ndarray, count: np.ndarray):
+    """The stacks of the stratum layout for strata whose pairs are
+    ``first[s]:first[s] + count[s]``, as many to a stack as
+    ``network.solve_blocks`` allows (a stratum has n unknowns, as a pair):
+    each stack's strata (an index into ``first``), pairs and the block of
+    each pair, for _StackLU."""
+    for g in network.solve_blocks(len(first)):
+        sizes = count[g]
+        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first[g], sizes)])
+        yield g, pairs, np.repeat(np.arange(len(sizes)), sizes)
+
+
 class _RoutingPlan:
     """Every (stratum, destination) demand column of a solve, flattened once
     so that a routing pass is one batched call: the pair order (strata in
@@ -442,10 +481,9 @@ class _RoutingPlan:
         self.per_pair = self.count < 2  # strata kept off the stratum layout
         self.pair_blocks = net.solve_blocks(len(self.dest))
         self.free_flow_bounds = None
-        if len(self.dest) and not net.out_degree.all():
-            # a dead end reaches no other destination: Dijkstra names it
-            # (NetworkError) before the choice kernel meets a node without arcs
-            self._free_flow_bounds()
+        dead = np.flatnonzero(net.out_degree == 0)
+        if len(dead):  # the choice kernel's per-node segments need an arc each
+            raise NetworkError(f"node {net.node_id(int(dead[0]))!r} has no outgoing arc")
 
     def _free_flow_bounds(self) -> np.ndarray:
         """Every pair's shortest costs at free-flow times, (pairs, n_nodes),
@@ -529,13 +567,9 @@ class _RoutingPlan:
         net = self.network
         if not self.per_pair.all():
             tried = np.flatnonzero(~self.per_pair)
-            for g in net.solve_blocks(len(tried)):  # a stratum has n unknowns, as a pair
+            for g, pairs, block in _stratum_stacks(net, self.first[tried], self.count[tried]):
                 group = tried[g]
-                sizes = self.count[group]
-                pairs = np.concatenate([np.arange(f, f + c)
-                                        for f, c in zip(self.first[group], sizes)])
-                yield (pairs, np.repeat(np.arange(len(group)), sizes),
-                       np.exp(-self.stratum_beta[group] * costs[group]), 0.0, False)
+                yield pairs, block, np.exp(-self.stratum_beta[group] * costs[group]), 0.0, False
         for final in (False, True):
             rest = np.flatnonzero(todo)
             if not len(rest):

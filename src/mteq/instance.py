@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -384,13 +384,13 @@ def _instance_from(doc, base: Path) -> Instance:
 def instance_to_document(instance: Instance) -> dict:
     """Serialize back to the JSON document shape; load(to_document(x)) == x."""
     net = instance.network
-    return {  # a node's or an arc's fields are its instance dict
+    return {  # a record's fields are its instance dict (asdict would deep-copy each)
         "nodes": [dict(vars(n)) for n in net.nodes],
         "arcs": [dict(vars(a)) for a in net.arcs],
-        "strata": [asdict(s) for s in instance.strata],
-        "demand": [asdict(e) for e in instance.demand],
+        "strata": [dict(vars(s)) for s in instance.strata],
+        "demand": [dict(vars(e)) for e in instance.demand],
         "outside_option": _outside_to_doc(instance.outside),
-        "solver": asdict(instance.solver),
+        "solver": dict(vars(instance.solver)),
         "defaults": {"car_length_km": instance.car_length_km},
     }
 

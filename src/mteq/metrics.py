@@ -2,22 +2,26 @@
 
 Expected per-trip quantities (time, money, distance) come from the
 absorbing-chain linear systems of the (stratum, destination) routings,
-stacked into block-diagonal solves; the
-Monte Carlo simulator replays individual trips against the same transition
-probabilities and serves as an independent cross-check and the source of
-trajectory-level output.
+solved by the routing kernel (equilibrium._StackLU): a stratum in range
+shares one LU for all its destinations, each pair's answer checked against
+its stored probabilities, and every other pair is a block of its own
+(all_trip_stats).  The Monte Carlo simulator replays individual trips
+against the same transition probabilities and serves as an independent
+cross-check and the source of trajectory-level output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import spsolve  # noqa: F401 (perfbench traces spsolve)
 
-from .equilibrium import EquilibriumSolution
+from .equilibrium import (STRATUM_RANGE, EquilibriumSolution, FeasibilityError, _arc_costs,
+                          _StackLU, _stratum_stacks)
 from .instance import Instance, nan_to_null
 from .network import Network, check_number, write_csv
 
@@ -67,51 +71,119 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # Analytic expectations
 
-def _absorbing_block(net: Network, probs: np.ndarray, weights: np.ndarray,
-                     dest: np.ndarray) -> np.ndarray:
-    """Solve T_i = sum_a P_ia (w_a + T_head(a)) with T_dest = 0 for several
-    weight columns and k (stratum, destination) pairs at once, from one
-    block-diagonal solve: ``probs`` is (k, n_arcs), ``weights``
-    (k, n_arcs, c); returns (k, n_nodes, c)."""
-    k, n, c = len(dest), net.n_nodes, weights.shape[-1]
-    live = (net.tail != dest[:, None])[..., None]
-    # arcs are stored grouped by tail: each node's terms are one segment
-    rhs = np.add.reduceat(np.where(live, probs[..., None] * weights, 0.0),
-                          net.out_start[:-1], axis=1)
-    out = spsolve(net.chain_matrix(probs, dest).T, rhs.reshape(k * n, c))  # I - W
-    return np.asarray(out).reshape(k, n, c)
+#: The largest residual of T = r + P T[head] that a stacked pair's answer
+#: may leave, relative to max(1, |T|), before the pair is solved on its own.
+STACK_RESIDUAL = 1e-10
 
 
 def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     """TripStats for every demanded (stratum, origin, destination): expected
-    time, money and distance from block-diagonal solves over all pairs
-    (``Network.solve_blocks``), plus the start probabilities."""
+    time, money and distance T, the solutions of (I - P_d) T = r under each
+    pair's stored ``arc_probs`` P (r: the expected arc weight of one step),
+    plus the start probabilities.
+
+    Each pair is solved in one of the routing kernel's two block layouts
+    (equilibrium._StackLU), one LU per stack of at most MAX_BLOCK_ROWS
+    unknowns.  A stratum with several destinations whose stored tau keeps
+    beta_t * max tau <= STRATUM_RANGE shares one unscaled block I - W_s,
+    W_s = exp(-beta_t * cost) at the solution's times and prices: with
+    X = exp(-beta_t * tau), P = D^-1 W D for D = diag(X), so (I - P_d) T = r
+    is (I - W_d)(X T) = X r, and one solve gives every pair's three weights
+    by Sherman-Morrison.  Each such answer is checked against the pair's own
+    P: the residual of T = r + P T[head], T[d] = 0, must be at most
+    STACK_RESIDUAL * max(1, |T|) for every weight.  Every other pair, and
+    every pair that fails that check or whose stack is singular or gives
+    non-finite values, is solved in the per-pair layout, I - P_d itself;
+    FeasibilityError there means some pair's walks are never absorbed."""
     keys = sorted(solution.sub)
     if not keys:
         return {}
     net = instance.network
+    k, n = len(keys), net.n_nodes
     subs = [solution.sub[key] for key in keys]
-    s_idx = [instance.stratum_names.index(s) for s, _ in keys]
-    kappa = solution.price_rates[s_idx] * net.primary_length
-    W = np.stack(np.broadcast_arrays(solution.arc_time, kappa, net.length), axis=-1)
-    probs = np.array([sd.arc_probs for sd in subs])
+    names = instance.stratum_names
+    s_idx = np.array([names.index(s) for s, _ in keys])
     dest = np.array([net.node_index[d] for _, d in keys])
-    exp = np.concatenate([_absorbing_block(net, probs[b], W[b], dest[b])
-                          for b in net.solve_blocks(len(keys))])
+    probs = np.array([sd.arc_probs for sd in subs])
+    live = np.where(net.tail == dest[:, None], 0.0, probs)  # absorbed at dest
+    step = np.empty((3, k, net.n_arcs))  # time, money and distance per step
+    np.multiply(live, solution.arc_time, out=step[0])
+    np.multiply(live, solution.price_rates[s_idx] * net.primary_length, out=step[1])
+    np.multiply(live, net.length, out=step[2])
+    r = _node_sums(net, step)  # (3, k, n)
+    T = np.empty_like(r)
+    todo = np.ones(k, dtype=bool)
+
+    # each stratum's pairs are a run of keys: first[j] : first[j] + count[j]
+    first = np.array([p for p in range(k) if p == 0 or keys[p][0] != keys[p - 1][0]])
+    count = np.diff(first, append=k)
+    if count.max() > 1:
+        tau = np.array([sd.tau for sd in subs])
+        beta = np.array([[instance.strata[i].beta_t] for i in s_idx])
+        reach = np.maximum.reduceat((beta * tau).max(axis=1), first)
+        tried = np.flatnonzero((count > 1) & (reach <= STRATUM_RANGE))
+        if len(tried):
+            costs = _arc_costs(instance.strata, net, solution.price_rates, solution.arc_time)
+            for g, pairs, block in _stratum_stacks(net, first[tried], count[tried]):
+                group = s_idx[first[tried[g]]]
+                weights = np.exp(-beta[first[tried[g]]] * costs[group])
+                ok, T_p = _stacked_stats(net, weights, dest[pairs], block, beta[pairs],
+                                         tau[pairs], r[:, pairs], live[pairs])
+                if ok.any():
+                    T[:, pairs[ok]] = T_p[:, ok]
+                    todo[pairs[ok]] = False
+
+    rest = np.flatnonzero(todo)
+    blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
+              else [rest[b] for b in net.solve_blocks(len(rest))])
+    for pairs in blocks:
+        T[:, pairs] = _StackLU(net, probs[pairs], dest[pairs]).solve(r[:, pairs], "T")
+
+    pair = np.repeat(np.arange(k), [len(sd.origins) for sd in subs])
+    origin = np.concatenate([sd.origins for sd in subs])
+    time, money, distance = T[:, pair, origin].tolist()
+    start = np.concatenate([sd.start_prob for sd in subs]).tolist()
     stats = {}
-    for (stratum, destination), sd, e in zip(keys, subs, exp):
-        for pos, origin_idx in enumerate(sd.origins):
-            origin = net.node_id(int(origin_idx))
-            stats[(stratum, origin, destination)] = TripStats(
-                stratum=stratum,
-                origin=origin,
-                destination=destination,
-                time=float(e[origin_idx, 0]),
-                money=float(e[origin_idx, 1]),
-                distance=float(e[origin_idx, 2]),
-                start_prob=float(sd.start_prob[pos]),
-            )
+    for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), time, money, distance, start):
+        (stratum, destination), o_id = keys[p], net.node_id(o)
+        stats[(stratum, o_id, destination)] = TripStats(stratum, o_id, destination, t, c, x, q)
     return stats
+
+
+def _stacked_stats(net: Network, weights: np.ndarray, dest: np.ndarray, block: np.ndarray,
+                   beta: np.ndarray, tau: np.ndarray, r: np.ndarray, live: np.ndarray):
+    """T (3, k, n) of k pairs in the stratum layout, from one _StackLU of
+    the blocks I - W_b and one solve of [E_D, X r] with X = exp(-beta tau),
+    and whether each pair's T passes the residual check against its
+    probabilities ``live`` (destination rows zeroed).  A singular stack
+    passes no pair."""
+    try:
+        stack = _StackLU(net, weights, dest, block)
+    except FeasibilityError:
+        return np.zeros(len(dest), dtype=bool), None
+    column = np.arange(len(dest))
+    rhs = np.zeros((4, *tau.shape))
+    rhs[0, column, dest] = 1.0
+    with np.errstate(all="ignore"):  # a non-finite value fails the check
+        X = np.exp(-beta * tau)
+        np.multiply(X, r, out=rhs[1:])
+        out = stack.solve(rhs, "T")
+        Z, U, b = out[0], out[1:], rhs[1:]
+        T = (U - stack.correction(Z, U, b)) / X
+        T[:, column, dest] = 0.0
+        resid = np.abs(T - r - _node_sums(net, live * T[..., net.head])).max(axis=2)
+        scale = np.maximum(1.0, np.abs(T).max(axis=2))
+        ok = (resid <= STACK_RESIDUAL * scale).all(axis=0)
+    return ok, T
+
+
+def _node_sums(net: Network, arc_values: np.ndarray) -> np.ndarray:
+    """(..., m) values per arc summed over each node's out-arcs: (..., n)."""
+    *lead, _m = arc_values.shape
+    rows, n = math.prod(lead), net.n_nodes
+    sums = np.bincount((net.tail + n * np.arange(rows)[:, None]).ravel(), arc_values.ravel(),
+                       minlength=rows * n)
+    return sums.reshape(*lead, n)
 
 
 def revenue(solution: EquilibriumSolution, prices, stratum: str,

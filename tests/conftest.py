@@ -99,6 +99,39 @@ def singular_pair_instance():
                                           times={("0", "2"): 5.0}))
 
 
+def dead_end_instance(mode="per_od_table"):
+    """Nodes 0, 1 and 2: flat arcs 0 <-> 1, 0 -> 2 and 1 -> 2 of an hour,
+    so the destination 2 has no outgoing arc; one stratum, every beta 1,
+    demand 0 -> 2 and 1 -> 2, the outside option in ``mode``."""
+    nodes = [Node(i, float(i), 0.0) for i in "012"]
+    arcs = [flat_arc(t + h, t, h, 1.0) for t, h in ("01", "10", "02", "12")]
+    s = Stratum(name="s", beta_t=1.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+    times = {("0", "2"): 5.0, ("1", "2"): 5.0} if mode == "per_od_table" else None
+    return Instance(network=build_network(nodes, arcs), strata=[s],
+                    demand=[DemandEntry("s", "0", "2", 5.0), DemandEntry("s", "1", "2", 3.0)],
+                    outside=OutsideOption(mode=mode, ticket=0.0, times=times))
+
+
+def record_factorizations(monkeypatch) -> list:
+    """The shape of every matrix the routing kernel (equilibrium._StackLU)
+    factors from now on, for the solver or for trip statistics, with
+    whether its factorization raised."""
+    import mteq.equilibrium
+    factored, real = [], mteq.equilibrium.splu
+
+    def splu(A, *args, **kwargs):
+        try:
+            lu = real(A, *args, **kwargs)
+        except RuntimeError:
+            factored.append((A.shape, "singular"))
+            raise
+        factored.append((A.shape, "ok"))
+        return lu
+
+    monkeypatch.setattr(mteq.equilibrium, "splu", splu)
+    return factored
+
+
 @pytest.fixture
 def tight_options():
     return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)

@@ -13,8 +13,8 @@ from mteq.network import build_network
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import gen_single_od
 
-from conftest import (schema_1_document, schema_2_document, singular_pair_instance,
-                      two_route_instance)
+from conftest import (dead_end_instance, schema_1_document, schema_2_document,
+                      singular_pair_instance, two_route_instance)
 
 
 def write_two_route(tmp_path) -> Path:
@@ -170,6 +170,15 @@ class TestSolve:
                             "--out", str(tmp_path / name / command[0])])
                 assert code == EXIT_SOLVER_FAILED == 3, (name, command[0])
                 assert capsys.readouterr().err.startswith("error: "), (name, command[0])
+
+    @pytest.mark.parametrize("mode", ["per_od_table", "free_time_multiplier"])
+    def test_dead_end_is_usage_error(self, tmp_path, capsys, mode):
+        ipath = tmp_path / "dead_end.json"
+        save_instance(dead_end_instance(mode), ipath)
+        code = run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "0",
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID == 1
+        assert capsys.readouterr().err == "error: node '2' has no outgoing arc\n"
 
     def test_missing_rate_is_usage_error(self, tmp_path):
         ipath = write_two_route(tmp_path)

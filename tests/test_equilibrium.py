@@ -30,8 +30,9 @@ from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
-from conftest import (PACKED, flat_arc, schema_1_document, schema_2_document,
-                      singular_pair_instance, two_route_instance)
+from conftest import (PACKED, dead_end_instance, flat_arc, record_factorizations,
+                      schema_1_document, schema_2_document, singular_pair_instance,
+                      two_route_instance)
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
@@ -441,25 +442,6 @@ def scheme_id(scheme) -> str:
     return str(scheme.rate) if scheme.family == "uniform" else scheme.scheme_id
 
 
-def record_factorizations(monkeypatch) -> list:
-    """The shape of every matrix the solver factors from now on, with
-    whether its factorization raised."""
-    import mteq.equilibrium
-    factored, real = [], mteq.equilibrium.splu
-
-    def splu(A, *args, **kwargs):
-        try:
-            lu = real(A, *args, **kwargs)
-        except RuntimeError:
-            factored.append((A.shape, "singular"))
-            raise
-        factored.append((A.shape, "ok"))
-        return lu
-
-    monkeypatch.setattr(mteq.equilibrium, "splu", splu)
-    return factored
-
-
 def record_solves(monkeypatch) -> list:
     """The shape of every right-hand side the solver's LUs solve from now on."""
     import mteq.equilibrium
@@ -631,9 +613,35 @@ class TestBatchedRouting:
                         outside=OutsideOption(mode="per_od_table", ticket=0.0,
                                               times={("0", "1"): 5.0, ("1", "0"): 5.0}))
         factored = record_factorizations(monkeypatch)
-        with pytest.raises(NetworkError, match="node '2' cannot reach the destination"):
+        with pytest.raises(NetworkError, match="node '2' has no outgoing arc"):
             one_pass(inst, zero_prices(inst))
         assert factored == []
+
+    @pytest.mark.parametrize("mode", ["per_od_table", "free_time_multiplier"])
+    def test_dead_end_destination_is_refused(self, mode, monkeypatch):
+        # the destination, last in storage order, has no outgoing arc: every
+        # node reaches it, so only the arc count can refuse it
+        inst = dead_end_instance(mode)
+        calls = record_bound_calls(monkeypatch)
+        with pytest.raises(NetworkError, match="node '2' has no outgoing arc"):
+            solve_equilibrium(inst, zero_prices(inst), MEDIUM)
+        assert calls == []
+
+    def test_dead_end_inside_the_storage_order_is_refused(self):
+        # node 1 has no outgoing arc and node 2 does: the choice kernel's
+        # segment of node 1 would be empty, and node 2's first arc read in
+        # its place; the solve is refused instead
+        net = build_network([Node(str(i), i, 0) for i in range(3)],
+                            [flat_arc("a01", "0", "1", 1.0), flat_arc("a02", "0", "2", 1.0),
+                             flat_arc("a20", "2", "0", 1.0), flat_arc("a21", "2", "1", 1.0)])
+        assert net.out_degree.tolist() == [2, 0, 2]
+        s = Stratum(name="s", beta_t=1.0, beta_p=1.0, beta_t_out=1.0, beta_p_out=1.0)
+        inst = Instance(network=net, strata=[s],
+                        demand=[DemandEntry("s", "0", "1", 5.0), DemandEntry("s", "2", "1", 3.0)],
+                        outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                              times={("0", "1"): 5.0, ("2", "1"): 5.0}))
+        with pytest.raises(NetworkError, match="node '1' has no outgoing arc"):
+            solve_equilibrium(inst, zero_prices(inst), MEDIUM)
 
     def test_one_shortest_cost_call_per_solve(self, lattice, monkeypatch):
         # a single-destination stratum takes the per-pair layout, scaled by

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import warnings
 
 import pytest
 
@@ -14,7 +16,7 @@ from mteq import (
 from mteq import cli
 from mteq.instance import instances_equal
 from mteq.network import Node, build_network
-from mteq.synthgen import gen_single_od
+from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 from conftest import (INSTANCE_FIELDS, flat_arc, set_field, single_od_document,
                       two_route_instance)
@@ -37,6 +39,24 @@ def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message
                     "--rate", "1", "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+class TestSaveInstance:
+    # the SHA-256 of each saved file, as its records were first written:
+    # a change of field, order or number format shows here
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: gen_grid(GridGenSpec(10, 10, seed=0)),
+         "94c4f4b530f4a0993ae8c45933cb2112dd4246ffd03c51b404626cd180fb0412"),
+        (gen_single_od, "857723f4a0296f86928e448760b0cc37b6436b85d1342b52ca1d85bd22f1f89f"),
+    ], ids=["grid10", "single_od"])
+    def test_saved_bytes_are_unchanged(self, tmp_path, make, digest):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # area groups the lattice skips
+            inst = make()
+        path = tmp_path / "instance.json"
+        save_instance(inst, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert instances_equal(load_instance(path), inst)
 
 
 class TestLoadInstance:

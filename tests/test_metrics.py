@@ -15,14 +15,16 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
-from mteq.metrics import _absorbing_block, _segment_cumsum
+from mteq.metrics import _segment_cumsum
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
-from conftest import flat_arc, two_route_instance
+from conftest import flat_arc, record_factorizations, two_route_instance
 from oracle import simulate_reference
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
+MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
+LOOSE = SolverOptions(inner_tol=0.1, outer_tol=10.0, outer_max_iters=10)
 
 
 def solved(instance, rate=0.0):
@@ -58,6 +60,46 @@ def grid6_solved():
     prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
     opts = SolverOptions(inner_tol=1e-9, outer_tol=1e-2, outer_max_iters=500)
     return inst, solve_equilibrium(inst, prices, opts)
+
+
+def dense_trip_stats(net, probs, weights, dest):
+    """The expected summed weights of a walk absorbed at ``dest`` under the
+    arc probabilities ``probs``: the solution T of (I - P_d) T = r, with P_d
+    the dense node transition matrix, dest's row zeroed, and r_i the sum
+    over i's out-arcs of P_a w_a; ``weights`` is (m, c), the result (n, c).
+
+    T is summed as its Neumann series r + P r + P^2 r + ..., doubling the
+    terms with each squaring of P.  Every term is nonnegative, so each entry
+    keeps its relative accuracy however small it is next to the others;
+    pivoted elimination does not (a toll of 1e-11 beside tolls of order 1
+    came out 2e-4 off)."""
+    n, live = net.n_nodes, net.tail != dest
+    P, T = np.zeros((n, n)), np.zeros((n, weights.shape[1]))
+    np.add.at(P, (net.tail[live], net.head[live]), probs[live])
+    np.add.at(T, net.tail[live], probs[live, None] * weights[live])
+    for _ in range(40):  # T = sum of P^j r for j < 2^i after i steps
+        if P.sum(axis=1).max() < 1e-18:  # the walks left are absorbed
+            return T
+        T, P = T + P @ T, P @ P
+    raise AssertionError("walks are not absorbed after 2^40 steps")
+
+
+def assert_trip_stats_match_dense(inst, sol, rel=1e-12):
+    """all_trip_stats against dense_trip_stats, pair by pair."""
+    net = inst.network
+    stats = all_trip_stats(inst, sol)
+    assert len(stats) == len(inst.demand)
+    for (s_name, d_id), sd in sol.sub.items():
+        s_idx = inst.stratum_names.index(s_name)
+        W = np.column_stack([sol.arc_time, sol.price_rates[s_idx] * net.primary_length,
+                             net.length])
+        ref = dense_trip_stats(net, sd.arc_probs, W, net.node_index[d_id])
+        for pos, o in enumerate(sd.origins):
+            row = stats[(s_name, net.node_id(int(o)), d_id)]
+            got = [row.time, row.money, row.distance]
+            assert got == pytest.approx(ref[o].tolist(), rel=rel, abs=1e-300), (s_name, d_id, o)
+            assert row.start_prob == sd.start_prob[pos]
+    return stats
 
 
 class TestExpectedTripStats:
@@ -97,7 +139,7 @@ class TestExpectedTripStats:
         net = parallel_network
         probs = np.array([[0.5, 0.5, 1.0]])
         times = np.array([[[4.0], [6.0], [1.0]]])
-        exp = _absorbing_block(net, probs, times, np.array([net.node_index["1"]]))[0]
+        exp = dense_trip_stats(net, probs[0], times[0], net.node_index["1"])
         assert exp[net.node_index["0"], 0] == pytest.approx(5.0, rel=1e-12)
 
 
@@ -108,20 +150,107 @@ class TestExpectedTripStats:
         if block_rows is not None:
             monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", block_rows)
         inst, sol = grid6_solved
+        assert_trip_stats_match_dense(inst, sol)
+
+
+@pytest.fixture(scope="module")
+def lattices():
+    """The acceptance lattice (grid6, 30 pairs) and the default 10x10 one
+    (grid10: 100 nodes, 156 pairs in 3 strata of 52 destinations each)."""
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # area groups the generator skips
+        return {"grid6": gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7)),
+                "grid10": gen_grid(GridGenSpec(rows=10, cols=10, seed=0))}
+
+
+def perturbed(sol, key, node, by):
+    """``sol`` with the stored tau of pair ``key`` moved by ``by`` at ``node``."""
+    tau = sol.sub[key].tau.copy()
+    tau[node] += by
+    return replace(sol, sub={**sol.sub, key: replace(sol.sub[key], tau=tau)})
+
+
+class TestStackedTripStats:
+    """The stratum layout of all_trip_stats against dense_trip_stats."""
+
+    @pytest.mark.parametrize("tol", ["MEDIUM", "LOOSE"])
+    @pytest.mark.parametrize("rate", [0.0, 2.0, 25.0, 100.0])
+    @pytest.mark.parametrize("name", ["grid6", "grid10"])
+    def test_lattices_match_the_dense_solve(self, lattices, name, rate, tol):
+        inst = lattices[name]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), inst)
+        sol = solve_equilibrium(inst, prices, {"MEDIUM": MEDIUM, "LOOSE": LOOSE}[tol])
+        assert_trip_stats_match_dense(inst, sol)
+
+    def test_one_lu_serves_every_stratum_in_range(self, lattices, monkeypatch):
+        # grid10 at rate 2: 3 strata of 100 nodes in one stack; at rate 300
+        # beta_t * max tau leaves range in every stratum, so no stack is
+        # built and the 156 pairs take 8 per-pair stacks of 20 or fewer
+        inst = lattices["grid10"]
+        for rate, want in ((2.0, [((300, 300), "ok")]),
+                           (300.0, [((2000, 2000), "ok")] * 7 + [((1600, 1600), "ok")])):
+            sol = solve_equilibrium(
+                inst, expand_scheme(SchemeSpec(family="uniform", rate=rate), inst), LOOSE)
+            factored = record_factorizations(monkeypatch)
+            all_trip_stats(inst, sol)
+            assert factored == want, rate
+            monkeypatch.undo()
+
+    def test_pair_off_its_stored_probabilities_is_solved_on_its_own(self, grid6_solved,
+                                                                    monkeypatch):
+        # tau moved by 1e-6 h at one origin: X = exp(-beta_t tau) there no
+        # longer matches the stored probabilities, so the stacked answer
+        # fails the residual check and the pair is solved in its own block
+        inst, sol = grid6_solved
+        net = inst.network
+        key = sorted(sol.sub)[3]
+        bad = perturbed(sol, key, int(sol.sub[key].origins[0]), 1e-6)
+        factored = record_factorizations(monkeypatch)
+        assert_trip_stats_match_dense(inst, bad)
+        assert factored == [((3 * net.n_nodes,) * 2, "ok"), ((net.n_nodes,) * 2, "ok")]
+
+    def test_singular_stratum_stack_falls_back_per_pair(self, monkeypatch):
+        # four parallel arcs each way between 0 and 1 at ln 4 hours: W_s is
+        # [[0, 1], [1, 0]], so I - W_s is exactly singular, and each pair's
+        # I - P_d is not
+        nodes = [Node("0", 0, 0), Node("1", 1, 0)]
+        arcs = [flat_arc(f"{a}{t}{h}", t, h, math.log(4.0))
+                for a in "abcd" for t, h in (("0", "1"), ("1", "0"))]
+        from mteq import DemandEntry, Instance, OutsideOption, Stratum
+        inst = Instance(
+            network=build_network(nodes, arcs),
+            strata=[Stratum("s", 1.0, 1.0, 1.0, 1.0)],
+            demand=[DemandEntry("s", "0", "1", 5.0), DemandEntry("s", "1", "0", 3.0)],
+            outside=OutsideOption(mode="per_od_table", ticket=0.0,
+                                  times={("0", "1"): 5.0, ("1", "0"): 5.0}),
+            solver=OPTS)
+        sol, _ = solved(inst)
+        factored = record_factorizations(monkeypatch)
+        stats = assert_trip_stats_match_dense(inst, sol)
+        assert factored == [((2, 2), "singular"), ((4, 4), "ok")]
+        assert stats[("s", "0", "1")].time == pytest.approx(math.log(4.0), rel=1e-15)
+
+    def test_monte_carlo_mean_times_agree(self, grid6_solved):
+        # per stratum, the completed trips' times less their pairs' expected
+        # times average to zero within 4 standard errors, as criterion 7
+        # checks on the single-OD instance
+        inst, sol = grid6_solved
         net = inst.network
         stats = all_trip_stats(inst, sol)
-        assert len(stats) == len(inst.demand)
-        for (s_name, d_id), sd in sol.sub.items():
-            s_idx = inst.stratum_names.index(s_name)
-            kappa = sol.price_rates[s_idx] * net.length * net.is_primary
-            W = np.column_stack([sol.arc_time, kappa, net.length])
-            ref = _absorbing_block(net, sd.arc_probs[None], W[None],
-                                   np.array([net.node_index[d_id]]))[0]
-            for pos, o in enumerate(sd.origins):
-                row = stats[(s_name, net.node_id(int(o)), d_id)]
-                got = [row.time, row.money, row.distance]
-                assert got == pytest.approx(ref[o].tolist(), rel=1e-12, abs=1e-300)
-                assert row.start_prob == sd.start_prob[pos]
+        rep = simulate_trips(inst, sol, runs_per_unit=10, seed=20240801)
+        assert rep.truncated_count == 0
+        expected = {(inst.stratum_names.index(s), net.node_index[o], net.node_index[d]): t.time
+                    for (s, o, d), t in stats.items()}
+        done = rep.started & ~rep.truncated
+        for s_idx, s in enumerate(inst.stratum_names):
+            mine = done & (rep.stratum == s_idx)
+            want = np.array([expected[key] for key in zip(
+                rep.stratum[mine].tolist(), rep.origin[mine].tolist(),
+                rep.destination[mine].tolist())])
+            gap = rep.time[mine] - want
+            assert len(gap) > 1000, s
+            assert abs(gap.mean()) <= 4 * gap.std(ddof=1) / math.sqrt(len(gap)), s
 
 
 class TestWelfare:
