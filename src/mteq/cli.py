@@ -145,9 +145,7 @@ def _cmd_pareto(args) -> int:
 def _cmd_simulate(args) -> int:
     instance = load_instance(args.instance)
     sol = read_solution(args.solution, instance.network)
-    unknown = sorted(set(sol.stratum_flow) - set(instance.stratum_names))
-    if unknown:
-        raise InstanceError(f"{args.solution}: strata {unknown} are not in the instance")
+    sol.check_strata(instance.stratum_names, args.solution)
     report = simulate_trips(instance, sol, runs_per_unit=args.runs, seed=args.seed,
                             keep_paths=args.keep_paths)
     out = Path(args.out)

@@ -49,9 +49,11 @@ class SolverError(RuntimeError):
 class SolverOptions:
     """Tolerances and the outer iteration cap.
 
-    Expected costs are an exact linear solve; ``inner_tol`` only bounds the
-    fixed-point residual that certifies them (``TauResult.converged``) and
-    never changes the solution.  The outer loop stops once the sup-norm gap
+    Expected costs are an exact linear solve, certified by a fixed-point
+    residual of at most ``inner_tol`` (``TauResult.converged``).  A larger
+    residual refines the solve once with the same factors, and a stratum
+    stack that keeps one is routed per pair in that pass: either can move
+    the solution by rounding.  The outer loop stops once the sup-norm gap
     between the flow iterate and its response is at most ``outer_tol``, or
     after ``outer_max_iters`` routing passes.
     """
@@ -121,6 +123,13 @@ class EquilibriumSolution:
     def subsolution(self, stratum: str, destination: str) -> StratumDestinationSolution:
         return self.sub[(stratum, destination)]
 
+    def check_strata(self, names, where: str = "solution") -> None:
+        """Raise InstanceError, prefixed with ``where``, naming the strata of
+        the solution that the instance's ``names`` lack."""
+        unknown = sorted(set(self.stratum_flow).union(s for s, _d in self.sub) - set(names))
+        if unknown:
+            raise InstanceError(f"{where}: strata {unknown} are not in the instance")
+
 
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
               tau_init: np.ndarray, options: SolverOptions) -> TauResult:
@@ -159,72 +168,94 @@ _UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc 
 
 
 class _StackLU:
-    """One LU of a stack of blocks I - W_b, the network's chain_matrix,
-    serving k (block, destination) pairs, and solves of their (..., k, n)
-    right-hand sides, pair p's in ``[..., p, :]``.  The two block layouts:
+    """One LU of a stack of blocks serving k (block, destination) pairs, and
+    each pair's solves with I - W_d, its block's weights with the row of its
+    destination d zeroed, for (..., k, n) arrays, pair p's in ``[..., p, :]``.
+    An exactly singular stack raises FeasibilityError.  The block layout,
+    SuperLU's columns and its orientation flags are private to the class:
 
     - ``block`` None: pair p's own block, ``weights[p]`` with the row of
-      ``dest[p]`` zeroed, so I - W_d itself; right-hand sides are reshaped,
-      not copied.
+      ``dest[p]`` zeroed, so A = I - W_d itself; right-hand sides are reshaped.
     - ``block`` a nondecreasing array: pair p is served by the block of
-      ``weights[block[p]]``, which zeroes no row; the j-th pair of each
-      block takes right-hand-side column j.  By Sherman-Morrison on
-      I - W_d = (I - W_b) + e_d w_d^T, (I - W_d)^-1 b = U - ``correction``
-      with U = (I - W_b)^-1 b and Z = (I - W_b)^-1 E_D (Akamatsu, Transp.
-      Res. B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
-
-    An exactly singular stack raises FeasibilityError."""
+      ``weights[block[p]]``, A = I - W_b with no row zeroed, and the j-th
+      pair of each block takes right-hand-side column j.  By Sherman-Morrison
+      on I - W_d = A + e_d w_d^T, (I - W_d)^-1 b = U - Z (U[d] - b[d]) / Z[d, d]
+      and (I - W_d)^-T b = G - R G[d] / Z[d, d], with U = A^-1 b, G = A^-T b,
+      Z = A^-1 E_D and R = A^-T w_d = A^-T E_D - E_D (Akamatsu, Transp. Res.
+      B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018)."""
 
     def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
         self.dest, self.block, self.n = dest, block, network.n_nodes
-        self.chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
+        self.column = np.arange(len(dest))
+        self._chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
         try:
-            self.lu = splu(self.chain)
+            self._lu = splu(self._chain)
         except RuntimeError:  # exactly singular
             raise FeasibilityError(_UNBOUNDED) from None
-        if block is not None:
-            self.blocks = len(weights)
-            self.slot = np.arange(len(block)) - np.searchsorted(block, block)  # its column
-            self.width = int(self.slot.max()) + 1
+        self._e = (np.arange(self.n) == dest[:, None]) * 1.0  # e_d per pair
+        if block is not None:  # (columns, blocks, n) packed, pair p at (slot[p], block[p])
+            self._slot = self.column - np.searchsorted(block, block)
+            self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
+            self._Z, self._R = self._solve(self._e, "T"), None
 
-    def pack(self, v: np.ndarray) -> np.ndarray:
+    def _pack(self, v: np.ndarray) -> np.ndarray:
         """(..., k, n) right-hand sides as SuperLU's columns."""
         if self.block is None:  # one pair per block, in order
             return v.reshape(*v.shape[:-2], -1).T
-        packed = np.zeros((*v.shape[:-2], self.width, self.blocks, self.n))
-        packed[..., self.slot, self.block, :] = v
-        return packed.reshape(-1, self.blocks * self.n).T
+        packed = np.zeros((*v.shape[:-2], *self._shape))
+        packed[..., self._slot, self.block, :] = v
+        return packed.reshape(-1, self._shape[1] * self.n).T
 
-    def unpack(self, V: np.ndarray, lead=()) -> np.ndarray:
-        """Inverse of pack for right-hand sides of leading shape ``lead``."""
+    def _unpack(self, V: np.ndarray, lead=()) -> np.ndarray:
+        """Inverse of _pack for right-hand sides of leading shape ``lead``."""
         if self.block is None:
             return V.T.reshape(*lead, -1, self.n)
-        return V.T.reshape(*lead, self.width, self.blocks, self.n)[..., self.slot, self.block, :]
+        return V.T.reshape(*lead, *self._shape)[..., self._slot, self.block, :]
 
-    def solve(self, v: np.ndarray, trans: str) -> np.ndarray:
-        """Each pair's (I - W_b)^-1 v with ``trans`` "T", (I - W_b)^-T v with "N"."""
-        return self.unpack(self.lu.solve(self.pack(v), trans=trans), v.shape[:-2])
+    def _solve(self, v: np.ndarray, trans: str) -> np.ndarray:
+        """A^-1 v per pair with ``trans`` "T", A^-T v with "N": chain_matrix is A^T."""
+        return self._unpack(self._lu.solve(self._pack(v), trans=trans), v.shape[:-2])
 
-    def correction(self, Z: np.ndarray, U: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Z (U[d] - b[d]) / Z[d, d] per pair, (..., k, n): what the block
-        layout takes from U = (I - W_b)^-1 b to leave (I - W_d)^-1 b, from
-        Z = (I - W_b)^-1 E_D (Z[d, d] = 1 + w_d^T Z, w_d^T U = U[d] - b[d])."""
-        c, d = np.arange(len(self.dest)), self.dest
-        return Z * ((U[..., c, d] - b[..., c, d]) / Z[c, d])[..., None]
+    def reach(self) -> np.ndarray:
+        """X = (I - W_d)^-1 e_d per pair, (k, n)."""
+        if self.block is None:
+            return self._solve(self._e, "T")
+        with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] leaves X non-finite
+            return self._Z / self._Z[self.column, self.dest][:, None]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(I - W_d)^-1 b per pair."""
+        U, c, d = self._solve(b, "T"), self.column, self.dest
+        if self.block is None:
+            return U
+        with np.errstate(all="ignore"):  # non-finite values fail the callers' checks
+            return U - self._Z * ((U[..., c, d] - b[..., c, d]) / self._Z[c, d])[..., None]
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        """(I - W_d)^-T b per pair."""
+        G, c, d = self._solve(b, "N"), self.column, self.dest
+        if self.block is None:
+            return G
+        if self._R is None:
+            self._R = self._solve(self._e, "N") - self._e
+        with np.errstate(all="ignore"):  # non-finite values fail the callers' checks
+            return G - self._R * (G[..., c, d] / self._Z[c, d])[..., None]
+
+    def residual(self, X: np.ndarray) -> np.ndarray:
+        """e_d - (I - W_d) X per pair, (k, n)."""
+        r = self._e - self._unpack(self._chain.T @ self._pack(X))
+        r[self.column, self.dest] = 1.0 - X[self.column, self.dest]  # row d of I - W_d is e_d
+        return r
 
 
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
                     tau_ref, inner_tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
-    destination) pairs from one _StackLU; ``costs`` is (k, m), ``beta`` a
-    scalar or (k, 1) column.  The two block layouts:
-
-    - ``block`` None: pair p's own I - W_d, scaled by ``tau_ref`` (k, n),
-      shortest costs at these costs or at lower ones, so that every weight
-      is at most 1; X solves it.
-    - ``block`` a nondecreasing array: pair p is served by the block of
-      ``weights[block[p]]`` and tau_ref is 0.  X = Z[:, d] / Z[d, d] with
-      Z = (I - W_b)^-1 E_D.
+    destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
+    (k, m), ``beta`` a scalar or (k, 1) column.  With ``block`` None each
+    pair's weights are scaled by ``tau_ref`` (k, n), shortest costs at these
+    costs or at lower ones, so that every weight is at most 1; otherwise
+    pair p is served by the unscaled ``weights[block[p]]`` and tau_ref is 0.
 
     A pair is usable when its least X, ``low``, is at least X_MIN: X is
     finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
@@ -235,8 +266,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     number of solves, ``low`` (NaN where X is not finite, and never above
     the unrefined one), and ``through``: (k, n) right-hand sides y ->
     X * (I - W_d)^-T (y / X), the routing solve of _route."""
-    k, n = len(dest), network.n_nodes
-    column = np.arange(k)
+    column = np.arange(len(dest))
     if block is None:
         tau_ref = tau_ref.copy()
         tau_ref[column, dest] = 0.0
@@ -252,39 +282,15 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         tau[column, dest] = 0.0
         return (low, usable, tau, *_fixed_point(network, costs, dest, beta, tau))
 
-    e_d = np.zeros((k, n))
-    e_d[column, dest] = 1.0
-    Z = stack.solve(e_d, "T")
-    if block is None:
-        X = Z
-    else:
-        z_dd = Z[column, dest]  # 1 + w_d^T Z
-        with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] fails certify
-            X = Z / z_dd[:, None]
+    X = stack.reach()
     low, usable, tau, residual, probs, log_denom = certify(X)
     solves = 1
     if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
-        r = e_d - stack.unpack(stack.chain.T @ stack.pack(X))
-        r[column, dest] = 1.0 - X[column, dest]  # row d of I - W_d is e_d
-        q = stack.solve(r, "T")
-        X = X + q
-        if block is not None:
-            with np.errstate(all="ignore"):
-                X -= stack.correction(Z, q, r)
+        X = X + stack.solve(stack.residual(X))
         low, usable, tau, residual, probs, log_denom = certify(X, low)
         solves = 2
-    if block is not None:  # R = A^-T w_d = A^-T e_d - e_d; w_d = 0 in the per-pair layout
-        R = stack.solve(e_d, "N")
-        R[column, dest] -= 1.0
-
-    def through(y):  # X * (G - R G[d] / Z[d, d]), G = A^-T (y / X)
-        g = stack.solve(y / X, "N")
-        if block is None:
-            return X * g
-        with np.errstate(all="ignore"):  # a non-finite R fails _route's checks
-            return X * (g - R * (g[column, dest] / z_dd)[:, None])
-
-    return tau, residual, probs, log_denom, solves, low, through
+    return (tau, residual, probs, log_denom, solves, low,
+            lambda y: X * stack.solve_transposed(y / X))
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -308,17 +314,18 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     Demand at each origin is first scaled by the start probability against
     the outside option, then pushed through the choice chain: node
     throughputs x solve (I - P^T) x = y, with the destination absorbing
-    (x = 0 there), and arc flows follow as v = x[tail] * P: _route with X = 1.
+    (x = 0 there), and arc flows follow as v = x[tail] * P: _route with X = 1,
+    solving with I - P_d by its own _StackLU (FeasibilityError if singular).
     """
     _phi, probs, log_denom = choice.logit_nodes(
         costs + tau[network.head], beta_t, network.out_start)
     origins = np.asarray(origins)
     trips = np.asarray(trips, dtype=float)
-    lu = splu(network.chain_matrix(probs, destination))
+    dest = np.array([destination])
     p_start, x, v, _failed, error = _route(
-        network, probs[None], log_denom[None], np.array([destination]),
-        np.zeros(len(origins), dtype=np.int64), origins, trips, outside_cost, beta_t_out,
-        lambda rhs: lu.solve(rhs.ravel()).reshape(rhs.shape))
+        network, probs[None], log_denom[None], dest, np.zeros(len(origins), dtype=np.int64),
+        origins, trips, outside_cost, beta_t_out,
+        _StackLU(network, probs[None], dest).solve_transposed)
     if error:
         raise SolverError(error)
     tr = tau_result or TauResult(tau, True, 0, 0.0)
@@ -369,9 +376,9 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
         inflow = np.bincount(into, (x[:, network.tail] * live).ravel(), minlength=k * n)
         return y - x + inflow.reshape(k, n)
 
-    x = solve(y)
     scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
     with np.errstate(all="ignore"):  # a non-finite x fails the checks
+        x = solve(y)
         r = residual(x)
         resid = np.max(np.abs(r), axis=1)
         if not np.all(resid <= 1e-8 * scale):  # refine once (a NaN refines too)
@@ -957,6 +964,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
       the perturbed time while flows (and hence start probabilities) stay
       frozen; demand enters scaled by the frozen start probabilities.
     """
+    solution.check_strata(instance.stratum_names)
     net = instance.network
     rates = np.asarray(prices, dtype=float)
     t = solution.arc_time

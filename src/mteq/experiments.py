@@ -293,13 +293,12 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
     if baseline_spec.scheme_id not in ids:
         schemes = [baseline_spec] + schemes
 
-    out = Path(config.output)
-    detail_dir = out / "schemes"
-    detail_dir.mkdir(parents=True, exist_ok=True)
-
     sol0 = solve_equilibrium(
         instance, np.zeros((len(instance.strata), instance.network.n_arcs)), solver)
     baseline_stats = all_trip_stats(instance, sol0)
+    out = Path(config.output)
+    detail_dir = out / "schemes"  # made once the baseline stands: a failed one writes nothing
+    detail_dir.mkdir(parents=True, exist_ok=True)
 
     done: dict[str, ResultRow] = {}
     pending = []

@@ -88,13 +88,13 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     beta_t * max tau <= STRATUM_RANGE shares one unscaled block I - W_s,
     W_s = exp(-beta_t * cost) at the solution's times and prices: with
     X = exp(-beta_t * tau), P = D^-1 W D for D = diag(X), so (I - P_d) T = r
-    is (I - W_d)(X T) = X r, and one solve gives every pair's three weights
-    by Sherman-Morrison.  Each such answer is checked against the pair's own
-    P: the residual of T = r + P T[head], T[d] = 0, must be at most
-    STACK_RESIDUAL * max(1, |T|) for every weight.  Every other pair, and
-    every pair that fails that check or whose stack is singular or gives
-    non-finite values, is solved in the per-pair layout, I - P_d itself;
+    is (I - W_d)(X T) = X r (_stacked_stats).  Each such answer is checked
+    against the pair's own P: the residual of T = r + P T[head], T[d] = 0,
+    must be at most STACK_RESIDUAL * max(1, |T|) for every weight.  Every
+    other pair, and every pair that fails that check or whose stack is
+    singular or gives non-finite values, is solved in the per-pair layout;
     FeasibilityError there means some pair's walks are never absorbed."""
+    solution.check_strata(instance.stratum_names)
     keys = sorted(solution.sub)
     if not keys:
         return {}
@@ -137,7 +137,7 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
               else [rest[b] for b in net.solve_blocks(len(rest))])
     for pairs in blocks:
-        T[:, pairs] = _StackLU(net, probs[pairs], dest[pairs]).solve(r[:, pairs], "T")
+        T[:, pairs] = _StackLU(net, probs[pairs], dest[pairs]).solve(r[:, pairs])
 
     pair = np.repeat(np.arange(k), [len(sd.origins) for sd in subs])
     origin = np.concatenate([sd.origins for sd in subs])
@@ -152,25 +152,19 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
 
 def _stacked_stats(net: Network, weights: np.ndarray, dest: np.ndarray, block: np.ndarray,
                    beta: np.ndarray, tau: np.ndarray, r: np.ndarray, live: np.ndarray):
-    """T (3, k, n) of k pairs in the stratum layout, from one _StackLU of
-    the blocks I - W_b and one solve of [E_D, X r] with X = exp(-beta tau),
-    and whether each pair's T passes the residual check against its
+    """T (3, k, n) of k pairs in the stratum layout, T = (I - W_d)^-1 (X r) / X
+    with X = exp(-beta tau) from one _StackLU (its layout is its own), and
+    whether each pair's T passes the residual check against its
     probabilities ``live`` (destination rows zeroed).  A singular stack
     passes no pair."""
     try:
         stack = _StackLU(net, weights, dest, block)
     except FeasibilityError:
         return np.zeros(len(dest), dtype=bool), None
-    column = np.arange(len(dest))
-    rhs = np.zeros((4, *tau.shape))
-    rhs[0, column, dest] = 1.0
     with np.errstate(all="ignore"):  # a non-finite value fails the check
         X = np.exp(-beta * tau)
-        np.multiply(X, r, out=rhs[1:])
-        out = stack.solve(rhs, "T")
-        Z, U, b = out[0], out[1:], rhs[1:]
-        T = (U - stack.correction(Z, U, b)) / X
-        T[:, column, dest] = 0.0
+        T = stack.solve(X * r) / X
+        T[:, np.arange(len(dest)), dest] = 0.0
         resid = np.abs(T - r - _node_sums(net, live * T[..., net.head])).max(axis=2)
         scale = np.maximum(1.0, np.abs(T).max(axis=2))
         ok = (resid <= STACK_RESIDUAL * scale).all(axis=0)
@@ -429,6 +423,7 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     in step order.  Returns the trips as columns in trip order (pair, then
     origin, then replicate).
     """
+    solution.check_strata(instance.stratum_names)
     net = instance.network
     runs_per_unit = check_number("runs_per_unit", runs_per_unit, 0, strict=False, integer=True)
     seed = check_number("seed", seed, 0, strict=False, integer=True)

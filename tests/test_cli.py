@@ -221,6 +221,19 @@ class TestSweepParetoSimulate:
         b = self.make_sweep(tmp_path / "w2", workers=2)
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("make, code", [(singular_pair_instance, EXIT_SOLVER_FAILED),
+                                            (dead_end_instance, EXIT_INVALID)],
+                             ids=["singular", "dead_end"])
+    def test_failed_baseline_leaves_no_output(self, tmp_path, capsys, make, code):
+        # the toll-free baseline fails (no equilibrium; a node without an
+        # outgoing arc) before the sweep makes its output directory
+        ipath, out = tmp_path / "instance.json", tmp_path / "out"
+        save_instance(make(), ipath)
+        assert run(["sweep", "--instance", str(ipath), "--scheme", "uniform", "--grid", "0:1:1",
+                    "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_pareto_on_empty_directory(self, tmp_path, capsys):
         with pytest.warns(UserWarning):
             code = run(["pareto", "--results", str(tmp_path), "--x", "a", "--y", "b"])

@@ -23,8 +23,8 @@ from mteq import (
     zero_prices,
 )
 from mteq import choice
-from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _expected_costs, _route, solution_from_dict,
-                              solution_to_dict)
+from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _arc_costs, _expected_costs, _route,
+                              _StackLU, solution_from_dict, solution_to_dict)
 from mteq.network import NetworkError, Node, build_network, shortest_costs
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
@@ -885,3 +885,66 @@ class TestUnusableStratumPairs:
             solve_equilibrium(inst, zero_prices(inst), OPTS)
         # the stratum, per pair at free-flow bounds, then per pair at the pass's
         assert factored == [((4, 4), "ok"), ((8, 8), "ok"), ((8, 8), "ok")]
+
+
+def dense_chain(net, weights, d):
+    """I - W_d as a dense matrix: W_d[tail, head] sums ``weights`` over
+    parallel arcs, and the row of ``d`` is zero."""
+    W = np.zeros((net.n_nodes, net.n_nodes))
+    np.add.at(W, (net.tail, net.head), np.where(net.tail == d, 0.0, weights))
+    return np.eye(net.n_nodes) - W
+
+
+def assert_close(got, want):
+    """``got`` within 1e-12 of ``want``, relative to its largest entry."""
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestStackLU:
+    """Each per-pair operation of _StackLU, in both block layouts, against
+    dense solves of I - W_d and of its transpose."""
+
+    @pytest.mark.parametrize("block", [None, np.array([0, 0, 0, 1, 2, 2])],
+                             ids=["per_pair", "stratum"])
+    def test_operations_match_dense_solves(self, lattice, block):
+        # the stratum layout stacks blocks of 3, 1 and 2 destinations, which
+        # share right-hand-side columns; every node's weights sum to at most
+        # 0.9, so every I - W_b and I - W_d is regular
+        net, dest = lattice.network, np.array([5, 17, 30, 8, 0, 35])
+        rng = np.random.default_rng(5)
+        owner = np.arange(len(dest)) if block is None else block
+        weights = (rng.uniform(0.1, 0.9, (owner.max() + 1, net.n_arcs))
+                   / net.out_degree[net.tail])
+        stack = _StackLU(net, weights, dest, block)
+        b = rng.standard_normal((2, len(dest), net.n_nodes))
+        X = rng.uniform(0.5, 1.5, (len(dest), net.n_nodes))
+        reach, solved, transposed = stack.reach(), stack.solve(b), stack.solve_transposed(b[0])
+        residual = stack.residual(X)
+        for p, d in enumerate(dest):
+            A, e = dense_chain(net, weights[owner[p]], d), np.eye(net.n_nodes)[d]
+            assert_close(reach[p], np.linalg.solve(A, e))
+            for j in range(2):
+                assert_close(solved[j, p], np.linalg.solve(A, b[j, p]))
+            assert_close(transposed[p], np.linalg.solve(A.T, b[0, p]))
+            assert_close(residual[p], e - A @ X[p])
+
+    def test_refined_stratum_stack_matches_the_per_pair_layout(self, lattice):
+        # at inner_tol 1e-300 no residual passes, so both layouts refine
+        # once; the stack of three strata (10, 4 and 2 destinations) still
+        # gives each pair the tau and routing solve of its own scaled block
+        inst = with_destinations(lattice, (10, 4, 2))
+        net = inst.network
+        dest = np.concatenate([list(inst.demand_by_destination(s.name)) for s in inst.strata])
+        block = np.repeat(np.arange(3), (10, 4, 2))
+        beta = np.array([[s.beta_t] for s in inst.strata])
+        costs = _arc_costs(inst.strata, net, rate_2(inst), net.free_time)
+        stacked = _expected_costs(net, costs[block], dest, beta[block], 0.0, 1e-300, block,
+                                  np.exp(-beta * costs))
+        per_pair = _expected_costs(net, costs[block], dest, beta[block],
+                                   shortest_costs(net, costs, dest, rows=block), 1e-300)
+        y = np.random.default_rng(6).uniform(0.0, 100.0, (len(dest), net.n_nodes))
+        for got in (stacked, per_pair):
+            tau, _residual, _probs, _log_denom, solves, low, _through = got
+            assert solves == 2 and (low >= X_MIN).all()
+        assert stacked[0] == pytest.approx(per_pair[0], rel=1e-12, abs=1e-12)
+        assert_close(stacked[6](y), per_pair[6](y))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from mteq import (
+    InstanceError,
     SchemeSpec,
     SolverOptions,
     all_trip_stats,
     compute_metrics,
+    equilibrium_residuals,
     expand_scheme,
     primary_flow_share,
     revenue,
@@ -251,6 +253,23 @@ class TestStackedTripStats:
             gap = rep.time[mine] - want
             assert len(gap) > 1000, s
             assert abs(gap.mean()) <= 4 * gap.std(ddof=1) / math.sqrt(len(gap)), s
+
+
+@pytest.mark.parametrize("entry", ["all_trip_stats", "compute_metrics", "simulate_trips",
+                                   "equilibrium_residuals"])
+def test_solution_stratum_missing_from_instance_is_named(entry):
+    # a solution with stratum "high" against the instance without it
+    inst = gen_single_od()
+    sol, prices = solved(inst)
+    other = replace(inst, strata=inst.strata[1:], outside_time={},
+                    demand=[e for e in inst.demand if e.stratum != "high"])
+    call = {"all_trip_stats": lambda: all_trip_stats(other, sol),
+            "compute_metrics": lambda: compute_metrics(other, sol, {}),
+            "simulate_trips": lambda: simulate_trips(other, sol, runs_per_unit=1),
+            "equilibrium_residuals": lambda: equilibrium_residuals(other, prices[1:], sol)}
+    with pytest.raises(InstanceError, match=r"^solution: strata \['high'\] are not in the "
+                                            r"instance$"):
+        call[entry]()
 
 
 class TestWelfare:
