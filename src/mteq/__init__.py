@@ -37,6 +37,7 @@ from .equilibrium import (
     StratumDestinationSolution,
     equilibrium_residuals,
     flows_for_destination,
+    solve_equilibria,
     solve_equilibrium,
     solve_tau,
 )

@@ -28,7 +28,7 @@ from .equilibrium import (
     SolverOptions,
     read_solution,
     solution_to_dict,
-    solve_equilibrium,
+    solve_equilibria,
 )
 from .experiments import SweepConfig, load_results, run_sweep, write_frontier_csv
 from .instance import assign_areas, load_instance, nan_to_null, save_instance
@@ -94,8 +94,9 @@ def _cmd_solve(args) -> int:
     if args.verbose:
         log_fn = lambda rec: print(json.dumps(rec), file=sys.stderr)
 
-    sol0 = solve_equilibrium(instance, np.zeros_like(prices), solver, log_fn=log_fn)
-    sol = solve_equilibrium(instance, prices, solver, log_fn=log_fn)
+    # the toll-free baseline (scheme 0) and the priced scheme (1) in one outer loop
+    sol0, sol = solve_equilibria(instance, [np.zeros_like(prices), prices], solver,
+                                 log_fn=log_fn)
     report = compute_metrics(instance, sol, all_trip_stats(instance, sol0),
                              scheme_id=scheme.scheme_id)
 

@@ -5,10 +5,14 @@ determine congested times, times determine per-stratum expected optimal
 costs (a logit fixed point per stratum and destination), costs determine
 choice and trip-start probabilities, and those probabilities route the
 demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
-the flow vector.  Given the arc costs, the (stratum, destination) routings
-are independent, so each routing pass batches all of them in sparse LU
+the flow vector, one per pricing scheme: ``solve_equilibria`` iterates
+several schemes in one loop, and ``solve_equilibrium`` is its one-scheme
+case.  Given the arc costs, the (scheme, stratum, destination) routings are
+independent, so each routing pass batches all of them in sparse LU
 factorizations by one kernel, ``_expected_costs``, each serving the
-expected costs and node throughputs of its pairs.  A stratum with several
+expected costs and node throughputs of its pairs.  No pair's bits depend on
+the other schemes of its pass: refinement is per pair, and each scheme's
+run of blocks in a stack is factored on its own.  A stratum with several
 destinations is tried as one block, I - W for all of them (Sherman-Morrison
 on the destination's row, one right-hand-side column per destination), and
 kept there while its answer stays in double range (``STRATUM_RANGE``);
@@ -125,10 +129,17 @@ class EquilibriumSolution:
 
     def check_strata(self, names, where: str = "solution") -> None:
         """Raise InstanceError, prefixed with ``where``, naming the strata of
-        the solution that the instance's ``names`` lack."""
-        unknown = sorted(set(self.stratum_flow).union(s for s, _d in self.sub) - set(names))
+        the solution that the instance's ``names`` lack, or else the strata
+        of ``names`` that the solution lacks: its price rates have one row
+        per stratum of the instance it was solved on."""
+        solved = set(self.stratum_flow).union(s for s, _d in self.sub)
+        unknown = sorted(solved - set(names))
         if unknown:
             raise InstanceError(f"{where}: strata {unknown} are not in the instance")
+        missing = sorted(set(names) - solved)
+        if missing:
+            raise InstanceError(f"{where}: strata {missing} of the instance are not in the "
+                                f"solution")
 
 
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
@@ -159,7 +170,7 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     if not low[0] >= X_MIN:
         raise FeasibilityError(_UNBOUNDED)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
-                     iterations=solves, residual=float(residual[0]))
+                     iterations=int(solves[0]), residual=float(residual[0]))
 
 
 _UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc weights "
@@ -182,21 +193,47 @@ class _StackLU:
       on I - W_d = A + e_d w_d^T, (I - W_d)^-1 b = U - Z (U[d] - b[d]) / Z[d, d]
       and (I - W_d)^-T b = G - R G[d] / Z[d, d], with U = A^-1 b, G = A^-T b,
       Z = A^-1 E_D and R = A^-T w_d = A^-T E_D - E_D (Akamatsu, Transp. Res.
-      B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018)."""
+      B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
 
-    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
+    ``runs`` cuts the blocks into consecutive runs of ``runs[i]`` blocks,
+    each factored and solved on its own, as the stack of its blocks alone:
+    SuperLU's COLAMD orders the columns of a whole stack, so one LU of
+    several runs would round each run by its stack-mates."""
+
+    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None,
+                 runs=None):
         self.dest, self.block, self.n = dest, block, network.n_nodes
         self.column = np.arange(len(dest))
-        self._chain = network.chain_matrix(weights, dest if block is None else -1)  # (I - W)^T
-        try:
-            self._lu = splu(self._chain)
-        except RuntimeError:  # exactly singular
-            raise FeasibilityError(_UNBOUNDED) from None
         self._e = (np.arange(self.n) == dest[:, None]) * 1.0  # e_d per pair
         if block is not None:  # (columns, blocks, n) packed, pair p at (slot[p], block[p])
             self._slot = self.column - np.searchsorted(block, block)
             self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
+        self._network, self._weights, self._chain, self._parts = network, weights, None, None
+        if runs is None or len(runs) < 2:
+            self._lu = self._factor(self.chain())
+        else:  # each run's LU, its packed rows and the width of its packed columns
+            self._parts = []
+            for lo, hi in zip(np.cumsum(runs) - runs, np.cumsum(runs)):
+                width = (None if block is None
+                         else int(self._slot[(block >= lo) & (block < hi)].max()) + 1)
+                chain = network.chain_matrix(weights[lo:hi], dest[lo:hi] if block is None else -1)
+                self._parts.append((self._factor(chain), slice(lo * self.n, hi * self.n), width))
+        if block is not None:
             self._Z, self._R = self._solve(self._e, "T"), None
+
+    def chain(self):
+        """(I - W)^T of the whole stack, chain_matrix's form, built when first needed."""
+        if self._chain is None:
+            self._chain = self._network.chain_matrix(
+                self._weights, self.dest if self.block is None else -1)
+        return self._chain
+
+    @staticmethod
+    def _factor(chain):
+        try:
+            return splu(chain)
+        except RuntimeError:  # exactly singular
+            raise FeasibilityError(_UNBOUNDED) from None
 
     def _pack(self, v: np.ndarray) -> np.ndarray:
         """(..., k, n) right-hand sides as SuperLU's columns."""
@@ -214,7 +251,15 @@ class _StackLU:
 
     def _solve(self, v: np.ndarray, trans: str) -> np.ndarray:
         """A^-1 v per pair with ``trans`` "T", A^-T v with "N": chain_matrix is A^T."""
-        return self._unpack(self._lu.solve(self._pack(v), trans=trans), v.shape[:-2])
+        V = self._pack(v)
+        if self._parts is None:
+            return self._unpack(self._lu.solve(V, trans=trans), v.shape[:-2])
+        X = np.empty(V.shape)  # _unpack reads no column past a run's width
+        for lu, rows, width in self._parts:  # a run's own columns, as its stack alone has them
+            cols = (Ellipsis if width is None or width == self._shape[0] else np.add.outer(
+                np.arange(0, V.shape[1], self._shape[0]), np.arange(width)).ravel())
+            X[rows, cols] = lu.solve(V[rows, cols], trans=trans)
+        return self._unpack(X, v.shape[:-2])
 
     def reach(self) -> np.ndarray:
         """X = (I - W_d)^-1 e_d per pair, (k, n)."""
@@ -243,35 +288,38 @@ class _StackLU:
 
     def residual(self, X: np.ndarray) -> np.ndarray:
         """e_d - (I - W_d) X per pair, (k, n)."""
-        r = self._e - self._unpack(self._chain.T @ self._pack(X))
+        r = self._e - self._unpack(self.chain().T @ self._pack(X))
         r[self.column, self.dest] = 1.0 - X[self.column, self.dest]  # row d of I - W_d is e_d
         return r
 
 
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_ref, inner_tol: float, block=None, weights=None):
+                    tau_ref, inner_tol: float, block=None, weights=None, runs=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
     destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
     (k, m), ``beta`` a scalar or (k, 1) column.  With ``block`` None each
     pair's weights are scaled by ``tau_ref`` (k, n), shortest costs at these
     costs or at lower ones, so that every weight is at most 1; otherwise
     pair p is served by the unscaled ``weights[block[p]]`` and tau_ref is 0.
+    ``runs`` cuts the stack into runs factored apart (_StackLU).
 
     A pair is usable when its least X, ``low``, is at least X_MIN: X is
     finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
     Any other pair gets X = 1.  A singular stack raises FeasibilityError.
-    A residual above ``inner_tol`` in a usable pair refines the stack once
-    with the same factors.  Returns tau (k, n), the per-pair fixed-point
+    A usable pair whose residual is above ``inner_tol`` is refined once with
+    the same factors; the other pairs keep their first X, so no pair's bits
+    depend on its stack-mates.  Returns tau (k, n), the per-pair fixed-point
     residual, the logit probabilities and log-denominators at tau, the
-    number of solves, ``low`` (NaN where X is not finite, and never above
-    the unrefined one), and ``through``: (k, n) right-hand sides y ->
-    X * (I - W_d)^-T (y / X), the routing solve of _route."""
+    solves of each pair (1, or 2 when refined), ``low`` (NaN where X is not
+    finite, and never above the unrefined one), and ``through``: (k, n)
+    right-hand sides y -> X * (I - W_d)^-T (y / X), the routing solve of
+    _route."""
     column = np.arange(len(dest))
     if block is None:
         tau_ref = tau_ref.copy()
         tau_ref[column, dest] = 0.0
         weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    stack = _StackLU(network, weights, dest, block)
+    stack = _StackLU(network, weights, dest, block, runs)
 
     def certify(X, low=np.inf):  # -> low, usable, tau, residual, probs, log_denom
         low = np.minimum(low, np.where(np.isfinite(X).all(axis=1), X.min(axis=1), np.nan))
@@ -284,12 +332,11 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
 
     X = stack.reach()
     low, usable, tau, residual, probs, log_denom = certify(X)
-    solves = 1
-    if not (residual[usable] <= inner_tol).all():  # refine (I - W_d) X = e_d once
-        X = X + stack.solve(stack.residual(X))
+    refine = usable & ~(residual <= inner_tol)
+    if refine.any():  # refine (I - W_d) X = e_d once in those pairs
+        X[refine] += stack.solve(stack.residual(X))[refine]
         low, usable, tau, residual, probs, log_denom = certify(X, low)
-        solves = 2
-    return (tau, residual, probs, log_denom, solves, low,
+    return (tau, residual, probs, log_denom, 1 + refine, low,
             lambda y: X * stack.solve_transposed(y / X))
 
 
@@ -355,9 +402,11 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
     right-hand sides y to the solutions x of (I - P^T) x = y; with P =
     D^-1 W D, D = diag(X), that is x = X * (I - W)^-T (y / X).
 
-    Returns the start probability per origin, throughputs x (k, n), arc
-    flows v (k, m), the columns that fail the routing-residual check after
-    one refinement or have a negative throughput, and the SolverError
+    A column whose residual is above 1e-8 of its scale is refined once; the
+    others keep their first solve.  Returns the start probability per
+    origin, throughputs x (k, n), arc flows v (k, m), the columns that fail
+    the routing-residual check after that or have a negative throughput,
+    and the SolverError
     message of the worst of them (None when none fails).  A non-finite
     residual or throughput fails too."""
     k, n = log_denom.shape
@@ -381,8 +430,9 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
         x = solve(y)
         r = residual(x)
         resid = np.max(np.abs(r), axis=1)
-        if not np.all(resid <= 1e-8 * scale):  # refine once (a NaN refines too)
-            x = x + solve(r)
+        refine = ~(resid <= 1e-8 * scale)
+        if refine.any():  # refine those columns once (a NaN refines too)
+            x[refine] += solve(r)[refine]
             resid = np.max(np.abs(residual(x)), axis=1)
         lowest = x.min(axis=1)
         failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
@@ -403,10 +453,15 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
 
 
 def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) -> np.ndarray:
-    """Generalized arc costs, (n_strata, n_arcs): time plus each stratum's
-    toll ``rates * net.primary_length`` at its beta_p / beta_t."""
+    """Generalized arc costs, (n_strata, n_arcs): time plus _tolls."""
+    return arc_time + _tolls(strata, net, rates)
+
+
+def _tolls(strata, net: Network, rates: np.ndarray) -> np.ndarray:
+    """Each stratum's toll in hours, (..., n_strata, n_arcs): ``rates *
+    net.primary_length`` at its beta_p / beta_t."""
     ratio = np.array([[s.beta_p / s.beta_t] for s in strata])
-    return arc_time + ratio * (rates * net.primary_length)
+    return ratio * (rates * net.primary_length)
 
 
 STRATUM_RANGE = 0.5 * float(np.log(np.finfo(float).max))
@@ -426,40 +481,76 @@ def _stratum_stacks(network: Network, first: np.ndarray, count: np.ndarray):
     each stack's strata (an index into ``first``), pairs and the block of
     each pair, for _StackLU."""
     for g in network.solve_blocks(len(first)):
-        sizes = count[g]
-        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first[g], sizes)])
-        yield g, pairs, np.repeat(np.arange(len(sizes)), sizes)
+        yield g, *_stratum_stack(first[g], count[g])
+
+
+def _stratum_stack(first: np.ndarray, count: np.ndarray):
+    """The pairs ``first[s]:first[s] + count[s]`` of the strata s of one
+    stack laid end to end, and the block (stratum position) of each."""
+    pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)])
+    return pairs, np.repeat(np.arange(len(count)), count)
+
+
+def _length(run) -> int:
+    """The rows of a run of blocks: a slice or an index array."""
+    return run.stop - run.start if isinstance(run, slice) else len(run)
+
+
+def _join(runs):
+    """The rows of a stack of runs laid end to end: a slice when they are
+    consecutive slices, else an index array."""
+    if len(runs) == 1:
+        return runs[0]
+    if all(isinstance(r, slice) for r in runs) and all(
+            a.stop == b.start for a, b in zip(runs, runs[1:])):
+        return slice(runs[0].start, runs[-1].stop)
+    return np.concatenate([np.arange(r.start, r.stop) if isinstance(r, slice) else r
+                           for r in runs])
 
 
 class _RoutingPlan:
-    """Every (stratum, destination) demand column of a solve, flattened once
-    so that a routing pass is one batched call: the pair order (strata in
-    instance order, destinations ascending), each pair's stratum index,
-    destination and sensitivities, and the origins, trips and outside costs
-    of all pairs laid end to end.
+    """Every (scheme, stratum, destination) demand column of a batch of
+    solves, flattened once so that a routing pass is one batched call.  A
+    scheme is one (n_strata, n_arcs) array of price rates.  Its cost rows
+    are the (scheme, stratum) rows ``scheme * n_strata + stratum`` and its
+    pairs the rows ``scheme * pairs : (scheme + 1) * pairs``, in one order
+    for every scheme: strata in instance order, destinations ascending.
+    The price-independent parts (each pair's destination and
+    sensitivities, and the origins, trips and outside costs of all pairs
+    laid end to end) are built once and tiled across the schemes.
 
-    A pass serves every pair from ``_expected_costs``, one LU per stack of
-    at most ``network.MAX_BLOCK_ROWS`` unknowns, in two block layouts.  The
-    stratum layout gives each stratum with several destinations one
+    A pass serves every pair of the schemes it routes from
+    ``_expected_costs``, one stack at a time of at most
+    ``network.MAX_BLOCK_ROWS`` unknowns, in two block layouts.  The stratum
+    layout gives each (scheme, stratum) with several destinations one
     unscaled block for all of them, I - W_s with no row zeroed, its j-th
     destination in the stack's j-th right-hand-side column.  It needs no
-    bound: a stratum is tried and its answer accepted when every pair is
+    bound: a block is tried and its answer accepted when every pair is
     usable (beta_t * max tau <= STRATUM_RANGE), keeps a fixed-point residual
-    of at most ``inner_tol`` and passes the routing checks.  A stratum whose
+    of at most ``inner_tol`` and passes the routing checks.  A block whose
     X is finite and nonnegative but below X_MIN takes the per-pair layout
-    for the rest of the solve (``per_pair``); one that fails otherwise falls
-    back in that pass only.  The per-pair layout gives every other pair its
-    own block, scaled by its shortest costs at free-flow times, computed by
-    one Dijkstra call the first time a pair needs them.  Times never fall
-    below free flow, so every weight stays at most 1; a pair whose X still
-    leaves range (heavy congestion) or fails a routing check is solved again
-    in the same pass, scaled by its shortest costs at the pass's costs.
+    for the rest of the solve (``per_pair``, one flag per (scheme,
+    stratum)); one that fails otherwise falls back in that pass only.  The
+    per-pair layout gives every other pair its own block, scaled by its
+    shortest costs at free-flow times, computed for every pair by one
+    Dijkstra call the first time a pair needs them.  Times never fall below
+    free flow, so every weight stays at most 1; a pair whose X still leaves
+    range (heavy congestion) or fails a routing check is solved again in
+    the same pass, scaled by its shortest costs at the pass's costs.
     FeasibilityError and SolverError come from that last layout only.
+
+    Each scheme's blocks are cut into runs as its solo solve cuts them into
+    stacks (_runs), and a stack holds whole runs (_stacks), each factored
+    on its own (_StackLU's ``runs``): SuperLU orders the columns of the
+    whole matrix it is given, so one LU of several schemes' blocks would
+    round each scheme by the others.  A singular stack of several runs is
+    tried again one run at a time.  With refinement per pair, a scheme's
+    answer is bit for bit the one it gets alone.
     """
 
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
-        self.network, self.strata, self.rates = net, instance.strata, rates
+        self.network, self.strata, self.schemes = net, instance.strata, len(rates)
         from .instance import outside_costs
         oc = outside_costs(instance)
         stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
@@ -471,22 +562,34 @@ class _RoutingPlan:
                 origins.extend(o)
                 trips.extend(g)
                 outside.extend(oc[(s.name, net.node_id(i), net.node_id(d))] for i in o)
-        self.stratum = np.array(stratum, dtype=np.int64)
-        self.dest = np.array(dest, dtype=np.int64)
-        self.stratum_beta = np.array([[s.beta_t] for s in self.strata], dtype=float)
+        schemes, n_strata = len(rates), len(self.strata)
+        self.pairs = len(dest)  # of each scheme
+
+        def tile(values, dtype):  # one copy per scheme
+            values = np.array(values, dtype=dtype)
+            return values if schemes == 1 else np.tile(values, schemes)
+
+        self.toll = _tolls(self.strata, net, rates)  # (schemes, n_strata, n_arcs)
+        self.stratum = tile(stratum, np.int64)  # the (scheme, stratum) row of each pair
+        if schemes > 1:
+            self.stratum += np.repeat(n_strata * np.arange(schemes), self.pairs)
+        self.dest = tile(dest, np.int64)
+        self.stratum_beta = tile([s.beta_t for s in self.strata], float)[:, None]
         self.beta = self.stratum_beta[self.stratum]
-        self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        counts = tile(counts, np.int64)
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
         self.pair = np.repeat(np.arange(len(counts)), counts)
-        self.origins = np.array(origins, dtype=np.int64)
-        self.trips = np.array(trips, dtype=float)
-        self.outside = np.array(outside, dtype=float)
-        self.beta_out = np.array([self.strata[i].beta_t_out for i in stratum],
-                                 dtype=float)[self.pair]
-        # each stratum's pairs are self.first[s] : self.first[s] + self.count[s]
-        self.count = np.bincount(self.stratum, minlength=len(self.strata))
+        self.origins = tile(origins, np.int64)
+        self.trips = tile(trips, float)
+        self.outside = tile(outside, float)
+        self.beta_out = tile([s.beta_t_out for s in self.strata], float)[self.stratum[self.pair]]
+        # each (scheme, stratum) row's pairs are self.first[s] : self.first[s] + self.count[s]
+        self.count = np.bincount(self.stratum, minlength=schemes * n_strata)
         self.first = np.cumsum(self.count) - self.count
-        self.per_pair = self.count < 2  # strata kept off the stratum layout
-        self.pair_blocks = net.solve_blocks(len(self.dest))
+        self.per_pair = self.count < 2  # (scheme, stratum) rows kept off the stratum layout
+        self.pair_stacks = self._stacks([slice(s * self.pairs + b.start, s * self.pairs + b.stop)
+                                         for s in range(schemes)
+                                         for b in net.solve_blocks(self.pairs)])
         self.free_flow_bounds = None
         dead = np.flatnonzero(net.out_degree == 0)
         if len(dead):  # the choice kernel's per-node segments need an arc each
@@ -497,7 +600,7 @@ class _RoutingPlan:
         from one Dijkstra call made the first time they are needed."""
         if self.free_flow_bounds is None:
             net = self.network
-            costs = _arc_costs(self.strata, net, self.rates, net.free_time)
+            costs = (net.free_time + self.toll).reshape(-1, net.n_arcs)
             self.free_flow_bounds = shortest_costs(net, costs, self.dest, rows=self.stratum)
         return self.free_flow_bounds
 
@@ -512,25 +615,33 @@ class _RoutingPlan:
         offset = self.bounds[pairs] - (np.cumsum(counts) - counts)
         return np.arange(len(owner)) + offset[owner], owner
 
-    def route(self, arc_time: np.ndarray, inner_tol: float):
-        """One routing pass at fixed arc times: one LU per stack of _layouts,
-        each stack's accepted pairs written into the _PassResult (None when
-        there is no demand)."""
+    def route(self, arc_time: np.ndarray, inner_tol: float, active=None):
+        """One routing pass at fixed arc times, (schemes, n_arcs), of the
+        schemes ``active`` (a boolean mask; None routes every scheme): one
+        LU per stack of the stratum layout, then of the per-pair layout,
+        each stack's accepted pairs written into the _PassResult of every
+        pair (None when there is no demand).  The rows of the other schemes
+        are left unset."""
         if not len(self.dest):
             return None
         net, k = self.network, len(self.dest)
-        costs = _arc_costs(self.strata, net, self.rates, arc_time)
-        result, todo = None, np.ones(k, dtype=bool)
-        for pairs, block, weights, tau_ref, final in self._layouts(costs, todo):
+        costs = (arc_time[:, None] + self.toll).reshape(-1, net.n_arcs)
+        todo = np.ones(k, dtype=bool) if active is None else np.repeat(active, self.pairs)
+        result = None
+
+        def serve(pairs, block, weights, tau_ref, final, runs) -> bool:
+            """Route one stack, pairs a slice or an index array, and write
+            its accepted pairs; False if a stratum-layout stack is singular."""
+            nonlocal result
             dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
             try:
                 tau, residual, probs, log_denom, solves, low, through = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
-                    inner_tol, block, weights)
+                    inner_tol, block, weights, runs)
             except FeasibilityError:
                 if block is None:
                     raise
-                continue  # a singular stack: its strata fall back
+                return False
             ok, trips = low >= X_MIN, self.trips[o]
             if block is not None:  # a stratum passes when each of its pairs passes every check
                 self.per_pair[self.stratum[pairs[(low >= 0.0) & ~ok]]] = True
@@ -548,7 +659,7 @@ class _RoutingPlan:
                 ok &= ~failed
             if block is not None:
                 ok = (np.bincount(block, ~ok) == 0)[block]
-            fields = [tau, residual, np.full(len(dest), solves), probs, x, v]
+            fields = [tau, residual, solves, probs, x, v]
             if not ok.all():  # slices of pairs and origins become index arrays
                 kept = ok[owner]
                 pairs, o = np.arange(k)[pairs][ok], np.arange(len(self.origins))[o][kept]
@@ -556,48 +667,77 @@ class _RoutingPlan:
             todo[pairs] = False
             if result is None and len(fields[1]) == k:  # one stack served every pair, in order
                 result = _PassResult(*fields, start_prob)
-                continue
+                return True
             if result is None:
                 result = _PassResult(*(np.empty((k, *f.shape[1:]), f.dtype) for f in fields),
                                      np.empty(len(self.origins)))
             for f, into in zip(fields, vars(result).values()):  # the fields before start_prob
                 into[pairs] = f
             result.start_prob[o] = start_prob
-        return result
+            return True
 
-    def _layouts(self, costs: np.ndarray, todo: np.ndarray):
-        """The stacks of a pass, as pairs (a slice or an index array), block,
-        weights, tau_ref for _expected_costs and whether the stack is final
-        (its failures raise): the stratum layout, then, once it has run, the
-        per-pair layout of the pairs still ``todo`` at free-flow bounds, and
-        of those still ``todo`` after that at the pass's shortest costs."""
-        net = self.network
-        if not self.per_pair.all():
-            tried = np.flatnonzero(~self.per_pair)
-            for g, pairs, block in _stratum_stacks(net, self.first[tried], self.count[tried]):
-                group = tried[g]
-                yield pairs, block, np.exp(-self.stratum_beta[group] * costs[group]), 0.0, False
+        tried = ~self.per_pair
+        if active is not None:
+            tried &= np.repeat(active, len(self.strata))
+        stacks = self._stacks(self._runs(np.flatnonzero(tried), len(self.strata))
+                              if tried.any() else [])
+        for rows, runs in stacks:  # (scheme, stratum) rows; a singular stack retries each run
+            pairs, block = _stratum_stack(self.first[rows], self.count[rows])
+            weights = np.exp(-self.stratum_beta[rows] * costs[rows])
+            if not serve(pairs, block, weights, 0.0, False, runs) and runs:
+                stacks.extend((run, None) for run in np.split(rows, np.cumsum(runs)[:-1]))
         for final in (False, True):
             rest = np.flatnonzero(todo)
             if not len(rest):
-                return
+                break
             if final:
                 bounds = np.empty_like(self.free_flow_bounds)
                 bounds[rest] = shortest_costs(net, costs, self.dest[rest], rows=self.stratum[rest])
             else:
                 bounds = self._free_flow_bounds()
-            blocks = (self.pair_blocks if len(rest) == len(self.dest)  # views, no copies
-                      else [rest[b] for b in net.solve_blocks(len(rest))])
-            for pairs in blocks:
-                yield pairs, None, None, bounds[pairs], final
+            for pairs, runs in (self.pair_stacks if len(rest) == k
+                                else self._stacks(self._runs(rest, self.pairs))):
+                serve(pairs, None, None, bounds[pairs], final, runs)
+        return result
 
-    def subsolutions(self, result, inner_tol: float) -> dict:
-        """The per-pair StratumDestinationSolution views of one pass."""
+    def _runs(self, rows: np.ndarray, size: int) -> list:
+        """The ascending ``rows`` (pairs, or (scheme, stratum) rows), ``size``
+        to a scheme, cut into runs as a solo solve of each scheme cuts its
+        own: network.solve_blocks of each scheme's share."""
+        shares = ([rows] if self.schemes == 1 else
+                  np.split(rows, np.searchsorted(rows, size * np.arange(1, self.schemes))))
+        return [share[b] for share in shares for b in self.network.solve_blocks(len(share))]
+
+    def _stacks(self, runs) -> list:
+        """The runs packed in order into stacks of at most
+        network.stack_blocks() blocks each, as each stack's rows (a slice
+        when they are consecutive slices, else an index array) and the
+        sizes of its runs (None for one run), _StackLU's ``runs``.  A
+        scheme's runs never share a stack: all but its last are full."""
+        limit, stacks = self.network.stack_blocks(), []
+        for run in runs:
+            if stacks and sum(map(_length, stacks[-1])) + _length(run) <= limit:
+                stacks[-1].append(run)
+            else:
+                stacks.append([run])
+        return [(_join(s), [_length(run) for run in s] if len(s) > 1 else None)
+                for s in stacks]
+
+    def response(self, result, scheme: int) -> np.ndarray:
+        """The arc flows of one scheme's pairs in a pass, summed over its
+        pairs in plan order, row by row: reproducible sums."""
+        if result is None:
+            return np.zeros(self.network.n_arcs)
+        return result.v[scheme * self.pairs:(scheme + 1) * self.pairs].sum(axis=0)
+
+    def subsolutions(self, result, inner_tol: float, scheme: int) -> dict:
+        """The per-pair StratumDestinationSolution views of one scheme's pairs in a pass."""
         if result is None:
             return {}
         net, sub = self.network, {}
-        for p, (s_idx, d) in enumerate(zip(self.stratum, self.dest)):
-            name, lo, hi = self.strata[s_idx].name, self.bounds[p], self.bounds[p + 1]
+        for p in range(scheme * self.pairs, (scheme + 1) * self.pairs):
+            d, lo, hi = self.dest[p], self.bounds[p], self.bounds[p + 1]
+            name = self.strata[self.stratum[p] % len(self.strata)].name
             sub[(name, net.node_id(d))] = StratumDestinationSolution(
                 stratum=name,
                 destination=net.node_id(d),
@@ -619,7 +759,7 @@ class _RoutingPlan:
 class _PassResult:
     tau: np.ndarray         # (pairs, n_nodes)
     residual: np.ndarray    # (pairs,) fixed-point residual of tau
-    solves: np.ndarray      # (pairs,) expected-cost solves of each pair's block
+    solves: np.ndarray      # (pairs,) expected-cost solves of each pair
     probs: np.ndarray       # (pairs, n_arcs)
     x: np.ndarray           # (pairs, n_nodes) node throughputs
     v: np.ndarray           # (pairs, n_arcs) arc flows
@@ -657,7 +797,8 @@ class _AndersonMixer:
 def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
                       initial_flow: np.ndarray | None = None,
                       log_fn=None) -> EquilibriumSolution:
-    """Anderson-mixed fixed-point iteration on the arc-flow vector.
+    """Anderson-mixed fixed-point iteration on the arc-flow vector of one
+    pricing scheme: solve_equilibria of ``[prices]``.
 
     ``prices`` is the (n_strata, n_arcs) array of per-stratum per-arc toll
     rates (money per km), finite and nonnegative, as
@@ -665,63 +806,97 @@ def solve_equilibrium(instance, prices, options: SolverOptions | None = None, *,
     The returned solution snapshots the last routing pass, so its costs,
     probabilities and subflows are mutually consistent at ``arc_time``.
     """
+    return solve_equilibria(instance, [prices], options, log_fn=log_fn,
+                            initial_flows=None if initial_flow is None else [initial_flow])[0]
+
+
+def solve_equilibria(instance, prices_list, options: SolverOptions | None = None, *,
+                     initial_flows=None, log_fn=None) -> list[EquilibriumSolution]:
+    """The equilibria of several pricing schemes, one per entry of
+    ``prices_list`` (each as ``solve_equilibrium`` takes it), from one
+    outer loop.
+
+    Every scheme has its own flow iterate (zero, or its entry of
+    ``initial_flows``), _AndersonMixer and stop test.  A pass routes the
+    schemes that have not stopped in one _RoutingPlan pass; a scheme that
+    stops keeps its last pass as its snapshot.  Each scheme's solution is
+    the one it gets solved alone, bit for bit.  ``log_fn`` receives every
+    pass record of every scheme, its position in ``prices_list`` under
+    ``"scheme"``.
+    """
     opts = options or instance.solver
     net = instance.network
-    rates = np.asarray(prices, dtype=float)
-    if rates.shape != (len(instance.strata), net.n_arcs):
-        raise ValueError(
-            f"price rates must have shape ({len(instance.strata)}, {net.n_arcs})")
-    if not np.all(np.isfinite(rates) & (rates >= 0)):
-        raise ValueError("price rates must be finite and nonnegative")
+    shape = (len(instance.strata), net.n_arcs)
+    rates = [np.asarray(prices, dtype=float) for prices in prices_list]
+    for r in rates:
+        if r.shape != shape:
+            raise ValueError(f"price rates must have shape {shape}")
+        if not np.all(np.isfinite(r) & (r >= 0)):
+            raise ValueError("price rates must be finite and nonnegative")
+    if not rates:
+        return []
 
-    plan = _RoutingPlan(instance, rates)
+    plan = _RoutingPlan(instance, np.array(rates))
 
-    f = np.zeros(net.n_arcs) if initial_flow is None else np.array(initial_flow, dtype=float)
-    if f.shape != (net.n_arcs,) or np.any(f < 0) or not np.all(np.isfinite(f)):
-        raise ValueError("initial_flow must be a finite nonnegative arc vector")
+    flows = ([np.zeros(net.n_arcs) for _ in rates] if initial_flows is None
+             else [np.array(f, dtype=float) for f in initial_flows])
+    if len(flows) != len(rates):
+        raise ValueError("initial_flows must give one arc vector per scheme")
+    for f in flows:
+        if f.shape != (net.n_arcs,) or np.any(f < 0) or not np.all(np.isfinite(f)):
+            raise ValueError("initial_flow must be a finite nonnegative arc vector")
 
     t0_wall = _time.perf_counter()
-    result = None
-    response = np.zeros(net.n_arcs)
-    gap = np.inf
-    converged = False
-    iteration_log: list[dict] = []
-    mixer = _AndersonMixer()
+    mixers = [_AndersonMixer() for _ in rates]
+    logs = [[] for _ in rates]
+    last = [None] * len(rates)  # each scheme's last pass, response and gap
+    converged = [False] * len(rates)
+    live = list(range(len(rates)))  # the schemes still iterating
 
     for k in range(opts.outer_max_iters):
-        result = plan.route(net.latency_all(f), opts.inner_tol)
-        # summed over pairs in plan order, row by row: reproducible sums
-        response = np.zeros(net.n_arcs) if result is None else result.v.sum(axis=0)
-
-        if not np.all(np.isfinite(response)):
-            raise SolverError("non-finite flow response")
-        gap = float(np.max(np.abs(f - response))) if response.size else 0.0
-        rec = {"iteration": k, "residual": gap,
-               "wall_time": _time.perf_counter() - t0_wall}
-        iteration_log.append(rec)
-        if log_fn is not None:
-            log_fn(rec)
-        if gap <= opts.outer_tol:
-            converged = True
+        active = result = None  # the last pass of a live scheme is not needed any more
+        if len(live) < len(rates):
+            active = np.zeros(len(rates), dtype=bool)
+            active[live] = True
+        for s in live:
+            last[s] = None
+        result = plan.route(net.latency_all(np.array(flows)), opts.inner_tol, active)
+        for s in list(live):
+            response, f = plan.response(result, s), flows[s]
+            if not np.all(np.isfinite(response)):
+                raise SolverError("non-finite flow response")
+            gap = float(np.max(np.abs(f - response))) if response.size else 0.0
+            rec = {"scheme": s, "iteration": k, "residual": gap,
+                   "wall_time": _time.perf_counter() - t0_wall}
+            logs[s].append(rec)
+            if log_fn is not None:
+                log_fn(rec)
+            last[s] = result, response, gap
+            converged[s] = gap <= opts.outer_tol
+            if converged[s] or k == opts.outer_max_iters - 1:
+                live.remove(s)
+            else:
+                flows[s] = mixers[s].step(f, response - f)
+        if not live:
             break
-        if k == opts.outer_max_iters - 1:
-            break
-        f = mixer.step(f, response - f)
 
-    sub = plan.subsolutions(result, opts.inner_tol)
-    return EquilibriumSolution(
-        total_flow=f,
-        arc_time=net.latency_all(f),
-        response_flow=response,
-        sub=sub,
-        stratum_flow=_stratum_flows(instance.stratum_names, sub, net.n_arcs),
-        price_rates=rates,
-        converged=converged,
-        inner_converged=all(sd.tau_converged for sd in sub.values()),
-        outer_iterations=len(iteration_log),
-        outer_residual=gap,
-        iteration_log=iteration_log,
-    )
+    solutions = []
+    for s, (result, response, gap) in enumerate(last):
+        sub = plan.subsolutions(result, opts.inner_tol, s)
+        solutions.append(EquilibriumSolution(
+            total_flow=flows[s],
+            arc_time=net.latency_all(flows[s]),
+            response_flow=response,
+            sub=sub,
+            stratum_flow=_stratum_flows(instance.stratum_names, sub, net.n_arcs),
+            price_rates=rates[s],
+            converged=converged[s],
+            inner_converged=all(sd.tau_converged for sd in sub.values()),
+            outer_iterations=len(logs[s]),
+            outer_residual=gap,
+            iteration_log=logs[s],
+        ))
+    return solutions
 
 
 def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:

@@ -391,10 +391,15 @@ class Network:
         data[(self._chain_diag + nnz * block).ravel()] += 1.0
         return self._block_matrix(sp.csc_matrix, self._chain_indices, self._chain_indptr, data, k)
 
+    def stack_blocks(self) -> int:
+        """The most per-destination systems in one stack: MAX_BLOCK_ROWS
+        unknowns, and at least one system."""
+        return max(1, MAX_BLOCK_ROWS // self.n_nodes)
+
     def solve_blocks(self, k: int) -> list[slice]:
         """Consecutive slices of k stacked per-destination systems, each of
-        at most MAX_BLOCK_ROWS unknowns (and at least one system)."""
-        step = max(1, MAX_BLOCK_ROWS // self.n_nodes)
+        stack_blocks() systems but the last."""
+        step = self.stack_blocks()
         return [slice(lo, min(k, lo + step)) for lo in range(0, k, step)]
 
     def reversed_graph(self, weights: np.ndarray) -> sp.csr_matrix:

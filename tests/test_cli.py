@@ -154,6 +154,35 @@ class TestSolve:
         rec = json.loads(err_lines[0])
         assert {"iteration", "residual", "wall_time"} <= set(rec)
 
+    def test_verbose_tags_each_scheme(self, tmp_path, capsys):
+        # the toll-free baseline is scheme 0 and the priced scheme 1, routed
+        # in the same passes until each stops: the baseline takes two more
+        ipath = tmp_path / "single_od.json"
+        save_instance(gen_single_od(), ipath)
+        capsys.readouterr()
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "100",
+                    "--tol-outer", "1e-4", "--out", str(tmp_path / "o"), "--verbose"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        passes = {s: [r["iteration"] for r in records if r["scheme"] == s] for s in (0, 1)}
+        assert {r["scheme"] for r in records} == {0, 1}
+        assert passes[0] == list(range(len(passes[1]) + 2))
+        solution = json.loads((tmp_path / "o" / "solution.json").read_text())
+        assert [r["iteration"] for r in solution["iteration_log"]] == passes[1]
+
+    def test_infeasible_baseline_of_a_feasible_scheme_is_solver_failure(self, tmp_path, capsys):
+        # at time sensitivity 0.01 the toll-free baseline has no finite
+        # expected costs while the scheme at rate 10 has: nothing is written
+        ipath = tmp_path / "unbounded.json"
+        inst = gen_single_od(time_sensitivity=0.01)
+        save_instance(inst, ipath)
+        solve_equilibrium(inst, expand_scheme(SchemeSpec(family="uniform", rate=10.0), inst))
+        capsys.readouterr()
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "10",
+                    "--out", str(tmp_path / "o")]) == EXIT_SOLVER_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected optimal costs are unbounded"), err
+        assert "Traceback" not in err and not (tmp_path / "o").exists()
+
     def test_infeasible_instance_is_solver_failure(self, tmp_path, capsys):
         # unbounded: at a tiny time sensitivity the logit mass on the 0-1
         # cycle outgrows its cost, so expected costs have no finite fixed

@@ -24,7 +24,7 @@ from mteq import (
 )
 from mteq import choice
 from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _arc_costs, _expected_costs, _route,
-                              _StackLU, solution_from_dict, solution_to_dict)
+                              _StackLU, solution_from_dict, solution_to_dict, solve_equilibria)
 from mteq.network import NetworkError, Node, build_network, shortest_costs
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
@@ -876,7 +876,7 @@ class TestUnusableStratumPairs:
             np.array([0, 0]), np.exp(-net.free_time)[None])
         assert (low >= X_MIN).tolist() == [False, False]
         assert tau.tolist() == np.zeros((2, 4)).tolist()  # X = 1 where unusable
-        assert solves == 1
+        assert solves.tolist() == [1, 1]  # an unusable pair is not refined
 
     def test_unusable_pairs_fall_back_and_fail_per_pair(self, monkeypatch):
         inst = complete_digraph_instance()
@@ -945,6 +945,203 @@ class TestStackLU:
         y = np.random.default_rng(6).uniform(0.0, 100.0, (len(dest), net.n_nodes))
         for got in (stacked, per_pair):
             tau, _residual, _probs, _log_denom, solves, low, _through = got
-            assert solves == 2 and (low >= X_MIN).all()
+            assert solves.tolist() == [2] * len(dest) and (low >= X_MIN).all()
         assert stacked[0] == pytest.approx(per_pair[0], rel=1e-12, abs=1e-12)
         assert_close(stacked[6](y), per_pair[6](y))
+
+
+def lattice_stack(lattice, layout):
+    """Every pair of the lattice's first stratum at rate 2 and free flow, as
+    _expected_costs' arguments after inner_tol: one block for all of them
+    (the stratum layout) or one block each, scaled by shortest costs."""
+    net = lattice.network
+    costs = _arc_costs(lattice.strata, net, rate_2(lattice), net.free_time)[:1]
+    dest = np.array(list(lattice.demand_by_destination(lattice.strata[0].name)))
+    beta, rows = lattice.strata[0].beta_t, np.zeros(len(dest), dtype=np.int64)
+    if layout == "stratum":
+        return net, costs[rows], dest, beta, 0.0, rows, np.exp(-beta * costs)
+    return net, costs[rows], dest, beta, shortest_costs(net, costs, dest, rows=rows)
+
+
+class TestPerPairRefinement:
+    """A refinement touches only the pairs (or routing columns) that need
+    it, so that no pair's bits depend on its stack-mates."""
+
+    @pytest.mark.parametrize("layout", ["per_pair", "stratum"])
+    def test_a_stack_mate_keeps_its_unrefined_bits(self, lattice, layout):
+        args = lattice_stack(lattice, layout)
+        y = np.random.default_rng(3).uniform(0.0, 100.0, (len(args[2]), lattice.network.n_nodes))
+        nobody = _expected_costs(*args[:5], np.inf, *args[5:])
+        everybody = _expected_costs(*args[:5], -1.0, *args[5:])
+        assert nobody[4].tolist() == [1] * len(y) and everybody[4].tolist() == [2] * len(y)
+        levels = np.unique(nobody[1])
+        assert len(levels) > 1
+        tol = float(levels[-2])  # the pairs of the largest residual refine, the others not
+        got = _expected_costs(*args[:5], tol, *args[5:])
+        refined = got[4] == 2
+        assert refined.tolist() == (nobody[1] > tol).tolist() and 0 < refined.sum() < len(y)
+        for run, pairs in ((nobody, ~refined), (everybody, refined)):
+            for a, b in zip(got[:6] + (got[6](y),), run[:6] + (run[6](y),)):
+                assert a[pairs].tobytes() == b[pairs].tobytes()
+
+    @pytest.mark.parametrize("layout", ["per_pair", "stratum"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_an_inexact_first_solve_is_refined(self, lattice, layout, sign, monkeypatch):
+        # the first X is off by up to 1e-6 relative, so tau is off by about
+        # 1e-8 h and its fixed-point residual is above inner_tol: the
+        # refinement (I - W_d)^-1 (e_d - (I - W_d) X) must bring it back
+        args = lattice_stack(lattice, layout)
+        exact = _expected_costs(*args[:5], np.inf, *args[5:])
+        real = _StackLU.reach
+        noise = 1.0 + sign * 1e-6 * np.random.default_rng(4).uniform(
+            0.0, 1.0, (len(args[2]), lattice.network.n_nodes))
+        monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * noise)
+        tau, residual, _probs, _log_denom, solves, _low, _through = _expected_costs(
+            *args[:5], 1e-9, *args[5:])
+        assert solves.tolist() == [2] * len(args[2])
+        assert (residual <= 1e-9).all()
+        assert tau == pytest.approx(exact[0], rel=1e-12, abs=1e-12)
+
+    def test_a_routing_column_mate_keeps_its_bits(self):
+        # two columns of one network; the first solve of column 0 is off by
+        # 1e-7, column 1's is exact: only column 0 is solved again
+        net = build_network([Node(str(i), i, 0) for i in range(3)],
+                            [flat_arc(f"a{t}{h}", t, h, 1.0)
+                             for t, h in ("01", "02", "10", "12", "20")])
+        probs = np.array([[0.5, 0.5, 0.25, 0.75, 1.0], [0.3, 0.7, 0.6, 0.4, 1.0]])
+        dense = []
+        for row in probs:
+            M = np.eye(3)
+            np.add.at(M, (net.head, net.tail), -np.where(net.tail == 2, 0.0, row))
+            dense.append(M)
+
+        def route(columns, off=0.0):
+            calls = []
+
+            def solve(rhs):  # exact but for column 0's first solve, off by ``off``
+                calls.append(rhs)
+                x = np.array([np.linalg.solve(dense[c], b) for c, b in zip(columns, rhs)])
+                x[np.array(columns) == 0] += off if len(calls) == 1 else 0.0
+                return x
+
+            k = len(columns)
+            out = _route(net, probs[columns], np.zeros((k, 3)), np.full(k, 2), np.arange(k),
+                         np.zeros(k, dtype=np.int64), np.array([5.0, 3.0])[columns],
+                         np.full(k, np.inf), np.ones(k), solve)
+            return (*out, len(calls))
+
+        _p, x, v, failed, error, solves = route([0, 1], off=1e-7)
+        assert solves == 2 and not failed.any() and error is None
+        _p, x1, v1, _failed, _error, solves = route([1])
+        assert solves == 1
+        assert x[1].tobytes() == x1[0].tobytes() and v[1].tobytes() == v1[0].tobytes()
+        _p, x0, _v, _failed, _error, _solves = route([0])
+        assert np.max(np.abs(x[0] - x0[0])) <= 1e-14 * 5.0
+
+
+def assert_batch_is_solo(inst, prices_list, options=MEDIUM):
+    """solve_equilibria of ``prices_list`` gives each scheme the solution of
+    its solo solve bit for bit: every array, every field of its solution
+    file and its iteration log, tagged with its position.  Returns the batch."""
+    net = inst.network
+    batch = solve_equilibria(inst, prices_list, options)
+    assert len(batch) == len(prices_list)
+    for s, (prices, got) in enumerate(zip(prices_list, batch)):
+        want = solve_equilibrium(inst, prices, options)
+        assert (json.dumps(solution_to_dict(got, net), sort_keys=True)
+                == json.dumps(solution_to_dict(want, net), sort_keys=True)), s
+        for name in ("total_flow", "arc_time", "response_flow", "price_rates"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (s, name)
+        for name, flow in want.stratum_flow.items():
+            assert got.stratum_flow[name].tobytes() == flow.tobytes(), (s, name)
+        for key, sd in want.sub.items():
+            assert got.sub[key].arc_flow.tobytes() == sd.arc_flow.tobytes(), (s, key)
+        assert [(r["scheme"], r["iteration"], r["residual"]) for r in got.iteration_log] == [
+            (s, r["iteration"], r["residual"]) for r in want.iteration_log]
+    return batch
+
+
+class TestSolveEquilibria:
+    """One outer loop for several schemes: each scheme's solution is its
+    solo solution, whatever it is batched with."""
+
+    def test_lattice_in_the_stratum_layout(self, lattice, monkeypatch):
+        factored = record_factorizations(monkeypatch)
+        rates = [zero_prices(lattice), rate_2(lattice),
+                 expand_scheme(SchemeSpec(family="uniform", rate=25.0), lattice)]
+        batch = assert_batch_is_solo(lattice, rates)
+        assert all(sol.converged for sol in batch)
+        assert [sol.outer_iterations for sol in batch] == [5, 6, 6]
+        # a pass stacks the schemes' strata, one LU for each scheme's three
+        assert factored[:3] == [((3 * 36, 3 * 36), "ok")] * 3
+
+    def test_single_od_in_the_per_pair_layout(self):
+        inst = gen_single_od()
+        rates = [expand_scheme(SchemeSpec(family="uniform", rate=r), inst)
+                 for r in (0.0, 100.0, 400.0)]
+        assert_batch_is_solo(inst, rates)
+
+    def test_a_scheme_that_stops_first_keeps_its_last_pass(self, monkeypatch):
+        # the priced scheme converges two passes before the toll-free one;
+        # the passes after that route the toll-free scheme's pairs alone
+        inst = gen_single_od()
+        factored = record_factorizations(monkeypatch)
+        priced = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
+        base, tolled = assert_batch_is_solo(inst, [zero_prices(inst), priced])
+        assert base.outer_iterations == tolled.outer_iterations + 2
+        # each scheme's three pairs are one LU of 3 x 4 unknowns, as alone:
+        # two a pass, then one; the solo solves that follow make as many
+        assert factored == [((12, 12), "ok")] * 2 * (2 * tolled.outer_iterations + 2)
+
+    def test_a_stratum_out_of_range_in_one_scheme_only(self, lattice, monkeypatch):
+        # stratum high (10 destinations) is out of range at rate 300 in the
+        # second scheme only: its pairs go per pair there, while the first
+        # scheme's high stays in the stratum stacks.  Each scheme's strata
+        # are solved with as many columns as alone: 10, and 4 (mid, low)
+        inst = with_destinations(lattice, (10, 4, 2))
+        mixed = expand_scheme(SchemeSpec(family="per_stratum", stratum_rates=(
+            ("high", 300.0), ("mid", 0.0), ("low", 2.0))), inst)
+        factored = record_factorizations(monkeypatch)
+        solves = record_solves(monkeypatch)
+        assert_batch_is_solo(inst, [zero_prices(inst), mixed])
+        # the first pass stacks both schemes' three strata and routes the
+        # second scheme's high per pair; later passes stack five strata
+        n = inst.network.n_nodes
+        assert factored[:5] == [((3 * n, 3 * n), "ok")] * 2 + [((10 * n, 10 * n), "ok"),
+                                ((3 * n, 3 * n), "ok"), ((2 * n, 2 * n), "ok")]
+        assert {(3 * n, 10), (2 * n, 4)} <= set(solves)
+
+    def test_a_singular_run_falls_back_alone(self, monkeypatch):
+        # four primary arcs each way at cost ln 4 and beta_t = 1: W_s is
+        # exactly [[0, 1], [1, 0]] toll-free, so that scheme's stratum block
+        # is singular, while a toll of 0.1 per km makes the other's regular
+        arcs = [flat_arc(f"{a}{t}{h}", t, h, math.log(4.0), road_class="primary")
+                for a in "abcd" for t, h in (("0", "1"), ("1", "0"))]
+        inst = two_destination_instance(arcs, beta_t=1.0)
+        factored = record_factorizations(monkeypatch)
+        rates = [zero_prices(inst), np.full((1, inst.network.n_arcs), 0.1)]
+        assert_batch_is_solo(inst, rates, SolverOptions(inner_tol=1e-9, outer_tol=1e-12,
+                                                         outer_max_iters=1))
+        # the stack of both runs, then each run alone: the toll-free one
+        # routes its two pairs per pair, the tolled one stays in its block
+        assert factored[:4] == [((2, 2), "singular"), ((2, 2), "singular"), ((2, 2), "ok"),
+                                ((4, 4), "ok")]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_an_infeasible_scheme_fails_the_batch(self, order):
+        # at time sensitivity 0.01 the toll-free scheme has no finite
+        # expected costs, the scheme at rate 10 has
+        inst = gen_single_od(time_sensitivity=0.01)
+        priced = expand_scheme(SchemeSpec(family="uniform", rate=10.0), inst)
+        assert solve_equilibrium(inst, priced, MEDIUM).converged
+        with pytest.raises(FeasibilityError, match="unbounded"):
+            solve_equilibria(inst, [zero_prices(inst), priced][::order], MEDIUM)
+
+    def test_every_scheme_is_checked(self, two_route):
+        rates = zero_prices(two_route)
+        with pytest.raises(ValueError, match="price rates must have shape"):
+            solve_equilibria(two_route, [rates, rates[:, :1]], OPTS)
+        with pytest.raises(ValueError, match="one arc vector per scheme"):
+            solve_equilibria(two_route, [rates, rates], OPTS,
+                             initial_flows=[np.zeros(two_route.network.n_arcs)])
+        assert solve_equilibria(two_route, [], OPTS) == []

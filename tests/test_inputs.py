@@ -492,3 +492,19 @@ def test_solution_of_other_strata(tmp_path, capsys, single_od):
     assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", solution,
                      "--out", tmp_path / "out"], "['poor']", tmp_path / "out", capsys,
                     file=solution)
+
+
+def test_solution_missing_a_stratum_of_the_instance(tmp_path, capsys, single_od):
+    # solved on the instance without stratum "high", simulated against the
+    # full instance: its price rates have a row fewer than the instance has strata
+    doc = json.loads(single_od["inst"].read_text())
+    doc["strata"] = [s for s in doc["strata"] if s["name"] != "high"]
+    doc["demand"] = [e for e in doc["demand"] if e["stratum"] != "high"]
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(doc))
+    assert run(["solve", "--instance", str(partial), "--scheme", "uniform", "--rate", "1",
+                "--out", str(tmp_path / "solve")]) == 0
+    solution = tmp_path / "solve" / "solution.json"
+    assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", solution,
+                     "--out", tmp_path / "out"], "['high'] of the instance are not in the "
+                    "solution", tmp_path / "out", capsys, file=solution)

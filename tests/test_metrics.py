@@ -272,6 +272,25 @@ def test_solution_stratum_missing_from_instance_is_named(entry):
         call[entry]()
 
 
+@pytest.mark.parametrize("entry", ["all_trip_stats", "compute_metrics", "simulate_trips",
+                                   "equilibrium_residuals"])
+def test_instance_stratum_missing_from_solution_is_named(entry):
+    # a solution without stratum "high" against the instance with it: the
+    # instance's stratum order would index past its price rates
+    inst = gen_single_od()
+    other = replace(inst, strata=inst.strata[1:], outside_time={},
+                    demand=[e for e in inst.demand if e.stratum != "high"])
+    sol, _prices = solved(other)
+    prices = expand_scheme(SchemeSpec(family="uniform", rate=0.0), inst)
+    call = {"all_trip_stats": lambda: all_trip_stats(inst, sol),
+            "compute_metrics": lambda: compute_metrics(inst, sol, {}),
+            "simulate_trips": lambda: simulate_trips(inst, sol, runs_per_unit=1),
+            "equilibrium_residuals": lambda: equilibrium_residuals(inst, prices, sol)}
+    with pytest.raises(InstanceError, match=r"^solution: strata \['high'\] of the instance "
+                                            r"are not in the solution$"):
+        call[entry]()
+
+
 class TestWelfare:
     def test_no_pricing_has_zero_delta(self):
         inst = gen_single_od()
