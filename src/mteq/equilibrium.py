@@ -11,15 +11,16 @@ case.  Given the arc costs, the (scheme, stratum, destination) routings are
 independent, so each routing pass batches all of them in sparse LU
 factorizations by one kernel, ``_expected_costs``, each serving the
 expected costs and node throughputs of its pairs.  No pair's bits depend on
-the other schemes of its pass: refinement is per pair, and each scheme's
-run of blocks in a stack is factored on its own.  A stratum with several
-destinations is tried as one block, I - W for all of them (Sherman-Morrison
-on the destination's row, one right-hand-side column per destination), and
-kept there while its answer stays in double range (``STRATUM_RANGE``);
-every other pair is a block of its own system, scaled by its shortest costs
-at free-flow times.  A pass runs no Dijkstra: the free-flow bounds come from
-one call per solve, made only if some pair needs them, and the pass's own
-shortest costs only for a pair whose answer leaves range under them.
+the other pairs of its pass: refinement is per pair, and every block of a
+stack is factored in the network's one column order (``chain_order``).  A
+stratum with several destinations is tried as one block, I - W for all of
+them (Sherman-Morrison on the destination's row, one right-hand-side column
+per destination), and kept there while its answer stays in double range
+(``STRATUM_RANGE``); every other pair is a block of its own system, scaled
+by its shortest costs at free-flow times.  A pass runs no Dijkstra: the
+free-flow bounds come from one call per solve, made only if some pair needs
+them, and the pass's own shortest costs only for a pair whose answer leaves
+range under them.
 ``solve_tau`` and ``flows_for_destination`` are the one-pair case.
 """
 
@@ -109,7 +110,11 @@ class EquilibriumSolution:
     ``total_flow`` is the outer iterate at which the final routing pass was
     solved and ``arc_time`` its congested times; ``response_flow`` is the
     demand-weighted flow those times induce.  At convergence the two agree
-    to within ``outer_residual <= outer_tol``.
+    to within ``outer_residual <= outer_tol``.  ``stratum_flow`` lists the
+    strata in the order of the rows of ``price_rates`` unless
+    ``strata_ordered`` is false: a file of schema 1-3 did not record that
+    order, and its rows are taken in the order of the instance it is used
+    with.
     """
 
     total_flow: np.ndarray
@@ -123,6 +128,7 @@ class EquilibriumSolution:
     outer_iterations: int
     outer_residual: float
     iteration_log: list = field(default_factory=list)
+    strata_ordered: bool = True
 
     def subsolution(self, stratum: str, destination: str) -> StratumDestinationSolution:
         return self.sub[(stratum, destination)]
@@ -130,8 +136,9 @@ class EquilibriumSolution:
     def check_strata(self, names, where: str = "solution") -> None:
         """Raise InstanceError, prefixed with ``where``, naming the strata of
         the solution that the instance's ``names`` lack, or else the strata
-        of ``names`` that the solution lacks: its price rates have one row
-        per stratum of the instance it was solved on."""
+        of ``names`` that the solution lacks, or else both orders when the
+        rows of ``price_rates`` are strata in another order than ``names``:
+        readers index those rows by the instance's order."""
         solved = set(self.stratum_flow).union(s for s, _d in self.sub)
         unknown = sorted(solved - set(names))
         if unknown:
@@ -140,6 +147,9 @@ class EquilibriumSolution:
         if missing:
             raise InstanceError(f"{where}: strata {missing} of the instance are not in the "
                                 f"solution")
+        if self.strata_ordered and list(self.stratum_flow) != list(names):
+            raise InstanceError(f"{where}: the price_rates rows are strata "
+                                f"{list(self.stratum_flow)}, the instance lists {list(names)}")
 
 
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
@@ -195,45 +205,26 @@ class _StackLU:
       Z = A^-1 E_D and R = A^-T w_d = A^-T E_D - E_D (Akamatsu, Transp. Res.
       B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
 
-    ``runs`` cuts the blocks into consecutive runs of ``runs[i]`` blocks,
-    each factored and solved on its own, as the stack of its blocks alone:
-    SuperLU's COLAMD orders the columns of a whole stack, so one LU of
-    several runs would round each run by its stack-mates."""
+    Every block is factored in one order, the network's chain_order (the
+    COLAMD order of a single block, Davis et al., ACM TOMS 2004), tiled
+    down the stack with SuperLU in NATURAL mode: the stack is then factored
+    block by block, so no block's bits depend on its stack-mates."""
 
-    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None,
-                 runs=None):
+    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
         self.dest, self.block, self.n = dest, block, network.n_nodes
         self.column = np.arange(len(dest))
         self._e = (np.arange(self.n) == dest[:, None]) * 1.0  # e_d per pair
         if block is not None:  # (columns, blocks, n) packed, pair p at (slot[p], block[p])
             self._slot = self.column - np.searchsorted(block, block)
             self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
-        self._network, self._weights, self._chain, self._parts = network, weights, None, None
-        if runs is None or len(runs) < 2:
-            self._lu = self._factor(self.chain())
-        else:  # each run's LU, its packed rows and the width of its packed columns
-            self._parts = []
-            for lo, hi in zip(np.cumsum(runs) - runs, np.cumsum(runs)):
-                width = (None if block is None
-                         else int(self._slot[(block >= lo) & (block < hi)].max()) + 1)
-                chain = network.chain_matrix(weights[lo:hi], dest[lo:hi] if block is None else -1)
-                self._parts.append((self._factor(chain), slice(lo * self.n, hi * self.n), width))
-        if block is not None:
-            self._Z, self._R = self._solve(self._e, "T"), None
-
-    def chain(self):
-        """(I - W)^T of the whole stack, chain_matrix's form, built when first needed."""
-        if self._chain is None:
-            self._chain = self._network.chain_matrix(
-                self._weights, self.dest if self.block is None else -1)
-        return self._chain
-
-    @staticmethod
-    def _factor(chain):
+        self._order, self._inverse = network.chain_order()
+        self._chain = network.chain_matrix(weights, dest if block is None else -1, ordered=True)
         try:
-            return splu(chain)
+            self._lu = splu(self._chain, permc_spec="NATURAL")
         except RuntimeError:  # exactly singular
             raise FeasibilityError(_UNBOUNDED) from None
+        if block is not None:
+            self._Z, self._R = self._solve(self._e, "T"), None
 
     def _pack(self, v: np.ndarray) -> np.ndarray:
         """(..., k, n) right-hand sides as SuperLU's columns."""
@@ -250,16 +241,13 @@ class _StackLU:
         return V.T.reshape(*lead, *self._shape)[..., self._slot, self.block, :]
 
     def _solve(self, v: np.ndarray, trans: str) -> np.ndarray:
-        """A^-1 v per pair with ``trans`` "T", A^-T v with "N": chain_matrix is A^T."""
-        V = self._pack(v)
-        if self._parts is None:
-            return self._unpack(self._lu.solve(V, trans=trans), v.shape[:-2])
-        X = np.empty(V.shape)  # _unpack reads no column past a run's width
-        for lu, rows, width in self._parts:  # a run's own columns, as its stack alone has them
-            cols = (Ellipsis if width is None or width == self._shape[0] else np.add.outer(
-                np.arange(0, V.shape[1], self._shape[0]), np.arange(width)).ravel())
-            X[rows, cols] = lu.solve(V[rows, cols], trans=trans)
-        return self._unpack(X, v.shape[:-2])
+        """A^-1 v per pair with ``trans`` "T", A^-T v with "N": the factored
+        matrix is A^T with the columns of every block in chain_order."""
+        lead = v.shape[:-2]  # take: three times as fast as a fancy index on small arrays
+        if trans == "T":
+            V = self._lu.solve(self._pack(v.take(self._order, -1)), trans="T")
+            return self._unpack(V, lead)
+        return self._unpack(self._lu.solve(self._pack(v), trans="N"), lead).take(self._inverse, -1)
 
     def reach(self) -> np.ndarray:
         """X = (I - W_d)^-1 e_d per pair, (k, n)."""
@@ -288,38 +276,37 @@ class _StackLU:
 
     def residual(self, X: np.ndarray) -> np.ndarray:
         """e_d - (I - W_d) X per pair, (k, n)."""
-        r = self._e - self._unpack(self.chain().T @ self._pack(X))
+        r = self._e - self._unpack(self._chain.T @ self._pack(X)).take(self._inverse, -1)
         r[self.column, self.dest] = 1.0 - X[self.column, self.dest]  # row d of I - W_d is e_d
         return r
 
 
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_ref, inner_tol: float, block=None, weights=None, runs=None):
+                    tau_ref, inner_tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
     destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
     (k, m), ``beta`` a scalar or (k, 1) column.  With ``block`` None each
     pair's weights are scaled by ``tau_ref`` (k, n), shortest costs at these
     costs or at lower ones, so that every weight is at most 1; otherwise
     pair p is served by the unscaled ``weights[block[p]]`` and tau_ref is 0.
-    ``runs`` cuts the stack into runs factored apart (_StackLU).
 
     A pair is usable when its least X, ``low``, is at least X_MIN: X is
     finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
     Any other pair gets X = 1.  A singular stack raises FeasibilityError.
     A usable pair whose residual is above ``inner_tol`` is refined once with
-    the same factors; the other pairs keep their first X, so no pair's bits
-    depend on its stack-mates.  Returns tau (k, n), the per-pair fixed-point
-    residual, the logit probabilities and log-denominators at tau, the
-    solves of each pair (1, or 2 when refined), ``low`` (NaN where X is not
-    finite, and never above the unrefined one), and ``through``: (k, n)
-    right-hand sides y -> X * (I - W_d)^-T (y / X), the routing solve of
-    _route."""
+    the same factors; the other pairs keep their first X.  With _StackLU's
+    blocks independent, no pair's bits depend on its stack-mates.  Returns
+    tau (k, n), the per-pair fixed-point residual, the logit probabilities
+    and log-denominators at tau, the solves of each pair (1, or 2 when
+    refined), ``low`` (NaN where X is not finite, and never above the
+    unrefined one), and ``through``: (k, n) right-hand sides y ->
+    X * (I - W_d)^-T (y / X), the routing solve of _route."""
     column = np.arange(len(dest))
     if block is None:
         tau_ref = tau_ref.copy()
         tau_ref[column, dest] = 0.0
         weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    stack = _StackLU(network, weights, dest, block, runs)
+    stack = _StackLU(network, weights, dest, block)
 
     def certify(X, low=np.inf):  # -> low, usable, tau, residual, probs, log_denom
         low = np.minimum(low, np.where(np.isfinite(X).all(axis=1), X.min(axis=1), np.nan))
@@ -481,31 +468,9 @@ def _stratum_stacks(network: Network, first: np.ndarray, count: np.ndarray):
     each stack's strata (an index into ``first``), pairs and the block of
     each pair, for _StackLU."""
     for g in network.solve_blocks(len(first)):
-        yield g, *_stratum_stack(first[g], count[g])
-
-
-def _stratum_stack(first: np.ndarray, count: np.ndarray):
-    """The pairs ``first[s]:first[s] + count[s]`` of the strata s of one
-    stack laid end to end, and the block (stratum position) of each."""
-    pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first, count)])
-    return pairs, np.repeat(np.arange(len(count)), count)
-
-
-def _length(run) -> int:
-    """The rows of a run of blocks: a slice or an index array."""
-    return run.stop - run.start if isinstance(run, slice) else len(run)
-
-
-def _join(runs):
-    """The rows of a stack of runs laid end to end: a slice when they are
-    consecutive slices, else an index array."""
-    if len(runs) == 1:
-        return runs[0]
-    if all(isinstance(r, slice) for r in runs) and all(
-            a.stop == b.start for a, b in zip(runs, runs[1:])):
-        return slice(runs[0].start, runs[-1].stop)
-    return np.concatenate([np.arange(r.start, r.stop) if isinstance(r, slice) else r
-                           for r in runs])
+        sizes = count[g]
+        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first[g], sizes)])
+        yield g, pairs, np.repeat(np.arange(len(sizes)), sizes)
 
 
 class _RoutingPlan:
@@ -539,18 +504,17 @@ class _RoutingPlan:
     the same pass, scaled by its shortest costs at the pass's costs.
     FeasibilityError and SolverError come from that last layout only.
 
-    Each scheme's blocks are cut into runs as its solo solve cuts them into
-    stacks (_runs), and a stack holds whole runs (_stacks), each factored
-    on its own (_StackLU's ``runs``): SuperLU orders the columns of the
-    whole matrix it is given, so one LU of several schemes' blocks would
-    round each scheme by the others.  A singular stack of several runs is
-    tried again one run at a time.  With refinement per pair, a scheme's
-    answer is bit for bit the one it gets alone.
+    A stack holds the blocks of any schemes (_stratum_stacks, and
+    network.solve_blocks of the pairs left to route), and a singular
+    stratum stack is tried again one (scheme, stratum) block at a time.
+    _StackLU factors every block of a stack as it factors the block alone,
+    and refinement is per pair, so a scheme's answer is bit for bit the one
+    it gets alone.
     """
 
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
-        self.network, self.strata, self.schemes = net, instance.strata, len(rates)
+        self.network, self.strata = net, instance.strata
         from .instance import outside_costs
         oc = outside_costs(instance)
         stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
@@ -587,9 +551,6 @@ class _RoutingPlan:
         self.count = np.bincount(self.stratum, minlength=schemes * n_strata)
         self.first = np.cumsum(self.count) - self.count
         self.per_pair = self.count < 2  # (scheme, stratum) rows kept off the stratum layout
-        self.pair_stacks = self._stacks([slice(s * self.pairs + b.start, s * self.pairs + b.stop)
-                                         for s in range(schemes)
-                                         for b in net.solve_blocks(self.pairs)])
         self.free_flow_bounds = None
         dead = np.flatnonzero(net.out_degree == 0)
         if len(dead):  # the choice kernel's per-node segments need an arc each
@@ -629,7 +590,7 @@ class _RoutingPlan:
         todo = np.ones(k, dtype=bool) if active is None else np.repeat(active, self.pairs)
         result = None
 
-        def serve(pairs, block, weights, tau_ref, final, runs) -> bool:
+        def serve(pairs, block, weights, tau_ref, final) -> bool:
             """Route one stack, pairs a slice or an index array, and write
             its accepted pairs; False if a stratum-layout stack is singular."""
             nonlocal result
@@ -637,7 +598,7 @@ class _RoutingPlan:
             try:
                 tau, residual, probs, log_denom, solves, low, through = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
-                    inner_tol, block, weights, runs)
+                    inner_tol, block, weights)
             except FeasibilityError:
                 if block is None:
                     raise
@@ -679,13 +640,14 @@ class _RoutingPlan:
         tried = ~self.per_pair
         if active is not None:
             tried &= np.repeat(active, len(self.strata))
-        stacks = self._stacks(self._runs(np.flatnonzero(tried), len(self.strata))
-                              if tried.any() else [])
-        for rows, runs in stacks:  # (scheme, stratum) rows; a singular stack retries each run
-            pairs, block = _stratum_stack(self.first[rows], self.count[rows])
-            weights = np.exp(-self.stratum_beta[rows] * costs[rows])
-            if not serve(pairs, block, weights, 0.0, False, runs) and runs:
-                stacks.extend((run, None) for run in np.split(rows, np.cumsum(runs)[:-1]))
+        rows = np.flatnonzero(tried)  # (scheme, stratum) rows
+        stacks = _stratum_stacks(net, self.first[rows], self.count[rows]) if len(rows) else ()
+        for g, pairs, block in stacks:
+            weights = np.exp(-self.stratum_beta[rows[g]] * costs[rows[g]])
+            if not serve(pairs, block, weights, 0.0, False) and len(weights) > 1:
+                for j in range(len(weights)):  # a singular stack: each block alone
+                    mine = block == j
+                    serve(pairs[mine], block[mine] - j, weights[j:j + 1], 0.0, False)
         for final in (False, True):
             rest = np.flatnonzero(todo)
             if not len(rest):
@@ -695,33 +657,10 @@ class _RoutingPlan:
                 bounds[rest] = shortest_costs(net, costs, self.dest[rest], rows=self.stratum[rest])
             else:
                 bounds = self._free_flow_bounds()
-            for pairs, runs in (self.pair_stacks if len(rest) == k
-                                else self._stacks(self._runs(rest, self.pairs))):
-                serve(pairs, None, None, bounds[pairs], final, runs)
+            for b in net.solve_blocks(len(rest)):
+                pairs = b if len(rest) == k else rest[b]  # slices: views, no copies
+                serve(pairs, None, None, bounds[pairs], final)
         return result
-
-    def _runs(self, rows: np.ndarray, size: int) -> list:
-        """The ascending ``rows`` (pairs, or (scheme, stratum) rows), ``size``
-        to a scheme, cut into runs as a solo solve of each scheme cuts its
-        own: network.solve_blocks of each scheme's share."""
-        shares = ([rows] if self.schemes == 1 else
-                  np.split(rows, np.searchsorted(rows, size * np.arange(1, self.schemes))))
-        return [share[b] for share in shares for b in self.network.solve_blocks(len(share))]
-
-    def _stacks(self, runs) -> list:
-        """The runs packed in order into stacks of at most
-        network.stack_blocks() blocks each, as each stack's rows (a slice
-        when they are consecutive slices, else an index array) and the
-        sizes of its runs (None for one run), _StackLU's ``runs``.  A
-        scheme's runs never share a stack: all but its last are full."""
-        limit, stacks = self.network.stack_blocks(), []
-        for run in runs:
-            if stacks and sum(map(_length, stacks[-1])) + _length(run) <= limit:
-                stacks[-1].append(run)
-            else:
-                stacks.append([run])
-        return [(_join(s), [_length(run) for run in s] if len(s) > 1 else None)
-                for s in stacks]
 
     def response(self, result, scheme: int) -> np.ndarray:
         """The arc flows of one scheme's pairs in a pass, summed over its
@@ -907,13 +846,14 @@ def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
             for name in names}
 
 
-SOLUTION_SCHEMA_VERSION = 3
+SOLUTION_SCHEMA_VERSION = 4
 """Version of the solution file.  Schema 2 stores each number once: it drops
 schema 1's ``arc_time``, ``stratum_flow`` and per-pair ``arc_flow``, which
 are exact functions of the other fields, and lists the ``strata``.  Schema 3
 stores each pair's per-node and per-arc arrays, ``_PACKED``, as packed
-float64 strings (_pack) instead of lists of decimal numbers.  All three
-versions load."""
+float64 strings (_pack) instead of lists of decimal numbers.  Schema 4
+lists the ``strata`` in the order of the rows of ``price_rates``, where
+earlier versions sorted them.  All four versions load."""
 
 _PACKED = ("tau", "entering_flow", "arc_probs")
 
@@ -940,7 +880,7 @@ def _unpack(name: str, value, shape: tuple) -> np.ndarray:
 
 
 def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
-    """JSON-ready form of a solution, schema 3; inverse of solution_from_dict.
+    """JSON-ready form of a solution, schema 4; inverse of solution_from_dict.
 
     Arc times, per-pair arc flows and per-stratum flows are left out:
     solution_from_dict rebuilds them bit for bit from ``total_flow``,
@@ -959,7 +899,7 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "arc_ids": [a.id for a in network.arcs],
-        "strata": sorted(solution.stratum_flow),
+        "strata": list(solution.stratum_flow),  # in price_rates' row order
         "total_flow": solution.total_flow.tolist(),
         "response_flow": solution.response_flow.tolist(),
         "price_rates": solution.price_rates.tolist(),
@@ -1030,10 +970,11 @@ def _check_values(key: str, arrays: list, path) -> None:
 
 
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
-    """Solution from its JSON form, schema 3, 2 or 1; inverse of
+    """Solution from its JSON form, schema 4, 3, 2 or 1; inverse of
     solution_to_dict.  The version alone decides how the per-pair ``tau``,
-    ``entering_flow`` and ``arc_probs`` are stored: packed strings in
-    schema 3, lists of numbers before.
+    ``entering_flow`` and ``arc_probs`` are stored: packed strings from
+    schema 3 on, lists of numbers before; and whether ``strata`` names the
+    rows of ``price_rates`` (schema 4, ``strata_ordered``).
 
     The derived arrays are rebuilt as the solver computes them, so they equal
     the solved ones bit for bit: ``arc_time`` is the latency of
@@ -1047,14 +988,14 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     flags true or false and iteration counts and residuals nonnegative
     (_status)."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
-    if type(version) is not int or version not in (1, 2, SOLUTION_SCHEMA_VERSION):
-        raise InstanceError(f"solution schema version {version!r} is not 1, 2 or "
+    if type(version) is not int or version not in (1, 2, 3, SOLUTION_SCHEMA_VERSION):
+        raise InstanceError(f"solution schema version {version!r} is not 1, 2, 3 or "
                             f"{SOLUTION_SCHEMA_VERSION}")
     arc_ids, sub_doc, strata, log = read_fields(doc, "solution", (
         "arc_ids", "sub", "strata" if version >= 2 else "stratum_flow", "iteration_log"))
     if arc_ids != [a.id for a in network.arcs]:
         raise InstanceError("solution was computed on a different network (arc ids differ)")
-    packed = _PACKED if version == SOLUTION_SCHEMA_VERSION else ()
+    packed = _PACKED if version >= 3 else ()
     if version >= 2:
         strata = [check_name(f"solution.strata[{k}]", s)
                   for k, s in enumerate(read_section(strata, "solution.strata", list))]
@@ -1095,7 +1036,8 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
                                    "outer_residual")),
         iteration_log=[dict(zip(("iteration", "residual"), _status(
             entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
-            for k, entry in enumerate(read_section(log, "solution.iteration_log", list))])
+            for k, entry in enumerate(read_section(log, "solution.iteration_log", list))],
+        strata_ordered=version == SOLUTION_SCHEMA_VERSION)
 
 
 def _status(section, path: str, keys) -> list:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.linalg import splu
 
 PRIMARY = "primary"
 SECONDARY = "secondary"
@@ -274,8 +275,9 @@ class Network:
     Arcs are re-ordered so that all outgoing arcs of a node are contiguous;
     ``out_start[i]:out_start[i+1]`` slices the arc arrays per node, in the
     style of a CSR index.  The network owns the block-diagonal matrices of
-    ``chain_matrix`` and ``reversed_graph`` (_block_matrix): their patterns
-    are computed once here, and each call only refills the values.
+    ``chain_matrix`` and ``reversed_graph`` (_block_matrix): their patterns,
+    and the column order of ``chain_order``, are computed once, and each
+    call only refills the values.
     """
 
     def __init__(self, nodes: list[Node], arcs: list[Arc]):
@@ -322,9 +324,9 @@ class Network:
         keys, pos = np.unique(np.concatenate((self.tail * n + self.head,
                                               np.arange(n) * (n + 1))),
                               return_inverse=True)
-        self._chain_indices = (keys % n).astype(np.int32)
-        self._chain_indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
-        self._chain_arc, self._chain_diag = pos[:len(arcs)], pos[len(arcs):]
+        self._chain = ((keys % n).astype(np.int32),
+                       np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32),
+                       pos[:len(arcs)], pos[len(arcs):])
 
         # CSR pattern of reversed_graph: arcs grouped by (head, tail), one
         # entry per group, so parallel arcs collapse to a single edge.
@@ -338,11 +340,12 @@ class Network:
 
         for arr in (self.tail, self.head, self.length, self.capacity, self.free_time,
                     self.bpr_gamma, self.bpr_nu, self.is_primary, self.primary_length,
-                    self.out_start, self.out_degree, self.x, self.y, self._chain_indices,
-                    self._chain_indptr, self._chain_arc, self._chain_diag,
+                    self.out_start, self.out_degree, self.x, self.y, *self._chain,
                     self._rev_perm, self._rev_starts, self._rev_indices, self._rev_indptr):
             arr.flags.writeable = False
-        self._matrices = {}  # (kind, k) -> the k-block matrix of _block_matrix
+        # (name, k) -> the k-block matrix of _block_matrix; "order" and
+        # "pattern", chain_order and its ordered pattern
+        self._matrices = {}
 
     @property
     def n_nodes(self) -> int:
@@ -371,7 +374,8 @@ class Network:
         out[pos] = self.capacity[pos] * (ratio[pos] / self.bpr_gamma[pos]) ** (1.0 / self.bpr_nu[pos])
         return out
 
-    def chain_matrix(self, weights: np.ndarray, destination) -> sp.csc_matrix:
+    def chain_matrix(self, weights: np.ndarray, destination, ordered: bool = False
+                     ) -> sp.csc_matrix:
         """Block-diagonal (I - W)^T for walks absorbed at their destinations,
         as CSC, the form ``splu`` factors; ``.T`` is I - W (CSR).
 
@@ -379,27 +383,60 @@ class Network:
         destinations: block i of I - W is I - W_i, where W_i[tail, head] sums
         row i of the per-arc weights over parallel arcs and the row of the
         i-th destination is zero (explicit zeros: the pattern depends on k);
-        a destination of -1 zeroes no row.  The network owns the result: the
-        next call with k blocks refills it (_block_matrix)."""
+        a destination of -1 zeroes no row.  With ``ordered``, the columns of
+        every block are in chain_order(): block i is (I - W_i)^T[:, order].
+        The network owns the result: the next call with k blocks and the
+        same ``ordered`` refills it (_block_matrix)."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
-        dest = np.atleast_1d(destination)
-        k, nnz = len(w), len(self._chain_indices)
-        w = np.where(self.tail == dest[:, None], 0.0, w)
-        block = np.arange(k)[:, None]
-        data = -np.bincount((self._chain_arc + nnz * block).ravel(), weights=w.ravel(),
-                            minlength=k * nnz)
-        data[(self._chain_diag + nnz * block).ravel()] += 1.0
-        return self._block_matrix(sp.csc_matrix, self._chain_indices, self._chain_indptr, data, k)
+        pattern = self._chain_pattern() if ordered else self._chain
+        return self._block_matrix("ordered" if ordered else "chain", sp.csc_matrix, *pattern[:2],
+                                  self._chain_data(w, destination, pattern), len(w))
 
-    def stack_blocks(self) -> int:
-        """The most per-destination systems in one stack: MAX_BLOCK_ROWS
-        unknowns, and at least one system."""
-        return max(1, MAX_BLOCK_ROWS // self.n_nodes)
+    def _chain_data(self, w: np.ndarray, destination, pattern) -> np.ndarray:
+        """The values of chain_matrix's k blocks laid end to end in
+        ``pattern``: indices, indptr and where each arc's and each
+        diagonal's entry lands."""
+        indices, _indptr, arc, diag = pattern
+        k, nnz = len(w), len(indices)
+        w = np.where(self.tail == np.atleast_1d(destination)[:, None], 0.0, w)
+        block = np.arange(k)[:, None]
+        data = -np.bincount((arc + nnz * block).ravel(), weights=w.ravel(), minlength=k * nnz)
+        data[(diag + nnz * block).ravel()] += 1.0
+        return data
+
+    def chain_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """SuperLU's COLAMD column order of one block of chain_matrix, its
+        column j ``order[j]``, and the inverse permutation.  COLAMD reads
+        only the pattern, so the order is computed once, from a regular
+        matrix of that pattern (every weight half over the largest
+        out-degree: a dominant diagonal)."""
+        if "order" not in self._matrices:
+            w = np.full((1, self.n_arcs), 0.5 / max(1, int(self.out_degree.max())))
+            template = sp.csc_matrix((self._chain_data(w, -1, self._chain), *self._chain[:2]),
+                                     shape=(self.n_nodes, self.n_nodes))
+            inverse = splu(template, permc_spec="COLAMD").perm_c
+            self._matrices["order"] = np.argsort(inverse), inverse
+        return self._matrices["order"]
+
+    def _chain_pattern(self):
+        """chain_matrix's pattern of one block with its columns in
+        chain_order(), built once: indices, indptr and where each arc's and
+        each diagonal's entry lands."""
+        if "pattern" not in self._matrices:
+            indices, indptr, arc, diag = self._chain
+            (order, _inverse), nnz = self.chain_order(), len(indices)
+            tag = sp.csc_matrix((np.arange(1.0, nnz + 1), indices, indptr),
+                                shape=(self.n_nodes, self.n_nodes))[:, order]
+            where = np.empty(nnz, dtype=np.int64)  # old position -> new
+            where[tag.data.astype(np.int64) - 1] = np.arange(nnz)
+            self._matrices["pattern"] = (tag.indices.astype(np.int32),
+                                         tag.indptr.astype(np.int32), where[arc], where[diag])
+        return self._matrices["pattern"]
 
     def solve_blocks(self, k: int) -> list[slice]:
         """Consecutive slices of k stacked per-destination systems, each of
-        stack_blocks() systems but the last."""
-        step = self.stack_blocks()
+        at most MAX_BLOCK_ROWS unknowns (and at least one system)."""
+        step = max(1, MAX_BLOCK_ROWS // self.n_nodes)
         return [slice(lo, min(k, lo + step)) for lo in range(0, k, step)]
 
     def reversed_graph(self, weights: np.ndarray) -> sp.csr_matrix:
@@ -409,20 +446,21 @@ class Network:
         network owns it: the next call with k rows refills it (_block_matrix)."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
         data = np.minimum.reduceat(w[:, self._rev_perm], self._rev_starts, axis=1)
-        return self._block_matrix(sp.csr_matrix, self._rev_indices, self._rev_indptr, data, len(w))
+        return self._block_matrix("graph", sp.csr_matrix, self._rev_indices, self._rev_indptr,
+                                  data, len(w))
 
-    def _block_matrix(self, kind, indices: np.ndarray, indptr: np.ndarray, data: np.ndarray,
-                      k: int):
+    def _block_matrix(self, name, kind, indices: np.ndarray, indptr: np.ndarray,
+                      data: np.ndarray, k: int):
         """The k-block ``kind`` (CSR or CSC) matrix of the (n, n) pattern
         ``indices``/``indptr`` tiled down its diagonal, holding ``data``, the
         k blocks' values laid end to end.  The network builds it the first
-        time (kind, k) is asked for and refills it in place after that, so
+        time (name, k) is asked for and refills it in place after that, so
         it stays valid only until the next such call."""
-        n, nnz, matrix = self.n_nodes, len(indices), self._matrices.get((kind, k))
+        n, nnz, matrix = self.n_nodes, len(indices), self._matrices.get((name, k))
         if matrix is None:
             block = np.arange(k)[:, None]
             indptr = np.append((indptr[:-1] + nnz * block).ravel(), k * nnz)
-            matrix = self._matrices[kind, k] = kind(
+            matrix = self._matrices[name, k] = kind(
                 (data.ravel(), (indices + n * block).ravel(), indptr), shape=(k * n, k * n))
         else:
             matrix.data[:] = data.ravel()

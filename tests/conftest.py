@@ -152,8 +152,8 @@ def unpack(text: str) -> np.ndarray:
 
 
 def schema_2_document(solution, network) -> dict:
-    """The solution in the schema-2 form: the schema-3 document with each
-    pair's packed arrays as lists of numbers."""
+    """The solution in the schema-2 form: the solution_to_dict document
+    with each pair's packed arrays as lists of numbers."""
     doc = solution_to_dict(solution, network)
     doc["schema_version"] = 2
     for entry in doc["sub"].values():

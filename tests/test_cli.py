@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,10 +12,17 @@ from mteq.cli import EXIT_INVALID, EXIT_SOLVER_FAILED, run
 from mteq.equilibrium import read_solution, solution_from_dict, solution_to_dict
 from mteq.network import build_network
 from mteq.pricing import SchemeSpec
-from mteq.synthgen import gen_single_od
+from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 from conftest import (dead_end_instance, schema_1_document, schema_2_document,
                       singular_pair_instance, two_route_instance)
+
+
+def acceptance_lattice():
+    """The 6x6 acceptance lattice: 36 nodes, 30 (stratum, destination) pairs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
 
 
 def write_two_route(tmp_path) -> Path:
@@ -168,6 +176,20 @@ class TestSolve:
         assert passes[0] == list(range(len(passes[1]) + 2))
         solution = json.loads((tmp_path / "o" / "solution.json").read_text())
         assert [r["iteration"] for r in solution["iteration_log"]] == passes[1]
+
+    @pytest.mark.parametrize("make", [gen_single_od, acceptance_lattice],
+                             ids=["single_od_per_pair", "lattice_stratum"])
+    def test_toll_free_scheme_has_exactly_zero_welfare_delta(self, tmp_path, make):
+        # the baseline and the rate-0 scheme are the same blocks in one LU,
+        # each factored as alone: their solutions, and so welfare, agree bit
+        # for bit, in the per-pair layout (single-OD) and the stratum layout
+        ipath = tmp_path / "inst.json"
+        save_instance(make(), ipath)
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "0",
+                    "--tol-outer", "1e-4", "--out", str(tmp_path / "o")]) == 0
+        metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        deltas = [*metrics["welfare_delta"].values(), metrics["total_welfare_delta"]]
+        assert len(deltas) == 4 and all(d == 0.0 for d in deltas), deltas
 
     def test_infeasible_baseline_of_a_feasible_scheme_is_solver_failure(self, tmp_path, capsys):
         # at time sensitivity 0.01 the toll-free baseline has no finite

@@ -455,7 +455,7 @@ def record_solves(monkeypatch) -> list:
             shapes.append(np.shape(rhs))
             return self.lu.solve(rhs, trans=trans)
 
-    monkeypatch.setattr(mteq.equilibrium, "splu", lambda A: Recorded(real(A)))
+    monkeypatch.setattr(mteq.equilibrium, "splu", lambda A, **kwargs: Recorded(real(A, **kwargs)))
     return shapes
 
 
@@ -902,7 +902,8 @@ def assert_close(got, want):
 
 class TestStackLU:
     """Each per-pair operation of _StackLU, in both block layouts, against
-    dense solves of I - W_d and of its transpose."""
+    dense solves of I - W_d and of its transpose, and against the block's
+    own stack, bit for bit."""
 
     @pytest.mark.parametrize("block", [None, np.array([0, 0, 0, 1, 2, 2])],
                              ids=["per_pair", "stratum"])
@@ -949,13 +950,62 @@ class TestStackLU:
         assert stacked[0] == pytest.approx(per_pair[0], rel=1e-12, abs=1e-12)
         assert_close(stacked[6](y), per_pair[6](y))
 
+    @staticmethod
+    def operations(stack, b, X):
+        """Every per-pair operation of ``stack``, on right-hand sides ``b``
+        (2, k, n) and iterates ``X`` (k, n)."""
+        return stack.reach(), stack.solve(b), stack.solve_transposed(b[0]), stack.residual(X)
+
+    @pytest.mark.parametrize("layout", ["per_pair", "stratum"])
+    def test_every_block_gets_the_bits_of_its_own_stack(self, lattice, layout):
+        # per pair: the single-OD pairs of three strata at four rates, scaled
+        # by their shortest costs as the solver scales them (weights of
+        # exactly 1 tie the diagonal), where one COLAMD order of the whole
+        # stack rounds each pair by its stack-mates; stratum: lattice blocks
+        # of 2 and 10 destinations, the narrow one solved in a stack ten
+        # right-hand-side columns wide
+        if layout == "per_pair":
+            inst = gen_single_od()
+            net = inst.network
+            beta = np.array([[s.beta_t] for s in inst.strata] * 4)
+            costs = np.concatenate([_arc_costs(inst.strata, net, expand_scheme(
+                SchemeSpec(family="uniform", rate=rate), inst), net.free_time)
+                for rate in (0.0, 25.0, 100.0, 400.0)])
+            dest = np.full(len(costs), 3)
+            bound = shortest_costs(net, costs, dest, rows=np.arange(len(costs)))
+            weights = np.exp(-beta * (costs + bound[:, net.head] - bound[:, net.tail]))
+            owner, block = np.arange(len(dest)), None
+        else:
+            inst = with_destinations(lattice, (10, 4, 2))
+            net = inst.network
+            rows = np.array([2, 0])  # low (2 destinations), then high (10)
+            dest = np.concatenate([list(inst.demand_by_destination(inst.strata[r].name))
+                                   for r in rows])
+            beta = np.array([[inst.strata[r].beta_t] for r in rows])
+            weights = np.exp(-beta * _arc_costs(inst.strata, net, rate_2(inst),
+                                                net.free_time)[rows])
+            owner = block = np.repeat([0, 1], [2, 10])
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((2, len(dest), net.n_nodes))
+        X = rng.uniform(0.5, 1.5, (len(dest), net.n_nodes))
+        stacked = self.operations(_StackLU(net, weights, dest, block), b, X)
+        for j in np.unique(owner):
+            pairs = np.flatnonzero(owner == j)
+            alone = None if block is None else np.zeros(len(pairs), dtype=np.int64)
+            own = self.operations(_StackLU(net, weights[[j]], dest[pairs], alone),
+                                  b[:, pairs], X[pairs])
+            for got, want in zip(stacked, own):
+                assert got[..., pairs, :].tobytes() == want.tobytes(), (j, layout)
+
 
 def lattice_stack(lattice, layout):
-    """Every pair of the lattice's first stratum at rate 2 and free flow, as
-    _expected_costs' arguments after inner_tol: one block for all of them
-    (the stratum layout) or one block each, scaled by shortest costs."""
+    """Every pair of the lattice's first stratum at rate 25 and free flow,
+    as _expected_costs' arguments after inner_tol: one block for all of them
+    (the stratum layout) or one block each, scaled by shortest costs.  Its
+    fixed-point residuals take three levels in either layout."""
     net = lattice.network
-    costs = _arc_costs(lattice.strata, net, rate_2(lattice), net.free_time)[:1]
+    rates = expand_scheme(SchemeSpec(family="uniform", rate=25.0), lattice)
+    costs = _arc_costs(lattice.strata, net, rates, net.free_time)[:1]
     dest = np.array(list(lattice.demand_by_destination(lattice.strata[0].name)))
     beta, rows = lattice.strata[0].beta_t, np.zeros(len(dest), dtype=np.int64)
     if layout == "stratum":
@@ -1072,8 +1122,8 @@ class TestSolveEquilibria:
         batch = assert_batch_is_solo(lattice, rates)
         assert all(sol.converged for sol in batch)
         assert [sol.outer_iterations for sol in batch] == [5, 6, 6]
-        # a pass stacks the schemes' strata, one LU for each scheme's three
-        assert factored[:3] == [((3 * 36, 3 * 36), "ok")] * 3
+        # a pass stacks the three schemes' three strata in one LU
+        assert factored[:2] == [((9 * 36, 9 * 36), "ok")] * 2
 
     def test_single_od_in_the_per_pair_layout(self):
         inst = gen_single_od()
@@ -1089,27 +1139,25 @@ class TestSolveEquilibria:
         priced = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
         base, tolled = assert_batch_is_solo(inst, [zero_prices(inst), priced])
         assert base.outer_iterations == tolled.outer_iterations + 2
-        # each scheme's three pairs are one LU of 3 x 4 unknowns, as alone:
-        # two a pass, then one; the solo solves that follow make as many
-        assert factored == [((12, 12), "ok")] * 2 * (2 * tolled.outer_iterations + 2)
+        # both schemes' six pairs are one LU of 6 x 4 unknowns, then the
+        # toll-free scheme's three one of 3 x 4, as in the solo solves that follow
+        passes = tolled.outer_iterations
+        assert factored == [((24, 24), "ok")] * passes + [((12, 12), "ok")] * (2 * passes + 4)
 
     def test_a_stratum_out_of_range_in_one_scheme_only(self, lattice, monkeypatch):
         # stratum high (10 destinations) is out of range at rate 300 in the
         # second scheme only: its pairs go per pair there, while the first
-        # scheme's high stays in the stratum stacks.  Each scheme's strata
-        # are solved with as many columns as alone: 10, and 4 (mid, low)
+        # scheme's high stays in the stratum stacks
         inst = with_destinations(lattice, (10, 4, 2))
         mixed = expand_scheme(SchemeSpec(family="per_stratum", stratum_rates=(
             ("high", 300.0), ("mid", 0.0), ("low", 2.0))), inst)
         factored = record_factorizations(monkeypatch)
-        solves = record_solves(monkeypatch)
         assert_batch_is_solo(inst, [zero_prices(inst), mixed])
         # the first pass stacks both schemes' three strata and routes the
         # second scheme's high per pair; later passes stack five strata
         n = inst.network.n_nodes
-        assert factored[:5] == [((3 * n, 3 * n), "ok")] * 2 + [((10 * n, 10 * n), "ok"),
-                                ((3 * n, 3 * n), "ok"), ((2 * n, 2 * n), "ok")]
-        assert {(3 * n, 10), (2 * n, 4)} <= set(solves)
+        assert factored[:3] == [((6 * n, 6 * n), "ok"), ((10 * n, 10 * n), "ok"),
+                                ((5 * n, 5 * n), "ok")]
 
     def test_a_singular_run_falls_back_alone(self, monkeypatch):
         # four primary arcs each way at cost ln 4 and beta_t = 1: W_s is
@@ -1122,9 +1170,9 @@ class TestSolveEquilibria:
         rates = [zero_prices(inst), np.full((1, inst.network.n_arcs), 0.1)]
         assert_batch_is_solo(inst, rates, SolverOptions(inner_tol=1e-9, outer_tol=1e-12,
                                                          outer_max_iters=1))
-        # the stack of both runs, then each run alone: the toll-free one
+        # the stack of both blocks, then each block alone: the toll-free one
         # routes its two pairs per pair, the tolled one stays in its block
-        assert factored[:4] == [((2, 2), "singular"), ((2, 2), "singular"), ((2, 2), "ok"),
+        assert factored[:4] == [((4, 4), "singular"), ((2, 2), "singular"), ((2, 2), "ok"),
                                 ((4, 4), "ok")]
 
     @pytest.mark.parametrize("order", [1, -1])

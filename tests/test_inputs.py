@@ -494,6 +494,23 @@ def test_solution_of_other_strata(tmp_path, capsys, single_od):
                     file=solution)
 
 
+def test_solution_of_another_stratum_order(tmp_path, capsys, single_od):
+    # solved on the instance (strata high, mid, low), simulated against the
+    # same instance with its strata reversed: its price rows would be read
+    # in the wrong order, so the file is refused, naming both orders
+    assert run(["solve", "--instance", str(single_od["inst"]), "--scheme", "stratum",
+                "--rates", "high=0,mid=50,low=100", "--out", str(tmp_path / "solve")]) == 0
+    doc = json.loads(single_od["inst"].read_text())
+    doc["strata"].reverse()
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(doc))
+    solution = tmp_path / "solve" / "solution.json"
+    assert_rejected(["simulate", "--instance", flipped, "--solution", solution,
+                     "--out", tmp_path / "out"], "the price_rates rows are strata ['high', "
+                    "'mid', 'low'], the instance lists ['low', 'mid', 'high']", tmp_path / "out",
+                    capsys, file=solution)
+
+
 def test_solution_missing_a_stratum_of_the_instance(tmp_path, capsys, single_od):
     # solved on the instance without stratum "high", simulated against the
     # full instance: its price rates have a row fewer than the instance has strata

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +19,7 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
+from mteq.equilibrium import solution_from_dict, solution_to_dict
 from mteq.metrics import _segment_cumsum
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
@@ -289,6 +292,48 @@ def test_instance_stratum_missing_from_solution_is_named(entry):
     with pytest.raises(InstanceError, match=r"^solution: strata \['high'\] of the instance "
                                             r"are not in the solution$"):
         call[entry]()
+
+
+def reversed_strata_case():
+    """The single-OD solution of the per-stratum scheme high=0, mid=50,
+    low=100, and the same instance with its strata listed in reverse."""
+    inst = gen_single_od()
+    prices = expand_scheme(SchemeSpec(family="per_stratum", stratum_rates=(
+        ("high", 0.0), ("mid", 50.0), ("low", 100.0))), inst)
+    return inst, solve_equilibrium(inst, prices, OPTS), replace(inst, strata=inst.strata[::-1])
+
+
+@pytest.mark.parametrize("entry", ["all_trip_stats", "compute_metrics", "simulate_trips",
+                                   "equilibrium_residuals"])
+@pytest.mark.parametrize("source", ["solved", "schema_4_file"])
+def test_price_rows_of_another_stratum_order_are_refused(entry, source):
+    # the rows of price_rates are high, mid, low; read by the reversed
+    # instance's order, high would pay low's toll (an expected 78.24)
+    inst, sol, flipped = reversed_strata_case()
+    if source == "schema_4_file":
+        doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
+        assert doc["schema_version"] == 4 and doc["strata"] == ["high", "mid", "low"]
+        sol = solution_from_dict(doc, inst.network)
+    assert all_trip_stats(inst, sol)[("high", "0", "3")].money == 0.0
+    call = {"all_trip_stats": lambda: all_trip_stats(flipped, sol),
+            "compute_metrics": lambda: compute_metrics(flipped, sol, {}),
+            "simulate_trips": lambda: simulate_trips(flipped, sol, runs_per_unit=1),
+            "equilibrium_residuals": lambda: equilibrium_residuals(flipped, sol.price_rates, sol)}
+    with pytest.raises(InstanceError, match=re.escape(
+            "solution: the price_rates rows are strata ['high', 'mid', 'low'], the instance "
+            "lists ['low', 'mid', 'high']")):
+        call[entry]()
+
+
+def test_schema_3_rows_are_taken_in_instance_order():
+    # a schema-3 file lists its strata sorted, not in row order, so its rows
+    # are read in the order of the instance it is used with, as before
+    inst, sol, flipped = reversed_strata_case()
+    doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
+    doc.update(schema_version=3, strata=sorted(doc["strata"]))
+    old = solution_from_dict(doc, inst.network)
+    assert all_trip_stats(inst, old) == all_trip_stats(inst, sol)
+    assert all_trip_stats(flipped, old)[("high", "0", "3")].money > 78.0  # low's row
 
 
 class TestWelfare:

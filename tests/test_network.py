@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from mteq import (
     Arc,
@@ -14,7 +17,7 @@ from mteq import (
     shortest_costs,
     strongly_connected,
 )
-from mteq.synthgen import gen_single_od
+from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 from conftest import flat_arc
 
@@ -294,6 +297,25 @@ class TestChainMatrix:
             block = full[i * n:(i + 1) * n]
             assert block[:, i * n:(i + 1) * n].tolist() == chain_reference(net, w[i], d).tolist()
             assert not np.any(np.delete(block, np.s_[i * n:(i + 1) * n], axis=1))
+
+    @pytest.mark.parametrize("make", [parallel_lattice, lambda: gen_single_od().network,
+                                      lambda: gen_grid(GridGenSpec(rows=6, cols=6)).network],
+                             ids=["parallel", "single_od", "grid6"])
+    def test_ordered_blocks_are_the_blocks_in_chain_order(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            net = make()
+        n, (order, inverse) = net.n_nodes, net.chain_order()
+        assert order[inverse].tolist() == list(range(n))
+        w = np.random.default_rng(11).uniform(0.0, 0.5, size=(3, net.n_arcs))
+        dest = np.array([2, 0, -1])
+        # COLAMD reads the pattern only: any regular values of it give the order
+        assert np.argsort(splu(net.chain_matrix(w[0], 1)).perm_c).tolist() == order.tolist()
+        full = net.chain_matrix(w, dest).toarray()
+        ordered = net.chain_matrix(w, dest, ordered=True)
+        assert ordered.format == "csc" and net.chain_matrix(w, dest, ordered=True) is ordered
+        cols = (order + n * np.arange(3)[:, None]).ravel()
+        assert ordered.toarray().tolist() == full[:, cols].tolist()
 
     def test_blocks_cover_every_system_within_the_row_bound(self, monkeypatch):
         import mteq.network as network
