@@ -111,10 +111,7 @@ class EquilibriumSolution:
     solved and ``arc_time`` its congested times; ``response_flow`` is the
     demand-weighted flow those times induce.  At convergence the two agree
     to within ``outer_residual <= outer_tol``.  ``stratum_flow`` lists the
-    strata in the order of the rows of ``price_rates`` unless
-    ``strata_ordered`` is false: a file of schema 1-3 did not record that
-    order, and its rows are taken in the order of the instance it is used
-    with.
+    strata in the order of the rows of ``price_rates``.
     """
 
     total_flow: np.ndarray
@@ -128,7 +125,6 @@ class EquilibriumSolution:
     outer_iterations: int
     outer_residual: float
     iteration_log: list = field(default_factory=list)
-    strata_ordered: bool = True
 
     def subsolution(self, stratum: str, destination: str) -> StratumDestinationSolution:
         return self.sub[(stratum, destination)]
@@ -147,7 +143,7 @@ class EquilibriumSolution:
         if missing:
             raise InstanceError(f"{where}: strata {missing} of the instance are not in the "
                                 f"solution")
-        if self.strata_ordered and list(self.stratum_flow) != list(names):
+        if list(self.stratum_flow) != list(names):
             raise InstanceError(f"{where}: the price_rates rows are strata "
                                 f"{list(self.stratum_flow)}, the instance lists {list(names)}")
 
@@ -218,7 +214,7 @@ class _StackLU:
             self._slot = self.column - np.searchsorted(block, block)
             self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
         self._order, self._inverse = network.chain_order()
-        self._chain = network.chain_matrix(weights, dest if block is None else -1, ordered=True)
+        self._chain = network.chain_matrix(weights, dest if block is None else -1)
         try:
             self._lu = splu(self._chain, permc_spec="NATURAL")
         except RuntimeError:  # exactly singular
@@ -847,13 +843,8 @@ def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
 
 
 SOLUTION_SCHEMA_VERSION = 4
-"""Version of the solution file.  Schema 2 stores each number once: it drops
-schema 1's ``arc_time``, ``stratum_flow`` and per-pair ``arc_flow``, which
-are exact functions of the other fields, and lists the ``strata``.  Schema 3
-stores each pair's per-node and per-arc arrays, ``_PACKED``, as packed
-float64 strings (_pack) instead of lists of decimal numbers.  Schema 4
-lists the ``strata`` in the order of the rows of ``price_rates``, where
-earlier versions sorted them.  All four versions load."""
+"""Version of the solution file, the only one solution_from_dict reads: a
+file of another version is solved again to write it."""
 
 _PACKED = ("tau", "entering_flow", "arc_probs")
 
@@ -917,7 +908,7 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
 
 
 def read_solution(path, network: Network) -> EquilibriumSolution:
-    """Load a solution file of any schema; see solution_from_dict."""
+    """Load a solution file; see solution_from_dict."""
     return read_json(path, lambda doc: solution_from_dict(doc, network))
 
 
@@ -970,37 +961,30 @@ def _check_values(key: str, arrays: list, path) -> None:
 
 
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
-    """Solution from its JSON form, schema 4, 3, 2 or 1; inverse of
-    solution_to_dict.  The version alone decides how the per-pair ``tau``,
-    ``entering_flow`` and ``arc_probs`` are stored: packed strings from
-    schema 3 on, lists of numbers before; and whether ``strata`` names the
-    rows of ``price_rates`` (schema 4, ``strata_ordered``).
+    """Solution from its JSON form, schema SOLUTION_SCHEMA_VERSION only;
+    inverse of solution_to_dict.
 
     The derived arrays are rebuilt as the solver computes them, so they equal
     the solved ones bit for bit: ``arc_time`` is the latency of
     ``total_flow``, each pair's ``arc_flow`` is ``entering_flow[tail] *
     arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
-    key order from zero.  Schema 1's stored copies of them are ignored.
+    key order from zero.
     Raises InstanceError for another schema version, another network, an
-    array that does not fit the network or is not stored as its version
+    array that does not fit the network or is not stored as solution_to_dict
     stores it, or a value out of range: flows, trips and price rates must be
     finite and nonnegative, probabilities in [0, 1], expected costs finite,
     flags true or false and iteration counts and residuals nonnegative
     (_status)."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
-    if type(version) is not int or version not in (1, 2, 3, SOLUTION_SCHEMA_VERSION):
-        raise InstanceError(f"solution schema version {version!r} is not 1, 2, 3 or "
-                            f"{SOLUTION_SCHEMA_VERSION}")
+    if type(version) is not int or version != SOLUTION_SCHEMA_VERSION:
+        raise InstanceError(f"solution schema version {version!r} is not "
+                            f"{SOLUTION_SCHEMA_VERSION}: solve again to write it")
     arc_ids, sub_doc, strata, log = read_fields(doc, "solution", (
-        "arc_ids", "sub", "strata" if version >= 2 else "stratum_flow", "iteration_log"))
+        "arc_ids", "sub", "strata", "iteration_log"))
     if arc_ids != [a.id for a in network.arcs]:
         raise InstanceError("solution was computed on a different network (arc ids differ)")
-    packed = _PACKED if version >= 3 else ()
-    if version >= 2:
-        strata = [check_name(f"solution.strata[{k}]", s)
-                  for k, s in enumerate(read_section(strata, "solution.strata", list))]
-    else:  # schema 1 names the strata only as the keys of its stratum flows
-        strata = sorted(read_section(strata, "solution.stratum_flow"))
+    strata = [check_name(f"solution.strata[{k}]", s)
+              for k, s in enumerate(read_section(strata, "solution.strata", list))]
     n, m = network.n_nodes, network.n_arcs
     sub = {}
     for key, sd in read_section(sub_doc, "solution.sub").items():
@@ -1014,7 +998,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         k = len(origins)
         tau, entering_flow, arc_probs, trips, start_prob = _arrays(sd, at, {
             "tau": (n,), "entering_flow": (n,), "arc_probs": (m,), "trips": (k,),
-            "start_prob": (k,)}, packed)
+            "start_prob": (k,)}, _PACKED)
         sub[(s, d)] = StratumDestinationSolution(
             s, d, tau, entering_flow, entering_flow[network.tail] * arc_probs, arc_probs,
             np.array(origins, dtype=np.int64), trips, start_prob,
@@ -1036,8 +1020,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
                                    "outer_residual")),
         iteration_log=[dict(zip(("iteration", "residual"), _status(
             entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
-            for k, entry in enumerate(read_section(log, "solution.iteration_log", list))],
-        strata_ordered=version == SOLUTION_SCHEMA_VERSION)
+            for k, entry in enumerate(read_section(log, "solution.iteration_log", list))])
 
 
 def _status(section, path: str, keys) -> list:

@@ -180,15 +180,11 @@ def _node_sums(net: Network, arc_values: np.ndarray) -> np.ndarray:
     return sums.reshape(*lead, n)
 
 
-def revenue(solution: EquilibriumSolution, prices, stratum: str,
-            instance: Instance) -> float:
-    """Expected toll revenue collected from one stratum:
-    sum over arcs of stratum flow times the arc's toll."""
-    net = instance.network
-    rates = np.asarray(prices, dtype=float)
-    s_idx = instance.stratum_names.index(stratum)
-    kappa = rates[s_idx] * net.primary_length
-    return float(np.dot(solution.stratum_flow[stratum], kappa))
+def revenue(solution: EquilibriumSolution, stratum: str, instance: Instance) -> float:
+    """Expected toll revenue collected from one stratum: sum over arcs of
+    stratum flow times the arc's toll at the solution's ``price_rates``."""
+    rates = solution.price_rates[list(solution.stratum_flow).index(stratum)]
+    return float(np.dot(solution.stratum_flow[stratum], rates * instance.network.primary_length))
 
 
 def primary_flow_share(solution: EquilibriumSolution, stratum: str,
@@ -255,7 +251,7 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
         n_pairs = max(len(pairs), 1)  # a stratum without demand has welfare 0
         w[s.name] = w_sum / n_pairs
         dw[s.name] = w[s.name] - w0_sum / n_pairs
-        rev[s.name] = revenue(solution, solution.price_rates, s.name, instance)
+        rev[s.name] = revenue(solution, s.name, instance)
         started[s.name] = g_started / g_tot if g_tot > 0 else float("nan")
         share_d[s.name] = primary_flow_share(solution, s.name, instance, "distance")
         share_f[s.name] = primary_flow_share(solution, s.name, instance, "flow")

@@ -374,22 +374,20 @@ class Network:
         out[pos] = self.capacity[pos] * (ratio[pos] / self.bpr_gamma[pos]) ** (1.0 / self.bpr_nu[pos])
         return out
 
-    def chain_matrix(self, weights: np.ndarray, destination, ordered: bool = False
-                     ) -> sp.csc_matrix:
+    def chain_matrix(self, weights: np.ndarray, destination) -> sp.csc_matrix:
         """Block-diagonal (I - W)^T for walks absorbed at their destinations,
-        as CSC, the form ``splu`` factors; ``.T`` is I - W (CSR).
+        as CSC, the form ``splu`` factors, with the columns of every block in
+        chain_order(): block i is (I - W_i)^T[:, order].
 
         ``weights`` is (m,) with an int ``destination``, or (k, m) with k
         destinations: block i of I - W is I - W_i, where W_i[tail, head] sums
         row i of the per-arc weights over parallel arcs and the row of the
         i-th destination is zero (explicit zeros: the pattern depends on k);
-        a destination of -1 zeroes no row.  With ``ordered``, the columns of
-        every block are in chain_order(): block i is (I - W_i)^T[:, order].
-        The network owns the result: the next call with k blocks and the
-        same ``ordered`` refills it (_block_matrix)."""
+        a destination of -1 zeroes no row.  The network owns the result:
+        the next call with k blocks refills it (_block_matrix)."""
         w = np.atleast_2d(np.asarray(weights, dtype=float))
-        pattern = self._chain_pattern() if ordered else self._chain
-        return self._block_matrix("ordered" if ordered else "chain", sp.csc_matrix, *pattern[:2],
+        pattern = self._chain_pattern()
+        return self._block_matrix("chain", sp.csc_matrix, *pattern[:2],
                                   self._chain_data(w, destination, pattern), len(w))
 
     def _chain_data(self, w: np.ndarray, destination, pattern) -> np.ndarray:

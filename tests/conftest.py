@@ -15,7 +15,6 @@ from mteq import (
     build_network,
 )
 from mteq import instance_to_document
-from mteq.equilibrium import solution_to_dict
 from mteq.synthgen import gen_single_od
 
 
@@ -137,42 +136,18 @@ def tight_options():
     return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
 
 
-#: the per-pair arrays that a schema-3 solution file stores packed
+#: the per-pair arrays that a solution file stores packed
 PACKED = ("tau", "entering_flow", "arc_probs")
 
 
 def pack(values) -> str:
-    """The schema-3 form of an array: the base64 of its little-endian
-    float64 bytes."""
+    """An array as a solution file packs it: the base64 of its
+    little-endian float64 bytes."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def unpack(text: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
-
-
-def schema_2_document(solution, network) -> dict:
-    """The solution in the schema-2 form: the solution_to_dict document
-    with each pair's packed arrays as lists of numbers."""
-    doc = solution_to_dict(solution, network)
-    doc["schema_version"] = 2
-    for entry in doc["sub"].values():
-        entry.update({key: unpack(entry[key]).tolist() for key in PACKED})
-    return doc
-
-
-def schema_1_document(solution, network) -> dict:
-    """The solution in the schema-1 form: the schema-2 document with the
-    three fields schema 2 drops as redundant, and without the ``strata``
-    list, which schema 1 did not have."""
-    doc = schema_2_document(solution, network)
-    del doc["strata"]
-    doc["schema_version"] = 1
-    doc["arc_time"] = solution.arc_time.tolist()
-    doc["stratum_flow"] = {k: v.tolist() for k, v in solution.stratum_flow.items()}
-    for key, entry in doc["sub"].items():
-        entry["arc_flow"] = solution.sub[tuple(key.split("|", 1))].arc_flow.tolist()
-    return doc
 
 
 def single_od_document():

@@ -9,13 +9,12 @@ import pytest
 from mteq import (expand_scheme, instance_to_document, load_instance, load_results, save_instance,
                   solve_equilibrium)
 from mteq.cli import EXIT_INVALID, EXIT_SOLVER_FAILED, run
-from mteq.equilibrium import read_solution, solution_from_dict, solution_to_dict
+from mteq.equilibrium import solution_from_dict, solution_to_dict
 from mteq.network import build_network
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
-from conftest import (dead_end_instance, schema_1_document, schema_2_document,
-                      singular_pair_instance, two_route_instance)
+from conftest import dead_end_instance, singular_pair_instance, two_route_instance
 
 
 def acceptance_lattice():
@@ -318,34 +317,6 @@ class TestSweepParetoSimulate:
                         "--keep-paths"]) == 0
         for fname in ("simulation.json", "trips.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-
-    def test_simulate_schema_1_file_writes_the_same_bytes(self, tmp_path):
-        ipath = write_two_route(tmp_path)
-        solution = solve_two_route(tmp_path, ipath)
-        network = load_instance(ipath).network
-        old = tmp_path / "schema1.json"
-        old.write_text(json.dumps(schema_1_document(read_solution(solution, network),
-                                                    network), indent=1, sort_keys=True))
-        outs = [tmp_path / name for name in ("v3", "v1")]
-        for path, out in zip((solution, old), outs):
-            assert run(["simulate", "--instance", str(ipath), "--solution", str(path),
-                        "--runs", "5", "--seed", "3", "--out", str(out)]) == 0
-        assert ((outs[0] / "simulation.json").read_bytes()
-                == (outs[1] / "simulation.json").read_bytes())
-
-    def test_simulate_schema_2_file_writes_the_same_bytes(self, tmp_path):
-        ipath = write_two_route(tmp_path)
-        solution = solve_two_route(tmp_path, ipath)
-        network = load_instance(ipath).network
-        old = tmp_path / "schema2.json"
-        old.write_text(json.dumps(schema_2_document(read_solution(solution, network), network),
-                                  sort_keys=True, separators=(",", ":")) + "\n")
-        outs = [tmp_path / name for name in ("v3", "v2")]
-        for path, out in zip((solution, old), outs):
-            assert run(["simulate", "--instance", str(ipath), "--solution", str(path),
-                        "--runs", "5", "--seed", "3", "--out", str(out)]) == 0
-        assert ((outs[0] / "simulation.json").read_bytes()
-                == (outs[1] / "simulation.json").read_bytes())
 
     def test_simulate_unknown_schema_version_is_usage_error(self, tmp_path, capsys):
         ipath = write_two_route(tmp_path)

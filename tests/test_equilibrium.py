@@ -31,8 +31,7 @@ from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
 from conftest import (PACKED, dead_end_instance, flat_arc, record_factorizations,
-                      schema_1_document, schema_2_document, singular_pair_instance,
-                      two_route_instance)
+                      singular_pair_instance, two_route_instance)
 
 OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
 MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
@@ -325,18 +324,6 @@ class TestSolveEquilibrium:
             assert all(type(entry[key]) is str and type(entry["trips"]) is list
                        for entry in doc["sub"].values() for key in PACKED)
             assert type(doc["total_flow"]) is list
-
-    def test_schema_2_document_loads_to_the_same_arrays(self, two_route, lattice):
-        for inst in (two_route, lattice):
-            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
-            doc = json.loads(json.dumps(schema_2_document(sol, inst.network)))
-            assert_same_solution(solution_from_dict(doc, inst.network), sol)
-
-    def test_schema_1_document_loads_to_the_same_arrays(self, two_route, lattice):
-        for inst in (two_route, lattice):
-            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
-            doc = json.loads(json.dumps(schema_1_document(sol, inst.network)))
-            assert_same_solution(solution_from_dict(doc, inst.network), sol)
 
 
 class TestDiagnostics:
@@ -1087,6 +1074,79 @@ class TestPerPairRefinement:
         assert x[1].tobytes() == x1[0].tobytes() and v[1].tobytes() == v1[0].tobytes()
         _p, x0, _v, _failed, _error, _solves = route([0])
         assert np.max(np.abs(x[0] - x0[0])) <= 1e-14 * 5.0
+
+
+def free_flow_stack(inst, layout):
+    """Every (stratum, destination) pair of ``inst`` at free flow without
+    tolls, in one stack of the ``layout``: _expected_costs' arguments with
+    ``inner_tol`` left out (as lattice_stack), then each pair's origins and
+    trips as _route takes them (``pair``, ``origins``, ``trips``)."""
+    net = inst.network
+    costs = _arc_costs(inst.strata, net, np.zeros((len(inst.strata), net.n_arcs)),
+                       net.free_time)
+    demand = [inst.demand_by_destination(s.name) for s in inst.strata]
+    rows = np.repeat(np.arange(len(demand)), [len(by_dest) for by_dest in demand])
+    dest = np.array([d for by_dest in demand for d in by_dest])
+    odt = [odt for by_dest in demand for odt in by_dest.values()]
+    route = (np.repeat(np.arange(len(dest)), [len(o) for o, _t in odt]),
+             np.concatenate([o for o, _t in odt]), np.concatenate([t for _o, t in odt]))
+    beta = np.array([[s.beta_t] for s in inst.strata])
+    if layout == "stratum":
+        return (net, costs[rows], dest, beta[rows], 0.0, rows, np.exp(-beta * costs)), route
+    return (net, costs[rows], dest, beta[rows], shortest_costs(net, costs, dest, rows=rows)), route
+
+
+#: the per-pair layout on single-OD (chain order [2, 1, 0, 3]) and the
+#: stratum layout on the acceptance lattice
+REFINED_STACKS = pytest.mark.parametrize("name, layout", [("single_od", "per_pair"),
+                                                          ("grid6", "stratum")])
+
+
+class TestRefinementStep:
+    """A first solve off by 1e-6 relative is refined back to the exact
+    answer, in _expected_costs (X) and in _route (x)."""
+
+    @staticmethod
+    def instance(name, lattice):
+        return gen_single_od() if name == "single_od" else lattice
+
+    @REFINED_STACKS
+    def test_expected_costs_refine_a_perturbed_reach(self, lattice, name, layout, monkeypatch):
+        args, _route_args = free_flow_stack(self.instance(name, lattice), layout)
+        exact = _expected_costs(*args[:5], 1e-12, *args[5:])
+        assert exact[4].tolist() == [1] * len(args[2])
+        real = _StackLU.reach
+        monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * (1.0 + 1e-6))
+        tau, residual, _probs, _log_denom, solves, _low, _through = _expected_costs(
+            *args[:5], 1e-12, *args[5:])
+        assert solves.tolist() == [2] * len(args[2])
+        assert (residual <= 1e-12).all()
+        # the per-pair layout gets the unperturbed bits back, the stratum
+        # layout (Sherman-Morrison terms) the unperturbed tau to a few ulps
+        assert np.max(np.abs(tau - exact[0])) <= 1e-15 * np.max(np.abs(exact[0]))
+        assert layout == "stratum" or tau.tobytes() == exact[0].tobytes()
+
+    @REFINED_STACKS
+    def test_route_refines_a_perturbed_first_solve(self, lattice, name, layout):
+        args, (pair, origins, trips) = free_flow_stack(self.instance(name, lattice), layout)
+        _tau, _residual, probs, log_denom, _solves, _low, through = _expected_costs(
+            *args[:5], 1e-12, *args[5:])
+        calls = []
+
+        def solve(y):  # the first solve off by 1e-6 relative
+            calls.append(y)
+            return through(y) * (1.0 + (1e-6 if len(calls) == 1 else 0.0))
+
+        def route(solve):
+            return _route(args[0], probs, log_denom, args[2], pair, origins, trips,
+                          np.full(len(origins), np.inf), np.ones(len(origins)), solve)
+
+        _p, exact_x, exact_v, failed, error = route(through)
+        assert not failed.any() and error is None
+        _p, x, v, failed, error = route(solve)
+        assert len(calls) == 2 and not failed.any() and error is None
+        for got, want in ((x, exact_x), (v, exact_v)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def assert_batch_is_solo(inst, prices_list, options=MEDIUM):

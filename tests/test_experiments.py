@@ -297,21 +297,24 @@ class TestRunSweep:
         assert a == b
 
     def test_per_stratum_results_worker_independent(self, tmp_path):
-        # the grid orders strata by willingness to pay, not by name
+        # the per-stratum grid orders strata by willingness to pay, not by
+        # name; the per-area grid sends each worker the AreaAssignment
         save_instance(gen_single_od(), tmp_path / "od.json")
-        outputs = []
-        for workers in (1, 2):
-            config = SweepConfig(
-                instance=str(tmp_path / "od.json"),
-                grid=PriceGrid(family="per_stratum", lo=0.0, hi=2.0, step=2.0),
-                solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
-                output=str(tmp_path / f"w{workers}"), workers=workers)
-            rows = run_sweep(config)
-            assert not any(r.error for r in rows)
-            outputs.append(tree_bytes(config.output))
-        assert {"results.csv", "manifest.json"} <= set(outputs[0])
-        assert len(outputs[0]) == 2 + len(rows)  # one detail file per scheme
-        assert outputs[0] == outputs[1]
+        for family in ("per_stratum", "per_area"):
+            outputs = []
+            for workers in (1, 2):
+                config = SweepConfig(
+                    instance=str(tmp_path / "od.json"),
+                    grid=PriceGrid(family=family, lo=0.0, hi=2.0, step=2.0),
+                    solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
+                    output=str(tmp_path / f"{family}_w{workers}"), workers=workers)
+                rows = run_sweep(config)
+                assert not any(r.error for r in rows)
+                outputs.append(tree_bytes(config.output))
+            assert {"results.csv", "manifest.json"} <= set(outputs[0])
+            assert len(outputs[0]) == 2 + len(rows)  # one detail file per scheme
+            assert {r.family for r in rows} == {"uniform", family}  # and the baseline
+            assert outputs[0] == outputs[1], family
 
     def test_solver_failure_recorded_not_raised(self, tmp_path, monkeypatch):
         import mteq.experiments as ex

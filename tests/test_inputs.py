@@ -13,8 +13,9 @@ import shutil
 
 import pytest
 
-from mteq import load_instance, save_instance
+from mteq import InstanceError, load_instance, save_instance
 from mteq.cli import EXIT_INVALID, run
+from mteq.equilibrium import SOLUTION_SCHEMA_VERSION, solution_from_dict
 from mteq.synthgen import gen_single_od
 
 from conftest import (INSTANCE_FIELDS, PACKED, pack, per_od_outside_document, set_field,
@@ -400,26 +401,19 @@ def test_document_shape(tmp_path, capsys, single_od, results, file, path, value,
     assert_rejected(argv, name, out, capsys, file=where)
 
 
-@pytest.mark.parametrize("change", ["list", "not-base64", "stray-character", "short",
-                                    "schema-2"])
+@pytest.mark.parametrize("change", ["list", "not-base64", "stray-character", "short"])
 @pytest.mark.parametrize("key", PACKED)
 def test_packed_array(tmp_path, capsys, single_od, key, change):
-    """A schema-3 solution stores each pair's tau, entering_flow and
-    arc_probs packed, a schema-2 one as lists: a list in place of a packed
-    array (even of the right length), text that is not strict base64, the
-    bytes of one value fewer, or a packed array in a schema-2 file exits 1
+    """A solution stores each pair's tau, entering_flow and arc_probs
+    packed: a list in place of a packed array (even of the right length),
+    text that is not strict base64 or the bytes of one value fewer exits 1
     naming the field."""
     doc = json.loads(single_od["sol"].read_text())
     entry = doc["sub"][PAIR.split(".", 1)[1]]
     values = unpack(entry[key])
-    if change == "schema-2":
-        doc["schema_version"] = 2
-        for other in doc["sub"].values():
-            other.update({k: unpack(other[k]).tolist() for k in PACKED})
     text = pack(values)
     entry[key] = {"list": values.tolist(), "not-base64": "not base64",
-                  "stray-character": text[:8] + "!" + text[8:], "short": pack(values[:-1]),
-                  "schema-2": text}[change]
+                  "stray-character": text[:8] + "!" + text[8:], "short": pack(values[:-1])}[change]
     path, out = tmp_path / "solution.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
     assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", path,
@@ -509,6 +503,27 @@ def test_solution_of_another_stratum_order(tmp_path, capsys, single_od):
                      "--out", tmp_path / "out"], "the price_rates rows are strata ['high', "
                     "'mid', 'low'], the instance lists ['low', 'mid', 'high']", tmp_path / "out",
                     capsys, file=solution)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_solution_of_an_older_schema_is_refused(tmp_path, capsys, single_od, version):
+    # only the current schema is read: an older file, here the current one
+    # with its strata sorted as schemas 1-3 listed them (and its per-pair
+    # arrays as lists before schema 3), is solved again, never misread
+    doc = json.loads(single_od["sol"].read_text())
+    doc.update(schema_version=version, strata=sorted(doc["strata"]))
+    if version < 3:
+        for entry in doc["sub"].values():
+            entry.update({key: unpack(entry[key]).tolist() for key in PACKED})
+    message = f"solution schema version {version} is not {SOLUTION_SCHEMA_VERSION}: solve again"
+    network = load_instance(single_od["inst"]).network
+    with pytest.raises(InstanceError, match=f"^{message}"):
+        solution_from_dict(doc, network)
+    solution = tmp_path / "solution.json"
+    solution.write_text(json.dumps(doc))
+    assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", solution,
+                     "--out", tmp_path / "out"], f"{solution}: {message}", tmp_path / "out",
+                    capsys)
 
 
 def test_solution_missing_a_stratum_of_the_instance(tmp_path, capsys, single_od):

@@ -325,17 +325,6 @@ def test_price_rows_of_another_stratum_order_are_refused(entry, source):
         call[entry]()
 
 
-def test_schema_3_rows_are_taken_in_instance_order():
-    # a schema-3 file lists its strata sorted, not in row order, so its rows
-    # are read in the order of the instance it is used with, as before
-    inst, sol, flipped = reversed_strata_case()
-    doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
-    doc.update(schema_version=3, strata=sorted(doc["strata"]))
-    old = solution_from_dict(doc, inst.network)
-    assert all_trip_stats(inst, old) == all_trip_stats(inst, sol)
-    assert all_trip_stats(flipped, old)[("high", "0", "3")].money > 78.0  # low's row
-
-
 class TestWelfare:
     def test_no_pricing_has_zero_delta(self):
         inst = gen_single_od()
@@ -395,8 +384,8 @@ class TestWelfare:
 class TestRevenue:
     def test_zero_prices_zero_revenue(self):
         inst = two_route_instance()
-        sol, prices = solved(inst)
-        assert revenue(sol, prices, "solo", inst) == 0.0
+        sol, _prices = solved(inst)
+        assert revenue(sol, "solo", inst) == 0.0
 
     def test_flow_times_toll(self):
         # all 10 trips forced over the 2 km primary arc at rate 100
@@ -405,9 +394,9 @@ class TestRevenue:
         net = build_network(list(inst.network.nodes), only_prim)
         forced = type(inst)(network=net, strata=inst.strata, demand=inst.demand,
                             outside=inst.outside, solver=inst.solver)
-        sol, prices = solved(forced, rate=100.0)
+        sol, _prices = solved(forced, rate=100.0)
         assert sol.stratum_flow["solo"][net.arc_index["prim"]] == pytest.approx(10.0, rel=1e-9)
-        assert revenue(sol, prices, "solo", forced) == pytest.approx(2000.0, rel=1e-9)
+        assert revenue(sol, "solo", forced) == pytest.approx(2000.0, rel=1e-9)
         report = compute_metrics(forced, sol, all_trip_stats(forced, sol))
         assert report.total_revenue == pytest.approx(2000.0, rel=1e-9)
 
@@ -417,22 +406,22 @@ class TestRevenue:
         net = build_network(list(inst.network.nodes), only_sec)
         forced = type(inst)(network=net, strata=inst.strata, demand=inst.demand,
                             outside=inst.outside, solver=inst.solver)
-        sol, prices = solved(forced, rate=500.0)
-        assert revenue(sol, prices, "solo", forced) == 0.0
+        sol, _prices = solved(forced, rate=500.0)
+        assert revenue(sol, "solo", forced) == 0.0
 
     def test_linear_in_price_at_frozen_flows(self):
         inst = two_route_instance(outside_time=1e9)
         sol, prices = solved(inst, rate=10.0)
-        r1 = revenue(sol, prices, "solo", inst)
-        r2 = revenue(sol, 2.0 * prices, "solo", inst)
+        r1 = revenue(sol, "solo", inst)
+        r2 = revenue(replace(sol, price_rates=2.0 * prices), "solo", inst)
         assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
     def test_revenue_equals_demand_weighted_expected_money(self):
         inst = two_route_instance()
-        sol, prices = solved(inst, rate=3.0)
+        sol, _prices = solved(inst, rate=3.0)
         stats = all_trip_stats(inst, sol)[("solo", "0", "1")]
         paid = 10.0 * stats.start_prob * stats.money
-        assert revenue(sol, prices, "solo", inst) == pytest.approx(paid, rel=1e-8)
+        assert revenue(sol, "solo", inst) == pytest.approx(paid, rel=1e-8)
 
     @pytest.mark.parametrize("name", ["single_od", "grid6"])
     def test_trip_stats_reproduce_each_stratum_flow(self, name, grid6_solved):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from mteq import (
@@ -277,43 +278,71 @@ def chain_reference(net, weights, destination):
     return a
 
 
-class TestChainMatrix:
-    def test_single_block_equals_loop(self):
-        net = parallel_lattice()
-        w = np.random.default_rng(5).uniform(0.0, 0.5, size=net.n_arcs)
-        for d in range(net.n_nodes):
-            ref = chain_reference(net, w, d)
-            assert net.chain_matrix(w, d).T.toarray().tolist() == ref.tolist()
-            assert net.chain_matrix(w[None], np.array([d])).T.toarray().tolist() == ref.tolist()
+def ordered_reference(net, weights, destination):
+    """Dense block of chain_matrix: (I - W)^T with its columns in chain_order()."""
+    return chain_reference(net, weights, destination).T[:, net.chain_order()[0]]
 
-    def test_blocks_are_the_single_matrices(self):
-        net = parallel_lattice()
-        n = net.n_nodes
-        w = np.random.default_rng(6).uniform(0.0, 0.5, size=(4, net.n_arcs))
-        dest = np.array([2, 0, 2, 1])
-        full = net.chain_matrix(w, dest).T.toarray()
-        assert full.shape == (4 * n, 4 * n)
-        for i, d in enumerate(dest):
-            block = full[i * n:(i + 1) * n]
-            assert block[:, i * n:(i + 1) * n].tolist() == chain_reference(net, w[i], d).tolist()
-            assert not np.any(np.delete(block, np.s_[i * n:(i + 1) * n], axis=1))
 
-    @pytest.mark.parametrize("make", [parallel_lattice, lambda: gen_single_od().network,
-                                      lambda: gen_grid(GridGenSpec(rows=6, cols=6)).network],
-                             ids=["parallel", "single_od", "grid6"])
-    def test_ordered_blocks_are_the_blocks_in_chain_order(self, make):
+def _quiet(make):
+    def build():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            return make()
+    return build
+
+
+# The three-node lattice (chain order the identity), single-OD (chain order
+# [2, 1, 0, 3]) and a 6x6 lattice: a test on the first alone cannot tell a
+# column-ordered matrix from the natural one.
+CHAIN_NETWORKS = [parallel_lattice, _quiet(lambda: gen_single_od().network),
+                  _quiet(lambda: gen_grid(GridGenSpec(rows=6, cols=6)).network)]
+
+
+def chain_networks():
+    """CHAIN_NETWORKS as (make, id) parameters."""
+    return pytest.mark.parametrize("make", CHAIN_NETWORKS,
+                                   ids=["parallel", "single_od", "grid6"])
+
+
+class TestChainMatrix:
+    def test_single_block_equals_loop(self):
+        for make in CHAIN_NETWORKS:
             net = make()
+            w = np.random.default_rng(5).uniform(0.0, 0.5, size=net.n_arcs)
+            for d in range(net.n_nodes):
+                ref = ordered_reference(net, w, d)
+                assert net.chain_matrix(w, d).toarray().tolist() == ref.tolist()
+                assert net.chain_matrix(w[None], np.array([d])).toarray().tolist() \
+                    == ref.tolist()
+
+    def test_blocks_are_the_single_matrices(self):
+        for make in CHAIN_NETWORKS:
+            net = make()
+            n = net.n_nodes
+            w = np.random.default_rng(6).uniform(0.0, 0.5, size=(4, net.n_arcs))
+            dest = np.array([2, 0, 2, 1])
+            full = net.chain_matrix(w, dest).toarray()
+            assert full.shape == (4 * n, 4 * n)
+            for i, d in enumerate(dest):
+                block = full[:, i * n:(i + 1) * n]
+                assert block[i * n:(i + 1) * n].tolist() \
+                    == ordered_reference(net, w[i], d).tolist()
+                assert not np.any(np.delete(block, np.s_[i * n:(i + 1) * n], axis=0))
+
+    @chain_networks()
+    def test_ordered_blocks_are_the_blocks_in_chain_order(self, make):
+        net = make()
         n, (order, inverse) = net.n_nodes, net.chain_order()
         assert order[inverse].tolist() == list(range(n))
         w = np.random.default_rng(11).uniform(0.0, 0.5, size=(3, net.n_arcs))
         dest = np.array([2, 0, -1])
         # COLAMD reads the pattern only: any regular values of it give the order
-        assert np.argsort(splu(net.chain_matrix(w[0], 1)).perm_c).tolist() == order.tolist()
-        full = net.chain_matrix(w, dest).toarray()
-        ordered = net.chain_matrix(w, dest, ordered=True)
-        assert ordered.format == "csc" and net.chain_matrix(w, dest, ordered=True) is ordered
+        natural = sp.csc_matrix(chain_reference(net, w[0], -1).T)
+        assert np.argsort(splu(natural).perm_c).tolist() == order.tolist()
+        full = sp.block_diag([chain_reference(net, w[i], d).T
+                              for i, d in enumerate(dest)]).toarray()
+        ordered = net.chain_matrix(w, dest)
+        assert ordered.format == "csc" and net.chain_matrix(w, dest) is ordered
         cols = (order + n * np.arange(3)[:, None]).ravel()
         assert ordered.toarray().tolist() == full[:, cols].tolist()
 
@@ -328,11 +357,11 @@ class TestChainMatrix:
 
 
 def blocks_reference(net, weights, dest):
-    """Dense block-diagonal (I - W)^T, block i from row i of ``weights``."""
+    """Dense chain_matrix: block i is ordered_reference of row i of ``weights``."""
     n, k = net.n_nodes, len(dest)
     full = np.zeros((k * n, k * n))
     for i, d in enumerate(dest):
-        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = chain_reference(net, weights[i], d).T
+        full[i * n:(i + 1) * n, i * n:(i + 1) * n] = ordered_reference(net, weights[i], d)
     return full
 
 
@@ -376,7 +405,7 @@ class TestOwnedBlockMatrices:
         net.chain_matrix(np.full(net.n_arcs, 0.4), 2)  # refills the factored matrix
         b = np.array([1.0, 2.0, 3.0])
         x = lu.solve(b)
-        assert np.max(np.abs(chain_reference(net, np.full(net.n_arcs, 0.2), 2).T @ x - b)) \
+        assert np.max(np.abs(ordered_reference(net, np.full(net.n_arcs, 0.2), 2) @ x - b)) \
             <= 1e-14
 
 
@@ -389,4 +418,4 @@ class TestRebuiltNetwork:
         got = shortest_costs(sub, sub.free_time, np.array([1, 1]))
         assert got[0, sub.node_index["0"]] == 2.0  # b01 is gone
         w = np.full(sub.n_arcs, 0.25)
-        assert sub.chain_matrix(w, 2).T.toarray().tolist() == chain_reference(sub, w, 2).tolist()
+        assert sub.chain_matrix(w, 2).toarray().tolist() == ordered_reference(sub, w, 2).tolist()
