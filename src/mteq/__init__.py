@@ -10,9 +10,6 @@ from .network import (
     build_network,
     default_capacity,
     extract_core,
-    inverse_latency,
-    latency,
-    monetary_cost,
     shortest_costs,
     strongly_connected,
 )
@@ -28,7 +25,6 @@ from .instance import (
     outside_costs,
     save_instance,
 )
-from .choice import outside_prob, phi, transition_probs
 from .equilibrium import (
     EquilibriumSolution,
     FeasibilityError,

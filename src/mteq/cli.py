@@ -219,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--seed", help="ignored: solving draws no random numbers")
     sv.add_argument("--tol-inner", dest="tol_inner")
     sv.add_argument("--tol-outer", dest="tol_outer")
+    # kept: perfbench/workloads.py passes it; see ROADMAP item 1
     sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")
     sv.add_argument("--max-outer", dest="max_outer")
     sv.add_argument("--verbose", action="store_true",

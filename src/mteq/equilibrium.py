@@ -21,7 +21,8 @@ by its shortest costs at free-flow times.  A pass runs no Dijkstra: the
 free-flow bounds come from one call per solve, made only if some pair needs
 them, and the pass's own shortest costs only for a pair whose answer leaves
 range under them.
-``solve_tau`` and ``flows_for_destination`` are the one-pair case.
+``solve_tau`` and ``flows_for_destination``, the one-pair case, are kept
+only for the benchmark's tracer (ROADMAP item 1): nothing here calls them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu, spsolve  # noqa: F401 (perfbench traces spsolve)
+# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP item 1
+from scipy.sparse.linalg import splu, spsolve  # noqa: F401
 
 from . import choice
 from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
@@ -74,6 +76,7 @@ class SolverOptions:
                                             strict=False, integer=True)
 
 
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
 @dataclass
 class TauResult:
     tau: np.ndarray
@@ -148,25 +151,14 @@ class EquilibriumSolution:
                                 f"{list(self.stratum_flow)}, the instance lists {list(names)}")
 
 
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
               tau_init: np.ndarray, options: SolverOptions) -> TauResult:
-    """Expected optimal costs at fixed arc costs, by one sparse linear solve.
-
-    The recursion tau = phi(costs + tau[head]), tau[destination] = 0, is
-    linear in exp-space (Akamatsu 1996; Fosgerau, Frejinger & Karlstrom
-    2013): X = exp(-beta_t * (tau - tau_init)) solves (I - W) X = e_d, with
-    w_a = exp(-beta_t * (costs_a + tau_init[head] - tau_init[tail])) and the
-    destination's row of W zero.  Scaled by the shortest-cost bound, every
-    weight is at most 1 and X at least 1, so nothing underflows.
-
-    ``converged`` means the fixed-point residual, certified after at most one
-    iterative-refinement retry, is at most ``inner_tol``; ``iterations``
-    counts the solves.  Raises FeasibilityError when I - W is singular or X
-    is not finite or below X_MIN; short of underflow that happens
-    (every node reaching the destination) exactly when W_d, the weights
-    exp(-beta_t * costs) with the destination's row zeroed, has spectral
-    radius >= 1.
-    """
+    """Expected optimal costs of one (cost row, destination) pair: the
+    _expected_costs of one row, scaled by ``tau_init``.  ``converged`` means
+    the fixed-point residual, certified after at most one refinement, is at
+    most ``inner_tol``; ``iterations`` counts the solves.  FeasibilityError
+    when the expected costs are unbounded (_expected_costs' ``low``)."""
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
@@ -281,14 +273,22 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
                     tau_ref, inner_tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
     destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
-    (k, m), ``beta`` a scalar or (k, 1) column.  With ``block`` None each
-    pair's weights are scaled by ``tau_ref`` (k, n), shortest costs at these
-    costs or at lower ones, so that every weight is at most 1; otherwise
-    pair p is served by the unscaled ``weights[block[p]]`` and tau_ref is 0.
+    (k, m), ``beta`` a scalar or (k, 1) column.  The recursion tau =
+    phi(costs + tau[head]), tau[d] = 0, is linear in exp-space (Akamatsu
+    1996; Fosgerau, Frejinger & Karlstrom 2013): X solves (I - W_d) X = e_d,
+    w_a = exp(-beta * (costs_a + tau_ref[head] - tau_ref[tail])).  With
+    ``block`` None each pair's weights are scaled by ``tau_ref`` (k, n):
+    shortest costs at these costs or at lower ones make every weight at most
+    1 and X at least 1 (the routing passes), and the solution's own tau
+    keeps X near 1 (equilibrium_residuals).  Otherwise pair p is served by
+    the unscaled ``weights[block[p]]`` and tau_ref is 0.
 
     A pair is usable when its least X, ``low``, is at least X_MIN: X is
     finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
-    Any other pair gets X = 1.  A singular stack raises FeasibilityError.
+    Any other pair gets X = 1.  Short of underflow, X fails to be finite and
+    positive (every node reaching d) exactly when W_d, exp(-beta * costs)
+    with the row of d zeroed, has spectral radius >= 1.  A singular stack
+    raises FeasibilityError.
     A usable pair whose residual is above ``inner_tol`` is refined once with
     the same factors; the other pairs keep their first X.  With _StackLU's
     blocks independent, no pair's bits depend on its stack-mates.  Returns
@@ -334,6 +334,7 @@ def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     return np.max(np.abs(phi - tau), axis=1), probs, log_denom
 
 
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
                           beta_t: float, origins: np.ndarray, trips: np.ndarray,
                           outside_cost: np.ndarray, beta_t_out: float,
@@ -1054,15 +1055,18 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     - flow residual: sup gap between the flow iterate and the aggregated
       per-(stratum, destination) arc flows;
     - per-(stratum, destination) fixed-point residual of the expected costs;
-    - stationarity residual max_a |inverse_latency(t_a) - sum v_a|, which
-      coincides with the flow residual whenever t = latency(flow) (kept as a
-      cross-check of the latency inverse);
+    - stationarity residual max_a |inverse_latency_all(t)_a - sum v_a| over
+      the congestible arcs, which coincides with the flow residual whenever
+      t = latency_all(flow) (kept as a cross-check of the latency inverse);
     - worst violation of the shortest-cost upper bound on expected costs;
     - optionally, for each arc in ``fd_arcs``, a central finite-difference
       check that the demand-weighted sensitivity of expected costs to that
       arc's time reproduces its flow.  The expected costs are re-solved with
       the perturbed time while flows (and hence start probabilities) stay
-      frozen; demand enters scaled by the frozen start probabilities.
+      frozen; demand enters scaled by the frozen start probabilities.  Every
+      (arc, sign, pair) is a row of one _expected_costs call per stack of
+      ``net.solve_blocks``, from the solution's tau; FeasibilityError if the
+      expected costs of a row are unbounded.
     """
     solution.check_strata(instance.stratum_names)
     net = instance.network
@@ -1076,12 +1080,11 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     grad = (net.inverse_latency_all(t) - agg)[congestible]
     phi_gradient_residual = float(np.max(np.abs(grad))) if grad.size else 0.0
 
-    strata = {s.name: (i, s) for i, s in enumerate(instance.strata)}
     keys = sorted(solution.sub)
     tau_residuals, bound_violation = {}, 0.0
     if keys:  # all pairs in one Dijkstra call and one kernel pass
         costs = _arc_costs(instance.strata, net, rates, t)
-        rows = np.array([strata[s_name][0] for s_name, _d in keys])
+        rows = np.array([instance.stratum_names.index(s_name) for s_name, _d in keys])
         dest = np.array([net.node_index[d_id] for _s, d_id in keys])
         beta = np.array([[instance.strata[r].beta_t] for r in rows])
         tau = np.array([solution.sub[key].tau for key in keys])
@@ -1092,26 +1095,25 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
 
     fd_checks = None
     if fd_arcs is not None:
-        fd_checks = {}
-        fd_opts = SolverOptions(
-            inner_tol=min(1e-10, fd_step * 1e-3),
-            outer_tol=instance.solver.outer_tol, outer_max_iters=1)
-        for arc_pos in fd_arcs:
-            arc_id = net.arcs[arc_pos].id
-            for (s_name, d_id), sd in sorted(solution.sub.items()):
-                s_idx, s = strata[s_name]
-                d = net.node_index[d_id]
-                weighted = np.zeros(net.n_nodes)
-                np.add.at(weighted, sd.origins, sd.trips * sd.start_prob)
-                est = 0.0
-                for sign in (+1.0, -1.0):
-                    tp = t.copy()
-                    tp[arc_pos] += sign * fd_step
-                    costs = _arc_costs(instance.strata, net, rates, tp)[s_idx]
-                    tr = solve_tau(net, costs, d, s.beta_t, sd.tau, fd_opts)
-                    est += sign * float(weighted @ tr.tau)
-                fd_checks[(arc_id, s_name, d_id)] = (
-                    est / (2.0 * fd_step), float(sd.arc_flow[arc_pos]))
+        arcs, k = np.array(list(fd_arcs), dtype=np.int64), len(keys)
+        weighted = np.zeros((k, net.n_nodes))  # started demand per origin
+        for p, sd in enumerate(solution.sub[key] for key in keys):
+            np.add.at(weighted[p], sd.origins, sd.trips * sd.start_prob)
+        # row r: arc r // (2 * k), pair r // 2 % k, time +h (even r) or -h
+        tolls, tau_sum = _tolls(instance.strata, net, rates), np.zeros(2 * len(arcs) * k)
+        for b in net.solve_blocks(len(tau_sum)):
+            r = np.arange(b.start, b.stop)
+            pair, tp = r // 2 % k, np.tile(t, (len(r), 1))
+            tp[np.arange(len(r)), arcs[r // (2 * k)]] += (1.0 - 2.0 * (r % 2)) * fd_step
+            tau_fd, *_rest, low, _through = _expected_costs(
+                net, tp + tolls[rows[pair]], dest[pair], beta[pair], tau[pair],
+                min(1e-10, fd_step * 1e-3))
+            if not np.all(low >= X_MIN):
+                raise FeasibilityError(_UNBOUNDED)
+            tau_sum[b] = [weighted[p] @ x for p, x in zip(pair, tau_fd)]
+        est = iter((tau_sum[0::2] - tau_sum[1::2]) / (2.0 * fd_step))
+        fd_checks = {(net.arcs[a].id, *key): (float(next(est)), float(solution.sub[key].arc_flow[a]))
+                     for a in arcs for key in keys}
 
     return EquilibriumDiagnostics(
         flow_residual=flow_residual,

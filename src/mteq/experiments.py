@@ -16,8 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .equilibrium import SolverOptions, solve_equilibrium
 from .instance import (Instance, assign_areas, instance_to_document, load_instance,
                        nan_to_null, solver_from_document)
@@ -34,6 +32,7 @@ from .pricing import (
     enumerate_grid,
     expand_scheme,
     stratum_price_order,
+    zero_prices,
 )
 
 RESULTS_SCHEMA_VERSION = 1
@@ -293,8 +292,7 @@ def run_sweep(config: SweepConfig, instance: Instance | None = None) -> list[Res
     if baseline_spec.scheme_id not in ids:
         schemes = [baseline_spec] + schemes
 
-    sol0 = solve_equilibrium(
-        instance, np.zeros((len(instance.strata), instance.network.n_arcs)), solver)
+    sol0 = solve_equilibrium(instance, zero_prices(instance), solver)
     baseline_stats = all_trip_stats(instance, sol0)
     out = Path(config.output)
     detail_dir = out / "schemes"  # made once the baseline stands: a failed one writes nothing

@@ -18,7 +18,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import spsolve  # noqa: F401 (perfbench traces spsolve)
+# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP item 1
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .equilibrium import (STRATUM_RANGE, EquilibriumSolution, FeasibilityError, _arc_costs,
                           _StackLU, _stratum_stacks)

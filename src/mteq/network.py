@@ -3,8 +3,10 @@
 Nodes carry planar coordinates; arcs carry geometry (length, free speed,
 lanes), a road class (primary roads are tollable, secondary are not), a
 capacity, and the two volume-delay parameters of the BPR latency function.
-All times are hours, distances km, speeds km/h.  Money is a dimensionless
-currency unit.
+``Network`` evaluates them for every arc at once: BPR times (``latency_all``),
+the flows giving those times (``inverse_latency_all``) and the toll per unit
+rate (``primary_length``).  All times are hours, distances km, speeds km/h.
+Money is a dimensionless currency unit.
 """
 
 from __future__ import annotations
@@ -229,46 +231,6 @@ def default_capacity(lanes: float, length_km: float, car_length_km: float) -> fl
     return lanes * length_km / car_length_km
 
 
-def latency(arc: Arc, flow) -> float | np.ndarray:
-    """BPR travel time t0 * (1 + gamma * (flow/capacity)^nu), hours."""
-    flow = np.asarray(flow, dtype=float)
-    if np.any(flow < 0):
-        raise ValueError("flow must be nonnegative")
-    if arc.capacity is None:
-        raise NetworkError(f"arc {arc.id} has no capacity")
-    t0 = arc.free_time
-    out = t0 * (1.0 + arc.bpr_gamma * (flow / arc.capacity) ** arc.bpr_nu)
-    return float(out) if out.ndim == 0 else out
-
-
-def inverse_latency(arc: Arc, time) -> float | np.ndarray:
-    """Flow level at which the arc's BPR time equals ``time``.
-
-    Closed form capacity * ((time/t0 - 1) / gamma)^(1/nu).  Requires
-    time >= free_time and gamma > 0 (gamma = 0 is non-invertible except
-    exactly at the free-flow time).
-    """
-    time = np.asarray(time, dtype=float)
-    t0 = arc.free_time
-    if np.any(time < t0 * (1.0 - 1e-12)):
-        raise ValueError(f"arc {arc.id}: time below free-flow time is outside the latency range")
-    if arc.bpr_gamma == 0.0:
-        if np.allclose(time, t0):
-            out = np.zeros_like(time)
-            return float(out) if out.ndim == 0 else out
-        raise ValueError(f"arc {arc.id}: constant latency (gamma=0) cannot be inverted")
-    ratio = np.maximum(time / t0 - 1.0, 0.0)
-    out = arc.capacity * (ratio / arc.bpr_gamma) ** (1.0 / arc.bpr_nu)
-    return float(out) if out.ndim == 0 else out
-
-
-def monetary_cost(arc: Arc, price: float) -> float:
-    """Toll for one traversal: price per km * length, primary roads only."""
-    if price < 0:
-        raise ValueError("price must be nonnegative")
-    return price * arc.length_km if arc.is_primary else 0.0
-
-
 class Network:
     """Immutable directed network with array views for the solvers.
 
@@ -359,15 +321,16 @@ class Network:
         return self.nodes[idx].id
 
     def latency_all(self, flows: np.ndarray) -> np.ndarray:
-        """Vectorized BPR time for every arc at the given flow vector."""
+        """BPR time t0 * (1 + gamma * (flow / capacity)^nu) of every arc, hours."""
         flows = np.asarray(flows, dtype=float)
         if np.any(flows < 0):
             raise ValueError("flows must be nonnegative")
         return self.free_time * (1.0 + self.bpr_gamma * (flows / self.capacity) ** self.bpr_nu)
 
     def inverse_latency_all(self, times: np.ndarray) -> np.ndarray:
-        """Per-arc latency inverse; arcs with gamma = 0 are flat and map any
-        admissible time back to zero flow."""
+        """The flow capacity * ((time / t0 - 1) / gamma)^(1 / nu) at which each
+        arc's BPR time is ``times``; a time below free flow maps to zero flow,
+        and so does any time on a flat arc (gamma = 0), which has no inverse."""
         ratio = np.maximum(np.asarray(times, dtype=float) / self.free_time - 1.0, 0.0)
         out = np.zeros_like(ratio)
         pos = self.bpr_gamma > 0

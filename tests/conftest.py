@@ -15,6 +15,7 @@ from mteq import (
     build_network,
 )
 from mteq import instance_to_document
+from mteq.choice import logit_nodes
 from mteq.synthgen import gen_single_od
 
 
@@ -26,6 +27,30 @@ def flat_arc(aid, tail, head, hours, road_class="secondary", length=None):
     return Arc(id=aid, tail=tail, head=head, length_km=length,
                free_speed_kmh=speed, road_class=road_class,
                capacity=1.0, bpr_gamma=0.0)
+
+
+def logit(z, beta):
+    """(phi, probs, log_denom) of the alternatives ``z`` at sensitivity
+    ``beta`` from choice.logit_nodes, as one row of one segment."""
+    z = np.asarray(z, dtype=float)
+    phi, probs, log_denom = logit_nodes(z, beta, np.array([0, z.size]))
+    return float(phi[0]), probs, float(log_denom[0])
+
+
+def logit_stacked(draws, chunk=100):
+    """(phi, probs, log_denom) of each draw (z, beta) from choice.logit_nodes
+    on multi-segment rows with a (k, 1) beta: a chunk of draws is one row of
+    segments, the i-th draw's z the i-th segment, repeated once per draw at
+    that draw's beta, so the i-th draw's answer is segment i of row i."""
+    for lo in range(0, len(draws), chunk):
+        part = draws[lo:lo + chunk]
+        out_start = np.cumsum([0] + [len(z) for z, _beta in part])
+        z = np.tile(np.concatenate([z for z, _beta in part]), (len(part), 1))
+        phi, probs, log_denom = logit_nodes(z, np.array([[beta] for _z, beta in part]),
+                                            out_start)
+        for i in range(len(part)):
+            yield (float(phi[i, i]), probs[i, out_start[i]:out_start[i + 1]],
+                   float(log_denom[i, i]))
 
 
 @pytest.fixture

@@ -8,7 +8,16 @@ vectorized solvers.
 import numpy as np
 import mpmath
 
-from mteq.network import latency, monetary_cost
+
+def bpr_time(arc, flow):
+    """BPR time t0 * (1 + gamma * (flow / capacity)^nu) of one arc, hours."""
+    t0 = arc.length_km / arc.free_speed_kmh
+    return t0 * (1.0 + arc.bpr_gamma * (flow / arc.capacity) ** arc.bpr_nu)
+
+
+def toll(arc, rate):
+    """Money for one traversal: rate per km times length on a primary road."""
+    return rate * arc.length_km if arc.road_class == "primary" else 0.0
 
 
 def phi_mp(z, beta, dps=60):
@@ -63,12 +72,11 @@ def naive_equilibrium(instance, rates, tol=1e-8, max_outer=20000):
     oc = outside_costs(instance)
 
     for k in range(max_outer):
-        t = np.array([latency(arc, f[j]) for j, arc in enumerate(net.arcs)])
+        t = np.array([bpr_time(arc, f[j]) for j, arc in enumerate(net.arcs)])
         resp = np.zeros(m)
         vs = {}
         for s_idx, s in enumerate(instance.strata):
-            kappa = np.array([monetary_cost(arc, rates[s_idx, j])
-                              for j, arc in enumerate(net.arcs)])
+            kappa = np.array([toll(arc, rates[s_idx, j]) for j, arc in enumerate(net.arcs)])
             costs = t + (s.beta_p / s.beta_t) * kappa
             for d, (origins, trips) in instance.demand_by_destination(s.name).items():
                 tau = naive_tau(net, costs, d, s.beta_t)

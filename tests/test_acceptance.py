@@ -22,20 +22,19 @@ from mteq import (
     equilibrium_residuals,
     expand_scheme,
     assign_areas,
-    phi,
     primary_flow_share,
     run_sweep,
     save_instance,
     simulate_trips,
     solve_equilibrium,
     stratum_price_order,
-    transition_probs,
     zero_prices,
 )
 from mteq.instance import Instance, Stratum
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
+from conftest import logit, logit_stacked
 
 TIGHT = SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
 MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
@@ -138,27 +137,34 @@ def test_criterion_3_cost_sensitivity_identity(single_od):
 
 
 def test_criterion_4_logit_kernels_extended_precision():
-    """Logit kernels match a 60-digit oracle on 1000 random inputs to 1e-12
-    relative, and the stated invariances hold."""
+    """The solver's logit kernel, choice.logit_nodes, matches a 60-digit
+    oracle on 1000 random inputs to 1e-12 relative, as one-segment rows with
+    a scalar beta and as multi-segment rows with a (k, 1) beta, and the
+    stated invariances hold."""
     rng = np.random.default_rng(77)
+    draws, wants = [], []
     for _ in range(1000):
         z = rng.uniform(-30.0, 30.0, size=int(rng.integers(1, 8)))
         beta = float(rng.uniform(0.2, 4.0))
-        got_phi = phi(z, beta)
-        assert got_phi == pytest.approx(oracle.phi_mp(list(z), beta),
-                                        rel=1e-12, abs=1e-12)
-        got_p = transition_probs(z, beta)
-        assert got_p == pytest.approx(oracle.probs_mp(list(z), beta),
-                                      rel=1e-12, abs=1e-15)
+        want = (oracle.phi_mp(list(z), beta), oracle.probs_mp(list(z), beta))
+        got_phi, got_p, _log_denom = logit(z, beta)
+        assert got_phi == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert got_p == pytest.approx(want[1], rel=1e-12, abs=1e-15)
         # shift invariances
         k = float(rng.uniform(-50.0, 50.0))
-        assert phi(z + k, beta) == pytest.approx(got_phi + k, abs=1e-11)
-        assert transition_probs(z + k, beta) == pytest.approx(got_p, rel=1e-11, abs=1e-14)
+        shifted_phi, shifted_p, _log_denom = logit(z + k, beta)
+        assert shifted_phi == pytest.approx(got_phi + k, abs=1e-11)
+        assert shifted_p == pytest.approx(got_p, rel=1e-11, abs=1e-14)
+        draws.append((z, beta))
+        wants.append(want)
+    for (got_phi, got_p, _log_denom), want in zip(logit_stacked(draws), wants):
+        assert got_phi == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert got_p == pytest.approx(want[1], rel=1e-12, abs=1e-15)
     # symmetry: n equal alternatives split exactly evenly
     for n in (2, 3, 4, 7):
-        assert transition_probs([2.5] * n, 1.3) == pytest.approx([1.0 / n] * n, rel=1e-14)
-    assert phi([7.0], 1.0) == 7.0
-    ok("4 (logit kernels vs extended precision)")
+        assert logit([2.5] * n, 1.3)[1] == pytest.approx([1.0 / n] * n, rel=1e-14)
+    assert logit([7.0], 1.0)[0] == 7.0
+    ok("4 (logit kernel vs extended precision)")
 
 
 def test_criterion_5_uniform_equals_entry_area_pricing(single_od):

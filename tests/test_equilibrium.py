@@ -352,6 +352,28 @@ class TestDiagnostics:
         for (arc, s, d), (fd, v) in diag.fd_checks.items():
             assert abs(fd - v) / max(1.0, v) <= 1e-3
 
+    def test_batched_fd_checks_match_the_per_arc_loop(self, lattice):
+        single_od = gen_single_od()
+        for inst, rate, arcs in ((single_od, 25.0, range(single_od.network.n_arcs)),
+                                 (lattice, 2.0, range(0, lattice.network.n_arcs, 7))):
+            prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), inst)
+            sol = solve_equilibrium(inst, prices, MEDIUM)
+            got = equilibrium_residuals(inst, prices, sol, fd_arcs=arcs).fd_checks
+            want = fd_loop_reference(inst, prices, sol, arcs)
+            assert list(got) == list(want)
+            for key, (fd, v) in want.items():
+                assert got[key][0] == pytest.approx(fd, rel=1e-12, abs=0.0), key
+                assert got[key][1] == v
+
+    def test_unbounded_fd_row_is_infeasible(self):
+        # lowering arc s01 by 1 h makes the cycle s01, s10 cost -0.85 h
+        inst = gen_single_od()
+        sol = solve_equilibrium(inst, zero_prices(inst), OPTS)
+        with pytest.raises(FeasibilityError):
+            fd_loop_reference(inst, zero_prices(inst), sol, [0], fd_step=1.0)
+        with pytest.raises(FeasibilityError):
+            equilibrium_residuals(inst, zero_prices(inst), sol, fd_arcs=[0], fd_step=1.0)
+
     def test_uniqueness_from_different_starts(self):
         inst = gen_single_od()
         rates = expand_scheme(SchemeSpec(family="uniform", rate=30.0), inst)
@@ -361,6 +383,30 @@ class TestDiagnostics:
         b = solve_equilibrium(inst, rates, OPTS, initial_flow=start)
         assert a.converged and b.converged
         assert np.max(np.abs(a.total_flow - b.total_flow)) <= 10 * OPTS.outer_tol
+
+
+def fd_loop_reference(inst, prices, sol, fd_arcs, fd_step=1e-5):
+    """equilibrium_residuals' finite-difference checks by one solve_tau per
+    (arc, sign, pair), at the same inner tolerance."""
+    net = inst.network
+    opts = SolverOptions(inner_tol=min(1e-10, fd_step * 1e-3))
+    out = {}
+    for arc_pos in fd_arcs:
+        for (s_name, d_id), sd in sorted(sol.sub.items()):
+            s_idx = inst.stratum_names.index(s_name)
+            weighted = np.zeros(net.n_nodes)
+            np.add.at(weighted, sd.origins, sd.trips * sd.start_prob)
+            est = 0.0
+            for sign in (+1.0, -1.0):
+                tp = sol.arc_time.copy()
+                tp[arc_pos] += sign * fd_step
+                costs = _arc_costs(inst.strata, net, prices, tp)[s_idx]
+                tr = solve_tau(net, costs, net.node_index[d_id], inst.strata[s_idx].beta_t,
+                               sd.tau, opts)
+                est += sign * float(weighted @ tr.tau)
+            out[(net.arcs[arc_pos].id, s_name, d_id)] = (est / (2.0 * fd_step),
+                                                         float(sd.arc_flow[arc_pos]))
+    return out
 
 
 def one_pass(inst, rates, initial_flow=None, inner_tol=1e-9):

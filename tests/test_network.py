@@ -12,9 +12,6 @@ from mteq import (
     build_network,
     default_capacity,
     extract_core,
-    inverse_latency,
-    latency,
-    monetary_cost,
     shortest_costs,
     strongly_connected,
 )
@@ -23,12 +20,17 @@ from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 from conftest import flat_arc
 
 
-def bpr_arc(t0=10.0, gamma=0.02, nu=2.0, capacity=100.0, road_class="secondary",
-            length=None):
-    length = t0 if length is None else length
-    return Arc(id="a", tail="0", head="1", length_km=length,
-               free_speed_kmh=length / t0, road_class=road_class,
-               capacity=capacity, bpr_gamma=gamma, bpr_nu=nu)
+def bpr_network():
+    """A ring 0 -> 1 -> 2 -> 0 of three BPR arcs: a (free time 10 h, gamma
+    0.02, nu 2, capacity 100), the primary arc b (4 km at 2 km/h, gamma 0.15,
+    nu 4, capacity 50) and the flat arc c (3 h, gamma 0)."""
+    nodes = [Node(str(i), i, 0) for i in range(3)]
+    arcs = [Arc(id="a", tail="0", head="1", length_km=10.0, free_speed_kmh=1.0,
+                capacity=100.0, bpr_gamma=0.02, bpr_nu=2.0),
+            Arc(id="b", tail="1", head="2", length_km=4.0, free_speed_kmh=2.0,
+                road_class="primary", capacity=50.0, bpr_gamma=0.15, bpr_nu=4.0),
+            flat_arc("c", "2", "0", 3.0)]
+    return build_network(nodes, arcs)
 
 
 class TestBuild:
@@ -43,7 +45,8 @@ class TestBuild:
         assert net.n_nodes == 4
         assert net.n_arcs == 6
         assert int(net.is_primary.sum()) == 2
-        assert net.primary_length.tolist() == [monetary_cost(a, 1.0) for a in net.arcs]
+        assert net.primary_length.tolist() == [a.length_km if a.road_class == "primary" else 0.0
+                                               for a in net.arcs]
         assert not net.primary_length.flags.writeable
 
     def test_unknown_endpoint_rejected(self):
@@ -113,60 +116,66 @@ class TestExtractCore:
 
 
 class TestLatency:
+    """Network.latency_all and inverse_latency_all on bpr_network."""
+
     def test_zero_flow_gives_free_time(self):
-        assert latency(bpr_arc(), 0.0) == 10.0
+        assert bpr_network().latency_all(np.zeros(3)).tolist() == [10.0, 2.0, 3.0]
 
     def test_bpr_values(self):
-        # t0 (1 + 0.02 (f/100)^2): f=100 -> 10*1.02, f=200 -> 10*1.08
-        assert latency(bpr_arc(), 100.0) == pytest.approx(10.2, rel=1e-12)
-        assert latency(bpr_arc(), 200.0) == pytest.approx(10.8, rel=1e-12)
+        # t0 (1 + gamma (f / capacity)^nu): a 10 (1 + 0.02 (f/100)^2),
+        # b 2 (1 + 0.15 (f/50)^4), c flat at 3
+        net = bpr_network()
+        assert net.latency_all([100.0, 50.0, 7.0]) == pytest.approx([10.2, 2.3, 3.0], rel=1e-12)
+        assert net.latency_all([200.0, 100.0, 0.0]) == pytest.approx([10.8, 6.8, 3.0], rel=1e-12)
 
     def test_negative_flow_rejected(self):
         with pytest.raises(ValueError):
-            latency(bpr_arc(), -1.0)
+            bpr_network().latency_all([1.0, -1.0, 0.0])
 
     def test_strictly_monotone(self):
-        arc = bpr_arc()
-        flows = np.linspace(0, 500, 40)
-        vals = latency(arc, flows)
-        assert np.all(np.diff(vals) > 0)
+        net = bpr_network()
+        vals = net.latency_all(np.linspace(0, 500, 40)[:, None] * np.ones(3))
+        assert np.all(np.diff(vals[:, :2], axis=0) > 0)
+        assert np.all(vals[:, 2] == 3.0)  # the flat arc
 
     def test_inverse_round_trip(self):
-        arc = bpr_arc()
+        net = bpr_network()
         for f in [0.0, 1.0, 57.3, 100.0, 4000.0]:
-            assert inverse_latency(arc, latency(arc, f)) == pytest.approx(f, rel=1e-9, abs=1e-9)
+            flows = np.full(3, f)
+            assert net.inverse_latency_all(net.latency_all(flows)) == pytest.approx(
+                [f, f, 0.0], rel=1e-9, abs=1e-9)
 
     def test_inverse_values(self):
-        arc = bpr_arc()
-        assert inverse_latency(arc, 10.0) == 0.0
-        # closed form b ((t/t0 - 1)/gamma)^(1/nu) = 100 ((1.02-1)/0.02)^0.5
-        assert inverse_latency(arc, 10.2) == pytest.approx(100.0, rel=1e-10)
+        net = bpr_network()
+        assert net.inverse_latency_all([10.0, 2.0, 3.0]).tolist() == [0.0, 0.0, 0.0]
+        # closed form capacity ((t/t0 - 1)/gamma)^(1/nu): a 100 ((1.02-1)/0.02)^0.5,
+        # b 50 ((1.15-1)/0.15)^0.25
+        assert net.inverse_latency_all([10.2, 2.3, 3.0]) == pytest.approx(
+            [100.0, 50.0, 0.0], rel=1e-10)
 
-    def test_inverse_below_free_time_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_latency(bpr_arc(), 9.0)
+    def test_inverse_below_free_time_is_zero_flow(self):
+        assert bpr_network().inverse_latency_all([9.0, 1.0, 2.0]).tolist() == [0.0, 0.0, 0.0]
 
     def test_flat_arc_not_invertible(self):
-        arc = bpr_arc(gamma=0.0)
-        assert inverse_latency(arc, 10.0) == 0.0
-        with pytest.raises(ValueError):
-            inverse_latency(arc, 11.0)
+        # every time of the flat arc c maps back to zero flow
+        net = bpr_network()
+        for t in (3.0, 4.0, 100.0):
+            assert net.inverse_latency_all([10.2, 2.3, t])[2] == 0.0
 
 
 class TestMonetaryCost:
+    """Tolls as rates * Network.primary_length."""
+
     def test_secondary_is_free(self):
-        assert monetary_cost(bpr_arc(road_class="secondary"), 1000.0) == 0.0
+        net = bpr_network()
+        assert (1000.0 * net.primary_length)[~net.is_primary].tolist() == [0.0, 0.0]
 
     def test_primary_charges_per_km(self):
-        arc = bpr_arc(road_class="primary", length=2.0)
-        assert monetary_cost(arc, 100.0) == 200.0
+        net = bpr_network()
+        assert (100.0 * net.primary_length).tolist() == [0.0, 400.0, 0.0]
 
     def test_zero_price(self):
-        assert monetary_cost(bpr_arc(road_class="primary"), 0.0) == 0.0
-
-    def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            monetary_cost(bpr_arc(), -1.0)
+        assert (0.0 * bpr_network().primary_length).tolist() == [0.0, 0.0, 0.0]
 
 
 class TestDefaultCapacity:
