@@ -201,10 +201,13 @@ class _StackLU:
     def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
         self.dest, self.block, self.n = dest, block, network.n_nodes
         self.column = np.arange(len(dest))
-        self._e = (np.arange(self.n) == dest[:, None]) * 1.0  # e_d per pair
+        self._diag = self.column * self.n + dest  # flat index of (p, dest[p]) in (k, n)
+        self._e = np.zeros((len(dest), self.n))  # e_d per pair
+        self._e.put(self._diag, 1.0)
         if block is not None:  # (columns, blocks, n) packed, pair p at (slot[p], block[p])
             self._slot = self.column - np.searchsorted(block, block)
             self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
+            self._rows = self._slot * len(weights) + block  # its row of (columns * blocks, n)
         self._order, self._inverse = network.chain_order()
         self._chain = network.chain_matrix(weights, dest if block is None else -1)
         try:
@@ -224,9 +227,8 @@ class _StackLU:
 
     def _unpack(self, V: np.ndarray, lead=()) -> np.ndarray:
         """Inverse of _pack for right-hand sides of leading shape ``lead``."""
-        if self.block is None:
-            return V.T.reshape(*lead, -1, self.n)
-        return V.T.reshape(*lead, *self._shape)[..., self._slot, self.block, :]
+        V = V.T.reshape(*lead, -1, self.n)
+        return V if self.block is None else V.take(self._rows, -2)
 
     def _solve(self, v: np.ndarray, trans: str) -> np.ndarray:
         """A^-1 v per pair with ``trans`` "T", A^-T v with "N": the factored
@@ -242,7 +244,7 @@ class _StackLU:
         if self.block is None:
             return self._solve(self._e, "T")
         with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] leaves X non-finite
-            return self._Z / self._Z[self.column, self.dest][:, None]
+            return self._Z / self._Z.take(self._diag)[:, None]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(I - W_d)^-1 b per pair."""
@@ -265,7 +267,7 @@ class _StackLU:
     def residual(self, X: np.ndarray) -> np.ndarray:
         """e_d - (I - W_d) X per pair, (k, n)."""
         r = self._e - self._unpack(self._chain.T @ self._pack(X)).take(self._inverse, -1)
-        r[self.column, self.dest] = 1.0 - X[self.column, self.dest]  # row d of I - W_d is e_d
+        r.put(self._diag, 1.0 - X.take(self._diag))  # row d of I - W_d is e_d
         return r
 
 
@@ -395,12 +397,13 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
     residual or throughput fails too."""
     k, n = log_denom.shape
     column = np.arange(k)
+    diag = column * n + dest  # flat index of (p, dest[p]) in (k, n)
     _p_out, p_start = choice.outside_prob_from_log_denominator(
         outside_cost, log_denom[pair, origins], beta_t_out)
 
     y = np.zeros((k, n))
     np.add.at(y, (pair, origins), trips * p_start)
-    y[column, dest] = 0.0
+    y.put(diag, 0.0)
 
     live = np.where(network.tail == dest[:, None], 0.0, probs)  # absorbed at dest
     into = (network.head + n * column[:, None]).ravel()
@@ -421,7 +424,7 @@ def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.
         lowest = x.min(axis=1)
         failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
         x = np.maximum(x, 0.0)
-        x[column, dest] = 0.0  # the trips it absorbs leave the network
+        x.put(diag, 0.0)  # the trips it absorbs leave the network
         v = x[:, network.tail] * probs
     if failed.any():
         ill = ~(resid <= 1e-6 * scale)
@@ -843,11 +846,14 @@ def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
             for name in names}
 
 
-SOLUTION_SCHEMA_VERSION = 4
-"""Version of the solution file, the only one solution_from_dict reads: a
-file of another version is solved again to write it."""
+SOLUTION_SCHEMA_VERSION = 5
+"""Version of the solution file, the only one solution_from_dict reads (a file
+of another version is solved again): 5 stores per-pair fields as columns."""
 
-_PACKED = ("tau", "entering_flow", "arc_probs")
+_PACKED = ("tau", "entering_flow", "arc_probs")  # one row of nodes or arcs per pair
+_ENDS = ("origins", "trips", "start_prob")  # one entry per origin, pairs end to end
+_STATUS = ("tau_converged", "tau_residual", "tau_iterations")  # one entry per pair
+_OUTER_STATUS = ("converged", "inner_converged", "outer_iterations", "outer_residual")
 
 
 def _pack(a: np.ndarray) -> str:
@@ -872,22 +878,23 @@ def _unpack(name: str, value, shape: tuple) -> np.ndarray:
 
 
 def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
-    """JSON-ready form of a solution, schema 4; inverse of solution_from_dict.
+    """JSON-ready form of a solution, schema 5; inverse of solution_from_dict.
 
     Arc times, per-pair arc flows and per-stratum flows are left out:
     solution_from_dict rebuilds them bit for bit from ``total_flow``,
-    ``entering_flow`` with ``arc_probs``, and ``strata``.  Each pair's
-    ``_PACKED`` arrays (``tau``, ``entering_flow`` and ``arc_probs``) are
-    packed (_pack); every other array is a list of numbers."""
-    sub = {f"{s}|{d}": {
-        **{key: _pack(getattr(sd, key)) for key in _PACKED},
-        "origins": sd.origins.tolist(),
-        "trips": sd.trips.tolist(),
-        "start_prob": sd.start_prob.tolist(),
-        "tau_converged": sd.tau_converged,
-        "tau_residual": sd.tau_residual,
-        "tau_iterations": sd.tau_iterations,
-    } for (s, d), sd in solution.sub.items()}
+    ``entering_flow`` with ``arc_probs``, and ``strata``.  ``sub`` holds the
+    per-pair fields as columns, a row per pair ``"stratum|destination"`` of
+    ``pairs`` (in ``sorted(sub)`` order): ``tau``, ``entering_flow`` (pairs
+    x nodes) and ``arc_probs`` (pairs x arcs) packed whole (_pack);
+    ``origins``, ``trips`` and ``start_prob`` of the pairs end to end, each
+    pair's count in ``origin_counts``; and a list per status field."""
+    keys = sorted(solution.sub)
+    rows = [solution.sub[key] for key in keys]
+    sub = {"pairs": [f"{s}|{d}" for s, d in keys],
+           "origin_counts": [len(sd.origins) for sd in rows],
+           **{key: _pack(np.array([getattr(sd, key) for sd in rows])) for key in _PACKED},
+           **{key: [v for sd in rows for v in getattr(sd, key).tolist()] for key in _ENDS},
+           **{key: [getattr(sd, key) for sd in rows] for key in _STATUS}}
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "arc_ids": [a.id for a in network.arcs],
@@ -895,15 +902,10 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
         "total_flow": solution.total_flow.tolist(),
         "response_flow": solution.response_flow.tolist(),
         "price_rates": solution.price_rates.tolist(),
-        "converged": solution.converged,
-        "inner_converged": solution.inner_converged,
-        "outer_iterations": solution.outer_iterations,
-        "outer_residual": solution.outer_residual,
+        **{key: getattr(solution, key) for key in _OUTER_STATUS},
         # wall times are dropped so identical runs serialize identically
-        "iteration_log": [
-            {"iteration": r["iteration"], "residual": r["residual"]}
-            for r in solution.iteration_log
-        ],
+        "iteration_log": [{key: r[key] for key in ("iteration", "residual")}
+                          for r in solution.iteration_log],
         "sub": sub,
     }
 
@@ -913,69 +915,58 @@ def read_solution(path, network: Network) -> EquilibriumSolution:
     return read_json(path, lambda doc: solution_from_dict(doc, network))
 
 
-def _arrays(section, path: str, shapes: dict, packed=()) -> list:
-    """The values of the object ``section`` under the keys of ``shapes`` as
-    float arrays of those shapes, unpacked (_unpack) under the keys in
-    ``packed`` and from lists of numbers under the others; raises
-    InstanceError naming the key otherwise."""
+# the values each array of a solution file may hold, besides being finite
+_VALUE_RANGES = {"tau": (-np.inf, np.inf), "arc_probs": (0.0, 1.0), "start_prob": (0.0, 1.0),
+                 **dict.fromkeys(("entering_flow", "trips", "total_flow", "response_flow",
+                                  "price_rates"), (0.0, np.inf))}
+
+
+def _arrays(section, path: str, shapes: dict, packed=(), name=None) -> list:
+    """The values of the object ``section`` under the keys of ``shapes``:
+    float arrays of those shapes, unpacked (_unpack) under ``packed`` and
+    else from lists of numbers, every value finite and in the key's
+    _VALUE_RANGES.  Raises InstanceError naming the key otherwise, or
+    ``name(key, i)`` for a bad value at index ``i`` of the first axis."""
     arrays = []
     for key, value in zip(shapes, read_fields(section, path, tuple(shapes))):
         if key in packed:
-            arrays.append(_unpack(f"{path}.{key}", value, shapes[key]))
-            continue
-        try:
-            arrays.append(np.array(value, dtype=float))
-        except (TypeError, ValueError, OverflowError):
-            arrays.append(None)
-        if getattr(arrays[-1], "shape", None) != shapes[key]:
-            raise InstanceError(f"{path}.{key} must be "
-                                f"{' x '.join(map(str, shapes[key]))} numbers")
-    return arrays
-
-
-# the values each array of a solution file may hold, besides being finite
-_VALUE_RANGES = {"tau": (-np.inf, np.inf), "entering_flow": (0.0, np.inf),
-                 "arc_probs": (0.0, 1.0), "trips": (0.0, np.inf), "start_prob": (0.0, 1.0),
-                 "total_flow": (0.0, np.inf), "response_flow": (0.0, np.inf),
-                 "price_rates": (0.0, np.inf)}
-
-
-def _check_values(key: str, arrays: list, path) -> None:
-    """Raise InstanceError naming ``<path(i)>.<key>`` unless every value of
-    the arrays ``arrays`` is finite and within the range of ``key``.  The
-    arrays are checked at once, stacked; only on failure are they searched
-    for the first bad one, ``arrays[i]``."""
-    low, high = _VALUE_RANGES[key]
-
-    def valid(a):
-        return np.isfinite(a) & (a >= low) & (a <= high)
-
-    if np.all(valid(np.concatenate([a.ravel() for a in arrays]))):
-        return
-    kind = ("finite numbers" if low == -np.inf else f"finite numbers >= {low:g}"
-            if high == np.inf else f"numbers in [{low:g}, {high:g}]")
-    for i, a in enumerate(arrays):
-        bad = ~valid(a.ravel())
+            array = _unpack(f"{path}.{key}", value, shapes[key])
+        else:
+            try:
+                array = np.array(value, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                array = None
+            if getattr(array, "shape", None) != shapes[key]:
+                raise InstanceError(f"{path}.{key} must be "
+                                    f"{' x '.join(map(str, shapes[key]))} numbers")
+        low, high = _VALUE_RANGES[key]
+        bad = ~(np.isfinite(array) & (array >= low) & (array <= high))
         if bad.any():
-            raise InstanceError(f"{path(i)}.{key} must be {kind}, "
-                                f"got {float(a.ravel()[bad][0])!r}")
+            first = tuple(np.argwhere(bad)[0])
+            kind = ("finite numbers" if low == -np.inf else f"finite numbers >= {low:g}"
+                    if high == np.inf else f"numbers in [{low:g}, {high:g}]")
+            raise InstanceError(f"{name(key, first[0]) if name else f'{path}.{key}'} must be "
+                                f"{kind}, got {float(array[first])!r}")
+        arrays.append(array)
+    return arrays
 
 
 def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     """Solution from its JSON form, schema SOLUTION_SCHEMA_VERSION only;
     inverse of solution_to_dict.
 
-    The derived arrays are rebuilt as the solver computes them, so they equal
-    the solved ones bit for bit: ``arc_time`` is the latency of
-    ``total_flow``, each pair's ``arc_flow`` is ``entering_flow[tail] *
-    arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
-    key order from zero.
+    Each column of ``sub`` is decoded and checked once; each pair's arrays
+    are views of its rows.  The derived arrays are rebuilt as the solver
+    computes them, so they equal the solved ones bit for bit: ``arc_time``
+    is the latency of ``total_flow``, each pair's ``arc_flow`` is
+    ``entering_flow[tail] * arc_probs``, and ``stratum_flow`` sums the
+    pairs' flows per stratum in key order from zero.
     Raises InstanceError for another schema version, another network, an
     array that does not fit the network or is not stored as solution_to_dict
-    stores it, or a value out of range: flows, trips and price rates must be
-    finite and nonnegative, probabilities in [0, 1], expected costs finite,
-    flags true or false and iteration counts and residuals nonnegative
-    (_status)."""
+    stores it, a pair listed twice, or a value out of range, naming its pair:
+    flows, trips and price rates must be finite and nonnegative,
+    probabilities in [0, 1], expected costs finite, flags true or false and
+    iteration counts and residuals nonnegative (_status)."""
     version, = read_fields(doc, "solution", (), {"schema_version": None})
     if type(version) is not int or version != SOLUTION_SCHEMA_VERSION:
         raise InstanceError(f"solution schema version {version!r} is not "
@@ -986,39 +977,45 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         raise InstanceError("solution was computed on a different network (arc ids differ)")
     strata = [check_name(f"solution.strata[{k}]", s)
               for k, s in enumerate(read_section(strata, "solution.strata", list))]
-    n, m = network.n_nodes, network.n_arcs
-    sub = {}
-    for key, sd in read_section(sub_doc, "solution.sub").items():
-        s, _, d = key.partition("|")
-        at = f"solution.sub.{key}"
-        if s not in strata or d not in network.node_index:
-            raise InstanceError(f"{at}: not a stratum|destination pair of the solution")
-        origins, = read_fields(sd, at, ("origins",))
-        if type(origins) is not list or not all(type(o) is int and 0 <= o < n for o in origins):
-            raise InstanceError(f"{at}.origins must be a list of node indices below {n}")
-        k = len(origins)
-        tau, entering_flow, arc_probs, trips, start_prob = _arrays(sd, at, {
-            "tau": (n,), "entering_flow": (n,), "arc_probs": (m,), "trips": (k,),
-            "start_prob": (k,)}, _PACKED)
-        sub[(s, d)] = StratumDestinationSolution(
-            s, d, tau, entering_flow, entering_flow[network.tail] * arc_probs, arc_probs,
-            np.array(origins, dtype=np.int64), trips, start_prob,
-            *_status(sd, at, ("tau_converged", "tau_residual", "tau_iterations")))
+    n, m, at = network.n_nodes, network.n_arcs, "solution.sub"
+    pairs, counts, origins, *status = read_fields(sub_doc, at, (
+        "pairs", "origin_counts", "origins", *_STATUS))
+    rows, k = {}, len(read_section(pairs, f"{at}.pairs", list))  # (stratum, destination) -> row
+    for i, pair in enumerate(pairs):
+        s, _, d = check_name(f"{at}.pairs[{i}]", pair, numbers=False).partition("|")
+        if s not in strata or d not in network.node_index or (s, d) in rows:
+            raise InstanceError(f"{at}.pairs[{i}]: {pair!r} is listed twice or is not a "
+                                f"stratum|destination pair of the solution")
+        rows[(s, d)] = i
+    for key, column in zip(("origin_counts", *_STATUS), (counts, *status)):
+        if type(column) is not list or len(column) != k:
+            raise InstanceError(f"{at}.{key} must be a list of {k} entries, one per pair")
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise InstanceError(f"{at}.origin_counts must be whole numbers >= 0")
+    owner = np.repeat(np.arange(k), counts)  # the row of each origin
+    if type(origins) is not list or len(origins) != len(owner):
+        raise InstanceError(f"{at}.origins must be a list of {len(owner)} node indices")
+    for j, o in enumerate(origins):
+        if not (type(o) is int and 0 <= o < n):
+            raise InstanceError(f"{at}.{pairs[owner[j]]}.origins must be node indices below "
+                                f"{n}, got {o!r}")
+    tau, entering_flow, arc_probs, trips, start_prob = _arrays(sub_doc, at, {
+        "tau": (k, n), "entering_flow": (k, n), "arc_probs": (k, m), "trips": owner.shape,
+        "start_prob": owner.shape}, _PACKED,
+        lambda key, i: f"{at}.{pairs[owner[i] if key in _ENDS else i]}.{key}")
+    arc_flow = entering_flow[:, network.tail] * arc_probs
+    origins, ends = np.array(origins, dtype=np.int64), np.cumsum([0] + counts).tolist()
+    sub = {key: StratumDestinationSolution(
+        *key, tau[i], entering_flow[i], arc_flow[i], arc_probs[i], origins[lo:hi], trips[lo:hi],
+        start_prob[lo:hi], *_status({f: column[i] for f, column in zip(_STATUS, status)},
+                                    f"{at}.{pairs[i]}", _STATUS))
+        for (key, i), lo, hi in zip(rows.items(), ends, ends[1:])}
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
         "total_flow": (m,), "response_flow": (m,), "price_rates": (len(strata), m)})
-    keys = list(sub)
-    for key in ("tau", "entering_flow", "arc_probs", "trips", "start_prob"):
-        if keys:
-            _check_values(key, [getattr(sd, key) for sd in sub.values()],
-                          lambda i: "solution.sub.%s|%s" % keys[i])
-    for key, value in (("total_flow", total_flow), ("response_flow", response_flow),
-                       ("price_rates", price_rates)):
-        _check_values(key, [value], lambda i: "solution")
     return EquilibriumSolution(
         total_flow, network.latency_all(total_flow), response_flow, sub,
         _stratum_flows(strata, sub, m), price_rates,
-        *_status(doc, "solution", ("converged", "inner_converged", "outer_iterations",
-                                   "outer_residual")),
+        *_status(doc, "solution", _OUTER_STATUS),
         iteration_log=[dict(zip(("iteration", "residual"), _status(
             entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
             for k, entry in enumerate(read_section(log, "solution.iteration_log", list))])

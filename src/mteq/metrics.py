@@ -367,7 +367,8 @@ class SimulationReport:
         """Per stratum of ``strata``: trip count and started proportion, plus
         the mean time, primary-distance share and average speed of its
         completed trips (started, not truncated); NaN where undefined.
-        Sums run over the completed trips in trip order."""
+        Sums add the completed trips one at a time in trip order, from 0.0,
+        on every Python: sum() of floats is compensated from 3.12 on."""
         nan = float("nan")
         index = {s: i for i, s in enumerate(self.stratum_names)}
         done = self.started & ~self.truncated
@@ -376,15 +377,13 @@ class SimulationReport:
             mine = self.stratum == index.get(s, -1)
             n, n_started = int(mine.sum()), int(self.started[mine].sum())
             mine &= done
-            time = self.time[mine]
-            dist = sum(self.distance[mine].tolist())
-            tt = sum(time.tolist())
+            dist, tt, primary = (float(np.cumsum(np.append(0.0, x[mine]))[-1])
+                                 for x in (self.distance, self.time, self.primary_distance))
             out[s] = {
                 "trips": n,
                 "started_proportion": n_started / n if n else nan,
-                "mean_time": float(np.mean(time)) if time.size else nan,
-                "primary_share": (sum(self.primary_distance[mine].tolist()) / dist
-                                  if dist > 0 else nan),
+                "mean_time": float(np.mean(self.time[mine])) if mine.any() else nan,
+                "primary_share": primary / dist if dist > 0 else nan,
                 "avg_speed": dist / tt if tt > 0 else nan,
             }
         return out
@@ -412,13 +411,14 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     Every started trip of the solution walks in one lockstep loop over the
     pairs' stacked cumulative choice tables: at node ``i`` of its pair a
     uniform ``r`` picks the out-arc that ``searchsorted(cum[i], r,
-    side="right")`` picks, clipped to the node's last arc.  Each substream's
-    uniforms are drawn ahead into a bounded buffer; PCG64 doubles do not
-    depend on how the draws are split, so every trip reads the values it
-    would read walking alone.  Results therefore do not depend on which
-    other pairs are simulated.  Time, money and distances add up per trip
-    in step order.  Returns the trips as columns in trip order (pair, then
-    origin, then replicate).
+    side="right")`` picks, clipped to the node's last arc.  A substream's
+    first draw holds its start uniforms and then _UNIFORMS_PER_WALKER walk
+    uniforms per trip, a buffer refilled as its walkers read it; PCG64
+    doubles do not depend on how the draws are split, so every trip reads
+    the values it would read walking alone, whichever other pairs are
+    simulated.  Time, money and distances add up per trip in step order.
+    Returns the trips as columns in trip order (pair, then origin, then
+    replicate).
     """
     solution.check_strata(instance.stratum_names)
     net = instance.network
@@ -431,19 +431,27 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     keys = sorted(solution.sub)
 
     # one substream per (stratum, origin, destination), in trip order
-    rngs, started, streams = [], [], []
+    rngs, streams = [], []
     for p, (s_name, d_id) in enumerate(keys):
         sd = solution.sub[(s_name, d_id)]
         s, d = instance.stratum_names.index(s_name), net.node_index[d_id]
-        for o, trips, prob in zip(sd.origins.tolist(), sd.trips.tolist(),
-                                  sd.start_prob.tolist()):
+        for o, trips in zip(sd.origins.tolist(), sd.trips.tolist()):
             rngs.append(np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(s, o, d))))
-            started.append(rngs[-1].random(int(round(trips)) * runs_per_unit) < prob)
-            streams.append((s, o, d, p * n, s * m))
-    stratum, origin, dest, row, wrow = np.array(streams, dtype=np.int64).reshape(-1, 5).T
-    trip_stream = np.repeat(np.arange(len(rngs)), [len(x) for x in started])
-    started = np.concatenate([np.zeros(0, dtype=bool), *started])
+            streams.append((s, o, d, p * n, s * m, int(round(trips)) * runs_per_unit))
+    stratum, origin, dest, row, wrow, units = np.array(streams, dtype=np.int64).reshape(-1, 6).T
+    trip_stream = np.repeat(np.arange(len(rngs)), units)
+
+    # stream g's first draw fills buf[lo[g] - units[g]:hi[g]]: a start uniform
+    # per trip, then the walk buffer buf[lo[g]:hi[g]] it reads at at[g]
+    cap = _UNIFORMS_PER_WALKER * units
+    hi = np.cumsum(units + cap)
+    lo, buf = hi - cap, np.empty(int((units + cap).sum()))
+    for rng, first, last in zip(rngs, (lo - units).tolist(), hi.tolist()):
+        rng.random(out=buf[first:last])
+    start_prob = np.concatenate([np.zeros(0)] + [solution.sub[key].start_prob for key in keys])
+    started = (buf.take(np.arange(len(trip_stream)) + (np.cumsum(cap) - cap).repeat(units))
+               < start_prob.repeat(units))
 
     # cum[k, p * n + i]: cumulative probability of node i's first k+1
     # out-arcs in pair p; arc_of[i * (width + 1) + k]: node i's k-th out-arc,
@@ -462,16 +470,11 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
                                            net.length, net.primary_length),
                        axis=-1).reshape(-1, 4)
 
-    # each stream reads its uniforms from buf[lo:hi] at ``at``; empty at first
+    # the trips still walking, their nodes, streams and running sums
     live = np.flatnonzero(started)
     stream = trip_stream[live]
-    cap = _UNIFORMS_PER_WALKER * np.bincount(stream, minlength=len(rngs))
-    hi = np.cumsum(cap)
-    lo, at = hi - cap, hi.copy()
-    buf = np.empty(int(cap.sum()))
-
-    # the trips still walking, their nodes, streams and running sums
     node = origin[stream]
+    at, starts, ends = lo.copy(), lo.tolist(), hi.tolist()
     acc = np.zeros((live.size, 4))
     totals = np.zeros((len(started), 4))  # per trip: time, money, distance, primary
     walkers, arcs = [live[:0]], [live[:0]]
@@ -479,11 +482,11 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
         if not live.size:
             break
         count = np.bincount(stream, minlength=len(rngs))
-        for g in np.flatnonzero(at + count > hi).tolist():
-            unread = hi[g] - at[g]
-            buf[lo[g]:lo[g] + unread] = buf[at[g]:hi[g]]
-            rngs[g].random(out=buf[lo[g] + unread:hi[g]])
-            at[g] = lo[g]
+        for g in np.flatnonzero(at + count > hi).tolist():  # unread to the front, refill
+            first, last, read = starts[g], ends[g], int(at[g])
+            buf[first:first + last - read] = buf[read:last]
+            rngs[g].random(out=buf[first + last - read:last])
+            at[g] = first
         # live walkers are grouped by stream: the j-th of a stream reads at[g] + j
         r = buf.take((at - (np.cumsum(count) - count)).take(stream) + np.arange(live.size))
         at += count

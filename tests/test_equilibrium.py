@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import fields
 
@@ -24,8 +25,10 @@ from mteq import (
 )
 from mteq import choice
 from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _arc_costs, _expected_costs, _route,
-                              _StackLU, solution_from_dict, solution_to_dict, solve_equilibria)
-from mteq.network import NetworkError, Node, build_network, shortest_costs
+                              _StackLU, read_solution, solution_from_dict, solution_to_dict,
+                              solve_equilibria)
+from mteq.network import (InstanceError, NetworkError, Node, build_network, shortest_costs,
+                          write_json)
 from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -319,11 +322,48 @@ class TestSolveEquilibrium:
             doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
             assert_same_solution(solution_from_dict(doc, inst.network), sol)
             assert not {"arc_time", "stratum_flow"} & doc.keys()
-            assert all("arc_flow" not in entry for entry in doc["sub"].values())
-            # per-pair node and arc arrays packed, every other array a list
-            assert all(type(entry[key]) is str and type(entry["trips"]) is list
-                       for entry in doc["sub"].values() for key in PACKED)
+            # per-pair fields as columns, a row per pair in key order: node and
+            # arc arrays packed whole, every other array a list
+            sub = doc["sub"]
+            assert sub["pairs"] == [f"{s}|{d}" for s, d in sorted(sol.sub)]
+            assert sorted(sub) == sorted(["pairs", "origin_counts", *PACKED, "origins", "trips",
+                                          "start_prob", "tau_converged", "tau_residual",
+                                          "tau_iterations"])
+            assert all(type(sub[key]) is str for key in PACKED)
+            assert sub["origin_counts"] == [len(sol.sub[key].origins) for key in sorted(sol.sub)]
+            assert len(sub["trips"]) == sum(sub["origin_counts"])
             assert type(doc["total_flow"]) is list
+
+    def test_solution_file_loads_back_bit_for_bit(self, tmp_path, lattice):
+        # single-OD solves in the per-pair layout, the lattice at rate 2 in
+        # the stratum layout; each pair's arrays load as views of its row
+        for inst in (gen_single_od(), lattice):
+            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
+            write_json(tmp_path / "solution.json", solution_to_dict(sol, inst.network))
+            got = read_solution(tmp_path / "solution.json", inst.network)
+            assert_same_solution(got, sol)
+            for key in ("tau", "entering_flow", "arc_flow", "arc_probs", "origins", "trips",
+                        "start_prob"):
+                bases = [getattr(sd, key).base for sd in got.sub.values()]
+                assert bases[0] is not None and all(b is bases[0] for b in bases), key
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("origins", -1, "node indices below 36"), ("trips", -1.0, "finite numbers >= 0"),
+        ("start_prob", 1.5, "numbers in [0, 1]")])
+    def test_bad_entry_of_a_column_names_its_pair(self, lattice, key, value, kind):
+        # the lattice's pairs have several origins each: an entry of a column
+        # of one per origin is named by the pair whose run holds it
+        sol = solve_equilibrium(lattice, rate_2(lattice), MEDIUM)
+        doc = solution_to_dict(sol, lattice.network)
+        sub = doc["sub"]
+        counts = sub["origin_counts"]
+        pair = counts.index(max(counts))
+        entry = sum(counts[:pair + 1]) - 1  # the pair's last origin
+        assert counts[pair] > 1 and entry != pair
+        sub[key][entry] = value
+        with pytest.raises(InstanceError, match=re.escape(
+                f"solution.sub.{sub['pairs'][pair]}.{key} must be {kind}, got {value!r}")):
+            solution_from_dict(doc, lattice.network)
 
 
 class TestDiagnostics:

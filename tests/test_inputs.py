@@ -11,6 +11,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from mteq import InstanceError, load_instance, save_instance
@@ -205,8 +206,9 @@ def test_grid_spec(tmp_path, capsys, key, value, name):
 KINDS = {"object": {"a": 1}, "list": [1], "string": "abc", "number": 5, "null": None}
 NAME_VALUES = {"list": [1], "object": {"a": 1}, "null": None, "fraction": 1.5}
 PAIR = "sub.high|3"  # a (stratum, destination) pair of the single-OD solution
-ARRAYS = ("total_flow", "response_flow", "price_rates",
-          *(f"{PAIR}.{key}" for key in ("origins", "trips", "start_prob")))
+ARRAYS = ("total_flow", "response_flow", "price_rates")
+ENDS = ("origins", "trips", "start_prob")  # a solution's columns of one entry per origin
+STATUS = ("tau_converged", "tau_residual", "tau_iterations")  # ... of one entry per pair
 # a valid simulation block of a single-OD detail file
 SIM = {**{key: {"high": 0.5, "mid": 0.5, "low": None}
           for key in ("trips_started", "mean_time", "primary_share")}, "truncated": 0}
@@ -236,10 +238,15 @@ SECTIONS = [
     ("spec", "", "object", "grid spec"),
     ("solution", "", "object", "solution"),
     ("solution", "sub", "object", "solution.sub"),
-    ("solution", PAIR, "object", f"solution.{PAIR}"),
+    # a pair given a value that is not its fields: its name in sub.pairs
+    ("solution", PAIR, "object", "solution.sub.pairs[0]"),
     *[("solution", key, "list", f"solution.{key}") for key in ("strata", "iteration_log")],
+    *[("solution", f"sub.{key}", "list", f"solution.sub.{key}")
+      for key in ("pairs", "origin_counts", *STATUS)],
     *[("solution", key, "array", f"solution.{key}") for key in ARRAYS],
-    *[("solution", f"{PAIR}.{key}", "packed", f"solution.{PAIR}.{key}") for key in PACKED],
+    # a field of the pair given a value of another kind: its column
+    *[("solution", f"{PAIR}.{key}", "array", f"solution.sub.{key}") for key in ENDS],
+    *[("solution", f"{PAIR}.{key}", "packed", f"solution.sub.{key}") for key in PACKED],
     ("manifest", "", "object", "manifest"),
     ("manifest", "scheme_ids", "list", "manifest.scheme_ids"),
     ("detail", "", "object", "result"),
@@ -267,10 +274,17 @@ VALUES = [
     ("solution", "strata", [[1]], "solution.strata[0]"),
     *[("solution", f"{PAIR}.origins", value, f"solution.{PAIR}.origins")
       for value in ([1.5], [-1], [99], [True], ["0"])],
-    ("solution", "sub.nope", {}, "solution.sub.nope"),
+    ("solution", "sub.nope", {}, "solution.sub.pairs[0]: 'nope'"),  # a pair not solved for
     *[("solution", "schema_version", value, f"solution schema version {value!r}")
       for value in (True, 3.0)],  # True == 1 and 3.0 == 3 in Python, not in the schema
-    ("solution", "sub.high|99", {}, "solution.sub.high|99"),
+    ("solution", "sub.high|99", {}, "solution.sub.pairs[0]: 'high|99'"),
+    ("solution", "sub.pairs.1", "high|3", "solution.sub.pairs[1]: 'high|3'"),  # listed twice
+    # each pair's count of origins: whole numbers >= 0 that add up to the
+    # length of the columns of one entry per origin
+    *[("solution", "sub.origin_counts.0", value, "solution.sub.origin_counts must be whole")
+      for value in (-1, 1.5, True, "1")],
+    ("solution", "sub.origin_counts.0", 2, "solution.sub.origins must be a list of 4"),
+    ("solution", "sub.tau_residual", [0.0], "solution.sub.tau_residual must be a list of 3"),
     # status fields: flags true or false, counts and residuals numbers >= 0,
     # each iteration log entry an object with both fields
     *[("solution", key, value, f"solution.{key}")
@@ -297,6 +311,12 @@ VALUES = [
       for key in ("start_prob", "arc_probs") for value in (-0.5, 1.5, math.nan)],
     *[("solution", f"{PAIR}.tau.0", value, f"solution.{PAIR}.tau")
       for value in (math.inf, -math.inf, math.nan)],
+    # a bad value of a later pair's row names that pair
+    *[("solution", f"sub.{pair}.{key}.{index}", -1.0, f"solution.sub.{pair}.{key}")
+      for pair, key, index in (("mid|3", "trips", 0), ("low|3", "entering_flow", 2),
+                               ("mid|3", "arc_probs", 5))],
+    ("solution", "sub.low|3.tau_iterations", -1, "solution.sub.low|3.tau_iterations"),
+    ("solution", "sub.mid|3.origins", [7], "solution.sub.mid|3.origins"),
     *[("solution", path, value, f"solution.{path.split('.')[0]}")
       for path in ("total_flow.0", "response_flow.0", "price_rates.0.0")
       for value in (-1.0, math.inf, math.nan)],
@@ -393,31 +413,61 @@ def _shape_argv(file, tmp_path, single_od, results):
             sweep / "frontier_total_welfare_welfare_low.csv")
 
 
+def set_solution_field(doc: dict, steps: tuple, value) -> dict:
+    """``doc``, a solution, with a field set as set_field sets it.  Steps
+    ("sub", pair, ...) name a place of the pair's own, in sub's columns of
+    one row per pair: ("sub", pair) is the pair's name in ``pairs`` (a pair
+    the solution lacks renames the first); ("sub", pair, key) the pair's
+    entry of a status column, its run of a column of one entry per origin
+    when ``value`` is a list, and otherwise the column whole; ("sub", pair,
+    key, i) the pair's i-th value of the column."""
+    sub = doc["sub"]
+    if steps[:1] != ("sub",) or len(steps) < 2 or steps[1] in sub:
+        return set_field(doc, steps, value)
+    pairs, counts = sub["pairs"], sub["origin_counts"]
+    row = pairs.index(steps[1]) if steps[1] in pairs else 0
+    if len(steps) == 2:
+        pairs[row] = value if steps[1] in pairs else steps[1]
+        return doc
+    key, *index = steps[2:]
+    first = row * len(unpack(sub[key])) // len(pairs) if key in PACKED else sum(counts[:row])
+    if index:
+        return set_field(doc, ("sub", key, first + index[0]), value)
+    if key in STATUS:
+        sub[key][row] = value
+    elif key in ENDS and type(value) is list:
+        sub[key][first:first + counts[row]] = value
+    else:
+        sub[key] = value
+    return doc
+
+
 @pytest.mark.parametrize("file, path, value, name", _shape_cases())
 def test_document_shape(tmp_path, capsys, single_od, results, file, path, value, name):
     doc, where, argv, out = _shape_argv(file, tmp_path, single_od, results)
     steps = tuple(int(step) if step.isdigit() else step for step in path.split(".")) if path else ()
-    where.write_text(json.dumps(set_field(doc, steps, value) if steps else value))
+    change = set_solution_field if file == "solution" else set_field
+    where.write_text(json.dumps(change(doc, steps, value) if steps else value))
     assert_rejected(argv, name, out, capsys, file=where)
 
 
 @pytest.mark.parametrize("change", ["list", "not-base64", "stray-character", "short"])
 @pytest.mark.parametrize("key", PACKED)
 def test_packed_array(tmp_path, capsys, single_od, key, change):
-    """A solution stores each pair's tau, entering_flow and arc_probs
-    packed: a list in place of a packed array (even of the right length),
-    text that is not strict base64 or the bytes of one value fewer exits 1
-    naming the field."""
+    """A solution stores the tau, entering_flow and arc_probs of every pair
+    packed, a column of one row per pair: a list in place of a packed column
+    (even of the right length), text that is not strict base64 or the bytes
+    of one value fewer exits 1 naming the column."""
     doc = json.loads(single_od["sol"].read_text())
-    entry = doc["sub"][PAIR.split(".", 1)[1]]
-    values = unpack(entry[key])
+    sub = doc["sub"]
+    values = unpack(sub[key])
     text = pack(values)
-    entry[key] = {"list": values.tolist(), "not-base64": "not base64",
-                  "stray-character": text[:8] + "!" + text[8:], "short": pack(values[:-1])}[change]
+    sub[key] = {"list": values.tolist(), "not-base64": "not base64",
+                "stray-character": text[:8] + "!" + text[8:], "short": pack(values[:-1])}[change]
     path, out = tmp_path / "solution.json", tmp_path / "out"
     path.write_text(json.dumps(doc))
     assert_rejected(["simulate", "--instance", single_od["inst"], "--solution", path,
-                     "--out", out], f"solution.{PAIR}.{key}", out, capsys, file=path)
+                     "--out", out], f"solution.sub.{key} must be", out, capsys, file=path)
 
 
 # (id, the command given the paths of the single-OD files, the name the error
@@ -505,13 +555,26 @@ def test_solution_of_another_stratum_order(tmp_path, capsys, single_od):
                     capsys, file=solution)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+def per_pair_layout(sub: dict) -> dict:
+    """The ``sub`` of a schema-5 solution in the layout of schemas 1-4: an
+    object of each pair's own fields under its name, arrays packed."""
+    k, ends = len(sub["pairs"]), np.cumsum([0] + sub["origin_counts"]).tolist()
+    return {pair: {**{key: pack(unpack(sub[key]).reshape(k, -1)[i]) for key in PACKED},
+                   **{key: sub[key][ends[i]:ends[i + 1]] for key in ENDS},
+                   **{key: sub[key][i] for key in STATUS}}
+            for i, pair in enumerate(sub["pairs"])}
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_solution_of_an_older_schema_is_refused(tmp_path, capsys, single_od, version):
     # only the current schema is read: an older file, here the current one
-    # with its strata sorted as schemas 1-3 listed them (and its per-pair
-    # arrays as lists before schema 3), is solved again, never misread
+    # with an object per pair (schemas 1-4), its strata sorted as schemas
+    # 1-3 listed them and its per-pair arrays lists before schema 3, is
+    # solved again, never misread
     doc = json.loads(single_od["sol"].read_text())
-    doc.update(schema_version=version, strata=sorted(doc["strata"]))
+    doc.update(schema_version=version, sub=per_pair_layout(doc["sub"]))
+    if version < 4:
+        doc["strata"] = sorted(doc["strata"])
     if version < 3:
         for entry in doc["sub"].values():
             entry.update({key: unpack(entry[key]).tolist() for key in PACKED})

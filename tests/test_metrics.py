@@ -1,7 +1,9 @@
 import json
 import math
+import operator
 import re
 from dataclasses import fields, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from mteq import (
     solve_equilibrium,
 )
 from mteq.equilibrium import solution_from_dict, solution_to_dict
-from mteq.metrics import _segment_cumsum
+from mteq.metrics import SimulationReport, _segment_cumsum
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -305,14 +307,14 @@ def reversed_strata_case():
 
 @pytest.mark.parametrize("entry", ["all_trip_stats", "compute_metrics", "simulate_trips",
                                    "equilibrium_residuals"])
-@pytest.mark.parametrize("source", ["solved", "schema_4_file"])
+@pytest.mark.parametrize("source", ["solved", "file"])
 def test_price_rows_of_another_stratum_order_are_refused(entry, source):
     # the rows of price_rates are high, mid, low; read by the reversed
     # instance's order, high would pay low's toll (an expected 78.24)
     inst, sol, flipped = reversed_strata_case()
-    if source == "schema_4_file":
+    if source == "file":
         doc = json.loads(json.dumps(solution_to_dict(sol, inst.network)))
-        assert doc["schema_version"] == 4 and doc["strata"] == ["high", "mid", "low"]
+        assert doc["schema_version"] == 5 and doc["strata"] == ["high", "mid", "low"]
         sol = solution_from_dict(doc, inst.network)
     assert all_trip_stats(inst, sol)[("high", "0", "3")].money == 0.0
     call = {"all_trip_stats": lambda: all_trip_stats(flipped, sol),
@@ -564,15 +566,73 @@ class TestSimulation:
         for s in inst.stratum_names:
             mine = rep.by_stratum(s)
             done = [t for t in mine if t.started and not t.truncated]
-            dist = sum(t.distance for t in done)
-            time = sum(t.time for t in done)
+            # left to right: sum() of floats is compensated from Python 3.12 on
+            dist = reduce(operator.add, [t.distance for t in done])
+            time = reduce(operator.add, [t.time for t in done])
             assert summary[s] == {
                 "trips": len(mine),
                 "started_proportion": sum(t.started for t in mine) / len(mine),
                 "mean_time": float(np.mean([t.time for t in done])),
-                "primary_share": sum(t.primary_distance for t in done) / dist,
+                "primary_share": reduce(operator.add, [t.primary_distance for t in done]) / dist,
                 "avg_speed": dist / time,
             }
+
+    def test_summary_sums_left_to_right(self):
+        # 1.0 then a thousand 1e-16: added one at a time, each 1e-16 is lost
+        # next to 1.0, while a pairwise or compensated sum (np.sum, math.fsum,
+        # sum() from Python 3.12 on) keeps them
+        n = 1001
+        dist, primary = [1.0] + [1e-16] * 1000, [0.5] + [1e-16] * 1000
+        time = [1.0] * n
+        rep = SimulationReport(
+            seed=0, runs_per_unit=1, step_cap=4, stratum_names=["s"], node_ids=["0", "1"],
+            stratum=np.zeros(n, dtype=np.int64), origin=np.zeros(n, dtype=np.int64),
+            destination=np.ones(n, dtype=np.int64), started=np.ones(n, dtype=bool),
+            time=np.array(time), money=np.zeros(n), distance=np.array(dist),
+            primary_distance=np.array(primary), truncated=np.zeros(n, dtype=bool))
+        got = rep.summary(["s"])["s"]
+        left = {name: reduce(operator.add, xs) for name, xs in
+                (("dist", dist), ("primary", primary), ("time", time))}
+        assert left["dist"] == 1.0 < math.fsum(dist) and left["primary"] != math.fsum(primary)
+        assert got["avg_speed"] == left["dist"] / left["time"] != math.fsum(dist) / n
+        assert got["primary_share"] == left["primary"] / left["dist"]
+        assert got["primary_share"] != math.fsum(primary) / math.fsum(dist)
+
+    @pytest.mark.parametrize("case", ["grid6", "long_walks", "no_runs", "never_starts"])
+    def test_walk_does_not_depend_on_the_buffer_size(self, grid6_solved, case, monkeypatch):
+        # a stream's first draw holds its start uniforms, then a walk buffer of
+        # _UNIFORMS_PER_WALKER uniforms per trip; a refill moves what is unread
+        # to the buffer's front.  A buffer of 1 refills at almost every step,
+        # one of 64 almost never, and every trip reads the same uniforms
+        if case in ("grid6", "never_starts"):
+            inst, sol = grid6_solved
+            kw = dict(runs_per_unit=2, seed=17)
+            if case == "never_starts":  # the first pair's walk buffer is drawn, never read
+                sub, first = dict(sol.sub), sorted(sol.sub)[0]
+                sub[first] = replace(sub[first], start_prob=np.zeros_like(sub[first].start_prob))
+                sol = replace(sol, sub=sub)
+        else:  # walks of 2 to ~20 steps outrun the default buffer
+            inst = bouncing_instance()
+            sol, _ = solved(inst)
+            kw = dict(runs_per_unit=50 if case == "long_walks" else 0, seed=19)
+
+        def simulate(size):
+            monkeypatch.setattr("mteq.metrics._UNIFORMS_PER_WALKER", size)
+            return simulate_trips(inst, sol, keep_paths=True, **kw)
+
+        want = simulate(4)
+        columns = [f.name for f in fields(want) if isinstance(getattr(want, f.name), np.ndarray)]
+        for size in (1, 64):
+            got = simulate(size)
+            assert all(getattr(got, c).tolist() == getattr(want, c).tolist() for c in columns)
+            assert got.paths == want.paths
+        if case == "no_runs":
+            assert len(want.started) == 0
+        elif case == "never_starts":
+            first = (want.stratum == want.stratum[0]) & (want.destination == want.destination[0])
+            assert first.any() and not want.started[first].any() and want.started.any()
+        elif case == "long_walks":
+            assert max(len(path) for path in want.paths) > 4
 
     def test_pair_streams_are_independent(self, grid6_solved):
         # every (stratum, origin, destination) owns its substream, so removing
