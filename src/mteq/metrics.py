@@ -12,6 +12,7 @@ cross-check and the source of trajectory-level output.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -392,6 +393,52 @@ class SimulationReport:
 # Uniforms buffered per walking trip between refills of its substream.
 _UNIFORMS_PER_WALKER = 4
 
+def _substream_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """(K, 4) uint64: row j is ``SeedSequence(entropy=seed, spawn_key=keys[j])
+    .generate_state(4, np.uint64)`` for the (K, 3) int ``keys``, every row
+    hashed at once in uint32 arithmetic with NumPy's constants (NEP 19) and
+    pool of 4 words.  The seed's 32-bit words, least significant first, are
+    zero-padded to the pool; a key component must fit one word, as
+    SeedSequence would split a larger one."""
+    if (keys >= 2**32).any():
+        raise ValueError(f"substream key components must be below 2**32, got {keys.max()}")
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.uint32([w]) for w in words + [0] * (4 - len(words))] + [*keys.T.astype("u4")]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):  # MULT_A; generate_state passes MULT_B
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        value = value * np.uint32(hash_const)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # the seed's words past the pool, then the key's
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD  # generate_state: 8 words from the pool, paired little-endian
+    state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SubstreamSeed(np.random.bit_generator.ISeedSequence):
+    """One row of _substream_states, the seed sequence of one PCG64."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a substream seed holds only PCG64's 4 uint64 words")
+        return self.state
+
 
 def simulate_trips(instance: Instance, solution: EquilibriumSolution,
                    runs_per_unit: int = 10, seed: int = 0,
@@ -403,10 +450,12 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     Bernoulli start decision against the outside option, then a random walk
     over outgoing arcs until the destination absorbs the trip or the step
     cap trips the truncation flag (truncated trips are counted, never
-    dropped).  Each (stratum, origin, destination) draws from one substream
-    keyed by (seed, stratum, origin, destination): first the start uniforms
-    of all its replicates, then one uniform per step for each of its
-    started trips still walking, in trip order.
+    dropped).  Each (stratum, origin, destination) draws from one PCG64
+    substream seeded as ``SeedSequence(entropy=seed, spawn_key=(stratum,
+    origin, destination))`` would seed it, every substream's state hashed
+    in one vectorized pass (_substream_states): first the start uniforms of
+    all its replicates, then one uniform per step for each of its started
+    trips still walking, in trip order.
 
     Every started trip of the solution walks in one lockstep loop over the
     pairs' stacked cumulative choice tables: at node ``i`` of its pair a
@@ -431,15 +480,16 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     keys = sorted(solution.sub)
 
     # one substream per (stratum, origin, destination), in trip order
-    rngs, streams = [], []
+    streams = []
     for p, (s_name, d_id) in enumerate(keys):
         sd = solution.sub[(s_name, d_id)]
         s, d = instance.stratum_names.index(s_name), net.node_index[d_id]
         for o, trips in zip(sd.origins.tolist(), sd.trips.tolist()):
-            rngs.append(np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(s, o, d))))
             streams.append((s, o, d, p * n, s * m, int(round(trips)) * runs_per_unit))
-    stratum, origin, dest, row, wrow, units = np.array(streams, dtype=np.int64).reshape(-1, 6).T
+    streams = np.array(streams, dtype=np.int64).reshape(-1, 6)
+    rngs = [np.random.Generator(np.random.PCG64(_SubstreamSeed(state)))
+            for state in _substream_states(seed, streams[:, :3])]
+    stratum, origin, dest, row, wrow, units = streams.T
     trip_stream = np.repeat(np.arange(len(rngs)), units)
 
     # stream g's first draw fills buf[lo[g] - units[g]:hi[g]]: a start uniform
@@ -478,17 +528,20 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     acc = np.zeros((live.size, 4))
     totals = np.zeros((len(started), 4))  # per trip: time, money, distance, primary
     walkers, arcs = [live[:0]], [live[:0]]
+    edges = np.arange(len(rngs) + 1)
     for _ in range(step_cap):
         if not live.size:
             break
-        count = np.bincount(stream, minlength=len(rngs))
+        # live walkers stay sorted by stream: stream g's are begin[g]:begin[g + 1]
+        begin = stream.searchsorted(edges)
+        count = np.diff(begin)
         for g in np.flatnonzero(at + count > hi).tolist():  # unread to the front, refill
             first, last, read = starts[g], ends[g], int(at[g])
             buf[first:first + last - read] = buf[read:last]
             rngs[g].random(out=buf[first + last - read:last])
             at[g] = first
-        # live walkers are grouped by stream: the j-th of a stream reads at[g] + j
-        r = buf.take((at - (np.cumsum(count) - count)).take(stream) + np.arange(live.size))
+        # the j-th walker of stream g reads at[g] + j
+        r = buf.take((at - begin[:-1]).take(stream) + np.arange(live.size))
         at += count
         state = row.take(stream) + node
         k = np.zeros(live.size, dtype=np.intp)
@@ -502,9 +555,10 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
         node = net.head.take(a)
         moving = node != dest.take(stream)
         if not moving.all():
-            totals[live[~moving]] = acc[~moving]
-            live, node, stream, acc = (x.compress(moving, axis=0)
-                                       for x in (live, node, stream, acc))
+            done = np.flatnonzero(~moving)
+            totals[live.take(done)] = acc.take(done, axis=0)
+            keep = np.flatnonzero(moving)
+            live, node, stream, acc = (x.take(keep, axis=0) for x in (live, node, stream, acc))
     totals[live] = acc
     truncated = np.zeros(len(started), dtype=bool)
     truncated[live] = True

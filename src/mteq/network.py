@@ -51,10 +51,13 @@ def check_number(name: str, value, low=None, *, strict: bool = True,
     number, numeric strings included (CSV cells arrive as strings), above
     ``low`` (at least ``low`` unless ``strict``) and whole when ``integer``;
     otherwise raises InstanceError naming ``name`` and the value."""
-    try:  # an int stays exact at any size
-        number = value if integer and type(value) is int else float(value)
+    try:  # an int, or a string of its digits, stays exact at any size
+        number = int(value) if integer and type(value) in (int, str) else float(value)
     except (TypeError, ValueError, OverflowError):
-        number = math.nan
+        try:  # a string such as "1e3" or "2.0"
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
     if number - number != 0 or type(value) is bool:  # NaN, infinite or not a number
         problem = "a finite number"
     elif low is not None and not (number > low or (not strict and number == low)):

@@ -318,6 +318,21 @@ class TestSweepParetoSimulate:
         for fname in ("simulation.json", "trips.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_simulate_wide_seed_is_read_exactly(self, tmp_path):
+        # 2**64 + 5 is past a float's 53 bits: its digits are read as an int,
+        # so it neither rounds to 2**64 nor draws 2**64's trips
+        ipath = write_two_route(tmp_path)
+        solution = solve_two_route(tmp_path, ipath)
+        trips = {}
+        for seed in (2**64, 2**64 + 5):
+            out = tmp_path / str(seed)
+            assert run(["simulate", "--instance", str(ipath), "--solution", str(solution),
+                        "--runs", "5", "--seed", str(seed), "--out", str(out),
+                        "--keep-paths"]) == 0
+            assert json.loads((out / "simulation.json").read_text())["seed"] == seed
+            trips[seed] = (out / "trips.json").read_bytes()
+        assert trips[2**64] != trips[2**64 + 5]
+
     def test_simulate_unknown_schema_version_is_usage_error(self, tmp_path, capsys):
         ipath = write_two_route(tmp_path)
         solution = solve_two_route(tmp_path, ipath)

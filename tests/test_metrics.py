@@ -22,7 +22,8 @@ from mteq import (
     solve_equilibrium,
 )
 from mteq.equilibrium import solution_from_dict, solution_to_dict
-from mteq.metrics import SimulationReport, _segment_cumsum
+from mteq.metrics import (SimulationReport, _segment_cumsum, _substream_states,
+                          _SubstreamSeed)
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -686,14 +687,15 @@ class TestSimulation:
         used = {a for t in rep.trips for a in t.arcs}
         assert used and not used & zeroed
 
-    @pytest.mark.parametrize("case", ["grid6_seed_31", "grid6_seed_32", "truncating",
-                                      "long_walks", "outside_option"])
+    @pytest.mark.parametrize("case", ["grid6_seed_31", "grid6_seed_32", "grid6_seed_wide",
+                                      "truncating", "long_walks", "outside_option"])
     def test_columns_match_the_per_origin_reference(self, grid6_solved, case):
         # the lockstep walk over all trips reads each substream exactly as a
-        # walk of one (stratum, origin, destination) at a time does
+        # walk of one (stratum, origin, destination) at a time does, from
+        # NumPy's own SeedSequence; the wide seed spans three 32-bit words
         if case.startswith("grid6"):
             inst, sol = grid6_solved
-            kw = dict(runs_per_unit=2, seed=int(case[-2:]))
+            kw = dict(runs_per_unit=2, seed=2**64 + 5 if case.endswith("wide") else int(case[-2:]))
             if case.endswith("32"):  # a toll rate per stratum, so money tells strata apart
                 scale = np.arange(1.0, len(inst.strata) + 1)[:, None]
                 sol = replace(sol, price_rates=sol.price_rates * scale)
@@ -726,6 +728,28 @@ class TestSimulation:
         if case == "outside_option":  # unstarted trips sit between started ones
             assert any(a and not b for a, b in zip(started, started[1:]))
             assert any(b and not a for a, b in zip(started, started[1:]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+    def test_substream_states_match_seed_sequence(self, seed):
+        # keys with zeros, grid10's largest node index (99) and the largest
+        # one-word component; 2**130 + 3 has more words than the pool
+        keys = np.array([[0, 0, 0], [2, 99, 99], [1, 0, 99], [0, 57, 3], [2**32 - 1, 2**31, 1]])
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(4, np.uint64)
+                for key in keys.tolist()]
+        got = _substream_states(seed, keys)
+        assert got.dtype == np.uint64 and got.tolist() == np.array(want).tolist()
+        rng = np.random.Generator(np.random.PCG64(_SubstreamSeed(got[1])))
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2, 99, 99)))
+        assert rng.random(8).tolist() == ref.random(8).tolist()
+
+    def test_substream_seed_refuses_what_it_cannot_give(self):
+        # SeedSequence would read a component >= 2**32 as several words
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            _substream_states(0, np.array([[0, 2**32, 1]]))
+        seed = _SubstreamSeed(_substream_states(0, np.zeros((1, 3), dtype=int))[0])
+        for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                seed.generate_state(n_words, dtype)
 
     def test_lockstep_walk_matches_scalar_searchsorted(self, grid6_solved):
         # reference: the same substream replayed one trip at a time with
