@@ -22,7 +22,7 @@ from mteq import (
 )
 
 instance = gen_single_od()
-options = SolverOptions(inner_tol=1e-9, outer_tol=1e-5, outer_max_iters=3000)
+options = SolverOptions(outer_tol=1e-5, outer_max_iters=3000)
 
 print("network:", instance.network.n_nodes, "nodes,",
       instance.network.n_arcs, "arcs,",

@@ -25,7 +25,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     instance = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
 
-options = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=2000)
+options = SolverOptions(outer_tol=1e-4, outer_max_iters=2000)
 net = instance.network
 print(f"lattice: {net.n_nodes} nodes, {net.n_arcs} arcs "
       f"({int(net.is_primary.sum())} primary), "

@@ -25,7 +25,7 @@ from mteq import (
 )
 
 instance = gen_single_od()
-solver = SolverOptions(inner_tol=1e-9, outer_tol=1e-5, outer_max_iters=3000)
+solver = SolverOptions(outer_tol=1e-5, outer_max_iters=3000)
 
 grids = {
     "uniform": PriceGrid(family="uniform", lo=0, hi=1, step=0.125),

@@ -28,7 +28,7 @@ from mteq import (
 from mteq.metrics import all_trip_stats
 
 instance = gen_single_od()
-options = SolverOptions(inner_tol=1e-9, outer_tol=1e-6, outer_max_iters=3000)
+options = SolverOptions(outer_tol=1e-6, outer_max_iters=3000)
 prices = expand_scheme(SchemeSpec(family="uniform", rate=0.5), instance)
 solution = solve_equilibrium(instance, prices, options)
 stats = all_trip_stats(instance, solution)
@@ -41,7 +41,7 @@ def time_sd(stratum, destination="3", origin="0"):
     second moment S solve T_i = sum_a P_ia (t_a + T_head) and
     S_i = sum_a P_ia (t_a^2 + 2 t_a T_head + S_head), both 0 at the
     destination; four nodes make them small dense systems."""
-    sd = solution.subsolution(stratum, destination)
+    sd = solution.sub[(stratum, destination)]
     d, o = net.node_index[destination], net.node_index[origin]
     live, t = net.tail != d, solution.arc_time
     chain = np.eye(net.n_nodes)  # I - P, the destination absorbing

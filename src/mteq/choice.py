@@ -37,19 +37,19 @@ def logit_nodes(z: np.ndarray, beta, out_start: np.ndarray):
     return -log_denom / beta, e / np.repeat(s, reps, axis=-1), log_denom
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def phi_nodes(z: np.ndarray, beta_t: float, out_start: np.ndarray) -> np.ndarray:
     """Expected minimum cost per node."""
     return logit_nodes(z, beta_t, out_start)[0]
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def probs_nodes(z: np.ndarray, beta_t: float, out_start: np.ndarray) -> np.ndarray:
     """Per-arc choice probability at the arc's tail node; sums to 1 per node."""
     return logit_nodes(z, beta_t, out_start)[1]
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def log_denominator_nodes(z: np.ndarray, beta_t: float,
                           out_start: np.ndarray) -> np.ndarray:
     """log sum exp(-beta_t * z) per node; the driving side of the start logit."""

@@ -68,8 +68,7 @@ def _scheme_from_args(args) -> SchemeSpec:
 
 
 def _solver_from_args(args, base: SolverOptions) -> SolverOptions:
-    flags = {"inner_tol": args.tol_inner, "outer_tol": args.tol_outer,
-             "outer_max_iters": args.max_outer}
+    flags = {"outer_tol": args.tol_outer, "outer_max_iters": args.max_outer}
     return replace(base, **{key: value for key, value in flags.items() if value is not None})
 
 
@@ -217,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--areas", default="2x2", help="area grid RxC for --scheme area")
     sv.add_argument("--out", default="solve_out")
     sv.add_argument("--seed", help="ignored: solving draws no random numbers")
-    sv.add_argument("--tol-inner", dest="tol_inner")
     sv.add_argument("--tol-outer", dest="tol_outer")
-    # kept: perfbench/workloads.py passes it; see ROADMAP item 1
-    sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")
     sv.add_argument("--max-outer", dest="max_outer")
+    # kept: perfbench/workloads.py passes them; see ROADMAP "The benchmark reads the program"
+    sv.add_argument("--tol-inner", help="ignored: expected costs meet a fixed tolerance")
+    sv.add_argument("--max-inner", help="ignored: expected costs need no iteration cap")
     sv.add_argument("--verbose", action="store_true",
                     help="stream iteration log as JSON lines on stderr")
     sv.set_defaults(fn=_cmd_solve)

@@ -22,7 +22,8 @@ free-flow bounds come from one call per solve, made only if some pair needs
 them, and the pass's own shortest costs only for a pair whose answer leaves
 range under them.
 ``solve_tau`` and ``flows_for_destination``, the one-pair case, are kept
-only for the benchmark's tracer (ROADMAP item 1): nothing here calls them.
+only for the benchmark's tracer (ROADMAP, "The benchmark reads the program"):
+nothing here calls them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
 from scipy.sparse.linalg import splu, spsolve  # noqa: F401
 
 from . import choice
@@ -52,31 +53,32 @@ class SolverError(RuntimeError):
     """Numerical failure inside a subproblem (singular routing system)."""
 
 
+TAU_TOLERANCE = 1e-10
+"""Hours: the fixed-point residual that certifies a pair's expected costs
+(``TauResult.converged``, ``tau_converged``).  A larger residual refines the
+solve once with the same factors, and a stratum stack that keeps one is
+routed per pair in that pass: either can move the solution by rounding.
+The exact solve leaves residuals of order 1e-14 hours, far below it."""
+
+
 @dataclass
 class SolverOptions:
-    """Tolerances and the outer iteration cap.
-
-    Expected costs are an exact linear solve, certified by a fixed-point
-    residual of at most ``inner_tol`` (``TauResult.converged``).  A larger
-    residual refines the solve once with the same factors, and a stratum
-    stack that keeps one is routed per pair in that pass: either can move
-    the solution by rounding.  The outer loop stops once the sup-norm gap
-    between the flow iterate and its response is at most ``outer_tol``, or
-    after ``outer_max_iters`` routing passes.
+    """The outer loop's tolerance and iteration cap: it stops once the
+    sup-norm gap between the flow iterate and its response is at most
+    ``outer_tol``, or after ``outer_max_iters`` routing passes.  Expected
+    costs are an exact linear solve, certified against TAU_TOLERANCE.
     """
 
-    inner_tol: float = 1e-1
     outer_tol: float = 10.0
     outer_max_iters: int = 10
 
     def __post_init__(self):
-        self.inner_tol = check_number("solver.inner_tol", self.inner_tol, 0)
         self.outer_tol = check_number("solver.outer_tol", self.outer_tol, 0)
         self.outer_max_iters = check_number("solver.outer_max_iters", self.outer_max_iters, 1,
                                             strict=False, integer=True)
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 @dataclass
 class TauResult:
     tau: np.ndarray
@@ -102,9 +104,6 @@ class StratumDestinationSolution:
     tau_residual: float
     tau_iterations: int
 
-    def started_demand(self) -> float:
-        return float(np.sum(self.trips * self.start_prob))
-
 
 @dataclass
 class EquilibriumSolution:
@@ -129,9 +128,6 @@ class EquilibriumSolution:
     outer_residual: float
     iteration_log: list = field(default_factory=list)
 
-    def subsolution(self, stratum: str, destination: str) -> StratumDestinationSolution:
-        return self.sub[(stratum, destination)]
-
     def check_strata(self, names, where: str = "solution") -> None:
         """Raise InstanceError, prefixed with ``where``, naming the strata of
         the solution that the instance's ``names`` lack, or else the strata
@@ -151,23 +147,22 @@ class EquilibriumSolution:
                                 f"{list(self.stratum_flow)}, the instance lists {list(names)}")
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: float,
-              tau_init: np.ndarray, options: SolverOptions) -> TauResult:
+              tau_init: np.ndarray) -> TauResult:
     """Expected optimal costs of one (cost row, destination) pair: the
     _expected_costs of one row, scaled by ``tau_init``.  ``converged`` means
     the fixed-point residual, certified after at most one refinement, is at
-    most ``inner_tol``; ``iterations`` counts the solves.  FeasibilityError
+    most TAU_TOLERANCE; ``iterations`` counts the solves.  FeasibilityError
     when the expected costs are unbounded (_expected_costs' ``low``)."""
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
     tau, residual, _probs, _log_denom, solves, low, _through = _expected_costs(
-        network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None],
-        options.inner_tol)
+        network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None], TAU_TOLERANCE)
     if not low[0] >= X_MIN:
         raise FeasibilityError(_UNBOUNDED)
-    return TauResult(tau=tau[0], converged=bool(residual[0] <= options.inner_tol),
+    return TauResult(tau=tau[0], converged=bool(residual[0] <= TAU_TOLERANCE),
                      iterations=int(solves[0]), residual=float(residual[0]))
 
 
@@ -272,7 +267,7 @@ class _StackLU:
 
 
 def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_ref, inner_tol: float, block=None, weights=None):
+                    tau_ref, tol: float, block=None, weights=None):
     """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
     destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
     (k, m), ``beta`` a scalar or (k, 1) column.  The recursion tau =
@@ -291,7 +286,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     positive (every node reaching d) exactly when W_d, exp(-beta * costs)
     with the row of d zeroed, has spectral radius >= 1.  A singular stack
     raises FeasibilityError.
-    A usable pair whose residual is above ``inner_tol`` is refined once with
+    A usable pair whose residual is above ``tol`` hours is refined once with
     the same factors; the other pairs keep their first X.  With _StackLU's
     blocks independent, no pair's bits depend on its stack-mates.  Returns
     tau (k, n), the per-pair fixed-point residual, the logit probabilities
@@ -317,7 +312,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
 
     X = stack.reach()
     low, usable, tau, residual, probs, log_denom = certify(X)
-    refine = usable & ~(residual <= inner_tol)
+    refine = usable & ~(residual <= tol)
     if refine.any():  # refine (I - W_d) X = e_d once in those pairs
         X[refine] += stack.solve(stack.residual(X))[refine]
         low, usable, tau, residual, probs, log_denom = certify(X, low)
@@ -336,7 +331,7 @@ def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     return np.max(np.abs(phi - tau), axis=1), probs, log_denom
 
 
-# kept: perfbench/tracing.py wraps it by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
                           beta_t: float, origins: np.ndarray, trips: np.ndarray,
                           outside_cost: np.ndarray, beta_t_out: float,
@@ -492,7 +487,7 @@ class _RoutingPlan:
     destination in the stack's j-th right-hand-side column.  It needs no
     bound: a block is tried and its answer accepted when every pair is
     usable (beta_t * max tau <= STRATUM_RANGE), keeps a fixed-point residual
-    of at most ``inner_tol`` and passes the routing checks.  A block whose
+    of at most TAU_TOLERANCE and passes the routing checks.  A block whose
     X is finite and nonnegative but below X_MIN takes the per-pair layout
     for the rest of the solve (``per_pair``, one flag per (scheme,
     stratum)); one that fails otherwise falls back in that pass only.  The
@@ -576,7 +571,7 @@ class _RoutingPlan:
         offset = self.bounds[pairs] - (np.cumsum(counts) - counts)
         return np.arange(len(owner)) + offset[owner], owner
 
-    def route(self, arc_time: np.ndarray, inner_tol: float, active=None):
+    def route(self, arc_time: np.ndarray, active=None):
         """One routing pass at fixed arc times, (schemes, n_arcs), of the
         schemes ``active`` (a boolean mask; None routes every scheme): one
         LU per stack of the stratum layout, then of the per-pair layout,
@@ -598,7 +593,7 @@ class _RoutingPlan:
             try:
                 tau, residual, probs, log_denom, solves, low, through = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
-                    inner_tol, block, weights)
+                    TAU_TOLERANCE, block, weights)
             except FeasibilityError:
                 if block is None:
                     raise
@@ -606,7 +601,7 @@ class _RoutingPlan:
             ok, trips = low >= X_MIN, self.trips[o]
             if block is not None:  # a stratum passes when each of its pairs passes every check
                 self.per_pair[self.stratum[pairs[(low >= 0.0) & ~ok]]] = True
-                ok &= residual <= inner_tol
+                ok &= residual <= TAU_TOLERANCE
             if not ok.all():
                 if final:
                     raise FeasibilityError(_UNBOUNDED)
@@ -669,7 +664,7 @@ class _RoutingPlan:
             return np.zeros(self.network.n_arcs)
         return result.v[scheme * self.pairs:(scheme + 1) * self.pairs].sum(axis=0)
 
-    def subsolutions(self, result, inner_tol: float, scheme: int) -> dict:
+    def subsolutions(self, result, scheme: int) -> dict:
         """The per-pair StratumDestinationSolution views of one scheme's pairs in a pass."""
         if result is None:
             return {}
@@ -687,7 +682,7 @@ class _RoutingPlan:
                 origins=self.origins[lo:hi],
                 trips=self.trips[lo:hi],
                 start_prob=result.start_prob[lo:hi],
-                tau_converged=bool(result.residual[p] <= inner_tol),
+                tau_converged=bool(result.residual[p] <= TAU_TOLERANCE),
                 tau_residual=float(result.residual[p]),
                 tau_iterations=int(result.solves[p]),
             )
@@ -799,7 +794,7 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             active[live] = True
         for s in live:
             last[s] = None
-        result = plan.route(net.latency_all(np.array(flows)), opts.inner_tol, active)
+        result = plan.route(net.latency_all(np.array(flows)), active)
         for s in list(live):
             response, f = plan.response(result, s), flows[s]
             if not np.all(np.isfinite(response)):
@@ -821,7 +816,7 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
 
     solutions = []
     for s, (result, response, gap) in enumerate(last):
-        sub = plan.subsolutions(result, opts.inner_tol, s)
+        sub = plan.subsolutions(result, s)
         solutions.append(EquilibriumSolution(
             total_flow=flows[s],
             arc_time=net.latency_all(flows[s]),

@@ -116,13 +116,9 @@ class OutsideOption:
             object.__setattr__(self, "times", _checked_od_table("times", self.times))
 
     def ticket_for(self, origin: str, destination: str) -> float:
-        if isinstance(self.ticket, dict):
-            try:
-                return self.ticket[(origin, destination)]
-            except KeyError:
-                raise InstanceError(
-                    f"outside_option.ticket: no fare for OD ({origin}, {destination})")
-        return self.ticket
+        """The fare of an OD pair; a per-OD table has every demanded pair
+        (Instance checks it)."""
+        return self.ticket[(origin, destination)] if isinstance(self.ticket, dict) else self.ticket
 
 
 @dataclass
@@ -153,6 +149,11 @@ class Instance:
             if key in seen:
                 raise InstanceError(f"demand[{k}]: duplicate entry for {key}")
             seen.add(key)
+        if isinstance(self.outside.ticket, dict):
+            missing = sorted({(e.origin, e.destination) for e in self.demand}
+                             - set(self.outside.ticket))
+            if missing:
+                raise InstanceError(f"outside_option.ticket: missing OD ({', '.join(missing[0])})")
         self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
         if not self.outside_time:
             self.outside_time = materialize_outside_times(self)
@@ -317,9 +318,9 @@ def _read_csv_rows(path: Path) -> list[dict]:
 def solver_from_document(section: dict) -> SolverOptions:
     """SolverOptions from the ``solver`` section of an instance or sweep
     config.  Options of replaced solvers (``step_rule`` and ``norm`` of the
-    damped outer loop, ``inner_max_iters`` and ``divergence_*`` of the iterated
-    expected costs) are dropped; other unknown keys are errors."""
-    legacy = ("step_rule", "norm", "inner_max_iters", "divergence_guard",
+    damped outer loop, ``inner_tol``, ``inner_max_iters`` and ``divergence_*``
+    of the iterated expected costs) are dropped; other unknown keys are errors."""
+    legacy = ("step_rule", "norm", "inner_tol", "inner_max_iters", "divergence_guard",
               "divergence_window", "divergence_decay")
     section = {k: v for k, v in read_section(section, "solver").items() if k not in legacy}
     unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})

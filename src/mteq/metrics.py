@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP item 1
+# kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from .equilibrium import (STRATUM_RANGE, EquilibriumSolution, FeasibilityError, _arc_costs,

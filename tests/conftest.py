@@ -97,7 +97,7 @@ def two_route_instance(beta_t=1.0, outside_time=4.0, ticket=1.0, trips=10.0,
     outside = OutsideOption(mode="per_od_table", ticket=ticket,
                             times={("0", "1"): outside_time})
     return Instance(network=net, strata=strata, demand=demand, outside=outside,
-                    solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000))
+                    solver=SolverOptions(outer_tol=1e-8, outer_max_iters=3000))
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ def record_factorizations(monkeypatch) -> list:
 
 @pytest.fixture
 def tight_options():
-    return SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
+    return SolverOptions(outer_tol=1e-6, outer_max_iters=5000)
 
 
 #: the per-pair arrays that a solution file stores packed
@@ -229,7 +229,7 @@ INSTANCE_FIELDS = [
      {"zero", "missing"}),
     (default_bpr_document, ("defaults", "bpr_nu"), "arc s01: bpr_nu", {"missing"}),
     *[(single_od_document, ("solver", key), f"solver.{key}", {"missing"})
-      for key in ("inner_tol", "outer_tol", "outer_max_iters")],
+      for key in ("outer_tol", "outer_max_iters")],
 ]
 
 

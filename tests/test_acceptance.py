@@ -30,14 +30,15 @@ from mteq import (
     stratum_price_order,
     zero_prices,
 )
+from mteq.equilibrium import TAU_TOLERANCE
 from mteq.instance import Instance, Stratum
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
 from conftest import logit, logit_stacked
 
-TIGHT = SolverOptions(inner_tol=1e-8, outer_tol=1e-6, outer_max_iters=5000)
-MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
+TIGHT = SolverOptions(outer_tol=1e-6, outer_max_iters=5000)
+MEDIUM = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
 
 GRID6 = GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7)
 
@@ -82,7 +83,7 @@ def test_criterion_1_equilibrium_residuals(single_od, grid6):
         diag = equilibrium_residuals(inst, prices, sol)
         assert diag.flow_residual <= TIGHT.outer_tol, name
         for key, r in diag.tau_residuals.items():
-            assert r <= TIGHT.inner_tol, (name, key)
+            assert r <= TAU_TOLERANCE, (name, key)
         net = inst.network
         agg = sum(sd.arc_flow for sd in sol.sub.values())
         gap = np.abs(net.inverse_latency_all(sol.arc_time) - agg)

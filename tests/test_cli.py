@@ -243,8 +243,7 @@ class TestSweepParetoSimulate:
         config = {
             "instance": ipath.name,
             "grid": {"family": "uniform", "lo": 0, "hi": 6, "step": 2},
-            "solver": {"inner_tol": 1e-10, "inner_max_iters": 10000,
-                       "outer_tol": 1e-8, "outer_max_iters": 3000},
+            "solver": {"outer_tol": 1e-8, "outer_max_iters": 3000},
             "output": "out",
         }
         cpath = tmp_path / "sweep.json"

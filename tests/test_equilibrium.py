@@ -23,10 +23,11 @@ from mteq import (
     solve_tau,
     zero_prices,
 )
+import mteq.equilibrium
 from mteq import choice
-from mteq.equilibrium import (STRATUM_RANGE, X_MIN, _arc_costs, _expected_costs, _route,
-                              _StackLU, read_solution, solution_from_dict, solution_to_dict,
-                              solve_equilibria)
+from mteq.equilibrium import (STRATUM_RANGE, TAU_TOLERANCE, X_MIN, _arc_costs,
+                              _expected_costs, _route, _StackLU, read_solution,
+                              solution_from_dict, solution_to_dict, solve_equilibria)
 from mteq.network import (InstanceError, NetworkError, Node, build_network, shortest_costs,
                           write_json)
 from mteq.pricing import SchemeSpec
@@ -36,8 +37,8 @@ import oracle
 from conftest import (PACKED, dead_end_instance, flat_arc, record_factorizations,
                       singular_pair_instance, two_route_instance)
 
-OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
-MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
+OPTS = SolverOptions(outer_tol=1e-8, outer_max_iters=3000)
+MEDIUM = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
 
 
 def rate_2(inst):
@@ -92,7 +93,7 @@ class TestSolveTau:
     def test_chain_is_exact_in_one_sweep(self, line_network):
         net = line_network
         init = shortest_costs(net, net.free_time, 2)
-        res = solve_tau(net, net.free_time, 2, 1.0, init, OPTS)
+        res = solve_tau(net, net.free_time, 2, 1.0, init)
         assert res.converged
         assert res.iterations == 1
         assert res.tau.tolist() == [7.0, 4.0, 0.0]
@@ -101,7 +102,7 @@ class TestSolveTau:
         net = parallel_network
         d = net.node_index["1"]
         init = shortest_costs(net, net.free_time, d)
-        res = solve_tau(net, net.free_time, d, 1.0, init, OPTS)
+        res = solve_tau(net, net.free_time, d, 1.0, init)
         assert res.tau[net.node_index["0"]] == pytest.approx(5.0 - math.log(2.0), rel=1e-12)
 
     def test_negative_drift_cycle_raises(self):
@@ -118,15 +119,14 @@ class TestSolveTau:
         d = net.node_index["d"]
         init = shortest_costs(net, net.free_time, d)
         with pytest.raises(FeasibilityError):
-            solve_tau(net, net.free_time, d, 1.0, init, SolverOptions(
-                inner_tol=1e-10, outer_tol=1.0))
+            solve_tau(net, net.free_time, d, 1.0, init)
 
     def test_exactly_singular_system_raises(self):
         inst = singular_pair_instance()
         net = inst.network
         d = net.node_index["2"]
         with pytest.raises(FeasibilityError):
-            solve_tau(net, net.free_time, d, 1.0, shortest_costs(net, net.free_time, d), OPTS)
+            solve_tau(net, net.free_time, d, 1.0, shortest_costs(net, net.free_time, d))
         with pytest.raises(FeasibilityError):
             one_pass(inst, zero_prices(inst))
 
@@ -135,21 +135,21 @@ class TestSolveTau:
         net = parallel_network
         d = net.node_index["1"]
         init = shortest_costs(net, net.free_time, d)
-        res = solve_tau(net, net.free_time, d, 1.0, init, OPTS)
+        res = solve_tau(net, net.free_time, d, 1.0, init)
         from mteq.choice import phi_nodes
         z = net.free_time + res.tau[net.head]
         again = phi_nodes(z, 1.0, net.out_start)
         again[d] = 0.0
-        assert np.max(np.abs(again - res.tau)) <= OPTS.inner_tol
+        assert np.max(np.abs(again - res.tau)) <= TAU_TOLERANCE
 
-    def test_unmet_tolerance_flags_not_converged_after_one_retry(self):
-        # no double-precision residual meets 1e-300: one refinement, then the flag
+    def test_unmet_tolerance_flags_not_converged_after_one_retry(self, monkeypatch):
+        # no double-precision residual meets 0: one refinement, then the flag
+        monkeypatch.setattr(mteq.equilibrium, "TAU_TOLERANCE", 0.0)
         inst = gen_single_od()
         net = inst.network
         d = net.node_index["3"]
         init = shortest_costs(net, net.free_time, d)
-        res = solve_tau(net, net.free_time, d, inst.strata[0].beta_t, init,
-                        SolverOptions(inner_tol=1e-300))
+        res = solve_tau(net, net.free_time, d, inst.strata[0].beta_t, init)
         assert not res.converged
         assert res.iterations == 2
         assert 0.0 < res.residual <= 1e-12
@@ -164,7 +164,7 @@ class TestSolveTau:
         for s_idx, s in enumerate(inst.strata):
             kappa = rates[s_idx] * net.length * net.is_primary
             costs = net.free_time + (s.beta_p / s.beta_t) * kappa
-            res = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d), OPTS)
+            res = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d))
             assert res.converged and res.iterations == 1
             ref = oracle.naive_tau(net, costs, d, s.beta_t)
             assert res.tau == pytest.approx(ref, rel=1e-12, abs=1e-12), s.name
@@ -173,7 +173,7 @@ class TestSolveTau:
 class TestFlowsForDestination:
     def run(self, net, dest, origins, trips, outside_cost, beta=1.0, beta_out=1.0):
         init = shortest_costs(net, net.free_time, dest)
-        res = solve_tau(net, net.free_time, dest, beta, init, OPTS)
+        res = solve_tau(net, net.free_time, dest, beta, init)
         return flows_for_destination(
             net, res.tau, net.free_time, beta,
             np.array(origins), np.array(trips, dtype=float),
@@ -200,7 +200,7 @@ class TestFlowsForDestination:
         # driving weight e^{-tau0}, outside weight e^{-(tau0 + ln(2/3))}
         net = line_network
         init = shortest_costs(net, net.free_time, 2)
-        tau0 = solve_tau(net, net.free_time, 2, 1.0, init, OPTS).tau[0]
+        tau0 = solve_tau(net, net.free_time, 2, 1.0, init).tau[0]
         oc = tau0 - math.log(2.0 / 3.0)
         sd = self.run(net, 2, [0], [10.0], [oc])
         assert sd.start_prob[0] == pytest.approx(0.6, rel=1e-12)
@@ -210,11 +210,11 @@ class TestFlowsForDestination:
     def test_mass_balance_at_destination(self, two_route):
         inst = two_route
         sol = solve_equilibrium(inst, zero_prices(inst), OPTS)
-        sd = sol.subsolution("solo", "1")
+        sd = sol.sub[("solo", "1")]
         net = inst.network
         into_dest = sum(sd.arc_flow[a] for a in range(net.n_arcs)
                         if net.head[a] == net.node_index["1"])
-        assert into_dest == pytest.approx(sd.started_demand(), rel=1e-9)
+        assert into_dest == pytest.approx(float(np.sum(sd.trips * sd.start_prob)), rel=1e-9)
 
 
 class TestSolveEquilibrium:
@@ -292,7 +292,7 @@ class TestSolveEquilibrium:
         # the acceptance lattice at 16x its demand: the busiest arcs run at
         # 2.6-2.7x their free-flow time (1.01x at the shipped demand), and
         # plain undamped Anderson mixing fails to converge at rate 2
-        medium = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
+        medium = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7,
@@ -302,17 +302,19 @@ class TestSolveEquilibrium:
         assert sol.converged and sol.outer_iterations <= 100
         diag = equilibrium_residuals(inst, prices, sol)
         assert diag.flow_residual <= medium.outer_tol
-        assert diag.max_tau_residual <= medium.inner_tol
+        assert diag.max_tau_residual <= TAU_TOLERANCE
 
-    def test_flows_do_not_depend_on_inner_tol(self):
-        # inner_tol only certifies the expected costs; it never truncates them
+    def test_flows_do_not_depend_on_inner_tol(self, monkeypatch):
+        # the expected-cost tolerance only certifies the exact solve; it never
+        # truncates it, so a loose certificate leaves the flows bit for bit
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
         prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
-        flows = [solve_equilibrium(inst, prices, SolverOptions(
-                     inner_tol=tol, outer_tol=1e-4, outer_max_iters=5000)).total_flow
-                 for tol in (0.1, 1e-9)]
+        flows = []
+        for tol in (0.1, TAU_TOLERANCE):
+            monkeypatch.setattr(mteq.equilibrium, "TAU_TOLERANCE", tol)
+            flows.append(solve_equilibrium(inst, prices, MEDIUM).total_flow)
         assert flows[0].tolist() == flows[1].tolist()
 
     def test_solution_round_trips_through_dict(self, two_route, lattice):
@@ -372,13 +374,13 @@ class TestDiagnostics:
         sol = solve_equilibrium(inst, zero_prices(inst), OPTS)
         diag = equilibrium_residuals(inst, zero_prices(inst), sol)
         assert diag.flow_residual <= OPTS.outer_tol
-        assert diag.max_tau_residual <= OPTS.inner_tol
+        assert diag.max_tau_residual <= TAU_TOLERANCE
         assert diag.phi_gradient_residual <= OPTS.outer_tol * (1 + 1e-9)
         assert diag.tau_bound_violation <= 1e-9
 
     def test_truncated_run_reports_nonzero_residual(self):
         inst = gen_single_od()
-        loose = SolverOptions(inner_tol=1e-10, outer_tol=1e-12, outer_max_iters=1)
+        loose = SolverOptions(outer_tol=1e-12, outer_max_iters=1)
         sol = solve_equilibrium(inst, zero_prices(inst), loose)
         assert not sol.converged
         diag = equilibrium_residuals(inst, zero_prices(inst), sol)
@@ -427,9 +429,9 @@ class TestDiagnostics:
 
 def fd_loop_reference(inst, prices, sol, fd_arcs, fd_step=1e-5):
     """equilibrium_residuals' finite-difference checks by one solve_tau per
-    (arc, sign, pair), at the same inner tolerance."""
+    (arc, sign, pair): at TAU_TOLERANCE, their tolerance for an fd_step of at
+    least 1e-7."""
     net = inst.network
-    opts = SolverOptions(inner_tol=min(1e-10, fd_step * 1e-3))
     out = {}
     for arc_pos in fd_arcs:
         for (s_name, d_id), sd in sorted(sol.sub.items()):
@@ -442,30 +444,29 @@ def fd_loop_reference(inst, prices, sol, fd_arcs, fd_step=1e-5):
                 tp[arc_pos] += sign * fd_step
                 costs = _arc_costs(inst.strata, net, prices, tp)[s_idx]
                 tr = solve_tau(net, costs, net.node_index[d_id], inst.strata[s_idx].beta_t,
-                               sd.tau, opts)
+                               sd.tau)
                 est += sign * float(weighted @ tr.tau)
             out[(net.arcs[arc_pos].id, s_name, d_id)] = (est / (2.0 * fd_step),
                                                          float(sd.arc_flow[arc_pos]))
     return out
 
 
-def one_pass(inst, rates, initial_flow=None, inner_tol=1e-9):
+def one_pass(inst, rates, initial_flow=None):
     """The routing pass of solve_equilibrium at one flow iterate."""
-    opts = SolverOptions(inner_tol=inner_tol, outer_tol=1e-12, outer_max_iters=1)
+    opts = SolverOptions(outer_tol=1e-12, outer_max_iters=1)
     return solve_equilibrium(inst, rates, opts, initial_flow=initial_flow)
 
 
-def per_pair_reference(inst, rates, arc_time, inner_tol=1e-9):
+def per_pair_reference(inst, rates, arc_time):
     """Every (stratum, destination) routed on its own: solve_tau from the
     Dijkstra bound, then flows_for_destination."""
     net = inst.network
-    opts = SolverOptions(inner_tol=inner_tol)
     oc = outside_costs(inst)
     out = {}
     for s_idx, s in enumerate(inst.strata):
         costs = arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.length * net.is_primary)
         for d, (origins, trips) in inst.demand_by_destination(s.name).items():
-            tr = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d), opts)
+            tr = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d))
             outside = np.array([oc[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
             out[(s.name, net.node_id(d))] = flows_for_destination(
                 net, tr.tau, costs, s.beta_t, origins, trips, outside, s.beta_t_out, d,
@@ -584,7 +585,7 @@ class TestBatchedRouting:
     def test_mixed_pass_routes_each_stratum_by_its_path(self, lattice, scheme, monkeypatch):
         factored = record_factorizations(monkeypatch)
         solve_equilibrium(lattice, expand_scheme(scheme, lattice), SolverOptions(
-            inner_tol=1e-9, outer_tol=1e-12, outer_max_iters=2))
+            outer_tol=1e-12, outer_max_iters=2))
         # the first pass tries the three strata stacked (3 x 36 unknowns) and
         # routes the one out of range per pair (10 x 36); from the second pass
         # on only the other two are stacked (2 x 36)
@@ -735,7 +736,7 @@ class TestBatchedRouting:
         net = lattice.network
         factored = record_factorizations(monkeypatch)
         rates = rate_2(lattice)
-        sol = one_pass(lattice, rates, inner_tol=1e-12)
+        sol = one_pass(lattice, rates)
         assert factored == [((108, 108), "ok")]  # every pair by the stratum path
         s_idx, s = 2, lattice.strata[2]
         costs = sol.arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.primary_length)
@@ -759,7 +760,7 @@ class TestBatchedRouting:
         inst = gen_single_od()
         net = inst.network
         rates = expand_scheme(SchemeSpec(family="uniform", rate=100.0), inst)
-        sol = one_pass(inst, rates, inner_tol=1e-12)
+        sol = one_pass(inst, rates)
         assert len(sol.sub) == len(inst.strata)
         for s_idx, s in enumerate(inst.strata):
             costs = sol.arc_time + (s.beta_p / s.beta_t) * (
@@ -788,7 +789,8 @@ class TestBatchedRouting:
                                       times={("0", "2"): 5.0}))
 
         feasible = instance([calm])
-        assert one_pass(feasible, zero_prices(feasible)).sub[("calm", "2")].started_demand() > 0
+        sd = one_pass(feasible, zero_prices(feasible)).sub[("calm", "2")]
+        assert float(np.sum(sd.trips * sd.start_prob)) > 0
         both = instance([calm, reckless])
         with pytest.raises(FeasibilityError):
             one_pass(both, zero_prices(both))
@@ -829,31 +831,31 @@ class TestBatchedRouting:
             assert np.max(np.abs(sd.entering_flow - x)) <= 1e-12 * scale, key
             assert np.max(np.abs(sd.arc_flow - x[net.tail] * sd.arc_probs)) <= 1e-12 * scale, key
 
-    @pytest.mark.parametrize("inner_tol", [1e-9, 1e-300])  # 1e-300: every block refines
-    def test_one_factorization_per_block_per_pass(self, lattice, inner_tol, monkeypatch):
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-300])  # 1e-300: every block refines
+    def test_one_factorization_per_block_per_pass(self, lattice, tolerance, monkeypatch):
         import mteq.network
         monkeypatch.setattr(mteq.network, "MAX_BLOCK_ROWS", 108)  # 3 pairs (strata) a block
+        monkeypatch.setattr(mteq.equilibrium, "TAU_TOLERANCE", tolerance)
         factored = record_factorizations(monkeypatch)
         rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice)
-        sol = solve_equilibrium(lattice, rates, SolverOptions(
-            inner_tol=inner_tol, outer_tol=1e-4, outer_max_iters=50))
+        sol = solve_equilibrium(lattice, rates, SolverOptions(outer_tol=1e-4, outer_max_iters=50))
         assert sol.outer_iterations > 1
         per_pass = [((108, 108), "ok")]  # the three strata, all in range, in one LU
-        if inner_tol == 1e-300:
+        if tolerance == 1e-300:
             # no residual reaches 1e-300, so after its refinement every stratum
             # falls back in the same pass: 30 pairs, 3 a block
             per_pass += [((108, 108), "ok")] * 10
         assert factored == per_pass * sol.outer_iterations
         iterations = {sd.tau_iterations for sd in sol.sub.values()}
-        assert iterations == ({2} if inner_tol == 1e-300 else {1})
-        assert sol.inner_converged == (inner_tol == 1e-9)
+        assert iterations == ({2} if tolerance == 1e-300 else {1})
+        assert sol.inner_converged == (tolerance == 1e-9)
 
     @pytest.mark.parametrize("passes", [1, 50])
     def test_residuals_match_per_pair_loop(self, lattice, passes):
         net = lattice.network
         rates = expand_scheme(SchemeSpec(family="uniform", rate=2.0), lattice)
         sol = solve_equilibrium(lattice, rates, SolverOptions(
-            inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=passes))
+            outer_tol=1e-4, outer_max_iters=passes))
         diag = equilibrium_residuals(lattice, rates, sol)
         strata = {s.name: (i, s) for i, s in enumerate(lattice.strata)}
         want, violation = {}, 0.0
@@ -1003,7 +1005,7 @@ class TestStackLU:
             assert_close(residual[p], e - A @ X[p])
 
     def test_refined_stratum_stack_matches_the_per_pair_layout(self, lattice):
-        # at inner_tol 1e-300 no residual passes, so both layouts refine
+        # at tolerance 1e-300 no residual passes, so both layouts refine
         # once; the stack of three strata (10, 4 and 2 destinations) still
         # gives each pair the tau and routing solve of its own scaled block
         inst = with_destinations(lattice, (10, 4, 2))
@@ -1073,7 +1075,7 @@ class TestStackLU:
 
 def lattice_stack(lattice, layout):
     """Every pair of the lattice's first stratum at rate 25 and free flow,
-    as _expected_costs' arguments after inner_tol: one block for all of them
+    as _expected_costs' arguments after its tolerance: one block for all of them
     (the stratum layout) or one block each, scaled by shortest costs.  Its
     fixed-point residuals take three levels in either layout."""
     net = lattice.network
@@ -1111,7 +1113,7 @@ class TestPerPairRefinement:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_an_inexact_first_solve_is_refined(self, lattice, layout, sign, monkeypatch):
         # the first X is off by up to 1e-6 relative, so tau is off by about
-        # 1e-8 h and its fixed-point residual is above inner_tol: the
+        # 1e-8 h and its fixed-point residual is above 1e-9 h: the
         # refinement (I - W_d)^-1 (e_d - (I - W_d) X) must bring it back
         args = lattice_stack(lattice, layout)
         exact = _expected_costs(*args[:5], np.inf, *args[5:])
@@ -1165,7 +1167,7 @@ class TestPerPairRefinement:
 def free_flow_stack(inst, layout):
     """Every (stratum, destination) pair of ``inst`` at free flow without
     tolls, in one stack of the ``layout``: _expected_costs' arguments with
-    ``inner_tol`` left out (as lattice_stack), then each pair's origins and
+    the tolerance left out (as lattice_stack), then each pair's origins and
     trips as _route takes them (``pair``, ``origins``, ``trips``)."""
     net = inst.network
     costs = _arc_costs(inst.strata, net, np.zeros((len(inst.strata), net.n_arcs)),
@@ -1314,7 +1316,7 @@ class TestSolveEquilibria:
         inst = two_destination_instance(arcs, beta_t=1.0)
         factored = record_factorizations(monkeypatch)
         rates = [zero_prices(inst), np.full((1, inst.network.n_arcs), 0.1)]
-        assert_batch_is_solo(inst, rates, SolverOptions(inner_tol=1e-9, outer_tol=1e-12,
+        assert_batch_is_solo(inst, rates, SolverOptions(outer_tol=1e-12,
                                                          outer_max_iters=1))
         # the stack of both blocks, then each block alone: the toll-free one
         # routes its two pairs per pair, the tolled one stays in its block

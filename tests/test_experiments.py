@@ -148,7 +148,7 @@ def small_sweep_config(tmp_path, lo=0.0, hi=8.0, step=2.0, workers=1):
     return SweepConfig(
         instance=str(ipath),
         grid=PriceGrid(family="uniform", lo=lo, hi=hi, step=step),
-        solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000),
+        solver=SolverOptions(outer_tol=1e-8, outer_max_iters=3000),
         output=str(tmp_path / "out"),
         workers=workers)
 
@@ -158,7 +158,7 @@ def single_od_sweep_config(tmp_path):
     save_instance(gen_single_od(), tmp_path / "od.json")
     return SweepConfig(instance=str(tmp_path / "od.json"),
                        grid=PriceGrid(family="uniform", lo=0.0, hi=2.0, step=1.0),
-                       solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
+                       solver=SolverOptions(outer_tol=1e-4),
                        output=str(tmp_path / "out"))
 
 
@@ -306,7 +306,7 @@ class TestRunSweep:
                 config = SweepConfig(
                     instance=str(tmp_path / "od.json"),
                     grid=PriceGrid(family=family, lo=0.0, hi=2.0, step=2.0),
-                    solver=SolverOptions(inner_tol=1e-9, outer_tol=1e-4),
+                    solver=SolverOptions(outer_tol=1e-4),
                     output=str(tmp_path / f"{family}_w{workers}"), workers=workers)
                 rows = run_sweep(config)
                 assert not any(r.error for r in rows)
@@ -364,7 +364,7 @@ class TestRunSweep:
         config = SweepConfig(
             instance=str(tmp_path / "slow.json"),
             grid=PriceGrid(family="uniform", lo=0.0, hi=1.0, step=1.0),
-            solver=SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000),
+            solver=SolverOptions(outer_tol=1e-8, outer_max_iters=3000),
             output=str(tmp_path / "out"), simulate=True, runs_per_unit=2)
         rows = run_sweep(config)
         assert math.isnan(rows[0].avg_speed_trip["solo"])

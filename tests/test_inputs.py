@@ -88,8 +88,6 @@ FLAG_CASES = [
     *[(f"rates=low={v}", STRATUM + [f"low={v},mid=0,high=0"], "rate for 'low'")
       for v in ("nan", "inf", "-1", "abc")],
     ("rates=low", STRATUM + ["low"], "--rates"),
-    *[(f"tol-inner={v}", UNIFORM + [f"--tol-inner={v}"], "solver.inner_tol")
-      for v in ("nan", "inf", "0", "-1", "abc")],
     *[(f"tol-outer={v}", UNIFORM + [f"--tol-outer={v}"], "solver.outer_tol")
       for v in ("nan", "-inf", "0", "abc")],
     *[(f"max-outer={v}", UNIFORM + [f"--max-outer={v}"], "solver.outer_max_iters")
@@ -148,7 +146,6 @@ SWEEP_CONFIG_CASES = [
                          ("area_cols", "abc"), ("runs_per_unit", -1),
                          ("runs_per_unit", math.inf), ("seed", -1), ("seed", 0.5),
                          ("seed", None))],
-    ("solver.inner_tol=0", lambda c: c.update(solver={"inner_tol": 0}), "solver.inner_tol"),
     # a flag is JSON true or false: the string "false" is not false
     *[(f"{key}={json.dumps(value)}", change, name)
       for value in FLAG_VALUES
@@ -528,6 +525,21 @@ def test_output_path_taken(tmp_path, capsys, single_od, command):
     named = taken if "{dir}" in command else out
     assert err.startswith("error: ") and str(named) in err and "Traceback" not in err, err
     assert out.read_text() == "mine" and list(taken.iterdir()) == []
+
+
+@pytest.mark.parametrize("table, value_key", [("ticket", "ticket"), ("times", "time")],
+                         ids=["ticket", "times"])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_per_od_table_without_a_demanded_od(tmp_path, capsys, table, value_key, command):
+    # single-OD's demand runs from 0 to 3; the table covers only 1 -> 3
+    doc = per_od_outside_document()
+    doc["outside_option"][table] = [{"origin": "1", "destination": "3", value_key: 5.0}]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", "--instance", path] if command == "validate" else [
+        a.format(inst=path, out=tmp_path / "out") for a in UNIFORM]
+    assert_rejected(argv, f"outside_option.{table}: missing OD (0, 3)", tmp_path / "out",
+                    capsys, file=path)
 
 
 def test_solution_of_other_strata(tmp_path, capsys, single_od):

