@@ -53,8 +53,7 @@ flipped = Instance(
                     beta_t_out=s.beta_t_out, beta_p_out=s.beta_p_out)
             for s in instance.strata],
     demand=instance.demand, outside=instance.outside,
-    car_length_km=instance.car_length_km, solver=instance.solver,
-    outside_time=dict(instance.outside_time))
+    car_length_km=instance.car_length_km, solver=instance.solver)
 for toll in [2.0, 5.0]:
     sh = shares(flipped, toll)
     print(f"{toll:>8.0f} | {sh['low']:8.4f} | {sh['mid']:8.4f} | {sh['high']:8.4f}"

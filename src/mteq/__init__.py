@@ -28,6 +28,7 @@ from .instance import (
 from .equilibrium import (
     EquilibriumSolution,
     FeasibilityError,
+    PairTable,
     SolverError,
     SolverOptions,
     StratumDestinationSolution,

@@ -21,6 +21,10 @@ by its shortest costs at free-flow times.  A pass runs no Dijkstra: the
 free-flow bounds come from one call per solve, made only if some pair needs
 them, and the pass's own shortest costs only for a pair whose answer leaves
 range under them.
+A pass writes every pair's routing into the columns of one PairTable.  A
+solution takes its scheme's rows once, in key order (the sorted (stratum,
+destination) pairs, the row order of a solution file), and every reader
+indexes those columns; ``EquilibriumSolution.sub`` only views their rows.
 ``solve_tau`` and ``flows_for_destination``, the one-pair case, are kept
 only for the benchmark's tracer (ROADMAP, "The benchmark reads the program"):
 nothing here calls them.
@@ -32,6 +36,8 @@ import base64
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 # kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
@@ -106,20 +112,74 @@ class StratumDestinationSolution:
 
 
 @dataclass
+class PairTable:
+    """The routing of (stratum, destination) pairs as columns: row p is pair
+    ``keys[p]``.  The fields are StratumDestinationSolution's, with the
+    origins, trips and start probabilities of all pairs laid end to end, pair
+    p's at ``bounds[p]:bounds[p + 1]``.  A solution's rows are in key order,
+    the keys sorted, which is also the row order of a solution file; a
+    routing pass's are in plan order (_RoutingPlan)."""
+
+    keys: list                  # (stratum, destination id) per row
+    tau: np.ndarray             # (pairs, n_nodes)
+    entering_flow: np.ndarray   # (pairs, n_nodes)
+    arc_flow: np.ndarray        # (pairs, n_arcs)
+    arc_probs: np.ndarray       # (pairs, n_arcs)
+    tau_converged: np.ndarray   # (pairs,) bool
+    tau_residual: np.ndarray    # (pairs,)
+    tau_iterations: np.ndarray  # (pairs,) int
+    bounds: np.ndarray          # (pairs + 1,)
+    origins: np.ndarray         # node index per origin
+    trips: np.ndarray
+    start_prob: np.ndarray
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The row of each origin."""
+        return np.repeat(np.arange(len(self.keys)), self.bounds[1:] - self.bounds[:-1])
+
+    def ends(self, rows):
+        """The entries of the pairs ``rows`` (a slice or an index array) in
+        the columns of one entry per origin, laid end to end (a slice, or an
+        index array), and the position in ``rows`` of each one's pair."""
+        if isinstance(rows, slice):
+            o = slice(self.bounds[rows.start], self.bounds[rows.stop])
+            return o, self.owner[o] - rows.start
+        counts = self.bounds[rows + 1] - self.bounds[rows]
+        owner = np.repeat(np.arange(len(rows)), counts)
+        offset = self.bounds[rows] - (np.cumsum(counts) - counts)
+        return np.arange(len(owner)) + offset[owner], owner
+
+    def indices(self, names, network: Network):
+        """Each row's stratum, an index into ``names``, and destination node."""
+        return (np.array([names.index(s) for s, _d in self.keys], dtype=np.int64),
+                np.array([network.node_index[d] for _s, d in self.keys], dtype=np.int64))
+
+    def take(self, rows: np.ndarray) -> PairTable:
+        """The table of the pairs ``rows`` (an index array), in that order."""
+        ends, owner = self.ends(rows)
+        bounds = np.searchsorted(owner, np.arange(len(rows) + 1))  # each pair's first entry
+        return PairTable([self.keys[p] for p in rows], *(getattr(self, f)[rows] for f in _ROWS),
+                         bounds, *(getattr(self, f)[ends] for f in _ENDS))
+
+
+@dataclass
 class EquilibriumSolution:
     """Converged (or capped, see ``converged``) equilibrium state.
 
     ``total_flow`` is the outer iterate at which the final routing pass was
     solved and ``arc_time`` its congested times; ``response_flow`` is the
     demand-weighted flow those times induce.  At convergence the two agree
-    to within ``outer_residual <= outer_tol``.  ``stratum_flow`` lists the
-    strata in the order of the rows of ``price_rates``.
+    to within ``outer_residual <= outer_tol``.  ``pairs`` holds the routing
+    of every (stratum, destination) pair; ``sub`` views its rows.
+    ``stratum_flow`` lists the strata in the order of the rows of
+    ``price_rates``.
     """
 
     total_flow: np.ndarray
     arc_time: np.ndarray
     response_flow: np.ndarray
-    sub: dict
+    pairs: PairTable
     stratum_flow: dict
     price_rates: np.ndarray
     converged: bool
@@ -128,13 +188,24 @@ class EquilibriumSolution:
     outer_residual: float
     iteration_log: list = field(default_factory=list)
 
+    @cached_property
+    def sub(self):
+        """Read-only {(stratum, destination): StratumDestinationSolution} of
+        views of the rows of ``pairs`` (no copies), built on first access."""
+        t, b = self.pairs, self.pairs.bounds.tolist()
+        return MappingProxyType({key: StratumDestinationSolution(
+            *key, t.tau[p], t.entering_flow[p], t.arc_flow[p], t.arc_probs[p],
+            t.origins[b[p]:b[p + 1]], t.trips[b[p]:b[p + 1]], t.start_prob[b[p]:b[p + 1]],
+            bool(t.tau_converged[p]), float(t.tau_residual[p]), int(t.tau_iterations[p]))
+            for p, key in enumerate(t.keys)})
+
     def check_strata(self, names, where: str = "solution") -> None:
         """Raise InstanceError, prefixed with ``where``, naming the strata of
         the solution that the instance's ``names`` lack, or else the strata
         of ``names`` that the solution lacks, or else both orders when the
         rows of ``price_rates`` are strata in another order than ``names``:
         readers index those rows by the instance's order."""
-        solved = set(self.stratum_flow).union(s for s, _d in self.sub)
+        solved = set(self.stratum_flow).union(s for s, _d in self.pairs.keys)
         unknown = sorted(solved - set(names))
         if unknown:
             raise InstanceError(f"{where}: strata {unknown} are not in the instance")
@@ -357,20 +428,9 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
     if error:
         raise SolverError(error)
     tr = tau_result or TauResult(tau, True, 0, 0.0)
-    return StratumDestinationSolution(
-        stratum=stratum,
-        destination=network.node_id(destination),
-        tau=tau,
-        entering_flow=x[0],
-        arc_flow=v[0],
-        arc_probs=probs,
-        origins=origins,
-        trips=trips,
-        start_prob=p_start,
-        tau_converged=tr.converged,
-        tau_residual=tr.residual,
-        tau_iterations=tr.iterations,
-    )
+    return StratumDestinationSolution(stratum, network.node_id(destination), tau, x[0], v[0],
+                                      probs, origins, trips, p_start, tr.converged,
+                                      tr.residual, tr.iterations)
 
 
 def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.ndarray,
@@ -477,7 +537,9 @@ class _RoutingPlan:
     for every scheme: strata in instance order, destinations ascending.
     The price-independent parts (each pair's destination and
     sensitivities, and the origins, trips and outside costs of all pairs
-    laid end to end) are built once and tiled across the schemes.
+    laid end to end) are built once and tiled across the schemes, as are
+    the pair keys.  ``order`` is the pair, in plan order, of each row of a
+    scheme's PairTable in key order.
 
     A pass serves every pair of the schemes it routes from
     ``_expected_costs``, one stack at a time of at most
@@ -523,6 +585,9 @@ class _RoutingPlan:
                 outside.extend(oc[(s.name, net.node_id(i), net.node_id(d))] for i in o)
         schemes, n_strata = len(rates), len(self.strata)
         self.pairs = len(dest)  # of each scheme
+        self.keys = [(self.strata[s].name, net.node_id(d)) for s, d in zip(stratum, dest)]
+        self.order = np.array(sorted(range(self.pairs), key=self.keys.__getitem__), dtype=np.int64)
+        self.keys *= schemes
 
         def tile(values, dtype):  # one copy per scheme
             values = np.array(values, dtype=dtype)
@@ -537,15 +602,20 @@ class _RoutingPlan:
         self.beta = self.stratum_beta[self.stratum]
         counts = tile(counts, np.int64)
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
-        self.pair = np.repeat(np.arange(len(counts)), counts)
+        pair = np.repeat(np.arange(len(counts)), counts)
         self.origins = tile(origins, np.int64)
         self.trips = tile(trips, float)
         self.outside = tile(outside, float)
-        self.beta_out = tile([s.beta_t_out for s in self.strata], float)[self.stratum[self.pair]]
+        self.beta_out = tile([s.beta_t_out for s in self.strata], float)[self.stratum[pair]]
         # each (scheme, stratum) row's pairs are self.first[s] : self.first[s] + self.count[s]
         self.count = np.bincount(self.stratum, minlength=schemes * n_strata)
         self.first = np.cumsum(self.count) - self.count
         self.per_pair = self.count < 2  # (scheme, stratum) rows kept off the stratum layout
+        k, n, m = len(self.dest), net.n_nodes, net.n_arcs  # the table that route fills
+        self.result = PairTable(self.keys, np.empty((k, n)), np.empty((k, n)), np.empty((k, m)),
+                                np.empty((k, m)), np.empty(k, bool), np.empty(k),
+                                np.empty(k, np.int64), self.bounds, self.origins, self.trips,
+                                np.empty(len(self.origins)))
         self.free_flow_bounds = None
         dead = np.flatnonzero(net.out_degree == 0)
         if len(dead):  # the choice kernel's per-node segments need an arc each
@@ -560,36 +630,21 @@ class _RoutingPlan:
             self.free_flow_bounds = shortest_costs(net, costs, self.dest, rows=self.stratum)
         return self.free_flow_bounds
 
-    def _origins_of(self, pairs):
-        """The rows of the origins of ``pairs`` (a slice or an index array),
-        laid end to end, and the position in ``pairs`` of each one's pair."""
-        if isinstance(pairs, slice):
-            o = slice(self.bounds[pairs.start], self.bounds[pairs.stop])
-            return o, self.pair[o] - pairs.start
-        counts = self.bounds[pairs + 1] - self.bounds[pairs]
-        owner = np.repeat(np.arange(len(pairs)), counts)
-        offset = self.bounds[pairs] - (np.cumsum(counts) - counts)
-        return np.arange(len(owner)) + offset[owner], owner
-
     def route(self, arc_time: np.ndarray, active=None):
         """One routing pass at fixed arc times, (schemes, n_arcs), of the
         schemes ``active`` (a boolean mask; None routes every scheme): one
         LU per stack of the stratum layout, then of the per-pair layout,
-        each stack's accepted pairs written into the _PassResult of every
-        pair (None when there is no demand).  The rows of the other schemes
-        are left unset."""
-        if not len(self.dest):
-            return None
-        net, k = self.network, len(self.dest)
+        each stack's accepted pairs written into ``result``, the plan's
+        PairTable of every pair in plan order, which the next pass
+        overwrites.  The rows of the other schemes are left as they were."""
+        net, k, result = self.network, len(self.dest), self.result
         costs = (arc_time[:, None] + self.toll).reshape(-1, net.n_arcs)
         todo = np.ones(k, dtype=bool) if active is None else np.repeat(active, self.pairs)
-        result = None
 
         def serve(pairs, block, weights, tau_ref, final) -> bool:
             """Route one stack, pairs a slice or an index array, and write
             its accepted pairs; False if a stratum-layout stack is singular."""
-            nonlocal result
-            dest, (o, owner) = self.dest[pairs], self._origins_of(pairs)
+            dest, (o, owner) = self.dest[pairs], result.ends(pairs)
             try:
                 tau, residual, probs, log_denom, solves, low, through = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
@@ -615,20 +670,14 @@ class _RoutingPlan:
                 ok &= ~failed
             if block is not None:
                 ok = (np.bincount(block, ~ok) == 0)[block]
-            fields = [tau, residual, solves, probs, x, v]
+            fields = [tau, x, v, probs, residual <= TAU_TOLERANCE, residual, solves]  # _ROWS
             if not ok.all():  # slices of pairs and origins become index arrays
                 kept = ok[owner]
                 pairs, o = np.arange(k)[pairs][ok], np.arange(len(self.origins))[o][kept]
                 start_prob, fields = start_prob[kept], [f[ok] for f in fields]
             todo[pairs] = False
-            if result is None and len(fields[1]) == k:  # one stack served every pair, in order
-                result = _PassResult(*fields, start_prob)
-                return True
-            if result is None:
-                result = _PassResult(*(np.empty((k, *f.shape[1:]), f.dtype) for f in fields),
-                                     np.empty(len(self.origins)))
-            for f, into in zip(fields, vars(result).values()):  # the fields before start_prob
-                into[pairs] = f
+            for f, name in zip(fields, _ROWS):
+                getattr(result, name)[pairs] = f
             result.start_prob[o] = start_prob
             return True
 
@@ -656,48 +705,6 @@ class _RoutingPlan:
                 pairs = b if len(rest) == k else rest[b]  # slices: views, no copies
                 serve(pairs, None, None, bounds[pairs], final)
         return result
-
-    def response(self, result, scheme: int) -> np.ndarray:
-        """The arc flows of one scheme's pairs in a pass, summed over its
-        pairs in plan order, row by row: reproducible sums."""
-        if result is None:
-            return np.zeros(self.network.n_arcs)
-        return result.v[scheme * self.pairs:(scheme + 1) * self.pairs].sum(axis=0)
-
-    def subsolutions(self, result, scheme: int) -> dict:
-        """The per-pair StratumDestinationSolution views of one scheme's pairs in a pass."""
-        if result is None:
-            return {}
-        net, sub = self.network, {}
-        for p in range(scheme * self.pairs, (scheme + 1) * self.pairs):
-            d, lo, hi = self.dest[p], self.bounds[p], self.bounds[p + 1]
-            name = self.strata[self.stratum[p] % len(self.strata)].name
-            sub[(name, net.node_id(d))] = StratumDestinationSolution(
-                stratum=name,
-                destination=net.node_id(d),
-                tau=result.tau[p],
-                entering_flow=result.x[p],
-                arc_flow=result.v[p],
-                arc_probs=result.probs[p],
-                origins=self.origins[lo:hi],
-                trips=self.trips[lo:hi],
-                start_prob=result.start_prob[lo:hi],
-                tau_converged=bool(result.residual[p] <= TAU_TOLERANCE),
-                tau_residual=float(result.residual[p]),
-                tau_iterations=int(result.solves[p]),
-            )
-        return sub
-
-
-@dataclass
-class _PassResult:
-    tau: np.ndarray         # (pairs, n_nodes)
-    residual: np.ndarray    # (pairs,) fixed-point residual of tau
-    solves: np.ndarray      # (pairs,) expected-cost solves of each pair
-    probs: np.ndarray       # (pairs, n_arcs)
-    x: np.ndarray           # (pairs, n_nodes) node throughputs
-    v: np.ndarray           # (pairs, n_arcs) arc flows
-    start_prob: np.ndarray  # per origin, pairs laid end to end
 
 
 class _AndersonMixer:
@@ -783,20 +790,19 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
     t0_wall = _time.perf_counter()
     mixers = [_AndersonMixer() for _ in rates]
     logs = [[] for _ in rates]
-    last = [None] * len(rates)  # each scheme's last pass, response and gap
+    last = [None] * len(rates)  # each stopped scheme's pairs, response and gap
     converged = [False] * len(rates)
     live = list(range(len(rates)))  # the schemes still iterating
 
     for k in range(opts.outer_max_iters):
-        active = result = None  # the last pass of a live scheme is not needed any more
+        active = None
         if len(live) < len(rates):
             active = np.zeros(len(rates), dtype=bool)
             active[live] = True
-        for s in live:
-            last[s] = None
         result = plan.route(net.latency_all(np.array(flows)), active)
-        for s in list(live):
-            response, f = plan.response(result, s), flows[s]
+        for s in list(live):  # its pairs' flows, summed row by row in plan order: reproducible
+            response = result.arc_flow[s * plan.pairs:(s + 1) * plan.pairs].sum(axis=0)
+            f = flows[s]
             if not np.all(np.isfinite(response)):
                 raise SolverError("non-finite flow response")
             gap = float(np.max(np.abs(f - response))) if response.size else 0.0
@@ -805,9 +811,9 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             logs[s].append(rec)
             if log_fn is not None:
                 log_fn(rec)
-            last[s] = result, response, gap
             converged[s] = gap <= opts.outer_tol
-            if converged[s] or k == opts.outer_max_iters - 1:
+            if converged[s] or k == opts.outer_max_iters - 1:  # its rows, before the next pass
+                last[s] = result.take(s * plan.pairs + plan.order), response, gap
                 live.remove(s)
             else:
                 flows[s] = mixers[s].step(f, response - f)
@@ -815,17 +821,16 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             break
 
     solutions = []
-    for s, (result, response, gap) in enumerate(last):
-        sub = plan.subsolutions(result, s)
+    for s, (pairs, response, gap) in enumerate(last):
         solutions.append(EquilibriumSolution(
             total_flow=flows[s],
             arc_time=net.latency_all(flows[s]),
             response_flow=response,
-            sub=sub,
-            stratum_flow=_stratum_flows(instance.stratum_names, sub, net.n_arcs),
+            pairs=pairs,
+            stratum_flow=_stratum_flows(instance.stratum_names, pairs, net.n_arcs),
             price_rates=rates[s],
             converged=converged[s],
-            inner_converged=all(sd.tau_converged for sd in sub.values()),
+            inner_converged=bool(pairs.tau_converged.all()),
             outer_iterations=len(logs[s]),
             outer_residual=gap,
             iteration_log=logs[s],
@@ -833,10 +838,10 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
     return solutions
 
 
-def _stratum_flows(names, sub: dict, n_arcs: int) -> dict:
+def _stratum_flows(names, pairs: PairTable, n_arcs: int) -> dict:
     """Each stratum's arc flows: its pairs' flows summed in key order from
     zero, so that a solved and a loaded solution give the same bits."""
-    return {name: sum((sd.arc_flow for (s, _d), sd in sorted(sub.items()) if s == name),
+    return {name: sum((v for (s, _d), v in zip(pairs.keys, pairs.arc_flow) if s == name),
                       np.zeros(n_arcs))
             for name in names}
 
@@ -848,6 +853,7 @@ of another version is solved again): 5 stores per-pair fields as columns."""
 _PACKED = ("tau", "entering_flow", "arc_probs")  # one row of nodes or arcs per pair
 _ENDS = ("origins", "trips", "start_prob")  # one entry per origin, pairs end to end
 _STATUS = ("tau_converged", "tau_residual", "tau_iterations")  # one entry per pair
+_ROWS = ("tau", "entering_flow", "arc_flow", "arc_probs", *_STATUS)  # PairTable's, per pair
 _OUTER_STATUS = ("converged", "inner_converged", "outer_iterations", "outer_residual")
 
 
@@ -878,18 +884,16 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
     Arc times, per-pair arc flows and per-stratum flows are left out:
     solution_from_dict rebuilds them bit for bit from ``total_flow``,
     ``entering_flow`` with ``arc_probs``, and ``strata``.  ``sub`` holds the
-    per-pair fields as columns, a row per pair ``"stratum|destination"`` of
-    ``pairs`` (in ``sorted(sub)`` order): ``tau``, ``entering_flow`` (pairs
-    x nodes) and ``arc_probs`` (pairs x arcs) packed whole (_pack);
-    ``origins``, ``trips`` and ``start_prob`` of the pairs end to end, each
-    pair's count in ``origin_counts``; and a list per status field."""
-    keys = sorted(solution.sub)
-    rows = [solution.sub[key] for key in keys]
-    sub = {"pairs": [f"{s}|{d}" for s, d in keys],
-           "origin_counts": [len(sd.origins) for sd in rows],
-           **{key: _pack(np.array([getattr(sd, key) for sd in rows])) for key in _PACKED},
-           **{key: [v for sd in rows for v in getattr(sd, key).tolist()] for key in _ENDS},
-           **{key: [getattr(sd, key) for sd in rows] for key in _STATUS}}
+    columns of the PairTable, a row per pair ``"stratum|destination"`` of
+    ``pairs`` (in key order): ``tau``, ``entering_flow`` (pairs x nodes) and
+    ``arc_probs`` (pairs x arcs) packed whole (_pack); ``origins``, ``trips``
+    and ``start_prob`` of the pairs end to end, each pair's count in
+    ``origin_counts``; and a list per status field."""
+    table = solution.pairs
+    sub = {"pairs": [f"{s}|{d}" for s, d in table.keys],
+           "origin_counts": (table.bounds[1:] - table.bounds[:-1]).tolist(),
+           **{key: _pack(getattr(table, key)) for key in _PACKED},
+           **{key: getattr(table, key).tolist() for key in _ENDS + _STATUS}}
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
         "arc_ids": [a.id for a in network.arcs],
@@ -950,12 +954,13 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     """Solution from its JSON form, schema SOLUTION_SCHEMA_VERSION only;
     inverse of solution_to_dict.
 
-    Each column of ``sub`` is decoded and checked once; each pair's arrays
-    are views of its rows.  The derived arrays are rebuilt as the solver
-    computes them, so they equal the solved ones bit for bit: ``arc_time``
-    is the latency of ``total_flow``, each pair's ``arc_flow`` is
-    ``entering_flow[tail] * arc_probs``, and ``stratum_flow`` sums the
-    pairs' flows per stratum in key order from zero.
+    Each column of ``sub`` is decoded and checked once and kept as a column
+    of the PairTable, its rows taken into key order if the file lists the
+    pairs in another.  The derived arrays are rebuilt as the solver computes
+    them, so they equal the solved ones bit for bit: ``arc_time`` is the
+    latency of ``total_flow``, ``arc_flow`` is ``entering_flow[:, tail] *
+    arc_probs``, and ``stratum_flow`` sums the pairs' flows per stratum in
+    key order from zero.
     Raises InstanceError for another schema version, another network, an
     array that does not fit the network or is not stored as solution_to_dict
     stores it, a pair listed twice, or a value out of range, naming its pair:
@@ -998,18 +1003,20 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         "tau": (k, n), "entering_flow": (k, n), "arc_probs": (k, m), "trips": owner.shape,
         "start_prob": owner.shape}, _PACKED,
         lambda key, i: f"{at}.{pairs[owner[i] if key in _ENDS else i]}.{key}")
-    arc_flow = entering_flow[:, network.tail] * arc_probs
-    origins, ends = np.array(origins, dtype=np.int64), np.cumsum([0] + counts).tolist()
-    sub = {key: StratumDestinationSolution(
-        *key, tau[i], entering_flow[i], arc_flow[i], arc_probs[i], origins[lo:hi], trips[lo:hi],
-        start_prob[lo:hi], *_status({f: column[i] for f, column in zip(_STATUS, status)},
-                                    f"{at}.{pairs[i]}", _STATUS))
-        for (key, i), lo, hi in zip(rows.items(), ends, ends[1:])}
+    status = [_status(dict(zip(_STATUS, row)), f"{at}.{pair}", _STATUS)
+              for pair, row in zip(pairs, zip(*status))]
+    table = PairTable(list(rows), tau, entering_flow, entering_flow[:, network.tail] * arc_probs,
+                      arc_probs, *(np.array([row[j] for row in status], dtype=dtype)
+                                   for j, dtype in enumerate((bool, float, np.int64))),
+                      np.cumsum([0] + counts), np.array(origins, dtype=np.int64), trips,
+                      start_prob)
+    if list(rows) != sorted(rows):  # pairs out of key order, as solution_to_dict never writes
+        table = table.take(np.array(sorted(range(k), key=table.keys.__getitem__), dtype=int))
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
         "total_flow": (m,), "response_flow": (m,), "price_rates": (len(strata), m)})
     return EquilibriumSolution(
-        total_flow, network.latency_all(total_flow), response_flow, sub,
-        _stratum_flows(strata, sub, m), price_rates,
+        total_flow, network.latency_all(total_flow), response_flow, table,
+        _stratum_flows(strata, table, m), price_rates,
         *_status(doc, "solution", _OUTER_STATUS),
         iteration_log=[dict(zip(("iteration", "residual"), _status(
             entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
@@ -1065,32 +1072,29 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
     rates = np.asarray(prices, dtype=float)
     t = solution.arc_time
 
-    agg = sum((sd.arc_flow for _key, sd in sorted(solution.sub.items())), np.zeros(net.n_arcs))
+    table, k = solution.pairs, len(solution.pairs.keys)
+    agg = sum(table.arc_flow, np.zeros(net.n_arcs))
     flow_residual = float(np.max(np.abs(solution.total_flow - agg))) if agg.size else 0.0
 
     congestible = net.bpr_gamma > 0  # flat arcs have no latency inverse
     grad = (net.inverse_latency_all(t) - agg)[congestible]
     phi_gradient_residual = float(np.max(np.abs(grad))) if grad.size else 0.0
 
-    keys = sorted(solution.sub)
+    rows, dest = table.indices(instance.stratum_names, net)
+    beta, tau = np.array([[instance.strata[r].beta_t] for r in rows]), table.tau
     tau_residuals, bound_violation = {}, 0.0
-    if keys:  # all pairs in one Dijkstra call and one kernel pass
+    if k:  # all pairs in one Dijkstra call and one kernel pass
         costs = _arc_costs(instance.strata, net, rates, t)
-        rows = np.array([instance.stratum_names.index(s_name) for s_name, _d in keys])
-        dest = np.array([net.node_index[d_id] for _s, d_id in keys])
-        beta = np.array([[instance.strata[r].beta_t] for r in rows])
-        tau = np.array([solution.sub[key].tau for key in keys])
         residual = _fixed_point(net, costs[rows], dest, beta, tau)[0]
-        tau_residuals = {key: float(r) for key, r in zip(keys, residual)}
+        tau_residuals = {key: float(r) for key, r in zip(table.keys, residual)}
         bound = shortest_costs(net, costs, dest, rows=rows)
         bound_violation = max(bound_violation, float(np.max(tau - bound)))
 
     fd_checks = None
     if fd_arcs is not None:
-        arcs, k = np.array(list(fd_arcs), dtype=np.int64), len(keys)
+        arcs = np.array(list(fd_arcs), dtype=np.int64)
         weighted = np.zeros((k, net.n_nodes))  # started demand per origin
-        for p, sd in enumerate(solution.sub[key] for key in keys):
-            np.add.at(weighted[p], sd.origins, sd.trips * sd.start_prob)
+        np.add.at(weighted, (table.owner, table.origins), table.trips * table.start_prob)
         # row r: arc r // (2 * k), pair r // 2 % k, time +h (even r) or -h
         tolls, tau_sum = _tolls(instance.strata, net, rates), np.zeros(2 * len(arcs) * k)
         for b in net.solve_blocks(len(tau_sum)):
@@ -1104,8 +1108,8 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
                 raise FeasibilityError(_UNBOUNDED)
             tau_sum[b] = [weighted[p] @ x for p, x in zip(pair, tau_fd)]
         est = iter((tau_sum[0::2] - tau_sum[1::2]) / (2.0 * fd_step))
-        fd_checks = {(net.arcs[a].id, *key): (float(next(est)), float(solution.sub[key].arc_flow[a]))
-                     for a in arcs for key in keys}
+        fd_checks = {(net.arcs[a].id, *key): (float(next(est)), float(table.arc_flow[p, a]))
+                     for a in arcs for p, key in enumerate(table.keys)}
 
     return EquilibriumDiagnostics(
         flow_residual=flow_residual,

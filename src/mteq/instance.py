@@ -129,8 +129,9 @@ class Instance:
     outside: OutsideOption
     car_length_km: float = DEFAULT_CAR_LENGTH_KM
     solver: SolverOptions = field(default_factory=SolverOptions)
-    #: materialized outside travel time per demanded OD pair (node ids)
-    outside_time: dict[tuple[str, str], float] = field(default_factory=dict)
+    #: outside travel time per demanded OD pair (node ids), built from the
+    #: other fields by every constructor call, dataclasses.replace included
+    outside_time: dict[tuple[str, str], float] = field(init=False)
 
     def __post_init__(self):
         names = [s.name for s in self.strata]
@@ -155,8 +156,7 @@ class Instance:
             if missing:
                 raise InstanceError(f"outside_option.ticket: missing OD ({', '.join(missing[0])})")
         self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
-        if not self.outside_time:
-            self.outside_time = materialize_outside_times(self)
+        self.outside_time = materialize_outside_times(self)
 
     @property
     def stratum_names(self) -> list[str]:
@@ -420,7 +420,3 @@ def nan_to_null(value):
     if isinstance(value, list):
         return [nan_to_null(v) for v in value]
     return value
-
-
-def instances_equal(a: Instance, b: Instance) -> bool:
-    return instance_to_document(a) == instance_to_document(b)

@@ -7,7 +7,8 @@ shares one LU for all its destinations, each pair's answer checked against
 its stored probabilities, and every other pair is a block of its own
 (all_trip_stats).  The Monte Carlo simulator replays individual trips
 against the same transition probabilities and serves as an independent
-cross-check and the source of trajectory-level output.
+cross-check and the source of trajectory-level output.  Both read the
+routings as the columns of the solution's PairTable, one row per pair.
 """
 
 from __future__ import annotations
@@ -97,17 +98,12 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     singular or gives non-finite values, is solved in the per-pair layout;
     FeasibilityError there means some pair's walks are never absorbed."""
     solution.check_strata(instance.stratum_names)
-    keys = sorted(solution.sub)
-    if not keys:
+    table, net = solution.pairs, instance.network
+    k, n = len(table.keys), net.n_nodes
+    if not k:
         return {}
-    net = instance.network
-    k, n = len(keys), net.n_nodes
-    subs = [solution.sub[key] for key in keys]
-    names = instance.stratum_names
-    s_idx = np.array([names.index(s) for s, _ in keys])
-    dest = np.array([net.node_index[d] for _, d in keys])
-    probs = np.array([sd.arc_probs for sd in subs])
-    live = np.where(net.tail == dest[:, None], 0.0, probs)  # absorbed at dest
+    s_idx, dest = table.indices(instance.stratum_names, net)
+    live = np.where(net.tail == dest[:, None], 0.0, table.arc_probs)  # absorbed at dest
     step = np.empty((3, k, net.n_arcs))  # time, money and distance per step
     np.multiply(live, solution.arc_time, out=step[0])
     np.multiply(live, solution.price_rates[s_idx] * net.primary_length, out=step[1])
@@ -117,10 +113,10 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     todo = np.ones(k, dtype=bool)
 
     # each stratum's pairs are a run of keys: first[j] : first[j] + count[j]
-    first = np.array([p for p in range(k) if p == 0 or keys[p][0] != keys[p - 1][0]])
+    first = np.array([p for p in range(k) if p == 0 or table.keys[p][0] != table.keys[p - 1][0]])
     count = np.diff(first, append=k)
     if count.max() > 1:
-        tau = np.array([sd.tau for sd in subs])
+        tau = table.tau
         beta = np.array([[instance.strata[i].beta_t] for i in s_idx])
         reach = np.maximum.reduceat((beta * tau).max(axis=1), first)
         tried = np.flatnonzero((count > 1) & (reach <= STRATUM_RANGE))
@@ -139,15 +135,14 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
               else [rest[b] for b in net.solve_blocks(len(rest))])
     for pairs in blocks:
-        T[:, pairs] = _StackLU(net, probs[pairs], dest[pairs]).solve(r[:, pairs])
+        T[:, pairs] = _StackLU(net, table.arc_probs[pairs], dest[pairs]).solve(r[:, pairs])
 
-    pair = np.repeat(np.arange(k), [len(sd.origins) for sd in subs])
-    origin = np.concatenate([sd.origins for sd in subs])
+    pair, origin = table.owner, table.origins
     time, money, distance = T[:, pair, origin].tolist()
-    start = np.concatenate([sd.start_prob for sd in subs]).tolist()
     stats = {}
-    for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), time, money, distance, start):
-        (stratum, destination), o_id = keys[p], net.node_id(o)
+    for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), time, money, distance,
+                                table.start_prob.tolist()):
+        (stratum, destination), o_id = table.keys[p], net.node_id(o)
         stats[(stratum, o_id, destination)] = TripStats(stratum, o_id, destination, t, c, x, q)
     return stats
 
@@ -477,19 +472,15 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     step_cap = check_number("step_cap", 50 * net.n_nodes if step_cap is None else step_cap,
                             net.n_nodes, integer=True)
     n, m = net.n_nodes, net.n_arcs
-    keys = sorted(solution.sub)
+    table = solution.pairs
 
     # one substream per (stratum, origin, destination), in trip order
-    streams = []
-    for p, (s_name, d_id) in enumerate(keys):
-        sd = solution.sub[(s_name, d_id)]
-        s, d = instance.stratum_names.index(s_name), net.node_index[d_id]
-        for o, trips in zip(sd.origins.tolist(), sd.trips.tolist()):
-            streams.append((s, o, d, p * n, s * m, int(round(trips)) * runs_per_unit))
-    streams = np.array(streams, dtype=np.int64).reshape(-1, 6)
+    s_idx, d_idx = table.indices(instance.stratum_names, net)
+    owner, origin = table.owner, table.origins
+    stratum, dest, row = s_idx[owner], d_idx[owner], owner * n
+    wrow, units = stratum * m, np.round(table.trips).astype(np.int64) * runs_per_unit
     rngs = [np.random.Generator(np.random.PCG64(_SubstreamSeed(state)))
-            for state in _substream_states(seed, streams[:, :3])]
-    stratum, origin, dest, row, wrow, units = streams.T
+            for state in _substream_states(seed, np.stack([stratum, origin, dest], axis=1))]
     trip_stream = np.repeat(np.arange(len(rngs)), units)
 
     # stream g's first draw fills buf[lo[g] - units[g]:hi[g]]: a start uniform
@@ -499,19 +490,17 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     lo, buf = hi - cap, np.empty(int((units + cap).sum()))
     for rng, first, last in zip(rngs, (lo - units).tolist(), hi.tolist()):
         rng.random(out=buf[first:last])
-    start_prob = np.concatenate([np.zeros(0)] + [solution.sub[key].start_prob for key in keys])
     started = (buf.take(np.arange(len(trip_stream)) + (np.cumsum(cap) - cap).repeat(units))
-               < start_prob.repeat(units))
+               < table.start_prob.repeat(units))
 
     # cum[k, p * n + i]: cumulative probability of node i's first k+1
     # out-arcs in pair p; arc_of[i * (width + 1) + k]: node i's k-th out-arc,
     # clipped to its last; weights[s * m + a]: time, money, distance and
     # primary distance of arc a in stratum s
     width = int(net.out_degree.max())
-    probs = np.array([solution.sub[key].arc_probs for key in keys]).reshape(-1, m)
-    cum = np.full((len(keys), n, width), np.inf)
+    cum = np.full((len(table.keys), n, width), np.inf)
     cum[:, net.tail, np.arange(m) - net.out_start[net.tail]] = _segment_cumsum(
-        probs, net.out_start)
+        table.arc_probs, net.out_start)
     cum = cum.reshape(-1, width).T.copy()
     arc_of = np.minimum(net.out_start[:-1, None] + np.arange(width + 1),
                         net.out_start[1:, None] - 1).ravel()

@@ -68,8 +68,7 @@ def with_price_sensitivities(instance, beta_p):
     ]
     return Instance(network=instance.network, strata=strata,
                     demand=instance.demand, outside=instance.outside,
-                    car_length_km=instance.car_length_km, solver=instance.solver,
-                    outside_time=dict(instance.outside_time))
+                    car_length_km=instance.car_length_km, solver=instance.solver)
 
 
 def test_criterion_1_equilibrium_residuals(single_od, grid6):

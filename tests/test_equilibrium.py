@@ -2,7 +2,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,11 +14,14 @@ from mteq import (
     OutsideOption,
     Stratum,
     SolverOptions,
+    all_trip_stats,
+    compute_metrics,
     equilibrium_residuals,
     expand_scheme,
     extract_core,
     flows_for_destination,
     outside_costs,
+    simulate_trips,
     solve_equilibrium,
     solve_tau,
     zero_prices,
@@ -55,6 +58,9 @@ def assert_same_solution(got, want):
     assert got.stratum_flow.keys() == want.stratum_flow.keys()
     for name, flow in want.stratum_flow.items():
         same(got.stratum_flow[name], flow)
+    assert got.pairs.keys == want.pairs.keys
+    for f in fields(want.pairs)[1:]:
+        same(getattr(got.pairs, f.name), getattr(want.pairs, f.name))
     assert got.sub.keys() == want.sub.keys()
     for key, sd in want.sub.items():
         for f in fields(sd):
@@ -338,16 +344,48 @@ class TestSolveEquilibrium:
 
     def test_solution_file_loads_back_bit_for_bit(self, tmp_path, lattice):
         # single-OD solves in the per-pair layout, the lattice at rate 2 in
-        # the stratum layout; each pair's arrays load as views of its row
+        # the stratum layout.  Every reader indexes the pair table's columns,
+        # so neither the solved nor the loaded solution builds its ``sub``
+        # view; built, the view's rows are views of the columns
         for inst in (gen_single_od(), lattice):
-            sol = solve_equilibrium(inst, rate_2(inst), MEDIUM)
+            prices = rate_2(inst)
+            sol = solve_equilibrium(inst, prices, MEDIUM)
+            compute_metrics(inst, sol, all_trip_stats(inst, sol))
+            simulate_trips(inst, sol, runs_per_unit=1)
+            equilibrium_residuals(inst, prices, sol, fd_arcs=[0])
             write_json(tmp_path / "solution.json", solution_to_dict(sol, inst.network))
             got = read_solution(tmp_path / "solution.json", inst.network)
+            assert "sub" not in vars(sol) and "sub" not in vars(got)
             assert_same_solution(got, sol)
+            for solution in (sol, got):
+                table = solution.pairs
+                assert list(solution.sub) == table.keys == sorted(table.keys)
+                for p, sd in enumerate(solution.sub.values()):
+                    lo, hi = table.bounds[p:p + 2]
+                    for key in ("tau", "entering_flow", "arc_flow", "arc_probs", "origins",
+                                "trips", "start_prob"):
+                        column = getattr(table, key)
+                        row = column[p] if column.ndim == 2 else column[lo:hi]
+                        view = getattr(sd, key)
+                        assert view.tobytes() == row.tobytes(), key
+                        assert np.shares_memory(view, column), key
+                    assert [sd.tau_converged, sd.tau_residual, sd.tau_iterations] == [
+                        table.tau_converged[p], table.tau_residual[p], table.tau_iterations[p]]
             for key in ("tau", "entering_flow", "arc_flow", "arc_probs", "origins", "trips",
                         "start_prob"):
                 bases = [getattr(sd, key).base for sd in got.sub.values()]
                 assert bases[0] is not None and all(b is bases[0] for b in bases), key
+            with pytest.raises(TypeError):
+                got.sub[table.keys[0]] = None  # read-only
+
+    def test_pairs_out_of_key_order_load_in_key_order(self, lattice):
+        # a file whose pairs are listed in reverse loads as the file in key
+        # order, which is the order every reader relies on
+        sol = solve_equilibrium(lattice, rate_2(lattice), MEDIUM)
+        rows = np.arange(len(sol.pairs.keys))[::-1]
+        doc = solution_to_dict(replace(sol, pairs=sol.pairs.take(rows)), lattice.network)
+        assert doc["sub"]["pairs"] == [f"{s}|{d}" for s, d in sol.pairs.keys[::-1]]
+        assert_same_solution(solution_from_dict(doc, lattice.network), sol)
 
     @pytest.mark.parametrize("key, value, kind", [
         ("origins", -1, "node indices below 36"), ("trips", -1.0, "finite numbers >= 0"),

@@ -2,19 +2,25 @@ import hashlib
 import json
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from mteq import (
+    DemandEntry,
     Instance,
     InstanceError,
+    SolverOptions,
+    all_trip_stats,
     assign_areas,
+    instance_to_document,
     load_instance,
     outside_costs,
     save_instance,
+    solve_equilibrium,
+    zero_prices,
 )
 from mteq import cli
-from mteq.instance import instances_equal
 from mteq.network import Node, build_network
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
@@ -56,7 +62,7 @@ class TestSaveInstance:
         path = tmp_path / "instance.json"
         save_instance(inst, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-        assert instances_equal(load_instance(path), inst)
+        assert instance_to_document(load_instance(path)) == instance_to_document(inst)
 
 
 class TestLoadInstance:
@@ -103,7 +109,7 @@ class TestLoadInstance:
         path = tmp_path / "inst.json"
         save_instance(inst, path)
         again = load_instance(path)
-        assert instances_equal(inst, again)
+        assert instance_to_document(inst) == instance_to_document(again)
         save_instance(again, tmp_path / "inst2.json")
         assert (tmp_path / "inst.json").read_bytes() == (tmp_path / "inst2.json").read_bytes()
 
@@ -125,7 +131,7 @@ class TestLoadInstance:
         with open(tmp_path / "inst.json", "w") as fh:
             json.dump(doc, fh)
         inst = load_instance(tmp_path / "inst.json")
-        assert instances_equal(inst, gen_single_od())
+        assert instance_to_document(inst) == instance_to_document(gen_single_od())
 
     def test_legacy_solver_keys_dropped(self, tmp_path):
         doc = single_od_document()
@@ -133,7 +139,7 @@ class TestLoadInstance:
         doc["solver"].update(step_rule="max(0.125, 1/(k+1))", norm="sup", inner_tol=1e-300,
                              inner_max_iters=1000, divergence_guard=1e9,
                              divergence_window=50, divergence_decay=0.95)
-        assert instances_equal(load_instance(doc), gen_single_od())
+        assert instance_to_document(load_instance(doc)) == instance_to_document(gen_single_od())
         # the CLI still accepts --tol-inner and --max-inner, and ignores them:
         # at a tolerance of 1e-300 every expected-cost solve would be refined
         with open(tmp_path / "inst.json", "w") as fh:
@@ -206,6 +212,21 @@ class TestOutsideCosts:
             dist = shortest_costs(net, net.free_time, net.node_index[d])
             want[(o, d)] = inst.outside.multiplier * float(dist[net.node_index[o]])
         assert inst.outside_time == want
+
+    def test_replace_rebuilds_the_outside_times(self):
+        # outside_time is derived from the other fields, so a replaced demand
+        # or outside option gets its own table: an added OD is solved, and a
+        # doubled multiplier doubles every time
+        inst = gen_single_od()
+        more = replace(inst, demand=[*inst.demand, DemandEntry("low", "1", "3", 5.0)])
+        assert more.outside_time.keys() == {("0", "3"), ("1", "3")}
+        sol = solve_equilibrium(more, zero_prices(more), SolverOptions())
+        assert all_trip_stats(more, sol)[("low", "1", "3")].start_prob > 0.0
+        doubled = replace(inst, outside=replace(inst.outside,
+                                                multiplier=2 * inst.outside.multiplier))
+        assert doubled.outside_time == {od: 2 * t for od, t in inst.outside_time.items()}
+        with pytest.raises(ValueError, match="outside_time"):  # not an argument any more
+            replace(inst, outside_time={})
 
 
 class TestAssignAreas:

@@ -172,11 +172,16 @@ def lattices():
                 "grid10": gen_grid(GridGenSpec(rows=10, cols=10, seed=0))}
 
 
+def with_columns(sol, **columns):
+    """``sol`` with the given columns of its pair table replaced."""
+    return replace(sol, pairs=replace(sol.pairs, **columns))
+
+
 def perturbed(sol, key, node, by):
     """``sol`` with the stored tau of pair ``key`` moved by ``by`` at ``node``."""
-    tau = sol.sub[key].tau.copy()
-    tau[node] += by
-    return replace(sol, sub={**sol.sub, key: replace(sol.sub[key], tau=tau)})
+    tau = sol.pairs.tau.copy()
+    tau[sol.pairs.keys.index(key), node] += by
+    return with_columns(sol, tau=tau)
 
 
 class TestStackedTripStats:
@@ -267,7 +272,7 @@ def test_solution_stratum_missing_from_instance_is_named(entry):
     # a solution with stratum "high" against the instance without it
     inst = gen_single_od()
     sol, prices = solved(inst)
-    other = replace(inst, strata=inst.strata[1:], outside_time={},
+    other = replace(inst, strata=inst.strata[1:],
                     demand=[e for e in inst.demand if e.stratum != "high"])
     call = {"all_trip_stats": lambda: all_trip_stats(other, sol),
             "compute_metrics": lambda: compute_metrics(other, sol, {}),
@@ -284,7 +289,7 @@ def test_instance_stratum_missing_from_solution_is_named(entry):
     # a solution without stratum "high" against the instance with it: the
     # instance's stratum order would index past its price rates
     inst = gen_single_od()
-    other = replace(inst, strata=inst.strata[1:], outside_time={},
+    other = replace(inst, strata=inst.strata[1:],
                     demand=[e for e in inst.demand if e.stratum != "high"])
     sol, _prices = solved(other)
     prices = expand_scheme(SchemeSpec(family="uniform", rate=0.0), inst)
@@ -609,9 +614,9 @@ class TestSimulation:
             inst, sol = grid6_solved
             kw = dict(runs_per_unit=2, seed=17)
             if case == "never_starts":  # the first pair's walk buffer is drawn, never read
-                sub, first = dict(sol.sub), sorted(sol.sub)[0]
-                sub[first] = replace(sub[first], start_prob=np.zeros_like(sub[first].start_prob))
-                sol = replace(sol, sub=sub)
+                start_prob = sol.pairs.start_prob.copy()
+                start_prob[:sol.pairs.bounds[1]] = 0.0
+                sol = with_columns(sol, start_prob=start_prob)
         else:  # walks of 2 to ~20 steps outrun the default buffer
             inst = bouncing_instance()
             sol, _ = solved(inst)
@@ -640,10 +645,10 @@ class TestSimulation:
         # one pair leaves every other pair's trips as they were
         inst, sol = grid6_solved
         full = simulate_trips(inst, sol, runs_per_unit=2, seed=8)
-        dropped = sorted(sol.sub)[len(sol.sub) // 2]
-        sub = dict(sol.sub)
-        del sub[dropped]
-        part = simulate_trips(inst, replace(sol, sub=sub), runs_per_unit=2, seed=8)
+        p = len(sol.pairs.keys) // 2
+        dropped = sol.pairs.keys[p]
+        others = sol.pairs.take(np.delete(np.arange(len(sol.pairs.keys)), p))
+        part = simulate_trips(inst, replace(sol, pairs=others), runs_per_unit=2, seed=8)
         rest = [t for t in full.trips if (t.stratum, t.destination) != dropped]
         assert len(rest) < len(full.trips)
         assert part.trips == rest
@@ -669,21 +674,18 @@ class TestSimulation:
         # so the zero sits inside or at the start of the node's cumulative row
         inst, sol = grid6_solved
         net = inst.network
-        sub = {}
+        probs = sol.pairs.arc_probs.copy()  # every pair's row at once
         zeroed = set()
-        for key, sd in sol.sub.items():
-            probs = sd.arc_probs.copy()
-            for i in range(net.n_nodes):
-                lo, hi = int(net.out_start[i]), int(net.out_start[i + 1])
-                if hi - lo < 2:
-                    continue
-                a = lo + 1 if hi - lo >= 3 else lo
-                probs[a + 1 if a + 1 < hi else lo] += probs[a]
-                probs[a] = 0.0
-                zeroed.add(net.arcs[a].id)
-            sub[key] = replace(sd, arc_probs=probs)
-        rep = simulate_trips(inst, replace(sol, sub=sub), runs_per_unit=3, seed=13,
-                             keep_paths=True)
+        for i in range(net.n_nodes):
+            lo, hi = int(net.out_start[i]), int(net.out_start[i + 1])
+            if hi - lo < 2:
+                continue
+            a = lo + 1 if hi - lo >= 3 else lo
+            probs[:, a + 1 if a + 1 < hi else lo] += probs[:, a]
+            probs[:, a] = 0.0
+            zeroed.add(net.arcs[a].id)
+        rep = simulate_trips(inst, with_columns(sol, arc_probs=probs), runs_per_unit=3,
+                             seed=13, keep_paths=True)
         used = {a for t in rep.trips for a in t.arcs}
         assert used and not used & zeroed
 
