@@ -23,8 +23,9 @@ them, and the pass's own shortest costs only for a pair whose answer leaves
 range under them.
 A pass writes every pair's routing into the columns of one PairTable.  A
 solution takes its scheme's rows once, in key order (the sorted (stratum,
-destination) pairs, the row order of a solution file), and every reader
-indexes those columns; ``EquilibriumSolution.sub`` only views their rows.
+destination) pairs, the row order of a solution file), with the trip
+statistics that the stop step solved on the last pass's stratum LUs, and
+every reader indexes those columns; ``EquilibriumSolution.sub`` views them.
 ``solve_tau`` and ``flows_for_destination``, the one-pair case, are kept
 only for the benchmark's tracer (ROADMAP, "The benchmark reads the program"):
 nothing here calls them.
@@ -118,7 +119,8 @@ class PairTable:
     origins, trips and start probabilities of all pairs laid end to end, pair
     p's at ``bounds[p]:bounds[p + 1]``.  A solution's rows are in key order,
     the keys sorted, which is also the row order of a solution file; a
-    routing pass's are in plan order (_RoutingPlan)."""
+    routing pass's are in plan order (_RoutingPlan).  A pass's stop step
+    fills ``trip_*`` of the rows ``has_trip_stats``; a file's table has none."""
 
     keys: list                  # (stratum, destination id) per row
     tau: np.ndarray             # (pairs, n_nodes)
@@ -132,6 +134,10 @@ class PairTable:
     origins: np.ndarray         # node index per origin
     trips: np.ndarray
     start_prob: np.ndarray
+    trip_time: np.ndarray | None = None      # per origin: expected drive time (hours)
+    trip_money: np.ndarray | None = None     # expected toll paid
+    trip_distance: np.ndarray | None = None  # expected distance (km)
+    has_trip_stats: np.ndarray | None = None  # (pairs,) bool
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -159,8 +165,9 @@ class PairTable:
         """The table of the pairs ``rows`` (an index array), in that order."""
         ends, owner = self.ends(rows)
         bounds = np.searchsorted(owner, np.arange(len(rows) + 1))  # each pair's first entry
-        return PairTable([self.keys[p] for p in rows], *(getattr(self, f)[rows] for f in _ROWS),
-                         bounds, *(getattr(self, f)[ends] for f in _ENDS))
+        pick = lambda name, at: None if getattr(self, name) is None else getattr(self, name)[at]
+        return PairTable([self.keys[p] for p in rows], *(pick(f, rows) for f in _ROWS), bounds,
+                         *(pick(f, ends) for f in _ENDS + _TRIPS), pick("has_trip_stats", rows))
 
 
 @dataclass
@@ -229,7 +236,7 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
-    tau, residual, _probs, _log_denom, solves, low, _through = _expected_costs(
+    tau, residual, _probs, _log_denom, solves, low, _through, _stack = _expected_costs(
         network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None], TAU_TOLERANCE)
     if not low[0] >= X_MIN:
         raise FeasibilityError(_UNBOUNDED)
@@ -363,8 +370,8 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     tau (k, n), the per-pair fixed-point residual, the logit probabilities
     and log-denominators at tau, the solves of each pair (1, or 2 when
     refined), ``low`` (NaN where X is not finite, and never above the
-    unrefined one), and ``through``: (k, n) right-hand sides y ->
-    X * (I - W_d)^-T (y / X), the routing solve of _route."""
+    unrefined one), ``through``: (k, n) right-hand sides y ->
+    X * (I - W_d)^-T (y / X), the routing solve of _route, and the stack."""
     column = np.arange(len(dest))
     if block is None:
         tau_ref = tau_ref.copy()
@@ -388,7 +395,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         X[refine] += stack.solve(stack.residual(X))[refine]
         low, usable, tau, residual, probs, log_denom = certify(X, low)
     return (tau, residual, probs, log_denom, 1 + refine, low,
-            lambda y: X * stack.solve_transposed(y / X))
+            lambda y: X * stack.solve_transposed(y / X), stack)
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
@@ -594,6 +601,7 @@ class _RoutingPlan:
             return values if schemes == 1 else np.tile(values, schemes)
 
         self.toll = _tolls(self.strata, net, rates)  # (schemes, n_strata, n_arcs)
+        self.money = (rates * net.primary_length).reshape(-1, net.n_arcs)  # per (scheme, stratum)
         self.stratum = tile(stratum, np.int64)  # the (scheme, stratum) row of each pair
         if schemes > 1:
             self.stratum += np.repeat(n_strata * np.arange(schemes), self.pairs)
@@ -615,7 +623,8 @@ class _RoutingPlan:
         self.result = PairTable(self.keys, np.empty((k, n)), np.empty((k, n)), np.empty((k, m)),
                                 np.empty((k, m)), np.empty(k, bool), np.empty(k),
                                 np.empty(k, np.int64), self.bounds, self.origins, self.trips,
-                                np.empty(len(self.origins)))
+                                np.empty(len(self.origins)),
+                                *np.full((3, len(self.origins)), np.nan), np.zeros(k, bool))
         self.free_flow_bounds = None
         dead = np.flatnonzero(net.out_degree == 0)
         if len(dead):  # the choice kernel's per-node segments need an arc each
@@ -636,8 +645,10 @@ class _RoutingPlan:
         LU per stack of the stratum layout, then of the per-pair layout,
         each stack's accepted pairs written into ``result``, the plan's
         PairTable of every pair in plan order, which the next pass
-        overwrites.  The rows of the other schemes are left as they were."""
+        overwrites.  The rows of the other schemes are left as they were.
+        ``stacks`` keeps each stratum-layout stack that served some pair."""
         net, k, result = self.network, len(self.dest), self.result
+        self.stacks, self.arc_time = [], arc_time
         costs = (arc_time[:, None] + self.toll).reshape(-1, net.n_arcs)
         todo = np.ones(k, dtype=bool) if active is None else np.repeat(active, self.pairs)
 
@@ -646,7 +657,7 @@ class _RoutingPlan:
             its accepted pairs; False if a stratum-layout stack is singular."""
             dest, (o, owner) = self.dest[pairs], result.ends(pairs)
             try:
-                tau, residual, probs, log_denom, solves, low, through = _expected_costs(
+                tau, residual, probs, log_denom, solves, low, through, stack = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
                     TAU_TOLERANCE, block, weights)
             except FeasibilityError:
@@ -670,6 +681,8 @@ class _RoutingPlan:
                 ok &= ~failed
             if block is not None:
                 ok = (np.bincount(block, ~ok) == 0)[block]
+                if ok.any():
+                    self.stacks.append((stack, pairs, block, ok))
             fields = [tau, x, v, probs, residual <= TAU_TOLERANCE, residual, solves]  # _ROWS
             if not ok.all():  # slices of pairs and origins become index arrays
                 kept = ok[owner]
@@ -705,6 +718,29 @@ class _RoutingPlan:
                 pairs = b if len(rest) == k else rest[b]  # slices: views, no copies
                 serve(pairs, None, None, bounds[pairs], final)
         return result
+
+    def trip_stats(self, stopped: list) -> None:
+        """The stop step of the schemes ``stopped`` (indices): their pairs'
+        trip statistics into ``result``, one metrics._stacked_stats solve per
+        last-pass stack that holds no other scheme, by all_trip_stats' rules,
+        so with its bits: _StackLU factors each block I - W_s as alone."""
+        from .metrics import _stacked_stats, _trip_sums
+        net, result = self.network, self.result
+        for stack, pairs, block, ok in self.stacks:
+            scheme = pairs // self.pairs
+            if not np.isin(scheme, stopped).all():
+                continue
+            beta, tau = self.beta[pairs], result.tau[pairs]
+            first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first pair
+            reach = np.maximum.reduceat((beta * tau).max(axis=1), first)
+            live, r = _trip_sums(net, result.arc_probs[pairs], self.dest[pairs],
+                                 self.arc_time[scheme], self.money[self.stratum[pairs]])
+            passed, T = _stacked_stats(net, stack, beta, tau, r, live)
+            ok = ok & passed & (reach <= STRATUM_RANGE)[block]
+            o, owner = result.ends(pairs[ok])
+            result.trip_time[o], result.trip_money[o], result.trip_distance[o] = (
+                T[:, ok][:, owner, result.origins[o]])
+            result.has_trip_stats[pairs[ok]] = True
 
 
 class _AndersonMixer:
@@ -760,11 +796,11 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
     Every scheme has its own flow iterate (zero, or its entry of
     ``initial_flows``), _AndersonMixer and stop test.  A pass routes the
     schemes that have not stopped in one _RoutingPlan pass; a scheme that
-    stops keeps its last pass as its snapshot.  Each scheme's solution is
-    the one it gets solved alone, bit for bit.  ``log_fn`` receives every
-    pass record of every scheme, its position in ``prices_list`` under
-    ``"scheme"``.
-    """
+    stops keeps its last pass as its snapshot, with the trip statistics the
+    stop step solved on that pass's LUs (_RoutingPlan.trip_stats).  Each
+    scheme's solution is the one it gets solved alone, bit for bit.
+    ``log_fn`` receives every pass record of every scheme, its position in
+    ``prices_list`` under ``"scheme"``."""
     opts = options or instance.solver
     net = instance.network
     shape = (len(instance.strata), net.n_arcs)
@@ -800,7 +836,8 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             active = np.zeros(len(rates), dtype=bool)
             active[live] = True
         result = plan.route(net.latency_all(np.array(flows)), active)
-        for s in list(live):  # its pairs' flows, summed row by row in plan order: reproducible
+        stopping = []
+        for s in live:  # its pairs' flows, summed row by row in plan order: reproducible
             response = result.arc_flow[s * plan.pairs:(s + 1) * plan.pairs].sum(axis=0)
             f = flows[s]
             if not np.all(np.isfinite(response)):
@@ -812,11 +849,16 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             if log_fn is not None:
                 log_fn(rec)
             converged[s] = gap <= opts.outer_tol
-            if converged[s] or k == opts.outer_max_iters - 1:  # its rows, before the next pass
-                last[s] = result.take(s * plan.pairs + plan.order), response, gap
-                live.remove(s)
+            if converged[s] or k == opts.outer_max_iters - 1:
+                stopping.append(s)
+                last[s] = response, gap
             else:
                 flows[s] = mixers[s].step(f, response - f)
+        if stopping:  # the stop step, then the stopped schemes' rows, before the next pass
+            plan.trip_stats(stopping)
+            for s in stopping:
+                last[s] = (result.take(s * plan.pairs + plan.order), *last[s])
+                live.remove(s)
         if not live:
             break
 
@@ -854,6 +896,7 @@ _PACKED = ("tau", "entering_flow", "arc_probs")  # one row of nodes or arcs per 
 _ENDS = ("origins", "trips", "start_prob")  # one entry per origin, pairs end to end
 _STATUS = ("tau_converged", "tau_residual", "tau_iterations")  # one entry per pair
 _ROWS = ("tau", "entering_flow", "arc_flow", "arc_probs", *_STATUS)  # PairTable's, per pair
+_TRIPS = ("trip_time", "trip_money", "trip_distance")  # PairTable's, per origin, never stored
 _OUTER_STATUS = ("converged", "inner_converged", "outer_iterations", "outer_residual")
 
 
@@ -963,7 +1006,8 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     key order from zero.
     Raises InstanceError for another schema version, another network, an
     array that does not fit the network or is not stored as solution_to_dict
-    stores it, a pair listed twice, or a value out of range, naming its pair:
+    stores it, a pair listed twice, an origin listed twice for its pair or
+    at the pair's destination, or a value out of range, naming its pair:
     flows, trips and price rates must be finite and nonnegative,
     probabilities in [0, 1], expected costs finite, flags true or false and
     iteration counts and residuals nonnegative (_status)."""
@@ -999,6 +1043,13 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         if not (type(o) is int and 0 <= o < n):
             raise InstanceError(f"{at}.{pairs[owner[j]]}.origins must be node indices below "
                                 f"{n}, got {o!r}")
+    origins = np.array(origins, dtype=np.int64)
+    node, dest = owner * n + origins, [network.node_index[d] for _s, d in rows]
+    twice = np.sort(node)[1:][np.diff(np.sort(node)) == 0]  # a pair's origin listed again
+    bad = np.flatnonzero((origins == np.array(dest, dtype=np.int64)[owner]) | np.isin(node, twice))
+    if len(bad):
+        raise InstanceError(f"{at}.{pairs[owner[bad[0]]]}.origins must be distinct nodes other "
+                            f"than the destination, got {origins[bad[0]]}")
     tau, entering_flow, arc_probs, trips, start_prob = _arrays(sub_doc, at, {
         "tau": (k, n), "entering_flow": (k, n), "arc_probs": (k, m), "trips": owner.shape,
         "start_prob": owner.shape}, _PACKED,
@@ -1008,8 +1059,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
     table = PairTable(list(rows), tau, entering_flow, entering_flow[:, network.tail] * arc_probs,
                       arc_probs, *(np.array([row[j] for row in status], dtype=dtype)
                                    for j, dtype in enumerate((bool, float, np.int64))),
-                      np.cumsum([0] + counts), np.array(origins, dtype=np.int64), trips,
-                      start_prob)
+                      np.cumsum([0] + counts), origins, trips, start_prob)
     if list(rows) != sorted(rows):  # pairs out of key order, as solution_to_dict never writes
         table = table.take(np.array(sorted(range(k), key=table.keys.__getitem__), dtype=int))
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
@@ -1101,7 +1151,7 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
             r = np.arange(b.start, b.stop)
             pair, tp = r // 2 % k, np.tile(t, (len(r), 1))
             tp[np.arange(len(r)), arcs[r // (2 * k)]] += (1.0 - 2.0 * (r % 2)) * fd_step
-            tau_fd, *_rest, low, _through = _expected_costs(
+            tau_fd, *_rest, low, _through, _stack = _expected_costs(
                 net, tp + tolls[rows[pair]], dest[pair], beta[pair], tau[pair],
                 min(1e-10, fd_step * 1e-3))
             if not np.all(low >= X_MIN):

@@ -1,14 +1,15 @@
 """Welfare, revenue, and traffic metrics of an equilibrium solution.
 
 Expected per-trip quantities (time, money, distance) come from the
-absorbing-chain linear systems of the (stratum, destination) routings,
-solved by the routing kernel (equilibrium._StackLU): a stratum in range
-shares one LU for all its destinations, each pair's answer checked against
-its stored probabilities, and every other pair is a block of its own
-(all_trip_stats).  The Monte Carlo simulator replays individual trips
-against the same transition probabilities and serves as an independent
-cross-check and the source of trajectory-level output.  Both read the
-routings as the columns of the solution's PairTable, one row per pair.
+absorbing-chain systems of the (stratum, destination) routings: a fresh
+solution holds most of them, solved on its last routing pass's LUs, and
+all_trip_stats solves the rest by the routing kernel (_StackLU), a stratum
+in range in one LU for all its destinations, each pair checked against its
+stored probabilities, and every other pair alone.  The Monte Carlo
+simulator replays individual trips against the same transition
+probabilities and serves as an independent cross-check and the source of
+trajectory-level output.  Both read the routings as the columns of the
+solution's PairTable, one row per pair.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 # kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .equilibrium import (STRATUM_RANGE, EquilibriumSolution, FeasibilityError, _arc_costs,
-                          _StackLU, _stratum_stacks)
+from .equilibrium import (_TRIPS, STRATUM_RANGE, EquilibriumSolution, FeasibilityError,
+                          _arc_costs, _StackLU, _stratum_stacks)
 from .instance import Instance, nan_to_null
 from .network import Network, check_number, write_csv
 
@@ -85,83 +86,92 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     pair's stored ``arc_probs`` P (r: the expected arc weight of one step),
     plus the start probabilities.
 
-    Each pair is solved in one of the routing kernel's two block layouts
-    (equilibrium._StackLU), one LU per stack of at most MAX_BLOCK_ROWS
-    unknowns.  A stratum with several destinations whose stored tau keeps
-    beta_t * max tau <= STRATUM_RANGE shares one unscaled block I - W_s,
-    W_s = exp(-beta_t * cost) at the solution's times and prices: with
-    X = exp(-beta_t * tau), P = D^-1 W D for D = diag(X), so (I - P_d) T = r
-    is (I - W_d)(X T) = X r (_stacked_stats).  Each such answer is checked
-    against the pair's own P: the residual of T = r + P T[head], T[d] = 0,
-    must be at most STACK_RESIDUAL * max(1, |T|) for every weight.  Every
-    other pair, and every pair that fails that check or whose stack is
-    singular or gives non-finite values, is solved in the per-pair layout;
+    A freshly solved scheme's pairs mostly hold T already, with these bits:
+    the pass that stopped it solved them on its LUs (PairTable
+    ``has_trip_stats``).  The rest, and all of a solution read from a file,
+    are solved in the routing kernel's block layouts (_StackLU), one LU per
+    stack of at most MAX_BLOCK_ROWS unknowns.  A stratum with several
+    destinations, none held, whose stored tau keeps beta_t * max tau <=
+    STRATUM_RANGE shares one unscaled block I - W_s, W_s = exp(-beta_t *
+    cost) at the solution's times and prices: with X = exp(-beta_t * tau),
+    P = D^-1 W D for D = diag(X), so (I - P_d) T = r is (I - W_d)(X T) = X r
+    (_stacked_stats), kept where T = r + P T[head], T[d] = 0, holds within
+    STACK_RESIDUAL * max(1, |T|) under the pair's own P.  Every other pair,
+    and every pair of a singular stack, takes the per-pair layout;
     FeasibilityError there means some pair's walks are never absorbed."""
     solution.check_strata(instance.stratum_names)
     table, net = solution.pairs, instance.network
     k, n = len(table.keys), net.n_nodes
     if not k:
         return {}
-    s_idx, dest = table.indices(instance.stratum_names, net)
-    live = np.where(net.tail == dest[:, None], 0.0, table.arc_probs)  # absorbed at dest
-    step = np.empty((3, k, net.n_arcs))  # time, money and distance per step
-    np.multiply(live, solution.arc_time, out=step[0])
-    np.multiply(live, solution.price_rates[s_idx] * net.primary_length, out=step[1])
-    np.multiply(live, net.length, out=step[2])
-    r = _node_sums(net, step)  # (3, k, n)
-    T = np.empty_like(r)
-    todo = np.ones(k, dtype=bool)
+    pair, origin = table.owner, table.origins
+    held = np.zeros(k, dtype=bool) if table.has_trip_stats is None else table.has_trip_stats
+    if held.all():
+        trip = [getattr(table, name) for name in _TRIPS]
+    else:
+        T, todo = np.empty((3, k, n)), ~held
+        s_idx, dest = table.indices(instance.stratum_names, net)
+        live, r = _trip_sums(net, table.arc_probs, dest, solution.arc_time,
+                             solution.price_rates[s_idx] * net.primary_length)
 
-    # each stratum's pairs are a run of keys: first[j] : first[j] + count[j]
-    first = np.array([p for p in range(k) if p == 0 or table.keys[p][0] != table.keys[p - 1][0]])
-    count = np.diff(first, append=k)
-    if count.max() > 1:
-        tau = table.tau
-        beta = np.array([[instance.strata[i].beta_t] for i in s_idx])
-        reach = np.maximum.reduceat((beta * tau).max(axis=1), first)
-        tried = np.flatnonzero((count > 1) & (reach <= STRATUM_RANGE))
-        if len(tried):
+        # each stratum's pairs are a run of keys: first[j] : first[j] + count[j]
+        first = np.array([p for p in range(k)
+                          if p == 0 or table.keys[p][0] != table.keys[p - 1][0]])
+        count = np.diff(first, append=k)
+        if count.max() > 1:
+            beta = np.array([[instance.strata[i].beta_t] for i in s_idx])
+            reach = np.maximum.reduceat((beta * table.tau).max(axis=1), first)
+            tried = np.flatnonzero((count > 1) & (reach <= STRATUM_RANGE)
+                                   & np.logical_and.reduceat(todo, first))
             costs = _arc_costs(instance.strata, net, solution.price_rates, solution.arc_time)
             for g, pairs, block in _stratum_stacks(net, first[tried], count[tried]):
-                group = s_idx[first[tried[g]]]
-                weights = np.exp(-beta[first[tried[g]]] * costs[group])
-                ok, T_p = _stacked_stats(net, weights, dest[pairs], block, beta[pairs],
-                                         tau[pairs], r[:, pairs], live[pairs])
-                if ok.any():
-                    T[:, pairs[ok]] = T_p[:, ok]
-                    todo[pairs[ok]] = False
+                weights = np.exp(-beta[first[tried[g]]] * costs[s_idx[first[tried[g]]]])
+                try:
+                    stack = _StackLU(net, weights, dest[pairs], block)
+                except FeasibilityError:  # a singular stack passes no pair
+                    continue
+                ok, T_p = _stacked_stats(net, stack, beta[pairs], table.tau[pairs], r[:, pairs],
+                                         live[pairs])
+                T[:, pairs[ok]] = T_p[:, ok]
+                todo[pairs[ok]] = False
 
-    rest = np.flatnonzero(todo)
-    blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
-              else [rest[b] for b in net.solve_blocks(len(rest))])
-    for pairs in blocks:
-        T[:, pairs] = _StackLU(net, table.arc_probs[pairs], dest[pairs]).solve(r[:, pairs])
+        rest = np.flatnonzero(todo)
+        blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
+                  else [rest[b] for b in net.solve_blocks(len(rest))])
+        for pairs in blocks:
+            T[:, pairs] = _StackLU(net, table.arc_probs[pairs], dest[pairs]).solve(r[:, pairs])
+        trip = T[:, pair, origin]
+        if held.any():  # the pairs that the solve's stop step served
+            trip[:, held[pair]] = [getattr(table, name)[held[pair]] for name in _TRIPS]
 
-    pair, origin = table.owner, table.origins
-    time, money, distance = T[:, pair, origin].tolist()
     stats = {}
-    for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), time, money, distance,
+    for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), *(v.tolist() for v in trip),
                                 table.start_prob.tolist()):
         (stratum, destination), o_id = table.keys[p], net.node_id(o)
         stats[(stratum, o_id, destination)] = TripStats(stratum, o_id, destination, t, c, x, q)
     return stats
 
 
-def _stacked_stats(net: Network, weights: np.ndarray, dest: np.ndarray, block: np.ndarray,
-                   beta: np.ndarray, tau: np.ndarray, r: np.ndarray, live: np.ndarray):
-    """T (3, k, n) of k pairs in the stratum layout, T = (I - W_d)^-1 (X r) / X
-    with X = exp(-beta tau) from one _StackLU (its layout is its own), and
-    whether each pair's T passes the residual check against its
-    probabilities ``live`` (destination rows zeroed).  A singular stack
-    passes no pair."""
-    try:
-        stack = _StackLU(net, weights, dest, block)
-    except FeasibilityError:
-        return np.zeros(len(dest), dtype=bool), None
+def _trip_sums(net: Network, arc_probs: np.ndarray, dest: np.ndarray, time, money):
+    """The (k, m) probabilities ``live``, each destination's row zeroed, and
+    r (3, k, n): each node's expected time, money and distance of one step."""
+    live = np.where(net.tail == dest[:, None], 0.0, arc_probs)  # absorbed at dest
+    step = np.empty((3, *live.shape))
+    for out, weight in zip(step, (time, money, net.length)):
+        np.multiply(live, weight, out=out)
+    return live, _node_sums(net, step)
+
+
+def _stacked_stats(net: Network, stack: _StackLU, beta: np.ndarray, tau: np.ndarray,
+                   r: np.ndarray, live: np.ndarray):
+    """T (3, k, n) of the k pairs of a stratum-layout ``stack``, T = (I -
+    W_d)^-1 (X r) / X with X = exp(-beta tau) (Akamatsu, Transp. Res. B
+    1996), and whether each pair's T passes the STACK_RESIDUAL check under
+    ``live``: the one kernel of the solve's stop step and all_trip_stats."""
     with np.errstate(all="ignore"):  # a non-finite value fails the check
         X = np.exp(-beta * tau)
         T = stack.solve(X * r) / X
-        T[:, np.arange(len(dest)), dest] = 0.0
+        T[:, np.arange(len(tau)), stack.dest] = 0.0
         resid = np.abs(T - r - _node_sums(net, live * T[..., net.head])).max(axis=2)
         scale = np.maximum(1.0, np.abs(T).max(axis=2))
         ok = (resid <= STACK_RESIDUAL * scale).all(axis=0)

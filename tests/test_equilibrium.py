@@ -60,7 +60,10 @@ def assert_same_solution(got, want):
         same(got.stratum_flow[name], flow)
     assert got.pairs.keys == want.pairs.keys
     for f in fields(want.pairs)[1:]:
-        same(getattr(got.pairs, f.name), getattr(want.pairs, f.name))
+        if f.name.startswith(("trip_", "has_trip")):  # a file stores no trip statistics
+            assert getattr(got.pairs, f.name) is None
+        else:
+            same(getattr(got.pairs, f.name), getattr(want.pairs, f.name))
     assert got.sub.keys() == want.sub.keys()
     for key, sd in want.sub.items():
         for f in fields(sd):
@@ -403,6 +406,24 @@ class TestSolveEquilibrium:
         sub[key][entry] = value
         with pytest.raises(InstanceError, match=re.escape(
                 f"solution.sub.{sub['pairs'][pair]}.{key} must be {kind}, got {value!r}")):
+            solution_from_dict(doc, lattice.network)
+
+    @pytest.mark.parametrize("fault", ["destination", "twice"])
+    def test_origin_that_cannot_be_one_names_its_pair(self, lattice, fault):
+        # an origin at its pair's destination would start trips there, and one
+        # listed twice would double its demand: both are refused by pair
+        sol = solve_equilibrium(lattice, rate_2(lattice), MEDIUM)
+        doc = solution_to_dict(sol, lattice.network)
+        sub = doc["sub"]
+        counts = sub["origin_counts"]
+        pair = counts.index(max(counts))
+        entry = sum(counts[:pair + 1]) - 1  # the pair's last origin
+        destination = lattice.network.node_index[sub["pairs"][pair].split("|")[1]]
+        value = destination if fault == "destination" else sub["origins"][entry - 1]
+        sub["origins"][entry] = value
+        with pytest.raises(InstanceError, match=re.escape(
+                f"solution.sub.{sub['pairs'][pair]}.origins must be distinct nodes other than "
+                f"the destination, got {value}")):
             solution_from_dict(doc, lattice.network)
 
 
@@ -785,12 +806,15 @@ class TestBatchedRouting:
     @pytest.mark.parametrize("counts", [(10, 10, 10), (10, 4, 2)])
     def test_stacked_strata_share_right_hand_side_columns(self, lattice, counts, monkeypatch):
         # the j-th destination of every stacked stratum takes column j, so
-        # each solve has as many columns as the largest stratum has destinations
+        # each routing solve has as many columns as the largest stratum has
+        # destinations; the stop step then solves the trip statistics on the
+        # same LU once, time, money and distance of each column: 3 x 10
         inst = with_destinations(lattice, counts)
         factored = record_factorizations(monkeypatch)
         solves = record_solves(monkeypatch)
         rates = rate_2(inst)
         sol = one_pass(inst, rates)
+        solves.remove((108, 30))
         assert factored == [((108, 108), "ok")] and set(solves) == {(108, 10)}
         assert_matches_per_pair(inst, rates, sol)
 
@@ -984,7 +1008,7 @@ class TestUnusableStratumPairs:
         inst = complete_digraph_instance()
         net = inst.network
         costs = np.tile(net.free_time, (2, 1))
-        tau, _residual, _probs, _log_denom, solves, low, _through = _expected_costs(
+        tau, _residual, _probs, _log_denom, solves, low, _through, _stack = _expected_costs(
             net, costs, np.array([2, 3]), np.ones((2, 1)), 0.0, 1e-9,
             np.array([0, 0]), np.exp(-net.free_time)[None])
         assert (low >= X_MIN).tolist() == [False, False]
@@ -1058,7 +1082,7 @@ class TestStackLU:
                                    shortest_costs(net, costs, dest, rows=block), 1e-300)
         y = np.random.default_rng(6).uniform(0.0, 100.0, (len(dest), net.n_nodes))
         for got in (stacked, per_pair):
-            tau, _residual, _probs, _log_denom, solves, low, _through = got
+            tau, _residual, _probs, _log_denom, solves, low, _through, _stack = got
             assert solves.tolist() == [2] * len(dest) and (low >= X_MIN).all()
         assert stacked[0] == pytest.approx(per_pair[0], rel=1e-12, abs=1e-12)
         assert_close(stacked[6](y), per_pair[6](y))
@@ -1159,7 +1183,7 @@ class TestPerPairRefinement:
         noise = 1.0 + sign * 1e-6 * np.random.default_rng(4).uniform(
             0.0, 1.0, (len(args[2]), lattice.network.n_nodes))
         monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * noise)
-        tau, residual, _probs, _log_denom, solves, _low, _through = _expected_costs(
+        tau, residual, _probs, _log_denom, solves, _low, _through, _stack = _expected_costs(
             *args[:5], 1e-9, *args[5:])
         assert solves.tolist() == [2] * len(args[2])
         assert (residual <= 1e-9).all()
@@ -1243,7 +1267,7 @@ class TestRefinementStep:
         assert exact[4].tolist() == [1] * len(args[2])
         real = _StackLU.reach
         monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * (1.0 + 1e-6))
-        tau, residual, _probs, _log_denom, solves, _low, _through = _expected_costs(
+        tau, residual, _probs, _log_denom, solves, _low, _through, _stack = _expected_costs(
             *args[:5], 1e-12, *args[5:])
         assert solves.tolist() == [2] * len(args[2])
         assert (residual <= 1e-12).all()
@@ -1255,7 +1279,7 @@ class TestRefinementStep:
     @REFINED_STACKS
     def test_route_refines_a_perturbed_first_solve(self, lattice, name, layout):
         args, (pair, origins, trips) = free_flow_stack(self.instance(name, lattice), layout)
-        _tau, _residual, probs, log_denom, _solves, _low, through = _expected_costs(
+        _tau, _residual, probs, log_denom, _solves, _low, through, _stack = _expected_costs(
             *args[:5], 1e-12, *args[5:])
         calls = []
 

@@ -270,7 +270,7 @@ VALUES = [
     ("config", "grid.strata_order", [[1]], "grid strata_order"),
     ("solution", "strata", [[1]], "solution.strata[0]"),
     *[("solution", f"{PAIR}.origins", value, f"solution.{PAIR}.origins")
-      for value in ([1.5], [-1], [99], [True], ["0"])],
+      for value in ([1.5], [-1], [99], [True], ["0"], [3])],  # 3: the pair's destination
     ("solution", "sub.nope", {}, "solution.sub.pairs[0]: 'nope'"),  # a pair not solved for
     *[("solution", "schema_version", value, f"solution schema version {value!r}")
       for value in (True, 3.0)],  # True == 1 and 3.0 == 3 in Python, not in the schema

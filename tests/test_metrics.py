@@ -21,7 +21,7 @@ from mteq import (
     simulate_trips,
     solve_equilibrium,
 )
-from mteq.equilibrium import solution_from_dict, solution_to_dict
+from mteq.equilibrium import solution_from_dict, solution_to_dict, solve_equilibria
 from mteq.metrics import (SimulationReport, _segment_cumsum, _substream_states,
                           _SubstreamSeed)
 from mteq.network import Node, build_network
@@ -173,8 +173,9 @@ def lattices():
 
 
 def with_columns(sol, **columns):
-    """``sol`` with the given columns of its pair table replaced."""
-    return replace(sol, pairs=replace(sol.pairs, **columns))
+    """``sol`` with the given columns of its pair table replaced, and without
+    the trip statistics its solve left, which the old columns gave."""
+    return replace(sol, pairs=replace(sol.pairs, has_trip_stats=None, **columns))
 
 
 def perturbed(sol, key, node, by):
@@ -200,11 +201,15 @@ class TestStackedTripStats:
         # grid10 at rate 2: 3 strata of 100 nodes in one stack; at rate 300
         # beta_t * max tau leaves range in every stratum, so no stack is
         # built and the 156 pairs take 8 per-pair stacks of 20 or fewer
+        # (the solution read back from its file: a fresh one holds the trip
+        # statistics its last routing pass solved)
         inst = lattices["grid10"]
+        net = inst.network
         for rate, want in ((2.0, [((300, 300), "ok")]),
                            (300.0, [((2000, 2000), "ok")] * 7 + [((1600, 1600), "ok")])):
             sol = solve_equilibrium(
                 inst, expand_scheme(SchemeSpec(family="uniform", rate=rate), inst), LOOSE)
+            sol = solution_from_dict(solution_to_dict(sol, net), net)
             factored = record_factorizations(monkeypatch)
             all_trip_stats(inst, sol)
             assert factored == want, rate
@@ -264,6 +269,84 @@ class TestStackedTripStats:
             gap = rep.time[mine] - want
             assert len(gap) > 1000, s
             assert abs(gap.mean()) <= 4 * gap.std(ddof=1) / math.sqrt(len(gap)), s
+
+
+def assert_stats_survive_the_file(inst, sol):
+    """all_trip_stats of a freshly solved ``sol`` and of the same solution
+    written and read back, which carries no trip statistics: bit for bit."""
+    net = inst.network
+    back = solution_from_dict(json.loads(json.dumps(solution_to_dict(sol, net))), net)
+    assert back.pairs.has_trip_stats is None
+
+    def bits(stats):
+        return np.array([[t.time, t.money, t.distance, t.start_prob]
+                         for t in stats.values()]).tobytes()
+    got, want = all_trip_stats(inst, sol), all_trip_stats(inst, back)
+    assert list(got) == list(want) and bits(got) == bits(want)
+
+
+class TestTripStatsFromTheSolve:
+    """Trip statistics that the routing pass stopping a scheme solved on its
+    own stratum LUs, against all_trip_stats of the solution read back."""
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0, 25.0, 300.0])
+    @pytest.mark.parametrize("name", ["grid6", "grid10"])
+    def test_both_schemes_of_one_solve(self, lattices, name, rate):
+        # at rate 300 the priced scheme's last pass routes every pair per pair
+        inst = lattices[name]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), inst)
+        for opts in (LOOSE, MEDIUM):
+            held = []
+            for sol in solve_equilibria(inst, [np.zeros_like(prices), prices], opts):
+                assert_stats_survive_the_file(inst, sol)
+                held.append(int(sol.pairs.has_trip_stats.sum()))
+            assert held[1] == 0 if rate == 300.0 else max(held) > 0
+
+    def test_schemes_stopping_at_different_passes(self, lattices):
+        # grid10 at the default tolerances: the baseline stops at pass 3, in
+        # stacks shared with the priced scheme, which are not reused; the
+        # priced scheme stops at pass 5, alone in its stacks
+        inst = lattices["grid10"]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+        sol0, sol = solve_equilibria(inst, [np.zeros_like(prices), prices], LOOSE)
+        assert (sol0.outer_iterations, sol.outer_iterations) == (3, 5)
+        assert not sol0.pairs.has_trip_stats.any() and sol.pairs.has_trip_stats.all()
+        for solution in (sol0, sol):
+            assert_stats_survive_the_file(inst, solution)
+
+    def test_stratum_out_of_the_statistics_range(self, lattices, monkeypatch):
+        # STRATUM_RANGE cut below the reach of one stratum of grid6: its
+        # routing still takes the stratum layout, but its statistics are
+        # left to all_trip_stats, beside the held ones of the other strata
+        import mteq.equilibrium
+        import mteq.metrics
+        inst = lattices["grid6"]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+        sol = solve_equilibrium(inst, prices, LOOSE)
+        beta = np.array([[inst.strata[inst.stratum_names.index(s)].beta_t]
+                         for s, _d in sol.pairs.keys])
+        reach = (beta * sol.pairs.tau).max()  # of the stratum that reaches farthest
+        for module in (mteq.equilibrium, mteq.metrics):
+            monkeypatch.setattr(module, "STRATUM_RANGE", np.nextafter(reach, 0.0))
+        sol = solve_equilibrium(inst, prices, LOOSE)
+        held = sol.pairs.has_trip_stats
+        assert held.any() and not held.all()
+        assert_stats_survive_the_file(inst, sol)
+
+    def test_fresh_solve_factors_nothing_for_its_metrics(self, lattices, tmp_path,
+                                                         monkeypatch):
+        # mteq solve on grid6: both schemes stop in one routing pass, whose
+        # stratum LUs serve their trip statistics, so metrics builds no LU
+        import mteq.metrics
+        from mteq import save_instance
+        from mteq.cli import run
+        save_instance(lattices["grid6"], tmp_path / "grid6.json")
+        built, real = [], mteq.metrics._StackLU
+        monkeypatch.setattr(mteq.metrics, "_StackLU",
+                            lambda *args: built.append(len(args[2])) or real(*args))
+        assert run(["solve", "--instance", str(tmp_path / "grid6.json"), "--scheme", "uniform",
+                    "--rate", "2", "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "metrics_od.csv").is_file() and built == []
 
 
 @pytest.mark.parametrize("entry", ["all_trip_stats", "compute_metrics", "simulate_trips",
