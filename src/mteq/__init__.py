@@ -24,13 +24,13 @@ from .instance import (
     load_instance,
     outside_costs,
     save_instance,
+    SolverOptions,
 )
+from .chain import FeasibilityError
 from .equilibrium import (
     EquilibriumSolution,
-    FeasibilityError,
     PairTable,
     SolverError,
-    SolverOptions,
     StratumDestinationSolution,
     equilibrium_residuals,
     flows_for_destination,

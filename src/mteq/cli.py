@@ -22,16 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import synthgen
-from .equilibrium import (
-    FeasibilityError,
-    SolverError,
-    SolverOptions,
-    read_solution,
-    solution_to_dict,
-    solve_equilibria,
-)
+from .chain import FeasibilityError
+from .equilibrium import SolverError, read_solution, solution_to_dict, solve_equilibria
 from .experiments import SweepConfig, load_results, run_sweep, write_frontier_csv
-from .instance import assign_areas, load_instance, nan_to_null, save_instance
+from .instance import SolverOptions, assign_areas, load_instance, nan_to_null, save_instance
 from .metrics import (all_trip_stats, compute_metrics, simulate_trips,
                       write_metrics_csvs)
 from .network import InstanceError, read_json, strongly_connected, write_json

@@ -8,19 +8,13 @@ demand back onto the arcs.  The solver's outer loop runs Anderson mixing on
 the flow vector, one per pricing scheme: ``solve_equilibria`` iterates
 several schemes in one loop, and ``solve_equilibrium`` is its one-scheme
 case.  Given the arc costs, the (scheme, stratum, destination) routings are
-independent, so each routing pass batches all of them in sparse LU
-factorizations by one kernel, ``_expected_costs``, each serving the
-expected costs and node throughputs of its pairs.  No pair's bits depend on
-the other pairs of its pass: refinement is per pair, and every block of a
-stack is factored in the network's one column order (``chain_order``).  A
-stratum with several destinations is tried as one block, I - W for all of
-them (Sherman-Morrison on the destination's row, one right-hand-side column
-per destination), and kept there while its answer stays in double range
-(``STRATUM_RANGE``); every other pair is a block of its own system, scaled
-by its shortest costs at free-flow times.  A pass runs no Dijkstra: the
-free-flow bounds come from one call per solve, made only if some pair needs
-them, and the pass's own shortest costs only for a pair whose answer leaves
-range under them.
+independent, so each routing pass batches all of them into stacks of the
+absorbing-chain kernels (``chain``): a stratum with several destinations is
+tried in the stratum layout, and every other pair is a block of its own,
+scaled by its shortest costs at free-flow times.  A pass runs no Dijkstra:
+the free-flow bounds come from one call per solve, made only if some pair
+needs them, and the pass's own shortest costs only for a pair whose answer
+leaves range under them.
 A pass writes every pair's routing into the columns of one PairTable.  A
 solution takes its scheme's rows once, in key order (the sorted (stratum,
 destination) pairs, the row order of a solution file), with the trip
@@ -42,18 +36,15 @@ from types import MappingProxyType
 
 import numpy as np
 # kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
-from scipy.sparse.linalg import splu, spsolve  # noqa: F401
+from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from . import choice
+from .chain import (_UNBOUNDED, X_MIN, FeasibilityError, _arc_costs, _expected_costs,
+                    _fixed_point, _route, _StackLU, _stratum_stacks, _stratum_trip_stats,
+                    _tolls)
+from .instance import SolverOptions, outside_costs
 from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
                       check_number, read_fields, read_json, read_section, shortest_costs)
-
-
-class FeasibilityError(RuntimeError):
-    """No finite expected optimal costs at the given costs, so no equilibrium
-    exists: for some destination d the arc weights exp(-beta_t * cost), d's
-    row zeroed, have spectral radius >= 1.  Typically the logit time
-    sensitivity is too small for the arc costs."""
 
 
 class SolverError(RuntimeError):
@@ -66,23 +57,6 @@ TAU_TOLERANCE = 1e-10
 solve once with the same factors, and a stratum stack that keeps one is
 routed per pair in that pass: either can move the solution by rounding.
 The exact solve leaves residuals of order 1e-14 hours, far below it."""
-
-
-@dataclass
-class SolverOptions:
-    """The outer loop's tolerance and iteration cap: it stops once the
-    sup-norm gap between the flow iterate and its response is at most
-    ``outer_tol``, or after ``outer_max_iters`` routing passes.  Expected
-    costs are an exact linear solve, certified against TAU_TOLERANCE.
-    """
-
-    outer_tol: float = 10.0
-    outer_max_iters: int = 10
-
-    def __post_init__(self):
-        self.outer_tol = check_number("solver.outer_tol", self.outer_tol, 0)
-        self.outer_max_iters = check_number("solver.outer_max_iters", self.outer_max_iters, 1,
-                                            strict=False, integer=True)
 
 
 # kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
@@ -119,8 +93,7 @@ class PairTable:
     origins, trips and start probabilities of all pairs laid end to end, pair
     p's at ``bounds[p]:bounds[p + 1]``.  A solution's rows are in key order,
     the keys sorted, which is also the row order of a solution file; a
-    routing pass's are in plan order (_RoutingPlan).  A pass's stop step
-    fills ``trip_*`` of the rows ``has_trip_stats``; a file's table has none."""
+    routing pass's are in plan order (_RoutingPlan)."""
 
     keys: list                  # (stratum, destination id) per row
     tau: np.ndarray             # (pairs, n_nodes)
@@ -134,10 +107,6 @@ class PairTable:
     origins: np.ndarray         # node index per origin
     trips: np.ndarray
     start_prob: np.ndarray
-    trip_time: np.ndarray | None = None      # per origin: expected drive time (hours)
-    trip_money: np.ndarray | None = None     # expected toll paid
-    trip_distance: np.ndarray | None = None  # expected distance (km)
-    has_trip_stats: np.ndarray | None = None  # (pairs,) bool
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -165,9 +134,8 @@ class PairTable:
         """The table of the pairs ``rows`` (an index array), in that order."""
         ends, owner = self.ends(rows)
         bounds = np.searchsorted(owner, np.arange(len(rows) + 1))  # each pair's first entry
-        pick = lambda name, at: None if getattr(self, name) is None else getattr(self, name)[at]
-        return PairTable([self.keys[p] for p in rows], *(pick(f, rows) for f in _ROWS), bounds,
-                         *(pick(f, ends) for f in _ENDS + _TRIPS), pick("has_trip_stats", rows))
+        return PairTable([self.keys[p] for p in rows], *(getattr(self, f)[rows] for f in _ROWS),
+                         bounds, *(getattr(self, f)[ends] for f in _ENDS))
 
 
 @dataclass
@@ -180,7 +148,8 @@ class EquilibriumSolution:
     to within ``outer_residual <= outer_tol``.  ``pairs`` holds the routing
     of every (stratum, destination) pair; ``sub`` views its rows.
     ``stratum_flow`` lists the strata in the order of the rows of
-    ``price_rates``.
+    ``price_rates``.  Only the solve sets ``held_trip_stats``, its stop
+    step's (held, trip) (_RoutingPlan): a copy by dataclasses.replace holds none.
     """
 
     total_flow: np.ndarray
@@ -194,6 +163,7 @@ class EquilibriumSolution:
     outer_iterations: int
     outer_residual: float
     iteration_log: list = field(default_factory=list)
+    held_trip_stats: tuple | None = field(default=None, init=False)
 
     @cached_property
     def sub(self):
@@ -244,185 +214,15 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
                      iterations=int(solves[0]), residual=float(residual[0]))
 
 
-_UNBOUNDED = ("expected optimal costs are unbounded (spectral radius of the arc weights "
-              "exp(-beta_t * cost), the destination's row zeroed, >= 1); agents do not "
-              "reach the destination in finite expected cost")
-
-
-class _StackLU:
-    """One LU of a stack of blocks serving k (block, destination) pairs, and
-    each pair's solves with I - W_d, its block's weights with the row of its
-    destination d zeroed, for (..., k, n) arrays, pair p's in ``[..., p, :]``.
-    An exactly singular stack raises FeasibilityError.  The block layout,
-    SuperLU's columns and its orientation flags are private to the class:
-
-    - ``block`` None: pair p's own block, ``weights[p]`` with the row of
-      ``dest[p]`` zeroed, so A = I - W_d itself; right-hand sides are reshaped.
-    - ``block`` a nondecreasing array: pair p is served by the block of
-      ``weights[block[p]]``, A = I - W_b with no row zeroed, and the j-th
-      pair of each block takes right-hand-side column j.  By Sherman-Morrison
-      on I - W_d = A + e_d w_d^T, (I - W_d)^-1 b = U - Z (U[d] - b[d]) / Z[d, d]
-      and (I - W_d)^-T b = G - R G[d] / Z[d, d], with U = A^-1 b, G = A^-T b,
-      Z = A^-1 E_D and R = A^-T w_d = A^-T E_D - E_D (Akamatsu, Transp. Res.
-      B 1996; Mai, Bastin & Frejinger, EURO J. Transp. Logist. 2018).
-
-    Every block is factored in one order, the network's chain_order (the
-    COLAMD order of a single block, Davis et al., ACM TOMS 2004), tiled
-    down the stack with SuperLU in NATURAL mode: the stack is then factored
-    block by block, so no block's bits depend on its stack-mates."""
-
-    def __init__(self, network: Network, weights: np.ndarray, dest: np.ndarray, block=None):
-        self.dest, self.block, self.n = dest, block, network.n_nodes
-        self.column = np.arange(len(dest))
-        self._diag = self.column * self.n + dest  # flat index of (p, dest[p]) in (k, n)
-        self._e = np.zeros((len(dest), self.n))  # e_d per pair
-        self._e.put(self._diag, 1.0)
-        if block is not None:  # (columns, blocks, n) packed, pair p at (slot[p], block[p])
-            self._slot = self.column - np.searchsorted(block, block)
-            self._shape = (int(self._slot.max()) + 1, len(weights), self.n)
-            self._rows = self._slot * len(weights) + block  # its row of (columns * blocks, n)
-        self._order, self._inverse = network.chain_order()
-        self._chain = network.chain_matrix(weights, dest if block is None else -1)
-        try:
-            self._lu = splu(self._chain, permc_spec="NATURAL")
-        except RuntimeError:  # exactly singular
-            raise FeasibilityError(_UNBOUNDED) from None
-        if block is not None:
-            self._Z, self._R = self._solve(self._e, "T"), None
-
-    def _pack(self, v: np.ndarray) -> np.ndarray:
-        """(..., k, n) right-hand sides as SuperLU's columns."""
-        if self.block is None:  # one pair per block, in order
-            return v.reshape(*v.shape[:-2], -1).T
-        packed = np.zeros((*v.shape[:-2], *self._shape))
-        packed[..., self._slot, self.block, :] = v
-        return packed.reshape(-1, self._shape[1] * self.n).T
-
-    def _unpack(self, V: np.ndarray, lead=()) -> np.ndarray:
-        """Inverse of _pack for right-hand sides of leading shape ``lead``."""
-        V = V.T.reshape(*lead, -1, self.n)
-        return V if self.block is None else V.take(self._rows, -2)
-
-    def _solve(self, v: np.ndarray, trans: str) -> np.ndarray:
-        """A^-1 v per pair with ``trans`` "T", A^-T v with "N": the factored
-        matrix is A^T with the columns of every block in chain_order."""
-        lead = v.shape[:-2]  # take: three times as fast as a fancy index on small arrays
-        if trans == "T":
-            V = self._lu.solve(self._pack(v.take(self._order, -1)), trans="T")
-            return self._unpack(V, lead)
-        return self._unpack(self._lu.solve(self._pack(v), trans="N"), lead).take(self._inverse, -1)
-
-    def reach(self) -> np.ndarray:
-        """X = (I - W_d)^-1 e_d per pair, (k, n)."""
-        if self.block is None:
-            return self._solve(self._e, "T")
-        with np.errstate(all="ignore"):  # a zero or non-finite Z[d, d] leaves X non-finite
-            return self._Z / self._Z.take(self._diag)[:, None]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(I - W_d)^-1 b per pair."""
-        U, c, d = self._solve(b, "T"), self.column, self.dest
-        if self.block is None:
-            return U
-        with np.errstate(all="ignore"):  # non-finite values fail the callers' checks
-            return U - self._Z * ((U[..., c, d] - b[..., c, d]) / self._Z[c, d])[..., None]
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """(I - W_d)^-T b per pair."""
-        G, c, d = self._solve(b, "N"), self.column, self.dest
-        if self.block is None:
-            return G
-        if self._R is None:
-            self._R = self._solve(self._e, "N") - self._e
-        with np.errstate(all="ignore"):  # non-finite values fail the callers' checks
-            return G - self._R * (G[..., c, d] / self._Z[c, d])[..., None]
-
-    def residual(self, X: np.ndarray) -> np.ndarray:
-        """e_d - (I - W_d) X per pair, (k, n)."""
-        r = self._e - self._unpack(self._chain.T @ self._pack(X)).take(self._inverse, -1)
-        r.put(self._diag, 1.0 - X.take(self._diag))  # row d of I - W_d is e_d
-        return r
-
-
-def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                    tau_ref, tol: float, block=None, weights=None):
-    """Expected costs tau = tau_ref - log(X) / beta of k (cost row,
-    destination) pairs from one _StackLU, X = (I - W_d)^-1 e_d; ``costs`` is
-    (k, m), ``beta`` a scalar or (k, 1) column.  The recursion tau =
-    phi(costs + tau[head]), tau[d] = 0, is linear in exp-space (Akamatsu
-    1996; Fosgerau, Frejinger & Karlstrom 2013): X solves (I - W_d) X = e_d,
-    w_a = exp(-beta * (costs_a + tau_ref[head] - tau_ref[tail])).  With
-    ``block`` None each pair's weights are scaled by ``tau_ref`` (k, n):
-    shortest costs at these costs or at lower ones make every weight at most
-    1 and X at least 1 (the routing passes), and the solution's own tau
-    keeps X near 1 (equilibrium_residuals).  Otherwise pair p is served by
-    the unscaled ``weights[block[p]]`` and tau_ref is 0.
-
-    A pair is usable when its least X, ``low``, is at least X_MIN: X is
-    finite, positive if rho(W_d) < 1, and X and y / X stay in double range.
-    Any other pair gets X = 1.  Short of underflow, X fails to be finite and
-    positive (every node reaching d) exactly when W_d, exp(-beta * costs)
-    with the row of d zeroed, has spectral radius >= 1.  A singular stack
-    raises FeasibilityError.
-    A usable pair whose residual is above ``tol`` hours is refined once with
-    the same factors; the other pairs keep their first X.  With _StackLU's
-    blocks independent, no pair's bits depend on its stack-mates.  Returns
-    tau (k, n), the per-pair fixed-point residual, the logit probabilities
-    and log-denominators at tau, the solves of each pair (1, or 2 when
-    refined), ``low`` (NaN where X is not finite, and never above the
-    unrefined one), ``through``: (k, n) right-hand sides y ->
-    X * (I - W_d)^-T (y / X), the routing solve of _route, and the stack."""
-    column = np.arange(len(dest))
-    if block is None:
-        tau_ref = tau_ref.copy()
-        tau_ref[column, dest] = 0.0
-        weights = np.exp(-beta * (costs + tau_ref[:, network.head] - tau_ref[:, network.tail]))
-    stack = _StackLU(network, weights, dest, block)
-
-    def certify(X, low=np.inf):  # -> low, usable, tau, residual, probs, log_denom
-        low = np.minimum(low, np.where(np.isfinite(X).all(axis=1), X.min(axis=1), np.nan))
-        usable = low >= X_MIN
-        if not usable.all():
-            X[~usable] = 1.0
-        tau = tau_ref - np.log(X) / beta
-        tau[column, dest] = 0.0
-        return (low, usable, tau, *_fixed_point(network, costs, dest, beta, tau))
-
-    X = stack.reach()
-    low, usable, tau, residual, probs, log_denom = certify(X)
-    refine = usable & ~(residual <= tol)
-    if refine.any():  # refine (I - W_d) X = e_d once in those pairs
-        X[refine] += stack.solve(stack.residual(X))[refine]
-        low, usable, tau, residual, probs, log_denom = certify(X, low)
-    return (tau, residual, probs, log_denom, 1 + refine, low,
-            lambda y: X * stack.solve_transposed(y / X), stack)
-
-
-def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
-                 tau: np.ndarray):
-    """Per-row sup-norm residual of tau = phi(costs + tau[head]),
-    tau[dest] = 0, for (k, n) ``tau``, with the choice probabilities and
-    log-denominators of the same kernel pass."""
-    phi, probs, log_denom = choice.logit_nodes(
-        costs + tau[:, network.head], beta, network.out_start)
-    phi[np.arange(len(dest)), dest] = 0.0
-    return np.max(np.abs(phi - tau), axis=1), probs, log_denom
-
-
 # kept: perfbench/tracing.py wraps it by name; see ROADMAP "The benchmark reads the program"
 def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
                           beta_t: float, origins: np.ndarray, trips: np.ndarray,
                           outside_cost: np.ndarray, beta_t_out: float,
                           destination: int, *, stratum: str = "",
                           tau_result: TauResult | None = None) -> StratumDestinationSolution:
-    """Route one (stratum, destination) demand column at fixed costs.
-
-    Demand at each origin is first scaled by the start probability against
-    the outside option, then pushed through the choice chain: node
-    throughputs x solve (I - P^T) x = y, with the destination absorbing
-    (x = 0 there), and arc flows follow as v = x[tail] * P: _route with X = 1,
-    solving with I - P_d by its own _StackLU (FeasibilityError if singular).
-    """
+    """Route one (stratum, destination) demand column at fixed costs: the
+    _route of one column with X = 1, solving with I - P_d by its own
+    _StackLU (FeasibilityError if singular)."""
     _phi, probs, log_denom = choice.logit_nodes(
         costs + tau[network.head], beta_t, network.out_start)
     origins = np.asarray(origins)
@@ -440,101 +240,6 @@ def flows_for_destination(network: Network, tau: np.ndarray, costs: np.ndarray,
                                       tr.residual, tr.iterations)
 
 
-def _route(network: Network, probs: np.ndarray, log_denom: np.ndarray, dest: np.ndarray,
-           pair: np.ndarray, origins: np.ndarray, trips: np.ndarray, outside_cost,
-           beta_t_out, solve):
-    """flows_for_destination for k demand columns at once, from their (k, m)
-    choice probabilities and (k, n) log-denominators.  ``pair``, ``origins``,
-    ``trips``, ``outside_cost`` and ``beta_t_out`` run over the origins of
-    all columns, ``pair`` naming each one's column.  ``solve`` maps (k, n)
-    right-hand sides y to the solutions x of (I - P^T) x = y; with P =
-    D^-1 W D, D = diag(X), that is x = X * (I - W)^-T (y / X).
-
-    A column whose residual is above 1e-8 of its scale is refined once; the
-    others keep their first solve.  Returns the start probability per
-    origin, throughputs x (k, n), arc flows v (k, m), the columns that fail
-    the routing-residual check after that or have a negative throughput,
-    and the SolverError
-    message of the worst of them (None when none fails).  A non-finite
-    residual or throughput fails too."""
-    k, n = log_denom.shape
-    column = np.arange(k)
-    diag = column * n + dest  # flat index of (p, dest[p]) in (k, n)
-    _p_out, p_start = choice.outside_prob_from_log_denominator(
-        outside_cost, log_denom[pair, origins], beta_t_out)
-
-    y = np.zeros((k, n))
-    np.add.at(y, (pair, origins), trips * p_start)
-    y.put(diag, 0.0)
-
-    live = np.where(network.tail == dest[:, None], 0.0, probs)  # absorbed at dest
-    into = (network.head + n * column[:, None]).ravel()
-
-    def residual(x):  # y - (I - P^T) x as arc-flow conservation under probs
-        inflow = np.bincount(into, (x[:, network.tail] * live).ravel(), minlength=k * n)
-        return y - x + inflow.reshape(k, n)
-
-    scale = np.maximum(1.0, np.max(np.abs(y), axis=1))
-    with np.errstate(all="ignore"):  # a non-finite x fails the checks
-        x = solve(y)
-        r = residual(x)
-        resid = np.max(np.abs(r), axis=1)
-        refine = ~(resid <= 1e-8 * scale)
-        if refine.any():  # refine those columns once (a NaN refines too)
-            x[refine] += solve(r)[refine]
-            resid = np.max(np.abs(residual(x)), axis=1)
-        lowest = x.min(axis=1)
-        failed, error = ~((resid <= 1e-6 * scale) & (lowest >= -1e-7 * scale)), None
-        x = np.maximum(x, 0.0)
-        x.put(diag, 0.0)  # the trips it absorbs leave the network
-        v = x[:, network.tail] * probs
-    if failed.any():
-        ill = ~(resid <= 1e-6 * scale)
-        if ill.any():
-            worst = int(np.argmax(np.where(ill, resid / scale, -np.inf)))
-            error = (f"routing system ill-conditioned for destination "
-                     f"{network.node_id(dest[worst])!r} (residual {resid[worst]:.3e})")
-        else:
-            worst = int(np.argmin(lowest / scale))
-            error = (f"negative node throughput for destination "
-                     f"{network.node_id(dest[worst])!r}; routing matrix not substochastic")
-    return p_start, x, v, failed, error
-
-
-def _arc_costs(strata, net: Network, rates: np.ndarray, arc_time: np.ndarray) -> np.ndarray:
-    """Generalized arc costs, (n_strata, n_arcs): time plus _tolls."""
-    return arc_time + _tolls(strata, net, rates)
-
-
-def _tolls(strata, net: Network, rates: np.ndarray) -> np.ndarray:
-    """Each stratum's toll in hours, (..., n_strata, n_arcs): ``rates *
-    net.primary_length`` at its beta_p / beta_t."""
-    ratio = np.array([[s.beta_p / s.beta_t] for s in strata])
-    return ratio * (rates * net.primary_length)
-
-
-STRATUM_RANGE = 0.5 * float(np.log(np.finfo(float).max))
-"""Largest beta_t * max tau (about 354.9) at which a stratum's answer from
-the stratum layout is accepted: its unscaled X = exp(-beta_t * tau) is then
-at least X_MIN = 1 / sqrt(DBL_MAX), so X and y / X both stay in double
-range.  The test is made on the computed X, after the solve."""
-
-X_MIN = math.exp(-STRATUM_RANGE)
-"""The least X of a usable pair (_expected_costs), in either layout."""
-
-
-def _stratum_stacks(network: Network, first: np.ndarray, count: np.ndarray):
-    """The stacks of the stratum layout for strata whose pairs are
-    ``first[s]:first[s] + count[s]``, as many to a stack as
-    ``network.solve_blocks`` allows (a stratum has n unknowns, as a pair):
-    each stack's strata (an index into ``first``), pairs and the block of
-    each pair, for _StackLU."""
-    for g in network.solve_blocks(len(first)):
-        sizes = count[g]
-        pairs = np.concatenate([np.arange(f, f + c) for f, c in zip(first[g], sizes)])
-        yield g, pairs, np.repeat(np.arange(len(sizes)), sizes)
-
-
 class _RoutingPlan:
     """Every (scheme, stratum, destination) demand column of a batch of
     solves, flattened once so that a routing pass is one batched call.  A
@@ -546,21 +251,19 @@ class _RoutingPlan:
     sensitivities, and the origins, trips and outside costs of all pairs
     laid end to end) are built once and tiled across the schemes, as are
     the pair keys.  ``order`` is the pair, in plan order, of each row of a
-    scheme's PairTable in key order.
+    scheme's PairTable in key order.  The stop step (trip_stats) flags in
+    ``held`` the pairs whose trip statistics it solved, and writes each
+    origin's time, money and distance into ``trip`` (3, origins).
 
-    A pass serves every pair of the schemes it routes from
-    ``_expected_costs``, one stack at a time of at most
-    ``network.MAX_BLOCK_ROWS`` unknowns, in two block layouts.  The stratum
-    layout gives each (scheme, stratum) with several destinations one
-    unscaled block for all of them, I - W_s with no row zeroed, its j-th
-    destination in the stack's j-th right-hand-side column.  It needs no
-    bound: a block is tried and its answer accepted when every pair is
-    usable (beta_t * max tau <= STRATUM_RANGE), keeps a fixed-point residual
-    of at most TAU_TOLERANCE and passes the routing checks.  A block whose
-    X is finite and nonnegative but below X_MIN takes the per-pair layout
-    for the rest of the solve (``per_pair``, one flag per (scheme,
-    stratum)); one that fails otherwise falls back in that pass only.  The
-    per-pair layout gives every other pair its own block, scaled by its
+    A pass serves every pair of the schemes it routes by _expected_costs
+    and _route, one stack at a time of at most ``network.MAX_BLOCK_ROWS``
+    unknowns.  A (scheme, stratum) with several destinations is tried in
+    the stratum layout, accepted when every pair is usable, keeps a
+    fixed-point residual of at most TAU_TOLERANCE and passes the routing
+    checks.  A block whose X is finite and nonnegative but below X_MIN
+    takes the per-pair layout for the rest of the solve (``per_pair``, one
+    flag per (scheme, stratum)); one that fails otherwise falls back in
+    that pass only.  Every other pair is a block of its own, scaled by its
     shortest costs at free-flow times, computed for every pair by one
     Dijkstra call the first time a pair needs them.  Times never fall below
     free flow, so every weight stays at most 1; a pair whose X still leaves
@@ -579,7 +282,6 @@ class _RoutingPlan:
     def __init__(self, instance, rates: np.ndarray):
         net = instance.network
         self.network, self.strata = net, instance.strata
-        from .instance import outside_costs
         oc = outside_costs(instance)
         stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
         for s_idx, s in enumerate(self.strata):
@@ -623,21 +325,12 @@ class _RoutingPlan:
         self.result = PairTable(self.keys, np.empty((k, n)), np.empty((k, n)), np.empty((k, m)),
                                 np.empty((k, m)), np.empty(k, bool), np.empty(k),
                                 np.empty(k, np.int64), self.bounds, self.origins, self.trips,
-                                np.empty(len(self.origins)),
-                                *np.full((3, len(self.origins)), np.nan), np.zeros(k, bool))
+                                np.empty(len(self.origins)))
+        self.held, self.trip = np.zeros(k, bool), np.full((3, len(self.origins)), np.nan)
         self.free_flow_bounds = None
         dead = np.flatnonzero(net.out_degree == 0)
         if len(dead):  # the choice kernel's per-node segments need an arc each
             raise NetworkError(f"node {net.node_id(int(dead[0]))!r} has no outgoing arc")
-
-    def _free_flow_bounds(self) -> np.ndarray:
-        """Every pair's shortest costs at free-flow times, (pairs, n_nodes),
-        from one Dijkstra call made the first time they are needed."""
-        if self.free_flow_bounds is None:
-            net = self.network
-            costs = (net.free_time + self.toll).reshape(-1, net.n_arcs)
-            self.free_flow_bounds = shortest_costs(net, costs, self.dest, rows=self.stratum)
-        return self.free_flow_bounds
 
     def route(self, arc_time: np.ndarray, active=None):
         """One routing pass at fixed arc times, (schemes, n_arcs), of the
@@ -682,7 +375,7 @@ class _RoutingPlan:
             if block is not None:
                 ok = (np.bincount(block, ~ok) == 0)[block]
                 if ok.any():
-                    self.stacks.append((stack, pairs, block, ok))
+                    self.stacks.append((stack, pairs, ok))
             fields = [tau, x, v, probs, residual <= TAU_TOLERANCE, residual, solves]  # _ROWS
             if not ok.all():  # slices of pairs and origins become index arrays
                 kept = ok[owner]
@@ -709,11 +402,14 @@ class _RoutingPlan:
             rest = np.flatnonzero(todo)
             if not len(rest):
                 break
+            if self.free_flow_bounds is None:  # every pair's, from one Dijkstra call per solve
+                self.free_flow_bounds = shortest_costs(
+                    net, (net.free_time + self.toll).reshape(-1, net.n_arcs), self.dest,
+                    rows=self.stratum)
+            bounds = self.free_flow_bounds
             if final:
-                bounds = np.empty_like(self.free_flow_bounds)
+                bounds = np.empty_like(bounds)
                 bounds[rest] = shortest_costs(net, costs, self.dest[rest], rows=self.stratum[rest])
-            else:
-                bounds = self._free_flow_bounds()
             for b in net.solve_blocks(len(rest)):
                 pairs = b if len(rest) == k else rest[b]  # slices: views, no copies
                 serve(pairs, None, None, bounds[pairs], final)
@@ -721,26 +417,21 @@ class _RoutingPlan:
 
     def trip_stats(self, stopped: list) -> None:
         """The stop step of the schemes ``stopped`` (indices): their pairs'
-        trip statistics into ``result``, one metrics._stacked_stats solve per
-        last-pass stack that holds no other scheme, by all_trip_stats' rules,
-        so with its bits: _StackLU factors each block I - W_s as alone."""
-        from .metrics import _stacked_stats, _trip_sums
-        net, result = self.network, self.result
-        for stack, pairs, block, ok in self.stacks:
+        trip statistics into ``held`` and ``trip``, one _stratum_trip_stats
+        solve per last-pass stack that holds no other scheme, as all_trip_stats
+        solves them, so with their bits: _StackLU factors each I - W_s as alone."""
+        result = self.result
+        for stack, pairs, ok in self.stacks:
             scheme = pairs // self.pairs
             if not np.isin(scheme, stopped).all():
                 continue
-            beta, tau = self.beta[pairs], result.tau[pairs]
-            first = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first pair
-            reach = np.maximum.reduceat((beta * tau).max(axis=1), first)
-            live, r = _trip_sums(net, result.arc_probs[pairs], self.dest[pairs],
-                                 self.arc_time[scheme], self.money[self.stratum[pairs]])
-            passed, T = _stacked_stats(net, stack, beta, tau, r, live)
-            ok = ok & passed & (reach <= STRATUM_RANGE)[block]
+            passed, T = _stratum_trip_stats(
+                self.network, stack, self.beta[pairs], result.tau[pairs],
+                result.arc_probs[pairs], self.arc_time[scheme], self.money[self.stratum[pairs]])
+            ok = ok & passed
             o, owner = result.ends(pairs[ok])
-            result.trip_time[o], result.trip_money[o], result.trip_distance[o] = (
-                T[:, ok][:, owner, result.origins[o]])
-            result.has_trip_stats[pairs[ok]] = True
+            self.trip[:, o] = T[:, ok][:, owner, result.origins[o]]
+            self.held[pairs[ok]] = True
 
 
 class _AndersonMixer:
@@ -856,14 +547,16 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
                 flows[s] = mixers[s].step(f, response - f)
         if stopping:  # the stop step, then the stopped schemes' rows, before the next pass
             plan.trip_stats(stopping)
-            for s in stopping:
-                last[s] = (result.take(s * plan.pairs + plan.order), *last[s])
+            for s in stopping:  # its rows in key order, with the trip statistics held
+                rows = s * plan.pairs + plan.order
+                held = plan.held[rows], plan.trip[:, result.ends(rows)[0]]
+                last[s] = (result.take(rows), held, *last[s])
                 live.remove(s)
         if not live:
             break
 
     solutions = []
-    for s, (pairs, response, gap) in enumerate(last):
+    for s, (pairs, held, response, gap) in enumerate(last):
         solutions.append(EquilibriumSolution(
             total_flow=flows[s],
             arc_time=net.latency_all(flows[s]),
@@ -877,6 +570,7 @@ def solve_equilibria(instance, prices_list, options: SolverOptions | None = None
             outer_residual=gap,
             iteration_log=logs[s],
         ))
+        solutions[-1].held_trip_stats = held
     return solutions
 
 
@@ -896,7 +590,6 @@ _PACKED = ("tau", "entering_flow", "arc_probs")  # one row of nodes or arcs per 
 _ENDS = ("origins", "trips", "start_prob")  # one entry per origin, pairs end to end
 _STATUS = ("tau_converged", "tau_residual", "tau_iterations")  # one entry per pair
 _ROWS = ("tau", "entering_flow", "arc_flow", "arc_probs", *_STATUS)  # PairTable's, per pair
-_TRIPS = ("trip_time", "trip_money", "trip_distance")  # PairTable's, per origin, never stored
 _OUTER_STATUS = ("converged", "inner_converged", "outer_iterations", "outer_residual")
 
 

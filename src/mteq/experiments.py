@@ -16,9 +16,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .equilibrium import SolverOptions, solve_equilibrium
-from .instance import (Instance, assign_areas, instance_to_document, load_instance,
-                       nan_to_null, solver_from_document)
+from .equilibrium import solve_equilibrium
+from .instance import (Instance, SolverOptions, assign_areas, instance_to_document,
+                       load_instance, nan_to_null, solver_from_document)
 from .metrics import (STRATUM_METRICS, TOTAL_METRICS, all_trip_stats,
                       compute_metrics, simulate_trips)
 from .network import (InstanceError, check_flag, check_name, check_number, read_fields,

@@ -36,10 +36,39 @@ from .network import (
     DEFAULT_BPR_NU,
     DEFAULT_CAR_LENGTH_KM,
 )
-from .equilibrium import SolverOptions
 
 MODE_MULTIPLIER = "free_time_multiplier"
 MODE_TABLE = "per_od_table"
+
+
+@dataclass
+class SolverOptions:
+    """The outer loop's tolerance and iteration cap: it stops once the
+    sup-norm gap between the flow iterate and its response is at most
+    ``outer_tol``, or after ``outer_max_iters`` routing passes.  Expected
+    costs are an exact solve, certified against equilibrium.TAU_TOLERANCE."""
+
+    outer_tol: float = 10.0
+    outer_max_iters: int = 10
+
+    def __post_init__(self):
+        self.outer_tol = check_number("solver.outer_tol", self.outer_tol, 0)
+        self.outer_max_iters = check_number("solver.outer_max_iters", self.outer_max_iters, 1,
+                                            strict=False, integer=True)
+
+
+def solver_from_document(section: dict) -> SolverOptions:
+    """SolverOptions from the ``solver`` section of an instance or sweep
+    config.  Options of replaced solvers (``step_rule`` and ``norm`` of the
+    damped outer loop, ``inner_tol``, ``inner_max_iters`` and ``divergence_*``
+    of the iterated expected costs) are dropped; other unknown keys are errors."""
+    legacy = ("step_rule", "norm", "inner_tol", "inner_max_iters", "divergence_guard",
+              "divergence_window", "divergence_decay")
+    section = {k: v for k, v in read_section(section, "solver").items() if k not in legacy}
+    unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})
+    if unknown:
+        raise InstanceError(f"solver: unknown option(s) {', '.join(unknown)}")
+    return SolverOptions(**section)
 
 
 @dataclass(frozen=True)
@@ -313,20 +342,6 @@ def _read_csv_rows(path: Path) -> list[dict]:
         raise InstanceError(f"{path}: not valid CSV: {exc}") from None
     # empty optional cells come through as "" from csv
     return [{k: v for k, v in row.items() if v not in ("", None)} for row in rows]
-
-
-def solver_from_document(section: dict) -> SolverOptions:
-    """SolverOptions from the ``solver`` section of an instance or sweep
-    config.  Options of replaced solvers (``step_rule`` and ``norm`` of the
-    damped outer loop, ``inner_tol``, ``inner_max_iters`` and ``divergence_*``
-    of the iterated expected costs) are dropped; other unknown keys are errors."""
-    legacy = ("step_rule", "norm", "inner_tol", "inner_max_iters", "divergence_guard",
-              "divergence_window", "divergence_decay")
-    section = {k: v for k, v in read_section(section, "solver").items() if k not in legacy}
-    unknown = sorted(set(section) - {f.name for f in fields(SolverOptions)})
-    if unknown:
-        raise InstanceError(f"solver: unknown option(s) {', '.join(unknown)}")
-    return SolverOptions(**section)
 
 
 def load_instance(source) -> Instance:

@@ -1,11 +1,9 @@
 """Welfare, revenue, and traffic metrics of an equilibrium solution.
 
 Expected per-trip quantities (time, money, distance) come from the
-absorbing-chain systems of the (stratum, destination) routings: a fresh
-solution holds most of them, solved on its last routing pass's LUs, and
-all_trip_stats solves the rest by the routing kernel (_StackLU), a stratum
-in range in one LU for all its destinations, each pair checked against its
-stored probabilities, and every other pair alone.  The Monte Carlo
+absorbing-chain systems of the (stratum, destination) routings (``chain``):
+a fresh solution holds most of them, solved on its last routing pass's LUs,
+and all_trip_stats solves the rest.  The Monte Carlo
 simulator replays individual trips against the same transition
 probabilities and serves as an independent cross-check and the source of
 trajectory-level output.  Both read the routings as the columns of the
@@ -15,7 +13,6 @@ solution's PairTable, one row per pair.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,10 +21,11 @@ import numpy as np
 # kept: perfbench/tracing.py wraps spsolve by name; see ROADMAP "The benchmark reads the program"
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
-from .equilibrium import (_TRIPS, STRATUM_RANGE, EquilibriumSolution, FeasibilityError,
-                          _arc_costs, _StackLU, _stratum_stacks)
+from .chain import (FeasibilityError, _arc_costs, _in_range, _StackLU, _stratum_stacks,
+                    _stratum_trip_stats, _trip_sums)
+from .equilibrium import EquilibriumSolution
 from .instance import Instance, nan_to_null
-from .network import Network, check_number, write_csv
+from .network import check_number, write_csv
 
 #: The per-stratum metrics of a pricing scheme and their totals, in the
 #: column order of every table that lists them.
@@ -75,11 +73,6 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 # Analytic expectations
 
-#: The largest residual of T = r + P T[head] that a stacked pair's answer
-#: may leave, relative to max(1, |T|), before the pair is solved on its own.
-STACK_RESIDUAL = 1e-10
-
-
 def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     """TripStats for every demanded (stratum, origin, destination): expected
     time, money and distance T, the solutions of (I - P_d) T = r under each
@@ -87,32 +80,27 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
     plus the start probabilities.
 
     A freshly solved scheme's pairs mostly hold T already, with these bits:
-    the pass that stopped it solved them on its LUs (PairTable
-    ``has_trip_stats``).  The rest, and all of a solution read from a file,
-    are solved in the routing kernel's block layouts (_StackLU), one LU per
-    stack of at most MAX_BLOCK_ROWS unknowns.  A stratum with several
-    destinations, none held, whose stored tau keeps beta_t * max tau <=
-    STRATUM_RANGE shares one unscaled block I - W_s, W_s = exp(-beta_t *
-    cost) at the solution's times and prices: with X = exp(-beta_t * tau),
-    P = D^-1 W D for D = diag(X), so (I - P_d) T = r is (I - W_d)(X T) = X r
-    (_stacked_stats), kept where T = r + P T[head], T[d] = 0, holds within
-    STACK_RESIDUAL * max(1, |T|) under the pair's own P.  Every other pair,
-    and every pair of a singular stack, takes the per-pair layout;
-    FeasibilityError there means some pair's walks are never absorbed."""
+    the pass that stopped it solved them on its LUs (EquilibriumSolution
+    ``held_trip_stats``).  The rest, and all of a solution read from a file,
+    are solved in the routing kernel's block layouts (chain._StackLU), one
+    LU per stack of at most MAX_BLOCK_ROWS unknowns.  A stratum with several
+    destinations, none held, that is in range (chain._in_range) shares one
+    unscaled block I - W_s, W_s = exp(-beta_t * cost) at the solution's
+    times and prices, each pair kept as chain._stratum_trip_stats keeps it.
+    Every other pair, and every pair of a singular stack, takes the per-pair
+    layout; FeasibilityError there means some pair's walks are never
+    absorbed."""
     solution.check_strata(instance.stratum_names)
     table, net = solution.pairs, instance.network
     k, n = len(table.keys), net.n_nodes
     if not k:
         return {}
     pair, origin = table.owner, table.origins
-    held = np.zeros(k, dtype=bool) if table.has_trip_stats is None else table.has_trip_stats
-    if held.all():
-        trip = [getattr(table, name) for name in _TRIPS]
-    else:
+    held, trip = solution.held_trip_stats or (np.zeros(k, dtype=bool), None)
+    if not held.all():
         T, todo = np.empty((3, k, n)), ~held
         s_idx, dest = table.indices(instance.stratum_names, net)
-        live, r = _trip_sums(net, table.arc_probs, dest, solution.arc_time,
-                             solution.price_rates[s_idx] * net.primary_length)
+        money = solution.price_rates[s_idx] * net.primary_length
 
         # each stratum's pairs are a run of keys: first[j] : first[j] + count[j]
         first = np.array([p for p in range(k)
@@ -120,8 +108,7 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
         count = np.diff(first, append=k)
         if count.max() > 1:
             beta = np.array([[instance.strata[i].beta_t] for i in s_idx])
-            reach = np.maximum.reduceat((beta * table.tau).max(axis=1), first)
-            tried = np.flatnonzero((count > 1) & (reach <= STRATUM_RANGE)
+            tried = np.flatnonzero((count > 1) & _in_range(beta, table.tau, first)
                                    & np.logical_and.reduceat(todo, first))
             costs = _arc_costs(instance.strata, net, solution.price_rates, solution.arc_time)
             for g, pairs, block in _stratum_stacks(net, first[tried], count[tried]):
@@ -130,8 +117,9 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
                     stack = _StackLU(net, weights, dest[pairs], block)
                 except FeasibilityError:  # a singular stack passes no pair
                     continue
-                ok, T_p = _stacked_stats(net, stack, beta[pairs], table.tau[pairs], r[:, pairs],
-                                         live[pairs])
+                ok, T_p = _stratum_trip_stats(net, stack, beta[pairs], table.tau[pairs],
+                                              table.arc_probs[pairs], solution.arc_time,
+                                              money[pairs])
                 T[:, pairs[ok]] = T_p[:, ok]
                 todo[pairs[ok]] = False
 
@@ -139,10 +127,13 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
         blocks = (net.solve_blocks(k) if len(rest) == k  # slices: views, no copies
                   else [rest[b] for b in net.solve_blocks(len(rest))])
         for pairs in blocks:
-            T[:, pairs] = _StackLU(net, table.arc_probs[pairs], dest[pairs]).solve(r[:, pairs])
-        trip = T[:, pair, origin]
+            _live, r = _trip_sums(net, table.arc_probs[pairs], dest[pairs], solution.arc_time,
+                                  money[pairs])
+            T[:, pairs] = _StackLU(net, table.arc_probs[pairs], dest[pairs]).solve(r)
+        T = T[:, pair, origin]
         if held.any():  # the pairs that the solve's stop step served
-            trip[:, held[pair]] = [getattr(table, name)[held[pair]] for name in _TRIPS]
+            T[:, held[pair]] = trip[:, held[pair]]
+        trip = T
 
     stats = {}
     for p, o, t, c, x, q in zip(pair.tolist(), origin.tolist(), *(v.tolist() for v in trip),
@@ -150,41 +141,6 @@ def all_trip_stats(instance: Instance, solution: EquilibriumSolution) -> dict:
         (stratum, destination), o_id = table.keys[p], net.node_id(o)
         stats[(stratum, o_id, destination)] = TripStats(stratum, o_id, destination, t, c, x, q)
     return stats
-
-
-def _trip_sums(net: Network, arc_probs: np.ndarray, dest: np.ndarray, time, money):
-    """The (k, m) probabilities ``live``, each destination's row zeroed, and
-    r (3, k, n): each node's expected time, money and distance of one step."""
-    live = np.where(net.tail == dest[:, None], 0.0, arc_probs)  # absorbed at dest
-    step = np.empty((3, *live.shape))
-    for out, weight in zip(step, (time, money, net.length)):
-        np.multiply(live, weight, out=out)
-    return live, _node_sums(net, step)
-
-
-def _stacked_stats(net: Network, stack: _StackLU, beta: np.ndarray, tau: np.ndarray,
-                   r: np.ndarray, live: np.ndarray):
-    """T (3, k, n) of the k pairs of a stratum-layout ``stack``, T = (I -
-    W_d)^-1 (X r) / X with X = exp(-beta tau) (Akamatsu, Transp. Res. B
-    1996), and whether each pair's T passes the STACK_RESIDUAL check under
-    ``live``: the one kernel of the solve's stop step and all_trip_stats."""
-    with np.errstate(all="ignore"):  # a non-finite value fails the check
-        X = np.exp(-beta * tau)
-        T = stack.solve(X * r) / X
-        T[:, np.arange(len(tau)), stack.dest] = 0.0
-        resid = np.abs(T - r - _node_sums(net, live * T[..., net.head])).max(axis=2)
-        scale = np.maximum(1.0, np.abs(T).max(axis=2))
-        ok = (resid <= STACK_RESIDUAL * scale).all(axis=0)
-    return ok, T
-
-
-def _node_sums(net: Network, arc_values: np.ndarray) -> np.ndarray:
-    """(..., m) values per arc summed over each node's out-arcs: (..., n)."""
-    *lead, _m = arc_values.shape
-    rows, n = math.prod(lead), net.n_nodes
-    sums = np.bincount((net.tail + n * np.arange(rows)[:, None]).ravel(), arc_values.ravel(),
-                       minlength=rows * n)
-    return sums.reshape(*lead, n)
 
 
 def revenue(solution: EquilibriumSolution, stratum: str, instance: Instance) -> float:
@@ -362,12 +318,6 @@ class SimulationReport:
                         self.started.tolist(), paths, self.time.tolist(),
                         self.money.tolist(), self.distance.tolist(),
                         self.primary_distance.tolist(), self.truncated.tolist()))
-
-    def by_stratum(self, stratum: str) -> list:
-        return [t for t in self.trips if t.stratum == stratum]
-
-    def completed(self, stratum: str) -> list:
-        return [t for t in self.by_stratum(stratum) if t.started and not t.truncated]
 
     def summary(self, strata) -> dict:
         """Per stratum of ``strata``: trip count and started proportion, plus

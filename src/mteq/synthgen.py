@@ -24,8 +24,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .network import (Arc, InstanceError, Node, build_network, check_number,
                       default_capacity, read_section, PRIMARY, SECONDARY)
-from .instance import Instance, Stratum, DemandEntry, OutsideOption, assign_areas
-from .equilibrium import SolverOptions
+from .instance import Instance, Stratum, DemandEntry, OutsideOption, SolverOptions, assign_areas
 
 STRATUM_PRICE_SENSITIVITY = {"high": 0.5, "mid": 0.7, "low": 1.0}
 STRATUM_OUTSIDE_TIME_RATIO = {"high": 1.2, "mid": 1.1, "low": 1.0}

@@ -137,11 +137,11 @@ def dead_end_instance(mode="per_od_table"):
 
 
 def record_factorizations(monkeypatch) -> list:
-    """The shape of every matrix the routing kernel (equilibrium._StackLU)
+    """The shape of every matrix the routing kernel (chain._StackLU)
     factors from now on, for the solver or for trip statistics, with
     whether its factorization raised."""
-    import mteq.equilibrium
-    factored, real = [], mteq.equilibrium.splu
+    import mteq.chain
+    factored, real = [], mteq.chain.splu
 
     def splu(A, *args, **kwargs):
         try:
@@ -152,7 +152,7 @@ def record_factorizations(monkeypatch) -> list:
         factored.append((A.shape, "ok"))
         return lu
 
-    monkeypatch.setattr(mteq.equilibrium, "splu", splu)
+    monkeypatch.setattr(mteq.chain, "splu", splu)
     return factored
 
 

@@ -259,20 +259,20 @@ def test_criterion_7_monte_carlo_matches_analytic(single_od):
 
     for s in inst.stratum_names:
         row = stats[(s, "0", "3")]
-        mine = rep.by_stratum(s)
-        n = len(mine)
+        mine = rep.stratum == rep.stratum_names.index(s)
+        n = int(mine.sum())
 
-        started = np.array([t.started for t in mine], dtype=float)
+        started = rep.started[mine].astype(float)
         se_start = math.sqrt(max(row.start_prob * (1 - row.start_prob), 0.0) / n)
         assert abs(started.mean() - row.start_prob) <= 3 * se_start + 1e-12, s
 
-        done = rep.completed(s)
-        times = np.array([t.time for t in done])
+        done = mine & rep.started & ~rep.truncated  # the completed trips
+        times = rep.time[done]
         se_time = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - row.time) <= 3 * se_time + 1e-12, s
 
-        dist = np.array([t.distance for t in done])
-        prim = np.array([t.primary_distance for t in done])
+        dist = rep.distance[done]
+        prim = rep.primary_distance[done]
         share_sim = prim.sum() / dist.sum()
         share_ana = primary_flow_share(sol, s, inst)
         resid = prim - share_sim * dist

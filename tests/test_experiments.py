@@ -20,7 +20,7 @@ from mteq import (
     value_of,
 )
 from mteq.experiments import RESULTS_SCHEMA_VERSION, ResultSchemaError, write_frontier_csv
-from mteq.equilibrium import SolverOptions
+from mteq.instance import SolverOptions
 from mteq.instance import InstanceError
 from mteq.network import build_network
 from mteq.synthgen import gen_single_od

@@ -35,6 +35,12 @@ MEDIUM = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
 LOOSE = SolverOptions(outer_tol=10.0, outer_max_iters=10)
 
 
+def completed(rep, stratum):
+    """The mask of the started, untruncated trips of ``stratum``: the trips
+    whose means SimulationReport.summary reports."""
+    return (rep.stratum == rep.stratum_names.index(stratum)) & rep.started & ~rep.truncated
+
+
 def solved(instance, rate=0.0):
     prices = expand_scheme(SchemeSpec(family="uniform", rate=rate), instance)
     return solve_equilibrium(instance, prices, OPTS), prices
@@ -173,9 +179,10 @@ def lattices():
 
 
 def with_columns(sol, **columns):
-    """``sol`` with the given columns of its pair table replaced, and without
-    the trip statistics its solve left, which the old columns gave."""
-    return replace(sol, pairs=replace(sol.pairs, has_trip_stats=None, **columns))
+    """``sol`` with the given columns of its pair table replaced, and so
+    without the trip statistics its solve left, which the old columns gave:
+    dataclasses.replace drops them."""
+    return replace(sol, pairs=replace(sol.pairs, **columns))
 
 
 def perturbed(sol, key, node, by):
@@ -276,7 +283,7 @@ def assert_stats_survive_the_file(inst, sol):
     written and read back, which carries no trip statistics: bit for bit."""
     net = inst.network
     back = solution_from_dict(json.loads(json.dumps(solution_to_dict(sol, net))), net)
-    assert back.pairs.has_trip_stats is None
+    assert back.held_trip_stats is None
 
     def bits(stats):
         return np.array([[t.time, t.money, t.distance, t.start_prob]
@@ -299,7 +306,7 @@ class TestTripStatsFromTheSolve:
             held = []
             for sol in solve_equilibria(inst, [np.zeros_like(prices), prices], opts):
                 assert_stats_survive_the_file(inst, sol)
-                held.append(int(sol.pairs.has_trip_stats.sum()))
+                held.append(int(sol.held_trip_stats[0].sum()))
             assert held[1] == 0 if rate == 300.0 else max(held) > 0
 
     def test_schemes_stopping_at_different_passes(self, lattices):
@@ -310,7 +317,7 @@ class TestTripStatsFromTheSolve:
         prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
         sol0, sol = solve_equilibria(inst, [np.zeros_like(prices), prices], LOOSE)
         assert (sol0.outer_iterations, sol.outer_iterations) == (3, 5)
-        assert not sol0.pairs.has_trip_stats.any() and sol.pairs.has_trip_stats.all()
+        assert not sol0.held_trip_stats[0].any() and sol.held_trip_stats[0].all()
         for solution in (sol0, sol):
             assert_stats_survive_the_file(inst, solution)
 
@@ -318,20 +325,31 @@ class TestTripStatsFromTheSolve:
         # STRATUM_RANGE cut below the reach of one stratum of grid6: its
         # routing still takes the stratum layout, but its statistics are
         # left to all_trip_stats, beside the held ones of the other strata
-        import mteq.equilibrium
-        import mteq.metrics
+        import mteq.chain
         inst = lattices["grid6"]
         prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
         sol = solve_equilibrium(inst, prices, LOOSE)
         beta = np.array([[inst.strata[inst.stratum_names.index(s)].beta_t]
                          for s, _d in sol.pairs.keys])
         reach = (beta * sol.pairs.tau).max()  # of the stratum that reaches farthest
-        for module in (mteq.equilibrium, mteq.metrics):
-            monkeypatch.setattr(module, "STRATUM_RANGE", np.nextafter(reach, 0.0))
+        monkeypatch.setattr(mteq.chain, "STRATUM_RANGE", np.nextafter(reach, 0.0))
         sol = solve_equilibrium(inst, prices, LOOSE)
-        held = sol.pairs.has_trip_stats
+        held = sol.held_trip_stats[0]
         assert held.any() and not held.all()
         assert_stats_survive_the_file(inst, sol)
+
+    def test_repriced_copy_holds_no_trip_statistics(self, lattices):
+        # grid6 at rate 2, re-priced by dataclasses.replace: the copy's money
+        # doubles with its rates, as a solution read from its own columns
+        # gives it, where the statistics of the solve would keep the old one
+        inst = lattices["grid6"]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+        sol = solve_equilibrium(inst, prices, MEDIUM)
+        repriced = replace(sol, price_rates=2 * sol.price_rates)
+        key = ("high", "34", "0")
+        assert all_trip_stats(inst, repriced)[key].money == pytest.approx(
+            2 * all_trip_stats(inst, sol)[key].money, rel=1e-9)
+        assert_stats_survive_the_file(inst, repriced)
 
     def test_fresh_solve_factors_nothing_for_its_metrics(self, lattices, tmp_path,
                                                          monkeypatch):
@@ -595,9 +613,9 @@ class TestSimulation:
             solver=OPTS)
         sol, _ = solved(chain)
         rep = simulate_trips(chain, sol, runs_per_unit=4, seed=0)
-        done = rep.completed("s")
-        assert len(done) == 12
-        assert all(t.time == pytest.approx(7.0, rel=1e-12) for t in done)
+        done = completed(rep, "s")
+        assert done.sum() == 12
+        assert all(t == pytest.approx(7.0, rel=1e-12) for t in rep.time[done])
 
     def test_two_route_shares_within_3_sigma(self):
         inst = two_route_instance(outside_time=1e9, congestible=False, trips=100.0)
@@ -606,11 +624,11 @@ class TestSimulation:
         net = inst.network
         p_prim = sd.arc_probs[net.arc_index["prim"]]
         rep = simulate_trips(inst, sol, runs_per_unit=100, seed=3)
-        done = rep.completed("solo")
-        n = len(done)
+        done = completed(rep, "solo")
+        n = int(done.sum())
         assert n == 10000
-        frac = sum(net.arcs[net.arc_index["prim"]].id in ("prim",) and t.primary_distance > 0
-                   for t in done) / n
+        frac = sum(net.arcs[net.arc_index["prim"]].id in ("prim",) and primary > 0
+                   for primary in rep.primary_distance[done]) / n
         se = math.sqrt(p_prim * (1 - p_prim) / n)
         assert abs(frac - p_prim) <= 3 * se
 
@@ -653,16 +671,16 @@ class TestSimulation:
         summary = rep.summary(inst.stratum_names)
         assert list(summary) == list(inst.stratum_names)
         for s in inst.stratum_names:
-            mine = rep.by_stratum(s)
-            done = [t for t in mine if t.started and not t.truncated]
+            mine = rep.stratum == rep.stratum_names.index(s)
+            done = completed(rep, s)
             # left to right: sum() of floats is compensated from Python 3.12 on
-            dist = reduce(operator.add, [t.distance for t in done])
-            time = reduce(operator.add, [t.time for t in done])
+            dist = reduce(operator.add, rep.distance[done].tolist())
+            time = reduce(operator.add, rep.time[done].tolist())
             assert summary[s] == {
-                "trips": len(mine),
-                "started_proportion": sum(t.started for t in mine) / len(mine),
-                "mean_time": float(np.mean([t.time for t in done])),
-                "primary_share": reduce(operator.add, [t.primary_distance for t in done]) / dist,
+                "trips": int(mine.sum()),
+                "started_proportion": sum(rep.started[mine].tolist()) / int(mine.sum()),
+                "mean_time": float(np.mean(rep.time[done])),
+                "primary_share": reduce(operator.add, rep.primary_distance[done].tolist()) / dist,
                 "avg_speed": dist / time,
             }
 
