@@ -197,7 +197,8 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
     and log-denominators at tau, the solves of each pair (1, or 2 when
     refined), ``low`` (NaN where X is not finite, and never above the
     unrefined one), ``through``: (k, n) right-hand sides y ->
-    X * (I - W_d)^-T (y / X), the routing solve of _route, and the stack."""
+    X * (I - W_d)^-T (y / X), the routing solve of _route, the stack, and
+    ``usable``, the one test of ``low`` against X_MIN."""
     column = np.arange(len(dest))
     if block is None:
         tau_ref = tau_ref.copy()
@@ -221,7 +222,7 @@ def _expected_costs(network: Network, costs: np.ndarray, dest: np.ndarray, beta,
         X[refine] += stack.solve(stack.residual(X))[refine]
         low, usable, tau, residual, probs, log_denom = certify(X, low)
     return (tau, residual, probs, log_denom, 1 + refine, low,
-            lambda y: X * stack.solve_transposed(y / X), stack)
+            lambda y: X * stack.solve_transposed(y / X), stack, usable)
 
 
 def _fixed_point(network: Network, costs: np.ndarray, dest: np.ndarray, beta,

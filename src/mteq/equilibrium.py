@@ -39,12 +39,13 @@ import numpy as np
 from scipy.sparse.linalg import spsolve  # noqa: F401
 
 from . import choice
-from .chain import (_UNBOUNDED, X_MIN, FeasibilityError, _arc_costs, _expected_costs,
+from .chain import (_UNBOUNDED, FeasibilityError, _arc_costs, _expected_costs,
                     _fixed_point, _route, _StackLU, _stratum_stacks, _stratum_trip_stats,
                     _tolls)
 from .instance import SolverOptions, outside_costs
 from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
-                      check_number, read_fields, read_json, read_section, shortest_costs)
+                      check_number, number_column, read_fields, read_json, read_section,
+                      shortest_costs)
 
 
 class SolverError(RuntimeError):
@@ -206,9 +207,9 @@ def solve_tau(network: Network, costs: np.ndarray, destination: int, beta_t: flo
     if not np.all(np.isfinite(tau_init)):
         raise ValueError("tau_init must be finite")
     costs, dest = np.asarray(costs, dtype=float)[None], np.array([destination])
-    tau, residual, _probs, _log_denom, solves, low, _through, _stack = _expected_costs(
+    tau, residual, _probs, _log_denom, solves, _low, _through, _stack, usable = _expected_costs(
         network, costs, dest, beta_t, np.asarray(tau_init, dtype=float)[None], TAU_TOLERANCE)
-    if not low[0] >= X_MIN:
+    if not usable[0]:
         raise FeasibilityError(_UNBOUNDED)
     return TauResult(tau=tau[0], converged=bool(residual[0] <= TAU_TOLERANCE),
                      iterations=int(solves[0]), residual=float(residual[0]))
@@ -350,14 +351,14 @@ class _RoutingPlan:
             its accepted pairs; False if a stratum-layout stack is singular."""
             dest, (o, owner) = self.dest[pairs], result.ends(pairs)
             try:
-                tau, residual, probs, log_denom, solves, low, through, stack = _expected_costs(
+                tau, residual, probs, log_denom, solves, low, through, stack, ok = _expected_costs(
                     net, costs[self.stratum[pairs]], dest, self.beta[pairs], tau_ref,
                     TAU_TOLERANCE, block, weights)
             except FeasibilityError:
                 if block is None:
                     raise
                 return False
-            ok, trips = low >= X_MIN, self.trips[o]
+            trips = self.trips[o]
             if block is not None:  # a stratum passes when each of its pairs passes every check
                 self.per_pair[self.stratum[pairs[(low >= 0.0) & ~ok]]] = True
                 ok &= residual <= TAU_TOLERANCE
@@ -632,7 +633,7 @@ def solution_to_dict(solution: EquilibriumSolution, network: Network) -> dict:
            **{key: getattr(table, key).tolist() for key in _ENDS + _STATUS}}
     return {
         "schema_version": SOLUTION_SCHEMA_VERSION,
-        "arc_ids": [a.id for a in network.arcs],
+        "arc_ids": list(network.arc_ids),
         "strata": list(solution.stratum_flow),  # in price_rates' row order
         "total_flow": solution.total_flow.tolist(),
         "response_flow": solution.response_flow.tolist(),
@@ -710,7 +711,7 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
                             f"{SOLUTION_SCHEMA_VERSION}: solve again to write it")
     arc_ids, sub_doc, strata, log = read_fields(doc, "solution", (
         "arc_ids", "sub", "strata", "iteration_log"))
-    if arc_ids != [a.id for a in network.arcs]:
+    if arc_ids != list(network.arc_ids):
         raise InstanceError("solution was computed on a different network (arc ids differ)")
     strata = [check_name(f"solution.strata[{k}]", s)
               for k, s in enumerate(read_section(strata, "solution.strata", list))]
@@ -747,12 +748,9 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         "tau": (k, n), "entering_flow": (k, n), "arc_probs": (k, m), "trips": owner.shape,
         "start_prob": owner.shape}, _PACKED,
         lambda key, i: f"{at}.{pairs[owner[i] if key in _ENDS else i]}.{key}")
-    status = [_status(dict(zip(_STATUS, row)), f"{at}.{pair}", _STATUS)
-              for pair, row in zip(pairs, zip(*status))]
     table = PairTable(list(rows), tau, entering_flow, entering_flow[:, network.tail] * arc_probs,
-                      arc_probs, *(np.array([row[j] for row in status], dtype=dtype)
-                                   for j, dtype in enumerate((bool, float, np.int64))),
-                      np.cumsum([0] + counts), origins, trips, start_prob)
+                      arc_probs, *_status_columns(status, pairs, at), np.cumsum([0] + counts),
+                      origins, trips, start_prob)
     if list(rows) != sorted(rows):  # pairs out of key order, as solution_to_dict never writes
         table = table.take(np.array(sorted(range(k), key=table.keys.__getitem__), dtype=int))
     total_flow, response_flow, price_rates = _arrays(doc, "solution", {
@@ -764,6 +762,19 @@ def solution_from_dict(doc: dict, network: Network) -> EquilibriumSolution:
         iteration_log=[dict(zip(("iteration", "residual"), _status(
             entry, f"solution.iteration_log[{k}]", ("iteration", "residual"))))
             for k, entry in enumerate(read_section(log, "solution.iteration_log", list))])
+
+
+def _status_columns(columns, pairs, at: str) -> list:
+    """The status lists (_STATUS) as arrays, each checked whole as _status
+    checks a value, or else pair by pair to name the first bad entry's pair."""
+    flags, residuals, counts = columns
+    checked = [np.array(flags, dtype=bool) if set(map(type, flags)) <= {bool} else None,
+               number_column(residuals, 0, False), number_column(counts, 0, False, True)]
+    if all(column is not None for column in checked):
+        return checked
+    status = [_status(dict(zip(_STATUS, row)), f"{at}.{pair}", _STATUS)
+              for pair, row in zip(pairs, zip(*columns))]
+    return [np.array(c, dtype=t) for c, t in zip(zip(*status), (bool, float, np.int64))]
 
 
 def _status(section, path: str, keys) -> list:
@@ -844,14 +855,14 @@ def equilibrium_residuals(instance, prices, solution: EquilibriumSolution, *,
             r = np.arange(b.start, b.stop)
             pair, tp = r // 2 % k, np.tile(t, (len(r), 1))
             tp[np.arange(len(r)), arcs[r // (2 * k)]] += (1.0 - 2.0 * (r % 2)) * fd_step
-            tau_fd, *_rest, low, _through, _stack = _expected_costs(
+            tau_fd, *_rest, usable = _expected_costs(
                 net, tp + tolls[rows[pair]], dest[pair], beta[pair], tau[pair],
                 min(1e-10, fd_step * 1e-3))
-            if not np.all(low >= X_MIN):
+            if not usable.all():
                 raise FeasibilityError(_UNBOUNDED)
             tau_sum[b] = [weighted[p] @ x for p, x in zip(pair, tau_fd)]
         est = iter((tau_sum[0::2] - tau_sum[1::2]) / (2.0 * fd_step))
-        fd_checks = {(net.arcs[a].id, *key): (float(next(est)), float(table.arc_flow[p, a]))
+        fd_checks = {(net.arc_ids[a], *key): (float(next(est)), float(table.arc_flow[p, a]))
                      for a in arcs for p, key in enumerate(table.keys)}
 
     return EquilibriumDiagnostics(

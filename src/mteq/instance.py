@@ -17,25 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import (
-    SECONDARY,
-    Arc,
-    InstanceError,
-    Node,
-    Network,
-    build_network,
-    check_name,
-    check_number,
-    default_capacity,
-    read_fields,
-    read_json,
-    read_section,
-    shortest_costs,
-    write_json,
-    DEFAULT_BPR_GAMMA,
-    DEFAULT_BPR_NU,
-    DEFAULT_CAR_LENGTH_KM,
-)
+from .network import (_ARC_NUMBERS, ARC_FIELDS, DEFAULT_BPR_GAMMA, DEFAULT_BPR_NU,
+                      DEFAULT_CAR_LENGTH_KM, NODE_FIELDS, PRIMARY, SECONDARY, Arc, InstanceError,
+                      Network, Node, check_name, check_number, default_capacity, number_column,
+                      read_fields, read_json, read_section, record_columns, shortest_costs,
+                      write_json)
 
 MODE_MULTIPLIER = "free_time_multiplier"
 MODE_TABLE = "per_od_table"
@@ -304,8 +290,8 @@ def assign_areas(instance_or_network, rows: int, cols: int) -> AreaAssignment:
     row_from_bottom = bins(y, rows, y.min(), y.max())
     row_idx = (rows - 1) - row_from_bottom  # row 0 on top
     labels = {
-        net.nodes[i].id: _grid_label(int(row_idx[i]), int(col_idx[i]), rows, cols)
-        for i in range(net.n_nodes)
+        node: _grid_label(row, col, rows, cols)
+        for node, row, col in zip(net.node_ids, row_idx.tolist(), col_idx.tolist())
     }
     return AreaAssignment(rows=rows, cols=cols, labels=labels)
 
@@ -344,6 +330,50 @@ def _read_csv_rows(path: Path) -> list[dict]:
     return [{k: v for k, v in row.items() if v not in ("", None)} for row in rows]
 
 
+def _columns(section, keys, optional: dict):
+    """The values of the records of the list ``section`` under each of
+    ``keys`` then of ``optional`` (key -> default), one list per key; None
+    unless ``section`` is a list of objects that all have ``keys``."""
+    if type(section) is not list or not set(map(type, section)) <= {dict}:
+        return None
+    try:
+        return [[row[key] for row in section] for key in keys] + [
+            [row.get(key, default) for row in section] for key, default in optional.items()]
+    except KeyError:
+        return None
+
+
+def _node_columns(section):
+    """The NODE_FIELDS columns of a ``nodes`` section of string ids and
+    plain finite coordinates, each checked whole; None for any other."""
+    columns = _columns(section, NODE_FIELDS, {})
+    if columns is None or set(map(type, columns[0])) - {str}:
+        return None
+    xy = [number_column(values) for values in columns[1:]]
+    return None if any(c is None for c in xy) else [columns[0], *xy]
+
+
+def _arc_columns(section, defaults: dict, car_len: float):
+    """The ARC_FIELDS columns of an ``arcs`` section of string ids and ends,
+    known road classes and plain numbers, each checked whole as Arc checks a
+    value; a missing field is its ``defaults`` value (in Arc's order), and a
+    missing capacity lanes * length / ``car_len``.  None for another section."""
+    columns = _columns(section, ARC_FIELDS[:5], defaults)
+    if columns is None:
+        return None
+    ids, tails, heads, length, speed, lanes, classes, capacity, gamma, nu = columns
+    numbers = [number_column(values, *spec[1:]) for values, spec in zip(
+        (length, speed, lanes, [c for c in capacity if c is not None], gamma, nu), _ARC_NUMBERS)]
+    if (set(map(type, ids + tails + heads + classes)) - {str}
+            or set(classes) - {PRIMARY, SECONDARY} or any(c is None for c in numbers)):
+        return None
+    length, speed, lanes, given, gamma, nu = numbers
+    filled = lanes * length / car_len  # default_capacity of every arc, kept where none is given
+    filled[np.array([c is not None for c in capacity], dtype=bool)] = given
+    return [ids, tails, heads, length, speed, lanes, [c == PRIMARY for c in classes], filled,
+            gamma, nu]
+
+
 def load_instance(source) -> Instance:
     """Build a validated Instance from a JSON document (dict) or a file path."""
     if isinstance(source, (str, Path)):
@@ -366,16 +396,16 @@ def _instance_from(doc, base: Path) -> Instance:
         "car_length_km": DEFAULT_CAR_LENGTH_KM, "bpr_gamma": DEFAULT_BPR_GAMMA,
         "bpr_nu": DEFAULT_BPR_NU})
     car_len = check_number("defaults.car_length_km", car_len, 0)
-    nodes = [Node(*row) for row in _records(node_rows, "nodes", ("id", "x", "y"))]
-    arcs = []
-    for row in _records(arc_rows, "arcs", ("id", "tail", "head", "length_km", "free_speed_kmh"), {
-            "lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
-            "bpr_nu": nu0}):
-        arc = Arc(*row)
-        if arc.capacity is None:
-            arc = replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
-        arcs.append(arc)
-    network = build_network(nodes, arcs)
+    nodes = _node_columns(node_rows) or record_columns(  # else one Node per row
+        [Node(*row) for row in _records(node_rows, "nodes", NODE_FIELDS)], NODE_FIELDS)
+    arc_defaults = {"lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
+                    "bpr_nu": nu0}
+    arcs = _arc_columns(arc_rows, arc_defaults, car_len) or record_columns([  # one Arc per row
+        arc if arc.capacity is not None else
+        replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
+        for arc in (Arc(*row) for row in _records(arc_rows, "arcs", ARC_FIELDS[:5], arc_defaults))
+    ], ARC_FIELDS)
+    network = Network(*nodes, *arcs)
 
     strata = [Stratum(*row) for row in _records(
         strata, "strata", ("name", "beta_t", "beta_p", "beta_t_out", "beta_p_out"))]
@@ -399,10 +429,11 @@ def _instance_from(doc, base: Path) -> Instance:
 
 def instance_to_document(instance: Instance) -> dict:
     """Serialize back to the JSON document shape; load(to_document(x)) == x."""
-    net = instance.network
+    net, arcs = instance.network, instance.network.arc_table()
     return {  # a record's fields are its instance dict (asdict would deep-copy each)
-        "nodes": [dict(vars(n)) for n in net.nodes],
-        "arcs": [dict(vars(a)) for a in net.arcs],
+        "nodes": [{"id": i, "x": x, "y": y}
+                  for i, x, y in zip(net.node_ids, net.x.tolist(), net.y.tolist())],
+        "arcs": [dict(zip(arcs, row)) for row in zip(*arcs.values())],
         "strata": [dict(vars(s)) for s in instance.strata],
         "demand": [dict(vars(e)) for e in instance.demand],
         "outside_option": _outside_to_doc(instance.outside),

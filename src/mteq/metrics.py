@@ -328,19 +328,20 @@ class SimulationReport:
         nan = float("nan")
         index = {s: i for i, s in enumerate(self.stratum_names)}
         done = self.started & ~self.truncated
+        bins = len(self.stratum_names) + 1  # the last one empty, for a stratum not simulated
+        dist, tt, primary = (np.bincount(self.stratum[done], weights=x[done], minlength=bins)
+                             .tolist() for x in (self.distance, self.time, self.primary_distance))
         out = {}
         for s in strata:
-            mine = self.stratum == index.get(s, -1)
+            mine = self.stratum == (i := index.get(s, bins - 1))
             n, n_started = int(mine.sum()), int(self.started[mine].sum())
             mine &= done
-            dist, tt, primary = (float(np.cumsum(np.append(0.0, x[mine]))[-1])
-                                 for x in (self.distance, self.time, self.primary_distance))
             out[s] = {
                 "trips": n,
                 "started_proportion": n_started / n if n else nan,
                 "mean_time": float(np.mean(self.time[mine])) if mine.any() else nan,
-                "primary_share": primary / dist if dist > 0 else nan,
-                "avg_speed": dist / tt if tt > 0 else nan,
+                "primary_share": primary[i] / dist[i] if dist[i] > 0 else nan,
+                "avg_speed": dist[i] / tt[i] if tt[i] > 0 else nan,
             }
         return out
 
@@ -514,7 +515,7 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     paths = None
     if keep_paths:
         trip, arc = np.concatenate(walkers), np.concatenate(arcs)
-        arc_ids = np.array([a.id for a in net.arcs], dtype=object)
+        arc_ids = np.array(net.arc_ids, dtype=object)
         ids = arc_ids[arc[np.argsort(trip, kind="stable")]].tolist()
         bounds = np.cumsum(np.bincount(trip, minlength=len(started))).tolist()
         paths = [ids[first:last] for first, last in zip([0] + bounds, bounds)]
@@ -522,7 +523,7 @@ def simulate_trips(instance: Instance, solution: EquilibriumSolution,
     return SimulationReport(
         seed=seed, runs_per_unit=runs_per_unit, step_cap=step_cap,
         stratum_names=list(instance.stratum_names),
-        node_ids=[net.node_id(i) for i in range(n)],
+        node_ids=list(net.node_ids),
         stratum=stratum[trip_stream], origin=origin[trip_stream],
         destination=dest[trip_stream],
         started=started, time=time, money=money, distance=distance,

@@ -15,6 +15,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,11 +184,7 @@ _ARC_NUMBERS = (("length_km", 0, True, False), ("free_speed_kmh", 0, True, False
 
 @dataclass(frozen=True)
 class Arc:
-    """A directed road segment.
-
-    ``free_time`` is derived as length/speed and must not be supplied
-    inconsistently.  ``capacity`` is in vehicle units.
-    """
+    """A directed road segment; ``capacity`` is in vehicle units."""
 
     id: str
     tail: str
@@ -218,11 +215,6 @@ class Arc:
             raise NetworkError(f"arc {self.id}: unknown road_class {self.road_class!r}")
 
     @property
-    def free_time(self) -> float:
-        """Zero-flow traversal time in hours."""
-        return self.length_km / self.free_speed_kmh
-
-    @property
     def is_primary(self) -> bool:
         return self.road_class == PRIMARY
 
@@ -234,8 +226,36 @@ def default_capacity(lanes: float, length_km: float, car_length_km: float) -> fl
     return lanes * length_km / car_length_km
 
 
+#: Network's columns in parameter order: Node's fields, then Arc's (is_primary for road_class)
+NODE_FIELDS = ("id", "x", "y")
+ARC_FIELDS = ("id", "tail", "head", "length_km", "free_speed_kmh", "lanes", "is_primary",
+              "capacity", "bpr_gamma", "bpr_nu")
+
+
+def record_columns(records, names) -> list[list]:
+    """The field of every record under each of ``names``, one list per name."""
+    return [[getattr(record, name) for record in records] for name in names]
+
+
+def number_column(values, low=None, strict=True, integer=False):
+    """``values`` as an array (int64 when ``integer``) once each is an int
+    or a float, never a bool, that check_number takes, a whole one below
+    2**53 in size (exact as a float); None otherwise."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.array(values, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    ok = np.isfinite(array) & (low is None or (array > low if strict else array >= low))
+    if integer:
+        ok &= (array == np.floor(array)) & (np.abs(array) < 2.0 ** 53)
+    return None if not ok.all() else array.astype(np.int64) if integer else array
+
+
 class Network:
-    """Immutable directed network with array views for the solvers.
+    """Immutable directed network stored as columns; ``nodes`` and ``arcs``
+    are record views of them, built on first access.
 
     Arcs are re-ordered so that all outgoing arcs of a node are contiguous;
     ``out_start[i]:out_start[i+1]`` slices the arc arrays per node, in the
@@ -245,40 +265,47 @@ class Network:
     call only refills the values.
     """
 
-    def __init__(self, nodes: list[Node], arcs: list[Arc]):
-        self.nodes = list(nodes)
-        self.node_index = {n.id: i for i, n in enumerate(nodes)}
-        if len(self.node_index) != len(nodes):
+    def __init__(self, node_ids, x, y, arc_ids, tail, head, length_km, free_speed_kmh,
+                 lanes, is_primary, capacity, bpr_gamma, bpr_nu):
+        """The network of the columns NODE_FIELDS then ARC_FIELDS.  Raises
+        NetworkError on an id given twice, an unknown tail or head id, or a
+        NaN capacity (one not set)."""
+        self.node_ids = tuple(node_ids)
+        n = len(self.node_ids)
+        self.node_index = dict(zip(self.node_ids, range(n)))
+        if len(self.node_index) != n:
             raise NetworkError("duplicate node ids")
-        n = len(nodes)
 
-        for a in arcs:
-            if a.tail not in self.node_index:
-                raise NetworkError(f"arc {a.id}: unknown tail node {a.tail!r}")
-            if a.head not in self.node_index:
-                raise NetworkError(f"arc {a.id}: unknown head node {a.head!r}")
-            if a.capacity is None:
-                raise NetworkError(f"arc {a.id}: capacity not set (apply default_capacity first)")
+        tails, heads = (np.array([self.node_index.get(v, -1) for v in ends], dtype=np.int64)
+                        for ends in (tail, head))
+        capacity = np.asarray(capacity, dtype=float)
+        bad = np.flatnonzero((tails < 0) | (heads < 0) | np.isnan(capacity))
+        if len(bad):  # the first arc with an unknown end or no capacity
+            k = int(bad[0])
+            raise NetworkError(f"arc {arc_ids[k]}: " + (
+                f"unknown tail node {tail[k]!r}" if tails[k] < 0 else
+                f"unknown head node {head[k]!r}" if heads[k] < 0 else
+                "capacity not set (apply default_capacity first)"))
 
-        tails = np.array([self.node_index[a.tail] for a in arcs], dtype=np.int64)
         order = np.argsort(tails, kind="stable")
-        self.arcs = [arcs[k] for k in order]
-        self.arc_index = {a.id: i for i, a in enumerate(self.arcs)}
-        if len(self.arc_index) != len(arcs):
+        self.arc_ids = tuple(arc_ids[k] for k in order.tolist())
+        self.arc_index = dict(zip(self.arc_ids, range(len(self.arc_ids))))
+        if len(self.arc_index) != len(self.arc_ids):
             raise NetworkError("duplicate arc ids")
 
         self.tail = tails[order]
-        self.head = np.array([self.node_index[a.head] for a in self.arcs], dtype=np.int64)
-        self.length = np.array([a.length_km for a in self.arcs])
-        self.capacity = np.array([a.capacity for a in self.arcs])
-        self.free_time = np.array([a.free_time for a in self.arcs])
-        self.bpr_gamma = np.array([a.bpr_gamma for a in self.arcs])
-        self.bpr_nu = np.array([a.bpr_nu for a in self.arcs])
-        self.is_primary = np.array([a.is_primary for a in self.arcs], dtype=bool)
+        self.head = heads[order]
+        self.length = np.asarray(length_km, dtype=float)[order]
+        self.free_speed = np.asarray(free_speed_kmh, dtype=float)[order]
+        self.lanes = np.asarray(lanes)[order]  # ints (object dtype past int64)
+        self.is_primary = np.asarray(is_primary, dtype=bool)[order]
+        self.capacity = capacity[order]
+        self.bpr_gamma = np.asarray(bpr_gamma, dtype=float)[order]
+        self.bpr_nu = np.asarray(bpr_nu, dtype=float)[order]
+        self.free_time = self.length / self.free_speed  # zero-flow time, hours
         # toll per unit rate: rates * primary_length is every arc's toll
         self.primary_length = self.length * self.is_primary
-        self.x = np.array([nd.x for nd in self.nodes])
-        self.y = np.array([nd.y for nd in self.nodes])
+        self.x, self.y = np.array(x, dtype=float), np.array(y, dtype=float)
 
         counts = np.bincount(self.tail, minlength=n)
         self.out_start = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
@@ -291,7 +318,7 @@ class Network:
                               return_inverse=True)
         self._chain = ((keys % n).astype(np.int32),
                        np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32),
-                       pos[:len(arcs)], pos[len(arcs):])
+                       pos[:len(tails)], pos[len(tails):])
 
         # CSR pattern of reversed_graph: arcs grouped by (head, tail), one
         # entry per group, so parallel arcs collapse to a single edge.
@@ -303,25 +330,43 @@ class Network:
         self._rev_indices = (rev_key % n).astype(np.int32)
         self._rev_indptr = np.searchsorted(rev_key // n, np.arange(n + 1)).astype(np.int32)
 
-        for arr in (self.tail, self.head, self.length, self.capacity, self.free_time,
-                    self.bpr_gamma, self.bpr_nu, self.is_primary, self.primary_length,
-                    self.out_start, self.out_degree, self.x, self.y, *self._chain,
-                    self._rev_perm, self._rev_starts, self._rev_indices, self._rev_indptr):
-            arr.flags.writeable = False
+        for arr in (*vars(self).values(), *self._chain):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
         # (name, k) -> the k-block matrix of _block_matrix; "order" and
         # "pattern", chain_order and its ordered pattern
         self._matrices = {}
 
+    def arc_table(self) -> dict:
+        """Each field of Arc as a list of Python values, arcs in storage order."""
+        ids = self.node_ids
+        return {"id": list(self.arc_ids), "tail": [ids[t] for t in self.tail.tolist()],
+                "head": [ids[h] for h in self.head.tolist()], "length_km": self.length.tolist(),
+                "free_speed_kmh": self.free_speed.tolist(), "lanes": self.lanes.tolist(),
+                "road_class": [PRIMARY if p else SECONDARY for p in self.is_primary.tolist()],
+                "capacity": self.capacity.tolist(), "bpr_gamma": self.bpr_gamma.tolist(),
+                "bpr_nu": self.bpr_nu.tolist()}
+
+    @cached_property
+    def nodes(self) -> tuple:
+        """Node records of the columns, in index order, built on first access."""
+        return tuple(map(Node, self.node_ids, self.x.tolist(), self.y.tolist()))
+
+    @cached_property
+    def arcs(self) -> tuple:
+        """Arc records of arc_table, in storage order, built on first access."""
+        return tuple(map(Arc, *self.arc_table().values()))
+
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     @property
     def n_arcs(self) -> int:
-        return len(self.arcs)
+        return len(self.arc_ids)
 
     def node_id(self, idx: int) -> str:
-        return self.nodes[idx].id
+        return self.node_ids[idx]
 
     def latency_all(self, flows: np.ndarray) -> np.ndarray:
         """BPR time t0 * (1 + gamma * (flow / capacity)^nu) of every arc, hours."""
@@ -432,8 +477,8 @@ class Network:
 
 
 def build_network(nodes: list[Node], arcs: list[Arc]) -> Network:
-    """Assemble a network, checking id uniqueness and endpoint references."""
-    return Network(nodes, arcs)
+    """The network of Node and Arc records, their fields as its columns."""
+    return Network(*record_columns(nodes, NODE_FIELDS), *record_columns(arcs, ARC_FIELDS))
 
 
 def shortest_costs(network: Network, arc_costs: np.ndarray, destination,
@@ -497,7 +542,10 @@ def extract_core(network: Network) -> Network:
     first_node = [np.nonzero(labels == c)[0][0] for c in candidates]
     chosen = candidates[int(np.argmin(first_node))]
     keep = labels == chosen
-    kept_ids = {network.nodes[i].id for i in np.nonzero(keep)[0]}
-    nodes = [n for n in network.nodes if n.id in kept_ids]
-    arcs = [a for a in network.arcs if a.tail in kept_ids and a.head in kept_ids]
-    return Network(nodes, arcs)
+    node, arc = np.flatnonzero(keep), np.flatnonzero(keep[network.tail] & keep[network.head])
+    ids = np.array(network.node_ids, dtype=object)
+    return Network(ids[node].tolist(), network.x[node], network.y[node],
+                   np.array(network.arc_ids, dtype=object)[arc].tolist(),
+                   ids[network.tail[arc]].tolist(), ids[network.head[arc]].tolist(),
+                   *(getattr(network, name)[arc] for name in ("length", "free_speed", "lanes",
+                     "is_primary", "capacity", "bpr_gamma", "bpr_nu")))

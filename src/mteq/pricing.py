@@ -111,8 +111,8 @@ def expand_scheme(spec: SchemeSpec, instance: Instance,
             raise PricingError("per_area expansion needs an AreaAssignment")
         by_area = dict(spec.area_rates)
         per_arc = np.empty(net.n_arcs)
-        for k, arc in enumerate(net.arcs):
-            label = area_of_arc(arc, areas)
+        for k, tail in enumerate(net.tail.tolist()):  # area_of_arc of each arc
+            label = areas.area_of(net.node_ids[tail])
             if label not in by_area:
                 raise PricingError(f"no rate for area {label!r}")
             per_arc[k] = by_area[label]

@@ -406,6 +406,26 @@ class TestSolveEquilibrium:
                 f"solution.sub.{sub['pairs'][pair]}.{key} must be {kind}, got {value!r}")):
             solution_from_dict(doc, lattice.network)
 
+    @pytest.mark.parametrize("faults, named", [
+        ({("high|3", "tau_iterations"): -1, ("low|3", "tau_converged"): "no"},
+         "solution.sub.high|3.tau_iterations must be >= 0, got -1"),
+        ({("mid|3", "tau_residual"): math.inf, ("low|3", "tau_iterations"): 1.5},
+         "solution.sub.low|3.tau_iterations must be a whole number, got 1.5"),
+        ({("low|3", "tau_residual"): "0.5", ("mid|3", "tau_converged"): 1},
+         "solution.sub.mid|3.tau_converged must be true or false, got 1")])
+    def test_first_bad_status_entry_in_pair_order_is_named(self, faults, named):
+        # the status columns are checked whole; past the first value that
+        # fails, each pair's entries are checked in pair order, so the
+        # message names the first bad entry of the first pair that has one
+        # (a numeric string residual is read as its number)
+        inst = gen_single_od()
+        doc = solution_to_dict(solve_equilibrium(inst, rate_2(inst)), inst.network)
+        sub = doc["sub"]
+        for (pair, key), value in faults.items():
+            sub[key][sub["pairs"].index(pair)] = value
+        with pytest.raises(InstanceError, match=re.escape(named)):
+            solution_from_dict(doc, inst.network)
+
     @pytest.mark.parametrize("fault", ["destination", "twice"])
     def test_origin_that_cannot_be_one_names_its_pair(self, lattice, fault):
         # an origin at its pair's destination would start trips there, and one
@@ -1006,10 +1026,10 @@ class TestUnusableStratumPairs:
         inst = complete_digraph_instance()
         net = inst.network
         costs = np.tile(net.free_time, (2, 1))
-        tau, _residual, _probs, _log_denom, solves, low, _through, _stack = _expected_costs(
-            net, costs, np.array([2, 3]), np.ones((2, 1)), 0.0, 1e-9,
-            np.array([0, 0]), np.exp(-net.free_time)[None])
-        assert (low >= X_MIN).tolist() == [False, False]
+        tau, _residual, _probs, _log_denom, solves, low, _through, _stack, usable = (
+            _expected_costs(net, costs, np.array([2, 3]), np.ones((2, 1)), 0.0, 1e-9,
+                            np.array([0, 0]), np.exp(-net.free_time)[None]))
+        assert (low >= X_MIN).tolist() == usable.tolist() == [False, False]
         assert tau.tolist() == np.zeros((2, 4)).tolist()  # X = 1 where unusable
         assert solves.tolist() == [1, 1]  # an unusable pair is not refined
 
@@ -1080,8 +1100,8 @@ class TestStackLU:
                                    shortest_costs(net, costs, dest, rows=block), 1e-300)
         y = np.random.default_rng(6).uniform(0.0, 100.0, (len(dest), net.n_nodes))
         for got in (stacked, per_pair):
-            tau, _residual, _probs, _log_denom, solves, low, _through, _stack = got
-            assert solves.tolist() == [2] * len(dest) and (low >= X_MIN).all()
+            tau, _residual, _probs, _log_denom, solves, low, _through, _stack, usable = got
+            assert solves.tolist() == [2] * len(dest) and (low >= X_MIN).all() and usable.all()
         assert stacked[0] == pytest.approx(per_pair[0], rel=1e-12, abs=1e-12)
         assert_close(stacked[6](y), per_pair[6](y))
 
@@ -1181,7 +1201,7 @@ class TestPerPairRefinement:
         noise = 1.0 + sign * 1e-6 * np.random.default_rng(4).uniform(
             0.0, 1.0, (len(args[2]), lattice.network.n_nodes))
         monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * noise)
-        tau, residual, _probs, _log_denom, solves, _low, _through, _stack = _expected_costs(
+        tau, residual, _probs, _log_denom, solves, *_rest = _expected_costs(
             *args[:5], 1e-9, *args[5:])
         assert solves.tolist() == [2] * len(args[2])
         assert (residual <= 1e-9).all()
@@ -1265,7 +1285,7 @@ class TestRefinementStep:
         assert exact[4].tolist() == [1] * len(args[2])
         real = _StackLU.reach
         monkeypatch.setattr(_StackLU, "reach", lambda stack: real(stack) * (1.0 + 1e-6))
-        tau, residual, _probs, _log_denom, solves, _low, _through, _stack = _expected_costs(
+        tau, residual, _probs, _log_denom, solves, *_rest = _expected_costs(
             *args[:5], 1e-12, *args[5:])
         assert solves.tolist() == [2] * len(args[2])
         assert (residual <= 1e-12).all()
@@ -1277,7 +1297,7 @@ class TestRefinementStep:
     @REFINED_STACKS
     def test_route_refines_a_perturbed_first_solve(self, lattice, name, layout):
         args, (pair, origins, trips) = free_flow_stack(self.instance(name, lattice), layout)
-        _tau, _residual, probs, log_denom, _solves, _low, through, _stack = _expected_costs(
+        _tau, _residual, probs, log_denom, _solves, _low, through, *_rest = _expected_costs(
             *args[:5], 1e-12, *args[5:])
         calls = []
 

@@ -21,11 +21,11 @@ from mteq import (
     zero_prices,
 )
 from mteq import cli
-from mteq.network import Node, build_network
+from mteq.network import Arc, Node, build_network, write_json
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
-from conftest import (INSTANCE_FIELDS, flat_arc, set_field, single_od_document,
-                      two_route_instance)
+from conftest import (INSTANCE_FIELDS, default_bpr_document, flat_arc, set_field,
+                      single_od_document, two_route_instance)
 
 
 # (document, path to the field, what the error says)
@@ -45,6 +45,131 @@ def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message
                     "--rate", "1", "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def csv_network_document(tmp_path):
+    """The single-OD instance written with its network as a CSV pair
+    (``network_csv``) next to it in ``tmp_path``: the document's path."""
+    doc = single_od_document()
+    nodes, arcs = doc.pop("nodes"), doc.pop("arcs")
+    node_cols = ["id", "x", "y"]
+    arc_cols = ["id", "tail", "head", "length_km", "free_speed_kmh",
+                "lanes", "road_class", "capacity", "bpr_gamma", "bpr_nu"]
+    with open(tmp_path / "nodes.csv", "w") as fh:
+        fh.write(",".join(node_cols) + "\n")
+        for r in nodes:
+            fh.write(",".join(str(r[c]) for c in node_cols) + "\n")
+    with open(tmp_path / "arcs.csv", "w") as fh:
+        fh.write(",".join(arc_cols) + "\n")
+        for r in arcs:
+            fh.write(",".join(str(r[c]) for c in arc_cols) + "\n")
+    doc["network_csv"] = {"nodes": "nodes.csv", "arcs": "arcs.csv"}
+    with open(tmp_path / "inst.json", "w") as fh:
+        json.dump(doc, fh)
+    return tmp_path / "inst.json"
+
+
+def grid6():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # area groups the lattice skips
+        return gen_grid(GridGenSpec(6, 6, pairs_per_group=2))
+
+
+#: every array a Network keeps of its nodes and arcs, or derives from them
+NETWORK_ARRAYS = ("tail", "head", "length", "free_speed", "lanes", "is_primary", "capacity",
+                  "bpr_gamma", "bpr_nu", "free_time", "primary_length", "x", "y", "out_start",
+                  "out_degree")
+
+
+def assert_same_network(got, want):
+    assert got.node_ids == want.node_ids and got.arc_ids == want.arc_ids
+    for name in NETWORK_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+class TestColumnLoad:
+    """load_instance reads a network section of plain JSON values as
+    columns, checked whole, and any other section one Node or Arc record
+    per row: both give the same network, values and messages."""
+
+    @pytest.mark.parametrize("case", ["single_od", "grid6", "csv"])
+    def test_loaded_network_is_build_network_of_its_records(self, tmp_path, case):
+        inst = grid6() if case == "grid6" else gen_single_od()
+        loaded = load_instance(csv_network_document(tmp_path) if case == "csv"
+                               else instance_to_document(inst))
+        built = build_network(list(inst.network.nodes), list(inst.network.arcs))
+        assert_same_network(loaded.network, built)
+        assert instance_to_document(loaded) == instance_to_document(replace(inst, network=built))
+
+    def test_defaults_fill_columns_as_records(self):
+        # capacities from lanes, length and car length, BPR parameters from
+        # defaults: a numeric string in one arc sends the section through
+        # the Arc records, which must give the same bits
+        doc = default_bpr_document()
+        doc["defaults"]["car_length_km"] = 0.007
+        for arc in doc["arcs"]:
+            del arc["capacity"]
+        columns = load_instance(doc).network
+        doc["arcs"][-1]["length_km"] = repr(doc["arcs"][-1]["length_km"])
+        records = load_instance(doc).network
+        assert_same_network(columns, records)
+        assert columns.capacity.tolist() == [
+            a["lanes"] * float(a["length_km"]) / 0.007 for a in doc["arcs"]]
+
+    @pytest.mark.parametrize("path, given", [
+        (("arcs", 1, "length_km"), repr), (("arcs", 2, "lanes"), str),
+        (("arcs", 0, "capacity"), repr), (("nodes", 0, "x"), repr), (("nodes", 2, "id"), int),
+        (("arcs", 3, "tail"), int)], ids=lambda v: getattr(v, "__name__", None))
+    def test_values_the_columns_refuse_load_as_records(self, path, given):
+        # a numeric string (as from a CSV cell) or an int id: the section
+        # takes the records, which read the string as its number and the
+        # id as its digits
+        doc = single_od_document()
+        *parents, key = path
+        section = doc
+        for step in parents:
+            section = section[step]
+        section[key] = given(section[key])
+        assert instance_to_document(load_instance(doc)) == single_od_document()
+
+    @pytest.mark.parametrize("key, given, loaded", [("id", 7, "7"),
+                                                    ("lanes", 2**53 + 1, 2**53 + 1)])
+    def test_an_int_the_columns_refuse_loads_as_its_record_reads_it(self, key, given, loaded):
+        # an int id loads as its digits, and an int lanes past float
+        # precision (2**53 + 1 has no float of its own) keeps every digit
+        doc, want = single_od_document(), single_od_document()
+        doc["arcs"][0][key], want["arcs"][0][key] = given, loaded
+        assert instance_to_document(load_instance(doc)) == want
+
+    @pytest.mark.parametrize("path, message", [
+        (("arcs", 0, "length_km"), "arc s01: length_km must be a finite number, got True"),
+        (("arcs", 0, "lanes"), "arc s01: lanes must be a finite number, got True"),
+        (("arcs", 1, "capacity"), "arc p02: capacity must be a finite number, got True"),
+        (("nodes", 1, "y"), "node 1: y must be a finite number, got True"),
+        (("arcs", 0, "id"), "arc id must be a string or a whole number, got True")])
+    def test_true_in_a_field_fails_by_name(self, path, message):
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            load_instance(set_field(single_od_document(), path, True))
+
+    def test_solve_simulate_and_save_build_no_record(self, tmp_path, monkeypatch):
+        docs = {"single_od": single_od_document(), "grid6": instance_to_document(grid6())}
+
+        def refuse(record):
+            raise AssertionError(f"a {type(record).__name__} record was built")
+
+        monkeypatch.setattr(Arc, "__post_init__", refuse)
+        monkeypatch.setattr(Node, "__post_init__", refuse)
+        for name, doc in docs.items():
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            write_json(path, doc)
+            assert cli.run(["solve", "--instance", str(path), "--scheme", "uniform",
+                            "--rate", "1", "--out", str(out / "solve")]) == cli.EXIT_OK
+            assert cli.run(["simulate", "--instance", str(path), "--solution",
+                            str(out / "solve" / "solution.json"), "--runs", "1",
+                            "--keep-paths", "--out", str(out / "simulate")]) == cli.EXIT_OK
+            save_instance(load_instance(path), out / "saved.json")
+            assert (out / "saved.json").read_bytes() == path.read_bytes()
 
 
 class TestSaveInstance:
@@ -114,23 +239,7 @@ class TestLoadInstance:
         assert (tmp_path / "inst.json").read_bytes() == (tmp_path / "inst2.json").read_bytes()
 
     def test_csv_network_pair(self, tmp_path):
-        doc = single_od_document()
-        nodes, arcs = doc.pop("nodes"), doc.pop("arcs")
-        node_cols = ["id", "x", "y"]
-        arc_cols = ["id", "tail", "head", "length_km", "free_speed_kmh",
-                    "lanes", "road_class", "capacity", "bpr_gamma", "bpr_nu"]
-        with open(tmp_path / "nodes.csv", "w") as fh:
-            fh.write(",".join(node_cols) + "\n")
-            for r in nodes:
-                fh.write(",".join(str(r[c]) for c in node_cols) + "\n")
-        with open(tmp_path / "arcs.csv", "w") as fh:
-            fh.write(",".join(arc_cols) + "\n")
-            for r in arcs:
-                fh.write(",".join(str(r[c]) for c in arc_cols) + "\n")
-        doc["network_csv"] = {"nodes": "nodes.csv", "arcs": "arcs.csv"}
-        with open(tmp_path / "inst.json", "w") as fh:
-            json.dump(doc, fh)
-        inst = load_instance(tmp_path / "inst.json")
+        inst = load_instance(csv_network_document(tmp_path))
         assert instance_to_document(inst) == instance_to_document(gen_single_od())
 
     def test_legacy_solver_keys_dropped(self, tmp_path):

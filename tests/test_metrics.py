@@ -705,6 +705,36 @@ class TestSimulation:
         assert got["primary_share"] == left["primary"] / left["dist"]
         assert got["primary_share"] != math.fsum(primary) / math.fsum(dist)
 
+    def test_summary_sums_as_masked_cumulative_sums(self):
+        # a weighted bincount per quantity adds each stratum's completed
+        # trips in trip order from 0.0, as a cumulative sum over the
+        # stratum's mask does: the same bits, on a random report with a
+        # stratum that has no trips and one that was not simulated
+        rng, n = np.random.default_rng(12), 4000
+        started = rng.random(n) < 0.8
+        rep = SimulationReport(
+            seed=0, runs_per_unit=1, step_cap=4, stratum_names=["a", "b", "c", "none"],
+            node_ids=["0", "1"], stratum=rng.integers(0, 3, n), origin=np.zeros(n, dtype=int),
+            destination=np.ones(n, dtype=int), started=started,
+            time=np.where(started, rng.exponential(0.3, n), 0.0), money=np.zeros(n),
+            distance=np.where(started, rng.exponential(5.0, n), 0.0),
+            primary_distance=np.where(started, rng.exponential(2.0, n), 0.0),
+            truncated=started & (rng.random(n) < 0.05))
+        strata = ["c", "a", "none", "b", "unknown"]
+        done = rep.started & ~rep.truncated
+        for s, got in rep.summary(strata).items():
+            mine = rep.stratum == (rep.stratum_names.index(s) if s != "unknown" else -1)
+            trips, started_trips = int(mine.sum()), int(rep.started[mine].sum())
+            mine &= done
+            dist, time, primary = (float(np.cumsum(np.append(0.0, x[mine]))[-1])
+                                   for x in (rep.distance, rep.time, rep.primary_distance))
+            want = {"trips": trips,
+                    "started_proportion": started_trips / trips if trips else math.nan,
+                    "mean_time": float(np.mean(rep.time[mine])) if mine.any() else math.nan,
+                    "primary_share": primary / dist if dist > 0 else math.nan,
+                    "avg_speed": dist / time if time > 0 else math.nan}
+            assert repr(got) == repr(want), s
+
     @pytest.mark.parametrize("case", ["grid6", "long_walks", "no_runs", "never_starts"])
     def test_walk_does_not_depend_on_the_buffer_size(self, grid6_solved, case, monkeypatch):
         # a stream's first draw holds its start uniforms, then a walk buffer of
