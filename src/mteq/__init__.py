@@ -41,7 +41,6 @@ from .equilibrium import (
 from .pricing import (
     PriceGrid,
     SchemeSpec,
-    area_of_arc,
     enumerate_grid,
     expand_scheme,
     stratum_price_order,

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .network import (_ARC_NUMBERS, ARC_FIELDS, DEFAULT_BPR_GAMMA, DEFAULT_BPR_NU,
-                      DEFAULT_CAR_LENGTH_KM, NODE_FIELDS, PRIMARY, SECONDARY, Arc, InstanceError,
-                      Network, Node, check_name, check_number, default_capacity, number_column,
-                      read_fields, read_json, read_section, record_columns, shortest_costs,
+from .network import (ARC_FIELDS, DEFAULT_BPR_GAMMA, DEFAULT_BPR_NU, DEFAULT_CAR_LENGTH_KM,
+                      NODE_FIELDS, SECONDARY, InstanceError, Network, check_name, check_number,
+                      default_capacity, read_fields, read_json, read_section, shortest_costs,
                       write_json)
 
 MODE_MULTIPLIER = "free_time_multiplier"
@@ -59,19 +58,13 @@ def solver_from_document(section: dict) -> SolverOptions:
 
 @dataclass(frozen=True)
 class Stratum:
+    """A stratum record; Instance checks its fields."""
+
     name: str
     beta_t: float
     beta_p: float
     beta_t_out: float
     beta_p_out: float
-
-    def __post_init__(self):
-        if type(self.name) is not str:
-            object.__setattr__(self, "name", check_name("stratum name", self.name))
-        for name, strict in (("beta_t", True), ("beta_p", False),
-                             ("beta_t_out", True), ("beta_p_out", False)):
-            object.__setattr__(self, name, check_number(
-                f"stratum {self.name!r}: {name}", getattr(self, name), 0, strict=strict))
 
     @property
     def wtp(self) -> float:
@@ -79,25 +72,18 @@ class Stratum:
         return self.beta_t / self.beta_p if self.beta_p > 0 else float("inf")
 
 
+#: each sensitivity of a Stratum and whether it must be > 0 (else >= 0)
+_BETAS = (("beta_t", True), ("beta_p", False), ("beta_t_out", True), ("beta_p_out", False))
+
+
 @dataclass(frozen=True)
 class DemandEntry:
+    """A demand record; Instance checks its fields."""
+
     stratum: str
     origin: str
     destination: str
     trips: float
-
-    def __post_init__(self):
-        for name in ("stratum", "origin", "destination"):
-            value = getattr(self, name)
-            if type(value) is not str:
-                object.__setattr__(self, name, check_name(f"demand {name}", value))
-        if self.origin == self.destination:
-            raise InstanceError(
-                f"demand ({self.stratum}, {self.origin} -> {self.destination}): "
-                "origin equals destination")
-        object.__setattr__(self, "trips", check_number(
-            f"demand ({self.stratum}, {self.origin} -> {self.destination}): trips",
-            self.trips, 0))
 
 
 @dataclass(frozen=True)
@@ -149,25 +135,42 @@ class Instance:
     outside_time: dict[tuple[str, str], float] = field(init=False)
 
     def __post_init__(self):
-        names = [s.name for s in self.strata]
-        if len(set(names)) != len(names):
+        """Checks each stratum, then each demand row, then the rows against
+        each other, the network and a per-OD ticket table.  A numeric string
+        counts as its number and an int name as its digits."""
+        if not self.strata:
+            raise InstanceError("strata: at least one stratum required")
+        strata = {}
+        for s in self.strata:
+            name = check_name("stratum name", s.name)
+            strata[name] = Stratum(name, *(
+                check_number(f"stratum {name!r}: {key}", getattr(s, key), 0, strict=strict)
+                for key, strict in _BETAS))
+        if len(strata) != len(self.strata):
             raise InstanceError("strata: duplicate names")
-        by_name = {s.name: s for s in self.strata}
-        seen = set()
+        self.strata = list(strata.values())
+        self.demand, nodes, seen = list(self.demand), self.network.node_index, set()
         for k, e in enumerate(self.demand):
-            if e.stratum not in by_name:
-                raise InstanceError(f"demand[{k}].stratum: unknown stratum {e.stratum!r}")
-            for fld in ("origin", "destination"):
-                if getattr(e, fld) not in self.network.node_index:
-                    raise InstanceError(
-                        f"demand[{k}].{fld}: unknown node {getattr(e, fld)!r}")
-            key = (e.stratum, e.origin, e.destination)
+            stratum = check_name("demand stratum", e.stratum)
+            origin = check_name("demand origin", e.origin)
+            destination = check_name("demand destination", e.destination)
+            pair = f"demand ({stratum}, {origin} -> {destination})"
+            if origin == destination:
+                raise InstanceError(f"{pair}: origin equals destination")
+            trips = check_number(f"{pair}: trips", e.trips, 0)
+            if stratum not in strata:
+                raise InstanceError(f"demand[{k}].stratum: unknown stratum {stratum!r}")
+            for key, node in (("origin", origin), ("destination", destination)):
+                if node not in nodes:
+                    raise InstanceError(f"demand[{k}].{key}: unknown node {node!r}")
+            key = (stratum, origin, destination)
             if key in seen:
                 raise InstanceError(f"demand[{k}]: duplicate entry for {key}")
             seen.add(key)
+            if trips is not e.trips or key != (e.stratum, e.origin, e.destination):  # converted
+                self.demand[k] = DemandEntry(*key, trips)
         if isinstance(self.outside.ticket, dict):
-            missing = sorted({(e.origin, e.destination) for e in self.demand}
-                             - set(self.outside.ticket))
+            missing = sorted({(o, d) for _s, o, d in seen} - set(self.outside.ticket))
             if missing:
                 raise InstanceError(f"outside_option.ticket: missing OD ({', '.join(missing[0])})")
         self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
@@ -330,48 +333,37 @@ def _read_csv_rows(path: Path) -> list[dict]:
     return [{k: v for k, v in row.items() if v not in ("", None)} for row in rows]
 
 
-def _columns(section, keys, optional: dict):
+def _columns(section, path: str, keys, optional=None) -> list[list]:
     """The values of the records of the list ``section`` under each of
-    ``keys`` then of ``optional`` (key -> default), one list per key; None
-    unless ``section`` is a list of objects that all have ``keys``."""
-    if type(section) is not list or not set(map(type, section)) <= {dict}:
-        return None
+    ``keys`` then of ``optional`` (key -> default), one list per key.  A
+    section that is not a list, and a record that is not an object or lacks
+    one of ``keys``, raise InstanceError naming it (_records)."""
+    if type(section) is list and set(map(type, section)) <= {dict}:
+        try:
+            return [[row[key] for row in section] for key in keys] + [
+                [row.get(key, default) for row in section]
+                for key, default in (optional or {}).items()]
+        except KeyError:
+            pass
+    _records(section, path, keys, optional)  # raises, naming the record at fault
+    raise AssertionError(f"{path}: read as records but not as columns")
+
+
+def _fill_capacity(arcs: list[list], car_length_km: float) -> None:
+    """Set each None capacity of the ARC_FIELDS columns ``arcs`` to
+    default_capacity of its arc's lanes and length.  If one of those is not
+    a number above 0, none is set: Network names that value."""
+    _ids, _tails, _heads, length, _speed, lanes, _classes, capacity, *_bpr = arcs
+    missing = [k for k, c in enumerate(capacity) if c is None]
+    if not missing:
+        return
     try:
-        return [[row[key] for row in section] for key in keys] + [
-            [row.get(key, default) for row in section] for key, default in optional.items()]
-    except KeyError:
-        return None
-
-
-def _node_columns(section):
-    """The NODE_FIELDS columns of a ``nodes`` section of string ids and
-    plain finite coordinates, each checked whole; None for any other."""
-    columns = _columns(section, NODE_FIELDS, {})
-    if columns is None or set(map(type, columns[0])) - {str}:
-        return None
-    xy = [number_column(values) for values in columns[1:]]
-    return None if any(c is None for c in xy) else [columns[0], *xy]
-
-
-def _arc_columns(section, defaults: dict, car_len: float):
-    """The ARC_FIELDS columns of an ``arcs`` section of string ids and ends,
-    known road classes and plain numbers, each checked whole as Arc checks a
-    value; a missing field is its ``defaults`` value (in Arc's order), and a
-    missing capacity lanes * length / ``car_len``.  None for another section."""
-    columns = _columns(section, ARC_FIELDS[:5], defaults)
-    if columns is None:
-        return None
-    ids, tails, heads, length, speed, lanes, classes, capacity, gamma, nu = columns
-    numbers = [number_column(values, *spec[1:]) for values, spec in zip(
-        (length, speed, lanes, [c for c in capacity if c is not None], gamma, nu), _ARC_NUMBERS)]
-    if (set(map(type, ids + tails + heads + classes)) - {str}
-            or set(classes) - {PRIMARY, SECONDARY} or any(c is None for c in numbers)):
-        return None
-    length, speed, lanes, given, gamma, nu = numbers
-    filled = lanes * length / car_len  # default_capacity of every arc, kept where none is given
-    filled[np.array([c is not None for c in capacity], dtype=bool)] = given
-    return [ids, tails, heads, length, speed, lanes, [c == PRIMARY for c in classes], filled,
-            gamma, nu]
+        filled = default_capacity(*(np.array([column[k] for k in missing], dtype=float)
+                                    for column in (lanes, length)), car_length_km)
+    except (TypeError, ValueError):
+        return
+    for k, c in zip(missing, filled.tolist()):
+        capacity[k] = c
 
 
 def load_instance(source) -> Instance:
@@ -396,23 +388,17 @@ def _instance_from(doc, base: Path) -> Instance:
         "car_length_km": DEFAULT_CAR_LENGTH_KM, "bpr_gamma": DEFAULT_BPR_GAMMA,
         "bpr_nu": DEFAULT_BPR_NU})
     car_len = check_number("defaults.car_length_km", car_len, 0)
-    nodes = _node_columns(node_rows) or record_columns(  # else one Node per row
-        [Node(*row) for row in _records(node_rows, "nodes", NODE_FIELDS)], NODE_FIELDS)
-    arc_defaults = {"lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
-                    "bpr_nu": nu0}
-    arcs = _arc_columns(arc_rows, arc_defaults, car_len) or record_columns([  # one Arc per row
-        arc if arc.capacity is not None else
-        replace(arc, capacity=default_capacity(arc.lanes, arc.length_km, car_len))
-        for arc in (Arc(*row) for row in _records(arc_rows, "arcs", ARC_FIELDS[:5], arc_defaults))
-    ], ARC_FIELDS)
+    nodes = _columns(node_rows, "nodes", NODE_FIELDS)
+    arcs = _columns(arc_rows, "arcs", ARC_FIELDS[:5], {
+        "lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
+        "bpr_nu": nu0})
+    _fill_capacity(arcs, car_len)
     network = Network(*nodes, *arcs)
 
-    strata = [Stratum(*row) for row in _records(
-        strata, "strata", ("name", "beta_t", "beta_p", "beta_t_out", "beta_p_out"))]
-    if not strata:
-        raise InstanceError("strata: at least one stratum required")
-    demand = [DemandEntry(*row) for row in _records(
-        demand, "demand", ("stratum", "origin", "destination", "trips"))]
+    strata = list(map(Stratum, *_columns(
+        strata, "strata", ("name", "beta_t", "beta_p", "beta_t_out", "beta_p_out"))))
+    demand = list(map(DemandEntry, *_columns(
+        demand, "demand", ("stratum", "origin", "destination", "trips"))))
 
     mode, multiplier, ticket, times = read_fields(oo, "outside_option", (), {
         "mode": MODE_MULTIPLIER, "multiplier": 3.0, "ticket": 0.0, "times": None})

@@ -163,20 +163,14 @@ def write_csv(path, header, rows) -> None:
 
 @dataclass(frozen=True)
 class Node:
+    """A node record; Network checks its fields."""
+
     id: str
     x: float
     y: float
 
-    def __post_init__(self):
-        if type(self.id) is not str:
-            object.__setattr__(self, "id", check_name("node id", self.id))
-        for name in ("x", "y"):
-            object.__setattr__(self, name,
-                               check_number(f"node {self.id}: {name}", getattr(self, name)))
 
-
-#: check_number's (low, strict, integer) for each numeric field of an Arc;
-#: ``capacity`` may also be None until default_capacity sets it
+#: check_number's (low, strict, integer) for each numeric field of an Arc
 _ARC_NUMBERS = (("length_km", 0, True, False), ("free_speed_kmh", 0, True, False),
                 ("lanes", 1, False, True), ("capacity", 0, True, False),
                 ("bpr_gamma", 0, False, False), ("bpr_nu", 0, True, False))
@@ -184,7 +178,8 @@ _ARC_NUMBERS = (("length_km", 0, True, False), ("free_speed_kmh", 0, True, False
 
 @dataclass(frozen=True)
 class Arc:
-    """A directed road segment; ``capacity`` is in vehicle units."""
+    """A directed road segment; ``capacity`` is in vehicle units (see
+    default_capacity).  Network checks its fields."""
 
     id: str
     tail: str
@@ -197,38 +192,22 @@ class Arc:
     bpr_gamma: float = DEFAULT_BPR_GAMMA
     bpr_nu: float = DEFAULT_BPR_NU
 
-    def __post_init__(self):
-        if type(self.id) is not str:
-            object.__setattr__(self, "id", check_name("arc id", self.id))
-        prefix = f"arc {self.id}: "
-        for name in ("tail", "head"):  # road_class must be one of two names
-            value = getattr(self, name)
-            if type(value) is not str:
-                object.__setattr__(self, name, check_name(prefix + name, value))
-        for name, low, strict, integer in _ARC_NUMBERS:
-            value = getattr(self, name)
-            if value is not None or name != "capacity":
-                number = check_number(prefix + name, value, low, strict=strict, integer=integer)
-                if number is not value:  # given as the checked type: nothing to store
-                    object.__setattr__(self, name, number)
-        if self.road_class not in (PRIMARY, SECONDARY):
-            raise NetworkError(f"arc {self.id}: unknown road_class {self.road_class!r}")
-
     @property
     def is_primary(self) -> bool:
         return self.road_class == PRIMARY
 
 
 def default_capacity(lanes: float, length_km: float, car_length_km: float) -> float:
-    """Vehicles that fit on the arc: lanes * length / average car length."""
-    if not (lanes > 0 and length_km > 0 and car_length_km > 0):
+    """Vehicles that fit on the arc: lanes * length / average car length,
+    of numbers or of arrays of them."""
+    if not np.all((lanes > 0) & (length_km > 0) & (car_length_km > 0)):
         raise NetworkError("default_capacity requires positive lanes, length and car length")
     return lanes * length_km / car_length_km
 
 
-#: Network's columns in parameter order: Node's fields, then Arc's (is_primary for road_class)
+#: Network's columns in parameter order: Node's fields, then Arc's
 NODE_FIELDS = ("id", "x", "y")
-ARC_FIELDS = ("id", "tail", "head", "length_km", "free_speed_kmh", "lanes", "is_primary",
+ARC_FIELDS = ("id", "tail", "head", "length_km", "free_speed_kmh", "lanes", "road_class",
               "capacity", "bpr_gamma", "bpr_nu")
 
 
@@ -247,10 +226,30 @@ def number_column(values, low=None, strict=True, integer=False):
         array = np.array(values, dtype=float)
     except OverflowError:  # an int past the float range
         return None
-    ok = np.isfinite(array) & (low is None or (array > low if strict else array >= low))
+    ok = np.isfinite(array)
+    if low is not None:
+        ok &= array > low if strict else array >= low
     if integer:
         ok &= (array == np.floor(array)) & (np.abs(array) < 2.0 ** 53)
     return None if not ok.all() else array.astype(np.int64) if integer else array
+
+
+def _names(values, name) -> list:
+    """``values`` once each is a string, else each through check_name, the
+    k-th named ``name(k)``."""
+    if set(map(type, values)) <= {str}:
+        return list(values)
+    return [check_name(name(k), value) for k, value in enumerate(values)]
+
+
+def _numbers(values, name, low=None, strict=True, integer=False):
+    """number_column of ``values``, else each through check_number, the
+    k-th named ``name(k)``."""
+    column = number_column(values, low, strict, integer)
+    if column is None:
+        column = [check_number(name(k), value, low, strict=strict, integer=integer)
+                  for k, value in enumerate(values)]
+    return column
 
 
 class Network:
@@ -266,10 +265,33 @@ class Network:
     """
 
     def __init__(self, node_ids, x, y, arc_ids, tail, head, length_km, free_speed_kmh,
-                 lanes, is_primary, capacity, bpr_gamma, bpr_nu):
-        """The network of the columns NODE_FIELDS then ARC_FIELDS.  Raises
-        NetworkError on an id given twice, an unknown tail or head id, or a
-        NaN capacity (one not set)."""
+                 lanes, road_class, capacity, bpr_gamma, bpr_nu):
+        """The network of the columns NODE_FIELDS then ARC_FIELDS, each
+        checked once, in that order: whole when its values are plain (str
+        ids and ends, int and float numbers), else value by value, so a
+        numeric string counts as its number and an int id as its digits.
+        Raises InstanceError naming the first value of the first column
+        that fails check_name or check_number, and NetworkError on a
+        capacity of None, an unknown road class, an id given twice or an
+        unknown tail or head."""
+        node_ids = _names(node_ids, lambda k: "node id")
+        x, y = (_numbers(values, lambda k, key=key: f"node {node_ids[k]}: {key}")
+                for key, values in (("x", x), ("y", y)))
+        arc_ids = _names(arc_ids, lambda k: "arc id")
+        tail, head = (_names(values, lambda k, key=key: f"arc {arc_ids[k]}: {key}")
+                      for key, values in (("tail", tail), ("head", head)))
+        numbers = []
+        for values, (key, *spec) in zip(
+                (length_km, free_speed_kmh, lanes, capacity, bpr_gamma, bpr_nu), _ARC_NUMBERS):
+            if key == "capacity" and None in values:
+                raise NetworkError(f"arc {arc_ids[list(values).index(None)]}: capacity not set "
+                                   "(apply default_capacity first)")
+            numbers.append(_numbers(values, lambda k, key=key: f"arc {arc_ids[k]}: {key}", *spec))
+        length_km, free_speed_kmh, lanes, capacity, bpr_gamma, bpr_nu = numbers
+        for k, c in enumerate(road_class):
+            if c not in (PRIMARY, SECONDARY):
+                raise NetworkError(f"arc {arc_ids[k]}: unknown road_class {c!r}")
+
         self.node_ids = tuple(node_ids)
         n = len(self.node_ids)
         self.node_index = dict(zip(self.node_ids, range(n)))
@@ -278,14 +300,11 @@ class Network:
 
         tails, heads = (np.array([self.node_index.get(v, -1) for v in ends], dtype=np.int64)
                         for ends in (tail, head))
-        capacity = np.asarray(capacity, dtype=float)
-        bad = np.flatnonzero((tails < 0) | (heads < 0) | np.isnan(capacity))
-        if len(bad):  # the first arc with an unknown end or no capacity
+        bad = np.flatnonzero((tails < 0) | (heads < 0))
+        if len(bad):  # the first arc with an unknown end
             k = int(bad[0])
-            raise NetworkError(f"arc {arc_ids[k]}: " + (
-                f"unknown tail node {tail[k]!r}" if tails[k] < 0 else
-                f"unknown head node {head[k]!r}" if heads[k] < 0 else
-                "capacity not set (apply default_capacity first)"))
+            end, node = ("tail", tail[k]) if tails[k] < 0 else ("head", head[k])
+            raise NetworkError(f"arc {arc_ids[k]}: unknown {end} node {node!r}")
 
         order = np.argsort(tails, kind="stable")
         self.arc_ids = tuple(arc_ids[k] for k in order.tolist())
@@ -298,8 +317,8 @@ class Network:
         self.length = np.asarray(length_km, dtype=float)[order]
         self.free_speed = np.asarray(free_speed_kmh, dtype=float)[order]
         self.lanes = np.asarray(lanes)[order]  # ints (object dtype past int64)
-        self.is_primary = np.asarray(is_primary, dtype=bool)[order]
-        self.capacity = capacity[order]
+        self.is_primary = np.array([c == PRIMARY for c in road_class], dtype=bool)[order]
+        self.capacity = np.asarray(capacity, dtype=float)[order]
         self.bpr_gamma = np.asarray(bpr_gamma, dtype=float)[order]
         self.bpr_nu = np.asarray(bpr_nu, dtype=float)[order]
         self.free_time = self.length / self.free_speed  # zero-flow time, hours
@@ -542,10 +561,8 @@ def extract_core(network: Network) -> Network:
     first_node = [np.nonzero(labels == c)[0][0] for c in candidates]
     chosen = candidates[int(np.argmin(first_node))]
     keep = labels == chosen
-    node, arc = np.flatnonzero(keep), np.flatnonzero(keep[network.tail] & keep[network.head])
-    ids = np.array(network.node_ids, dtype=object)
-    return Network(ids[node].tolist(), network.x[node], network.y[node],
-                   np.array(network.arc_ids, dtype=object)[arc].tolist(),
-                   ids[network.tail[arc]].tolist(), ids[network.head[arc]].tolist(),
-                   *(getattr(network, name)[arc] for name in ("length", "free_speed", "lanes",
-                     "is_primary", "capacity", "bpr_gamma", "bpr_nu")))
+    node = np.flatnonzero(keep).tolist()
+    arc = np.flatnonzero(keep[network.tail] & keep[network.head]).tolist()
+    return Network([network.node_ids[i] for i in node], network.x[node].tolist(),
+                   network.y[node].tolist(),
+                   *([column[k] for k in arc] for column in network.arc_table().values()))

@@ -80,11 +80,6 @@ def zero_prices(instance: Instance) -> np.ndarray:
     return np.zeros((len(instance.strata), instance.network.n_arcs))
 
 
-def area_of_arc(arc, areas: AreaAssignment) -> str:
-    """The pricing area of an arc is the area of its tail (entry) node."""
-    return areas.area_of(arc.tail)
-
-
 def expand_scheme(spec: SchemeSpec, instance: Instance,
                   areas: AreaAssignment | None = None) -> np.ndarray:
     """Materialize a scheme into its per-arc per-stratum rates (money/km): a
@@ -111,7 +106,7 @@ def expand_scheme(spec: SchemeSpec, instance: Instance,
             raise PricingError("per_area expansion needs an AreaAssignment")
         by_area = dict(spec.area_rates)
         per_arc = np.empty(net.n_arcs)
-        for k, tail in enumerate(net.tail.tolist()):  # area_of_arc of each arc
+        for k, tail in enumerate(net.tail.tolist()):  # an arc is priced in its tail's area
             label = areas.area_of(net.node_ids[tail])
             if label not in by_area:
                 raise PricingError(f"no rate for area {label!r}")

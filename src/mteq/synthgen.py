@@ -63,19 +63,16 @@ def gen_single_od(time_sensitivity: float = 60.0,
         Node("3", 2.0, -2.0),
     ]
 
-    def mk(aid, tail, head, length, speed, lanes, cls):
-        return Arc(id=aid, tail=tail, head=head, length_km=length,
-                   free_speed_kmh=speed, lanes=lanes, road_class=cls,
-                   capacity=default_capacity(lanes, length, car))
-
-    arcs = [
-        mk("s01", "0", "1", 3.0, 40.0, 1, SECONDARY),
-        mk("s10", "1", "0", 3.0, 40.0, 1, SECONDARY),
-        mk("p02", "0", "2", 5.0, 80.0, 3, PRIMARY),
-        mk("p21", "2", "1", 5.0, 80.0, 3, PRIMARY),
-        mk("s13", "1", "3", 3.0, 40.0, 1, SECONDARY),
-        mk("s30", "3", "0", 3.0, 40.0, 1, SECONDARY),
+    rows = [  # id, tail, head, length_km, free_speed_kmh, lanes, road_class
+        ("s01", "0", "1", 3.0, 40.0, 1, SECONDARY),
+        ("s10", "1", "0", 3.0, 40.0, 1, SECONDARY),
+        ("p02", "0", "2", 5.0, 80.0, 3, PRIMARY),
+        ("p21", "2", "1", 5.0, 80.0, 3, PRIMARY),
+        ("s13", "1", "3", 3.0, 40.0, 1, SECONDARY),
+        ("s30", "3", "0", 3.0, 40.0, 1, SECONDARY),
     ]
+    capacity = default_capacity(*(np.array([row[k] for row in rows]) for k in (5, 3)), car)
+    arcs = [Arc(*row, capacity=c) for row, c in zip(rows, capacity.tolist())]
     network = build_network(nodes, arcs)
     strata = default_strata(time_sensitivity)
     demand = [DemandEntry(stratum=s.name, origin="0", destination="3", trips=500.0)
@@ -144,14 +141,17 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
     skipped with a warning; a lattice with none at all is an InstanceError.
     """
     R, C = spec.rows, spec.cols
-    # one arc per road class checks the spec's road fields; every lattice arc
-    # of the class copies it, and the node spacing is the secondary length
+    # one arc per road class, in a network of one node, checks the spec's
+    # road fields (its capacity of 1 stands in until they give the real one);
+    # every lattice arc of the class copies it, and the node spacing is the
+    # secondary length
     car = check_number("car_length_km", spec.car_length_km, 0)
-    p, s = (replace(road, capacity=default_capacity(road.lanes, road.length_km, car))
-            for road in (Arc(PRIMARY, "", "", spec.primary_length_km, spec.primary_speed_kmh,
-                             spec.primary_lanes, PRIMARY),
-                         Arc(SECONDARY, "", "", spec.secondary_length_km,
-                             spec.secondary_speed_kmh)))
+    roads = build_network([Node("", 0.0, 0.0)], [
+        Arc(PRIMARY, "", "", spec.primary_length_km, spec.primary_speed_kmh, spec.primary_lanes,
+            PRIMARY, capacity=1.0),
+        Arc(SECONDARY, "", "", spec.secondary_length_km, spec.secondary_speed_kmh, capacity=1.0)])
+    p, s = (replace(road, capacity=c) for road, c in zip(
+        roads.arcs, default_capacity(roads.lanes, roads.length, car).tolist()))
 
     def nid(r: int, c: int) -> str:
         return str(r * C + c)

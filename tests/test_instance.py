@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -11,6 +12,7 @@ from mteq import (
     Instance,
     InstanceError,
     SolverOptions,
+    Stratum,
     all_trip_stats,
     assign_areas,
     instance_to_document,
@@ -45,6 +47,71 @@ def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message
                     "--rate", "1", "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+#: the values a record field can be given, beyond NaN: record types hold any
+RECORD_VALUES = {"inf": math.inf, "zero": 0, "negative": -1, "string": "abc", "numeric": "2.5",
+                 "null": None, "list": [1], "true": True, "fraction": 1.5}
+#: (path, value) of every node, arc, stratum and demand field of
+#: INSTANCE_FIELDS; a null capacity is left out: a document's is filled from
+#: lanes and length, a record's is not set
+RECORD_CASES = [pytest.param(path, value, id=".".join(map(str, path)) + "=" + label)
+                for make_doc, path, _name, valid in INSTANCE_FIELDS
+                if make_doc is single_od_document
+                and path[0] in ("nodes", "arcs", "strata", "demand")
+                for label, value in RECORD_VALUES.items()
+                if not (label == "null" and "null" in valid)]
+
+
+def records_instance(doc):
+    """The Instance of the records of ``doc``: build_network of its Node
+    and Arc records, then Instance of them with its Stratum and DemandEntry
+    records (its outside option and car length as loaded)."""
+    loaded = load_instance(single_od_document())
+    network = build_network([Node(**row) for row in doc["nodes"]],
+                            [Arc(**row) for row in doc["arcs"]])
+    return Instance(network, [Stratum(**row) for row in doc["strata"]],
+                    [DemandEntry(**row) for row in doc["demand"]], loaded.outside,
+                    doc["defaults"]["car_length_km"])
+
+
+@pytest.mark.parametrize("path, value", RECORD_CASES)
+def test_records_load_and_fail_as_their_document(path, value):
+    # a record holds any value; its network or instance refuses a bad one
+    # with the message load_instance gives, and takes a good one as loaded
+    doc = set_field(single_od_document(), path, value)
+    outcomes = []
+    for build in (load_instance, records_instance):
+        try:
+            outcomes.append(instance_to_document(build(doc)))
+        except InstanceError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("faults, message", [
+    # a network's columns are checked in field order, each from its first row
+    ({("arcs", 0, "bpr_nu"): -1, ("arcs", 3, "length_km"): -1},
+     "arc s13: length_km must be > 0, got -1"),
+    ({("arcs", 0, "road_class"): "x", ("arcs", 1, "lanes"): 0}, "arc p02: lanes must be >= 1"),
+    ({("nodes", 1, "x"): "abc", ("nodes", 0, "y"): None}, "node 1: x must be a finite number"),
+    # the sections are read before their values are checked
+    ({("nodes", 1, "x"): "abc", ("arcs", 2, "tail"): "missing"},
+     "arcs[2].tail: missing required field"),
+    # demand is checked row by row, each row whole
+    ({("demand", 0, "stratum"): "zz", ("demand", 1, "trips"): 0},
+     "demand[0].stratum: unknown stratum 'zz'"),
+    # the outside option and solver are read before strata and demand are checked
+    ({("strata", 1, "beta_t"): 0, ("outside_option", "multiplier"): -1},
+     "outside_option.multiplier must be > 0"),
+], ids=["arc columns", "road class last", "node columns", "shape first", "demand rows",
+        "outside first"])
+def test_two_faults_name_the_first_checked(faults, message):
+    doc = single_od_document()
+    for path, value in faults.items():
+        set_field(doc, path, value)
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        load_instance(doc)
 
 
 def csv_network_document(tmp_path):
@@ -89,9 +156,11 @@ def assert_same_network(got, want):
 
 
 class TestColumnLoad:
-    """load_instance reads a network section of plain JSON values as
-    columns, checked whole, and any other section one Node or Arc record
-    per row: both give the same network, values and messages."""
+    """load_instance reads every section as columns and builds no Node or
+    Arc record; Network checks a column of plain JSON values whole and any
+    other column value by value.  Either way the network, its values and
+    the messages are those of build_network of the records, which are
+    refused when their network is built, not when they are made."""
 
     @pytest.mark.parametrize("case", ["single_od", "grid6", "csv"])
     def test_loaded_network_is_build_network_of_its_records(self, tmp_path, case):
@@ -104,8 +173,8 @@ class TestColumnLoad:
 
     def test_defaults_fill_columns_as_records(self):
         # capacities from lanes, length and car length, BPR parameters from
-        # defaults: a numeric string in one arc sends the section through
-        # the Arc records, which must give the same bits
+        # defaults: a numeric string in one arc has its column checked value
+        # by value, which must give the same bits
         doc = default_bpr_document()
         doc["defaults"]["car_length_km"] = 0.007
         for arc in doc["arcs"]:
@@ -122,9 +191,9 @@ class TestColumnLoad:
         (("arcs", 0, "capacity"), repr), (("nodes", 0, "x"), repr), (("nodes", 2, "id"), int),
         (("arcs", 3, "tail"), int)], ids=lambda v: getattr(v, "__name__", None))
     def test_values_the_columns_refuse_load_as_records(self, path, given):
-        # a numeric string (as from a CSV cell) or an int id: the section
-        # takes the records, which read the string as its number and the
-        # id as its digits
+        # a numeric string (as from a CSV cell) or an int id: its column is
+        # checked value by value, which reads the string as its number and
+        # the id as its digits
         doc = single_od_document()
         *parents, key = path
         section = doc
@@ -155,11 +224,11 @@ class TestColumnLoad:
     def test_solve_simulate_and_save_build_no_record(self, tmp_path, monkeypatch):
         docs = {"single_od": single_od_document(), "grid6": instance_to_document(grid6())}
 
-        def refuse(record):
+        def refuse(record, *args, **kwargs):
             raise AssertionError(f"a {type(record).__name__} record was built")
 
-        monkeypatch.setattr(Arc, "__post_init__", refuse)
-        monkeypatch.setattr(Node, "__post_init__", refuse)
+        monkeypatch.setattr(Arc, "__init__", refuse)
+        monkeypatch.setattr(Node, "__init__", refuse)
         for name, doc in docs.items():
             path, out = tmp_path / f"{name}.json", tmp_path / name
             write_json(path, doc)

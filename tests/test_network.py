@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 
 from mteq import (
     Arc,
+    InstanceError,
     NetworkError,
     Node,
     build_network,
@@ -48,6 +49,11 @@ class TestBuild:
         assert net.primary_length.tolist() == [a.length_km if a.road_class == "primary" else 0.0
                                                for a in net.arcs]
         assert not net.primary_length.flags.writeable
+
+    def test_a_record_is_checked_when_its_network_is_built(self):
+        arc = Arc("a", "0", "1", length_km=-1.0, free_speed_kmh="abc")  # any value is held
+        with pytest.raises(InstanceError, match="arc a: length_km must be > 0, got -1.0"):
+            build_network([Node("0", 0, 0), Node("1", 1, 0)], [arc])
 
     def test_unknown_endpoint_rejected(self):
         with pytest.raises(NetworkError, match="99"):

@@ -6,7 +6,6 @@ import pytest
 from mteq import (
     PriceGrid,
     SchemeSpec,
-    area_of_arc,
     assign_areas,
     enumerate_grid,
     expand_scheme,
@@ -82,17 +81,17 @@ class TestAreaOfArc:
     def test_tail_rule(self, inst, areas):
         net = inst.network
         arc = net.arcs[net.arc_index["p21"]]  # tail node 2 sits in N
-        assert area_of_arc(arc, areas) == "N"
+        assert areas.area_of(arc.tail) == "N"
 
     def test_single_area_partition(self, inst):
         one = assign_areas(inst, 1, 1)
-        assert {area_of_arc(a, one) for a in inst.network.arcs} == {"r0c0"}
+        assert {one.area_of(a.tail) for a in inst.network.arcs} == {"r0c0"}
 
     def test_crossing_arc_priced_by_entry_side(self, inst, areas):
         net = inst.network
         arc = net.arcs[net.arc_index["s01"]]  # 0 (N) -> 1 (E)
         assert areas.area_of("1") == "E"
-        assert area_of_arc(arc, areas) == "N"
+        assert areas.area_of(arc.tail) == "N"
 
 
 class TestEnumerateGrid:
