@@ -16,13 +16,13 @@ from .network import (
 from .instance import (
     AreaAssignment,
     DemandEntry,
+    DemandTable,
     Instance,
     OutsideOption,
     Stratum,
     assign_areas,
     instance_to_document,
     load_instance,
-    outside_costs,
     save_instance,
     SolverOptions,
 )

@@ -306,11 +306,8 @@ def _trip_sums(net: Network, arc_probs: np.ndarray, dest: np.ndarray, time, mone
     """P_d (k, m) of _absorbed and r (3, k, n): each node's expected time,
     money and distance of one step under it, for arc ``time`` and ``money``
     of shape (m,) or (k, m)."""
-    live = _absorbed(net, arc_probs, dest)
-    step = np.empty((3, *live.shape))
-    for out, weight in zip(step, (time, money, net.length)):
-        np.multiply(live, weight, out=out)
-    return live, _node_sums(net, step)
+    live = _absorbed(net, arc_probs, dest)  # one weight at a time: a third of the temporaries
+    return live, np.stack([_node_sums(net, live * weight) for weight in (time, money, net.length)])
 
 
 def _node_sums(net: Network, arc_values: np.ndarray) -> np.ndarray:
@@ -344,7 +341,8 @@ def _stratum_trip_stats(net: Network, stack: _StackLU, beta: np.ndarray, tau: np
         X = np.exp(-beta * tau)
         T = stack.solve(X * r) / X
         T[:, np.arange(len(tau)), stack.dest] = 0.0
-        resid = np.abs(T - r - _node_sums(net, live * T[..., net.head])).max(axis=2)
-        scale = np.maximum(1.0, np.abs(T).max(axis=2))
-        ok = (resid <= STACK_RESIDUAL * scale).all(axis=0)
+        ok = np.ones(len(tau), dtype=bool)
+        for t, q in zip(T, r):  # one weight at a time: a third of the (k, m) temporaries
+            resid = np.abs(t - q - _node_sums(net, live * t[:, net.head])).max(axis=1)
+            ok &= resid <= STACK_RESIDUAL * np.maximum(1.0, np.abs(t).max(axis=1))
     return ok & _in_range(beta, tau, first)[stack.block], T

@@ -42,7 +42,7 @@ from . import choice
 from .chain import (_UNBOUNDED, FeasibilityError, _arc_costs, _expected_costs,
                     _fixed_point, _route, _StackLU, _stratum_stacks, _stratum_trip_stats,
                     _tolls)
-from .instance import SolverOptions, outside_costs
+from .instance import SolverOptions
 from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
                       check_number, number_column, read_fields, read_json, read_section,
                       shortest_costs)
@@ -247,12 +247,12 @@ class _RoutingPlan:
     scheme is one (n_strata, n_arcs) array of price rates.  Its cost rows
     are the (scheme, stratum) rows ``scheme * n_strata + stratum`` and its
     pairs the rows ``scheme * pairs : (scheme + 1) * pairs``, in one order
-    for every scheme: strata in instance order, destinations ascending.
-    The price-independent parts (each pair's destination and
-    sensitivities, and the origins, trips and outside costs of all pairs
-    laid end to end) are built once and tiled across the schemes, as are
-    the pair keys.  ``order`` is the pair, in plan order, of each row of a
-    scheme's PairTable in key order.  The stop step (trip_stats) flags in
+    for every scheme: the instance's DemandTable order.  The
+    price-independent parts (each pair's destination and sensitivities, and
+    the origins, trips and outside costs of all pairs laid end to end) are
+    the table's columns tiled across the schemes, as are the pair keys.
+    ``order`` is the pair, in plan order, of each row of a scheme's
+    PairTable in key order.  The stop step (trip_stats) flags in
     ``held`` the pairs whose trip statistics it solved, and writes each
     origin's time, money and distance into ``trip`` (3, origins).
 
@@ -281,43 +281,34 @@ class _RoutingPlan:
     """
 
     def __init__(self, instance, rates: np.ndarray):
-        net = instance.network
+        net, table = instance.network, instance.demand_table
         self.network, self.strata = net, instance.strata
-        oc = outside_costs(instance)
-        stratum, dest, counts, origins, trips, outside = [], [], [], [], [], []
-        for s_idx, s in enumerate(self.strata):
-            for d, (o, g) in instance.demand_by_destination(s.name).items():
-                stratum.append(s_idx)
-                dest.append(d)
-                counts.append(len(o))
-                origins.extend(o)
-                trips.extend(g)
-                outside.extend(oc[(s.name, net.node_id(i), net.node_id(d))] for i in o)
         schemes, n_strata = len(rates), len(self.strata)
-        self.pairs = len(dest)  # of each scheme
-        self.keys = [(self.strata[s].name, net.node_id(d)) for s, d in zip(stratum, dest)]
+        self.pairs = len(table.destination)  # of each scheme
+        self.keys = [(self.strata[s].name, net.node_id(d))
+                     for s, d in zip(table.stratum.tolist(), table.destination.tolist())]
         self.order = np.array(sorted(range(self.pairs), key=self.keys.__getitem__), dtype=np.int64)
         self.keys *= schemes
 
-        def tile(values, dtype):  # one copy per scheme
-            values = np.array(values, dtype=dtype)
+        def tile(values):  # one copy per scheme
             return values if schemes == 1 else np.tile(values, schemes)
 
         self.toll = _tolls(self.strata, net, rates)  # (schemes, n_strata, n_arcs)
         self.money = (rates * net.primary_length).reshape(-1, net.n_arcs)  # per (scheme, stratum)
-        self.stratum = tile(stratum, np.int64)  # the (scheme, stratum) row of each pair
+        self.stratum = tile(table.stratum)  # the (scheme, stratum) row of each pair
         if schemes > 1:
             self.stratum += np.repeat(n_strata * np.arange(schemes), self.pairs)
-        self.dest = tile(dest, np.int64)
-        self.stratum_beta = tile([s.beta_t for s in self.strata], float)[:, None]
+        self.dest = tile(table.destination)
+        beta_t, beta_p_out, beta_t_out = (np.array([getattr(s, key) for s in self.strata])
+                                          for key in ("beta_t", "beta_p_out", "beta_t_out"))
+        self.stratum_beta = tile(beta_t)[:, None]
         self.beta = self.stratum_beta[self.stratum]
-        counts = tile(counts, np.int64)
-        self.bounds = np.concatenate(([0], np.cumsum(counts)))
-        pair = np.repeat(np.arange(len(counts)), counts)
-        self.origins = tile(origins, np.int64)
-        self.trips = tile(trips, float)
-        self.outside = tile(outside, float)
-        self.beta_out = tile([s.beta_t_out for s in self.strata], float)[self.stratum[pair]]
+        self.bounds = np.concatenate(([0], np.cumsum(tile(np.diff(table.bounds)))))
+        row_stratum = np.repeat(table.stratum, np.diff(table.bounds))
+        self.origins, self.trips = tile(table.origin), tile(table.trips)
+        self.outside = tile(table.outside_time
+                            + (beta_p_out / beta_t_out)[row_stratum] * table.ticket)
+        self.beta_out = tile(beta_t_out[row_stratum])
         # each (scheme, stratum) row's pairs are self.first[s] : self.first[s] + self.count[s]
         self.count = np.bincount(self.stratum, minlength=schemes * n_strata)
         self.first = np.cumsum(self.count) - self.count
@@ -419,17 +410,18 @@ class _RoutingPlan:
     def trip_stats(self, stopped: list) -> None:
         """The stop step of the schemes ``stopped`` (indices): their pairs'
         trip statistics into ``held`` and ``trip``, one _stratum_trip_stats
-        solve per last-pass stack that holds no other scheme, as all_trip_stats
-        solves them, so with their bits: _StackLU factors each I - W_s as alone."""
+        solve per last-pass stack that holds some of them, as all_trip_stats
+        solves them, so with their bits: _StackLU factors each I - W_s as
+        alone, also in a stack shared with a scheme still iterating."""
         result = self.result
         for stack, pairs, ok in self.stacks:
             scheme = pairs // self.pairs
-            if not np.isin(scheme, stopped).all():
+            if not (mine := np.isin(scheme, stopped)).any():
                 continue
             passed, T = _stratum_trip_stats(
                 self.network, stack, self.beta[pairs], result.tau[pairs],
                 result.arc_probs[pairs], self.arc_time[scheme], self.money[self.stratum[pairs]])
-            ok = ok & passed
+            ok = ok & passed & mine
             o, owner = result.ends(pairs[ok])
             self.trip[:, o] = T[:, ok][:, owner, result.origins[o]]
             self.held[pairs[ok]] = True

@@ -4,8 +4,9 @@ defaults, and the geographic area partition used by area pricing.
 An instance is a single JSON document with sections ``nodes``, ``arcs``,
 ``strata``, ``demand``, ``outside_option``, ``solver`` and ``defaults``.
 The network section may instead point at a CSV pair via ``network_csv``.
-Loading validates every invariant and materializes derived quantities
-(capacities, free times, outside-option travel times).
+Loading validates every invariant and derives the rest: capacities, free
+times, and the DemandTable, the demand grouped as the solver routes it with
+each row's outside-option travel time and fare.
 """
 
 from __future__ import annotations
@@ -116,10 +117,28 @@ class OutsideOption:
         if self.times is not None:
             object.__setattr__(self, "times", _checked_od_table("times", self.times))
 
-    def ticket_for(self, origin: str, destination: str) -> float:
-        """The fare of an OD pair; a per-OD table has every demanded pair
-        (Instance checks it)."""
-        return self.ticket[(origin, destination)] if isinstance(self.ticket, dict) else self.ticket
+
+@dataclass
+class DemandTable:
+    """The demand rows of an instance as columns, grouped as the solver
+    routes them: a pair per (stratum, destination), strata in instance order
+    and destinations by node index, each pair's rows in document order,
+    pair p's at ``bounds[p]:bounds[p + 1]``.  A row's outside time and
+    ticket are those of its OD pair; ``position`` is its index in
+    ``Instance.demand``."""
+
+    stratum: np.ndarray       # (pairs,) index into Instance.strata
+    destination: np.ndarray   # (pairs,) node index
+    bounds: np.ndarray        # (pairs + 1,)
+    origin: np.ndarray        # (rows,) node index
+    trips: np.ndarray         # (rows,)
+    outside_time: np.ndarray  # (rows,)
+    ticket: np.ndarray        # (rows,)
+    position: np.ndarray      # (rows,)
+
+    def __post_init__(self):
+        for column in vars(self).values():  # read-only: routing plans share the columns
+            column.flags.writeable = False
 
 
 @dataclass
@@ -130,14 +149,14 @@ class Instance:
     outside: OutsideOption
     car_length_km: float = DEFAULT_CAR_LENGTH_KM
     solver: SolverOptions = field(default_factory=SolverOptions)
-    #: outside travel time per demanded OD pair (node ids), built from the
-    #: other fields by every constructor call, dataclasses.replace included
-    outside_time: dict[tuple[str, str], float] = field(init=False)
+    #: the demand grouped for the solver, built from the other fields by
+    #: every constructor call, dataclasses.replace included
+    demand_table: DemandTable = field(init=False)
 
     def __post_init__(self):
         """Checks each stratum, then each demand row, then the rows against
-        each other, the network and a per-OD ticket table.  A numeric string
-        counts as its number and an int name as its digits."""
+        each other, the network and the outside option's per-OD tables.  A
+        numeric string counts as its number and an int name as its digits."""
         if not self.strata:
             raise InstanceError("strata: at least one stratum required")
         strata = {}
@@ -148,8 +167,8 @@ class Instance:
                 for key, strict in _BETAS))
         if len(strata) != len(self.strata):
             raise InstanceError("strata: duplicate names")
-        self.strata = list(strata.values())
-        self.demand, nodes, seen = list(self.demand), self.network.node_index, set()
+        self.strata, index = list(strata.values()), {name: i for i, name in enumerate(strata)}
+        self.demand, nodes, groups = list(self.demand), self.network.node_index, {}
         for k, e in enumerate(self.demand):
             stratum = check_name("demand stratum", e.stratum)
             origin = check_name("demand origin", e.origin)
@@ -164,77 +183,49 @@ class Instance:
                 if node not in nodes:
                     raise InstanceError(f"demand[{k}].{key}: unknown node {node!r}")
             key = (stratum, origin, destination)
-            if key in seen:
+            group = groups.setdefault((index[stratum], nodes[destination]), {})  # origin -> row
+            if nodes[origin] in group:
                 raise InstanceError(f"demand[{k}]: duplicate entry for {key}")
-            seen.add(key)
+            group[nodes[origin]] = k
             if trips is not e.trips or key != (e.stratum, e.origin, e.destination):  # converted
                 self.demand[k] = DemandEntry(*key, trips)
-        if isinstance(self.outside.ticket, dict):
-            missing = sorted({(o, d) for _s, o, d in seen} - set(self.outside.ticket))
-            if missing:
-                raise InstanceError(f"outside_option.ticket: missing OD ({', '.join(missing[0])})")
         self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
-        self.outside_time = materialize_outside_times(self)
+        self.demand_table = _demand_table(self, groups)
 
     @property
     def stratum_names(self) -> list[str]:
         return [s.name for s in self.strata]
 
-    def demand_by_destination(self, stratum: str) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per destination index: (origin indices, trips), positive demand only."""
-        idx = self.network.node_index
-        out: dict[int, tuple[list, list]] = {}
-        for e in self.demand:
-            if e.stratum != stratum:
-                continue
-            out.setdefault(idx[e.destination], ([], []))
-            out[idx[e.destination]][0].append(idx[e.origin])
-            out[idx[e.destination]][1].append(e.trips)
-        return {
-            d: (np.array(o, dtype=np.int64), np.array(g, dtype=float))
-            for d, (o, g) in sorted(out.items())
-        }
 
-    def od_pairs(self, stratum: str) -> list[tuple[str, str]]:
-        """The positive-demand OD set of one stratum, in document order."""
-        return [(e.origin, e.destination) for e in self.demand if e.stratum == stratum]
-
-
-def materialize_outside_times(instance: Instance) -> dict[tuple[str, str], float]:
-    """Outside travel time for every demanded OD pair.
-
-    Multiplier mode scales the zero-flow shortest drive time; one Dijkstra
-    call over the distinct destinations covers all origins.
-    """
-    net = instance.network
-    ods = sorted({(e.origin, e.destination) for e in instance.demand})
-    if instance.outside.mode == MODE_TABLE:
-        times = {}
-        for o, d in ods:
-            try:
-                times[(o, d)] = instance.outside.times[(o, d)]
-            except KeyError:
-                raise InstanceError(f"outside_option.times: missing OD ({o}, {d})")
-        return times
-    dests = sorted({d for _, d in ods})
-    index = np.array([net.node_index[d] for d in dests], dtype=np.int64)
-    dist = shortest_costs(net, net.free_time, index)
-    row = {d: i for i, d in enumerate(dests)}
-    return {(o, d): instance.outside.multiplier * float(dist[row[d], net.node_index[o]])
-            for o, d in ods}
-
-
-def outside_costs(instance: Instance) -> dict[tuple[str, str, str], float]:
-    """Generalized outside-option cost per (stratum, origin, destination):
-    travel time plus the fare weighted by the stratum's outside price/time
-    sensitivity ratio."""
-    out = {}
-    for s in instance.strata:
-        ratio = s.beta_p_out / s.beta_t_out
-        for o, d in instance.od_pairs(s.name):
-            t_out = instance.outside_time[(o, d)]
-            out[(s.name, o, d)] = t_out + ratio * instance.outside.ticket_for(o, d)
-    return out
+def _demand_table(instance: Instance, groups: dict) -> DemandTable:
+    """The DemandTable of ``instance`` from ``groups``: {(stratum,
+    destination): {origin: row}} in node and stratum indices, each pair's
+    rows (indices into ``instance.demand``) in document order.  Raises
+    InstanceError naming a per-OD ticket or times table that lacks a
+    demanded OD.  A multiplier-mode outside time scales the zero-flow
+    shortest drive time, from one Dijkstra call over the destinations."""
+    net, oo, demand = instance.network, instance.outside, instance.demand
+    pairs = sorted(groups)
+    stratum, dest = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    counts = [len(groups[pair]) for pair in pairs]
+    position = [k for pair in pairs for k in groups[pair].values()]
+    origin = np.array([o for pair in pairs for o in groups[pair]], dtype=np.int64)
+    ods = [(demand[k].origin, demand[k].destination) for k in position]
+    for key, table in (("ticket", oo.ticket), ("times", oo.mode == MODE_TABLE and oo.times)):
+        missing = sorted(set(ods) - set(table)) if isinstance(table, dict) else ()
+        if missing:
+            raise InstanceError(f"outside_option.{key}: missing OD ({', '.join(missing[0])})")
+    if oo.mode == MODE_TABLE:
+        time = np.array([oo.times[od] for od in ods], dtype=float)
+    else:
+        targets = np.array(sorted(set(dest.tolist())), dtype=np.int64)
+        time = oo.multiplier * shortest_costs(net, net.free_time, targets)[
+            np.searchsorted(targets, np.repeat(dest, counts)), origin]
+    ticket = (np.array([oo.ticket[od] for od in ods], dtype=float)
+              if isinstance(oo.ticket, dict) else np.full(len(ods), oo.ticket))
+    return DemandTable(stratum, dest, np.cumsum([0] + counts), origin,
+                       np.array([demand[k].trips for k in position], dtype=float), time, ticket,
+                       np.array(position, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +343,10 @@ def _columns(section, path: str, keys, optional=None) -> list[list]:
 def _fill_capacity(arcs: list[list], car_length_km: float) -> None:
     """Set each None capacity of the ARC_FIELDS columns ``arcs`` to
     default_capacity of its arc's lanes and length.  If one of those is not
-    a number above 0, none is set: Network names that value."""
-    _ids, _tails, _heads, length, _speed, lanes, _classes, capacity, *_bpr = arcs
+    a number above 0, none is set: Network names that value.  Network takes
+    an int lanes past the float range, which has no default capacity: it
+    raises InstanceError naming the arc."""
+    ids, _tails, _heads, length, _speed, lanes, _classes, capacity, *_bpr = arcs
     missing = [k for k, c in enumerate(capacity) if c is None]
     if not missing:
         return
@@ -361,6 +354,14 @@ def _fill_capacity(arcs: list[list], car_length_km: float) -> None:
         filled = default_capacity(*(np.array([column[k] for k in missing], dtype=float)
                                     for column in (lanes, length)), car_length_km)
     except (TypeError, ValueError):
+        return
+    except OverflowError:  # an int past the float range: lanes, or a length Network names
+        for k in missing:
+            try:
+                float(lanes[k])
+            except OverflowError:
+                raise InstanceError(f"arc {ids[k]}: lanes is past the float range, so it has "
+                                    "no default capacity: give its capacity") from None
         return
     for k, c in zip(missing, filled.tolist()):
         capacity[k] = c

@@ -13,8 +13,9 @@ solution's PairTable, one row per pair.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -183,35 +184,40 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
     toll-free equilibrium itself, making the no-toll scheme worth exactly
     zero.
     """
-    net = instance.network
+    net, table, ids = instance.network, instance.demand_table, instance.network.node_ids
     stats_p = all_trip_stats(instance, solution)
-    trips_of = {(e.stratum, e.origin, e.destination): e.trips for e in instance.demand}
+    # the rows by stratum, each stratum's in document order: rows[ends[j]:ends[j + 1]]
+    row_stratum, row_dest = (np.repeat(c, np.diff(table.bounds))
+                             for c in (table.stratum, table.destination))
+    order = np.lexsort((table.position, row_stratum))
+    ends = np.searchsorted(row_stratum, np.arange(len(instance.strata) + 1)).tolist()
+    rows = list(zip(*(c[order].tolist() for c in (
+        row_dest, table.origin, table.trips, table.outside_time, table.ticket, table.position))))
+    overall = np.zeros((2, len(rows)))  # per row in document order: trips, trips started
 
     w, dw, rev, started, share_d, share_f, v_trip, v_flow = {}, {}, {}, {}, {}, {}, {}, {}
     per_od = []
-    for s in instance.strata:
+    for j, s in enumerate(instance.strata):
         ratio, ratio_out = s.beta_p / s.beta_t, s.beta_p_out / s.beta_t_out
-        pairs = instance.od_pairs(s.name)
         w_sum = w0_sum = g_tot = g_started = t_tot = d_tot = 0.0
-        for (o, d) in pairs:
-            key = (s.name, o, d)
+        for d, o, g, t_out, ticket, position in rows[ends[j]:ends[j + 1]]:
+            key = (s.name, ids[o], ids[d])
             if key not in stats_p or key not in baseline_stats:
                 raise ValueError(f"missing trip stats for {key}; mismatched instances?")
             row, base = stats_p[key], baseline_stats[key]
-            out = (base.time - instance.outside_time[(o, d)]
-                   - ratio_out * instance.outside.ticket_for(o, d))
+            out = base.time - t_out - ratio_out * ticket
             w_sum += ((base.time - row.time - ratio * row.money) * row.start_prob
                       + out * (1.0 - row.start_prob))
             # w0: the same expression with the baseline as the current state
             w0_sum += ((base.time - base.time - ratio * base.money) * base.start_prob
                        + out * (1.0 - base.start_prob))
-            g = trips_of[key]
             g_tot += g
             g_started += g * row.start_prob
+            overall[:, position] = g, g * row.start_prob
             t_tot += g * row.start_prob * row.time
             d_tot += g * row.start_prob * row.distance
             per_od.append(row)
-        n_pairs = max(len(pairs), 1)  # a stratum without demand has welfare 0
+        n_pairs = max(ends[j + 1] - ends[j], 1)  # a stratum without demand has welfare 0
         w[s.name] = w_sum / n_pairs
         dw[s.name] = w[s.name] - w0_sum / n_pairs
         rev[s.name] = revenue(solution, s.name, instance)
@@ -223,19 +229,19 @@ def compute_metrics(instance: Instance, solution: EquilibriumSolution,
         tsum = float(np.dot(fl, solution.arc_time))
         v_flow[s.name] = float(np.dot(fl, net.length)) / tsum if tsum > 0 else float("nan")
 
-    g_all = sum(e.trips for e in instance.demand)
-    started_all = sum(
-        e.trips * stats_p[(e.stratum, e.origin, e.destination)].start_prob
-        for e in instance.demand)
+    # each total adds left to right from 0.0, the same bits on every Python:
+    # sum() of floats is compensated from 3.12 on
+    g_all, started_all, total_w, total_dw, total_rev = (
+        reduce(operator.add, x, 0.0) for x in (*overall.tolist(), *map(dict.values, (w, dw, rev))))
     return MetricsReport(
         scheme_id=scheme_id,
         strata=list(instance.stratum_names),
         welfare=w,
         welfare_delta=dw,
-        total_welfare=sum(w.values()),
-        total_welfare_delta=sum(dw.values()),
+        total_welfare=total_w,
+        total_welfare_delta=total_dw,
         revenue=rev,
-        total_revenue=sum(rev.values()),
+        total_revenue=total_rev,
         trips_started=started,
         trips_started_overall=started_all / g_all if g_all > 0 else float("nan"),
         primary_share_distance=share_d,

@@ -105,6 +105,30 @@ def two_route():
     return two_route_instance()
 
 
+def table_rows(inst) -> dict:
+    """{(stratum, origin, destination): (trips, outside time, ticket,
+    outside cost)} of every row of the instance's DemandTable, the outside
+    cost as the routing plan prices it (_RoutingPlan.outside)."""
+    from mteq.equilibrium import _RoutingPlan
+    t, ids = inst.demand_table, inst.network.node_ids
+    plan = _RoutingPlan(inst, np.zeros((1, len(inst.strata), inst.network.n_arcs)))
+    pair = np.repeat(np.arange(len(t.destination)), np.diff(t.bounds))
+    keys = [(inst.strata[t.stratum[p]].name, ids[o], ids[t.destination[p]])
+            for p, o in zip(pair, t.origin)]
+    return dict(zip(keys, zip(*(c.tolist() for c in (t.trips, t.outside_time, t.ticket,
+                                                     plan.outside)))))
+
+
+def outside_costs(inst) -> dict:
+    """{(stratum, origin, destination): outside cost} (table_rows)."""
+    return {key: row[3] for key, row in table_rows(inst).items()}
+
+
+def outside_times(inst) -> dict:
+    """{(origin, destination): outside time} of the demanded OD pairs (table_rows)."""
+    return {(o, d): row[1] for (_s, o, d), row in table_rows(inst).items()}
+
+
 def singular_pair_instance():
     """Nodes 0, 1 and 2: four flat arcs each way between 0 and 1 at ln 4
     hours, one each way between 0-2 and 1-2 at 0.25 hours; one stratum,

@@ -59,6 +59,28 @@ def naive_tau(network, costs, dest, beta, tol=1e-13, max_iters=200000):
     raise RuntimeError("naive tau did not converge")
 
 
+def free_flow_time(network, origin, destination):
+    """Shortest zero-flow drive time between two node ids: Bellman-Ford
+    relaxation over the arc records, one pass per node."""
+    dist = {i: np.inf for i in network.node_ids}
+    dist[destination] = 0.0
+    for _ in range(network.n_nodes):
+        for arc in network.arcs:
+            dist[arc.tail] = min(dist[arc.tail], bpr_time(arc, 0.0) + dist[arc.head])
+    return dist[origin]
+
+
+def outside_cost(instance, stratum, origin, destination):
+    """Generalized outside cost of one demand row: the outside time (the
+    per-OD table's, or the multiplier times the free-flow drive time) plus
+    the fare at the stratum's outside price/time ratio."""
+    oo, od = instance.outside, (origin, destination)
+    time = (oo.times[od] if oo.mode == "per_od_table"
+            else oo.multiplier * free_flow_time(instance.network, origin, destination))
+    ticket = oo.ticket[od] if isinstance(oo.ticket, dict) else oo.ticket
+    return time + stratum.beta_p_out / stratum.beta_t_out * ticket
+
+
 def naive_equilibrium(instance, rates, tol=1e-8, max_outer=20000):
     """Dense reference of the damped flow iteration; returns (f, per-pair v).
 
@@ -68,47 +90,50 @@ def naive_equilibrium(instance, rates, tol=1e-8, max_outer=20000):
     net = instance.network
     n, m = net.n_nodes, net.n_arcs
     f = np.zeros(m)
-    from mteq.instance import outside_costs
-    oc = outside_costs(instance)
+    by_pair = {}  # (stratum, destination) indices -> (origin, trips, outside cost) per row
+    for e in instance.demand:
+        s_idx = instance.stratum_names.index(e.stratum)
+        by_pair.setdefault((s_idx, net.node_index[e.destination]), []).append(
+            (net.node_index[e.origin], e.trips,
+             outside_cost(instance, instance.strata[s_idx], e.origin, e.destination)))
 
     for k in range(max_outer):
         t = np.array([bpr_time(arc, f[j]) for j, arc in enumerate(net.arcs)])
         resp = np.zeros(m)
         vs = {}
-        for s_idx, s in enumerate(instance.strata):
+        for (s_idx, d), rows in sorted(by_pair.items()):
+            s = instance.strata[s_idx]
             kappa = np.array([toll(arc, rates[s_idx, j]) for j, arc in enumerate(net.arcs)])
             costs = t + (s.beta_p / s.beta_t) * kappa
-            for d, (origins, trips) in instance.demand_by_destination(s.name).items():
-                tau = naive_tau(net, costs, d, s.beta_t)
-                P = np.zeros((n, n))
-                p_arc = np.zeros(m)
-                for i in range(n):
-                    arcs_i = np.nonzero(net.tail == i)[0]
-                    z = costs[arcs_i] + tau[net.head[arcs_i]]
-                    w = np.exp(-s.beta_t * (z - z.min()))
-                    w /= w.sum()
-                    p_arc[arcs_i] = w
-                    for a, p in zip(arcs_i, w):
-                        P[i, net.head[a]] += p
-                keep = np.array([i for i in range(n) if i != d])
-                y = np.zeros(n)
-                for o, g in zip(origins, trips):
-                    z = costs[net.tail == o] + tau[net.head[net.tail == o]]
-                    key = (s.name, net.node_id(int(o)), net.node_id(d))
-                    denom = np.exp(-s.beta_t_out * oc[key]) + np.sum(np.exp(-s.beta_t * z))
-                    p_out = np.exp(-s.beta_t_out * oc[key]) / denom
-                    y[o] += g * (1.0 - p_out)
-                A = np.eye(len(keep)) - P[np.ix_(keep, keep)].T
-                x_sub = np.linalg.solve(A, y[keep])
-                x = np.zeros(n)
-                x[keep] = x_sub
-                Q = np.zeros((n, m))
-                for a in range(m):
-                    if net.tail[a] != d:
-                        Q[net.tail[a], a] = p_arc[a]
-                v = Q.T @ x
-                vs[(s.name, net.node_id(d))] = v
-                resp += v
+            tau = naive_tau(net, costs, d, s.beta_t)
+            P = np.zeros((n, n))
+            p_arc = np.zeros(m)
+            for i in range(n):
+                arcs_i = np.nonzero(net.tail == i)[0]
+                z = costs[arcs_i] + tau[net.head[arcs_i]]
+                w = np.exp(-s.beta_t * (z - z.min()))
+                w /= w.sum()
+                p_arc[arcs_i] = w
+                for a, p in zip(arcs_i, w):
+                    P[i, net.head[a]] += p
+            keep = np.array([i for i in range(n) if i != d])
+            y = np.zeros(n)
+            for o, g, oc in rows:
+                z = costs[net.tail == o] + tau[net.head[net.tail == o]]
+                denom = np.exp(-s.beta_t_out * oc) + np.sum(np.exp(-s.beta_t * z))
+                p_out = np.exp(-s.beta_t_out * oc) / denom
+                y[o] += g * (1.0 - p_out)
+            A = np.eye(len(keep)) - P[np.ix_(keep, keep)].T
+            x_sub = np.linalg.solve(A, y[keep])
+            x = np.zeros(n)
+            x[keep] = x_sub
+            Q = np.zeros((n, m))
+            for a in range(m):
+                if net.tail[a] != d:
+                    Q[net.tail[a], a] = p_arc[a]
+            v = Q.T @ x
+            vs[(s.name, net.node_id(d))] = v
+            resp += v
         gap = np.max(np.abs(f - resp))
         if gap <= tol:
             return f, vs

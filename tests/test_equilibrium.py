@@ -20,7 +20,6 @@ from mteq import (
     expand_scheme,
     extract_core,
     flows_for_destination,
-    outside_costs,
     simulate_trips,
     solve_equilibrium,
     solve_tau,
@@ -37,8 +36,8 @@ from mteq.pricing import SchemeSpec
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
 import oracle
-from conftest import (PACKED, dead_end_instance, flat_arc, record_factorizations,
-                      singular_pair_instance, two_route_instance)
+from conftest import (PACKED, dead_end_instance, flat_arc, outside_costs,
+                      record_factorizations, singular_pair_instance, two_route_instance)
 
 OPTS = SolverOptions(outer_tol=1e-8, outer_max_iters=3000)
 MEDIUM = SolverOptions(outer_tol=1e-4, outer_max_iters=5000)
@@ -537,17 +536,18 @@ def one_pass(inst, rates, initial_flow=None):
 def per_pair_reference(inst, rates, arc_time):
     """Every (stratum, destination) routed on its own: solve_tau from the
     Dijkstra bound, then flows_for_destination."""
-    net = inst.network
+    net, table = inst.network, inst.demand_table
     oc = outside_costs(inst)
     out = {}
-    for s_idx, s in enumerate(inst.strata):
+    for p, (s_idx, d) in enumerate(zip(table.stratum.tolist(), table.destination.tolist())):
+        s, rows = inst.strata[s_idx], slice(table.bounds[p], table.bounds[p + 1])
         costs = arc_time + (s.beta_p / s.beta_t) * (rates[s_idx] * net.length * net.is_primary)
-        for d, (origins, trips) in inst.demand_by_destination(s.name).items():
-            tr = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d))
-            outside = np.array([oc[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
-            out[(s.name, net.node_id(d))] = flows_for_destination(
-                net, tr.tau, costs, s.beta_t, origins, trips, outside, s.beta_t_out, d,
-                stratum=s.name, tau_result=tr)
+        origins, trips = table.origin[rows], table.trips[rows]
+        tr = solve_tau(net, costs, d, s.beta_t, shortest_costs(net, costs, d))
+        outside = np.array([oc[(s.name, net.node_id(o), net.node_id(d))] for o in origins])
+        out[(s.name, net.node_id(d))] = flows_for_destination(
+            net, tr.tau, costs, s.beta_t, origins, trips, outside, s.beta_t_out, d,
+            stratum=s.name, tau_result=tr)
     return out
 
 
@@ -1090,7 +1090,7 @@ class TestStackLU:
         # gives each pair the tau and routing solve of its own scaled block
         inst = with_destinations(lattice, (10, 4, 2))
         net = inst.network
-        dest = np.concatenate([list(inst.demand_by_destination(s.name)) for s in inst.strata])
+        dest = inst.demand_table.destination
         block = np.repeat(np.arange(3), (10, 4, 2))
         beta = np.array([[s.beta_t] for s in inst.strata])
         costs = _arc_costs(inst.strata, net, rate_2(inst), net.free_time)
@@ -1134,8 +1134,8 @@ class TestStackLU:
             inst = with_destinations(lattice, (10, 4, 2))
             net = inst.network
             rows = np.array([2, 0])  # low (2 destinations), then high (10)
-            dest = np.concatenate([list(inst.demand_by_destination(inst.strata[r].name))
-                                   for r in rows])
+            table = inst.demand_table
+            dest = np.concatenate([table.destination[table.stratum == r] for r in rows])
             beta = np.array([[inst.strata[r].beta_t] for r in rows])
             weights = np.exp(-beta * _arc_costs(inst.strata, net, rate_2(inst),
                                                 net.free_time)[rows])
@@ -1161,7 +1161,7 @@ def lattice_stack(lattice, layout):
     net = lattice.network
     rates = expand_scheme(SchemeSpec(family="uniform", rate=25.0), lattice)
     costs = _arc_costs(lattice.strata, net, rates, net.free_time)[:1]
-    dest = np.array(list(lattice.demand_by_destination(lattice.strata[0].name)))
+    dest = lattice.demand_table.destination[lattice.demand_table.stratum == 0]
     beta, rows = lattice.strata[0].beta_t, np.zeros(len(dest), dtype=np.int64)
     if layout == "stratum":
         return net, costs[rows], dest, beta, 0.0, rows, np.exp(-beta * costs)
@@ -1252,12 +1252,9 @@ def free_flow_stack(inst, layout):
     net = inst.network
     costs = _arc_costs(inst.strata, net, np.zeros((len(inst.strata), net.n_arcs)),
                        net.free_time)
-    demand = [inst.demand_by_destination(s.name) for s in inst.strata]
-    rows = np.repeat(np.arange(len(demand)), [len(by_dest) for by_dest in demand])
-    dest = np.array([d for by_dest in demand for d in by_dest])
-    odt = [odt for by_dest in demand for odt in by_dest.values()]
-    route = (np.repeat(np.arange(len(dest)), [len(o) for o, _t in odt]),
-             np.concatenate([o for o, _t in odt]), np.concatenate([t for _o, t in odt]))
+    table = inst.demand_table
+    rows, dest = table.stratum, table.destination
+    route = (np.repeat(np.arange(len(dest)), np.diff(table.bounds)), table.origin, table.trips)
     beta = np.array([[s.beta_t] for s in inst.strata])
     if layout == "stratum":
         return (net, costs[rows], dest, beta[rows], 0.0, rows, np.exp(-beta * costs)), route

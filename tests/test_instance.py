@@ -5,6 +5,7 @@ import re
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from mteq import (
@@ -17,7 +18,6 @@ from mteq import (
     assign_areas,
     instance_to_document,
     load_instance,
-    outside_costs,
     save_instance,
     solve_equilibrium,
     zero_prices,
@@ -26,8 +26,9 @@ from mteq import cli
 from mteq.network import Arc, Node, build_network, write_json
 from mteq.synthgen import GridGenSpec, gen_grid, gen_single_od
 
-from conftest import (INSTANCE_FIELDS, default_bpr_document, flat_arc, set_field,
-                      single_od_document, two_route_instance)
+from conftest import (INSTANCE_FIELDS, default_bpr_document, flat_arc, outside_costs,
+                      outside_times, per_od_outside_document, set_field, single_od_document,
+                      table_rows, two_route_instance)
 
 
 # (document, path to the field, what the error says)
@@ -211,6 +212,19 @@ class TestColumnLoad:
         doc["arcs"][0][key], want["arcs"][0][key] = given, loaded
         assert instance_to_document(load_instance(doc)) == want
 
+    def test_lanes_past_the_float_range_without_capacity_fail_by_name(self, tmp_path, capsys):
+        # such lanes load with a capacity given, but have no default one
+        doc = single_od_document()
+        del doc["arcs"][0]["capacity"]
+        doc["arcs"][0]["lanes"] = 10**400
+        message = "arc s01: lanes is past the float range"
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            load_instance(doc)
+        write_json(tmp_path / "inst.json", doc)
+        assert cli.run(["validate", "--instance", str(tmp_path / "inst.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("path, message", [
         (("arcs", 0, "length_km"), "arc s01: length_km must be a finite number, got True"),
         (("arcs", 0, "lanes"), "arc s01: lanes must be a finite number, got True"),
@@ -363,7 +377,7 @@ class TestOutsideCosts:
             demand=[DemandEntry("s", "0", "2", 5.0)],
             outside=OutsideOption(mode="free_time_multiplier", multiplier=3.0, ticket=0.0),
         )
-        assert inst.outside_time[("0", "2")] == pytest.approx(30.0)
+        assert outside_times(inst)[("0", "2")] == pytest.approx(30.0)
         assert outside_costs(inst)[("s", "0", "2")] == pytest.approx(30.0)
 
     def test_monotone_in_ticket_and_time(self):
@@ -389,22 +403,74 @@ class TestOutsideCosts:
         for o, d in ods:
             dist = shortest_costs(net, net.free_time, net.node_index[d])
             want[(o, d)] = inst.outside.multiplier * float(dist[net.node_index[o]])
-        assert inst.outside_time == want
+        assert outside_times(inst) == want
 
     def test_replace_rebuilds_the_outside_times(self):
-        # outside_time is derived from the other fields, so a replaced demand
-        # or outside option gets its own table: an added OD is solved, and a
+        # the table is derived from the other fields, so a replaced demand
+        # or outside option gets its own: an added OD is solved, and a
         # doubled multiplier doubles every time
         inst = gen_single_od()
         more = replace(inst, demand=[*inst.demand, DemandEntry("low", "1", "3", 5.0)])
-        assert more.outside_time.keys() == {("0", "3"), ("1", "3")}
+        assert outside_times(more).keys() == {("0", "3"), ("1", "3")}
         sol = solve_equilibrium(more, zero_prices(more), SolverOptions())
         assert all_trip_stats(more, sol)[("low", "1", "3")].start_prob > 0.0
         doubled = replace(inst, outside=replace(inst.outside,
                                                 multiplier=2 * inst.outside.multiplier))
-        assert doubled.outside_time == {od: 2 * t for od, t in inst.outside_time.items()}
-        with pytest.raises(ValueError, match="outside_time"):  # not an argument any more
-            replace(inst, outside_time={})
+        assert outside_times(doubled) == {od: 2 * t for od, t in outside_times(inst).items()}
+        with pytest.raises(ValueError, match="demand_table"):  # not an argument
+            replace(inst, demand_table=None)
+
+
+class TestDemandTable:
+    def test_rows_grouped_by_pair_in_document_order(self):
+        # grid6 with its demand rows shuffled, the strata interleaved: pairs
+        # in stratum then node order, each pair's rows in document order,
+        # every row once with its own values
+        import random
+        inst = grid6()
+        rows = list(inst.demand)
+        random.Random(5).shuffle(rows)
+        inst = replace(inst, demand=rows)
+        t, names, ids = inst.demand_table, inst.stratum_names, inst.network.node_ids
+        keys = list(zip(t.stratum.tolist(), t.destination.tolist()))
+        assert keys == sorted(set(keys))
+        assert sorted(t.position.tolist()) == list(range(len(rows)))
+        pair = np.repeat(np.arange(len(keys)), np.diff(t.bounds))
+        for p, k, o, g in zip(pair, t.position.tolist(), t.origin.tolist(), t.trips.tolist()):
+            e = rows[k]
+            assert (e.stratum, e.destination, e.origin, e.trips) == (
+                names[keys[p][0]], ids[keys[p][1]], ids[o], g)
+        for p in range(len(keys)):
+            assert np.all(np.diff(t.position[t.bounds[p]:t.bounds[p + 1]]) > 0)
+
+    def test_per_od_tables_give_each_row_its_od_values(self):
+        doc = per_od_outside_document()
+        doc["demand"].append({"stratum": "low", "origin": "1", "destination": "0",
+                              "trips": 20.0})
+        for key, value in (("times", 7.0), ("ticket", 3.0)):
+            doc["outside_option"][key].append(
+                {"origin": "1", "destination": "0", key.rstrip("s"): value})
+        inst = load_instance(doc)
+        ratio = {s.name: s.beta_p_out / s.beta_t_out for s in inst.strata}
+        rows = table_rows(inst)
+        assert rows[("low", "1", "0")] == (20.0, 7.0, 3.0, 7.0 + ratio["low"] * 3.0)
+        for s in ("high", "mid", "low"):
+            assert rows[(s, "0", "3")] == (500.0, 2.0, 0.5, 2.0 + ratio[s] * 0.5)
+
+    def test_no_demand(self):
+        # the degenerate instance of test_criterion_10: a table of no pairs
+        inst = gen_single_od()
+        empty = replace(inst, demand=[])
+        t = empty.demand_table
+        assert t.bounds.tolist() == [0] and len(t.stratum) == len(t.destination) == 0
+        assert all(len(getattr(t, key)) == 0
+                   for key in ("origin", "trips", "outside_time", "ticket", "position"))
+        assert table_rows(empty) == {}
+
+    def test_columns_are_read_only(self):
+        t = gen_single_od().demand_table
+        with pytest.raises(ValueError, match="read-only"):
+            t.trips[0] = 1.0
 
 
 class TestAssignAreas:

@@ -311,13 +311,13 @@ class TestTripStatsFromTheSolve:
 
     def test_schemes_stopping_at_different_passes(self, lattices):
         # grid10 at the default tolerances: the baseline stops at pass 3, in
-        # stacks shared with the priced scheme, which are not reused; the
-        # priced scheme stops at pass 5, alone in its stacks
+        # stacks shared with the priced scheme, which serve its pairs too;
+        # the priced scheme stops at pass 5, alone in its stacks
         inst = lattices["grid10"]
         prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
         sol0, sol = solve_equilibria(inst, [np.zeros_like(prices), prices], LOOSE)
         assert (sol0.outer_iterations, sol.outer_iterations) == (3, 5)
-        assert not sol0.held_trip_stats[0].any() and sol.held_trip_stats[0].all()
+        assert sol0.held_trip_stats[0].all() and sol.held_trip_stats[0].all()
         for solution in (sol0, sol):
             assert_stats_survive_the_file(inst, solution)
 
@@ -940,3 +940,55 @@ class TestReport:
                                scheme_id="uniform_p0")
         assert all(v == 0.0 for v in rep0.welfare_delta.values())
         assert rep0.total_revenue == 0.0
+
+    def test_totals_are_left_folds(self, lattices):
+        # grid10 at rate 2 at its default tolerances, where a compensated
+        # sum (Python 3.12's sum() of floats) moves the last bit of
+        # total_revenue: every total adds its terms left to right from 0.0
+        inst = lattices["grid10"]
+        prices = expand_scheme(SchemeSpec(family="uniform", rate=2.0), inst)
+        sol0, sol = solve_equilibria(inst, [np.zeros_like(prices), prices], inst.solver)
+        rep = compute_metrics(inst, sol, all_trip_stats(inst, sol0), "uniform_p2")
+
+        def fold(values):
+            return reduce(operator.add, values, 0.0)
+
+        assert rep.total_welfare == fold(rep.welfare.values())
+        assert rep.total_welfare_delta == fold(rep.welfare_delta.values())
+        assert rep.total_revenue == fold(rep.revenue.values())
+        start = {(t.stratum, t.origin, t.destination): t.start_prob for t in rep.per_od}
+        trips = [e.trips for e in inst.demand]  # in document order
+        started = [e.trips * start[(e.stratum, e.origin, e.destination)] for e in inst.demand]
+        assert rep.trips_started_overall == fold(started) / fold(trips)
+
+    def test_shuffled_demand_rows_keep_document_order(self, lattices, tmp_path):
+        # grid6 with its demand rows shuffled, the strata interleaved: the
+        # solve groups them as the solver routes them, and metrics_od.csv
+        # still lists each stratum's rows in document order, with the
+        # totals of the unshuffled instance up to rounding
+        import csv
+        import random
+        from mteq import cli, instance_to_document
+        from mteq.network import write_json
+        doc = instance_to_document(lattices["grid6"])
+        shuffled = {**doc, "demand": list(doc["demand"])}
+        random.Random(3).shuffle(shuffled["demand"])
+        strata = [row["stratum"] for row in shuffled["demand"]]
+        assert strata != sorted(strata, key=[s["name"] for s in doc["strata"]].index)
+        totals = []
+        for name, d in (("sorted", doc), ("shuffled", shuffled)):
+            write_json(tmp_path / f"{name}.json", d)
+            out = tmp_path / f"{name}_out"
+            assert cli.run(["solve", "--instance", str(tmp_path / f"{name}.json"),
+                            "--scheme", "uniform", "--rate", "2", "--tol-outer", "1e-4",
+                            "--out", str(out)]) == cli.EXIT_OK
+            with open(out / "metrics_od.csv", newline="") as fh:
+                rows = [(r["stratum"], r["origin"], r["destination"])
+                        for r in csv.DictReader(fh)]
+            assert rows == [(e["stratum"], e["origin"], e["destination"])
+                            for s in doc["strata"] for e in d["demand"]
+                            if e["stratum"] == s["name"]]
+            metrics = json.loads((out / "metrics.json").read_text())
+            totals.append([metrics[key] for key in ("total_welfare", "total_welfare_delta",
+                                                    "total_revenue", "trips_started_overall")])
+        assert totals[1] == pytest.approx(totals[0], rel=1e-9, abs=1e-9)
