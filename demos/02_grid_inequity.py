@@ -52,8 +52,7 @@ flipped = Instance(
                     beta_p={"high": 1.0, "mid": 0.7, "low": 0.5}[s.name],
                     beta_t_out=s.beta_t_out, beta_p_out=s.beta_p_out)
             for s in instance.strata],
-    demand=instance.demand, outside=instance.outside,
-    car_length_km=instance.car_length_km, solver=instance.solver)
+    demand=instance.demand, outside=instance.outside, solver=instance.solver)
 for toll in [2.0, 5.0]:
     sh = shares(flipped, toll)
     print(f"{toll:>8.0f} | {sh['low']:8.4f} | {sh['mid']:8.4f} | {sh['high']:8.4f}"

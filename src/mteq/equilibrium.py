@@ -46,6 +46,7 @@ from .instance import SolverOptions
 from .network import (InstanceError, Network, NetworkError, check_flag, check_name,
                       check_number, number_column, read_fields, read_json, read_section,
                       shortest_costs)
+from .pricing import PricingError
 
 
 class SolverError(RuntimeError):
@@ -282,6 +283,9 @@ class _RoutingPlan:
 
     def __init__(self, instance, rates: np.ndarray):
         net, table = instance.network, instance.demand_table
+        dead = np.flatnonzero(net.out_degree == 0)
+        if len(dead):  # the choice kernel's per-node segments need an arc each
+            raise NetworkError(f"node {net.node_id(int(dead[0]))!r} has no outgoing arc")
         self.network, self.strata = net, instance.strata
         schemes, n_strata = len(rates), len(self.strata)
         self.pairs = len(table.destination)  # of each scheme
@@ -293,11 +297,17 @@ class _RoutingPlan:
         def tile(values):  # one copy per scheme
             return values if schemes == 1 else np.tile(values, schemes)
 
-        self.toll = _tolls(self.strata, net, rates)  # (schemes, n_strata, n_arcs)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self.toll = _tolls(self.strata, net, rates)  # (schemes, n_strata, n_arcs)
+        bad = np.argwhere(~np.isfinite(self.toll))
+        if len(bad):  # Dijkstra would read the arc as missing
+            scheme, s, arc = bad[0].tolist()
+            rate = float(rates[scheme, s, arc])
+            raise PricingError(f"price rate {rate!r} on arc {net.arc_ids[arc]} gives stratum "
+                               f"{self.strata[s].name!r} a toll past the float range")
         self.money = (rates * net.primary_length).reshape(-1, net.n_arcs)  # per (scheme, stratum)
-        self.stratum = tile(table.stratum)  # the (scheme, stratum) row of each pair
-        if schemes > 1:
-            self.stratum += np.repeat(n_strata * np.arange(schemes), self.pairs)
+        # the (scheme, stratum) row of each pair
+        self.stratum = tile(table.stratum) + np.repeat(n_strata * np.arange(schemes), self.pairs)
         self.dest = tile(table.destination)
         beta_t, beta_p_out, beta_t_out = (np.array([getattr(s, key) for s in self.strata])
                                           for key in ("beta_t", "beta_p_out", "beta_t_out"))
@@ -320,9 +330,6 @@ class _RoutingPlan:
                                 np.empty(len(self.origins)))
         self.held, self.trip = np.zeros(k, bool), np.full((3, len(self.origins)), np.nan)
         self.free_flow_bounds = None
-        dead = np.flatnonzero(net.out_degree == 0)
-        if len(dead):  # the choice kernel's per-node segments need an arc each
-            raise NetworkError(f"node {net.node_id(int(dead[0]))!r} has no outgoing arc")
 
     def route(self, arc_time: np.ndarray, active=None):
         """One routing pass at fixed arc times, (schemes, n_arcs), of the

@@ -4,9 +4,10 @@ defaults, and the geographic area partition used by area pricing.
 An instance is a single JSON document with sections ``nodes``, ``arcs``,
 ``strata``, ``demand``, ``outside_option``, ``solver`` and ``defaults``.
 The network section may instead point at a CSV pair via ``network_csv``.
-Loading validates every invariant and derives the rest: capacities, free
-times, and the DemandTable, the demand grouped as the solver routes it with
-each row's outside-option travel time and fare.
+Loading validates every invariant and derives the rest: the network its
+missing capacities and free times, the instance its DemandTable, the demand
+grouped as the solver routes it with each row's outside-option travel time
+and fare.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from .network import (ARC_FIELDS, DEFAULT_BPR_GAMMA, DEFAULT_BPR_NU, DEFAULT_CAR_LENGTH_KM,
                       NODE_FIELDS, SECONDARY, InstanceError, Network, check_name, check_number,
-                      default_capacity, read_fields, read_json, read_section, shortest_costs,
-                      write_json)
+                      read_fields, read_json, read_section, shortest_costs, write_json)
 
 MODE_MULTIPLIER = "free_time_multiplier"
 MODE_TABLE = "per_od_table"
@@ -147,7 +147,6 @@ class Instance:
     strata: list[Stratum]
     demand: list[DemandEntry]
     outside: OutsideOption
-    car_length_km: float = DEFAULT_CAR_LENGTH_KM
     solver: SolverOptions = field(default_factory=SolverOptions)
     #: the demand grouped for the solver, built from the other fields by
     #: every constructor call, dataclasses.replace included
@@ -189,7 +188,6 @@ class Instance:
             group[nodes[origin]] = k
             if trips is not e.trips or key != (e.stratum, e.origin, e.destination):  # converted
                 self.demand[k] = DemandEntry(*key, trips)
-        self.car_length_km = check_number("defaults.car_length_km", self.car_length_km, 0)
         self.demand_table = _demand_table(self, groups)
 
     @property
@@ -340,33 +338,6 @@ def _columns(section, path: str, keys, optional=None) -> list[list]:
     raise AssertionError(f"{path}: read as records but not as columns")
 
 
-def _fill_capacity(arcs: list[list], car_length_km: float) -> None:
-    """Set each None capacity of the ARC_FIELDS columns ``arcs`` to
-    default_capacity of its arc's lanes and length.  If one of those is not
-    a number above 0, none is set: Network names that value.  Network takes
-    an int lanes past the float range, which has no default capacity: it
-    raises InstanceError naming the arc."""
-    ids, _tails, _heads, length, _speed, lanes, _classes, capacity, *_bpr = arcs
-    missing = [k for k, c in enumerate(capacity) if c is None]
-    if not missing:
-        return
-    try:
-        filled = default_capacity(*(np.array([column[k] for k in missing], dtype=float)
-                                    for column in (lanes, length)), car_length_km)
-    except (TypeError, ValueError):
-        return
-    except OverflowError:  # an int past the float range: lanes, or a length Network names
-        for k in missing:
-            try:
-                float(lanes[k])
-            except OverflowError:
-                raise InstanceError(f"arc {ids[k]}: lanes is past the float range, so it has "
-                                    "no default capacity: give its capacity") from None
-        return
-    for k, c in zip(missing, filled.tolist()):
-        capacity[k] = c
-
-
 def load_instance(source) -> Instance:
     """Build a validated Instance from a JSON document (dict) or a file path."""
     if isinstance(source, (str, Path)):
@@ -388,13 +359,11 @@ def _instance_from(doc, base: Path) -> Instance:
     car_len, gamma0, nu0 = read_fields(defaults, "defaults", (), {
         "car_length_km": DEFAULT_CAR_LENGTH_KM, "bpr_gamma": DEFAULT_BPR_GAMMA,
         "bpr_nu": DEFAULT_BPR_NU})
-    car_len = check_number("defaults.car_length_km", car_len, 0)
     nodes = _columns(node_rows, "nodes", NODE_FIELDS)
     arcs = _columns(arc_rows, "arcs", ARC_FIELDS[:5], {
         "lanes": 1, "road_class": SECONDARY, "capacity": None, "bpr_gamma": gamma0,
         "bpr_nu": nu0})
-    _fill_capacity(arcs, car_len)
-    network = Network(*nodes, *arcs)
+    network = Network(*nodes, *arcs, car_len)
 
     strata = list(map(Stratum, *_columns(
         strata, "strata", ("name", "beta_t", "beta_p", "beta_t_out", "beta_p_out"))))
@@ -411,7 +380,7 @@ def _instance_from(doc, base: Path) -> Instance:
         times = _parse_od_table(times, "time", "outside_option.times")
     return Instance(network=network, strata=strata, demand=demand,
                     outside=OutsideOption(mode, multiplier, ticket, times),
-                    car_length_km=car_len, solver=solver_from_document(solver))
+                    solver=solver_from_document(solver))
 
 
 def instance_to_document(instance: Instance) -> dict:
@@ -425,7 +394,7 @@ def instance_to_document(instance: Instance) -> dict:
         "demand": [dict(vars(e)) for e in instance.demand],
         "outside_option": _outside_to_doc(instance.outside),
         "solver": dict(vars(instance.solver)),
-        "defaults": {"car_length_km": instance.car_length_km},
+        "defaults": {"car_length_km": net.car_length_km},
     }
 
 

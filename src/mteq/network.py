@@ -178,8 +178,8 @@ _ARC_NUMBERS = (("length_km", 0, True, False), ("free_speed_kmh", 0, True, False
 
 @dataclass(frozen=True)
 class Arc:
-    """A directed road segment; ``capacity`` is in vehicle units (see
-    default_capacity).  Network checks its fields."""
+    """A directed road segment; ``capacity`` is in vehicle units, None for
+    Network to fill with default_capacity.  Network checks its fields."""
 
     id: str
     tail: str
@@ -252,6 +252,23 @@ def _numbers(values, name, low=None, strict=True, integer=False):
     return column
 
 
+def _fill_capacity(capacity, arc_ids, length_km, lanes, car_length_km) -> list:
+    """``capacity`` with each None set to default_capacity of its arc's
+    checked ``lanes`` and ``length_km``.  Raises InstanceError naming the
+    first such arc whose default is past the float range, as it is when its
+    lanes are."""
+    capacity = list(capacity)
+    for k in [k for k, c in enumerate(capacity) if c is None]:
+        try:  # of Python floats: a product past the range is inf, with no warning
+            capacity[k] = default_capacity(float(lanes[k]), float(length_km[k]), car_length_km)
+        except OverflowError:  # an int lanes past the float range
+            capacity[k] = math.inf
+        if capacity[k] == math.inf:
+            raise InstanceError(f"arc {arc_ids[k]}: lanes * length_km / car_length_km is past "
+                                "the float range: give its capacity")
+    return capacity
+
+
 class Network:
     """Immutable directed network stored as columns; ``nodes`` and ``arcs``
     are record views of them, built on first access.
@@ -265,15 +282,22 @@ class Network:
     """
 
     def __init__(self, node_ids, x, y, arc_ids, tail, head, length_km, free_speed_kmh,
-                 lanes, road_class, capacity, bpr_gamma, bpr_nu):
+                 lanes, road_class, capacity, bpr_gamma, bpr_nu,
+                 car_length_km=DEFAULT_CAR_LENGTH_KM):
         """The network of the columns NODE_FIELDS then ARC_FIELDS, each
-        checked once, in that order: whole when its values are plain (str
-        ids and ends, int and float numbers), else value by value, so a
-        numeric string counts as its number and an int id as its digits.
+        checked once, in that order, after the car length, which it keeps
+        as ``car_length_km`` (the instance document's): whole when its
+        values are plain (str ids and ends, int and float numbers), else
+        value by value, so a numeric string counts as its number and an int
+        id as its digits.  A capacity of None is filled with
+        default_capacity of its arc's lanes and length (_fill_capacity).
         Raises InstanceError naming the first value of the first column
-        that fails check_name or check_number, and NetworkError on a
-        capacity of None, an unknown road class, an id given twice or an
-        unknown tail or head."""
+        that fails check_name or check_number, and NetworkError on no
+        nodes, an unknown road class, an id given twice or an unknown tail
+        or head."""
+        self.car_length_km = check_number("defaults.car_length_km", car_length_km, 0)
+        if not len(node_ids):
+            raise NetworkError("nodes: at least one node required")
         node_ids = _names(node_ids, lambda k: "node id")
         x, y = (_numbers(values, lambda k, key=key: f"node {node_ids[k]}: {key}")
                 for key, values in (("x", x), ("y", y)))
@@ -283,9 +307,9 @@ class Network:
         numbers = []
         for values, (key, *spec) in zip(
                 (length_km, free_speed_kmh, lanes, capacity, bpr_gamma, bpr_nu), _ARC_NUMBERS):
-            if key == "capacity" and None in values:
-                raise NetworkError(f"arc {arc_ids[list(values).index(None)]}: capacity not set "
-                                   "(apply default_capacity first)")
+            if key == "capacity" and None in values:  # lanes and length are checked
+                values = _fill_capacity(values, arc_ids, numbers[0], numbers[2],
+                                        self.car_length_km)
             numbers.append(_numbers(values, lambda k, key=key: f"arc {arc_ids[k]}: {key}", *spec))
         length_km, free_speed_kmh, lanes, capacity, bpr_gamma, bpr_nu = numbers
         for k, c in enumerate(road_class):
@@ -495,9 +519,11 @@ class Network:
         return matrix
 
 
-def build_network(nodes: list[Node], arcs: list[Arc]) -> Network:
+def build_network(nodes: list[Node], arcs: list[Arc],
+                  car_length_km: float = DEFAULT_CAR_LENGTH_KM) -> Network:
     """The network of Node and Arc records, their fields as its columns."""
-    return Network(*record_columns(nodes, NODE_FIELDS), *record_columns(arcs, ARC_FIELDS))
+    return Network(*record_columns(nodes, NODE_FIELDS), *record_columns(arcs, ARC_FIELDS),
+                   car_length_km)
 
 
 def shortest_costs(network: Network, arc_costs: np.ndarray, destination,
@@ -565,4 +591,5 @@ def extract_core(network: Network) -> Network:
     arc = np.flatnonzero(keep[network.tail] & keep[network.head]).tolist()
     return Network([network.node_ids[i] for i in node], network.x[node].tolist(),
                    network.y[node].tolist(),
-                   *([column[k] for k in arc] for column in network.arc_table().values()))
+                   *([column[k] for k in arc] for column in network.arc_table().values()),
+                   network.car_length_km)

@@ -17,14 +17,14 @@ comfortable spectral margin, while leaving route mixing visible.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .network import (Arc, InstanceError, Node, build_network, check_number,
-                      default_capacity, read_section, PRIMARY, SECONDARY)
-from .instance import Instance, Stratum, DemandEntry, OutsideOption, SolverOptions, assign_areas
+from .network import (Arc, InstanceError, Node, build_network, check_number, read_section,
+                      PRIMARY, SECONDARY)
+from .instance import Instance, Stratum, DemandEntry, OutsideOption, assign_areas
 
 STRATUM_PRICE_SENSITIVITY = {"high": 0.5, "mid": 0.7, "low": 1.0}
 STRATUM_OUTSIDE_TIME_RATIO = {"high": 1.2, "mid": 1.1, "low": 1.0}
@@ -55,7 +55,6 @@ def gen_single_od(time_sensitivity: float = 60.0,
     2x2 area split, so pricing that single area replicates uniform pricing
     on this network.
     """
-    car = car_length_km
     nodes = [
         Node("0", 0.0, 0.0),
         Node("1", 4.0, 0.0),
@@ -71,15 +70,12 @@ def gen_single_od(time_sensitivity: float = 60.0,
         ("s13", "1", "3", 3.0, 40.0, 1, SECONDARY),
         ("s30", "3", "0", 3.0, 40.0, 1, SECONDARY),
     ]
-    capacity = default_capacity(*(np.array([row[k] for row in rows]) for k in (5, 3)), car)
-    arcs = [Arc(*row, capacity=c) for row, c in zip(rows, capacity.tolist())]
-    network = build_network(nodes, arcs)
+    network = build_network(nodes, [Arc(*row) for row in rows], car_length_km)
     strata = default_strata(time_sensitivity)
     demand = [DemandEntry(stratum=s.name, origin="0", destination="3", trips=500.0)
               for s in strata]
     outside = OutsideOption(mode="free_time_multiplier", multiplier=1.2, ticket=300.0)
-    return Instance(network=network, strata=strata, demand=demand, outside=outside,
-                    car_length_km=car, solver=SolverOptions())
+    return Instance(network=network, strata=strata, demand=demand, outside=outside)
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,15 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
     """
     R, C = spec.rows, spec.cols
     # one arc per road class, in a network of one node, checks the spec's
-    # road fields (its capacity of 1 stands in until they give the real one);
-    # every lattice arc of the class copies it, and the node spacing is the
+    # road fields and car length and derives each class's capacity; every
+    # lattice arc of the class copies it, and the node spacing is the
     # secondary length
-    car = check_number("car_length_km", spec.car_length_km, 0)
     roads = build_network([Node("", 0.0, 0.0)], [
         Arc(PRIMARY, "", "", spec.primary_length_km, spec.primary_speed_kmh, spec.primary_lanes,
-            PRIMARY, capacity=1.0),
-        Arc(SECONDARY, "", "", spec.secondary_length_km, spec.secondary_speed_kmh, capacity=1.0)])
-    p, s = (replace(road, capacity=c) for road, c in zip(
-        roads.arcs, default_capacity(roads.lanes, roads.length, car).tolist()))
+            PRIMARY),
+        Arc(SECONDARY, "", "", spec.secondary_length_km, spec.secondary_speed_kmh)],
+        spec.car_length_km)
+    p, s = roads.arcs
 
     def nid(r: int, c: int) -> str:
         return str(r * C + c)
@@ -178,13 +173,12 @@ def gen_grid(spec: GridGenSpec = GridGenSpec()) -> Instance:
             else:
                 arcs += [copy(s, a, b), copy(s, b, a)]
 
-    network = build_network(nodes, arcs)
+    network = build_network(nodes, arcs, roads.car_length_km)
     demand = _sample_demand(network, spec)
     strata = default_strata(spec.time_sensitivity)
     outside = OutsideOption(mode="free_time_multiplier",
                             multiplier=spec.outside_multiplier, ticket=spec.ticket)
-    return Instance(network=network, strata=strata, demand=demand, outside=outside,
-                    car_length_km=car, solver=SolverOptions())
+    return Instance(network=network, strata=strata, demand=demand, outside=outside)
 
 
 def _secondary_served(network) -> np.ndarray:

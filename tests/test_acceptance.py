@@ -67,8 +67,7 @@ def with_price_sensitivities(instance, beta_p):
         for s in instance.strata
     ]
     return Instance(network=instance.network, strata=strata,
-                    demand=instance.demand, outside=instance.outside,
-                    car_length_km=instance.car_length_km, solver=instance.solver)
+                    demand=instance.demand, outside=instance.outside, solver=instance.solver)
 
 
 def test_criterion_1_equilibrium_residuals(single_od, grid6):
@@ -319,8 +318,7 @@ def test_criterion_10_degenerate_cases(single_od):
     give zero revenue and exactly zero welfare deltas."""
     inst = single_od
     empty = Instance(network=inst.network, strata=inst.strata, demand=[],
-                     outside=inst.outside, car_length_km=inst.car_length_km,
-                     solver=inst.solver)
+                     outside=inst.outside, solver=inst.solver)
     sol_e = solve_equilibrium(empty, zero_prices(empty), TIGHT)
     assert sol_e.converged
     assert np.all(sol_e.total_flow == 0.0)

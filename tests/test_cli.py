@@ -235,6 +235,51 @@ class TestSolve:
         assert run(["solve", "--instance", str(ipath), "--scheme", "uniform",
                     "--out", str(tmp_path / "o")]) == 1
 
+    def test_instance_without_demand_solves(self, tmp_path):
+        # no demand row: two schemes (baseline and priced) route no pair
+        doc = instance_to_document(two_route_instance())
+        doc["demand"] = []
+        ipath = tmp_path / "no_demand.json"
+        ipath.write_text(json.dumps(doc))
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "2",
+                    "--out", str(tmp_path / "o")]) == 0
+        metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+        assert metrics["total_welfare"] == 0.0 and metrics["total_revenue"] == 0.0
+        assert set(metrics["primary_share_flow"].values()) == {None}
+
+    @pytest.mark.parametrize("nodes, message", [
+        ([], "nodes: at least one node required"),
+        ([{"id": "a", "x": 0.0, "y": 0.0}], "node 'a' has no outgoing arc")],
+        ids=["no node", "no arc"])
+    def test_network_without_arcs_is_usage_error(self, tmp_path, capsys, nodes, message):
+        doc = instance_to_document(two_route_instance())
+        doc.update(nodes=nodes, arcs=[], demand=[])
+        ipath = tmp_path / "empty.json"
+        ipath.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")  # neither command writes it
+        commands = [["solve", "--scheme", "uniform", "--rate", "0", "--out", out],
+                    ["sweep", "--scheme", "uniform", "--grid", "0:1:1", "--out", out]]
+        if not nodes:  # validate reports a node without an arc as INVALID, not as an error
+            commands.append(["validate"])
+        for command in commands:
+            capsys.readouterr()
+            code = run([*command, "--instance", str(ipath)])
+            err = capsys.readouterr().err
+            assert code == EXIT_INVALID and err.startswith("error: "), (command[0], err)
+            assert err.endswith(f": {message}\n") and "Traceback" not in err, (command[0], err)
+        assert not (tmp_path / "out").exists()
+
+    def test_toll_past_the_float_range_is_usage_error(self, tmp_path, capsys):
+        # the 5 km primary arcs' toll at rate 1e308 is past the float range
+        ipath = tmp_path / "single_od.json"
+        save_instance(gen_single_od(), ipath)
+        capsys.readouterr()
+        assert run(["solve", "--instance", str(ipath), "--scheme", "uniform", "--rate", "1e308",
+                    "--out", str(tmp_path / "o")]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: price rate 1e+308 on arc p02 "), err
+        assert "float range" in err and not (tmp_path / "o").exists()
+
 
 class TestSweepParetoSimulate:
     def make_sweep(self, tmp_path, workers=None):

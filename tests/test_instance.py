@@ -54,26 +54,24 @@ def test_nan_field_is_rejected_by_name(tmp_path, capsys, make_doc, path, message
 RECORD_VALUES = {"inf": math.inf, "zero": 0, "negative": -1, "string": "abc", "numeric": "2.5",
                  "null": None, "list": [1], "true": True, "fraction": 1.5}
 #: (path, value) of every node, arc, stratum and demand field of
-#: INSTANCE_FIELDS; a null capacity is left out: a document's is filled from
-#: lanes and length, a record's is not set
+#: INSTANCE_FIELDS; a null capacity is filled from lanes and length in a
+#: document and a record alike
 RECORD_CASES = [pytest.param(path, value, id=".".join(map(str, path)) + "=" + label)
-                for make_doc, path, _name, valid in INSTANCE_FIELDS
+                for make_doc, path, _name, _valid in INSTANCE_FIELDS
                 if make_doc is single_od_document
                 and path[0] in ("nodes", "arcs", "strata", "demand")
-                for label, value in RECORD_VALUES.items()
-                if not (label == "null" and "null" in valid)]
+                for label, value in RECORD_VALUES.items()]
 
 
 def records_instance(doc):
     """The Instance of the records of ``doc``: build_network of its Node
-    and Arc records, then Instance of them with its Stratum and DemandEntry
-    records (its outside option and car length as loaded)."""
+    and Arc records and car length, then Instance of them with its Stratum
+    and DemandEntry records (its outside option as loaded)."""
     loaded = load_instance(single_od_document())
     network = build_network([Node(**row) for row in doc["nodes"]],
-                            [Arc(**row) for row in doc["arcs"]])
+                            [Arc(**row) for row in doc["arcs"]], doc["defaults"]["car_length_km"])
     return Instance(network, [Stratum(**row) for row in doc["strata"]],
-                    [DemandEntry(**row) for row in doc["demand"]], loaded.outside,
-                    doc["defaults"]["car_length_km"])
+                    [DemandEntry(**row) for row in doc["demand"]], loaded.outside)
 
 
 @pytest.mark.parametrize("path, value", RECORD_CASES)
@@ -212,18 +210,33 @@ class TestColumnLoad:
         doc["arcs"][0][key], want["arcs"][0][key] = given, loaded
         assert instance_to_document(load_instance(doc)) == want
 
-    def test_lanes_past_the_float_range_without_capacity_fail_by_name(self, tmp_path, capsys):
-        # such lanes load with a capacity given, but have no default one
-        doc = single_od_document()
-        del doc["arcs"][0]["capacity"]
-        doc["arcs"][0]["lanes"] = 10**400
-        message = "arc s01: lanes is past the float range"
+    @staticmethod
+    def assert_no_default_capacity(doc, tmp_path, capsys):
+        """``doc``, whose arc s01 has no capacity, is refused by the name of
+        the fields its default comes from, also by the CLI."""
+        message = ("arc s01: lanes * length_km / car_length_km is past the float range: "
+                   "give its capacity")
         with pytest.raises(InstanceError, match=re.escape(message)):
             load_instance(doc)
         write_json(tmp_path / "inst.json", doc)
         assert cli.run(["validate", "--instance", str(tmp_path / "inst.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_lanes_past_the_float_range_without_capacity_fail_by_name(self, tmp_path, capsys):
+        # such lanes load with a capacity given, but have no default one
+        doc = single_od_document()
+        del doc["arcs"][0]["capacity"]
+        doc["arcs"][0]["lanes"] = 10**400
+        self.assert_no_default_capacity(doc, tmp_path, capsys)
+
+    def test_default_capacity_past_the_float_range_fails_by_name(self, tmp_path, capsys):
+        # lanes and length each in range, their product not: the capacity
+        # the document never gave is not named
+        doc = single_od_document()
+        del doc["arcs"][0]["capacity"]
+        doc["arcs"][0].update(lanes=10**10, length_km=1e300)
+        self.assert_no_default_capacity(doc, tmp_path, capsys)
 
     @pytest.mark.parametrize("path, message", [
         (("arcs", 0, "length_km"), "arc s01: length_km must be a finite number, got True"),

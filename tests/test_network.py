@@ -195,6 +195,24 @@ class TestDefaultCapacity:
         with pytest.raises(NetworkError):
             default_capacity(1, 5.0, 0.0)
 
+    def test_network_fills_a_missing_capacity_from_its_car_length(self):
+        # only the arc without a capacity takes the default, and the core
+        # keeps the car length
+        nodes = [Node("0", 0, 0), Node("1", 1, 0)]
+        arcs = [Arc("f", "0", "1", 5.0, 40.0, lanes=3), Arc("b", "1", "0", 5.0, 40.0, capacity=7.0)]
+        net = build_network(nodes, arcs, 0.004)
+        assert net.car_length_km == extract_core(net).car_length_km == 0.004
+        assert net.capacity.tolist() == [default_capacity(3, 5.0, 0.004), 7.0]
+
+    @pytest.mark.parametrize("car_length_km", [0, -1.0, float("nan"), "abc"])
+    def test_network_refuses_a_bad_car_length(self, car_length_km):
+        with pytest.raises(InstanceError, match="defaults.car_length_km must be"):
+            build_network([Node("0", 0, 0)], [], car_length_km)
+
+    def test_network_refuses_no_node(self):
+        with pytest.raises(NetworkError, match="nodes: at least one node required"):
+            build_network([], [])
+
 
 class TestShortestCosts:
     def test_line_graph(self, line_network):
